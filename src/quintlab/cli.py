@@ -3,54 +3,47 @@
 Usage:  lab <subcommand> --config <path> [--seed S] [--out DIR]
 
 Subcommands: nls-run, manybody-run, chaos, residuals, hufl, couplings, probe.
-Configs are JSON objects; every parameter is validated against the owning
-module's preconditions before dispatch and unknown keys are rejected.  All
-randomness derives from the single config seed through numpy's PCG64
-generator, so rerunning a config reproduces every numeric artifact
-byte-for-byte.  Exit codes: 0 pass, 1 in-run tolerance failure,
+Configs are JSON objects.  Validation has two passes: a schema pass checks
+each kind's allowed and required keys and their JSON types, then a build
+pass constructs the domain objects the run uses (grid, solver and many-body
+configs, potential, initial field, probe arguments), so every value rule
+is the one its owning module enforces.  Every failure of either pass is
+listed.  All randomness derives from the single config seed through
+numpy's PCG64 generator, so rerunning a config reproduces every numeric
+artifact byte-for-byte.  Exit codes: 0 pass, 1 in-run tolerance failure,
 2 validation error.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
 
 from . import io as qio
 from .couplings import (
-    classify_couplings,
-    double_factorial,
-    enumerate_collapse_maps,
-    min_unclogged,
-    raw_summand_count,
+    check_map_order, classify_couplings, double_factorial, enumerate_collapse_maps,
+    min_unclogged, raw_summand_count,
 )
-from .grids import GridSpec, TorusField
+from .grids import GridSpec, TorusField, check_cutoff
 from .manybody import (
-    BosonicState,
-    ConstantPotential,
-    GaussianPotential,
-    ManyBodyConfig,
-    energy_per_particle,
-    potential_mass,
-    propagate,
-    energy_moment,
-    stability_check,
+    BosonicState, ConstantPotential, GaussianPotential, ManyBodyConfig, energy_moment,
+    energy_per_particle, potential_mass, propagate, stability_check,
 )
 from .marginals import (
-    bbgky_residual,
-    chaos_experiment,
-    gp_residual,
-    hufl_left_side,
-    marginal,
-    rank_one_marginal,
+    bbgky_residual, chaos_experiment, check_hierarchy_order, check_rank_one_order,
+    gp_residual, hufl_left_side, rank_one_marginal,
 )
-from .nls import NlsConfig, energy_nls, energy_split, evolve, frequency_diagnostics
+from .nls import (
+    NlsConfig, check_diagnostic_cutoffs, energy_nls, energy_split, evolve,
+    frequency_diagnostics,
+)
 from .probes import PROBE_RUNNERS
 
 SCHEMA_VERSION = 1
@@ -69,6 +62,8 @@ class ExperimentConfig:
     kind: str
     params: dict
     seed: int = 0
+    # the domain objects of the last successful validate(), reused by the run
+    built: dict | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_file(cls, path, seed_override=None) -> "ExperimentConfig":
@@ -102,133 +97,150 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "params": self.params}
 
-    def validate(self):
-        schema = _SCHEMAS[self.kind]
-        errors = []
-        for key in self.params:
-            if key not in schema:
-                errors.append(f"params.{key}: unknown key for kind {self.kind}")
-        for key, (required, check, msg) in schema.items():
-            if key not in self.params:
-                if required:
-                    errors.append(f"params.{key}: required")
-                continue
-            if not check(self.params[key]):
-                errors.append(f"params.{key}: {msg}")
+    def validate(self) -> dict:
+        """Run the schema pass, then the build pass; keep and return the built objects."""
+        required, types = _SCHEMAS[self.kind]
+        errors = [f"params.{key}: unknown key for kind {self.kind}"
+                  for key in self.params if key not in types]
+        errors += [f"params.{key}: required" for key in required.split() if key not in self.params]
+        errors += [f"params.{key}: must be {types[key]}" for key, value in self.params.items()
+                   if key in types and not _JSON_TYPES[types[key]](value)]
         if errors:
             raise ValidationError(errors)
+        self.built = _build(self)
+        return self.built
 
 
-def _is_pos(x):
-    return isinstance(x, (int, float)) and x > 0
-
-
-def _is_nonneg(x):
-    return isinstance(x, (int, float)) and x >= 0
-
-
-def _is_dim(x):
-    return isinstance(x, int) and x in (1, 2, 3)
-
-
-def _is_gridn(x):
-    return isinstance(x, int) and x >= 4 and x % 2 == 0
-
-
-def _is_posint(x):
-    return isinstance(x, int) and x >= 1
-
-
-def _is_list(x):
-    return isinstance(x, list) and len(x) > 0
-
-
-def _is_initial(x):
-    return isinstance(x, dict) and x.get("kind") in ("modes", "random_band", "constant", "file")
-
-
-def _is_potential(x):
-    return isinstance(x, dict) and x.get("kind") in ("gaussian", "constant")
-
-
-def _is_bool(x):
-    return isinstance(x, bool)
-
-
-_SCHEMAS = {
-    "nls-run": {
-        "d": (True, _is_dim, "must be 1, 2 or 3"),
-        "n": (True, _is_gridn, "must be an even integer >= 4"),
-        "b0": (True, _is_nonneg, "must be >= 0 (defocusing)"),
-        "dt": (True, _is_pos, "must be > 0"),
-        "T": (True, _is_nonneg, "must be >= 0"),
-        "dealias": (False, _is_bool, "must be a boolean"),
-        "snapshot_every": (False, _is_posint, "must be a positive integer"),
-        "initial": (True, _is_initial, "must be a modes/random_band/constant object"),
-        "split_M": (False, _is_pos, "must be > 0"),
-        "diagnostics_M": (False, _is_list, "must be a nonempty list"),
-        "mass_tol": (False, _is_pos, "must be > 0"),
-    },
-    "manybody-run": {
-        "d": (True, _is_dim, "must be 1, 2 or 3"),
-        "n": (True, _is_gridn, "must be an even integer >= 4"),
-        "N": (True, _is_posint, "must be a positive integer"),
-        "beta": (True, _is_nonneg, "must be >= 0"),
-        "potential": (False, _is_potential, "must be a gaussian/constant object"),
-        "T": (True, _is_nonneg, "must be >= 0"),
-        "steps": (False, _is_posint, "must be a positive integer"),
-        "initial": (True, _is_initial, "must be a modes/random_band/constant object"),
-        "moments": (False, _is_list, "must be a nonempty list"),
-        "stability": (False, _is_list, "must be a nonempty list"),
-        "dump_state": (False, _is_bool, "must be a boolean"),
-        "norm_tol": (False, _is_pos, "must be > 0"),
-        "energy_tol": (False, _is_pos, "must be > 0"),
-    },
-    "chaos": {
-        "d": (True, _is_dim, "must be 1, 2 or 3"),
-        "n": (True, _is_gridn, "must be an even integer >= 4"),
-        "beta": (True, _is_nonneg, "must be >= 0"),
-        "T": (True, _is_nonneg, "must be >= 0"),
-        "Ns": (True, _is_list, "must be a nonempty list"),
-        "initial": (True, _is_initial, "must be a modes/random_band/constant object"),
-        "potential": (False, _is_potential, "must be a gaussian/constant object"),
-        "nls_dt": (False, _is_pos, "must be > 0"),
-    },
-    "residuals": {
-        "d": (True, _is_dim, "must be 1, 2 or 3"),
-        "n": (True, _is_gridn, "must be an even integer >= 4"),
-        "N": (True, _is_posint, "must be a positive integer"),
-        "beta": (True, _is_nonneg, "must be >= 0"),
-        "k": (True, _is_posint, "must be a positive integer"),
-        "spacings": (True, _is_list, "must be a nonempty list"),
-        "initial": (True, _is_initial, "must be a modes/random_band/constant object"),
-        "potential": (False, _is_potential, "must be a gaussian/constant object"),
-    },
-    "hufl": {
-        "d": (True, _is_dim, "must be 1, 2 or 3"),
-        "n": (True, _is_gridn, "must be an even integer >= 4"),
-        "initial": (True, _is_initial, "must be a modes/random_band/constant object"),
-        "M": (True, _is_pos, "must be > 0"),
-        "eps": (True, _is_pos, "must be > 0"),
-        "ks": (True, _is_list, "must be a nonempty list"),
-    },
-    "couplings": {
-        "k": (True, _is_posint, "must be a positive integer"),
-    },
-    "probe": {
-        "lemma": (True, lambda x: x in PROBE_RUNNERS, f"must be one of {sorted(PROBE_RUNNERS)}"),
-        "samples": (False, _is_posint, "must be a positive integer"),
-        "options": (False, lambda x: isinstance(x, dict), "must be an object"),
-    },
+_INT, _NUM, _BOOL, _LIST, _OBJ, _STR = (
+    "an integer", "a number", "a boolean", "a nonempty list", "an object", "a string"
+)
+_JSON_TYPES = {
+    _INT: lambda x: isinstance(x, int) and not isinstance(x, bool),
+    _NUM: lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    _BOOL: lambda x: isinstance(x, bool),
+    _LIST: lambda x: isinstance(x, list) and len(x) > 0,
+    _OBJ: lambda x: isinstance(x, dict),
+    _STR: lambda x: isinstance(x, str),
 }
+
+# Raw input only: each kind's required keys, and the JSON type of every key
+# it allows.  Value rules belong to the domain objects that _build constructs.
+_FIELD = {"d": _INT, "n": _INT, "initial": _OBJ}
+_SCHEMAS = {
+    "nls-run": ("d n initial b0 dt T", {
+        **_FIELD, "b0": _NUM, "dt": _NUM, "T": _NUM, "dealias": _BOOL, "snapshot_every": _INT,
+        "split_M": _NUM, "diagnostics_M": _LIST, "mass_tol": _NUM}),
+    "manybody-run": ("d n initial N beta T", {
+        **_FIELD, "N": _INT, "beta": _NUM, "T": _NUM, "potential": _OBJ, "steps": _INT,
+        "moments": _LIST, "stability": _LIST, "dump_state": _BOOL, "norm_tol": _NUM,
+        "energy_tol": _NUM}),
+    "chaos": ("d n initial beta T Ns", {
+        **_FIELD, "beta": _NUM, "T": _NUM, "Ns": _LIST, "potential": _OBJ, "nls_dt": _NUM}),
+    "residuals": ("d n initial N beta k spacings", {
+        **_FIELD, "N": _INT, "beta": _NUM, "k": _INT, "spacings": _LIST, "potential": _OBJ}),
+    "hufl": ("d n initial M eps ks", {**_FIELD, "M": _NUM, "eps": _NUM, "ks": _LIST}),
+    "couplings": ("k", {"k": _INT}),
+    "probe": ("lemma", {"lemma": _STR, "samples": _INT, "options": _OBJ}),
+}
+
+# Run-level rules that no domain function owns.
+_POSITIVE = ("snapshot_every", "steps", "nls_dt", "eps", "samples",
+             "mass_tol", "norm_tol", "energy_tol")
+
+
+def _build(cfg: ExperimentConfig) -> dict:
+    """The build pass: construct the domain objects the run uses, without
+    tabulating a potential or allocating a state.  Each failure becomes the
+    entry params.<key>: <message>, and every independent failure is listed.
+    A ParameterError names the argument it rejects; when the config has a
+    key of that name, the entry names it, else the key feeding the step."""
+    p, kind, errors, built = cfg.params, cfg.kind, [], {}
+
+    def attempt(key, build, *args):
+        try:
+            return build(*args)
+        except (ValueError, TypeError, LookupError, OSError) as exc:
+            name = getattr(exc, "name", None)
+            msg = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            errors.append(f"params.{name if name in p else key}: {msg}")
+
+    errors += [f"params.{key}: must be > 0" for key in _POSITIVE if p.get(key, 1) <= 0]
+    if p.get("T", 0) < 0:
+        errors.append("params.T: must be >= 0")
+    grid = built["grid"] = attempt("n", GridSpec, p["d"], p["n"]) if "d" in p else None
+    if kind in ("manybody-run", "chaos", "residuals"):
+        pot = built["potential"] = attempt("potential", build_potential_spec, p.get("potential"))
+        key = "Ns" if kind == "chaos" else "N"
+        for N in p.get("Ns", [p.get("N")]) if grid and pot else []:
+            mb = built["mb"] = attempt(
+                key, lambda: ManyBodyConfig(grid, int(N), float(p["beta"]), pot)
+            )
+            if mb:
+                attempt(key, mb.check_budget)
+    if grid:
+        spec = p["initial"]
+        key = "initial.path" if spec.get("kind") == "file" else "initial"
+        if kind == "manybody-run" and key == "initial.path":
+            if built.get("mb"):
+                attempt(key, lambda: qio.check_state_file(built["mb"], Path(spec["path"])))
+        else:
+            f = attempt(key, build_initial_field, grid, spec, cfg.seed)
+            if f is not None and kind in ("chaos", "residuals", "hufl"):
+                f = attempt("initial", _unit, f)
+            built["field"] = f
+
+    if kind == "nls-run":
+        # NlsConfig checks only b0 and dt, so it is built even without a grid
+        built["nls"] = attempt(
+            "dt", NlsConfig, grid, float(p["b0"]), float(p["dt"]), p.get("dealias", True)
+        )
+        if "split_M" in p:
+            attempt("split_M", check_cutoff, p["split_M"])
+        for m in p.get("diagnostics_M", []) if grid else []:
+            attempt("diagnostics_M", check_diagnostic_cutoffs, m, grid.nyquist)
+    elif kind == "residuals":
+        attempt("k", check_hierarchy_order, p["k"], p["N"])
+        if grid:  # gp_residual builds the rank-one (k+2)-marginal
+            attempt("k", check_rank_one_order, grid, p["k"] + 2)
+        # the run's coupling comes from the tabulated potential; only dt is checked here
+        for h in p["spacings"]:
+            attempt("spacings", lambda: NlsConfig(grid, 0.0, float(h) / 4, dealias=False))
+    elif kind == "hufl":
+        attempt("M", check_cutoff, p["M"])
+        for k in p["ks"] if grid else []:
+            attempt("ks", lambda: check_rank_one_order(grid, int(k)))
+    elif kind == "couplings":
+        attempt("k", check_map_order, p["k"])
+    elif kind == "probe":
+        runner = built["runner"] = PROBE_RUNNERS.get(p["lemma"])
+        kwargs = dict(p.get("options", {}))
+        if "samples" in p:
+            kwargs["samples"] = p["samples"]
+        if runner is None:
+            errors.append(f"params.lemma: must be one of {sorted(PROBE_RUNNERS)}")
+        else:
+            built["args"] = attempt(
+                "options", lambda: inspect.signature(runner).bind(seed=cfg.seed, **kwargs)
+            )
+    if errors:
+        raise ValidationError(errors)
+    return built
+
+
+def _unit(f: TorusField, scale: float = 1.0) -> TorusField:
+    """f rescaled to L2 norm `scale`."""
+    norm = f.l2_norm()
+    if norm == 0.0:
+        raise ValueError("the initial field is zero and cannot be normalized")
+    return f * (scale / norm)
 
 
 def build_initial_field(grid: GridSpec, spec: dict, seed: int) -> TorusField:
-    kind = spec["kind"]
+    kind = spec.get("kind")
     if kind == "file":
-        f = qio.load_field(spec["path"])
+        f = qio.load_field(Path(spec["path"]))
         if f.grid != grid:
-            raise ValidationError(["params.initial.path: field grid does not match d/n"])
+            raise ValueError("field grid does not match d/n")
         return f
     if kind == "constant":
         return TorusField.constant(grid, spec.get("value", 1.0))
@@ -239,28 +251,28 @@ def build_initial_field(grid: GridSpec, spec: dict, seed: int) -> TorusField:
             amp = complex(entry[1], entry[2] if len(entry) > 2 else 0.0)
             modes[xi] = amp
         f = TorusField.from_modes(grid, modes)
-    else:
+    elif kind == "random_band":
         rng = np.random.default_rng(seed)
         f = TorusField.random_band_limited(
             grid, int(spec.get("band", grid.n // 4)), rng, decay=float(spec.get("decay", 2.0))
         )
+    else:
+        raise ValueError(f"kind must be modes, random_band, constant or file, got {kind!r}")
     scale = spec.get("scale")
     if spec.get("normalize", False) or scale is not None:
-        f = f * (float(scale or 1.0) / f.l2_norm())
+        f = _unit(f, float(scale or 1.0))
     return f
 
 
 def build_potential_spec(spec: dict | None):
     if spec is None:
         return GaussianPotential()
-    if spec["kind"] == "constant":
+    kind = spec.get("kind")
+    if kind == "constant":
         return ConstantPotential(float(spec.get("value", 1.0)))
-    kwargs = {}
-    if "sigma" in spec:
-        kwargs["sigma"] = float(spec["sigma"])
-    if "amplitude" in spec:
-        kwargs["amplitude"] = float(spec["amplitude"])
-    return GaussianPotential(**kwargs)
+    if kind != "gaussian":
+        raise ValueError(f"kind must be 'gaussian' or 'constant', got {kind!r}")
+    return GaussianPotential(**{k: float(spec[k]) for k in ("sigma", "amplitude") if k in spec})
 
 
 @dataclass
@@ -278,23 +290,11 @@ class RunReport:
         return all(self.checks.values())
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "config": self.config,
-            "wall_time_s": self.wall_time_s,
-            "artifacts": self.artifacts,
-            "summary": self.summary,
-            "checks": self.checks,
-            "passed": self.passed,
-            "schema_version": self.schema_version,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
-def _run_nls(cfg: ExperimentConfig, out: Path, report: RunReport):
-    p = cfg.params
-    grid = GridSpec(p["d"], p["n"])
-    nls_cfg = NlsConfig(grid, float(p["b0"]), float(p["dt"]), p.get("dealias", True))
-    f0 = build_initial_field(grid, p["initial"], cfg.seed)
+def _run_nls(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
+    p, grid, nls_cfg, f0 = cfg.params, built["grid"], built["nls"], built["field"]
     split_m = p.get("split_M", grid.nyquist // 2)
     diag_ms = p.get("diagnostics_M", [grid.nyquist // 2])
     traj = evolve(f0, float(p["T"]), nls_cfg, p.get("snapshot_every", 1))
@@ -315,15 +315,12 @@ def _run_nls(cfg: ExperimentConfig, out: Path, report: RunReport):
     report.checks["mass_conserved"] = drift <= tol
 
 
-def _run_manybody(cfg: ExperimentConfig, out: Path, report: RunReport):
-    p = cfg.params
-    grid = GridSpec(p["d"], p["n"])
-    mb = ManyBodyConfig(grid, p["N"], float(p["beta"]), build_potential_spec(p.get("potential")))
+def _run_manybody(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
+    p, mb = cfg.params, built["mb"]
     if p["initial"]["kind"] == "file":
-        psi0 = qio.load_state(mb, p["initial"]["path"])
+        psi0 = qio.load_state(mb, Path(p["initial"]["path"]))
     else:
-        phi = build_initial_field(grid, p["initial"], cfg.seed)
-        psi0 = BosonicState.factorized(mb, phi)
+        psi0 = BosonicState.factorized(mb, built["field"])
     e0 = energy_per_particle(psi0)
     psi = propagate(psi0, float(p["T"]), steps=p.get("steps")) if p["T"] > 0 else psi0
     eT = energy_per_particle(psi)
@@ -354,17 +351,14 @@ def _run_manybody(cfg: ExperimentConfig, out: Path, report: RunReport):
     report.checks["energy_preserved"] = energy_drift <= p.get("energy_tol", 1e-8)
 
 
-def _run_chaos(cfg: ExperimentConfig, out: Path, report: RunReport):
+def _run_chaos(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
     p = cfg.params
-    grid = GridSpec(p["d"], p["n"])
-    phi0 = build_initial_field(grid, p["initial"], cfg.seed)
-    phi0 = phi0 * (1.0 / phi0.l2_norm())
     rows = chaos_experiment(
         [int(N) for N in p["Ns"]],
         float(p["beta"]),
-        phi0,
+        built["field"],
         float(p["T"]),
-        potential=build_potential_spec(p.get("potential")),
+        potential=built["potential"],
         nls_dt=p.get("nls_dt"),
     )
     path = out / "chaos.csv"
@@ -382,12 +376,8 @@ def _run_chaos(cfg: ExperimentConfig, out: Path, report: RunReport):
     )
 
 
-def _run_residuals(cfg: ExperimentConfig, out: Path, report: RunReport):
-    p = cfg.params
-    grid = GridSpec(p["d"], p["n"])
-    mb = ManyBodyConfig(grid, p["N"], float(p["beta"]), build_potential_spec(p.get("potential")))
-    phi0 = build_initial_field(grid, p["initial"], cfg.seed)
-    phi0 = phi0 * (1.0 / phi0.l2_norm())
+def _run_residuals(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
+    p, grid, mb, phi0 = cfg.params, built["grid"], built["mb"], built["field"]
     b0 = potential_mass(mb)
     k = int(p["k"])
     psi0 = BosonicState.factorized(mb, phi0)
@@ -407,11 +397,8 @@ def _run_residuals(cfg: ExperimentConfig, out: Path, report: RunReport):
     report.checks["residuals_finite"] = all(np.isfinite(r[1]) and np.isfinite(r[2]) for r in rows)
 
 
-def _run_hufl(cfg: ExperimentConfig, out: Path, report: RunReport):
-    p = cfg.params
-    grid = GridSpec(p["d"], p["n"])
-    phi = build_initial_field(grid, p["initial"], cfg.seed)
-    phi = phi * (1.0 / phi.l2_norm())
+def _run_hufl(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
+    p, phi = cfg.params, built["field"]
     rows = []
     for k in [int(k) for k in p["ks"]]:
         lhs = hufl_left_side(rank_one_marginal(phi, k), float(p["M"]))
@@ -424,7 +411,7 @@ def _run_hufl(cfg: ExperimentConfig, out: Path, report: RunReport):
     report.checks["finite"] = all(np.isfinite(r[1]) for r in rows)
 
 
-def _run_couplings(cfg: ExperimentConfig, out: Path, report: RunReport):
+def _run_couplings(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
     k = int(cfg.params["k"])
     maps = enumerate_collapse_maps(k)
     counts = raw_summand_count(k)
@@ -456,13 +443,9 @@ def _run_couplings(cfg: ExperimentConfig, out: Path, report: RunReport):
         )
 
 
-def _run_probe(cfg: ExperimentConfig, out: Path, report: RunReport):
-    p = cfg.params
-    runner = PROBE_RUNNERS[p["lemma"]]
-    kwargs = dict(p.get("options", {}))
-    if "samples" in p:
-        kwargs["samples"] = p["samples"]
-    probe_report = runner(seed=cfg.seed, **kwargs)
+def _run_probe(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
+    p, args = cfg.params, built["args"]
+    probe_report = built["runner"](*args.args, **args.kwargs)
     jpath = out / f"probe_{p['lemma']}.json"
     qio.write_json(jpath, probe_report.to_dict())
     cpath = out / f"probe_{p['lemma']}.csv"
@@ -493,9 +476,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = RunReport(kind=cfg.kind, config=cfg.to_dict())
+    built = cfg.built if cfg.built is not None else cfg.validate()
     t0 = time.perf_counter()
     try:
-        _RUNNERS[cfg.kind](cfg, out, report)
+        _RUNNERS[cfg.kind](cfg, built, out, report)
     except Exception:
         for art in report.artifacts:
             Path(art).unlink(missing_ok=True)
@@ -506,7 +490,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunReport:
     return report
 
 
-def emit_plotdata(report: RunReport, out_dir=None) -> list[str]:
+def emit_plotdata(report: RunReport) -> list[str]:
     """Columnar .dat copies of every CSV artifact plus a plotting stub."""
     written = []
     for art in report.artifacts:
@@ -558,6 +542,7 @@ def main(argv=None) -> int:
         if kind == "probe":
             sp.add_argument("--lemma", type=str, default=None)
     args = parser.parse_args(argv)
+    out_dir = args.out or f"runs/{args.kind}"
     try:
         if args.config is not None:
             cfg = ExperimentConfig.from_file(args.config, seed_override=args.seed)
@@ -566,7 +551,6 @@ def main(argv=None) -> int:
                     [f"kind: config says {cfg.kind!r} but subcommand is {args.kind!r}"]
                 )
         else:
-            params = {}
             if args.kind == "couplings" and args.k is not None:
                 params = {"k": args.k}
             elif args.kind == "probe" and args.lemma is not None:
@@ -576,12 +560,6 @@ def main(argv=None) -> int:
             cfg = ExperimentConfig.from_dict(
                 {"kind": args.kind, "params": params, "seed": args.seed or 0}
             )
-    except ValidationError as err:
-        for e in err.errors:
-            print(f"validation error: {e}", file=sys.stderr)
-        return 2
-    out_dir = args.out or f"runs/{args.kind}"
-    try:
         report = run_experiment(cfg, out_dir)
     except ValidationError as err:
         for e in err.errors:

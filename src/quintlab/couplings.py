@@ -49,13 +49,18 @@ class CollapseMap:
                 raise ValueError(f"level {l} target {t} outside 1..{2 * l - 1}")
 
 
+def check_map_order(k: int) -> None:
+    """enumerate_collapse_maps supports 1 <= k <= 10."""
+    if not 1 <= k <= 10:
+        raise ValueError(f"supported range is 1 <= k <= 10, got {k}")
+
+
 def enumerate_collapse_maps(k: int) -> list[CollapseMap]:
     """All admissible collapse maps, lexicographically ordered.
 
     There are prod_{l=2}^{k} (2l-1) = (2k-1)!! of them.
     """
-    if not 1 <= k <= 10:
-        raise ValueError("supported range is 1 <= k <= 10")
+    check_map_order(k)
     ranges = [range(1, 2)] + [range(1, 2 * l) for l in range(2, k + 1)]
     return [CollapseMap(k, tuple(t)) for t in itertools.product(*ranges)]
 
@@ -148,10 +153,6 @@ class MarkedExpansion:
     def bare_consumed_classified(self) -> int:
         """Bare factors absorbed by the nodes of levels 1..k-1."""
         return sum(n.bare_children for n in self.nodes[:-1])
-
-    @property
-    def bare_available_after_innermost(self) -> int:
-        return 4 * self.expansion.k - 3
 
     @property
     def surviving_bare(self) -> int:

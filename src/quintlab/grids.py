@@ -16,9 +16,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
+
+
+class ParameterError(ValueError):
+    """A constructor argument is out of range; `name` is the argument's name."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
 
 
 @dataclass(frozen=True)
@@ -30,9 +37,9 @@ class GridSpec:
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
+            raise ParameterError("d", f"dimension must be 1, 2 or 3, got {self.d}")
         if self.n < 4 or self.n % 2 != 0:
-            raise ValueError(f"points per axis must be even and >= 4, got {self.n}")
+            raise ParameterError("n", f"points per axis must be even and >= 4, got {self.n}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -281,12 +288,7 @@ def pointwise_product(*fields: TorusField, pad_to: int | None = None) -> TorusFi
     With pad_to >= sum of the factors' bandwidths the result is alias-free.
     The returned field lives on the padded grid when padding is requested.
     """
-    if pad_to is None:
-        vals = fields[0].values.copy()
-        for f in fields[1:]:
-            vals = vals * f.values
-        return TorusField.from_values(fields[0].grid, vals)
-    ups = [f.resample(pad_to) for f in fields]
+    ups = fields if pad_to is None else [f.resample(pad_to) for f in fields]
     vals = ups[0].values.copy()
     for f in ups[1:]:
         vals = vals * f.values
@@ -294,38 +296,6 @@ def pointwise_product(*fields: TorusField, pad_to: int | None = None) -> TorusFi
 
 
 # -- projectors ---------------------------------------------------------
-
-
-class BandMode(Enum):
-    LEQ = "leq"
-    GT = "gt"
-    BAND = "band"
-
-
-@dataclass(frozen=True)
-class DyadicBand:
-    """Sharp cutoff selector at level M: LEQ keeps |xi_j| <= M, GT its
-    complement, BAND the shell LEQ(M) minus LEQ(M/2)."""
-
-    cutoff: float
-    mode: BandMode = BandMode.LEQ
-
-    def __post_init__(self):
-        if self.cutoff <= 0:
-            raise ValueError("cutoff must be positive")
-        if self.mode is BandMode.BAND and self.cutoff < 2:
-            raise ValueError("dyadic band projection requires M >= 2")
-
-    def mask(self, grid: GridSpec) -> np.ndarray:
-        leq = _mask_leq(grid.d, grid.n, self.cutoff)
-        if self.mode is BandMode.LEQ:
-            return leq
-        if self.mode is BandMode.GT:
-            return ~leq
-        return leq & ~_mask_leq(grid.d, grid.n, self.cutoff / 2.0)
-
-    def apply(self, f: TorusField) -> TorusField:
-        return f.multiply_coefficients(self.mask(f.grid))
 
 
 @dataclass(frozen=True)
@@ -349,24 +319,27 @@ class FrequencyCube:
         return out
 
 
-def project_leq(f: TorusField, m: float) -> TorusField:
-    """Keep coefficients with |xi_j| <= m on every axis; zero the rest."""
+def check_cutoff(m: float) -> None:
+    """Every sharp frequency cutoff must be positive."""
     if m <= 0:
         raise ValueError("cutoff must be positive")
+
+
+def project_leq(f: TorusField, m: float) -> TorusField:
+    """Keep coefficients with |xi_j| <= m on every axis; zero the rest."""
+    check_cutoff(m)
     return f.multiply_coefficients(_mask_leq(f.grid.d, f.grid.n, m))
 
 
 def project_gt(f: TorusField, m: float) -> TorusField:
     """Complement of project_leq: identity minus the sharp cutoff."""
-    if m <= 0:
-        raise ValueError("cutoff must be positive")
+    check_cutoff(m)
     return f.multiply_coefficients(~_mask_leq(f.grid.d, f.grid.n, m))
 
 
 def project_lt(f: TorusField, m: float) -> TorusField:
     """Strict variant: keep |xi_j| < m on every axis."""
-    if m <= 0:
-        raise ValueError("cutoff must be positive")
+    check_cutoff(m)
     return f.multiply_coefficients(_mask_lt(f.grid.d, f.grid.n, m))
 
 
@@ -377,7 +350,8 @@ def dyadic_project(f: TorusField, m: float) -> TorusField:
     """
     if m < 2:
         raise ValueError("dyadic projection is defined for M >= 2")
-    return f.multiply_coefficients(DyadicBand(m, BandMode.BAND).mask(f.grid))
+    mask = _mask_leq(f.grid.d, f.grid.n, m) & ~_mask_leq(f.grid.d, f.grid.n, m / 2.0)
+    return f.multiply_coefficients(mask)
 
 
 def cube_project(f: TorusField, q: FrequencyCube) -> TorusField:

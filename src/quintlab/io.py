@@ -8,6 +8,8 @@ Field dump layout (little-endian):
 
 State dumps extend the header with a u32 slot count N and carry (n^d)^N
 complex64 amplitudes in row-major slot order.
+Loaders check the layout tag and the payload length against the header,
+and raise ValueError naming the file.
 
 CSV and JSON writers format floats by shortest round-trip repr so reruns of
 the same seeded configuration are byte-identical.
@@ -16,6 +18,7 @@ the same seeded configuration are byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -48,20 +51,36 @@ def dump_field(f: TorusField, path, layout: str = "spectral") -> None:
         fh.write(np.ascontiguousarray(data, dtype=np.complex64).tobytes())
 
 
-def load_field(path) -> TorusField:
+def _read_header(path, slotted: bool) -> tuple[GridSpec, str, int, int]:
+    """Parse a dump header; returns (grid, layout tag, slot count, header bytes)."""
+    fmt = "<II8sI" if slotted else "<II8s"  # d, n, layout tag[, slot count N]
     with open(path, "rb") as fh:
-        d, n = struct.unpack("<II", fh.read(8))
-        layout = fh.read(8).rstrip(b"\0").decode("ascii")
-        if layout not in _LAYOUTS:
-            raise ValueError(f"unknown layout tag {layout!r}")
-        grid = GridSpec(d, n)
-        raw = np.frombuffer(fh.read(), dtype=np.complex64).astype(np.complex128)
-        data = raw.reshape(grid.shape)
+        head = fh.read(struct.calcsize(fmt))
+    if len(head) < struct.calcsize(fmt):
+        raise ValueError(f"{path}: truncated header")
+    d, n, tag, *slots = struct.unpack(fmt, head)
+    layout = tag.rstrip(b"\0").decode("ascii", "replace")
+    if layout not in _LAYOUTS:
+        raise ValueError(f"{path}: unknown layout tag {layout!r}")
+    return GridSpec(d, n), layout, (slots or [1])[0], len(head)
+
+
+def _check_payload(path, header_bytes: int, entries: int) -> None:
+    payload = os.path.getsize(path) - header_bytes
+    if payload != 8 * entries:
+        raise ValueError(f"{path}: payload holds {payload} bytes, expected {8 * entries}")
+
+
+def load_field(path) -> TorusField:
+    grid, layout, _, header_bytes = _read_header(path, slotted=False)
+    _check_payload(path, header_bytes, grid.size)
+    raw = np.fromfile(path, dtype=np.complex64, offset=header_bytes)
+    data = raw.astype(np.complex128).reshape(grid.shape)
     if layout == "physical":
         return TorusField.from_values(grid, data)
-    order = _ascending_freq_order(n)
+    order = _ascending_freq_order(grid.n)
     coeffs = np.empty(grid.shape, dtype=np.complex128)
-    coeffs[np.ix_(*[order] * d)] = data
+    coeffs[np.ix_(*[order] * grid.d)] = data
     return TorusField(grid, coeffs)
 
 
@@ -74,17 +93,24 @@ def dump_state(psi: BosonicState, path) -> None:
         fh.write(np.ascontiguousarray(psi.amps, dtype=np.complex64).tobytes())
 
 
+def check_state_file(config: ManyBodyConfig, path) -> int:
+    """Raise ValueError, naming the file, unless it holds a state dump for
+    config; returns the header length."""
+    grid, layout, N, header_bytes = _read_header(path, slotted=True)
+    if layout != "physical":
+        raise ValueError(f"{path}: state dumps are 'physical', got {layout!r}")
+    if (grid, N) != (config.grid, config.N):
+        raise ValueError(
+            f"{path}: file geometry (d={grid.d}, n={grid.n}, N={N}) "
+            "does not match the configuration"
+        )
+    _check_payload(path, header_bytes, grid.size**N)
+    return header_bytes
+
+
 def load_state(config: ManyBodyConfig, path) -> BosonicState:
-    with open(path, "rb") as fh:
-        d, n = struct.unpack("<II", fh.read(8))
-        fh.read(8)
-        (N,) = struct.unpack("<I", fh.read(4))
-        if (d, n, N) != (config.grid.d, config.grid.n, config.N):
-            raise ValueError(
-                f"file geometry (d={d}, n={n}, N={N}) does not match the configuration"
-            )
-        raw = np.frombuffer(fh.read(), dtype=np.complex64).astype(np.complex128)
-    return BosonicState(config, raw.reshape(config.state_shape))
+    raw = np.fromfile(path, dtype=np.complex64, offset=check_state_file(config, path))
+    return BosonicState(config, raw.astype(np.complex128).reshape(config.state_shape))
 
 
 def format_number(x) -> str:

@@ -23,13 +23,16 @@ import numpy as np
 from scipy import integrate
 from scipy.linalg import eigh_tridiagonal
 
-from .grids import GridSpec, TorusField, _xi_squared
+from .grids import GridSpec, ParameterError, TorusField, _xi_squared
 
-MEMORY_BUDGET = 2**24  # max complex entries in a dense state tensor
+MEMORY_BUDGET = 2**24  # max complex entries in a dense state tensor or marginal matrix
 
 
-class UnderResolvedError(ValueError):
+class UnderResolvedError(ParameterError):
     """The rescaled interaction is narrower than the grid can represent."""
+
+    def __init__(self, message: str):
+        super().__init__("beta", message)
 
 
 class MemoryBudgetError(ValueError):
@@ -113,9 +116,16 @@ class ManyBodyConfig:
 
     def __post_init__(self):
         if self.N < 1:
-            raise ValueError("particle count must be >= 1")
+            raise ParameterError("N", "particle count must be >= 1")
         if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+            raise ParameterError("beta", "beta must be nonnegative")
+        if isinstance(self.potential, GaussianPotential):
+            radius = self.potential.support_radius / float(self.N) ** self.beta
+            if radius < self.grid.dx / 2.0:
+                raise UnderResolvedError(
+                    f"rescaled support radius {radius:.3g} is below "
+                    f"half a grid spacing {self.grid.dx / 2.0:.3g}"
+                )
 
     @property
     def state_shape(self) -> tuple[int, ...]:
@@ -161,11 +171,6 @@ def build_potential(config: ManyBodyConfig) -> np.ndarray:
     if isinstance(pot, ConstantPotential):
         return np.full((grid.size, grid.size), float(pot.value))
     scale = float(N) ** beta
-    if pot.support_radius / scale < grid.dx / 2.0:
-        raise UnderResolvedError(
-            f"rescaled support radius {pot.support_radius / scale:.3g} is below "
-            f"half a grid spacing {grid.dx / 2.0:.3g}"
-        )
     rel = _wrapped_relative_coords(grid)  # (m, d)
     m = grid.size
     W = np.zeros((m, m))
@@ -195,7 +200,7 @@ def potential_mass(config: ManyBodyConfig) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_tables_impl(config: ManyBodyConfig):
+def _cached_tables(config: ManyBodyConfig):
     config.check_budget()
     grid, N = config.grid, config.N
     W = _cached_potential_table(config)
@@ -223,10 +228,6 @@ def _cached_tables_impl(config: ManyBodyConfig):
         shape[s * grid.d : (s + 1) * grid.d] = list(grid.shape)
         kin = kin + one.reshape(shape)
     return W, diag, kin
-
-
-def _cached_tables(config: ManyBodyConfig):
-    return _cached_tables_impl(config)
 
 
 def symmetrized_triple_value(config: ManyBodyConfig) -> np.ndarray:
@@ -284,8 +285,6 @@ class BosonicState:
             raw = np.fft.fftn(raw)
             mask_1 = np.abs(grid.axis_frequencies()) <= band
             for ax in range(grid.d * config.N):
-                sl = [None] * (grid.d * config.N)
-                sl[ax] = slice(None)
                 raw *= mask_1.reshape([(grid.n if ax == a else 1) for a in range(grid.d * config.N)])
             raw = np.fft.ifftn(raw)
         st = cls(config, raw)

@@ -26,10 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, TorusField, _mask_leq, _xi_squared
+from .grids import GridSpec, TorusField, _mask_leq, _xi_squared, check_cutoff
 from .manybody import (
+    MEMORY_BUDGET,
     BosonicState,
     ManyBodyConfig,
+    MemoryBudgetError,
     energy_per_particle,
     potential_mass,
     propagate,
@@ -49,10 +51,6 @@ class KthMarginal:
     k: int
     grid: GridSpec
     matrix: np.ndarray
-
-    @property
-    def dx_weight(self) -> float:
-        return self.grid.cell_volume
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -90,8 +88,17 @@ def marginal(psi: BosonicState, k: int) -> KthMarginal:
     return KthMarginal(k, psi.config.grid, mat)
 
 
+def check_rank_one_order(grid: GridSpec, k: int) -> None:
+    """rank_one_marginal needs k >= 1 and a dense matrix within MEMORY_BUDGET."""
+    if k < 1:
+        raise ValueError(f"marginal order must be >= 1, got {k}")
+    if grid.size ** (2 * k) > MEMORY_BUDGET:
+        raise MemoryBudgetError(f"a {k}-marginal would hold {grid.size ** (2 * k)} entries")
+
+
 def rank_one_marginal(phi: TorusField, k: int = 1) -> KthMarginal:
     """|phi><phi|^(x)k as a weighted matrix (phi is normalized first)."""
+    check_rank_one_order(phi.grid, k)
     v = phi.values.reshape(-1)
     v = v / np.sqrt(np.sum(np.abs(v) ** 2) * phi.grid.cell_volume)
     vk = v
@@ -185,11 +192,16 @@ def _contract_twice(gmat: np.ndarray, vbar: np.ndarray, grid: GridSpec, k: int,
     return (plus - minus).reshape(m**k, m**k)
 
 
+def check_hierarchy_order(k: int, N: int) -> None:
+    """bbgky_rhs needs 1 <= k <= N - 2: its last term traces out two more slots."""
+    if not 1 <= k <= N - 2:
+        raise ValueError(f"the hierarchy equation needs 1 <= k <= N - 2, got k={k}, N={N}")
+
+
 def bbgky_rhs(config: ManyBodyConfig, psi: BosonicState, k: int) -> np.ndarray:
     """Right-hand side of the k-th marginal evolution equation at a state."""
     N = config.N
-    if k > N - 2:
-        raise ValueError("two-contraction term needs k <= N - 2")
+    check_hierarchy_order(k, N)
     grid = config.grid
     gk = marginal(psi, k).matrix
     gk1 = marginal(psi, k + 1).matrix
@@ -327,6 +339,7 @@ def hufl_left_side(g: KthMarginal, m_cut: float) -> float:
     the trace equals Tr (S^2 P)^(x k) g, evaluated with one transform pair
     per slot on the row side only.
     """
+    check_cutoff(m_cut)
     grid = g.grid
     w2 = (1.0 + _xi_squared(grid.d, grid.n)) * (~_mask_leq(grid.d, grid.n, m_cut))
     t = g.matrix.reshape(grid.shape * (2 * g.k))

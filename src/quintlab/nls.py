@@ -10,14 +10,16 @@ frequency-localization diagnostics used by the marginal-hierarchy experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import (
     GridSpec,
+    ParameterError,
     TorusField,
     _xi_squared,
+    check_cutoff,
     project_gt,
     project_leq,
     project_lt,
@@ -38,9 +40,9 @@ class NlsConfig:
 
     def __post_init__(self):
         if self.b0 < 0:
-            raise ValueError("defocusing coupling requires b0 >= 0")
+            raise ParameterError("b0", "defocusing coupling requires b0 >= 0")
         if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            raise ParameterError("dt", "dt must be positive")
 
 
 @dataclass
@@ -78,8 +80,9 @@ def free_propagate(f: TorusField, t: float) -> TorusField:
 def _phase_rotation(f: TorusField, b0: float, tau: float, dealias: bool) -> TorusField:
     """Exact nonlinear substep phi -> exp(-i b0 |phi|^4 tau) phi.
 
-    With dealias=True the rotation is evaluated on a 3n/2 zero-padded grid and
-    truncated back, which removes the quadratic-product aliases of |phi|^4.
+    With dealias=True the rotation is evaluated on a zero-padded grid of 3n/2
+    points (rounded up to an even count) and truncated back, which removes the
+    quadratic-product aliases of |phi|^4.
     """
     if b0 == 0.0 or tau == 0.0:
         return f
@@ -87,7 +90,7 @@ def _phase_rotation(f: TorusField, b0: float, tau: float, dealias: bool) -> Toru
         v = f.values
         return TorusField.from_values(f.grid, np.exp(-1j * b0 * tau * np.abs(v) ** 4) * v)
     n = f.grid.n
-    fine = f.resample(3 * n // 2)
+    fine = f.resample(2 * ((3 * n + 3) // 4))
     v = fine.values
     rotated = TorusField.from_values(fine.grid, np.exp(-1j * b0 * tau * np.abs(v) ** 4) * v)
     return rotated.resample(n)
@@ -195,14 +198,20 @@ def energy_split(
     return e_low, e_high
 
 
+def check_diagnostic_cutoffs(m: float, r: float) -> None:
+    """frequency_diagnostics needs cutoffs 0 < m <= r."""
+    check_cutoff(m)
+    if m > r:
+        raise ValueError(f"requires m <= r, got m={m}, r={r}")
+
+
 def frequency_diagnostics(f: TorusField, m: float, r: float) -> dict[str, float]:
     """High and intermediate kinetic energies at cutoffs m <= r.
 
     high_kinetic = ||P_{>M} grad f||^2;
     intermediate_kinetic = ||grad P_{<R} P_{>M} f||^2.
     """
-    if m > r:
-        raise ValueError("requires m <= r")
+    check_diagnostic_cutoffs(m, r)
     high = project_gt(f, m)
     mid = project_lt(high, r)
     return {
@@ -254,7 +263,3 @@ def energy_low_drift(traj: Trajectory, m: float, grad_term: str = "low") -> dict
         "fitted_C": max_rate / (c1**10 * m**2),
         "c1": c1,
     }
-
-
-def mass(f: TorusField) -> float:
-    return f.l2_norm()

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quintlab.grids import (
-    BandMode,
-    DyadicBand,
     FrequencyCube,
     GridSpec,
     TorusField,
@@ -110,15 +108,6 @@ class TestProjectors:
         for m in dyadic_levels(f.grid, include_unit=False):
             total = total + dyadic_project(f, m)
         assert np.abs(total.coefficients - f.coefficients).max() <= 1e-14
-
-    def test_band_mask_identity(self):
-        g = GridSpec(2, 8)
-        leq = DyadicBand(4, BandMode.LEQ).mask(g)
-        gt = DyadicBand(4, BandMode.GT).mask(g)
-        assert np.array_equal(leq | gt, np.ones(g.shape, bool))
-        band = DyadicBand(4, BandMode.BAND).mask(g)
-        inner = DyadicBand(2, BandMode.LEQ).mask(g)
-        assert np.array_equal(band, leq & ~inner)
 
 
 class TestCubeProjection:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +74,20 @@ class TestStateDump:
             load_state(other, p)
 
 
+class TestTruncatedOrMislabelledDumps:
+    def test_truncated_field(self, tmp_path):
+        with pytest.raises(ValueError, match="phi.qlf"):
+            load_field(_truncated_field(tmp_path)["path"])
+
+    @pytest.mark.parametrize(
+        "edit", [lambda b: b[:-8], lambda b: b[:8] + b"spectral" + b[16:]],
+        ids=["truncated", "spectral_tag"],
+    )
+    def test_bad_state_rejected(self, tmp_path, edit):
+        with pytest.raises(ValueError, match="psi.qls"):
+            load_state(ManyBodyConfig(GridSpec(1, 8), 2, 0.05), _state_file(tmp_path, edit)["path"])
+
+
 class TestConfigValidation:
     def test_unknown_keys_rejected_with_full_list(self):
         raw = {
@@ -105,6 +120,28 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(raw)
         joined = " ".join(exc.value.errors)
         assert "params.n" in joined and "params.b0" in joined
+
+    def test_build_pass_tabulates_and_allocates_nothing(self, monkeypatch):
+        from quintlab import cli, manybody
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the build pass must not do this")
+
+        monkeypatch.setattr(manybody, "build_potential", forbidden)
+        monkeypatch.setattr(manybody.BosonicState, "__init__", forbidden)
+        monkeypatch.setattr(cli, "evolve", forbidden)
+        chaos = {"d": 1, "n": 8, "beta": 0.05, "T": 0.02, "Ns": [2, 3], "initial": _BAND2}
+        for kind, params in [("nls-run", _NLS), ("manybody-run", _MB), ("residuals", _RES),
+                             ("chaos", chaos), ("hufl", _HUFL)]:
+            ExperimentConfig.from_dict({"kind": kind, "params": params})
+
+    def test_run_reuses_the_validated_initial_field(self, tmp_path, monkeypatch):
+        calls = []
+        draw = TorusField.random_band_limited
+        monkeypatch.setattr(TorusField, "random_band_limited",
+                            lambda *a, **k: calls.append(1) or draw(*a, **k))
+        run_experiment(ExperimentConfig.from_dict({"kind": "nls-run", "params": _NLS}), tmp_path)
+        assert len(calls) == 1
 
     def test_round_trip(self):
         raw = {
@@ -234,6 +271,80 @@ class TestMainEntry:
             [sys.executable, "-m", "quintlab.cli", "couplings", "--k", "2",
              "--out", str(tmp_path)],
             capture_output=True, text=True,
+            cwd=Path(__file__).parent.parent / "src",  # importable without installing
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+
+_BAND2 = {"kind": "random_band", "band": 2, "scale": 1.0}
+_NLS = {"d": 1, "n": 8, "b0": 1.0, "dt": 0.01, "T": 0.02, "initial": _BAND2}
+_MB = {"d": 1, "n": 8, "N": 2, "beta": 0.05, "T": 0.02, "initial": _BAND2}
+_RES = {"d": 1, "n": 8, "N": 3, "beta": 0.05, "k": 1, "spacings": [0.02, 0.01],
+        "initial": _BAND2}
+_HUFL = {"d": 1, "n": 16, "M": 4, "eps": 0.9, "ks": [1], "initial": _BAND2}
+
+
+def _truncated_field(tmp_path):
+    path = tmp_path / "phi.qlf"
+    dump_field(TorusField.constant(GridSpec(1, 8)), path)
+    path.write_bytes(path.read_bytes()[:-8])
+    return {"kind": "file", "path": str(path)}
+
+
+def _state_file(tmp_path, edit):
+    cfg = ManyBodyConfig(GridSpec(1, 8), 2, 0.05)
+    path = tmp_path / "psi.qls"
+    dump_state(BosonicState.factorized(cfg, TorusField.constant(cfg.grid)), path)
+    path.write_bytes(edit(path.read_bytes()))
+    return {"kind": "file", "path": str(path)}
+
+
+# (kind, params or a function of tmp_path giving them, field that must be named)
+BAD_CONFIGS = [
+    ("residuals", {**_RES, "k": 2}, "k"),
+    ("residuals", {**_RES, "spacings": [-0.01]}, "spacings"),
+    ("manybody-run", {**_MB, "N": 9}, "N"),
+    ("manybody-run", {**_MB, "beta": 3}, "beta"),
+    ("nls-run", {**_NLS, "initial": {"kind": "modes", "modes": [[[9], 1.0]]}}, "initial"),
+    ("nls-run", {**_NLS, "diagnostics_M": [8]}, "diagnostics_M"),
+    ("probe", {"lemma": "strichartz", "options": {"bogus": 1}}, "options"),
+    ("hufl", {**_HUFL, "ks": [0]}, "ks"),
+    ("hufl", {**_HUFL, "ks": [4]}, "ks"),  # a 64 GiB dense marginal
+    ("nls-run", lambda tmp: {**_NLS, "initial": _truncated_field(tmp)}, "initial.path"),
+    ("manybody-run", lambda tmp: {**_MB, "initial": _state_file(tmp, lambda b: b[:-8])},
+     "initial.path"),
+    ("manybody-run",
+     lambda tmp: {**_MB, "initial": _state_file(tmp, lambda b: b[:8] + b"spectral" + b[16:])},
+     "initial.path"),
+    ("manybody-run",
+     lambda tmp: {**_MB, "potential": {"kind": "x"}, "initial": _state_file(tmp, lambda b: b)},
+     "potential"),
+    ("nls-run", {**_NLS, "d": 9}, "d"),
+    ("nls-run", {**_NLS, "d": 1.0}, "d"),
+    ("nls-run", {**_NLS, "T": -0.1}, "T"),
+    ("nls-run", {**_NLS, "bogus": 1}, "bogus"),
+    ("nls-run", {"d": 1, "n": 8}, "b0"),
+    ("nls-run", {**_NLS, "n": 7, "b0": -1.0}, "n"),
+    ("nls-run", {**_NLS, "n": 7, "b0": -1.0}, "b0"),
+]
+
+
+class TestBadConfigs:
+    @pytest.mark.parametrize("kind,params,field", BAD_CONFIGS)
+    def test_rejected_with_field_named(self, tmp_path, capsys, kind, params, field):
+        if callable(params):
+            params = params(tmp_path)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": kind, "seed": 1, "params": params}))
+        rc = main([kind, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"params.{field}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "path", sorted(Path(__file__).parent.parent.glob("configs/*.json")), ids=lambda p: p.name
+    )
+    def test_demo_configs_accepted(self, path):
+        ExperimentConfig.from_file(path)

@@ -68,6 +68,15 @@ class TestStrangStep:
         out = strang_step(TorusField.zero(g), cfg)
         assert out.l2_norm() == 0.0
 
+    @pytest.mark.parametrize("d,n", [(1, 6), (1, 10), (2, 30)])
+    def test_dealias_grid_for_n_2_mod_4(self, d, n):
+        # 3n/2 is odd for these n, so the padded grid rounds up to an even size
+        g = GridSpec(d, n)
+        f = smooth_random(g, 6, band=1)
+        out = strang_step(f, NlsConfig(g, b0=1.0, dt=0.01))
+        assert out.grid == g
+        assert abs(out.l2_norm() - f.l2_norm()) <= 1e-6 * f.l2_norm()
+
     def test_second_order_refinement(self):
         # Richardson oracle: reference from a dt/64 run; global error at T
         # must shrink by ~4 when dt halves.
