@@ -33,8 +33,9 @@ from .couplings import (
 )
 from .grids import GridSpec, TorusField, check_cutoff
 from .manybody import (
-    BosonicState, ConstantPotential, GaussianPotential, ManyBodyConfig, energy_moment,
-    energy_per_particle, potential_mass, propagate, stability_check,
+    BosonicState, ConstantPotential, GaussianPotential, ManyBodyConfig, check_moment_order,
+    check_stability_order, energy_moment, energy_per_particle, potential_mass, propagate,
+    stability_check,
 )
 from .marginals import (
     bbgky_residual, chaos_experiment, check_hierarchy_order, check_rank_one_order,
@@ -189,7 +190,17 @@ def _build(cfg: ExperimentConfig) -> dict:
                 f = attempt("initial", _unit, f)
             built["field"] = f
 
-    if kind == "nls-run":
+    if kind == "manybody-run":
+        for k in p.get("moments", []):
+            attempt("moments", lambda: check_moment_order(int(k)))
+
+        def check_stability(entry):
+            k, c1 = entry
+            check_stability_order(int(k), float(c1), p["N"])
+
+        for entry in p.get("stability", []):
+            attempt("stability", check_stability, entry)
+    elif kind == "nls-run":
         # NlsConfig checks only b0 and dt, so it is built even without a grid
         built["nls"] = attempt(
             "dt", NlsConfig, grid, float(p["b0"]), float(p["dt"]), p.get("dealias", True)
@@ -200,8 +211,8 @@ def _build(cfg: ExperimentConfig) -> dict:
             attempt("diagnostics_M", check_diagnostic_cutoffs, m, grid.nyquist)
     elif kind == "residuals":
         attempt("k", check_hierarchy_order, p["k"], p["N"])
-        if grid:  # gp_residual builds the rank-one (k+2)-marginal
-            attempt("k", check_rank_one_order, grid, p["k"] + 2)
+        if grid:  # both residuals assemble from the state; the largest array is the k-marginal
+            attempt("k", check_rank_one_order, grid, p["k"])
         # the run's coupling comes from the tabulated potential; only dt is checked here
         for h in p["spacings"]:
             attempt("spacings", lambda: NlsConfig(grid, 0.0, float(h) / 4, dealias=False))

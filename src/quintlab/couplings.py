@@ -26,6 +26,8 @@ from enum import Enum
 
 import numpy as np
 
+from .manybody import MEMORY_BUDGET, MemoryBudgetError
+
 BARE = "phi"
 
 PLUS, MINUS = +1, -1
@@ -50,9 +52,14 @@ class CollapseMap:
 
 
 def check_map_order(k: int) -> None:
-    """enumerate_collapse_maps supports 1 <= k <= 10."""
-    if not 1 <= k <= 10:
-        raise ValueError(f"supported range is 1 <= k <= 10, got {k}")
+    """enumerate_collapse_maps needs k >= 1 and at most MEMORY_BUDGET maps."""
+    if k < 1:
+        raise ValueError(f"map order must be >= 1, got {k}")
+    count = 1
+    for l in range(2, k + 1):  # stops at the first level past the budget
+        count *= 2 * l - 1
+        if count > MEMORY_BUDGET:
+            raise MemoryBudgetError(f"k={k} would enumerate more than {MEMORY_BUDGET} maps")
 
 
 def enumerate_collapse_maps(k: int) -> list[CollapseMap]:

@@ -68,6 +68,14 @@ class GaussianPotential:
     sigma: float = 0.5
     amplitude: float | None = None
 
+    def __post_init__(self):
+        if not self.sigma > 0:
+            raise ParameterError("potential", f"sigma must be > 0, got {self.sigma}")
+        if self.amplitude is not None and not self.amplitude >= 0:
+            raise ParameterError(
+                "potential", f"amplitude must be >= 0 (defocusing), got {self.amplitude}"
+            )
+
     @property
     def support_radius(self) -> float:
         return 3.0 * self.sigma
@@ -105,6 +113,10 @@ class ConstantPotential:
     periodic, so no rescaling or lattice sum applies)."""
 
     value: float = 1.0
+
+    def __post_init__(self):
+        if not self.value >= 0:
+            raise ParameterError("potential", f"value must be >= 0 (defocusing), got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -199,40 +211,44 @@ def potential_mass(config: ManyBodyConfig) -> float:
     return float(W.sum() * config.grid.cell_volume**2)
 
 
+def _on_slot(table: np.ndarray, slot: int, nslots: int) -> np.ndarray:
+    """A one-slot table reshaped to broadcast over nslots slots of table.ndim
+    axes each, occupying slot `slot`."""
+    ones = (1,) * table.ndim
+    return table.reshape(ones * slot + table.shape + ones * (nslots - 1 - slot))
+
+
+def _triple_sum(vbar: np.ndarray, triples, nslots: int):
+    """sum over slot triples (i, j, l) of vbar[x_i, x_j, x_l], as a multiplier
+    on nslots flat-index slots; slots no triple touches keep length 1."""
+    flat = [_on_slot(np.arange(vbar.shape[0]), s, nslots) for s in range(nslots)]
+    out = 0.0
+    for i, j, l in triples:
+        out = out + vbar[flat[i], flat[j], flat[l]]
+    return out
+
+
 @functools.lru_cache(maxsize=8)
 def _cached_tables(config: ManyBodyConfig):
     config.check_budget()
     grid, N = config.grid, config.N
-    W = _cached_potential_table(config)
-    rel = _relative_index_table(grid.d, grid.n)
-    m = grid.size
     # symmetrised three-body values on the diagonal of the full state grid
-    diag = np.zeros((m,) * N) if N >= 3 else None
+    diag = None
     if N >= 3:
-        flat = [np.arange(m).reshape((1,) * s + (m,) + (1,) * (N - 1 - s)) for s in range(N)]
-        for i, j, k in itertools.combinations(range(N), 3):
-            a, b, c = flat[i], flat[j], flat[k]
-            vbar = (
-                W[rel[a, b], rel[a, c]]
-                + W[rel[b, a], rel[b, c]]
-                + W[rel[c, a], rel[c, b]]
-            ) / 3.0
-            diag = diag + vbar
-        diag = diag / N**2
+        triples = itertools.combinations(range(N), 3)
+        diag = _triple_sum(symmetrized_triple_value(config), triples, N) / N**2
         diag = diag.reshape(config.state_shape)
     # kinetic multiplier sum_j |xi_j|^2 on the full spectral grid
     one = _xi_squared(grid.d, grid.n)
     kin = np.zeros(config.state_shape)
     for s in range(N):
-        shape = [1] * (grid.d * N)
-        shape[s * grid.d : (s + 1) * grid.d] = list(grid.shape)
-        kin = kin + one.reshape(shape)
-    return W, diag, kin
+        kin = kin + _on_slot(one, s, N)
+    return diag, kin
 
 
 def symmetrized_triple_value(config: ManyBodyConfig) -> np.ndarray:
     """Centre-averaged interaction on triples of flat grid indices, shape
-    (m, m, m); used by the Hamiltonian diagonal and hierarchy contractions."""
+    (m, m, m); used by the Hamiltonian diagonal and the hierarchy terms."""
     W = _cached_potential_table(config)
     rel = _relative_index_table(config.grid.d, config.grid.n)
     m = config.grid.size
@@ -285,7 +301,7 @@ class BosonicState:
             raw = np.fft.fftn(raw)
             mask_1 = np.abs(grid.axis_frequencies()) <= band
             for ax in range(grid.d * config.N):
-                raw *= mask_1.reshape([(grid.n if ax == a else 1) for a in range(grid.d * config.N)])
+                raw *= _on_slot(mask_1, ax, grid.d * config.N)
             raw = np.fft.ifftn(raw)
         st = cls(config, raw)
         return st.symmetrized()
@@ -339,7 +355,7 @@ class BosonicState:
 
 def apply_hamiltonian_raw(config: ManyBodyConfig, amps: np.ndarray) -> np.ndarray:
     """H amps, matrix-free: spectral kinetic part plus diagonal potential."""
-    _, diag, kin = _cached_tables(config)
+    diag, kin = _cached_tables(config)
     out = np.fft.ifftn(kin * np.fft.fftn(amps))
     if diag is not None:
         out = out + diag * amps
@@ -351,7 +367,7 @@ def apply_hamiltonian(psi: BosonicState) -> np.ndarray:
 
 
 def hamiltonian_norm_estimate(config: ManyBodyConfig) -> float:
-    _, diag, kin = _cached_tables(config)
+    diag, kin = _cached_tables(config)
     est = float(kin.max())
     if diag is not None:
         est += float(diag.max())
@@ -367,10 +383,15 @@ def energy_per_particle(psi: BosonicState) -> float:
     return energy(psi) / psi.config.N
 
 
+def check_moment_order(k: int) -> None:
+    """energy_moment needs k >= 0."""
+    if k < 0:
+        raise ValueError(f"moment order must be nonnegative, got {k}")
+
+
 def energy_moment(psi: BosonicState, k: int) -> float:
     """<psi, (H/N + 1)^k psi>, by repeated application of H."""
-    if k < 0:
-        raise ValueError("moment order must be nonnegative")
+    check_moment_order(k)
     v = psi.amps
     for _ in range(k):
         v = apply_hamiltonian_raw(psi.config, v) / psi.config.N + v
@@ -468,9 +489,7 @@ def _sobolev_slot_weights(config: ManyBodyConfig, orders: list[float]) -> np.nda
     for s, a in enumerate(orders):
         if a == 0.0:
             continue
-        shape = [1] * (grid.d * N)
-        shape[s * grid.d : (s + 1) * grid.d] = list(grid.shape)
-        out = out * one.reshape(shape) ** (a / 2.0)
+        out = out * _on_slot(one, s, N) ** (a / 2.0)
     return out
 
 
@@ -480,6 +499,14 @@ def weighted_sobolev_norm_sq(psi: BosonicState, orders: list[float]) -> float:
     coeffs = np.fft.fftn(psi.amps) / grid.size**N
     w = _sobolev_slot_weights(psi.config, orders)
     return float(grid.volume**N * np.sum(w**2 * np.abs(coeffs) ** 2))
+
+
+def check_stability_order(k: int, c1: float, N: int) -> None:
+    """stability_check needs 1 <= k <= N and 0 <= c1 <= 1."""
+    if not 0.0 <= c1 <= 1.0:
+        raise ValueError(f"c1 must lie in [0, 1], got {c1}")
+    if not 1 <= k <= N:
+        raise ValueError(f"requires 1 <= k <= N, got k={k}, N={N}")
 
 
 def stability_check(psi: BosonicState, k: int, c1: float) -> dict:
@@ -492,10 +519,7 @@ def stability_check(psi: BosonicState, k: int, c1: float) -> dict:
     satisfied flag is reported, not asserted.
     """
     N = psi.config.N
-    if not 0.0 <= c1 <= 1.0:
-        raise ValueError("c1 must lie in [0, 1]")
-    if not 1 <= k <= N:
-        raise ValueError("requires 1 <= k <= N")
+    check_stability_order(k, c1, N)
     lhs = energy_moment(psi, k)
     orders_a = [1.0] * k + [0.0] * (N - k)
     if k == 1:

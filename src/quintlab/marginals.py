@@ -15,8 +15,13 @@ differentiating the partial trace):
                + (N-k)/N^2         sum_{i<j<=k}   Tr_{k+1} [Vbar_{i,j,k+1}, g^(k+1)]
                + (N-k)(N-k-1)/(2 N^2) sum_{j<=k}  Tr_{k+1,k+2} [Vbar_{j,k+1,k+2}, g^(k+2)]
 
-The mean-field counterpart replaces the last contraction with the on-diagonal
-collapse weighted by the coupling b0.
+Every term is Tr_{k+1..N} [A, |psi><psi|] for one operator A, a sum of
+per-slot kinetic multipliers and diagonal Vbar multipliers, so the
+right-hand side is X - X^dagger with X = (A psi) psi^dagger, both factors
+reshaped to (m^k, rest): no marginal beyond the k-th is formed.  The
+mean-field counterpart replaces the last contraction with the on-diagonal
+collapse weighted by the coupling b0; on a factorized state phi^(x)k it is
+the same commutator with A = sum_j (-Lap_j + b0 |phi(x_j)|^4).
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from .manybody import (
     BosonicState,
     ManyBodyConfig,
     MemoryBudgetError,
+    _on_slot,
+    _triple_sum,
     energy_per_particle,
     potential_mass,
     propagate,
@@ -82,6 +89,7 @@ def marginal(psi: BosonicState, k: int) -> KthMarginal:
     N = psi.config.N
     if not 1 <= k <= N:
         raise ValueError(f"require 1 <= k <= N, got k={k}, N={N}")
+    check_rank_one_order(psi.config.grid, k)
     m = psi.config.grid.size
     a = psi.amps.reshape(m**k, m ** (N - k))
     mat = (a @ a.conj().T) * psi.config.grid.cell_volume**N
@@ -89,21 +97,31 @@ def marginal(psi: BosonicState, k: int) -> KthMarginal:
 
 
 def check_rank_one_order(grid: GridSpec, k: int) -> None:
-    """rank_one_marginal needs k >= 1 and a dense matrix within MEMORY_BUDGET."""
+    """A dense k-marginal needs k >= 1 and m^(2k) entries within MEMORY_BUDGET."""
     if k < 1:
         raise ValueError(f"marginal order must be >= 1, got {k}")
     if grid.size ** (2 * k) > MEMORY_BUDGET:
         raise MemoryBudgetError(f"a {k}-marginal would hold {grid.size ** (2 * k)} entries")
 
 
-def rank_one_marginal(phi: TorusField, k: int = 1) -> KthMarginal:
-    """|phi><phi|^(x)k as a weighted matrix (phi is normalized first)."""
-    check_rank_one_order(phi.grid, k)
+def _unit_values(phi: TorusField) -> np.ndarray:
+    """The flat grid values of phi, scaled to unit L2 norm."""
     v = phi.values.reshape(-1)
-    v = v / np.sqrt(np.sum(np.abs(v) ** 2) * phi.grid.cell_volume)
+    return v / np.sqrt(np.sum(np.abs(v) ** 2) * phi.grid.cell_volume)
+
+
+def _tensor_power(v: np.ndarray, k: int) -> np.ndarray:
+    """v^(x)k as a flat vector."""
     vk = v
     for _ in range(k - 1):
         vk = np.multiply.outer(vk, v).reshape(-1)
+    return vk
+
+
+def rank_one_marginal(phi: TorusField, k: int = 1) -> KthMarginal:
+    """|phi><phi|^(x)k as a weighted matrix (phi is normalized first)."""
+    check_rank_one_order(phi.grid, k)
+    vk = _tensor_power(_unit_values(phi), k)
     mat = np.outer(vk, vk.conj()) * phi.grid.cell_volume**k
     return KthMarginal(k, phi.grid, mat)
 
@@ -127,69 +145,22 @@ def trace_distance(a: KthMarginal, b: KthMarginal) -> float:
 # -- hierarchy residuals ---------------------------------------------------
 
 
-def _kinetic_commutator(mat: np.ndarray, grid: GridSpec, k: int) -> np.ndarray:
-    """sum_{j<=k} [-Lap_j, g] on a weighted marginal matrix."""
-    m = grid.size
-    t = mat.reshape(grid.shape * (2 * k))
+def _traced_commutator(amps: np.ndarray, v_amps: np.ndarray, grid: GridSpec,
+                       k: int) -> np.ndarray:
+    """Tr_{k+1..} [A, |psi><psi|] for A = sum_{j<=k} (-Lap_j) + V, V diagonal.
+
+    amps holds psi over its slots (grid.shape each) and v_amps holds V psi.
+    The result is X - X^dagger with X = (A psi) psi^dagger, both factors
+    reshaped to (m^k, rest), times the quadrature weight of all slots.
+    """
+    nslots = amps.ndim // grid.d
+    axes = tuple(range(k * grid.d))
     xi2 = _xi_squared(grid.d, grid.n)
-    out = np.zeros_like(t)
-    for j in range(k):
-        row_axes = tuple(range(j * grid.d, (j + 1) * grid.d))
-        col_axes = tuple(range((k + j) * grid.d, (k + j + 1) * grid.d))
-        shape_row = [1] * (2 * k * grid.d)
-        for i, ax in enumerate(row_axes):
-            shape_row[ax] = grid.n
-        shape_col = [1] * (2 * k * grid.d)
-        for i, ax in enumerate(col_axes):
-            shape_col[ax] = grid.n
-        lap_row = np.fft.ifftn(
-            xi2.reshape(shape_row) * np.fft.fftn(t, axes=row_axes), axes=row_axes
-        )
-        lap_col = np.fft.ifftn(
-            xi2.reshape(shape_col) * np.fft.fftn(t, axes=col_axes), axes=col_axes
-        )
-        out = out + lap_row - lap_col
-    return out.reshape(m**k, m**k)
-
-
-def _letters(count: int) -> list[str]:
-    return list("abcdefghijklmnopqrstuvwxyz"[:count])
-
-
-def _contract_once(gmat: np.ndarray, vbar: np.ndarray, grid: GridSpec, k: int,
-                   i: int, j: int) -> np.ndarray:
-    """Tr_{k+1} [Vbar(x_i, x_j, x_{k+1}), g^(k+1)] for slot labels i<j<=k."""
-    m = grid.size
-    t = gmat.reshape((m,) * (2 * (k + 1)))
-    rows = _letters(k + 1)
-    cols = [c.upper() for c in rows]
-    rows[-1] = "z"
-    cols[-1] = "z"
-    spec_in = "".join(rows) + "".join(cols)
-    out_rows = "".join(rows[:-1])
-    out_cols = "".join(cols[:-1])
-    # V on the row variables of slots i, j and the traced slot
-    plus = np.einsum(f"{rows[i]}{rows[j]}z,{spec_in}->{out_rows}{out_cols}", vbar, t)
-    # V on the column (primed) variables of slots i, j and the traced slot
-    minus = np.einsum(f"{spec_in},{cols[i]}{cols[j]}z->{out_rows}{out_cols}", t, vbar)
-    return (plus - minus).reshape(m**k, m**k)
-
-
-def _contract_twice(gmat: np.ndarray, vbar: np.ndarray, grid: GridSpec, k: int,
-                    j: int) -> np.ndarray:
-    """Tr_{k+1,k+2} [Vbar(x_j, x_{k+1}, x_{k+2}), g^(k+2)] for slot j<=k."""
-    m = grid.size
-    t = gmat.reshape((m,) * (2 * (k + 2)))
-    rows = _letters(k + 2)
-    cols = [c.upper() for c in rows]
-    rows[-2], rows[-1] = "y", "z"
-    cols[-2], cols[-1] = "y", "z"
-    spec_in = "".join(rows) + "".join(cols)
-    out_rows = "".join(rows[:-2])
-    out_cols = "".join(cols[:-2])
-    plus = np.einsum(f"{rows[j]}yz,{spec_in}->{out_rows}{out_cols}", vbar, t)
-    minus = np.einsum(f"{spec_in},{cols[j]}yz->{out_rows}{out_cols}", t, vbar)
-    return (plus - minus).reshape(m**k, m**k)
+    kin = sum(_on_slot(xi2, j, nslots) for j in range(k))
+    a_psi = np.fft.ifftn(kin * np.fft.fftn(amps, axes=axes), axes=axes) + v_amps
+    rows = grid.size**k
+    x = (a_psi.reshape(rows, -1) @ amps.reshape(rows, -1).conj().T) * grid.cell_volume**nslots
+    return x - x.conj().T
 
 
 def check_hierarchy_order(k: int, N: int) -> None:
@@ -202,34 +173,18 @@ def bbgky_rhs(config: ManyBodyConfig, psi: BosonicState, k: int) -> np.ndarray:
     """Right-hand side of the k-th marginal evolution equation at a state."""
     N = config.N
     check_hierarchy_order(k, N)
-    grid = config.grid
-    gk = marginal(psi, k).matrix
-    gk1 = marginal(psi, k + 1).matrix
-    gk2 = marginal(psi, k + 2).matrix
+    check_rank_one_order(config.grid, k)
     vbar = symmetrized_triple_value(config)
-    rhs = _kinetic_commutator(gk, grid, k).astype(np.complex128)
-    # intra-cluster commutator (diagonal multiplication on rows minus columns)
-    if k >= 3:
-        m = grid.size
-        t = gk.reshape((m,) * (2 * k))
-        for i, j, l in itertools.combinations(range(k), 3):
-            rows = _letters(k)
-            cols = [c.upper() for c in rows]
-            spec = "".join(rows) + "".join(cols)
-            vr = f"{rows[i]}{rows[j]}{rows[l]}"
-            vc = f"{cols[i]}{cols[j]}{cols[l]}"
-            comm = np.einsum(f"{vr},{spec}->{spec}", vbar, t) - np.einsum(
-                f"{spec},{vc}->{spec}", t, vbar
-            )
-            rhs += (1.0 / N**2) * comm.reshape(m**k, m**k)
-    if k >= 2:
-        coef = (N - k) / N**2
-        for i, j in itertools.combinations(range(k), 2):
-            rhs += coef * _contract_once(gk1, vbar, grid, k, i, j)
-    coef2 = (N - k) * (N - k - 1) / (2.0 * N**2)
-    for j in range(k):
-        rhs += coef2 * _contract_twice(gk2, vbar, grid, k, j)
-    return rhs
+    # the intra-cluster triples, then those with one or two traced slots
+    families = [
+        (1.0 / N**2, itertools.combinations(range(k), 3)),
+        ((N - k) / N**2, ((i, j, k) for i, j in itertools.combinations(range(k), 2))),
+        ((N - k) * (N - k - 1) / (2.0 * N**2), ((j, k, k + 1) for j in range(k))),
+    ]
+    pot = sum(coef * _triple_sum(vbar, triples, N) for coef, triples in families)
+    m = config.grid.size
+    v_amps = (pot * psi.amps.reshape((m,) * N)).reshape(psi.amps.shape)
+    return _traced_commutator(psi.amps, v_amps, config.grid, k)
 
 
 def bbgky_residual(snapshots: list[BosonicState], times: np.ndarray, k: int) -> float:
@@ -256,39 +211,15 @@ def bbgky_residual(snapshots: list[BosonicState], times: np.ndarray, k: int) -> 
 # -- mean-field (factorized) hierarchy --------------------------------------
 
 
-def collapse_contraction(gmat: np.ndarray, grid: GridSpec, k: int, j: int,
-                         primed: bool) -> np.ndarray:
-    """On-diagonal collapse of slots k+1, k+2 onto slot j of g^(k+2).
-
-    Pins both collapsed coordinates (rows and columns) to the slot-j row
-    coordinate (primed=False) or column coordinate (primed=True); each
-    collapsed pair contributes a dx^(-d) weight so the output matrix keeps
-    the k-particle weight convention.
-    """
-    m = grid.size
-    t = gmat.reshape((m,) * (2 * (k + 2)))
-    rows = _letters(k + 2)
-    cols = [c.upper() for c in rows]
-    anchor = rows[j] if not primed else cols[j]
-    rows[-2] = rows[-1] = anchor
-    cols[-2] = cols[-1] = anchor
-    spec_in = "".join(rows) + "".join(cols)
-    out = "".join(rows[:-2]) + "".join(cols[:-2])
-    diag = np.einsum(f"{spec_in}->{out}", t)
-    return diag.reshape(m**k, m**k) / grid.cell_volume**2
-
-
 def gp_rhs(phi: TorusField, k: int, b0: float) -> np.ndarray:
     """Mean-field hierarchy right-hand side at a factorized state."""
     grid = phi.grid
-    gk = rank_one_marginal(phi, k).matrix
-    gk2 = rank_one_marginal(phi, k + 2).matrix
-    rhs = _kinetic_commutator(gk, grid, k).astype(np.complex128)
-    for j in range(k):
-        bplus = collapse_contraction(gk2, grid, k, j, primed=False)
-        bminus = collapse_contraction(gk2, grid, k, j, primed=True)
-        rhs += b0 * (bplus - bminus)
-    return rhs
+    check_rank_one_order(grid, k)
+    v = _unit_values(phi)
+    amps = _tensor_power(v, k).reshape(grid.shape * k)
+    quartic = (np.abs(v) ** 4).reshape(grid.shape)
+    pot = b0 * sum(_on_slot(quartic, j, k) for j in range(k))
+    return _traced_commutator(amps, pot * amps, grid, k)
 
 
 def gp_residual(phi_traj: Trajectory, k: int, b0: float) -> float:
@@ -313,14 +244,9 @@ def nls_residual_lifted(phi_traj: Trajectory, b0: float) -> float:
     mid = len(phi_traj) // 2
     h = phi_traj.spacing
     grid = phi_traj.states[mid].grid
-
-    def unit_values(f):
-        v = f.values.reshape(-1)
-        return v / np.sqrt(np.sum(np.abs(v) ** 2) * grid.cell_volume)
-
-    vp = unit_values(phi_traj.states[mid + 1])
-    vm = unit_values(phi_traj.states[mid - 1])
-    v0 = unit_values(phi_traj.states[mid])
+    vp = _unit_values(phi_traj.states[mid + 1])
+    vm = _unit_values(phi_traj.states[mid - 1])
+    v0 = _unit_values(phi_traj.states[mid])
     lhs = 1j * (np.outer(vp, vp.conj()) - np.outer(vm, vm.conj())) / (2.0 * h)
     xi2 = _xi_squared(grid.d, grid.n)
     lap = (np.fft.ifftn(xi2 * np.fft.fftn(v0.reshape(grid.shape)))).reshape(-1)
@@ -345,10 +271,7 @@ def hufl_left_side(g: KthMarginal, m_cut: float) -> float:
     t = g.matrix.reshape(grid.shape * (2 * g.k))
     for j in range(g.k):
         row_axes = tuple(range(j * grid.d, (j + 1) * grid.d))
-        shape_row = [1] * (2 * g.k * grid.d)
-        for ax in row_axes:
-            shape_row[ax] = grid.n
-        t = np.fft.ifftn(w2.reshape(shape_row) * np.fft.fftn(t, axes=row_axes), axes=row_axes)
+        t = np.fft.ifftn(_on_slot(w2, j, 2 * g.k) * np.fft.fftn(t, axes=row_axes), axes=row_axes)
     m = grid.size
     return float(np.real(np.trace(t.reshape(m**g.k, m**g.k))))
 

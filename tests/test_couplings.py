@@ -11,6 +11,7 @@ from quintlab.couplings import (
     NodeKind,
     SignedExpansion,
     all_signed_expansions,
+    check_map_order,
     classify_couplings,
     double_factorial,
     enumerate_collapse_maps,
@@ -21,6 +22,7 @@ from quintlab.couplings import (
     raw_summand_count,
     _congested_counts_vectorized,
 )
+from quintlab.manybody import MemoryBudgetError
 
 
 class TestEnumeration:
@@ -44,6 +46,14 @@ class TestEnumeration:
         maps = enumerate_collapse_maps(k)
         assert len(maps) == double_factorial(2 * k - 1)
         assert len(maps) <= 2 ** (3 * k - 1)
+
+    def test_order_past_the_memory_budget_rejected(self):
+        # 15!! maps fit the budget; 17!! would not, so k = 9 is refused before enumerating
+        check_map_order(8)
+        with pytest.raises(MemoryBudgetError):
+            check_map_order(9)
+        with pytest.raises(ValueError):
+            check_map_order(0)
 
     def test_invalid_maps_rejected(self):
         with pytest.raises(ValueError):

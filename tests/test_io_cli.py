@@ -130,9 +130,8 @@ class TestConfigValidation:
         monkeypatch.setattr(manybody, "build_potential", forbidden)
         monkeypatch.setattr(manybody.BosonicState, "__init__", forbidden)
         monkeypatch.setattr(cli, "evolve", forbidden)
-        chaos = {"d": 1, "n": 8, "beta": 0.05, "T": 0.02, "Ns": [2, 3], "initial": _BAND2}
         for kind, params in [("nls-run", _NLS), ("manybody-run", _MB), ("residuals", _RES),
-                             ("chaos", chaos), ("hufl", _HUFL)]:
+                             ("chaos", _CHAOS), ("hufl", _HUFL)]:
             ExperimentConfig.from_dict({"kind": kind, "params": params})
 
     def test_run_reuses_the_validated_initial_field(self, tmp_path, monkeypatch):
@@ -283,6 +282,7 @@ _MB = {"d": 1, "n": 8, "N": 2, "beta": 0.05, "T": 0.02, "initial": _BAND2}
 _RES = {"d": 1, "n": 8, "N": 3, "beta": 0.05, "k": 1, "spacings": [0.02, 0.01],
         "initial": _BAND2}
 _HUFL = {"d": 1, "n": 16, "M": 4, "eps": 0.9, "ks": [1], "initial": _BAND2}
+_CHAOS = {"d": 1, "n": 8, "beta": 0.05, "T": 0.02, "Ns": [2, 3], "initial": _BAND2}
 
 
 def _truncated_field(tmp_path):
@@ -327,6 +327,12 @@ BAD_CONFIGS = [
     ("nls-run", {"d": 1, "n": 8}, "b0"),
     ("nls-run", {**_NLS, "n": 7, "b0": -1.0}, "n"),
     ("nls-run", {**_NLS, "n": 7, "b0": -1.0}, "b0"),
+    ("couplings", {"k": 9}, "k"),  # 17!! = 34 M collapse maps
+    ("manybody-run", {**_MB, "moments": [-1]}, "moments"),
+    ("manybody-run", {**_MB, "stability": [[5, 0.5]]}, "stability"),
+    ("residuals", {**_RES, "potential": {"kind": "constant", "value": -1}}, "potential"),
+    ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "amplitude": -1}}, "potential"),
+    ("residuals", {**_RES, "n": 16, "N": 6, "k": 4}, "k"),  # a 2^32-entry 4-marginal
 ]
 
 
@@ -342,6 +348,13 @@ class TestBadConfigs:
         assert rc == 2
         assert f"params.{field}:" in err
         assert "Traceback" not in err
+
+    def test_residuals_budget_is_the_k_marginal(self, tmp_path):
+        # k + 2 = 4 slots would need a 12^8-entry marginal; the run needs only 12^4
+        params = {**_RES, "n": 12, "N": 4, "k": 2}
+        report = run_experiment(ExperimentConfig.from_dict({"kind": "residuals", "params": params}),
+                                tmp_path)
+        assert report.passed
 
     @pytest.mark.parametrize(
         "path", sorted(Path(__file__).parent.parent.glob("configs/*.json")), ids=lambda p: p.name

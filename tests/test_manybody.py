@@ -4,7 +4,7 @@ energy moments."""
 import numpy as np
 import pytest
 
-from quintlab.grids import GridSpec, TorusField
+from quintlab.grids import GridSpec, ParameterError, TorusField
 from quintlab.manybody import (
     BosonicState,
     ConstantPotential,
@@ -73,6 +73,18 @@ class TestBuildPotential:
         W = build_potential(ManyBodyConfig(g, 3, 0.1))
         assert np.all(W >= 0.0)
         assert np.abs(W - W.T).max() <= 1e-12
+
+
+class TestPotentialSpec:
+    @pytest.mark.parametrize("build", [
+        lambda: ConstantPotential(-1.0),
+        lambda: GaussianPotential(amplitude=-1.0),
+        lambda: GaussianPotential(sigma=0.0),
+    ], ids=["constant_negative", "gaussian_negative", "gaussian_zero_width"])
+    def test_only_defocusing_potentials(self, build):
+        with pytest.raises(ParameterError) as exc:
+            build()
+        assert exc.value.name == "potential"
 
 
 class TestMemoryBudget:

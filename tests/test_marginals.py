@@ -1,13 +1,18 @@
 """Marginals, trace metrics, hierarchy residuals, chaos experiment."""
 
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from quintlab import marginals
 from quintlab.grids import GridSpec, TorusField
 from quintlab.manybody import (
     BosonicState,
     GaussianPotential,
     ManyBodyConfig,
+    MemoryBudgetError,
     apply_hamiltonian,
     propagate,
 )
@@ -17,6 +22,7 @@ from quintlab.marginals import (
     bbgky_rhs,
     chaos_experiment,
     gp_residual,
+    gp_rhs,
     hufl_check,
     hufl_left_side,
     marginal,
@@ -82,6 +88,14 @@ class TestMarginal:
         with pytest.raises(ValueError):
             marginal(psi, 3)
 
+    def test_dense_budget(self, monkeypatch):
+        g = GridSpec(1, 8)
+        psi = BosonicState.factorized(ManyBodyConfig(g, 3, 0.0), unit_phi(g))
+        monkeypatch.setattr(marginals, "MEMORY_BUDGET", g.size**3)
+        marginal(psi, 1)
+        with pytest.raises(MemoryBudgetError):
+            marginal(psi, 2)
+
 
 class TestTraceDistance:
     def test_identical(self):
@@ -115,30 +129,34 @@ class TestTraceDistance:
 
 
 class TestBbgkyResidual:
-    def test_rhs_matches_exact_derivative(self):
-        # oracle: d/dt of the partial trace computed directly from H psi
-        g = GridSpec(1, 8)
-        cfg = ManyBodyConfig(g, 3, 0.05)
-        psi = BosonicState.random_symmetric(cfg, np.random.default_rng(11), band=2)
+    @pytest.mark.parametrize("N,k", [(3, 1), (4, 2), (5, 3)])
+    def test_rhs_matches_exact_derivative(self, N, k):
+        # oracle: d/dt of the partial trace computed directly from H psi;
+        # k = 3 reaches the intra-cluster triples
+        g = GridSpec(1, 8 if k == 1 else 4)
+        cfg = ManyBodyConfig(g, N, 0.05 if k == 1 else 0.03)
+        psi = BosonicState.random_symmetric(cfg, np.random.default_rng(10 + k), band=2)
         dpsi = -1j * apply_hamiltonian(psi)
         m = g.size
-        a = psi.amps.reshape(m, m**2)
-        da = dpsi.reshape(m, m**2)
-        dgam = (da @ a.conj().T + a @ da.conj().T) * g.cell_volume**3
-        rhs = bbgky_rhs(cfg, psi, 1)
+        a = psi.amps.reshape(m**k, -1)
+        da = dpsi.reshape(m**k, -1)
+        dgam = (da @ a.conj().T + a @ da.conj().T) * g.cell_volume**N
+        rhs = bbgky_rhs(cfg, psi, k)
         assert np.abs(1j * dgam - rhs).max() <= 1e-11
 
-    def test_rhs_matches_exact_derivative_k2(self):
-        g = GridSpec(1, 4)
-        cfg = ManyBodyConfig(g, 4, 0.03)
-        psi = BosonicState.random_symmetric(cfg, np.random.default_rng(12))
-        dpsi = -1j * apply_hamiltonian(psi)
-        m = g.size
-        a = psi.amps.reshape(m**2, m**2)
-        da = dpsi.reshape(m**2, m**2)
-        dgam = (da @ a.conj().T + a @ da.conj().T) * g.cell_volume**4
-        rhs = bbgky_rhs(cfg, psi, 2)
-        assert np.abs(1j * dgam - rhs).max() <= 1e-11
+    def test_rhs_peak_memory_is_the_k_marginal(self):
+        # the (k+2)-marginal of this state would hold 12^8 entries (6.9 GB)
+        g = GridSpec(1, 12)
+        cfg = ManyBodyConfig(g, 4, 0.05)
+        psi = BosonicState.factorized(cfg, unit_phi(g, seed=26))
+        tracemalloc.start()
+        try:
+            rhs = bbgky_rhs(cfg, psi, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rhs.shape == (g.size**2, g.size**2)
+        assert peak < 100 * 2**20
 
     def test_free_hierarchy_residual_refines(self):
         g = GridSpec(1, 8)
@@ -194,6 +212,26 @@ class TestGpResidual:
         a = gp_residual(traj, 1, 1.0)
         b = nls_residual_lifted(traj, 1.0)
         assert abs(a - b) <= 1e-12 * max(a, 1.0)
+
+    @pytest.mark.parametrize("d,n,k", [(1, 8, 1), (1, 8, 2), (1, 8, 3), (2, 4, 2)])
+    def test_rhs_matches_leibniz_oracle(self, d, n, k):
+        # oracle: the one-particle commutator R1 = |h phi><phi| - |phi><h phi|
+        # of nls_residual_lifted, spread over the slots by the Leibniz rule
+        g = GridSpec(d, n)
+        phi = unit_phi(g, seed=25)
+        b0 = 1.5
+        v = phi.values.reshape(-1)
+        v = v / np.sqrt(np.sum(np.abs(v) ** 2) * g.cell_volume)
+        freq2 = np.fft.fftfreq(n, 1.0 / n) ** 2
+        xi2 = sum(np.meshgrid(*[freq2] * d, indexing="ij"))
+        lap = np.fft.ifftn(xi2 * np.fft.fftn(v.reshape(g.shape))).reshape(-1)
+        hv = lap + b0 * np.abs(v) ** 4 * v
+        g1 = np.outer(v, v.conj()) * g.cell_volume
+        r1 = (np.outer(hv, v.conj()) - np.outer(v, hv.conj())) * g.cell_volume
+        want = sum(
+            functools.reduce(np.kron, [g1] * j + [r1] + [g1] * (k - 1 - j)) for j in range(k)
+        )
+        assert np.abs(gp_rhs(phi, k, b0) - want).max() <= 1e-12
 
     def test_second_order_refinement(self):
         g = GridSpec(1, 8)
