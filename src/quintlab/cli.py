@@ -28,8 +28,8 @@ import numpy as np
 
 from . import io as qio
 from .couplings import (
-    check_map_order, classify_couplings, double_factorial, enumerate_collapse_maps,
-    min_unclogged, raw_summand_count,
+    _targets, check_map_order, classify_couplings, double_factorial, min_unclogged,
+    raw_summand_count,
 )
 from .grids import GridSpec, TorusField, check_cutoff
 from .manybody import (
@@ -39,7 +39,7 @@ from .manybody import (
 )
 from .marginals import (
     bbgky_residual, chaos_experiment, check_hierarchy_order, check_rank_one_order,
-    gp_residual, hufl_left_side, rank_one_marginal,
+    gp_residual, hufl_factorized,
 )
 from .nls import (
     NlsConfig, check_diagnostic_cutoffs, energy_nls, energy_split, evolve,
@@ -68,7 +68,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path, seed_override=None) -> "ExperimentConfig":
-        raw = json.loads(Path(path).read_text())
+        try:
+            raw = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise ValidationError([f"config: {path}: {exc.strerror or exc}"]) from None
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise ValidationError([f"config: {path}: invalid JSON: {exc}"]) from None
+        if not isinstance(raw, dict):
+            raise ValidationError([f"config: {path}: must be a JSON object"])
         return cls.from_dict(raw, seed_override)
 
     @classmethod
@@ -412,7 +419,7 @@ def _run_hufl(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
     p, phi = cfg.params, built["field"]
     rows = []
     for k in [int(k) for k in p["ks"]]:
-        lhs = hufl_left_side(rank_one_marginal(phi, k), float(p["M"]))
+        lhs = hufl_factorized(phi, k, float(p["M"]))
         bound = float(p["eps"]) ** (2 * k)
         rows.append([k, lhs, bound, lhs <= bound])
     path = out / "hufl.csv"
@@ -424,11 +431,10 @@ def _run_hufl(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
 
 def _run_couplings(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
     k = int(cfg.params["k"])
-    maps = enumerate_collapse_maps(k)
     counts = raw_summand_count(k)
     payload = {
         "k": k,
-        "map_count": len(maps),
+        "map_count": len(_targets(k)),
         "bound_2_3k_minus_1": 2 ** (3 * k - 1),
         "double_factorial": double_factorial(2 * k - 1),
         "raw_count_bruteforce": counts["brute_force"],

@@ -15,6 +15,14 @@ phi), and whether its subtree contains the innermost, roughest node
 (subscript R).  A level with no bare factor in its node is congested; the
 count of congested levels is bounded by the consumption argument
 4k - 4 <= 5 * (number of unclogged levels).
+
+The exhaustive count over all signed expansions builds no objects.  The
+maps are a (maps, k) uint8 table of targets.  For each level l and each
+consumed slot, the deeper levels targeting that slot form a bitmask per
+map, and the deeper levels acting on the unprimed side form a bitmask per
+sign pattern; the slot is covered on the unprimed side when the two masks
+share a bit, and on the primed side when the hit mask shares a bit with
+the complement.  The object path (mark_expansion) stays as the oracle.
 """
 
 from __future__ import annotations
@@ -62,14 +70,27 @@ def check_map_order(k: int) -> None:
             raise MemoryBudgetError(f"k={k} would enumerate more than {MEMORY_BUDGET} maps")
 
 
+def _targets(k: int) -> np.ndarray:
+    """The (maps, k) table of every admissible collapse map's targets, in
+    lexicographic order: column l-1 runs over 1..2l-1, the first column slowest."""
+    check_map_order(k)
+    sizes = [2 * l - 1 for l in range(1, k + 1)]
+    tg = np.empty(sizes + [k], dtype=np.uint8)
+    for l, size in enumerate(sizes):
+        tg[..., l] = np.arange(1, size + 1, dtype=np.uint8).reshape(
+            [size if j == l else 1 for j in range(k)]
+        )
+    return tg.reshape(-1, k)
+
+
 def enumerate_collapse_maps(k: int) -> list[CollapseMap]:
     """All admissible collapse maps, lexicographically ordered.
 
     There are prod_{l=2}^{k} (2l-1) = (2k-1)!! of them.
     """
-    check_map_order(k)
-    ranges = [range(1, 2)] + [range(1, 2 * l) for l in range(2, k + 1)]
-    return [CollapseMap(k, tuple(t)) for t in itertools.product(*ranges)]
+    # viewed as one k-field record per row, tolist() gives each row as a tuple
+    rows = _targets(k).view([("", "u1")] * k).reshape(-1).tolist()
+    return [CollapseMap(k, t) for t in rows]
 
 
 def double_factorial(n: int) -> int:
@@ -241,40 +262,37 @@ def min_unclogged_floor(k: int) -> int:
     return -((-4 * (k - 1)) // 5)
 
 
-def _congested_counts_vectorized(k: int) -> tuple[np.ndarray, list[CollapseMap]]:
-    """Congested-level counts for every signed expansion, shape (maps, 2^k).
+def _congested_counts_vectorized(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Congested-level counts for every signed expansion, shape (maps, 2^k),
+    with the target table of the maps.
 
     Level l (1-based, l < k) is congested iff all five consumed contents are
     nodes, i.e. every one of (slot 2l, both sides), (slot 2l+1, both sides),
     (slot mu(2l), level-l side) is the target of some deeper level with the
-    matching side.
+    matching side.  Sign pattern s puts level l on the unprimed side iff bit
+    l-1 of s is set.  The test runs on the bitmasks of the module docstring:
+    for level l, bit j of a mask stands for level l+1+j.
     """
-    maps = enumerate_collapse_maps(k)
-    tg = np.array([cm.targets for cm in maps])  # (M, k)
-    nsig = 2**k
-    bits = ((np.arange(nsig)[:, None] >> np.arange(k)[None, :]) & 1).astype(bool)
-    plus = bits  # (S, k): True means the level acts on the unprimed side
-    counts = np.zeros((len(maps), nsig), dtype=np.int64)
+    tg = _targets(k)
+    sig = np.arange(2**k)
+    counts = np.zeros((len(tg), 2**k), dtype=np.uint8)
+
+    def covered(hits, side):  # (maps, signs): a level hitting the slot acts on that side
+        return (hits[:, None] & side[None, :]) != 0
+
     for l in range(1, k):
-        deeper = slice(l, k)  # deeper levels l+1..k (0-based columns l..k-1)
-        t_deep = tg[:, deeper]  # (M, k-l)
-        p_deep = plus[:, deeper]  # (S, k-l)
-        m_deep = ~p_deep
-
-        def covered(match: np.ndarray, sign_sel: np.ndarray) -> np.ndarray:
-            # exists deeper level with target match and side sign_sel
-            return (match.astype(np.int8) @ sign_sel.astype(np.int8).T) > 0
-
-        hit_2l = t_deep == 2 * l
-        hit_2l1 = t_deep == 2 * l + 1
-        hit_tgt = t_deep == tg[:, l - 1][:, None]
-        both_2l = covered(hit_2l, p_deep) & covered(hit_2l, m_deep)
-        both_2l1 = covered(hit_2l1, p_deep) & covered(hit_2l1, m_deep)
-        tgt_plus = covered(hit_tgt, p_deep)
-        tgt_minus = covered(hit_tgt, m_deep)
-        tgt_side = np.where(plus[:, l - 1][None, :], tgt_plus, tgt_minus)
-        counts += (both_2l & both_2l1 & tgt_side).astype(np.int64)
-    return counts, maps
+        deep = tg[:, l:]  # the targets of levels l+1..k
+        hit_target, hit_2l, hit_2l1 = (
+            np.packbits(deep == slot, axis=1, bitorder="little")[:, 0]
+            for slot in (tg[:, l - 1, None], 2 * l, 2 * l + 1)
+        )
+        plus = ((sig >> l) & ((1 << (k - l)) - 1)).astype(np.uint8)
+        congested = covered(hit_target, np.where((sig >> (l - 1)) & 1, plus, ~plus))
+        for hits in (hit_2l, hit_2l1):
+            congested &= covered(hits, plus)
+            congested &= covered(hits, ~plus)
+        counts += congested
+    return counts, tg
 
 
 def min_unclogged(k: int) -> dict:
@@ -283,19 +301,18 @@ def min_unclogged(k: int) -> dict:
     """
     if not 2 <= k <= 7:
         raise ValueError("exhaustive search supported for 2 <= k <= 7")
-    counts, maps = _congested_counts_vectorized(k)
-    unclogged = (k - 1) - counts
-    min_count = int(unclogged.min())
-    mi, si = np.unravel_index(int(np.argmin(unclogged)), unclogged.shape)
+    counts, tg = _congested_counts_vectorized(k)
+    # argmax finds the first expansion with the fewest unclogged levels
+    mi, si = np.unravel_index(int(np.argmax(counts)), counts.shape)
+    max_congested = int(counts[mi, si])
+    min_count = (k - 1) - max_congested
     signs = tuple(PLUS if (si >> l) & 1 else MINUS for l in range(k))
-    witness = SignedExpansion(maps[mi], signs)
-    max_congested = int(counts.max())
-    bound_ok = bool(np.all(4 * k - 4 <= 5 * ((k - 1) - counts)))
+    witness = SignedExpansion(CollapseMap(k, tuple(tg[mi].tolist())), signs)
     return {
         "k": k,
         "min_count": min_count,
         "floor": min_unclogged_floor(k),
         "max_congested": max_congested,
-        "consumption_bound_holds": bound_ok,
+        "consumption_bound_holds": 4 * k - 4 <= 5 * min_count,
         "witnessing_expansion": witness,
     }

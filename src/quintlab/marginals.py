@@ -31,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, TorusField, _mask_leq, _xi_squared, check_cutoff
+from .grids import (
+    GridSpec, TorusField, _mask_leq, _xi_squared, check_cutoff, project_gt, sobolev_norm,
+)
 from .manybody import (
     MEMORY_BUDGET,
     BosonicState,
@@ -262,18 +264,33 @@ def hufl_left_side(g: KthMarginal, m_cut: float) -> float:
     """Tr S^(1,k) P_{>M}^(k) g P_{>M}^(k) S^(1,k) with per-slot weights.
 
     The weights are commuting per-slot Fourier multipliers, so by cyclicity
-    the trace equals Tr (S^2 P)^(x k) g, evaluated with one transform pair
-    per slot on the row side only.
+    the trace equals Tr W^(x k) g with the one-slot m x m matrix
+    W = F^-1 diag(w^2) F, w^2 = (1 + |xi|^2) on |xi| > M.  It is taken as k
+    successive weighted partial traces: each contracts the last slot of
+    g.reshape(r, m, r, m) against W, so nothing of the size of g is formed.
     """
     check_cutoff(m_cut)
-    grid = g.grid
-    w2 = (1.0 + _xi_squared(grid.d, grid.n)) * (~_mask_leq(grid.d, grid.n, m_cut))
-    t = g.matrix.reshape(grid.shape * (2 * g.k))
-    for j in range(g.k):
-        row_axes = tuple(range(j * grid.d, (j + 1) * grid.d))
-        t = np.fft.ifftn(_on_slot(w2, j, 2 * g.k) * np.fft.fftn(t, axes=row_axes), axes=row_axes)
-    m = grid.size
-    return float(np.real(np.trace(t.reshape(m**g.k, m**g.k))))
+    d, n, m = g.grid.d, g.grid.n, g.grid.size
+    w2 = (1.0 + _xi_squared(d, n)) * (~_mask_leq(d, n, m_cut))
+    # W is circulant: W[x, y] = c[x - y] with c = F^-1 w^2, the differences taken per axis
+    diff = np.subtract.outer(np.arange(n), np.arange(n)) % n
+    per_axis = tuple(diff.reshape([n if i in (j, d + j) else 1 for i in range(2 * d)])
+                     for j in range(d))
+    W = np.fft.ifftn(w2)[per_axis].reshape(m, m)
+    t = g.matrix
+    for j in range(g.k, 0, -1):
+        r = m ** (j - 1)
+        t = np.einsum("rasb,ba->rs", t.reshape(r, m, r, m), W)
+    return float(np.real(t[0, 0]))
+
+
+def hufl_factorized(phi: TorusField, k: int, m_cut: float) -> float:
+    """hufl_left_side(rank_one_marginal(phi, k), m_cut) from phi alone.
+
+    On |phi><phi|^(x k) the trace factorizes slot by slot, so it is the k-th
+    power of the one-slot value (||P_{>M} phi||_{H^1} / ||phi||)^2.
+    """
+    return (sobolev_norm(project_gt(phi, m_cut), 1.0) / phi.l2_norm()) ** (2 * k)
 
 
 def hufl_check(gammas: list[KthMarginal], m_cut: float, eps: float) -> dict[int, bool]:

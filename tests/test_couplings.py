@@ -1,5 +1,8 @@
 """Collapse-map enumeration, marking, and the unclogged-coupling bound."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,10 @@ class TestEnumeration:
         maps = enumerate_collapse_maps(4)
         assert len(maps) == 105
         assert 105 <= 2 ** (3 * 4 - 1)
+        # lexicographic, the order in which min_unclogged picks its witness
+        assert [m.targets for m in maps] == list(
+            itertools.product(range(1, 2), range(1, 4), range(1, 6), range(1, 8))
+        )
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_double_factorial_identity_and_bound(self, k):
@@ -155,15 +162,17 @@ class TestClassification:
         out = classify_couplings(e)
         assert out["unclogged"] == set() and out["congested"] == set()
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
     def test_vectorized_matches_object_path(self, k):
-        counts, maps = _congested_counts_vectorized(k)
-        rng = np.random.default_rng(0)
-        for _ in range(60):
-            mi = int(rng.integers(len(maps)))
-            si = int(rng.integers(2**k))
+        counts, targets = _congested_counts_vectorized(k)
+        if k <= 4:
+            pairs = itertools.product(range(len(targets)), range(2**k))
+        else:
+            rng = np.random.default_rng(k)
+            pairs = zip(rng.integers(len(targets), size=200), rng.integers(2**k, size=200))
+        for mi, si in pairs:
             signs = tuple(PLUS if (si >> l) & 1 else MINUS for l in range(k))
-            e = SignedExpansion(maps[mi], signs)
+            e = SignedExpansion(CollapseMap(k, tuple(targets[mi].tolist())), signs)
             assert counts[mi, si] == len(classify_couplings(e)["congested"])
 
 
@@ -177,6 +186,24 @@ class TestMinUnclogged:
         out = min_unclogged(3)
         assert out["min_count"] >= 2
         assert out["consumption_bound_holds"]
+
+    @pytest.mark.parametrize("k,targets,signs", [
+        (6, (1, 1, 2, 2, 3, 3), "--+-+-"),
+        (7, (1, 1, 1, 2, 2, 3, 3), "---+-+-"),
+    ])
+    def test_witness(self, k, targets, signs):
+        witness = min_unclogged(k)["witnessing_expansion"]
+        assert witness.collapse.targets == targets
+        assert witness.signs == tuple(PLUS if s == "+" else MINUS for s in signs)
+
+    def test_k7_peak_memory(self):
+        tracemalloc.start()
+        try:
+            min_unclogged(7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_floor_holds(self, k):

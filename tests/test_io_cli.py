@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from quintlab.cli import (
 from quintlab.grids import GridSpec, TorusField
 from quintlab.io import dump_field, dump_state, load_field, load_state, write_csv
 from quintlab.manybody import BosonicState, ManyBodyConfig
+from quintlab.marginals import hufl_factorized
 
 
 class TestFieldDump:
@@ -160,6 +162,20 @@ class TestRunExperiment:
         assert payload["map_count"] == 15
         assert report.passed
 
+    def test_hufl_is_the_factorized_value(self, tmp_path):
+        params = {**_HUFL, "M": 2, "ks": [1, 2, 3], "initial": {**_BAND2, "band": 6}}
+        cfg = ExperimentConfig.from_dict({"kind": "hufl", "params": params})
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = (tmp_path / "hufl.csv").read_text().split("\n")[1:4]
+        got = [float(row.split(",")[1]) for row in rows]
+        assert got == [hufl_factorized(cfg.built["field"], k, 2) for k in (1, 2, 3)]
+        assert peak < 8 * 2**20  # the dense 3-marginal alone is 256 MiB
+
     def test_nls_t0_single_snapshot(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {
@@ -253,6 +269,17 @@ class TestMainEntry:
         assert rc == 0
         assert json.loads((tmp_path / "couplings.json").read_text())["map_count"] == 3
 
+    def test_couplings_k8_peak_memory(self, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            rc = main(["couplings", "--k", "8", "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert json.loads((tmp_path / "couplings.json").read_text())["map_count"] == 2027025
+        assert peak < 64 * 2**20
+
     def test_validation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "nls-run", "params": {"d": 9}}))
@@ -333,6 +360,10 @@ BAD_CONFIGS = [
     ("residuals", {**_RES, "potential": {"kind": "constant", "value": -1}}, "potential"),
     ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "amplitude": -1}}, "potential"),
     ("residuals", {**_RES, "n": 16, "N": 6, "k": 4}, "k"),  # a 2^32-entry 4-marginal
+    # the file itself is bad: a str is its raw text, None means it does not exist
+    pytest.param("hufl", None, "config", id="hufl-missing-file"),
+    pytest.param("hufl", '{"kind": "hufl", "params": ', "config", id="hufl-invalid-json"),
+    pytest.param("hufl", "[1, 2]", "config", id="hufl-not-an-object"),
 ]
 
 
@@ -342,11 +373,14 @@ class TestBadConfigs:
         if callable(params):
             params = params(tmp_path)
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"kind": kind, "seed": 1, "params": params}))
+        if isinstance(params, str):
+            path.write_text(params)
+        elif params is not None:
+            path.write_text(json.dumps({"kind": kind, "seed": 1, "params": params}))
         rc = main([kind, "--config", str(path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
-        assert f"params.{field}:" in err
+        assert (f"config: {path}:" if field == "config" else f"params.{field}:") in err
         assert "Traceback" not in err
 
     def test_residuals_budget_is_the_k_marginal(self, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quintlab import marginals
-from quintlab.grids import GridSpec, TorusField
+from quintlab.grids import GridSpec, TorusField, sobolev_norm
 from quintlab.manybody import (
     BosonicState,
     GaussianPotential,
@@ -24,6 +24,7 @@ from quintlab.marginals import (
     gp_residual,
     gp_rhs,
     hufl_check,
+    hufl_factorized,
     hufl_left_side,
     marginal,
     nls_residual_lifted,
@@ -267,6 +268,40 @@ class TestHufl:
         lhs = hufl_left_side(rank_one_marginal(phi, 1), m_cut=2)
         # <xi>^2 for xi=5, normalized state
         assert lhs == pytest.approx(26.0, rel=1e-12)
+
+    @pytest.mark.parametrize("d,n,ks", [(1, 16, [1, 2, 3]), (2, 8, [1, 2]), (1, 32, [1, 2]),
+                                        (2, 4, [1, 2, 3])])
+    def test_factorized_matches_dense_trace(self, d, n, ks):
+        g = GridSpec(d, n)
+        phi = unit_phi(g, seed=25, band=n // 2)
+        # the terms summed have size ||<grad> phi||^(2k), which sets the rounding scale
+        scale = sobolev_norm(phi, 1.0) ** 2
+        for k in ks:
+            dense = hufl_left_side(rank_one_marginal(phi, k), 2)
+            assert abs(hufl_factorized(phi, k, 2) - dense) <= 1e-12 * scale**k
+
+    def test_non_factorized_against_kron_trace(self):
+        g = GridSpec(1, 4)
+        psi = BosonicState.random_symmetric(ManyBodyConfig(g, 3, 0.05),
+                                            np.random.default_rng(26), band=2)
+        gamma = marginal(psi, 2)
+        xi = g.axis_frequencies()
+        w2 = (1.0 + xi**2) * (np.abs(xi) > 1)
+        waves = np.exp(1j * np.outer(g.axis_points(), xi))  # waves[x, xi] = e^{i xi x}
+        W = (waves * w2) @ waves.conj().T / 4
+        want = np.real(np.trace(np.kron(W, W) @ gamma.matrix))
+        assert hufl_left_side(gamma, 1) == pytest.approx(want, rel=1e-12)
+
+    def test_slotwise_trace_allocates_no_copy(self):
+        g = GridSpec(1, 16)
+        gamma = rank_one_marginal(unit_phi(g, seed=27, band=6), 2)
+        tracemalloc.start()
+        try:
+            hufl_left_side(gamma, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gamma.matrix.nbytes / 4
 
     def test_monotone_in_cutoff(self):
         g = GridSpec(1, 16)
