@@ -8,7 +8,9 @@ each kind's allowed and required keys and their JSON types, then a build
 pass constructs the domain objects the run uses (grid, solver and many-body
 configs, potential, initial field, probe arguments), so every value rule
 is the one its owning module enforces.  Every failure of either pass is
-listed.  All randomness derives from the single config seed through
+listed.  In `manybody-run`, the optional `steps` caps each Krylov substep
+at T/steps; without it every substep is as long as its error estimate
+allows.  All randomness derives from the single config seed through
 numpy's PCG64 generator, so rerunning a config reproduces every numeric
 artifact byte-for-byte.  Exit codes: 0 pass, 1 in-run tolerance failure,
 2 validation error.

@@ -366,14 +366,6 @@ def apply_hamiltonian(psi: BosonicState) -> np.ndarray:
     return apply_hamiltonian_raw(psi.config, psi.amps)
 
 
-def hamiltonian_norm_estimate(config: ManyBodyConfig) -> float:
-    diag, kin = _cached_tables(config)
-    est = float(kin.max())
-    if diag is not None:
-        est += float(diag.max())
-    return est
-
-
 def energy(psi: BosonicState) -> float:
     return float(np.real(np.vdot(psi.amps, apply_hamiltonian(psi)))
                  * psi.config.grid.cell_volume**psi.config.N)
@@ -401,44 +393,69 @@ def energy_moment(psi: BosonicState, k: int) -> float:
 
 # -- Lanczos propagation ---------------------------------------------------
 
+# Substep lengths tried, as fractions of the longest allowed one, a quarter
+# octave apart.  Failing at 2^-20 means the tolerance is out of reach of the
+# Krylov dimension (or of double precision).
+_SUBSTEP_FRACTIONS = 2.0 ** np.arange(-20.0, 0.125, 0.25)
 
-def _lanczos_expm_step(config, v: np.ndarray, t: float, kdim: int, tol: float):
-    """One Krylov step: approximate exp(-i t H) v; returns (result, err_est)."""
-    shape = v.shape
-    v0 = v.reshape(-1)
-    beta0 = np.linalg.norm(v0)
-    if beta0 == 0.0:
-        return v, 0.0
-    basis = [v0 / beta0]
-    alphas: list[float] = []
-    betas: list[float] = []
+
+def _lanczos_basis(config: ManyBodyConfig, V: np.ndarray, kdim: int):
+    """Fill V[1:] with the Krylov basis of the unit vector V[0] under H.
+
+    Each new vector is orthogonalized against the whole basis with two
+    matrix-vector products.  Returns the tridiagonal (alphas, betas), where
+    betas[-1] couples the last basis vector to the next one and is 0 on a
+    happy breakdown (the basis then spans an invariant subspace).
+    """
+    alphas, betas = [], []
     for j in range(kdim):
-        w = apply_hamiltonian_raw(config, basis[j].reshape(shape)).reshape(-1)
-        a = np.real(np.vdot(basis[j], w))
-        w = w - a * basis[j]
-        if j > 0:
-            w = w - betas[j - 1] * basis[j - 1]
-        # full reorthogonalization (kdim is small, states are large)
-        for b in basis:
-            w = w - np.vdot(b, w) * b
-        alphas.append(float(a))
-        b = float(np.linalg.norm(w))
-        if b < 1e-14 * max(abs(a), 1.0):
+        w = V[j + 1]
+        w[:] = apply_hamiltonian_raw(config, V[j].reshape(config.state_shape)).reshape(-1)
+        h = np.conj(V[: j + 1] @ np.conj(w))  # h[i] = <V[i], w>
+        w -= h @ V[: j + 1]
+        alphas.append(h[j].real)
+        b = np.linalg.norm(w)
+        if b < 1e-14 * max(abs(h[j]), 1.0):
             betas.append(0.0)
             break
         betas.append(b)
-        basis.append(w / b)
-    mdim = len(alphas)
-    evals, evecs = eigh_tridiagonal(np.array(alphas), np.array(betas[: mdim - 1]))
-    e1 = evecs[0, :]
-    small = evecs @ (np.exp(-1j * t * evals) * e1)
-    out = np.zeros_like(v0)
-    for c, b in zip(small, basis[:mdim]):
-        out += c * b
-    # a posteriori estimate: weight escaping the Krylov space in the last
-    # direction, scaled by the next off-diagonal coupling
-    err = abs(small[-1]) * (betas[mdim - 1] if mdim - 1 < len(betas) else 0.0) * abs(t)
-    return (beta0 * out).reshape(shape), float(err)
+        w /= b
+    return np.array(alphas), np.array(betas)
+
+
+def _choose_substep(evals, evecs, beta_m: float, tau_max: float, rate: float) -> float:
+    """The longest substep tau <= tau_max whose a-posteriori error estimate
+    |e_m^T exp(-i tau T_m) e_1| * beta_m * tau is at most rate * tau.
+
+    T_m = evecs diag(evals) evecs^T is the Lanczos tridiagonal.  The estimate
+    is checked on the grid _SUBSTEP_FRACTIONS * tau_max, so that no step is
+    accepted past a length where it fails, and the first failure is then
+    bracketed to 1 %.
+    """
+    if beta_m == 0.0:
+        return tau_max
+    weights = evecs[-1] * evecs[0]
+    limit = rate / beta_m
+
+    def estimate(taus):
+        return np.abs(np.exp(-1j * np.multiply.outer(taus, evals)) @ weights)
+
+    taus = tau_max * _SUBSTEP_FRACTIONS
+    fails = np.flatnonzero(estimate(taus) > limit)
+    if fails.size == 0:
+        return tau_max
+    if fails[0] == 0:
+        raise PropagationToleranceError(
+            f"Krylov error estimate exceeds the budget at a substep of {taus[0]:.3g}"
+        )
+    lo, hi = taus[fails[0] - 1], taus[fails[0]]
+    while hi - lo > 1e-2 * lo:
+        mid = 0.5 * (lo + hi)
+        if estimate(mid) <= limit:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
 
 
 def propagate(
@@ -447,35 +464,41 @@ def propagate(
     steps: int | None = None,
     kdim: int = 20,
     tol: float = 1e-11,
-    max_retries: int = 3,
 ) -> BosonicState:
-    """exp(-i t H) psi via Lanczos substeps.
+    """exp(-i t H) psi via Lanczos substeps, each as long as its own error
+    estimate allows.
 
-    The substep count defaults to keeping ||H|| * dt <= 2, which with the
-    default Krylov dimension puts the local error well below tol; if the
-    a posteriori estimate still exceeds the budget the substep is split.
+    Each substep builds the kdim-dimensional Krylov basis of the current
+    vector (kdim H-applies) and then picks its length from the small
+    tridiagonal problem alone, with no further H-applies: the longest tau
+    whose estimate stays within tol * tau / |t| (Expokit's step control,
+    Sidje 1998, on the Lanczos error analysis of Hochbruck & Lubich 1997),
+    so the estimates sum to at most tol relative to ||psi||.  `steps`, if
+    given, caps every substep at |t| / steps.  One (kdim + 1, dim) buffer
+    holds the basis for the whole call.
     """
-    if t == 0.0:
-        return BosonicState(psi.config, psi.amps.copy())
-    if steps is None:
-        hnorm = hamiltonian_norm_estimate(psi.config)
-        steps = max(1, int(np.ceil(abs(t) * hnorm / 2.0)))
-    for attempt in range(max_retries + 1):
-        dt = t / steps
-        amps = psi.amps
-        budget = tol / steps
-        ok = True
-        for _ in range(steps):
-            amps, err = _lanczos_expm_step(psi.config, amps, dt, kdim, budget)
-            if err > budget:
-                ok = False
-                break
-        if ok:
-            return BosonicState(psi.config, amps)
-        steps *= 2
-    raise PropagationToleranceError(
-        f"Krylov propagation failed to meet tol={tol} after {max_retries} substep splits"
-    )
+    config = psi.config
+    beta0 = float(np.linalg.norm(psi.amps))
+    if t == 0.0 or beta0 == 0.0:
+        return BosonicState(config, psi.amps.copy())
+    span = abs(t)
+    cap = span / steps if steps else span
+    V = np.empty((kdim + 1, psi.amps.size), dtype=np.complex128)
+    np.divide(psi.amps.reshape(-1), beta0, out=V[0])
+    left = span
+    while left > 0.0:
+        # the last capped substep absorbs the rounding of span / steps
+        tau_max = left if left <= cap * (1.0 + 1e-12) else cap
+        alphas, betas = _lanczos_basis(config, V, kdim)
+        evals, evecs = eigh_tridiagonal(alphas, betas[:-1])
+        tau = _choose_substep(evals, evecs, betas[-1], tau_max, tol / span)
+        small = evecs @ (np.exp(-1j * np.sign(t) * tau * evals) * evecs[0])
+        u = small @ V[: small.size]
+        unorm = np.linalg.norm(u)
+        np.divide(u, unorm, out=V[0])
+        beta0 *= unorm
+        left -= tau
+    return BosonicState(config, (beta0 * V[0]).reshape(config.state_shape))
 
 
 # -- energy-moment inequality probe ----------------------------------------

@@ -24,6 +24,7 @@ from quintlab.couplings import (
     min_unclogged_floor,
     raw_summand_count,
     _congested_counts_vectorized,
+    _targets,
 )
 from quintlab.manybody import MemoryBudgetError
 
@@ -50,9 +51,20 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_double_factorial_identity_and_bound(self, k):
-        maps = enumerate_collapse_maps(k)
-        assert len(maps) == double_factorial(2 * k - 1)
-        assert len(maps) <= 2 ** (3 * k - 1)
+        if k <= 7:
+            count = len(enumerate_collapse_maps(k))
+        else:
+            # 2,027,025 CollapseMap objects would take seconds and ~500 MiB;
+            # check the target table they are built from instead
+            tg = _targets(k)
+            count = len(tg)
+            for l in range(1, k + 1):
+                assert tg[:, l - 1].min() == 1 and tg[:, l - 1].max() == 2 * l - 1
+            # rows read as big-endian 8-byte keys strictly increase, so they are distinct
+            keys = tg.view(">u8").ravel()
+            assert np.all(keys[1:] > keys[:-1])
+        assert count == double_factorial(2 * k - 1)
+        assert count <= 2 ** (3 * k - 1)
 
     def test_order_past_the_memory_budget_rejected(self):
         # 15!! maps fit the budget; 17!! would not, so k = 9 is refused before enumerating

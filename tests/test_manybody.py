@@ -1,9 +1,13 @@
 """Few-body engine: potential tabulation, Hamiltonian action, propagation,
 energy moments."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from quintlab import manybody
 from quintlab.grids import GridSpec, ParameterError, TorusField
 from quintlab.manybody import (
     BosonicState,
@@ -11,8 +15,10 @@ from quintlab.manybody import (
     GaussianPotential,
     ManyBodyConfig,
     MemoryBudgetError,
+    PropagationToleranceError,
     UnderResolvedError,
     apply_hamiltonian,
+    apply_hamiltonian_raw,
     build_potential,
     energy,
     energy_moment,
@@ -175,8 +181,8 @@ class TestPropagate:
         assert out.symmetry_residual() <= 1e-10
 
     def test_energy_drift_self_consistency(self):
-        # refinement oracle: energy conserved and insensitive to halving the
-        # substep count
+        # energy is conserved, and the result does not depend on the Krylov
+        # dimension (20 against 24) beyond the tolerance
         g = GridSpec(1, 16)
         cfg = ManyBodyConfig(g, 3, 0.05)
         psi = BosonicState.factorized(cfg, smooth_phi(g, seed=6))
@@ -186,6 +192,73 @@ class TestPropagate:
         assert drift <= 1e-8
         out2 = propagate(psi, 0.5, steps=None, kdim=24)
         assert np.abs(out.amps - out2.amps).max() <= 1e-8
+
+    @pytest.fixture(scope="class")
+    def dense_case(self):
+        # d=1 n=8 N=3: dim 512, small enough for a dense matrix exponential
+        cfg = ManyBodyConfig(GridSpec(1, 8), 3, 0.05)
+        psi = BosonicState.random_symmetric(cfg, np.random.default_rng(8), band=3)
+        eye = np.eye(psi.amps.size, dtype=np.complex128)
+        H = np.stack(
+            [apply_hamiltonian_raw(cfg, e.reshape(cfg.state_shape)).reshape(-1) for e in eye],
+            axis=1,
+        )
+        return psi, H
+
+    @pytest.mark.parametrize("T", [0.1, 1.0])
+    @pytest.mark.parametrize("kdim", [6, 10, 20])
+    def test_meets_tol_against_dense_expm(self, dense_case, kdim, T):
+        psi, H = dense_case
+        want = expm(-1j * T * H) @ psi.amps.reshape(-1)
+        got = propagate(psi, T, kdim=kdim).amps.reshape(-1)
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+    def test_unreachable_tol_raises(self, dense_case):
+        psi, _ = dense_case
+        with pytest.raises(PropagationToleranceError):
+            propagate(psi, 1.0, kdim=6, tol=1e-30)
+
+    def test_steps_caps_the_substep(self, dense_case, monkeypatch):
+        psi, _ = dense_case
+        t, s = 0.7, 9
+        free = propagate(psi, t)
+        taus = []
+        choose = manybody._choose_substep
+
+        def spy(*args):
+            taus.append(choose(*args))
+            return taus[-1]
+
+        monkeypatch.setattr(manybody, "_choose_substep", spy)
+        capped = propagate(psi, t, steps=s)
+        assert np.linalg.norm(capped.amps - free.amps) <= 1e-10 * np.linalg.norm(free.amps)
+        assert len(taus) >= s
+        assert max(taus) <= (t / s) * (1 + 1e-12)
+        assert sum(taus) == pytest.approx(t, rel=1e-14)
+
+    def test_cost_guard(self, monkeypatch):
+        # d=1 n=16 N=4 (dim 65,536), T=0.1: at most 100 H-applies, and a peak
+        # of the (kdim + 1)-row basis buffer (21 MiB) plus temporaries; a
+        # second buffer or a (j + 1, dim) conjugate copy goes past 32 MiB
+        g = GridSpec(1, 16)
+        cfg = ManyBodyConfig(g, 4, 0.05)
+        psi = BosonicState.factorized(cfg, smooth_phi(g, seed=9))
+        apply_hamiltonian(psi)  # tabulate the Hamiltonian outside the measurement
+        calls = []
+
+        def counting(config, amps):
+            calls.append(1)
+            return apply_hamiltonian_raw(config, amps)
+
+        monkeypatch.setattr(manybody, "apply_hamiltonian_raw", counting)
+        tracemalloc.start()
+        try:
+            propagate(psi, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) <= 100
+        assert peak < 32 * 2**20
 
 
 class TestEnergyMoment:
