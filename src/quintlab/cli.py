@@ -44,7 +44,7 @@ from .marginals import (
     gp_residual, hufl_factorized,
 )
 from .nls import (
-    NlsConfig, check_diagnostic_cutoffs, energy_nls, energy_split, evolve,
+    NlsConfig, check_diagnostic_cutoffs, check_step_count, energy_nls, energy_split, evolve,
     frequency_diagnostics,
 )
 from .probes import PROBE_RUNNERS
@@ -214,6 +214,9 @@ def _build(cfg: ExperimentConfig) -> dict:
         built["nls"] = attempt(
             "dt", NlsConfig, grid, float(p["b0"]), float(p["dt"]), p.get("dealias", True)
         )
+        if built["nls"]:
+            attempt("T", check_step_count, float(p["T"]), float(p["dt"]),
+                    p.get("snapshot_every", 1))
         if "split_M" in p:
             attempt("split_M", check_cutoff, p["split_M"])
         for m in p.get("diagnostics_M", []) if grid else []:

@@ -15,6 +15,7 @@ probes) is built on the objects in this module.  Conventions, fixed once:
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,30 +85,18 @@ def _freq_components(d: int, n: int) -> tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _xi_squared(d: int, n: int) -> np.ndarray:
-    comps = _freq_components(d, n)
-    out = np.zeros((n,) * d, dtype=np.float64)
-    for c in comps:
-        out = out + c.astype(np.float64) ** 2
-    return out
+    return sum(c.astype(np.float64) ** 2 for c in _freq_components(d, n))
 
 
 @functools.lru_cache(maxsize=None)
 def _mask_leq(d: int, n: int, m: float) -> np.ndarray:
     """Characteristic function of the region |xi_j| <= m for every axis j."""
-    comps = _freq_components(d, n)
-    out = np.ones((n,) * d, dtype=bool)
-    for c in comps:
-        out &= np.abs(c) <= m
-    return out
+    return functools.reduce(np.logical_and, [np.abs(c) <= m for c in _freq_components(d, n)])
 
 
-@functools.lru_cache(maxsize=None)
-def _mask_lt(d: int, n: int, m: float) -> np.ndarray:
-    comps = _freq_components(d, n)
-    out = np.ones((n,) * d, dtype=bool)
-    for c in comps:
-        out &= np.abs(c) < m
-    return out
+def _abs2(v: np.ndarray) -> np.ndarray:
+    """|v|^2 as re^2 + im^2, without the square root of np.abs."""
+    return v.real**2 + v.imag**2
 
 
 class TorusField:
@@ -270,15 +259,16 @@ class TorusField:
         """Same spectral content represented on an n_new-per-axis grid.
 
         Modes outside the new band are dropped; the stored integer label of
-        each mode (FFT layout, edge mode labelled -n/2) is preserved.
+        each mode (FFT layout, edge mode labelled -n/2) is preserved.  With
+        h = min(n, n_new)/2, each axis keeps its first h and last h entries,
+        so the copy is 2^d contiguous blocks.  On downsampling the -n_new/2
+        label is kept and +n_new/2 is dropped.
         """
         g_new = GridSpec(self.grid.d, n_new)
         c_new = np.zeros(g_new.shape, dtype=np.complex128)
-        old = self.grid.axis_frequencies()
-        keep = np.abs(old) <= g_new.nyquist
-        sel_old = np.ix_(*[np.where(keep)[0]] * self.grid.d)
-        sel_new = np.ix_(*[old[keep] % n_new] * self.grid.d)
-        c_new[sel_new] = self._coeffs[sel_old]
+        h = min(self.grid.n, n_new) // 2
+        for block in itertools.product((slice(None, h), slice(-h, None)), repeat=self.grid.d):
+            c_new[block] = self._coeffs[block]
         return TorusField(g_new, c_new)
 
 
@@ -313,10 +303,9 @@ class FrequencyCube:
         if len(self.center) != grid.d:
             raise ValueError("cube center has wrong dimension")
         comps = _freq_components(grid.d, grid.n)
-        out = np.ones(grid.shape, dtype=bool)
-        for c, x0 in zip(comps, self.center):
-            out &= np.abs(c - x0) <= self.radius
-        return out
+        return functools.reduce(
+            np.logical_and, [np.abs(c - x0) <= self.radius for c, x0 in zip(comps, self.center)]
+        )
 
 
 def check_cutoff(m: float) -> None:
@@ -338,9 +327,9 @@ def project_gt(f: TorusField, m: float) -> TorusField:
 
 
 def project_lt(f: TorusField, m: float) -> TorusField:
-    """Strict variant: keep |xi_j| < m on every axis."""
+    """Strict variant: keep |xi_j| < m on every axis, i.e. |xi_j| <= ceil(m) - 1."""
     check_cutoff(m)
-    return f.multiply_coefficients(_mask_lt(f.grid.d, f.grid.n, m))
+    return f.multiply_coefficients(_mask_leq(f.grid.d, f.grid.n, np.ceil(m) - 1.0))
 
 
 def dyadic_project(f: TorusField, m: float) -> TorusField:

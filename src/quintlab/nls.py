@@ -10,6 +10,7 @@ frequency-localization diagnostics used by the marginal-hierarchy experiments.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,8 @@ from .grids import (
     GridSpec,
     ParameterError,
     TorusField,
-    _xi_squared,
+    _abs2,
+    _freq_components,
     check_cutoff,
     project_gt,
     project_leq,
@@ -72,9 +74,13 @@ class Trajectory:
 
 
 def free_propagate(f: TorusField, t: float) -> TorusField:
-    """exp(it Lap): multiply each coefficient by exp(-i t |xi|^2)."""
-    w = np.exp(-1j * t * _xi_squared(f.grid.d, f.grid.n))
-    return f.multiply_coefficients(w)
+    """exp(it Lap): multiply each coefficient by exp(-i t |xi|^2).
+
+    The multiplier is the outer product of the d one-axis phases
+    exp(-i t xi_j^2), so a call evaluates d*n exponentials, not n^d.
+    """
+    phases = [np.exp(-1j * t * ax**2) for ax in _freq_components(f.grid.d, f.grid.n)]
+    return f.multiply_coefficients(functools.reduce(np.multiply, phases))
 
 
 def _phase_rotation(f: TorusField, b0: float, tau: float, dealias: bool) -> TorusField:
@@ -86,14 +92,10 @@ def _phase_rotation(f: TorusField, b0: float, tau: float, dealias: bool) -> Toru
     """
     if b0 == 0.0 or tau == 0.0:
         return f
-    if not dealias:
-        v = f.values
-        return TorusField.from_values(f.grid, np.exp(-1j * b0 * tau * np.abs(v) ** 4) * v)
-    n = f.grid.n
-    fine = f.resample(2 * ((3 * n + 3) // 4))
+    fine = f.resample(2 * ((3 * f.grid.n + 3) // 4)) if dealias else f
     v = fine.values
-    rotated = TorusField.from_values(fine.grid, np.exp(-1j * b0 * tau * np.abs(v) ** 4) * v)
-    return rotated.resample(n)
+    rotated = TorusField.from_values(fine.grid, np.exp(-1j * b0 * tau * _abs2(v) ** 2) * v)
+    return rotated.resample(f.grid.n) if dealias else rotated
 
 
 def strang_step(f: TorusField, cfg: NlsConfig) -> TorusField:
@@ -103,6 +105,16 @@ def strang_step(f: TorusField, cfg: NlsConfig) -> TorusField:
     g = _phase_rotation(f, cfg.b0, cfg.dt / 2.0, cfg.dealias)
     g = free_propagate(g, cfg.dt)
     return _phase_rotation(g, cfg.b0, cfg.dt / 2.0, cfg.dealias)
+
+
+def check_step_count(T: float, dt: float, snapshot_every: int = 1) -> int:
+    """The number of steps T/dt, which must be an integer multiple of snapshot_every."""
+    steps = int(round(T / dt))
+    if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
+        raise ParameterError("T", f"T={T} is not an integer multiple of dt={dt}")
+    if steps % max(snapshot_every, 1) != 0:
+        raise ParameterError("snapshot_every", f"does not divide the step count {steps}")
+    return steps
 
 
 def evolve(
@@ -116,11 +128,7 @@ def evolve(
     The step count must be a multiple of snapshot_every so snapshots stay
     uniformly spaced and include the final state.
     """
-    steps = int(round(T / cfg.dt))
-    if abs(steps * cfg.dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError(f"T={T} is not an integer multiple of dt={cfg.dt}")
-    if steps % max(snapshot_every, 1) != 0:
-        raise ValueError("step count must be divisible by snapshot_every")
+    steps = check_step_count(T, cfg.dt, snapshot_every)
     states = [f0]
     times = [0.0]
     f = f0
@@ -164,12 +172,11 @@ def energy_split(
 ) -> tuple[float, float]:
     """Split E into (E_L, E_H) at the cutoff m, with E_L + E_H = E exactly.
 
-    E_L collects the gradient term plus the sextic terms carrying at most two
-    high-frequency factors:
+    E_L collects the gradient term plus the terms of the binomial expansion of
+    |phi_L + phi_H|^6 that carry at most two high-frequency factors.  With
+    a = |phi_L|^2 and z = conj(phi_L) phi_H they sum to
 
-        |phi_L|^6 + 3|phi_L|^2 conj(phi_L) phi_H + 3|phi_L|^2 phi_L conj(phi_H)
-        + 3 phi_H^2 conj(phi_L)^2 |phi_L|^2 + 3 conj(phi_H)^2 phi_L^2 |phi_L|^2
-        + 9 |phi_H|^2 |phi_L|^4
+        a^3 + 6 a^2 Re z + 9 a^2 |phi_H|^2 + 6 a Re z^2
 
     grad_term selects which kinetic piece sits in E_L: "low" (default) puts
     ||grad phi_L||^2 there, so E_H starts with the high kinetic energy; the
@@ -182,16 +189,11 @@ def energy_split(
     fh = project_gt(f, m)
     vl = fl.values
     vh = fh.values
-    al2 = np.abs(vl) ** 2
-    combo = (
-        al2**3
-        + 3.0 * al2 * np.conj(vl) * vh
-        + 3.0 * al2 * vl * np.conj(vh)
-        + 3.0 * vh**2 * np.conj(vl) ** 2 * al2
-        + 3.0 * np.conj(vh) ** 2 * vl**2 * al2
-        + 9.0 * np.abs(vh) ** 2 * al2**2
-    )
-    sextic_low = float(np.sum(combo.real) * f.grid.cell_volume)
+    a = _abs2(vl)
+    z = np.conj(vl) * vh
+    # 9 a^2 |phi_H|^2 = 9 a |z|^2, and Re z^2 = Re(z)^2 - Im(z)^2
+    combo = a * (a * (a + 6.0 * z.real) + 15.0 * z.real**2 + 3.0 * z.imag**2)
+    sextic_low = float(np.sum(combo) * f.grid.cell_volume)
     grad_low = fl.gradient_l2_sq() if grad_term == "low" else fh.gradient_l2_sq()
     e_low = grad_low + (b0 / 3.0) * sextic_low
     e_high = energy_nls(f, b0) - e_low

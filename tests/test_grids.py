@@ -241,7 +241,35 @@ class TestBernstein:
         assert hi / lo < 2.0
 
 
+def _resample_by_index_arrays(f, n_new):
+    """The np.ix_ formulation of TorusField.resample, kept as its oracle."""
+    g_new = GridSpec(f.grid.d, n_new)
+    c_new = np.zeros(g_new.shape, dtype=np.complex128)
+    old = f.grid.axis_frequencies()
+    keep = np.abs(old) <= g_new.nyquist
+    sel_old = np.ix_(*[np.where(keep)[0]] * f.grid.d)
+    sel_new = np.ix_(*[old[keep] % n_new] * f.grid.d)
+    c_new[sel_new] = f.coefficients[sel_old]
+    return c_new
+
+
 class TestResampleAndProducts:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "n,n_new", [(8, 12), (8, 16), (6, 8), (6, 10), (12, 8), (16, 6), (10, 8), (14, 10)]
+    )
+    def test_block_copy_matches_index_arrays(self, d, n, n_new):
+        rng = np.random.default_rng([d, n, n_new])
+        g = GridSpec(d, n)
+        f = TorusField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        assert np.array_equal(f.resample(n_new).coefficients, _resample_by_index_arrays(f, n_new))
+
+    def test_downsampling_keeps_the_negative_edge_label(self):
+        f = TorusField.from_modes(GridSpec(2, 16), {(4, 1): 1.0, (-4, 1): 2.0, (4, -4): 3.0})
+        got = f.resample(8).coefficients
+        assert got[4, 1] == 2.0 and got[4, 4] == 0.0
+        assert np.count_nonzero(got) == 1
+
     def test_resample_preserves_modes(self):
         f = TorusField.plane_wave(GridSpec(1, 8), 3, 2.0)
         up = f.resample(32)

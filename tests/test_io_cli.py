@@ -201,17 +201,24 @@ class TestRunExperiment:
         run_experiment(ExperimentConfig.from_dict(raw), out_b)
         assert (out_a / "timeseries.csv").read_bytes() == (out_b / "timeseries.csv").read_bytes()
 
-    def test_partial_outputs_removed_on_failure(self, tmp_path):
+    def test_partial_outputs_removed_on_failure(self, tmp_path, monkeypatch):
+        from quintlab import cli
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        # the state dump fails after manybody.json is written
+        monkeypatch.setattr(cli.qio, "dump_state", fail)
         cfg = ExperimentConfig.from_dict(
             {
-                "kind": "nls-run",
-                "params": {"d": 1, "n": 8, "b0": 1.0, "dt": 0.01, "T": 0.105,
-                           "initial": {"kind": "constant"}},
+                "kind": "manybody-run",
+                "params": {"d": 1, "n": 8, "N": 2, "beta": 0.05, "T": 0.02,
+                           "initial": {"kind": "constant"}, "dump_state": True},
             }
         )
-        with pytest.raises(ValueError):
-            run_experiment(cfg, tmp_path)  # T not a multiple of dt
-        assert not (tmp_path / "timeseries.csv").exists()
+        with pytest.raises(OSError):
+            run_experiment(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_emit_plotdata(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
@@ -364,6 +371,8 @@ BAD_CONFIGS = [
     pytest.param("hufl", None, "config", id="hufl-missing-file"),
     pytest.param("hufl", '{"kind": "hufl", "params": ', "config", id="hufl-invalid-json"),
     pytest.param("hufl", "[1, 2]", "config", id="hufl-not-an-object"),
+    ("nls-run", {**_NLS, "T": 0.105}, "T"),  # not a multiple of dt
+    ("nls-run", {**_NLS, "T": 0.03, "snapshot_every": 2}, "snapshot_every"),
 ]
 
 

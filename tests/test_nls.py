@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quintlab.grids import GridSpec, TorusField, project_gt
+from quintlab.grids import GridSpec, TorusField, _xi_squared, project_gt, project_leq
 from quintlab.nls import (
     BlowUpError,
     NlsConfig,
@@ -45,6 +45,20 @@ class TestFreePropagate:
         f = smooth_random(GridSpec(2, 16), 1)
         for t in (0.1, 1.0, 10.0):
             assert abs(free_propagate(f, t).l2_norm() - f.l2_norm()) <= 1e-13
+
+    @pytest.mark.parametrize("d,n", [(1, 64), (2, 16), (3, 8), (3, 16)])
+    def test_per_axis_phases_match_dense_exponential(self, d, n):
+        # oracle: one complex exponential per coefficient; at d = 1 the same
+        # numbers are computed, otherwise only the rounding of the phase
+        # argument t |xi|^2 differs (it stays below 50 here)
+        f = smooth_random(GridSpec(d, n), 4, band=n // 2)
+        for t in (0.005, 0.37):
+            dense = f.coefficients * np.exp(-1j * t * _xi_squared(d, n))
+            got = free_propagate(f, t).coefficients
+            if d == 1:
+                assert np.array_equal(got, dense)
+            else:
+                assert np.all(np.abs(got - dense) <= 1e-14 * np.abs(dense))
 
     def test_band_kinetic_invariance(self):
         f = smooth_random(GridSpec(1, 32), 2, band=12)
@@ -179,6 +193,26 @@ class TestEnergySplit:
         for m in (2, 4, 8):
             e_l, e_h = energy_split(f, m, 2.0)
             assert e_l + e_h == pytest.approx(e, rel=1e-12)
+
+    def test_one_high_factor_terms_leave_third_order(self):
+        # E_H - ||grad P_H phi||^2 holds the sextic terms with three or more
+        # high factors, so scaling P_H phi by eps scales it by eps^3
+        g = GridSpec(1, 32)
+        low = smooth_random(g, 15, band=4)
+        high = project_gt(smooth_random(g, 16, band=12), 4)
+        rest = []
+        for eps in (1e-1, 1e-2):
+            e_l, e_h = energy_split(low + high * eps, 4, 1.0)
+            rest.append(e_h - (high * eps).gradient_l2_sq())
+        assert abs(rest[1]) <= 2e-3 * abs(rest[0])
+
+    def test_sextic_part_is_homogeneous_of_degree_six(self):
+        f = smooth_random(GridSpec(1, 32), 17, band=12)
+
+        def sextic_low(g):
+            return energy_split(g, 4, 1.0)[0] - project_leq(g, 4).gradient_l2_sq()
+
+        assert sextic_low(f * 2.0) == pytest.approx(64.0 * sextic_low(f), rel=1e-12)
 
     def test_variant_bookkeeping_also_splits(self):
         f = smooth_random(GridSpec(1, 32), 11, band=12)

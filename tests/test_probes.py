@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
-from quintlab.grids import FrequencyCube, GridSpec, TorusField
+from quintlab.grids import (
+    FrequencyCube,
+    GridSpec,
+    TorusField,
+    dyadic_project,
+    pointwise_product,
+    project_leq,
+    sobolev_norm,
+)
+from quintlab.nls import free_propagate
 from quintlab.probes import (
+    _eval_grid_for_power,
+    _field_band,
+    _next_even,
+    _trapezoid_times,
     approx_identity_rate,
     bilinear_strichartz_ratio,
     multilinear_ratio,
@@ -184,6 +197,50 @@ class TestMultilinear:
                 fs.append(f8.resample(n))
             vals[n] = multilinear_ratio(fs, 4.0, 1.0, "Old1", nt=16)
         assert vals[16] == pytest.approx(vals[8], rel=1e-9)
+
+
+class TestPerTimeOracles:
+    """Each ratio against its formulation with one field per quadrature time:
+    the L^p norm by TorusField.lp_norm, the product's L^2 norm spectrally
+    after a forward transform, and the quintic product padded at every time."""
+
+    @pytest.mark.parametrize("p", [4.0, 5.0])
+    def test_strichartz(self, p):
+        f = rand3(16, seed=20)
+        g = project_leq(f, 4)
+        band = _field_band(g)
+        g_fine = g.resample(max(_eval_grid_for_power(band, int(np.ceil(p)), 8), 2 * band + 2))
+        ts, w = _trapezoid_times(1.0, 40)
+        acc = sum(wt * free_propagate(g_fine, t).lp_norm(p) ** p for t, wt in zip(ts, w))
+        want = acc ** (1.0 / p) / (4 ** (1.5 - 5.0 / p) * g.l2_norm())
+        assert strichartz_ratio(f, 4, p, 1.0, 40) == pytest.approx(want, rel=1e-12)
+
+    def test_bilinear(self):
+        f1, f2 = rand3(16, seed=21), rand3(16, seed=22)
+        u1, u2 = dyadic_project(f1, 8), dyadic_project(f2, 4)
+        a = u1.resample(max(_next_even(2 * (8 + 4) + 2), 16))
+        b = u2.resample(a.grid.n)
+        ts, w = _trapezoid_times(1.0, 33)
+        acc = 0.0
+        for t, wt in zip(ts, w):
+            vals = free_propagate(a, t).values * free_propagate(b, t).values
+            acc += wt * TorusField.from_values(a.grid, vals).l2_norm() ** 2
+        rhs = np.sqrt(4.0) * (4.0 / 8.0 + 1.0 / 4.0) ** 0.02 * u1.l2_norm() * u2.l2_norm()
+        got = bilinear_strichartz_ratio(f1, f2, 8, 4, 0.02, 1.0, 33)
+        assert got == pytest.approx(np.sqrt(acc) / rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("variant,s_out", [("Old1", -1.0), ("Old2", 1.0)])
+    def test_multilinear(self, variant, s_out):
+        fs = [rand3(8, band=2, seed=30 + s) for s in range(5)]
+        n_eval = _next_even(2 * 5 * 2 + 2)
+        ts, w = _trapezoid_times(1.0, 32)
+        acc = 0.0
+        for t, wt in zip(ts, w):
+            prod = pointwise_product(*[free_propagate(f, t) for f in fs], pad_to=n_eval)
+            acc += wt * sobolev_norm(prod, s_out)
+        rhs = sobolev_norm(fs[0], s_out) * np.prod([sobolev_norm(f, 1.0) for f in fs[1:]])
+        got = multilinear_ratio(fs, 4.0, 1.0, variant, 32)
+        assert got == pytest.approx(acc / rhs, rel=1e-12)
 
 
 class TestApproxIdentity:
