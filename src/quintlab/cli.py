@@ -40,8 +40,8 @@ from .manybody import (
     stability_check,
 )
 from .marginals import (
-    bbgky_residual, chaos_experiment, check_hierarchy_order, check_rank_one_order,
-    gp_residual, hufl_factorized,
+    bbgky_residual, chaos_experiment, check_hierarchy_order, check_marginal_order,
+    check_rank_one_order, gp_residual, hufl_factorized,
 )
 from .nls import (
     NlsConfig, check_diagnostic_cutoffs, check_step_count, energy_nls, energy_split, evolve,
@@ -230,8 +230,8 @@ def _build(cfg: ExperimentConfig) -> dict:
             attempt("spacings", lambda: NlsConfig(grid, 0.0, float(h) / 4, dealias=False))
     elif kind == "hufl":
         attempt("M", check_cutoff, p["M"])
-        for k in p["ks"] if grid else []:
-            attempt("ks", lambda: check_rank_one_order(grid, int(k)))
+        for k in p["ks"]:
+            attempt("ks", check_marginal_order, k)
     elif kind == "couplings":
         attempt("k", check_map_order, p["k"])
     elif kind == "probe":

@@ -94,6 +94,11 @@ def _mask_leq(d: int, n: int, m: float) -> np.ndarray:
     return functools.reduce(np.logical_and, [np.abs(c) <= m for c in _freq_components(d, n)])
 
 
+def _fft_blocks(d: int, h: int) -> list[tuple[slice, ...]]:
+    """The 2^d FFT-layout blocks of half-width h: the first h and last h entries of each axis."""
+    return list(itertools.product((slice(None, h), slice(-h, None)), repeat=d))
+
+
 def _abs2(v: np.ndarray) -> np.ndarray:
     """|v|^2 as re^2 + im^2, without the square root of np.abs."""
     return v.real**2 + v.imag**2
@@ -216,12 +221,6 @@ class TorusField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "TorusField":
-        return TorusField(self.grid, -self._coeffs)
-
-    def conj(self) -> "TorusField":
-        return TorusField.from_values(self.grid, np.conj(self.values))
-
     def multiply_coefficients(self, weights: np.ndarray) -> "TorusField":
         """New field with coefficients fhat(xi) * weights(xi) (Fourier multiplier)."""
         return TorusField(self.grid, self._coeffs * weights)
@@ -266,8 +265,7 @@ class TorusField:
         """
         g_new = GridSpec(self.grid.d, n_new)
         c_new = np.zeros(g_new.shape, dtype=np.complex128)
-        h = min(self.grid.n, n_new) // 2
-        for block in itertools.product((slice(None, h), slice(-h, None)), repeat=self.grid.d):
+        for block in _fft_blocks(self.grid.d, min(self.grid.n, n_new) // 2):
             c_new[block] = self._coeffs[block]
         return TorusField(g_new, c_new)
 

@@ -262,6 +262,20 @@ def symmetrized_triple_value(config: ManyBodyConfig) -> np.ndarray:
     ) / 3.0
 
 
+def _unit_values(phi: TorusField) -> np.ndarray:
+    """The flat grid values of phi, scaled to unit L2 norm."""
+    v = phi.values.reshape(-1)
+    return v / np.sqrt(np.sum(np.abs(v) ** 2) * phi.grid.cell_volume)
+
+
+def _tensor_power(v: np.ndarray, k: int) -> np.ndarray:
+    """v^(x)k as a flat vector."""
+    vk = v
+    for _ in range(k - 1):
+        vk = np.multiply.outer(vk, v).reshape(-1)
+    return vk
+
+
 class BosonicState:
     """Symmetric N-particle complex tensor on (grid)^N.
 
@@ -283,12 +297,7 @@ class BosonicState:
 
     @classmethod
     def factorized(cls, config: ManyBodyConfig, phi: TorusField) -> "BosonicState":
-        v = phi.values.reshape(-1)
-        v = v / np.sqrt(np.sum(np.abs(v) ** 2) * config.grid.cell_volume)
-        amps = v
-        for _ in range(config.N - 1):
-            amps = np.multiply.outer(amps, v)
-        return cls(config, amps)
+        return cls(config, _tensor_power(_unit_values(phi), config.N))
 
     @classmethod
     def random_symmetric(
@@ -356,9 +365,11 @@ class BosonicState:
 def apply_hamiltonian_raw(config: ManyBodyConfig, amps: np.ndarray) -> np.ndarray:
     """H amps, matrix-free: spectral kinetic part plus diagonal potential."""
     diag, kin = _cached_tables(config)
-    out = np.fft.ifftn(kin * np.fft.fftn(amps))
+    s = np.fft.fftn(amps)
+    s *= kin
+    out = np.fft.ifftn(s)
     if diag is not None:
-        out = out + diag * amps
+        out += diag * amps
     return out
 
 

@@ -40,13 +40,15 @@ from .manybody import (
     ManyBodyConfig,
     MemoryBudgetError,
     _on_slot,
+    _tensor_power,
     _triple_sum,
+    _unit_values,
     energy_per_particle,
     potential_mass,
     propagate,
     symmetrized_triple_value,
 )
-from .nls import NlsConfig, Trajectory, evolve
+from .nls import NlsConfig, Trajectory, _split_steps, check_step_count, evolve
 
 
 @dataclass
@@ -98,26 +100,17 @@ def marginal(psi: BosonicState, k: int) -> KthMarginal:
     return KthMarginal(k, psi.config.grid, mat)
 
 
+def check_marginal_order(k: float) -> None:
+    """A marginal, dense or factorized, has an integer order k >= 1."""
+    if k < 1 or k % 1:
+        raise ValueError(f"marginal order must be an integer >= 1, got {k}")
+
+
 def check_rank_one_order(grid: GridSpec, k: int) -> None:
     """A dense k-marginal needs k >= 1 and m^(2k) entries within MEMORY_BUDGET."""
-    if k < 1:
-        raise ValueError(f"marginal order must be >= 1, got {k}")
+    check_marginal_order(k)
     if grid.size ** (2 * k) > MEMORY_BUDGET:
         raise MemoryBudgetError(f"a {k}-marginal would hold {grid.size ** (2 * k)} entries")
-
-
-def _unit_values(phi: TorusField) -> np.ndarray:
-    """The flat grid values of phi, scaled to unit L2 norm."""
-    v = phi.values.reshape(-1)
-    return v / np.sqrt(np.sum(np.abs(v) ** 2) * phi.grid.cell_volume)
-
-
-def _tensor_power(v: np.ndarray, k: int) -> np.ndarray:
-    """v^(x)k as a flat vector."""
-    vk = v
-    for _ in range(k - 1):
-        vk = np.multiply.outer(vk, v).reshape(-1)
-    return vk
 
 
 def rank_one_marginal(phi: TorusField, k: int = 1) -> KthMarginal:
@@ -288,8 +281,9 @@ def hufl_factorized(phi: TorusField, k: int, m_cut: float) -> float:
     """hufl_left_side(rank_one_marginal(phi, k), m_cut) from phi alone.
 
     On |phi><phi|^(x k) the trace factorizes slot by slot, so it is the k-th
-    power of the one-slot value (||P_{>M} phi||_{H^1} / ||phi||)^2.
+    power of the one-slot value (||P_{>M} phi||_{H^1} / ||phi||)^2; no marginal, no budget.
     """
+    check_marginal_order(k)
     return (sobolev_norm(project_gt(phi, m_cut), 1.0) / phi.l2_norm()) ** (2 * k)
 
 
@@ -309,30 +303,19 @@ def mean_field_flow(
         i d/dt phi = -Lap phi + (1/2) [ int Vbar(x,y,z) |phi(y)|^2 |phi(z)|^2 dy dz ] phi
 
     The 1/2 is the large-N limit of the per-particle triple count over N^2.
-    Strang splitting with the effective potential refreshed each half step;
+    Strang splitting with the effective potential refreshed at each rotation;
     used as the matched comparison target for the unconcentrated
     (beta = 0) convergence trend, where the concentrated quintic flow is
     not the limit.
     """
-    grid = config.grid
-    v3 = symmetrized_triple_value(config)
-    dxw = grid.cell_volume
-    v = phi0.values.reshape(-1).copy()
-    v = v / np.sqrt(np.sum(np.abs(v) ** 2) * dxw)
-    xi2 = _xi_squared(grid.d, grid.n).reshape(-1)
-    steps = int(round(T / dt))
+    grid, v3 = config.grid, symmetrized_triple_value(config)
 
-    def half_rotation(vals):
-        rho = np.abs(vals) ** 2
-        veff = 0.5 * np.einsum("xyz,y,z->x", v3, rho, rho) * dxw**2
-        return np.exp(-1j * veff * dt / 2.0) * vals
+    def rate(rho):
+        r = rho.reshape(-1)
+        return (0.5 * np.einsum("xyz,y,z->x", v3, r, r) * grid.cell_volume**2).reshape(grid.shape)
 
-    for _ in range(steps):
-        v = half_rotation(v)
-        spec = np.fft.fftn(v.reshape(grid.shape))
-        v = np.fft.ifftn(np.exp(-1j * xi2.reshape(grid.shape) * dt) * spec).reshape(-1)
-        v = half_rotation(v)
-    return TorusField.from_values(grid, v.reshape(grid.shape))
+    phi = TorusField.from_values(grid, _unit_values(phi0).reshape(grid.shape))
+    return _split_steps(phi, dt, check_step_count(T, dt), rate, dealias=False)
 
 
 @dataclass

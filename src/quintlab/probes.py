@@ -12,7 +12,7 @@ and the full sample set (an unbounded constant would keep growing).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -23,6 +23,7 @@ from .grids import (
     TorusField,
     _abs2,
     apply_S,
+    convolve,
     cube_project,
     dyadic_project,
     pointwise_product,
@@ -272,9 +273,7 @@ def approx_identity_rate(
         bump_field = TorusField.from_values(grid, bump)
         mass = float(np.real(bump_field.coefficients[(0,) * grid.d])) * grid.volume
         bump_field = bump_field * (1.0 / mass)  # exact unit grid mass
-        smoothed = TorusField(
-            grid, grid.volume * bump_field.coefficients * dens.coefficients
-        )
+        smoothed = convolve(bump_field, dens)
         g = smoothed.values.reshape(-1)
         err = abs(
             np.sum(weight * (g**2 - (np.abs(phi.values.reshape(-1)) ** 2) ** 2))
@@ -310,16 +309,7 @@ class ProbeReport:
         return self.max_ratio / self.half_max_ratio
 
     def to_dict(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "samples": self.samples,
-            "seed": self.seed,
-            "parameter_grid": [list(t) for t in self.parameter_grid],
-            "ratio_table": self.ratio_table,
-            "max_ratio": self.max_ratio,
-            "half_max_ratio": self.half_max_ratio,
-            "stability_factor": self.stability_factor,
-        }
+        return {**asdict(self), "stability_factor": self.stability_factor}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -400,8 +390,7 @@ def run_approx_identity_probe(seed=0, samples=20, alphas=(0.25, 0.125, 0.0625),
         f = f * (1.0 / f.l2_norm())
         return approx_identity_rate(f, list(alphas))["slope"]
 
-    report = _collect("approx_identity", seed, samples, [tuple(alphas)], fn)
-    return report
+    return _collect("approx_identity", seed, samples, [tuple(alphas)], fn)
 
 
 PROBE_RUNNERS = {

@@ -176,6 +176,14 @@ class TestRunExperiment:
         assert got == [hufl_factorized(cfg.built["field"], k, 2) for k in (1, 2, 3)]
         assert peak < 8 * 2**20  # the dense 3-marginal alone is 256 MiB
 
+    def test_hufl_order_past_the_dense_budget_runs(self, tmp_path):
+        # the 4-marginal at d=1 n=16 would hold 2^32 entries; the run forms none
+        path = tmp_path / "hufl.json"
+        path.write_text(json.dumps({"kind": "hufl", "params": {**_HUFL, "ks": [1, 4]}}))
+        assert main(["hufl", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "hufl.csv").read_text().split("\n")[1:3]
+        assert [int(row.split(",")[0]) for row in rows] == [1, 4]
+
     def test_nls_t0_single_snapshot(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {
@@ -344,7 +352,7 @@ BAD_CONFIGS = [
     ("nls-run", {**_NLS, "diagnostics_M": [8]}, "diagnostics_M"),
     ("probe", {"lemma": "strichartz", "options": {"bogus": 1}}, "options"),
     ("hufl", {**_HUFL, "ks": [0]}, "ks"),
-    ("hufl", {**_HUFL, "ks": [4]}, "ks"),  # a 64 GiB dense marginal
+    ("hufl", {**_HUFL, "ks": [1.5]}, "ks"),  # not an integer order
     ("nls-run", lambda tmp: {**_NLS, "initial": _truncated_field(tmp)}, "initial.path"),
     ("manybody-run", lambda tmp: {**_MB, "initial": _state_file(tmp, lambda b: b[:-8])},
      "initial.path"),

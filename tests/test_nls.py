@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from quintlab import nls
 from quintlab.grids import GridSpec, TorusField, _xi_squared, project_gt, project_leq
 from quintlab.nls import (
     BlowUpError,
@@ -106,6 +107,85 @@ class TestStrangStep:
             errs.append(np.abs(u.coefficients - ref.coefficients).max())
         ratio = errs[0] / errs[1]
         assert 3.0 <= ratio <= 5.0
+
+
+def _unmerged_step(f, b0, dt, dealias):
+    """Oracle: one Strang step N(dt/2) L(dt) N(dt/2) with both half rotations
+    applied on their own through TorusFields, with dealias on the 3n/2 grid."""
+
+    def half_rotation(g):
+        fine = g.resample(2 * ((3 * g.grid.n + 3) // 4)) if dealias else g
+        v = fine.values
+        theta = b0 * dt / 2 * np.abs(v) ** 4
+        rotated = TorusField.from_values(fine.grid, np.exp(-1j * theta) * v)
+        return rotated.resample(g.grid.n) if dealias else rotated
+
+    return half_rotation(free_propagate(half_rotation(f), dt))
+
+
+class TestMergedSteps:
+    @pytest.mark.parametrize("d,n", [(1, 64), (2, 16), (3, 8)])
+    def test_chunk_equals_single_steps_without_dealiasing(self, d, n):
+        # N keeps |u|, so N(dt/2) N(dt/2) = N(dt): merging changes only rounding
+        g = GridSpec(d, n)
+        cfg = NlsConfig(g, b0=1.0, dt=0.01, dealias=False)
+        f = smooth_random(g, 8, band=n // 4, scale=2.0)
+        for k in (2, 7):
+            single = f
+            for _ in range(k):
+                single = strang_step(single, cfg)
+            merged = strang_step(f, cfg, steps=k).coefficients
+            rel = np.linalg.norm(merged - single.coefficients) / np.linalg.norm(merged)
+            assert rel <= 1e-13
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dealiased_merge_is_as_accurate_as_unmerged_steps(self, seed):
+        # a band-6 datum of norm 2 on n=32, against the same flow resolved on
+        # n=512; with dealiasing merging moves the result, not its accuracy
+        rng = np.random.default_rng([seed, 1])
+        f = TorusField.random_band_limited(GridSpec(1, 32), 6, rng)
+        f = f * (2.0 / f.l2_norm())
+        fine, coarse = f.resample(512), f
+        for _ in range(500):
+            fine = _unmerged_step(fine, 1.0, 1e-3, dealias=False)
+            coarse = _unmerged_step(coarse, 1.0, 1e-3, dealias=True)
+        ref = fine.resample(32).coefficients
+        merged = evolve(f, 0.5, NlsConfig(f.grid, 1.0, 1e-3), snapshot_every=500).states[-1]
+        err_merged = np.linalg.norm(merged.coefficients - ref)
+        err_unmerged = np.linalg.norm(coarse.coefficients - ref)
+        assert err_merged <= 1.05 * err_unmerged
+
+    def test_rotation_matches_complex_exponential(self):
+        rng = np.random.default_rng(9)
+        v = rng.standard_normal((16, 16, 16)) + 1j * rng.standard_normal((16, 16, 16))
+        b0, tau = 1.3, 0.005
+        want = np.exp(-1j * b0 * tau * (v.real**2 + v.imag**2) ** 2) * v
+        got = v.copy()
+        nls._rotate(got, lambda a: b0 * a**2, tau, np.empty_like(v))
+        assert np.abs(got - want).max() <= 4e-16 * np.abs(want).max()
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_chunk_takes_one_fft_pair_per_step(self, monkeypatch, k):
+        g = GridSpec(2, 16)
+        f = TorusField.from_values(g, smooth_random(g, 10).values)  # samples cached
+        calls = []
+
+        def counted(fn):
+            def wrapper(a, *args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        strang_step(f, NlsConfig(g, 1.0, 0.01, dealias=False), steps=k)
+        assert len(calls) == 2 * k + 1  # a pair per step, one to leave the sample space
+
+    def test_steps_is_keyword_only(self):
+        g = GridSpec(1, 16)
+        with pytest.raises(TypeError):
+            strang_step(smooth_random(g, 0), NlsConfig(g, 1.0, 0.01), 2)
 
 
 class TestEvolve:
