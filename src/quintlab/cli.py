@@ -47,7 +47,7 @@ from .nls import (
     NlsConfig, check_diagnostic_cutoffs, check_step_count, energy_nls, energy_split, evolve,
     frequency_diagnostics,
 )
-from .probes import PROBE_RUNNERS
+from .probes import PROBE_RUNNERS, check_probe_options
 
 SCHEMA_VERSION = 1
 
@@ -242,9 +242,12 @@ def _build(cfg: ExperimentConfig) -> dict:
         if runner is None:
             errors.append(f"params.lemma: must be one of {sorted(PROBE_RUNNERS)}")
         else:
-            built["args"] = attempt(
+            args = built["args"] = attempt(
                 "options", lambda: inspect.signature(runner).bind(seed=cfg.seed, **kwargs)
             )
+            if args is not None:
+                args.apply_defaults()
+                attempt("options", check_probe_options, p["lemma"], args.arguments)
     if errors:
         raise ValidationError(errors)
     return built

@@ -10,6 +10,10 @@ probes) is built on the objects in this module.  Conventions, fixed once:
 * all frequency cutoffs are sharp characteristic functions on the
   componentwise (infinity-ball) region |xi_j| <= M, which keeps every
   projector idempotent and makes complements exact.
+
+Every transform in the package goes through the pair `_fftn`/`_ifftn`.
+`sample` evaluates a field on a finer grid by a pruned inverse transform,
+axis by axis, so that lines holding no coefficient are never transformed.
 """
 
 from __future__ import annotations
@@ -99,6 +103,18 @@ def _fft_blocks(d: int, h: int) -> list[tuple[slice, ...]]:
     return list(itertools.product((slice(None, h), slice(-h, None)), repeat=d))
 
 
+def _fftn(a, out=None, **kw) -> np.ndarray:
+    """np.fft.fftn into one complex array, `out` or a new one; without `out`,
+    numpy allocates a new array for every axis pass.  Looked up on np.fft at
+    call time, as are all transforms of the package."""
+    return np.fft.fftn(a, out=np.empty(np.shape(a), np.complex128) if out is None else out, **kw)
+
+
+def _ifftn(a, out=None, **kw) -> np.ndarray:
+    """np.fft.ifftn into one complex array, `out` or a new one (see _fftn)."""
+    return np.fft.ifftn(a, out=np.empty(np.shape(a), np.complex128) if out is None else out, **kw)
+
+
 def _abs2(v: np.ndarray) -> np.ndarray:
     """|v|^2 as re^2 + im^2, without the square root of np.abs."""
     return v.real**2 + v.imag**2
@@ -131,7 +147,8 @@ class TorusField:
     @classmethod
     def from_values(cls, grid: GridSpec, values: np.ndarray) -> "TorusField":
         values = np.asarray(values, dtype=np.complex128).reshape(grid.shape)
-        coeffs = np.fft.fftn(values) / grid.size
+        coeffs = _fftn(values)
+        coeffs /= grid.size
         f = cls(grid, coeffs)
         object.__setattr__(f, "_values", values.copy())
         return f
@@ -196,7 +213,8 @@ class TorusField:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            vals = np.fft.ifftn(self._coeffs) * self.grid.size
+            vals = _ifftn(self._coeffs)
+            vals *= self.grid.size
             object.__setattr__(self, "_values", vals)
         out = self._values.view()
         out.flags.writeable = False
@@ -268,6 +286,30 @@ class TorusField:
         for block in _fft_blocks(self.grid.d, min(self.grid.n, n_new) // 2):
             c_new[block] = self._coeffs[block]
         return TorusField(g_new, c_new)
+
+
+def sample(f: TorusField, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """f.resample(n).values for n >= f.grid.n, by a pruned inverse transform.
+
+    Axis j = d-1, ..., 0 in turn is widened from f.grid.n to n entries (its
+    first and last f.grid.n/2 copied around zeros, the labels of `resample`)
+    and transformed, so only the lines the narrower axes occupy are
+    transformed; no n^d coefficient array is formed.  The samples are
+    written to `out` when given: a loop that reuses one buffer spares the
+    allocator the page faults of a fresh n^d array per call.
+    """
+    if n < f.grid.n:
+        raise ValueError(f"cannot sample an n={f.grid.n} field on {n} points per axis")
+    h, b = f.grid.n // 2, f.coefficients
+    for j in reversed(range(f.grid.d)):
+        shape = b.shape[:j] + (n,) + b.shape[j + 1:]
+        w = np.empty(shape, dtype=np.complex128) if j or out is None else out
+        axis = (slice(None),) * j
+        w[axis + (slice(h, n - h),)] = 0.0
+        w[axis + (slice(None, h),)] = b[axis + (slice(None, h),)]
+        w[axis + (slice(n - h, None),)] = b[axis + (slice(-h, None),)]
+        b = _ifftn(w, out=w, axes=(j,), norm="forward")
+    return b
 
 
 def pointwise_product(*fields: TorusField, pad_to: int | None = None) -> TorusField:

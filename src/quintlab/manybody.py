@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 from scipy.linalg import eigh_tridiagonal
 
-from .grids import GridSpec, ParameterError, TorusField, _xi_squared
+from .grids import GridSpec, ParameterError, TorusField, _fftn, _ifftn, _xi_squared
 
 MEMORY_BUDGET = 2**24  # max complex entries in a dense state tensor or marginal matrix
 
@@ -307,11 +307,11 @@ class BosonicState:
         shape = config.state_shape
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         if band is not None:
-            raw = np.fft.fftn(raw)
+            _fftn(raw, out=raw)
             mask_1 = np.abs(grid.axis_frequencies()) <= band
             for ax in range(grid.d * config.N):
                 raw *= _on_slot(mask_1, ax, grid.d * config.N)
-            raw = np.fft.ifftn(raw)
+            _ifftn(raw, out=raw)
         st = cls(config, raw)
         return st.symmetrized()
 
@@ -365,12 +365,12 @@ class BosonicState:
 def apply_hamiltonian_raw(config: ManyBodyConfig, amps: np.ndarray) -> np.ndarray:
     """H amps, matrix-free: spectral kinetic part plus diagonal potential."""
     diag, kin = _cached_tables(config)
-    s = np.fft.fftn(amps)
+    s = _fftn(amps)
     s *= kin
-    out = np.fft.ifftn(s)
+    _ifftn(s, out=s)
     if diag is not None:
-        out += diag * amps
-    return out
+        s += diag * amps
+    return s
 
 
 def apply_hamiltonian(psi: BosonicState) -> np.ndarray:
@@ -530,7 +530,8 @@ def _sobolev_slot_weights(config: ManyBodyConfig, orders: list[float]) -> np.nda
 def weighted_sobolev_norm_sq(psi: BosonicState, orders: list[float]) -> float:
     """|| prod_j <grad_j>^{orders[j]} psi ||^2, computed spectrally."""
     grid, N = psi.config.grid, psi.config.N
-    coeffs = np.fft.fftn(psi.amps) / grid.size**N
+    coeffs = _fftn(psi.amps)
+    coeffs /= grid.size**N
     w = _sobolev_slot_weights(psi.config, orders)
     return float(grid.volume**N * np.sum(w**2 * np.abs(coeffs) ** 2))
 

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (
-    GridSpec, TorusField, _mask_leq, _xi_squared, check_cutoff, project_gt, sobolev_norm,
+    GridSpec, TorusField, _fftn, _ifftn, _mask_leq, _xi_squared, check_cutoff, project_gt,
+    sobolev_norm,
 )
 from .manybody import (
     MEMORY_BUDGET,
@@ -152,7 +153,10 @@ def _traced_commutator(amps: np.ndarray, v_amps: np.ndarray, grid: GridSpec,
     axes = tuple(range(k * grid.d))
     xi2 = _xi_squared(grid.d, grid.n)
     kin = sum(_on_slot(xi2, j, nslots) for j in range(k))
-    a_psi = np.fft.ifftn(kin * np.fft.fftn(amps, axes=axes), axes=axes) + v_amps
+    a_psi = _fftn(amps, axes=axes)
+    a_psi *= kin
+    _ifftn(a_psi, out=a_psi, axes=axes)
+    a_psi += v_amps
     rows = grid.size**k
     x = (a_psi.reshape(rows, -1) @ amps.reshape(rows, -1).conj().T) * grid.cell_volume**nslots
     return x - x.conj().T
@@ -244,7 +248,9 @@ def nls_residual_lifted(phi_traj: Trajectory, b0: float) -> float:
     v0 = _unit_values(phi_traj.states[mid])
     lhs = 1j * (np.outer(vp, vp.conj()) - np.outer(vm, vm.conj())) / (2.0 * h)
     xi2 = _xi_squared(grid.d, grid.n)
-    lap = (np.fft.ifftn(xi2 * np.fft.fftn(v0.reshape(grid.shape)))).reshape(-1)
+    lap = _fftn(v0.reshape(grid.shape))
+    lap *= xi2
+    lap = _ifftn(lap, out=lap).reshape(-1)
     hv = lap + b0 * np.abs(v0) ** 4 * v0
     rhs = np.outer(hv, v0.conj()) - np.outer(v0, hv.conj())
     return float(np.linalg.norm((lhs - rhs) * grid.cell_volume))
@@ -269,7 +275,7 @@ def hufl_left_side(g: KthMarginal, m_cut: float) -> float:
     diff = np.subtract.outer(np.arange(n), np.arange(n)) % n
     per_axis = tuple(diff.reshape([n if i in (j, d + j) else 1 for i in range(2 * d)])
                      for j in range(d))
-    W = np.fft.ifftn(w2)[per_axis].reshape(m, m)
+    W = _ifftn(w2)[per_axis].reshape(m, m)
     t = g.matrix
     for j in range(g.k, 0, -1):
         r = m ** (j - 1)

@@ -24,7 +24,9 @@ from .grids import (
     TorusField,
     _abs2,
     _fft_blocks,
+    _fftn,
     _freq_components,
+    _ifftn,
     check_cutoff,
     project_gt,
     project_leq,
@@ -104,17 +106,17 @@ def _split_steps(f: TorusField, dt: float, steps: int, rate, dealias: bool) -> T
         if i and dealias:
             c *= phase
         elif i:
-            np.fft.fftn(v, out=c)
+            _fftn(v, out=c)
             c *= phase
-            np.fft.ifftn(c, out=v)
+            _ifftn(c, out=v)
         if dealias:
             v.fill(0.0)
             for b in blocks:
                 v[b] = c[b]
-            np.fft.ifftn(v, out=v, norm="forward")
+            _ifftn(v, out=v, norm="forward")
         _rotate(v, rate, dt if 0 < i < steps else dt / 2.0, z)
         if dealias:
-            np.fft.fftn(v, out=v, norm="forward")
+            _fftn(v, out=v, norm="forward")
             for b in blocks:
                 c[b] = v[b]
     return TorusField(grid, c) if dealias else TorusField.from_values(grid, v)

@@ -2,11 +2,15 @@
 
 Each probe evaluates the ratio (left side)/(right side) of one estimate on
 concrete fields, by spectral evaluation in space and trapezoid quadrature in
-time.  Probes return 0 on zero inputs and are homogeneous of degree zero
-under rescaling of all their field arguments.  The sampling drivers fold a
-seeded generator over a parameter grid and report per-tuple maxima plus a
-stability figure: the growth of the running maximum between the first half
-and the full sample set (an unbounded constant would keep growing).
+time.  A free evolution is computed on the (2h)^d grid that just holds the
+datum's band (h = band + 1), and each quadrature time's samples on the fine
+evaluation grid come from `grids.sample`.  Probes return 0 on zero inputs
+and are homogeneous of degree zero under rescaling of all their field
+arguments.  The rules on their arguments are `check_*` helpers, which the
+CLI's build pass also calls.  The sampling drivers fold a seeded generator
+over a parameter grid and report per-tuple maxima plus a stability figure:
+the growth of the running maximum between the first half and the full
+sample set (an unbounded constant would keep growing).
 """
 
 from __future__ import annotations
@@ -23,13 +27,14 @@ from .grids import (
     TorusField,
     _abs2,
     apply_S,
+    check_cutoff,
     convolve,
     cube_project,
     dyadic_project,
-    pointwise_product,
     project_gt,
     project_leq,
     project_lt,
+    sample,
     sobolev_norm,
 )
 from .nls import free_propagate
@@ -69,6 +74,56 @@ def _eval_grid_for_power(band: float, power: int, floor_n: int) -> int:
     return max(4, floor_n, _next_even(power * band + 2))
 
 
+def _band_grid(f: TorusField) -> TorusField:
+    """f on the (2h)^d grid, h = band + 1 (at least 2): its FFT layout is the
+    coefficient cube, and each mode keeps its label."""
+    return f.resample(2 * max(_field_band(f) + 1, 2))
+
+
+def check_strichartz_args(m: float, p: float, nt: int) -> None:
+    """strichartz_ratio needs a cutoff m > 0, p > 10/3 and nt >= 32."""
+    check_cutoff(m)
+    if p <= 10.0 / 3.0:
+        raise ValueError("requires p > 10/3")
+    if nt < 32:
+        raise ValueError("use at least 32 time-quadrature points")
+
+
+def check_bilinear_args(m1: float, m2: float, delta: float) -> None:
+    """bilinear_strichartz_ratio needs dyadic levels 2 <= m2 <= m1 and 0 < delta <= 1/22."""
+    if m2 > m1:
+        raise ValueError("requires m2 <= m1")
+    if m2 < 2:
+        raise ValueError("dyadic projection is defined for M >= 2")
+    if not 0.0 < delta <= 1.0 / 22.0:
+        raise ValueError("delta must lie in (0, 1/22]")
+
+
+def check_refined_sobolev_args(m: float, r: float, which: int) -> None:
+    """refined_sobolev_ratio needs cutoffs 0 < m <= r and which in 1, 2, 3."""
+    if which not in (1, 2, 3):
+        raise ValueError("which must be 1, 2 or 3")
+    check_cutoff(m)
+    if r < m:
+        raise ValueError("requires r >= m")
+
+
+MULTILINEAR_VARIANTS = ("MLFL1", "MLFL2", "Old1", "Old2")
+
+
+def check_multilinear_variant(variant: str) -> None:
+    """multilinear_ratio knows the variants in MULTILINEAR_VARIANTS."""
+    if variant not in MULTILINEAR_VARIANTS:
+        raise ValueError(f"variant must be one of {MULTILINEAR_VARIANTS}")
+
+
+def check_alphas(alphas: list[float], grid: GridSpec) -> None:
+    """approx_identity_rate resolves a mollifier scale alpha only at >= 4 grid spacings."""
+    for a in alphas:
+        if a < 4.0 * grid.dx:
+            raise ValueError(f"alpha={a} is under-resolved (grid spacing {grid.dx:.3g})")
+
+
 def strichartz_ratio(
     f: TorusField,
     m: float,
@@ -86,22 +141,20 @@ def strichartz_ratio(
     """
     if f.grid.d != 3:
         raise ValueError("the exponent 3/2 - 5/p is specific to d = 3")
-    if p <= 10.0 / 3.0:
-        raise ValueError("requires p > 10/3")
-    if nt < 32:
-        raise ValueError("use at least 32 time-quadrature points")
+    check_strichartz_args(m, p, nt)
     g = cube_project(f, cube) if cube is not None else project_leq(f, m)
     denom = g.l2_norm()
     if denom == 0.0:
         return 0.0
+    small = _band_grid(g)
     band = _field_band(g)
-    n_eval = _eval_grid_for_power(band, int(np.ceil(min(p, 8.0))), 8)
-    g_fine = g.resample(max(n_eval, 2 * band + 2))
+    n_eval = max(_eval_grid_for_power(band, int(np.ceil(min(p, 8.0))), 8), small.grid.n)
     ts, w = _trapezoid_times(T, nt)
+    v = np.empty((n_eval,) * 3, dtype=np.complex128)
     acc = 0.0
     for t, wt in zip(ts, w):
-        acc += wt * np.sum(_abs2(free_propagate(g_fine, t).values) ** (p / 2.0))
-    lhs = (acc * g_fine.grid.cell_volume) ** (1.0 / p)
+        acc += wt * np.sum(_abs2(sample(free_propagate(small, t), n_eval, v)) ** (p / 2.0))
+    lhs = (acc * (2.0 * np.pi / n_eval) ** 3) ** (1.0 / p)
     return lhs / (m ** (1.5 - 5.0 / p) * denom)
 
 
@@ -117,24 +170,23 @@ def bilinear_strichartz_ratio(
     """Space-time L^2 mass of a product of two shell-localized free
     evolutions against M2^(1/2) (M2/M1 + 1/M2)^delta times the datum norms.
     """
-    if m2 > m1:
-        raise ValueError("requires m2 <= m1")
-    if not 0.0 < delta <= 1.0 / 22.0:
-        raise ValueError("delta must lie in (0, 1/22]")
+    check_bilinear_args(m1, m2, delta)
     u1 = dyadic_project(f1, m1)
     u2 = dyadic_project(f2, m2)
     n1, n2 = u1.l2_norm(), u2.l2_norm()
     if n1 == 0.0 or n2 == 0.0:
         return 0.0
-    n_eval = _next_even(2 * (m1 + m2) + 2)
-    a = u1.resample(max(n_eval, u1.grid.n))
-    b = u2.resample(a.grid.n)
+    n_eval = max(_next_even(2 * (m1 + m2) + 2), u1.grid.n)
+    a, b = _band_grid(u1), _band_grid(u2)
     ts, w = _trapezoid_times(T, nt)
+    va, vb = np.empty((2,) + (n_eval,) * 3, dtype=np.complex128)
     acc = 0.0
     for t, wt in zip(ts, w):
         # discrete Parseval: the product's L2 norm from its samples, no transform
-        acc += wt * np.sum(_abs2(free_propagate(a, t).values * free_propagate(b, t).values))
-    lhs = np.sqrt(acc * a.grid.cell_volume)
+        sample(free_propagate(a, t), n_eval, va)
+        va *= sample(free_propagate(b, t), n_eval, vb)
+        acc += wt * np.sum(_abs2(va))
+    lhs = np.sqrt(acc * (2.0 * np.pi / n_eval) ** 3)
     rhs = np.sqrt(m2) * (m2 / m1 + 1.0 / m2) ** delta * n1 * n2
     return float(lhs / rhs)
 
@@ -146,10 +198,7 @@ def refined_sobolev_ratio(phi: TorusField, m: float, r: float, which: int) -> fl
     and divides by the corresponding combination of ||grad phi||, the
     intermediate-band gradient norm, ||grad P_H phi||, and an (M/R) power.
     """
-    if which not in (1, 2, 3):
-        raise ValueError("which must be 1, 2 or 3")
-    if r < m:
-        raise ValueError("requires r >= m")
+    check_refined_sobolev_args(m, r, which)
     low_power = {1: 3, 2: 2, 3: 1}[which]
     high_power = 6 - low_power
     ph = project_gt(phi, m)
@@ -158,10 +207,13 @@ def refined_sobolev_ratio(phi: TorusField, m: float, r: float, which: int) -> fl
         return 0.0
     band = _field_band(phi)
     n_eval = _eval_grid_for_power(band, 6, 8)
-    vh = ph.resample(n_eval).values
-    vl = pl.resample(n_eval).values
+    vh = sample(_band_grid(ph), n_eval)
+    vl = sample(_band_grid(pl), n_eval)
+    prod = vl.copy()  # repeated products: np.power is several times slower on complex arrays
+    for v in [vl] * (low_power - 1) + [vh] * high_power:
+        prod *= v
     cell = (2 * np.pi / n_eval) ** phi.grid.d
-    lhs = abs(np.sum(vh**high_power * vl**low_power) * cell)
+    lhs = abs(np.sum(prod) * cell)
     g_all = np.sqrt(phi.gradient_l2_sq())
     g_high = np.sqrt(ph.gradient_l2_sq())
     g_mid = np.sqrt(project_lt(ph, r).gradient_l2_sq())
@@ -175,9 +227,6 @@ def refined_sobolev_ratio(phi: TorusField, m: float, r: float, which: int) -> fl
     if rhs == 0.0:
         return 0.0
     return float(lhs / rhs)
-
-
-MULTILINEAR_VARIANTS = ("MLFL1", "MLFL2", "Old1", "Old2")
 
 
 def multilinear_ratio(
@@ -196,8 +245,7 @@ def multilinear_ratio(
     T^(5/22) m0^(5/11) on the low part; the Old variants are the m0 = 0
     reductions.
     """
-    if variant not in MULTILINEAR_VARIANTS:
-        raise ValueError(f"variant must be one of {MULTILINEAR_VARIANTS}")
+    check_multilinear_variant(variant)
     if len(fs) != 5:
         raise ValueError("need exactly five fields")
     if any(f.grid.d != 3 for f in fs):
@@ -226,14 +274,17 @@ def multilinear_ratio(
         rhs = h1[0] * h1[1] * h1[2] * h1[3] * h1[4]
         s_out = 1.0
     band = max(_field_band(f) for f in fs)
-    n_eval = max(4, _next_even(2 * 5 * band + 2))
+    fine = GridSpec(3, max(4, _next_even(2 * 5 * band + 2)))
     # free evolution keeps each mode's label, so it commutes with resampling
-    fine = [f.resample(n_eval) for f in fs]
+    small = [_band_grid(f) for f in fs]
     ts, w = _trapezoid_times(T, nt)
+    vals, buf = np.empty((2,) + fine.shape, dtype=np.complex128)
     acc = 0.0
     for t, wt in zip(ts, w):
-        prod = pointwise_product(*[free_propagate(f, t) for f in fine])
-        acc += wt * sobolev_norm(prod, s_out)
+        sample(free_propagate(small[0], t), fine.n, vals)
+        for f in small[1:]:
+            vals *= sample(free_propagate(f, t), fine.n, buf)
+        acc += wt * sobolev_norm(TorusField.from_values(fine, vals), s_out)
     return float(acc / rhs)
 
 
@@ -255,9 +306,7 @@ def approx_identity_rate(
     decays faster) together with the error table.
     """
     grid = phi.grid
-    for a in alphas:
-        if a < 4.0 * grid.dx:
-            raise ValueError(f"alpha={a} is under-resolved (grid spacing {grid.dx:.3g})")
+    check_alphas(alphas, grid)
     if phi.l2_norm() == 0.0:
         return {"slope": 0.0, "alphas": list(alphas), "errors": [0.0] * len(alphas)}
     psi = apply_S(phi, observable_order)  # J phi
@@ -391,6 +440,28 @@ def run_approx_identity_probe(seed=0, samples=20, alphas=(0.25, 0.125, 0.0625),
         return approx_identity_rate(f, list(alphas))["slope"]
 
     return _collect("approx_identity", seed, samples, [tuple(alphas)], fn)
+
+
+def check_probe_options(lemma: str, a: dict) -> None:
+    """The rules of the ratio behind PROBE_RUNNERS[lemma], on the runner's bound
+    arguments `a` (defaults applied), so a bad option fails before any sample."""
+    if lemma == "strichartz":
+        GridSpec(3, a["n"])
+        for m in a["ms"]:
+            check_strichartz_args(m, a["p"], a["nt"])
+    elif lemma == "bilinear":
+        for m1 in a["m1s"]:
+            check_bilinear_args(m1, a["m2"], a["delta"])
+    elif lemma == "refined_sobolev":
+        GridSpec(3, a["n"])
+        for m in a["ms"]:
+            for r in a["rs"]:
+                check_refined_sobolev_args(m, r, a["which"])
+    elif lemma == "multilinear":
+        GridSpec(3, a["n"])
+        check_multilinear_variant(a["variant"])
+    elif lemma == "approx_identity":
+        check_alphas(a["alphas"], GridSpec(1, a["n"]))
 
 
 PROBE_RUNNERS = {

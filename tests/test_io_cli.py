@@ -381,6 +381,15 @@ BAD_CONFIGS = [
     pytest.param("hufl", "[1, 2]", "config", id="hufl-not-an-object"),
     ("nls-run", {**_NLS, "T": 0.105}, "T"),  # not a multiple of dt
     ("nls-run", {**_NLS, "T": 0.03, "snapshot_every": 2}, "snapshot_every"),
+    # probe options that each ratio function rejects, checked before the run
+    ("probe", {"lemma": "strichartz", "options": {"nt": 8}}, "options"),
+    ("probe", {"lemma": "strichartz", "options": {"ms": [0]}}, "options"),
+    ("probe", {"lemma": "strichartz", "options": {"p": 3}}, "options"),
+    ("probe", {"lemma": "bilinear", "options": {"m1s": [2]}}, "options"),  # m2 = 4 > m1
+    ("probe", {"lemma": "bilinear", "options": {"delta": 0.5}}, "options"),
+    ("probe", {"lemma": "multilinear", "options": {"variant": "XYZ"}}, "options"),
+    ("probe", {"lemma": "approx_identity", "options": {"alphas": [0.1], "n": 16}}, "options"),
+    ("probe", {"lemma": "refined_sobolev", "options": {"ms": [8], "rs": [4]}}, "options"),
 ]
 
 

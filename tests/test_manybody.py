@@ -236,6 +236,21 @@ class TestPropagate:
         assert max(taus) <= (t / s) * (1 + 1e-12)
         assert sum(taus) == pytest.approx(t, rel=1e-14)
 
+    def test_lanczos_basis_stays_orthonormal(self):
+        # a 31-vector basis in dimension 512: the three-term recurrence alone
+        # drifts to about 1e-4 here, one full re-orthogonalization pass per
+        # vector keeps 7e-10
+        g = GridSpec(1, 8)
+        cfg = ManyBodyConfig(g, 3, 0.05)
+        psi = BosonicState.factorized(cfg, smooth_phi(g, band=2))
+        kdim = 30
+        V = np.empty((kdim + 1, psi.amps.size), dtype=np.complex128)
+        V[0] = psi.amps.reshape(-1) / np.linalg.norm(psi.amps)
+        alphas, betas = manybody._lanczos_basis(cfg, V, kdim)
+        assert len(alphas) == kdim and betas[-1] > 0.0
+        gram = V.conj() @ V.T
+        assert np.abs(gram - np.eye(kdim + 1)).max() <= 1e-8
+
     def test_cost_guard(self, monkeypatch):
         # d=1 n=16 N=4 (dim 65,536), T=0.1: at most 100 H-applies, and a peak
         # of the (kdim + 1)-row basis buffer (21 MiB) plus temporaries; a
