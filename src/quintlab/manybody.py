@@ -9,7 +9,9 @@ where V_scaled is the periodic extension of N^(2 d beta) V(N^beta u, N^beta v)
 in the relative coordinates, symmetrised over the choice of centre particle so
 that H maps the bosonic sector to itself.  States are dense complex tensors
 over (grid)^N; propagation uses a Lanczos (Krylov) approximation of
-exp(-i t H) with a matrix-free H.
+exp(-i t H) with a matrix-free H.  Its kinetic part on n <= 32 points per axis is
+D = F^-1 diag(xi^2) F, a real n x n matrix, applied along each tensor axis; finer
+grids use an n^(dN) FFT pair, which D's O(n) cost per entry meets near n = 64-96.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from scipy.linalg import eigh_tridiagonal
 from .grids import GridSpec, ParameterError, TorusField, _fftn, _ifftn, _xi_squared
 
 MEMORY_BUDGET = 2**24  # max complex entries in a dense state tensor or marginal matrix
+_DENSE_KINETIC_MAX_N = 32  # axes up to this length take the kinetic part as a matrix
 
 
 class UnderResolvedError(ParameterError):
@@ -231,19 +234,24 @@ def _triple_sum(vbar: np.ndarray, triples, nslots: int):
 @functools.lru_cache(maxsize=8)
 def _cached_tables(config: ManyBodyConfig):
     config.check_budget()
-    grid, N = config.grid, config.N
+    grid, N, n = config.grid, config.N, config.grid.n
     # symmetrised three-body values on the diagonal of the full state grid
     diag = None
     if N >= 3:
         triples = itertools.combinations(range(N), 3)
         diag = _triple_sum(symmetrized_triple_value(config), triples, N) / N**2
         diag = diag.reshape(config.state_shape)
+    if n <= _DENSE_KINETIC_MAX_N:
+        # circulant D[x, y] = c[x - y], c = F^-1 xi^2 even; folding |x - y| keeps D symmetric
+        c = np.fft.ifft(np.fft.fftfreq(n, 1.0 / n) ** 2).real
+        gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        return diag, c[np.minimum(gap, n - gap)], None
     # kinetic multiplier sum_j |xi_j|^2 on the full spectral grid
     one = _xi_squared(grid.d, grid.n)
     kin = np.zeros(config.state_shape)
     for s in range(N):
         kin = kin + _on_slot(one, s, N)
-    return diag, kin
+    return diag, None, kin
 
 
 def symmetrized_triple_value(config: ManyBodyConfig) -> np.ndarray:
@@ -363,11 +371,28 @@ class BosonicState:
 
 
 def apply_hamiltonian_raw(config: ManyBodyConfig, amps: np.ndarray) -> np.ndarray:
-    """H amps, matrix-free: spectral kinetic part plus diagonal potential."""
-    diag, kin = _cached_tables(config)
-    s = _fftn(amps)
-    s *= kin
-    _ifftn(s, out=s)
+    """H amps, matrix-free: kinetic part plus diagonal potential.
+
+    For n <= 32 the kinetic part is D = F^-1 diag(xi^2) F (real, symmetric) applied
+    along each of the d N axes as one real matmul on the float64 view of the state.
+    One BLAS thread: 1.6-6.4x faster than an n^(dN) FFT pair at n <= 32, about even
+    at n = 64-96 on two axes, 0.6-0.8x at n = 128.
+    """
+    diag, dmat, kin = _cached_tables(config)
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
+    if dmat is None:
+        s = _fftn(amps)
+        s *= kin
+        _ifftn(s, out=s)
+    else:
+        n, L = config.grid.n, amps.ndim
+        s = (amps.reshape(-1, n) @ dmat).reshape(amps.shape)
+        scratch = np.empty_like(s)
+        for ax in range(L - 1):
+            view = (n**ax, n, 2 * n ** (L - 1 - ax))
+            np.matmul(dmat, amps.view(np.float64).reshape(view),
+                      out=scratch.view(np.float64).reshape(view))
+            s += scratch
     if diag is not None:
         s += diag * amps
     return s

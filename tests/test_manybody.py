@@ -152,6 +152,82 @@ class TestApplyHamiltonian:
         psi = BosonicState.random_symmetric(cfg, np.random.default_rng(3))
         assert energy(psi) >= 0.0
 
+    # every (d, n, N) of the grid below with at most 2^20 entries (16 MiB)
+    ORACLE_CASES = [
+        (d, n, N)
+        for d in (1, 2, 3)
+        for n in (4, 6, 8, 12, 16, 32)
+        for N in (1, 2, 3, 4)
+        if n ** (d * N) <= 2**20
+    ]
+
+    @pytest.mark.parametrize("d,n,N", ORACLE_CASES)
+    def test_matches_fft_oracle(self, d, n, N):
+        # the kinetic part against one FFT pair with sum_j |xi_j|^2 on the
+        # full grid, on a random non-symmetric tensor and on a datum with
+        # weight on the -n/2 (Nyquist) label of every axis
+        cfg = ManyBodyConfig(GridSpec(d, n), N, 0.05)
+        shape = cfg.state_shape
+        rng = np.random.default_rng(d * 100 + n * 10 + N)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        nyquist = (1 + 2j) * (-1.0) ** np.indices(shape).sum(axis=0) + 0.1 * a
+        xi2 = np.fft.fftfreq(n, 1.0 / n) ** 2
+        kin = np.zeros(shape)
+        for ax in range(d * N):
+            kin += xi2.reshape([n if i == ax else 1 for i in range(d * N)])
+        diag = manybody._cached_tables(cfg)[0]
+        for datum in (a, nyquist):
+            want = np.fft.ifftn(np.fft.fftn(datum) * kin)
+            if diag is not None:
+                want += diag * datum
+            got = apply_hamiltonian_raw(cfg, datum)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @staticmethod
+    def _count_transforms(monkeypatch):
+        calls = []
+        for name in ("fftn", "ifftn"):
+            real = getattr(np.fft, name)
+            monkeypatch.setattr(
+                np.fft, name, lambda *a, _f=real, **kw: calls.append(1) or _f(*a, **kw)
+            )
+        return calls
+
+    def test_short_axes_make_no_transforms(self, monkeypatch):
+        cfg = ManyBodyConfig(GridSpec(1, 16), 4, 0.05)
+        psi = BosonicState.factorized(cfg, smooth_phi(cfg.grid))
+        apply_hamiltonian(psi)  # tabulate outside the count
+        calls = self._count_transforms(monkeypatch)
+        apply_hamiltonian(psi)
+        assert calls == []
+
+    def test_long_axes_take_the_fft_route(self, monkeypatch):
+        g = GridSpec(1, 64)
+        cfg = ManyBodyConfig(g, 2, 0.05)
+        k1, k2 = 5, -32
+        x = g.axis_points()
+        amps = np.multiply.outer(np.exp(1j * k1 * x), np.exp(1j * k2 * x))
+        calls = self._count_transforms(monkeypatch)
+        out = apply_hamiltonian_raw(cfg, amps)
+        assert len(calls) == 2
+        lam = k1**2 + k2**2
+        assert np.abs(out - lam * amps).max() <= 1e-11 * lam
+
+    def test_views_and_real_input_match_contiguous_copies(self):
+        cfg = ManyBodyConfig(GridSpec(2, 4), 3, 0.05)
+        shape = cfg.state_shape
+        rng = np.random.default_rng(11)
+        psi = BosonicState(cfg, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        view = BosonicState(cfg, psi._slot_permuted((2, 0, 1))).amps
+        assert not view.flags.c_contiguous
+        assert np.array_equal(
+            apply_hamiltonian_raw(cfg, view), apply_hamiltonian_raw(cfg, view.copy())
+        )
+        real = rng.standard_normal(shape)
+        assert np.array_equal(
+            apply_hamiltonian_raw(cfg, real), apply_hamiltonian_raw(cfg, real.astype(complex))
+        )
+
 
 class TestPropagate:
     def test_identity_at_t0(self):
@@ -211,6 +287,19 @@ class TestPropagate:
         psi, H = dense_case
         want = expm(-1j * T * H) @ psi.amps.reshape(-1)
         got = propagate(psi, T, kdim=kdim).amps.reshape(-1)
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+    def test_meets_tol_against_dense_expm_d2(self):
+        # d=2 n=6 N=2: dim 1,296, the kinetic part summed over both axes of each slot
+        cfg = ManyBodyConfig(GridSpec(2, 6), 2, 0.05)
+        psi = BosonicState.random_symmetric(cfg, np.random.default_rng(12), band=2)
+        eye = np.eye(psi.amps.size, dtype=np.complex128)
+        H = np.stack(
+            [apply_hamiltonian_raw(cfg, e.reshape(cfg.state_shape)).reshape(-1) for e in eye],
+            axis=1,
+        )
+        want = expm(-1j * 0.1 * H) @ psi.amps.reshape(-1)
+        got = propagate(psi, 0.1, kdim=10).amps.reshape(-1)
         assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
     def test_unreachable_tol_raises(self, dense_case):
