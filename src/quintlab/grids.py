@@ -98,11 +98,6 @@ def _mask_leq(d: int, n: int, m: float) -> np.ndarray:
     return functools.reduce(np.logical_and, [np.abs(c) <= m for c in _freq_components(d, n)])
 
 
-def _fft_blocks(d: int, h: int) -> list[tuple[slice, ...]]:
-    """The 2^d FFT-layout blocks of half-width h: the first h and last h entries of each axis."""
-    return list(itertools.product((slice(None, h), slice(-h, None)), repeat=d))
-
-
 def _fftn(a, out=None, **kw) -> np.ndarray:
     """np.fft.fftn into one complex array, `out` or a new one; without `out`,
     numpy allocates a new array for every axis pass.  Looked up on np.fft at
@@ -279,11 +274,15 @@ class TorusField:
         each mode (FFT layout, edge mode labelled -n/2) is preserved.  With
         h = min(n, n_new)/2, each axis keeps its first h and last h entries,
         so the copy is 2^d contiguous blocks.  On downsampling the -n_new/2
-        label is kept and +n_new/2 is dropped.
+        label is kept and +n_new/2 is dropped.  At the field's own size the
+        field itself is returned.
         """
+        if n_new == self.grid.n:
+            return self
         g_new = GridSpec(self.grid.d, n_new)
         c_new = np.zeros(g_new.shape, dtype=np.complex128)
-        for block in _fft_blocks(self.grid.d, min(self.grid.n, n_new) // 2):
+        h = min(self.grid.n, n_new) // 2
+        for block in itertools.product((slice(None, h), slice(-h, None)), repeat=self.grid.d):
             c_new[block] = self._coeffs[block]
         return TorusField(g_new, c_new)
 
@@ -296,10 +295,16 @@ def sample(f: TorusField, n: int, out: np.ndarray | None = None) -> np.ndarray:
     and transformed, so only the lines the narrower axes occupy are
     transformed; no n^d coefficient array is formed.  The samples are
     written to `out` when given: a loop that reuses one buffer spares the
-    allocator the page faults of a fresh n^d array per call.
+    allocator the page faults of a fresh n^d array per call.  At the field's
+    own size the samples are f.values, copied into `out` when given.
     """
     if n < f.grid.n:
         raise ValueError(f"cannot sample an n={f.grid.n} field on {n} points per axis")
+    if n == f.grid.n:
+        if out is None:
+            return f.values
+        out[...] = f.values
+        return out
     h, b = f.grid.n // 2, f.coefficients
     for j in reversed(range(f.grid.d)):
         shape = b.shape[:j] + (n,) + b.shape[j + 1:]

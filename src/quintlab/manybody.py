@@ -147,13 +147,15 @@ class ManyBodyConfig:
         return self.grid.shape * self.N
 
     def check_budget(self):
-        """Dense state tensors are capped; sweeps beyond the cap may still
-        tabulate potentials, which need only (n^d)^2 entries."""
-        if self.grid.size**self.N > MEMORY_BUDGET:
-            raise MemoryBudgetError(
-                f"state tensor would hold {self.grid.size**self.N} entries "
-                f"(budget {MEMORY_BUDGET})"
-            )
+        """Caps the dense state tensor, (n^d)^N entries, and the (n^d)^2
+        interaction table every run tabulates through potential_mass."""
+        _check_entries("state tensor", self.grid.size**self.N)
+        _check_entries("interaction table", self.grid.size**2)
+
+
+def _check_entries(table: str, entries: int) -> None:
+    if entries > MEMORY_BUDGET:
+        raise MemoryBudgetError(f"{table} would hold {entries} entries (budget {MEMORY_BUDGET})")
 
 
 def _wrapped_relative_coords(grid: GridSpec) -> np.ndarray:
@@ -204,6 +206,7 @@ def build_potential(config: ManyBodyConfig) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _cached_potential_table(config: ManyBodyConfig) -> np.ndarray:
+    _check_entries("interaction table", config.grid.size**2)
     return build_potential(config)
 
 
@@ -233,7 +236,7 @@ def _triple_sum(vbar: np.ndarray, triples, nslots: int):
 
 @functools.lru_cache(maxsize=8)
 def _cached_tables(config: ManyBodyConfig):
-    config.check_budget()
+    _check_entries("state tensor", config.grid.size**config.N)
     grid, N, n = config.grid, config.N, config.grid.n
     # symmetrised three-body values on the diagonal of the full state grid
     diag = None
@@ -257,11 +260,10 @@ def _cached_tables(config: ManyBodyConfig):
 def symmetrized_triple_value(config: ManyBodyConfig) -> np.ndarray:
     """Centre-averaged interaction on triples of flat grid indices, shape
     (m, m, m); used by the Hamiltonian diagonal and the hierarchy terms."""
+    m = config.grid.size
+    _check_entries("triple-value table", m**3)
     W = _cached_potential_table(config)
     rel = _relative_index_table(config.grid.d, config.grid.n)
-    m = config.grid.size
-    if m**3 > MEMORY_BUDGET:
-        raise MemoryBudgetError("triple-value table exceeds the memory budget")
     a = np.arange(m)[:, None, None]
     b = np.arange(m)[None, :, None]
     c = np.arange(m)[None, None, :]
@@ -305,12 +307,14 @@ class BosonicState:
 
     @classmethod
     def factorized(cls, config: ManyBodyConfig, phi: TorusField) -> "BosonicState":
+        config.check_budget()
         return cls(config, _tensor_power(_unit_values(phi), config.N))
 
     @classmethod
     def random_symmetric(
         cls, config: ManyBodyConfig, rng: np.random.Generator, band: int | None = None
     ) -> "BosonicState":
+        config.check_budget()
         grid = config.grid
         shape = config.state_shape
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -339,7 +339,6 @@ def chaos_experiment(
     T: float,
     potential=None,
     nls_dt: float | None = None,
-    propagate_kwargs: dict | None = None,
 ) -> list[ChaosRow]:
     """Distance between the one-particle marginal of the evolved N-body state
     and the mean-field projector, for each N.
@@ -350,13 +349,12 @@ def chaos_experiment(
     grid = phi0.grid
     rows = []
     nls_dt = nls_dt if nls_dt is not None else T / 200 if T > 0 else 0.01
-    propagate_kwargs = propagate_kwargs or {}
     for N in Ns:
         kwargs = {"potential": potential} if potential is not None else {}
         config = ManyBodyConfig(grid, N, beta, **kwargs)
         b0 = potential_mass(config)
         psi0 = BosonicState.factorized(config, phi0)
-        psiT = propagate(psi0, T, **propagate_kwargs) if T > 0 else psi0
+        psiT = propagate(psi0, T) if T > 0 else psi0
         g1 = marginal(psiT, 1)
         if T > 0:
             steps = max(1, int(round(T / nls_dt)))

@@ -5,10 +5,11 @@ Strang splitting: a half-step of the exact pointwise nonlinear phase rotation,
 a full linear step (exact Fourier multiplier), and a second half rotation.
 Both substeps are unitary, so mass is conserved to rounding.  The rotation
 keeps |phi|, so `evolve` merges the half rotations that meet between two
-snapshots and advances each snapshot interval in one raw-array kernel.  The
-module also carries the low/high energy decomposition at a frequency cutoff
-and the frequency-localization diagnostics used by the marginal-hierarchy
-experiments.
+snapshots and advances each snapshot interval in one raw-array kernel on the
+samples.  With dealiasing they lie on a 3n/2 grid, where the free phase, zero
+outside the n-band, is also the dealias projection.  The module also carries
+the low/high energy decomposition at a frequency cutoff and the
+frequency-localization diagnostics used by the marginal-hierarchy experiments.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .grids import (
     ParameterError,
     TorusField,
     _abs2,
-    _fft_blocks,
     _fftn,
     _freq_components,
     _ifftn,
@@ -32,6 +32,7 @@ from .grids import (
     project_leq,
     project_lt,
     dyadic_levels,
+    sample,
 )
 
 
@@ -92,34 +93,22 @@ def _split_steps(f: TorusField, dt: float, steps: int, rate, dealias: bool) -> T
     """steps Strang steps of i u_t = -Lap u + rate(|u|^2) u on raw arrays, as
     N(dt/2) [L(dt) N(dt)]^(steps-1) L(dt) N(dt/2): N keeps |u|, so the half
     rotations that meet merge.  rate returns a real array and may overwrite
-    its argument.  With dealias the state is a coefficient array and each
-    rotation runs on the zero-padded grid of 2*ceil(3n/4) points; without, it
-    is a sample array, one FFT pair per step."""
+    its argument.  The state is the samples on the rotation grid, n points
+    per axis, or 2*ceil(3n/4) with dealias; the free phase is zero outside
+    the n-band, so multiplying by it also projects out the modes the rotation
+    spills there.  One FFT pair per step."""
     grid = f.grid
-    phase = _free_phase(grid.d, grid.n, dt)
-    m = 2 * ((3 * grid.n + 3) // 4)  # 3n/2, rounded up to an even size
-    v = np.empty((m,) * grid.d, dtype=np.complex128) if dealias else np.array(f.values)
-    c = np.array(f.coefficients) if dealias else np.empty_like(v)
+    m = 2 * ((3 * grid.n + 3) // 4) if dealias else grid.n  # 3n/2, rounded up to an even size
+    phase = TorusField(grid, _free_phase(grid.d, grid.n, dt)).resample(m).coefficients
+    v = sample(f, m, out=np.empty((m,) * grid.d, dtype=np.complex128))
     z = np.empty_like(v)
-    blocks = _fft_blocks(grid.d, grid.n // 2)
     for i in range(steps + 1 if steps else 0):
-        if i and dealias:
-            c *= phase
-        elif i:
-            _fftn(v, out=c)
-            c *= phase
-            _ifftn(c, out=v)
-        if dealias:
-            v.fill(0.0)
-            for b in blocks:
-                v[b] = c[b]
-            _ifftn(v, out=v, norm="forward")
+        if i:
+            _fftn(v, out=v)
+            v *= phase
+            _ifftn(v, out=v)
         _rotate(v, rate, dt if 0 < i < steps else dt / 2.0, z)
-        if dealias:
-            _fftn(v, out=v, norm="forward")
-            for b in blocks:
-                c[b] = v[b]
-    return TorusField(grid, c) if dealias else TorusField.from_values(grid, v)
+    return TorusField.from_values(GridSpec(grid.d, m), v).resample(grid.n)
 
 
 def strang_step(f: TorusField, cfg: NlsConfig, *, steps: int = 1) -> TorusField:
@@ -184,27 +173,16 @@ def energy_nls(f: TorusField, b0: float) -> float:
     return f.gradient_l2_sq() + (b0 / 3.0) * sextic
 
 
-def energy_split(
-    f: TorusField,
-    m: float,
-    b0: float,
-    grad_term: str = "low",
-) -> tuple[float, float]:
+def energy_split(f: TorusField, m: float, b0: float) -> tuple[float, float]:
     """Split E into (E_L, E_H) at the cutoff m, with E_L + E_H = E exactly.
 
-    E_L collects the gradient term plus the terms of the binomial expansion of
-    |phi_L + phi_H|^6 that carry at most two high-frequency factors.  With
-    a = |phi_L|^2 and z = conj(phi_L) phi_H they sum to
+    E_L collects ||grad phi_L||^2, so E_H starts with the high kinetic energy,
+    plus the terms of the binomial expansion of |phi_L + phi_H|^6 that carry
+    at most two high-frequency factors.  With a = |phi_L|^2 and
+    z = conj(phi_L) phi_H they sum to
 
         a^3 + 6 a^2 Re z + 9 a^2 |phi_H|^2 + 6 a Re z^2
-
-    grad_term selects which kinetic piece sits in E_L: "low" (default) puts
-    ||grad phi_L||^2 there, so E_H starts with the high kinetic energy; the
-    variant "high" puts ||grad phi_H||^2 in E_L instead, exposed only for
-    comparison of the two bookkeeping conventions.
     """
-    if grad_term not in ("low", "high"):
-        raise ValueError("grad_term must be 'low' or 'high'")
     fl = project_leq(f, m)
     fh = project_gt(f, m)
     vl = fl.values
@@ -214,8 +192,7 @@ def energy_split(
     # 9 a^2 |phi_H|^2 = 9 a |z|^2, and Re z^2 = Re(z)^2 - Im(z)^2
     combo = a * (a * (a + 6.0 * z.real) + 15.0 * z.real**2 + 3.0 * z.imag**2)
     sextic_low = float(np.sum(combo) * f.grid.cell_volume)
-    grad_low = fl.gradient_l2_sq() if grad_term == "low" else fh.gradient_l2_sq()
-    e_low = grad_low + (b0 / 3.0) * sextic_low
+    e_low = fl.gradient_l2_sq() + (b0 / 3.0) * sextic_low
     e_high = energy_nls(f, b0) - e_low
     return e_low, e_high
 
@@ -264,7 +241,7 @@ def utfl_probe(traj: Trajectory, eps: float) -> int | None:
     return None
 
 
-def energy_low_drift(traj: Trajectory, m: float, grad_term: str = "low") -> dict[str, float]:
+def energy_low_drift(traj: Trajectory, m: float) -> dict[str, float]:
     """Finite-difference rate of change of E_L along a trajectory.
 
     max_rate is the largest centred-difference |dE_L/dt| over interior
@@ -275,7 +252,7 @@ def energy_low_drift(traj: Trajectory, m: float, grad_term: str = "low") -> dict
     if len(traj) < 3:
         raise ValueError("need at least 3 snapshots")
     b0 = traj.config.b0
-    e_low = np.array([energy_split(u, m, b0, grad_term)[0] for u in traj.states])
+    e_low = np.array([energy_split(u, m, b0)[0] for u in traj.states])
     h = traj.spacing
     rates = np.abs((e_low[2:] - e_low[:-2]) / (2.0 * h))
     c1 = max(max(np.sqrt(u.gradient_l2_sq()) for u in traj.states), 1.0)

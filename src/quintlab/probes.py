@@ -26,6 +26,8 @@ from .grids import (
     GridSpec,
     TorusField,
     _abs2,
+    _fftn,
+    _xi_squared,
     apply_S,
     check_cutoff,
     convolve,
@@ -278,13 +280,15 @@ def multilinear_ratio(
     # free evolution keeps each mode's label, so it commutes with resampling
     small = [_band_grid(f) for f in fs]
     ts, w = _trapezoid_times(T, nt)
+    # sobolev_norm of the product's field, from the unnormalized transform of its samples
+    weight = (1.0 + _xi_squared(3, fine.n)) ** s_out * (fine.volume / fine.size**2)
     vals, buf = np.empty((2,) + fine.shape, dtype=np.complex128)
     acc = 0.0
     for t, wt in zip(ts, w):
         sample(free_propagate(small[0], t), fine.n, vals)
         for f in small[1:]:
             vals *= sample(free_propagate(f, t), fine.n, buf)
-        acc += wt * sobolev_norm(TorusField.from_values(fine, vals), s_out)
+        acc += wt * np.sqrt(np.sum(weight * _abs2(_fftn(vals, out=vals))))
     return float(acc / rhs)
 
 

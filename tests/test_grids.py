@@ -277,6 +277,10 @@ class TestResampleAndProducts:
         assert abs(up.coefficients[3] - 2.0) <= 1e-14
         assert up.l2_norm() == pytest.approx(f.l2_norm(), rel=1e-13)
 
+    def test_own_size_is_the_field_itself(self):
+        f = random_field(d=2, n=8, seed=5)
+        assert f.resample(8) is f
+
     def test_padded_product_is_alias_free(self):
         g = GridSpec(1, 8)
         f = TorusField.plane_wave(g, 3)
@@ -302,6 +306,13 @@ class TestSample:
         f = TorusField.from_modes(GridSpec(d, 8), {(-4,) * d: 1.0, (1,) + (-4,) * (d - 1): 0.5j})
         want = f.resample(14).values
         assert np.abs(sample(f, 14) - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_own_size_is_the_cached_values(self, d):
+        f = random_field(d=d, n=10, seed=d)
+        assert np.array_equal(sample(f, 10), f.values)
+        out = np.full((10,) * d, np.nan, dtype=np.complex128)
+        assert sample(f, 10, out) is out and np.array_equal(out, f.values)
 
     def test_out_buffer_is_overwritten(self):
         f = random_field(d=3, n=6, seed=3)

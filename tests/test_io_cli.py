@@ -390,6 +390,7 @@ BAD_CONFIGS = [
     ("probe", {"lemma": "multilinear", "options": {"variant": "XYZ"}}, "options"),
     ("probe", {"lemma": "approx_identity", "options": {"alphas": [0.1], "n": 16}}, "options"),
     ("probe", {"lemma": "refined_sobolev", "options": {"ms": [8], "rs": [4]}}, "options"),
+    ("manybody-run", {**_MB, "d": 3, "n": 32, "N": 1}, "N"),  # a 2^30-entry interaction table
 ]
 
 

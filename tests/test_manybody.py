@@ -99,6 +99,23 @@ class TestMemoryBudget:
         with pytest.raises(MemoryBudgetError):
             BosonicState.factorized(cfg, TorusField.constant(GridSpec(3, 8)))
 
+    def test_budget_is_checked_before_the_tensor_power(self, monkeypatch):
+        def refuse(v, k):
+            raise AssertionError("the tensor power was formed")
+
+        monkeypatch.setattr(manybody, "_tensor_power", refuse)
+        cfg = ManyBodyConfig(GridSpec(3, 8), 3, 0.0)
+        with pytest.raises(MemoryBudgetError):
+            BosonicState.factorized(cfg, TorusField.constant(GridSpec(3, 8)))
+
+    def test_random_state_is_checked_before_drawing(self):
+        class NoDraws:
+            def standard_normal(self, shape):
+                raise AssertionError("a state-sized array was drawn")
+
+        with pytest.raises(MemoryBudgetError):
+            BosonicState.random_symmetric(ManyBodyConfig(GridSpec(3, 8), 3, 0.0), NoDraws())
+
 
 class TestApplyHamiltonian:
     def test_single_particle_plane_wave_eigenvector(self):

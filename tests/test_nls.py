@@ -155,6 +155,17 @@ class TestMergedSteps:
         err_unmerged = np.linalg.norm(coarse.coefficients - ref)
         assert err_merged <= 1.05 * err_unmerged
 
+    @pytest.mark.parametrize("d,n", [(1, 32), (1, 30), (2, 16), (2, 14), (3, 8), (3, 6)])
+    def test_dealiased_step_equals_unmerged_oracle(self, d, n):
+        # full-band data: the rotation spills past the n-band, and the -n/2
+        # label is occupied, so this pins where the dealias projection sits
+        g = GridSpec(d, n)
+        f = TorusField.random_band_limited(g, n // 2, np.random.default_rng([d, n]))
+        f = f * (1.0 / f.l2_norm())
+        got = strang_step(f, NlsConfig(g, 1.0, 0.01)).coefficients
+        want = _unmerged_step(f, 1.0, 0.01, dealias=True).coefficients
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
     def test_rotation_matches_complex_exponential(self):
         rng = np.random.default_rng(9)
         v = rng.standard_normal((16, 16, 16)) + 1j * rng.standard_normal((16, 16, 16))
@@ -293,11 +304,6 @@ class TestEnergySplit:
             return energy_split(g, 4, 1.0)[0] - project_leq(g, 4).gradient_l2_sq()
 
         assert sextic_low(f * 2.0) == pytest.approx(64.0 * sextic_low(f), rel=1e-12)
-
-    def test_variant_bookkeeping_also_splits(self):
-        f = smooth_random(GridSpec(1, 32), 11, band=12)
-        e_l, e_h = energy_split(f, 4, 1.0, grad_term="high")
-        assert e_l + e_h == pytest.approx(energy_nls(f, 1.0), rel=1e-12)
 
 
 class TestFrequencyDiagnostics:
