@@ -185,8 +185,8 @@ def _build(cfg: ExperimentConfig) -> dict:
             mb = built["mb"] = attempt(
                 key, lambda: ManyBodyConfig(grid, int(N), float(p["beta"]), pot)
             )
-            if mb:
-                attempt(key, mb.check_budget)
+            if mb:  # a run with T > 0 propagates, and residuals (no T) always does
+                attempt(key, mb.check_propagation_budget if p.get("T", 1) > 0 else mb.check_budget)
     if grid:
         spec = p["initial"]
         key = "initial.path" if spec.get("kind") == "file" else "initial"

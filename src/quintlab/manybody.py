@@ -22,13 +22,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.linalg import eigh_tridiagonal
 
 from .grids import GridSpec, ParameterError, TorusField, _fftn, _ifftn, _xi_squared
 
 MEMORY_BUDGET = 2**24  # max complex entries in a dense state tensor or marginal matrix
 _DENSE_KINETIC_MAX_N = 32  # axes up to this length take the kinetic part as a matrix
+_GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(128)  # on [-1, 1]; V is flat at its edge
 
 
 class UnderResolvedError(ParameterError):
@@ -87,16 +86,11 @@ class GaussianPotential:
         return np.exp(-r2 / (2.0 * self.sigma**2)) * _bump(r2, self.support_radius)
 
     def ball_integral(self, d: int) -> float:
-        """integral over R^d of the radial factor."""
-        rad = lambda r: float(self._radial(np.array([r * r]))[0])
-        if d == 1:
-            val, _ = integrate.quad(rad, -self.support_radius, self.support_radius)
-            return val
-        surface = 2 * np.pi if d == 2 else 4 * np.pi
-        val, _ = integrate.quad(
-            lambda r: r ** (d - 1) * rad(r), 0.0, self.support_radius
-        )
-        return surface * val
+        """integral over R^d of the radial factor, by Gauss-Legendre in r on [0, 3 sigma]."""
+        x, w = _GAUSS_LEGENDRE
+        r = 0.5 * self.support_radius * (x + 1.0)
+        scale = 0.5 * self.support_radius * (2.0, 2.0 * np.pi, 4.0 * np.pi)[d - 1]  # dr, surface
+        return float(scale * (w @ (r ** (d - 1) * self._radial(r * r))))
 
     def normalization(self, d: int) -> float:
         if self.amplitude is not None:
@@ -151,6 +145,11 @@ class ManyBodyConfig:
         interaction table every run tabulates through potential_mass."""
         _check_entries("state tensor", self.grid.size**self.N)
         _check_entries("interaction table", self.grid.size**2)
+
+    def check_propagation_budget(self, kdim: int = 20):
+        """check_budget, plus propagate's basis of kdim + 1 state-sized vectors."""
+        self.check_budget()
+        _check_entries("Krylov basis", (kdim + 1) * self.grid.size**self.N)
 
 
 def _check_entries(table: str, entries: int) -> None:
@@ -523,6 +522,7 @@ def propagate(
         return BosonicState(config, psi.amps.copy())
     span = abs(t)
     cap = span / steps if steps else span
+    config.check_propagation_budget(kdim)
     V = np.empty((kdim + 1, psi.amps.size), dtype=np.complex128)
     np.divide(psi.amps.reshape(-1), beta0, out=V[0])
     left = span
@@ -530,7 +530,7 @@ def propagate(
         # the last capped substep absorbs the rounding of span / steps
         tau_max = left if left <= cap * (1.0 + 1e-12) else cap
         alphas, betas = _lanczos_basis(config, V, kdim)
-        evals, evecs = eigh_tridiagonal(alphas, betas[:-1])
+        evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], -1), UPLO="L")
         tau = _choose_substep(evals, evecs, betas[-1], tau_max, tol / span)
         small = evecs @ (np.exp(-1j * np.sign(t) * tau * evals) * evecs[0])
         u = small @ V[: small.size]

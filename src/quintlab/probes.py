@@ -19,7 +19,6 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .grids import (
     FrequencyCube,
@@ -51,9 +50,10 @@ def _trapezoid_times(T: float, nt: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _next_even(x: float) -> int:
-    n = next_fast_len(int(np.ceil(x)))
-    while n % 2:
-        n = next_fast_len(n + 1)
+    """The smallest even 11-smooth integer >= x, a fast FFT length."""
+    n = 2 * max(1, int(np.ceil(x / 2)))
+    while pow(2310, n.bit_length(), n):  # n is 11-smooth iff it divides 2310^(bit length of n)
+        n += 2
     return n
 
 

@@ -317,6 +317,16 @@ class TestMainEntry:
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
 
+    def test_runtime_imports_no_scipy(self):
+        # a fresh interpreter, since this one has loaded scipy for the test oracles
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, quintlab.cli; print([m for m in sys.modules if m.startswith('scipy')])"],
+            capture_output=True, text=True, cwd=Path(__file__).parent.parent / "src",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 _BAND2 = {"kind": "random_band", "band": 2, "scale": 1.0}
 _NLS = {"d": 1, "n": 8, "b0": 1.0, "dt": 0.01, "T": 0.02, "initial": _BAND2}
@@ -391,6 +401,7 @@ BAD_CONFIGS = [
     ("probe", {"lemma": "approx_identity", "options": {"alphas": [0.1], "n": 16}}, "options"),
     ("probe", {"lemma": "refined_sobolev", "options": {"ms": [8], "rs": [4]}}, "options"),
     ("manybody-run", {**_MB, "d": 3, "n": 32, "N": 1}, "N"),  # a 2^30-entry interaction table
+    ("manybody-run", {**_MB, "n": 64, "N": 4}, "N"),  # a 2^24-entry state, 21x that in the basis
 ]
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.linalg import expm
 
 from quintlab import manybody
@@ -81,6 +82,18 @@ class TestBuildPotential:
         assert np.abs(W - W.T).max() <= 1e-12
 
 
+class TestBallIntegral:
+    @pytest.mark.parametrize("sigma", [0.05, 0.2, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_adaptive_quadrature(self, sigma, d):
+        pot = GaussianPotential(sigma)
+        radial = lambda r: r ** (d - 1) * float(pot._radial(np.array([r * r]))[0])
+        val, _ = integrate.quad(radial, 0.0, pot.support_radius, epsabs=0, epsrel=1e-13,
+                                limit=200)
+        want = (2.0, 2.0 * np.pi, 4.0 * np.pi)[d - 1] * val
+        assert pot.ball_integral(d) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 class TestPotentialSpec:
     @pytest.mark.parametrize("build", [
         lambda: ConstantPotential(-1.0),
@@ -115,6 +128,15 @@ class TestMemoryBudget:
 
         with pytest.raises(MemoryBudgetError):
             BosonicState.random_symmetric(ManyBodyConfig(GridSpec(3, 8), 3, 0.0), NoDraws())
+
+    def test_krylov_basis_is_checked_before_propagating(self, monkeypatch):
+        # a 512-entry state within the budget, whose 21-vector basis is not
+        psi = BosonicState.factorized(ManyBodyConfig(GridSpec(1, 8), 3, 0.0),
+                                      TorusField.constant(GridSpec(1, 8)))
+        monkeypatch.setattr(manybody, "MEMORY_BUDGET", 1000)
+        monkeypatch.setattr(manybody, "apply_hamiltonian_raw", None)  # never reached
+        with pytest.raises(MemoryBudgetError, match="Krylov basis"):
+            propagate(psi, 0.1)
 
 
 class TestApplyHamiltonian:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from quintlab.grids import (
     FrequencyCube,
@@ -241,6 +242,17 @@ class TestPerTimeOracles:
         rhs = sobolev_norm(fs[0], s_out) * np.prod([sobolev_norm(f, 1.0) for f in fs[1:]])
         got = multilinear_ratio(fs, 4.0, 1.0, variant, 32)
         assert got == pytest.approx(acc / rhs, rel=1e-12)
+
+
+class TestNextEven:
+    def test_matches_scipy_fast_length(self):
+        def oracle(x):
+            n = next_fast_len(int(np.ceil(x)))
+            while n % 2:
+                n = next_fast_len(n + 1)
+            return n
+
+        assert [_next_even(x) for x in range(1, 3001)] == [oracle(x) for x in range(1, 3001)]
 
 
 class TestApproxIdentity:
