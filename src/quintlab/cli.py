@@ -187,7 +187,20 @@ def _build(cfg: ExperimentConfig) -> dict:
             )
             if mb:  # a run with T > 0 propagates, and residuals (no T) always does
                 attempt(key, mb.check_propagation_budget if p.get("T", 1) > 0 else mb.check_budget)
-    if grid:
+    if kind == "nls-run":
+        # NlsConfig checks b0, dt and, given a grid, the rotation grid's budget;
+        # the initial field is drawn only for a solver that passes
+        built["nls"] = attempt(
+            "dt", NlsConfig, grid, float(p["b0"]), float(p["dt"]), p.get("dealias", True)
+        )
+        if built["nls"]:
+            attempt("T", check_step_count, float(p["T"]), float(p["dt"]),
+                    p.get("snapshot_every", 1))
+        if "split_M" in p:
+            attempt("split_M", check_cutoff, p["split_M"])
+        for m in p.get("diagnostics_M", []) if grid else []:
+            attempt("diagnostics_M", check_diagnostic_cutoffs, m, grid.nyquist)
+    if grid and built.get("nls", True):
         spec = p["initial"]
         key = "initial.path" if spec.get("kind") == "file" else "initial"
         if kind == "manybody-run" and key == "initial.path":
@@ -209,18 +222,6 @@ def _build(cfg: ExperimentConfig) -> dict:
 
         for entry in p.get("stability", []):
             attempt("stability", check_stability, entry)
-    elif kind == "nls-run":
-        # NlsConfig checks only b0 and dt, so it is built even without a grid
-        built["nls"] = attempt(
-            "dt", NlsConfig, grid, float(p["b0"]), float(p["dt"]), p.get("dealias", True)
-        )
-        if built["nls"]:
-            attempt("T", check_step_count, float(p["T"]), float(p["dt"]),
-                    p.get("snapshot_every", 1))
-        if "split_M" in p:
-            attempt("split_M", check_cutoff, p["split_M"])
-        for m in p.get("diagnostics_M", []) if grid else []:
-            attempt("diagnostics_M", check_diagnostic_cutoffs, m, grid.nyquist)
     elif kind == "residuals":
         attempt("k", check_hierarchy_order, p["k"], p["N"])
         if grid:  # both residuals assemble from the state; the largest array is the k-marginal

@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .manybody import MEMORY_BUDGET, MemoryBudgetError
+from .grids import check_entries
 
 BARE = "phi"
 
@@ -66,8 +66,7 @@ def check_map_order(k: int) -> None:
     count = 1
     for l in range(2, k + 1):  # stops at the first level past the budget
         count *= 2 * l - 1
-        if count > MEMORY_BUDGET:
-            raise MemoryBudgetError(f"k={k} would enumerate more than {MEMORY_BUDGET} maps")
+        check_entries(f"k={k}: the maps of levels 1..{l}", count)
 
 
 def _targets(k: int) -> np.ndarray:

@@ -11,7 +11,8 @@ probes) is built on the objects in this module.  Conventions, fixed once:
   componentwise (infinity-ball) region |xi_j| <= M, which keeps every
   projector idempotent and makes complements exact.
 
-Every transform in the package goes through the pair `_fftn`/`_ifftn`.
+Every transform in the package goes through the pair `_fftn`/`_ifftn`, and
+every dense array is checked against the one budget by `check_entries`.
 `sample` evaluates a field on a finer grid by a pruned inverse transform,
 axis by axis, so that lines holding no coefficient are never transformed.
 """
@@ -24,13 +25,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MEMORY_BUDGET = 2**24  # max complex entries in any dense array of the package
+
 
 class ParameterError(ValueError):
     """A constructor argument is out of range; `name` is the argument's name."""
 
-    def __init__(self, name: str, message: str):
+    def __init__(self, name: str | None, message: str):
         super().__init__(message)
         self.name = name
+
+
+class MemoryBudgetError(ParameterError):
+    """A dense array would exceed MEMORY_BUDGET; `name` is the argument to blame, if known."""
+
+
+def check_entries(what: str, entries: int, name: str | None = None) -> None:
+    """The one budget rule: a dense array holds at most MEMORY_BUDGET entries."""
+    if entries > MEMORY_BUDGET:
+        raise MemoryBudgetError(
+            name, f"{what} would hold {entries} entries (budget {MEMORY_BUDGET})"
+        )
 
 
 @dataclass(frozen=True)
@@ -45,6 +60,7 @@ class GridSpec:
             raise ParameterError("d", f"dimension must be 1, 2 or 3, got {self.d}")
         if self.n < 4 or self.n % 2 != 0:
             raise ParameterError("n", f"points per axis must be even and >= 4, got {self.n}")
+        check_entries("field grid", self.n**self.d, "n")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -397,14 +413,9 @@ def cube_project(f: TorusField, q: FrequencyCube) -> TorusField:
     return f.multiply_coefficients(q.mask(f.grid))
 
 
-def dyadic_levels(grid: GridSpec, include_unit: bool = True) -> list[int]:
+def dyadic_levels(grid: GridSpec) -> list[int]:
     """Dyadic cutoffs representable on the grid: 1, 2, 4, ..., n/2."""
-    levels = []
-    m = 1 if include_unit else 2
-    while m <= grid.nyquist:
-        levels.append(m)
-        m *= 2
-    return levels
+    return [2**j for j in range(grid.nyquist.bit_length())]
 
 
 # -- kernels -------------------------------------------------------------
@@ -429,16 +440,6 @@ def dirichlet_kernel(grid: GridSpec, m: float) -> TorusField:
     return TorusField.from_values(grid, vals)
 
 
-def dirichlet_kernel_closed_form(grid: GridSpec, m: int) -> np.ndarray:
-    """One-axis closed form sin((M+1/2)x)/sin(x/2) of the direct sum,
-    evaluated at the grid points (the limit 2M+1 is used where sin(x/2)=0)."""
-    x = grid.axis_points()
-    out = np.full(grid.n, 2.0 * m + 1.0)
-    nz = np.abs(np.sin(x / 2.0)) > 1e-14
-    out[nz] = np.sin((m + 0.5) * x[nz]) / np.sin(x[nz] / 2.0)
-    return out
-
-
 def convolve(f: TorusField, kernel: TorusField) -> TorusField:
     """Periodic convolution (f * kernel)(x) = integral f(y) kernel(x-y) dy."""
     f._check_same_grid(kernel)
@@ -457,15 +458,6 @@ def sobolev_norm(f: TorusField, s: float) -> float:
 def apply_S(f: TorusField, s: float) -> TorusField:
     """Inhomogeneous derivative weight <grad>^s: multiply by (1+|xi|^2)^(s/2)."""
     w = (1.0 + _xi_squared(f.grid.d, f.grid.n)) ** (s / 2.0)
-    return f.multiply_coefficients(w)
-
-
-def apply_R(f: TorusField, s: float) -> TorusField:
-    """Homogeneous weight |grad|^s: multiply by |xi|^s, zero mode annihilated."""
-    xi2 = _xi_squared(f.grid.d, f.grid.n)
-    w = np.zeros_like(xi2)
-    nz = xi2 > 0
-    w[nz] = xi2[nz] ** (s / 2.0)
     return f.multiply_coefficients(w)
 
 

@@ -62,7 +62,11 @@ def _read_header(path, slotted: bool) -> tuple[GridSpec, str, int, int]:
     layout = tag.rstrip(b"\0").decode("ascii", "replace")
     if layout not in _LAYOUTS:
         raise ValueError(f"{path}: unknown layout tag {layout!r}")
-    return GridSpec(d, n), layout, (slots or [1])[0], len(head)
+    try:
+        grid = GridSpec(d, n)
+    except ValueError as exc:  # a bad header, not a bad d or n of the config
+        raise ValueError(f"{path}: {exc}") from None
+    return grid, layout, (slots or [1])[0], len(head)
 
 
 def _check_payload(path, header_bytes: int, entries: int) -> None:

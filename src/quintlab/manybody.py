@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridSpec, ParameterError, TorusField, _fftn, _ifftn, _xi_squared
+from .grids import GridSpec, ParameterError, TorusField, _fftn, _ifftn, _xi_squared, check_entries
 
-MEMORY_BUDGET = 2**24  # max complex entries in a dense state tensor or marginal matrix
 _DENSE_KINETIC_MAX_N = 32  # axes up to this length take the kinetic part as a matrix
 _GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(128)  # on [-1, 1]; V is flat at its edge
 
@@ -35,10 +34,6 @@ class UnderResolvedError(ParameterError):
 
     def __init__(self, message: str):
         super().__init__("beta", message)
-
-
-class MemoryBudgetError(ValueError):
-    pass
 
 
 class PropagationToleranceError(RuntimeError):
@@ -143,18 +138,13 @@ class ManyBodyConfig:
     def check_budget(self):
         """Caps the dense state tensor, (n^d)^N entries, and the (n^d)^2
         interaction table every run tabulates through potential_mass."""
-        _check_entries("state tensor", self.grid.size**self.N)
-        _check_entries("interaction table", self.grid.size**2)
+        check_entries("state tensor", self.grid.size**self.N)
+        check_entries("interaction table", self.grid.size**2)
 
     def check_propagation_budget(self, kdim: int = 20):
         """check_budget, plus propagate's basis of kdim + 1 state-sized vectors."""
         self.check_budget()
-        _check_entries("Krylov basis", (kdim + 1) * self.grid.size**self.N)
-
-
-def _check_entries(table: str, entries: int) -> None:
-    if entries > MEMORY_BUDGET:
-        raise MemoryBudgetError(f"{table} would hold {entries} entries (budget {MEMORY_BUDGET})")
+        check_entries("Krylov basis", (kdim + 1) * self.grid.size**self.N)
 
 
 def _wrapped_relative_coords(grid: GridSpec) -> np.ndarray:
@@ -205,7 +195,7 @@ def build_potential(config: ManyBodyConfig) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _cached_potential_table(config: ManyBodyConfig) -> np.ndarray:
-    _check_entries("interaction table", config.grid.size**2)
+    check_entries("interaction table", config.grid.size**2)
     return build_potential(config)
 
 
@@ -235,7 +225,7 @@ def _triple_sum(vbar: np.ndarray, triples, nslots: int):
 
 @functools.lru_cache(maxsize=8)
 def _cached_tables(config: ManyBodyConfig):
-    _check_entries("state tensor", config.grid.size**config.N)
+    check_entries("state tensor", config.grid.size**config.N)
     grid, N, n = config.grid, config.N, config.grid.n
     # symmetrised three-body values on the diagonal of the full state grid
     diag = None
@@ -260,7 +250,7 @@ def symmetrized_triple_value(config: ManyBodyConfig) -> np.ndarray:
     """Centre-averaged interaction on triples of flat grid indices, shape
     (m, m, m); used by the Hamiltonian diagonal and the hierarchy terms."""
     m = config.grid.size
-    _check_entries("triple-value table", m**3)
+    check_entries("triple-value table", m**3)
     W = _cached_potential_table(config)
     rel = _relative_index_table(config.grid.d, config.grid.n)
     a = np.arange(m)[:, None, None]
@@ -347,22 +337,6 @@ class BosonicState:
             acc += self._slot_permuted(perm)
         acc /= math.factorial(N)
         return BosonicState(self.config, acc, normalize=True)
-
-    def symmetry_residual(self) -> float:
-        N = self.config.N
-        nrm = self.norm()
-        if N == 1 or nrm == 0:
-            return 0.0
-        worst = 0.0
-        for s in range(N - 1):
-            perm = list(range(N))
-            perm[s], perm[s + 1] = perm[s + 1], perm[s]
-            diff = self.amps - self._slot_permuted(tuple(perm))
-            worst = max(
-                worst,
-                np.sqrt(np.sum(np.abs(diff) ** 2) * self.config.grid.cell_volume**N) / nrm,
-            )
-        return float(worst)
 
     def inner(self, other: "BosonicState") -> complex:
         return complex(

@@ -32,14 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (
-    GridSpec, TorusField, _fftn, _ifftn, _mask_leq, _xi_squared, check_cutoff, project_gt,
-    sobolev_norm,
+    GridSpec, TorusField, _fftn, _ifftn, _mask_leq, _xi_squared, check_cutoff, check_entries,
+    project_gt, sobolev_norm,
 )
 from .manybody import (
-    MEMORY_BUDGET,
     BosonicState,
     ManyBodyConfig,
-    MemoryBudgetError,
     _on_slot,
     _tensor_power,
     _triple_sum,
@@ -73,21 +71,6 @@ class KthMarginal:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T)).min())
 
-    def permutation_residual(self) -> float:
-        """Deviation from bosonic symmetry under simultaneous slot swaps."""
-        if self.k == 1:
-            return 0.0
-        m = self.grid.size
-        t = self.matrix.reshape((m,) * (2 * self.k))
-        worst = 0.0
-        scale = np.abs(self.matrix).max()
-        for s in range(self.k - 1):
-            perm = list(range(2 * self.k))
-            perm[s], perm[s + 1] = perm[s + 1], perm[s]
-            perm[self.k + s], perm[self.k + s + 1] = perm[self.k + s + 1], perm[self.k + s]
-            worst = max(worst, float(np.abs(t - np.transpose(t, perm)).max()))
-        return worst / max(scale, 1e-300)
-
 
 def marginal(psi: BosonicState, k: int) -> KthMarginal:
     """Partial trace of |psi><psi| over slots k+1..N, quadrature-weighted."""
@@ -110,8 +93,7 @@ def check_marginal_order(k: float) -> None:
 def check_rank_one_order(grid: GridSpec, k: int) -> None:
     """A dense k-marginal needs k >= 1 and m^(2k) entries within MEMORY_BUDGET."""
     check_marginal_order(k)
-    if grid.size ** (2 * k) > MEMORY_BUDGET:
-        raise MemoryBudgetError(f"a {k}-marginal would hold {grid.size ** (2 * k)} entries")
+    check_entries(f"a {k}-marginal", grid.size ** (2 * k))
 
 
 def rank_one_marginal(phi: TorusField, k: int = 1) -> KthMarginal:
@@ -291,11 +273,6 @@ def hufl_factorized(phi: TorusField, k: int, m_cut: float) -> float:
     """
     check_marginal_order(k)
     return (sobolev_norm(project_gt(phi, m_cut), 1.0) / phi.l2_norm()) ** (2 * k)
-
-
-def hufl_check(gammas: list[KthMarginal], m_cut: float, eps: float) -> dict[int, bool]:
-    """Hierarchical frequency-localization test: left side <= eps^(2k) per k."""
-    return {g.k: hufl_left_side(g, m_cut) <= eps ** (2 * g.k) for g in gammas}
 
 
 # -- the propagation-of-chaos experiment -------------------------------------

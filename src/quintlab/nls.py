@@ -28,6 +28,7 @@ from .grids import (
     _freq_components,
     _ifftn,
     check_cutoff,
+    check_entries,
     project_gt,
     project_leq,
     project_lt,
@@ -52,6 +53,9 @@ class NlsConfig:
             raise ParameterError("b0", "defocusing coupling requires b0 >= 0")
         if self.dt <= 0:
             raise ParameterError("dt", "dt must be positive")
+        if self.grid is not None and self.dealias:  # else the rotation grid is the field grid
+            m = _rotation_n(self.grid.n, True)
+            check_entries("rotation grid", m**self.grid.d, "n")
 
 
 @dataclass
@@ -89,6 +93,11 @@ def _rotate(v: np.ndarray, rate, tau: float, z: np.ndarray) -> None:
     v *= z
 
 
+def _rotation_n(n: int, dealias: bool) -> int:
+    """Points per axis of the rotation grid: n, or 3n/2 rounded up to an even size."""
+    return 2 * ((3 * n + 3) // 4) if dealias else n
+
+
 def _split_steps(f: TorusField, dt: float, steps: int, rate, dealias: bool) -> TorusField:
     """steps Strang steps of i u_t = -Lap u + rate(|u|^2) u on raw arrays, as
     N(dt/2) [L(dt) N(dt)]^(steps-1) L(dt) N(dt/2): N keeps |u|, so the half
@@ -98,7 +107,7 @@ def _split_steps(f: TorusField, dt: float, steps: int, rate, dealias: bool) -> T
     the n-band, so multiplying by it also projects out the modes the rotation
     spills there.  One FFT pair per step."""
     grid = f.grid
-    m = 2 * ((3 * grid.n + 3) // 4) if dealias else grid.n  # 3n/2, rounded up to an even size
+    m = _rotation_n(grid.n, dealias)
     phase = TorusField(grid, _free_phase(grid.d, grid.n, dt)).resample(m).coefficients
     v = sample(f, m, out=np.empty((m,) * grid.d, dtype=np.complex128))
     z = np.empty_like(v)

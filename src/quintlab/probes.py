@@ -15,7 +15,6 @@ sample set (an unbounded constant would keep growing).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -292,11 +291,7 @@ def multilinear_ratio(
     return float(acc / rhs)
 
 
-def approx_identity_rate(
-    phi: TorusField,
-    alphas: list[float],
-    observable_order: float = -2.0,
-) -> dict:
+def approx_identity_rate(phi: TorusField, alphas: list[float]) -> dict:
     """Fit the decay exponent of the smoothing error of a two-variable
     approximate identity tested against a factorized three-particle state.
 
@@ -305,15 +300,15 @@ def approx_identity_rate(
 
         err(alpha) = | int conj(J phi) phi [ (b_alpha * |phi|^2)^2 - |phi|^4 ] dx |
 
-    with J a fixed smoothing observable.  Returns the least-squares slope of
-    log err against log alpha (expected >= 1/2 for H^1 data; smoother data
-    decays faster) together with the error table.
+    with J = <grad>^-2 a fixed smoothing observable.  Returns the
+    least-squares slope of log err against log alpha (expected >= 1/2 for
+    H^1 data; smoother data decays faster) together with the error table.
     """
     grid = phi.grid
     check_alphas(alphas, grid)
     if phi.l2_norm() == 0.0:
         return {"slope": 0.0, "alphas": list(alphas), "errors": [0.0] * len(alphas)}
-    psi = apply_S(phi, observable_order)  # J phi
+    psi = apply_S(phi, -2.0)  # J phi
     dens = TorusField.from_values(grid, np.abs(phi.values) ** 2)
     weight = (np.conj(psi.values) * phi.values).reshape(-1)
     errors = []
@@ -363,9 +358,6 @@ class ProbeReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "stability_factor": self.stability_factor}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _collect(lemma_id, seed, samples, grid_tuples, ratio_fn) -> ProbeReport:

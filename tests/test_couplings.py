@@ -26,7 +26,7 @@ from quintlab.couplings import (
     _congested_counts_vectorized,
     _targets,
 )
-from quintlab.manybody import MemoryBudgetError
+from quintlab.grids import MemoryBudgetError
 
 
 class TestEnumeration:

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quintlab import grids
+from quintlab.couplings import enumerate_collapse_maps
 from quintlab.grids import (
     FrequencyCube,
     GridSpec,
+    MemoryBudgetError,
     TorusField,
-    apply_R,
     apply_S,
     bernstein_ratio,
     convolve,
     cube_project,
     dirichlet_kernel,
-    dirichlet_kernel_closed_form,
     dyadic_levels,
     dyadic_project,
     pointwise_product,
@@ -24,6 +25,9 @@ from quintlab.grids import (
     sample,
     sobolev_norm,
 )
+from quintlab.manybody import BosonicState, ManyBodyConfig, symmetrized_triple_value
+from quintlab.marginals import rank_one_marginal
+from quintlab.nls import NlsConfig
 
 RNG = np.random.default_rng(2024)
 
@@ -46,6 +50,31 @@ class TestGridSpec:
     def test_sample_points(self):
         g = GridSpec(1, 8)
         assert np.allclose(g.axis_points(), 2 * np.pi * np.arange(8) / 8)
+
+
+class TestMemoryBudget:
+    def test_one_budget_guards_every_dense_array(self, monkeypatch):
+        monkeypatch.setattr(grids, "MEMORY_BUDGET", 100)
+        g8, one = GridSpec(1, 8), TorusField.constant(GridSpec(1, 4))
+        families = {  # each array holds more than 100 entries
+            "field grid": lambda: GridSpec(1, 102),
+            "rotation grid": lambda: NlsConfig(GridSpec(1, 80), 1.0, 0.01),  # 120 points
+            "state tensor": lambda: BosonicState.factorized(
+                ManyBodyConfig(g8, 3, 0.0), TorusField.constant(g8)),
+            "interaction table": ManyBodyConfig(GridSpec(1, 16), 1, 0.0).check_budget,
+            "triple-value table": lambda: symmetrized_triple_value(ManyBodyConfig(g8, 1, 0.0)),
+            "Krylov basis": ManyBodyConfig(g8, 1, 0.0).check_propagation_budget,  # 21 x 8
+            "2-marginal": lambda: rank_one_marginal(one, 2),
+            "maps of levels 1..4": lambda: enumerate_collapse_maps(4),  # 7!! = 105 maps
+        }
+        for what, build in families.items():
+            with pytest.raises(MemoryBudgetError, match=what):
+                build()
+        # one size down, each fits
+        GridSpec(1, 100)
+        NlsConfig(GridSpec(1, 80), 1.0, 0.01, dealias=False)
+        rank_one_marginal(one, 1)
+        enumerate_collapse_maps(3)
 
 
 class TestTransformRoundTrip:
@@ -106,7 +135,7 @@ class TestProjectors:
     def test_telescoping(self):
         f = random_field(1, 16)
         total = project_leq(f, 1)
-        for m in dyadic_levels(f.grid, include_unit=False):
+        for m in dyadic_levels(f.grid)[1:]:
             total = total + dyadic_project(f, m)
         assert np.abs(total.coefficients - f.coefficients).max() <= 1e-14
 
@@ -155,9 +184,11 @@ class TestDirichletKernel:
         g = GridSpec(1, 64)
         for m in (1, 2, 5):
             direct = dirichlet_kernel(g, m).values.real
-            closed = dirichlet_kernel_closed_form(g, m)
-            assert np.abs(direct - closed).max() <= 1e-10
             x = g.axis_points()
+            closed = np.full(g.n, 2.0 * m + 1.0)  # the limit where sin(x/2) = 0
+            nz = np.abs(np.sin(x / 2.0)) > 1e-14
+            closed[nz] = np.sin((m + 0.5) * x[nz]) / np.sin(x[nz] / 2.0)
+            assert np.abs(direct - closed).max() <= 1e-10
             alt = np.full(g.n, float(2 * m + 1))
             nz = np.abs(np.sin(x)) > 1e-14
             alt[nz] = np.sin((m + 1) * x[nz]) / np.sin(x[nz])
@@ -198,12 +229,6 @@ class TestSobolev:
         g = apply_S(apply_S(f, 1.7), -1.7)
         scale = np.abs(f.coefficients).max()
         assert np.abs(g.coefficients - f.coefficients).max() <= 1e-12 * scale
-
-    def test_apply_R_kills_zero_mode(self):
-        f = TorusField.constant(GridSpec(1, 8)) + TorusField.plane_wave(GridSpec(1, 8), 2)
-        g = apply_R(f, 1.0)
-        assert g.coefficients[0] == 0.0
-        assert abs(g.coefficients[2] - 2.0) <= 1e-14
 
 
 class TestBernstein:

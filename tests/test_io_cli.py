@@ -55,6 +55,16 @@ class TestFieldDump:
         assert abs(data[0] - 2.0) <= 1e-6
         assert np.abs(data[1:]).max() == 0.0
 
+    @pytest.mark.parametrize("d,n", [(9, 8), (3, 258)])  # a bad dimension; past the budget
+    def test_bad_header_grid_blames_the_file(self, tmp_path, capsys, d, n):
+        phi = tmp_path / "phi.qlf"
+        phi.write_bytes(d.to_bytes(4, "little") + n.to_bytes(4, "little") + b"spectral")
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(
+            {"kind": "nls-run", "params": {**_NLS, "initial": {"kind": "file", "path": str(phi)}}}))
+        assert main(["nls-run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"validation error: params.initial.path: {phi}:")
+
 
 class TestStateDump:
     def test_roundtrip(self, tmp_path):
@@ -352,6 +362,13 @@ def _state_file(tmp_path, edit):
     return {"kind": "file", "path": str(path)}
 
 
+# grids past the 2^24-entry budget, rejected before any field is drawn
+_OVERSIZED_GRIDS = [
+    ("nls-run", {**_NLS, "d": 3, "n": 258}, "n"),  # a 258^3 field grid
+    ("hufl", {**_HUFL, "d": 3, "n": 258}, "n"),
+    ("nls-run", {**_NLS, "d": 3, "n": 172}, "n"),  # dealiased on a 258^3 rotation grid
+]
+
 # (kind, params or a function of tmp_path giving them, field that must be named)
 BAD_CONFIGS = [
     ("residuals", {**_RES, "k": 2}, "k"),
@@ -402,6 +419,7 @@ BAD_CONFIGS = [
     ("probe", {"lemma": "refined_sobolev", "options": {"ms": [8], "rs": [4]}}, "options"),
     ("manybody-run", {**_MB, "d": 3, "n": 32, "N": 1}, "N"),  # a 2^30-entry interaction table
     ("manybody-run", {**_MB, "n": 64, "N": 4}, "N"),  # a 2^24-entry state, 21x that in the basis
+    *_OVERSIZED_GRIDS,
 ]
 
 
@@ -420,6 +438,22 @@ class TestBadConfigs:
         assert rc == 2
         assert (f"config: {path}:" if field == "config" else f"params.{field}:") in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind,params,field", _OVERSIZED_GRIDS)
+    def test_oversized_grid_rejected_before_any_field(self, kind, params, field):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as exc:
+                ExperimentConfig.from_dict({"kind": kind, "params": params})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [e.split(":")[0] for e in exc.value.errors] == [f"params.{field}"]
+        assert peak < 2**20  # a 172^3 field alone would take 81 MB
+
+    def test_undealiased_rotation_grid_is_the_field_grid(self):
+        params = {**_NLS, "d": 3, "n": 172, "dealias": False}
+        ExperimentConfig.from_dict({"kind": "nls-run", "params": params})
 
     def test_residuals_budget_is_the_k_marginal(self, tmp_path):
         # k + 2 = 4 slots would need a 12^8-entry marginal; the run needs only 12^4

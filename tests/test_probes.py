@@ -304,7 +304,7 @@ class TestSamplingDrivers:
     def test_strichartz_report_deterministic(self):
         a = run_strichartz_probe(seed=3, samples=6, ms=(2, 4), nt=33, n=8)
         b = run_strichartz_probe(seed=3, samples=6, ms=(2, 4), nt=33, n=8)
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
         assert a.max_ratio == max(a.ratio_table.values())
 
     def test_strichartz_stability_across_levels(self):
