@@ -449,7 +449,7 @@ def _run_couplings(cfg: ExperimentConfig, built: dict, out: Path, report: RunRep
         "raw_count_bruteforce": counts["brute_force"],
         "raw_count_printed_formula": counts["printed_formula"],
     }
-    if 2 <= k <= 7:
+    if k >= 2:
         mu = min_unclogged(k)
         witness = mu.pop("witnessing_expansion")
         payload["min_unclogged"] = mu

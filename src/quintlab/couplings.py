@@ -16,13 +16,26 @@ phi), and whether its subtree contains the innermost, roughest node
 count of congested levels is bounded by the consumption argument
 4k - 4 <= 5 * (number of unclogged levels).
 
-The exhaustive count over all signed expansions builds no objects.  The
-maps are a (maps, k) uint8 table of targets.  For each level l and each
-consumed slot, the deeper levels targeting that slot form a bitmask per
-map, and the deeper levels acting on the unprimed side form a bitmask per
-sign pattern; the slot is covered on the unprimed side when the two masks
-share a bit, and on the primed side when the hit mask shares a bit with
-the complement.  The object path (mark_expansion) stays as the oracle.
+The minimum of the unclogged count over all (2k-1)!! 2^k signed expansions
+is found without visiting them, by dynamic programming over hit sets.
+Levels are processed from k down to 1.  The state is the set of (slot,
+side) pairs that the deeper levels target, a bitmask with bit
+2(slot-1) + side; after level l only slots <= 2l-1 are kept, since the
+shallower levels consume and target nothing higher.  Level l < k is
+congested when the state holds both sides of slots 2l and 2l+1 and the
+pair (mu(2l), its side) that the level chooses.  A dict maps each state to
+the most congested levels any deeper choices reach with it, and the
+maximum over the last dict is the answer.  The witness is the
+lexicographically first signed expansion attaining it: the vectorized
+count runs over consecutive chunks of the map table and stops at the first
+chunk that attains the maximum.  That count builds no objects: for each
+level l and each consumed slot, the deeper levels targeting that slot form
+a bitmask per map, and the deeper levels acting on the unprimed side form
+a bitmask per sign pattern; the slot is covered on the unprimed side when
+the two masks share a bit, and on the primed side when the hit mask shares
+a bit with the complement.  Over the whole table it is the exhaustive
+oracle of the dynamic program, and the object path (mark_expansion) is the
+oracle of both.
 """
 
 from __future__ import annotations
@@ -261,9 +274,12 @@ def min_unclogged_floor(k: int) -> int:
     return -((-4 * (k - 1)) // 5)
 
 
-def _congested_counts_vectorized(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Congested-level counts for every signed expansion, shape (maps, 2^k),
-    with the target table of the maps.
+def _congested_counts_vectorized(
+    k: int, tg: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Congested-level counts for every signed expansion of the maps in the
+    target table `tg` (default: all of `_targets(k)`), shape (maps, 2^k),
+    with that table.
 
     Level l (1-based, l < k) is congested iff all five consumed contents are
     nodes, i.e. every one of (slot 2l, both sides), (slot 2l+1, both sides),
@@ -272,7 +288,8 @@ def _congested_counts_vectorized(k: int) -> tuple[np.ndarray, np.ndarray]:
     l-1 of s is set.  The test runs on the bitmasks of the module docstring:
     for level l, bit j of a mask stands for level l+1+j.
     """
-    tg = _targets(k)
+    if tg is None:
+        tg = _targets(k)
     sig = np.arange(2**k)
     counts = np.zeros((len(tg), 2**k), dtype=np.uint8)
 
@@ -294,19 +311,50 @@ def _congested_counts_vectorized(k: int) -> tuple[np.ndarray, np.ndarray]:
     return counts, tg
 
 
+def _max_congested(k: int) -> int:
+    """The largest number of congested levels over all signed expansions,
+    by dynamic programming over hit sets (see the module docstring)."""
+    table = {0: 0}  # hit set of the levels below -> most congested levels among them
+    for l in range(k, 0, -1):
+        width = 4 * l - 2  # the bits of slots 1..2l-1: level l's choices, and what stays
+        quad = 0b1111 << width  # slots 2l and 2l+1, both sides
+        nxt: dict[int, int] = {}
+        for state, value in table.items():
+            kept = state & ((1 << width) - 1)
+            if kept:  # a choice already in the hit set: congested iff the quad is full too
+                gain = value + ((state & quad) == quad)
+                if nxt.get(kept, -1) < gain:
+                    nxt[kept] = gain
+            for bit in range(width):  # a new choice: the level keeps a bare factor
+                if not kept >> bit & 1:
+                    grown = kept | 1 << bit
+                    if nxt.get(grown, -1) < value:
+                        nxt[grown] = value
+        table = nxt
+    return max(table.values())
+
+
+_WITNESS_CHUNK = 4096  # maps per step of the witness scan
+
+
 def min_unclogged(k: int) -> dict:
-    """Exhaustive minimum of the unclogged-level count over all signed
-    expansions, with a witnessing expansion and the consumption-bound check.
+    """Minimum of the unclogged-level count over all signed expansions, with
+    the lexicographically first witnessing expansion and the consumption-bound
+    check.  Needs k >= 2 and a map table within the memory budget.
     """
-    if not 2 <= k <= 7:
-        raise ValueError("exhaustive search supported for 2 <= k <= 7")
-    counts, tg = _congested_counts_vectorized(k)
-    # argmax finds the first expansion with the fewest unclogged levels
-    mi, si = np.unravel_index(int(np.argmax(counts)), counts.shape)
-    max_congested = int(counts[mi, si])
+    if k < 2:
+        raise ValueError(f"min_unclogged needs k >= 2, got {k}")
+    max_congested = _max_congested(k)
+    tg = _targets(k)
+    for start in range(0, len(tg), _WITNESS_CHUNK):
+        counts, rows = _congested_counts_vectorized(k, tg[start : start + _WITNESS_CHUNK])
+        # argmax finds the first expansion of the chunk with the fewest unclogged levels
+        mi, si = np.unravel_index(int(np.argmax(counts)), counts.shape)
+        if counts[mi, si] == max_congested:
+            break
     min_count = (k - 1) - max_congested
     signs = tuple(PLUS if (si >> l) & 1 else MINUS for l in range(k))
-    witness = SignedExpansion(CollapseMap(k, tuple(tg[mi].tolist())), signs)
+    witness = SignedExpansion(CollapseMap(k, tuple(rows[mi].tolist())), signs)
     return {
         "k": k,
         "min_count": min_count,

@@ -7,10 +7,12 @@ datum's band (h = band + 1), and each quadrature time's samples on the fine
 evaluation grid come from `grids.sample`.  Probes return 0 on zero inputs
 and are homogeneous of degree zero under rescaling of all their field
 arguments.  The rules on their arguments are `check_*` helpers, which the
-CLI's build pass also calls.  The sampling drivers fold a seeded generator
-over a parameter grid and report per-tuple maxima plus a stability figure:
-the growth of the running maximum between the first half and the full
-sample set (an unbounded constant would keep growing).
+CLI's build pass also calls; so are the `_*_eval_n` helpers that size each
+probe's evaluation grid and check it against the memory budget.  The
+sampling drivers fold a seeded generator over a parameter grid and report
+per-tuple maxima plus a stability figure: the growth of the running maximum
+between the first half and the full sample set (an unbounded constant
+would keep growing).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .grids import (
     _xi_squared,
     apply_S,
     check_cutoff,
+    check_entries,
     convolve,
     cube_project,
     dyadic_project,
@@ -73,6 +76,42 @@ def _field_band(f: TorusField) -> int:
 def _eval_grid_for_power(band: float, power: int, floor_n: int) -> int:
     """Grid size on which |g|^power of a band-limited g is alias-free."""
     return max(4, floor_n, _next_even(power * band + 2))
+
+
+def _strichartz_eval_n(band: int, p: float) -> int:
+    """strichartz_ratio's evaluation grid for a datum of this band: alias-free for
+    |v|^p (p capped at 8) and at least the datum's band grid."""
+    n = max(_eval_grid_for_power(band, int(np.ceil(min(p, 8.0))), 8), 2 * max(band + 1, 2))
+    check_entries("the strichartz evaluation grid", n**3)
+    return n
+
+
+def _bilinear_grid(n: int, m1: float) -> GridSpec:
+    """run_bilinear_probe's field grid at shell m1: at least n, and holding the shell."""
+    return GridSpec(3, _next_even(max(n, 2 * m1 + 4)))
+
+
+def _bilinear_eval_n(m1: float, m2: float, n: int) -> int:
+    """bilinear_strichartz_ratio's evaluation grid for shells m1, m2 of fields on
+    n points per axis: alias-free for the product; two buffers of it are held."""
+    n_eval = max(_next_even(2 * (m1 + m2) + 2), n)
+    check_entries("the bilinear evaluation buffers", 2 * n_eval**3)
+    return n_eval
+
+
+def _refined_sobolev_eval_n(band: int) -> int:
+    """refined_sobolev_ratio's evaluation grid for a datum of this band (a sextic product)."""
+    n = _eval_grid_for_power(band, 6, 8)
+    check_entries("the refined-Sobolev evaluation grid", n**3)
+    return n
+
+
+def _multilinear_eval_n(band: int) -> int:
+    """multilinear_ratio's evaluation grid for factors of this band: alias-free for
+    the quintic product; two buffers of it are held."""
+    n = max(4, _next_even(2 * 5 * band + 2))
+    check_entries("the multilinear evaluation buffers", 2 * n**3)
+    return n
 
 
 def _band_grid(f: TorusField) -> TorusField:
@@ -148,8 +187,7 @@ def strichartz_ratio(
     if denom == 0.0:
         return 0.0
     small = _band_grid(g)
-    band = _field_band(g)
-    n_eval = max(_eval_grid_for_power(band, int(np.ceil(min(p, 8.0))), 8), small.grid.n)
+    n_eval = _strichartz_eval_n(_field_band(g), p)
     ts, w = _trapezoid_times(T, nt)
     v = np.empty((n_eval,) * 3, dtype=np.complex128)
     acc = 0.0
@@ -177,7 +215,7 @@ def bilinear_strichartz_ratio(
     n1, n2 = u1.l2_norm(), u2.l2_norm()
     if n1 == 0.0 or n2 == 0.0:
         return 0.0
-    n_eval = max(_next_even(2 * (m1 + m2) + 2), u1.grid.n)
+    n_eval = _bilinear_eval_n(m1, m2, u1.grid.n)
     a, b = _band_grid(u1), _band_grid(u2)
     ts, w = _trapezoid_times(T, nt)
     va, vb = np.empty((2,) + (n_eval,) * 3, dtype=np.complex128)
@@ -206,8 +244,7 @@ def refined_sobolev_ratio(phi: TorusField, m: float, r: float, which: int) -> fl
     pl = project_leq(phi, m)
     if ph.l2_norm() == 0.0:
         return 0.0
-    band = _field_band(phi)
-    n_eval = _eval_grid_for_power(band, 6, 8)
+    n_eval = _refined_sobolev_eval_n(_field_band(phi))
     vh = sample(_band_grid(ph), n_eval)
     vl = sample(_band_grid(pl), n_eval)
     prod = vl.copy()  # repeated products: np.power is several times slower on complex arrays
@@ -275,7 +312,7 @@ def multilinear_ratio(
         rhs = h1[0] * h1[1] * h1[2] * h1[3] * h1[4]
         s_out = 1.0
     band = max(_field_band(f) for f in fs)
-    fine = GridSpec(3, max(4, _next_even(2 * 5 * band + 2)))
+    fine = GridSpec(3, _multilinear_eval_n(band))
     # free evolution keeps each mode's label, so it commutes with resampling
     small = [_band_grid(f) for f in fs]
     ts, w = _trapezoid_times(T, nt)
@@ -391,7 +428,7 @@ def run_bilinear_probe(seed=0, samples=12, m1s=(4, 8, 16, 32), m2=4,
                        delta=0.02, T=1.0, nt=33, n=16) -> ProbeReport:
     def fn(rng, tup):
         (m1,) = tup
-        grid = GridSpec(3, _next_even(max(n, 2 * m1 + 4)))
+        grid = _bilinear_grid(n, m1)
         f1 = TorusField.random_band_limited(grid, grid.nyquist, rng)
         f2 = TorusField.random_band_limited(grid, grid.nyquist, rng)
         return bilinear_strichartz_ratio(f1, f2, m1, m2, delta, T, nt)
@@ -440,22 +477,27 @@ def run_approx_identity_probe(seed=0, samples=20, alphas=(0.25, 0.125, 0.0625),
 
 def check_probe_options(lemma: str, a: dict) -> None:
     """The rules of the ratio behind PROBE_RUNNERS[lemma], on the runner's bound
-    arguments `a` (defaults applied), so a bad option fails before any sample."""
+    arguments `a` (defaults applied), so a bad option fails before any sample.
+    The grids are sized for the widest band the runner's random data can have."""
     if lemma == "strichartz":
-        GridSpec(3, a["n"])
+        grid = GridSpec(3, a["n"])
         for m in a["ms"]:
             check_strichartz_args(m, a["p"], a["nt"])
+            _strichartz_eval_n(min(int(m), grid.nyquist), a["p"])
     elif lemma == "bilinear":
         for m1 in a["m1s"]:
             check_bilinear_args(m1, a["m2"], a["delta"])
+            _bilinear_eval_n(m1, a["m2"], _bilinear_grid(a["n"], m1).n)
     elif lemma == "refined_sobolev":
-        GridSpec(3, a["n"])
+        grid = GridSpec(3, a["n"])
         for m in a["ms"]:
             for r in a["rs"]:
                 check_refined_sobolev_args(m, r, a["which"])
+        _refined_sobolev_eval_n(min(a["band"], grid.nyquist))
     elif lemma == "multilinear":
-        GridSpec(3, a["n"])
+        grid = GridSpec(3, a["n"])
         check_multilinear_variant(a["variant"])
+        _multilinear_eval_n(min(max(2, grid.n // 4), grid.nyquist))
     elif lemma == "approx_identity":
         check_alphas(a["alphas"], GridSpec(1, a["n"]))
 

@@ -24,6 +24,7 @@ from quintlab.couplings import (
     min_unclogged_floor,
     raw_summand_count,
     _congested_counts_vectorized,
+    _max_congested,
     _targets,
 )
 from quintlab.grids import MemoryBudgetError
@@ -216,6 +217,32 @@ class TestMinUnclogged:
         finally:
             tracemalloc.stop()
         assert peak < 128 * 2**20
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_matches_exhaustive_argmax(self, k):
+        # the exhaustive count over every (map, signs) pair stays the oracle
+        counts, targets = _congested_counts_vectorized(k)
+        mi, si = np.unravel_index(int(np.argmax(counts)), counts.shape)
+        out = min_unclogged(k)
+        witness = out["witnessing_expansion"]
+        assert out["max_congested"] == counts.max()
+        assert witness.collapse.targets == tuple(targets[mi].tolist())
+        assert witness.signs == tuple(PLUS if (si >> l) & 1 else MINUS for l in range(k))
+
+    @pytest.mark.parametrize("k", [8, 9, 10])
+    def test_floor_holds_past_the_map_table(self, k):
+        # the dynamic program alone: k = 9, 10 have no map table within the budget
+        assert (k - 1) - _max_congested(k) >= min_unclogged_floor(k)
+
+    def test_k7_never_builds_the_exhaustive_table(self):
+        # the (maps, 2^k) count table of k = 7 alone takes 67 MiB
+        tracemalloc.start()
+        try:
+            min_unclogged(7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_floor_holds(self, k):

@@ -16,6 +16,7 @@ from quintlab.cli import (
     main,
     run_experiment,
 )
+from quintlab.couplings import MINUS, PLUS, CollapseMap, SignedExpansion, classify_couplings
 from quintlab.grids import GridSpec, TorusField
 from quintlab.io import dump_field, dump_state, load_field, load_state, write_csv
 from quintlab.manybody import BosonicState, ManyBodyConfig
@@ -305,6 +306,15 @@ class TestMainEntry:
         assert json.loads((tmp_path / "couplings.json").read_text())["map_count"] == 2027025
         assert peak < 64 * 2**20
 
+    def test_couplings_k8_reports_the_minimum(self, tmp_path, capsys):
+        assert main(["couplings", "--k", "8", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "couplings.json").read_text())
+        mu, w = payload["min_unclogged"], payload["witness"]
+        assert mu["min_count"] >= mu["floor"]
+        signs = tuple(PLUS if s == "+" else MINUS for s in w["signs"])
+        witness = SignedExpansion(CollapseMap(8, tuple(w["targets"])), signs)
+        assert len(classify_couplings(witness)["unclogged"]) == mu["min_count"]
+
     def test_validation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "nls-run", "params": {"d": 9}}))
@@ -420,6 +430,11 @@ BAD_CONFIGS = [
     ("manybody-run", {**_MB, "d": 3, "n": 32, "N": 1}, "N"),  # a 2^30-entry interaction table
     ("manybody-run", {**_MB, "n": 64, "N": 4}, "N"),  # a 2^24-entry state, 21x that in the basis
     *_OVERSIZED_GRIDS,
+    ("probe", {"lemma": "bilinear", "options": {"m1s": [128]}}, "options"),  # a 264^3 grid
+    # evaluation grids past the budget on field grids within it
+    ("probe", {"lemma": "strichartz", "options": {"n": 256, "ms": [128]}}, "options"),
+    ("probe", {"lemma": "refined_sobolev", "options": {"n": 128, "band": 64}}, "options"),
+    ("probe", {"lemma": "multilinear", "options": {"n": 96}}, "options"),
 ]
 
 
