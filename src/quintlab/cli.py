@@ -441,16 +441,17 @@ def _run_hufl(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
 def _run_couplings(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
     k = int(cfg.params["k"])
     counts = raw_summand_count(k)
+    tg = _targets(k)
     payload = {
         "k": k,
-        "map_count": len(_targets(k)),
+        "map_count": len(tg),
         "bound_2_3k_minus_1": 2 ** (3 * k - 1),
         "double_factorial": double_factorial(2 * k - 1),
         "raw_count_bruteforce": counts["brute_force"],
         "raw_count_printed_formula": counts["printed_formula"],
     }
     if k >= 2:
-        mu = min_unclogged(k)
+        mu = min_unclogged(k, tg)
         witness = mu.pop("witnessing_expansion")
         payload["min_unclogged"] = mu
         payload["witness"] = {

@@ -337,15 +337,17 @@ def _max_congested(k: int) -> int:
 _WITNESS_CHUNK = 4096  # maps per step of the witness scan
 
 
-def min_unclogged(k: int) -> dict:
+def min_unclogged(k: int, tg: np.ndarray | None = None) -> dict:
     """Minimum of the unclogged-level count over all signed expansions, with
     the lexicographically first witnessing expansion and the consumption-bound
-    check.  Needs k >= 2 and a map table within the memory budget.
+    check.  Needs k >= 2 and a map table within the memory budget; `tg` is
+    that table, `_targets(k)`, when the caller already holds it.
     """
     if k < 2:
         raise ValueError(f"min_unclogged needs k >= 2, got {k}")
     max_congested = _max_congested(k)
-    tg = _targets(k)
+    if tg is None:
+        tg = _targets(k)
     for start in range(0, len(tg), _WITNESS_CHUNK):
         counts, rows = _congested_counts_vectorized(k, tg[start : start + _WITNESS_CHUNK])
         # argmax finds the first expansion of the chunk with the fewest unclogged levels

@@ -411,29 +411,73 @@ def energy_moment(psi: BosonicState, k: int) -> float:
 # Krylov dimension (or of double precision).
 _SUBSTEP_FRACTIONS = 2.0 ** np.arange(-20.0, 0.125, 0.25)
 
+# Estimated overlap |<v_k, v_j>| past which a new basis vector gets a full
+# re-orthogonalization pass.  At Simon's semi-orthogonality, sqrt(eps) ~ 1.5e-8,
+# the Lanczos approximation of exp(-i tau H) v is already as accurate as with an
+# orthonormal basis (Druskin, Greenbaum & Knizhnerman, SIAM J. Sci. Comput.
+# 1998), so accuracy does not set the level: the basis is held orthonormal to
+# 1e-8, and two decades under that leave room for the estimate's slack.
+_REORTH_LEVEL = 1e-10
+_EPS = np.finfo(np.float64).eps
+
 
 def _lanczos_basis(config: ManyBodyConfig, V: np.ndarray, kdim: int):
     """Fill V[1:] with the Krylov basis of the unit vector V[0] under H.
 
-    Each new vector is orthogonalized against the whole basis with two
-    matrix-vector products.  Returns the tridiagonal (alphas, betas), where
-    betas[-1] couples the last basis vector to the next one and is 0 on a
-    happy breakdown (the basis then spans an invariant subspace).
+    Each new vector comes from the three-term recurrence, with partial
+    re-orthogonalization: Simon's omega-recurrence (Math. Comp. 1984) runs
+    on the tridiagonal alone and estimates the new vector's overlaps with
+    the basis.  One full pass against the whole basis (two matrix-vector
+    products) runs only when the omega estimate asks, that is past
+    _REORTH_LEVEL, and then once more on the next vector; a pass that
+    cancels most of the vector, as near a breakdown, is repeated once.
+    Returns the tridiagonal (alphas, betas), where betas[-1] couples the
+    last basis vector to the next one and is 0 on a happy breakdown (the
+    basis then spans an invariant subspace).
     """
-    alphas, betas = [], []
+    alphas, betas = np.zeros(kdim), np.zeros(kdim)
+    # omega[k] estimates <v_k, v_j> for the newest vector v_j, and omega_old
+    # for v_{j-1}; the estimates for v_{j+1} overwrite omega_old, then the two swap
+    omega, omega_old = np.zeros(kdim + 1), np.zeros(kdim + 1)
+    omega[0] = 1.0
+    again = False  # the previous vector had a full pass, so this one gets one too
     for j in range(kdim):
         w = V[j + 1]
         w[:] = apply_hamiltonian_raw(config, V[j].reshape(config.state_shape)).reshape(-1)
-        h = np.conj(V[: j + 1] @ np.conj(w))  # h[i] = <V[i], w>
-        w -= h @ V[: j + 1]
-        alphas.append(h[j].real)
+        a = np.vdot(V[j], w).real
+        if j:
+            w -= np.array([betas[j - 1], a]) @ V[j - 1 : j + 1]
+        else:
+            w -= a * V[0]
+        alphas[j] = a
         b = np.linalg.norm(w)
-        if b < 1e-14 * max(abs(h[j]), 1.0):
-            betas.append(0.0)
-            break
-        betas.append(b)
+        floor = 1e-14 * max(abs(a), 1.0)
+        if b >= floor:
+            # beta_j <v_k, v_{j+1}> by the recurrence H v_k obeys, plus rounding
+            t = (alphas[:j] - a) * omega[:j] + betas[:j] * omega[1 : j + 1]
+            t[1:] += (betas[:j] * omega[:j])[:-1]
+            t -= betas[j - 1] * omega_old[:j]
+            omega_old[:j] = (t + np.copysign(_EPS * (betas[:j] + b), t)) / b
+            omega_old[j] = _EPS
+            if again or np.abs(omega_old[:j]).max(initial=0.0) > _REORTH_LEVEL:
+                for _ in range(2):
+                    h = np.conj(V[: j + 1] @ np.conj(w))  # h[i] = <V[i], w>
+                    w -= h @ V[: j + 1]
+                    b = np.linalg.norm(w)
+                    # the basis is orthonormal to about _REORTH_LEVEL, so the pass
+                    # leaves overlaps near _REORTH_LEVEL |h| / b: past eps, one more
+                    # pass (twice is enough: Kahan, in Parlett's book)
+                    if np.linalg.norm(h) * _REORTH_LEVEL <= _EPS * b:
+                        break
+                omega_old[: j + 1] = _EPS
+                again = not again
+            omega_old[j + 1] = 1.0
+            omega, omega_old = omega_old, omega
+        if b < floor:
+            return alphas[: j + 1], betas[: j + 1]  # betas[j] = 0: happy breakdown
+        betas[j] = b
         w /= b
-    return np.array(alphas), np.array(betas)
+    return alphas, betas
 
 
 def _choose_substep(evals, evecs, beta_m: float, tau_max: float, rate: float) -> float:
@@ -482,12 +526,14 @@ def propagate(
     estimate allows.
 
     Each substep builds the kdim-dimensional Krylov basis of the current
-    vector (kdim H-applies) and then picks its length from the small
-    tridiagonal problem alone, with no further H-applies: the longest tau
-    whose estimate stays within tol * tau / |t| (Expokit's step control,
-    Sidje 1998, on the Lanczos error analysis of Hochbruck & Lubich 1997),
-    so the estimates sum to at most tol relative to ||psi||.  `steps`, if
-    given, caps every substep at |t| / steps.  One (kdim + 1, dim) buffer
+    vector (kdim H-applies) by the three-term recurrence, with one full
+    re-orthogonalization pass only when the omega estimate asks (Simon,
+    Math. Comp. 1984; see _lanczos_basis).  It then picks its length from
+    the small tridiagonal problem alone, with no further H-applies: the
+    longest tau whose estimate stays within tol * tau / |t| (Expokit's step
+    control, Sidje 1998, on the Lanczos error analysis of Hochbruck & Lubich
+    1997), so the estimates sum to at most tol relative to ||psi||.  `steps`,
+    if given, caps every substep at |t| / steps.  One (kdim + 1, dim) buffer
     holds the basis for the whole call.
     """
     config = psi.config

@@ -321,11 +321,12 @@ def chaos_experiment(
     and the mean-field projector, for each N.
 
     The mean-field side evolves phi0 under the quintic NLS with coupling b0
-    equal to the grid mass of the tabulated interaction.
+    equal to the grid mass of the tabulated interaction, once per distinct b0.
     """
     grid = phi0.grid
     rows = []
     nls_dt = nls_dt if nls_dt is not None else T / 200 if T > 0 else 0.01
+    flows = {}  # b0 -> phi0 evolved to T; at beta = 0 every N has the same b0
     for N in Ns:
         kwargs = {"potential": potential} if potential is not None else {}
         config = ManyBodyConfig(grid, N, beta, **kwargs)
@@ -333,12 +334,11 @@ def chaos_experiment(
         psi0 = BosonicState.factorized(config, phi0)
         psiT = propagate(psi0, T) if T > 0 else psi0
         g1 = marginal(psiT, 1)
-        if T > 0:
+        if T > 0 and b0 not in flows:
             steps = max(1, int(round(T / nls_dt)))
             cfg = NlsConfig(grid, b0, T / steps)
-            phiT = evolve(phi0, T, cfg, snapshot_every=steps).states[-1]
-        else:
-            phiT = phi0
+            flows[b0] = evolve(phi0, T, cfg, snapshot_every=steps).states[-1]
+        phiT = flows[b0] if T > 0 else phi0
         rows.append(
             ChaosRow(
                 N=N,

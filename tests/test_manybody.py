@@ -390,6 +390,64 @@ class TestPropagate:
         gram = V.conj() @ V.T
         assert np.abs(gram - np.eye(kdim + 1)).max() <= 1e-8
 
+    @staticmethod
+    def krylov_basis(d, n, N, kdim):
+        cfg = ManyBodyConfig(GridSpec(d, n), N, 0.05)
+        psi = BosonicState.factorized(cfg, smooth_phi(cfg.grid, band=2))
+        V = np.empty((kdim + 1, psi.amps.size), dtype=np.complex128)
+        V[0] = psi.amps.reshape(-1) / np.linalg.norm(psi.amps)
+        alphas, betas = manybody._lanczos_basis(cfg, V, kdim)
+        return cfg, V, alphas, betas
+
+    @pytest.mark.parametrize("d,n,N,kdim", [
+        (1, 16, 4, 20),  # the fewbody shape, dim 65,536
+        (2, 8, 2, 30),  # dim 4,096: the omega estimate asks for full passes
+        (1, 4, 3, 30),  # dim 64: the symmetric Krylov space runs out near step 14
+        (2, 4, 2, 30),  # dim 256: beta_13 ~ 1e-13, and one pass alone leaves 3e-8
+    ])
+    def test_partial_reorthogonalization_keeps_the_basis(self, d, n, N, kdim):
+        cfg, V, alphas, betas = self.krylov_basis(d, n, N, kdim)
+        m = len(alphas)
+        assert m == kdim and betas[-1] > 0.0
+        if n == 4:
+            assert betas.min() < 1e-6  # the n = 4 cases do run into a (near) invariant subspace
+        gram = V.conj() @ V.T
+        assert np.abs(gram - np.eye(kdim + 1)).max() <= 1e-8
+        # the tridiagonal is the projection of H on the basis
+        HV = np.stack([apply_hamiltonian_raw(cfg, v.reshape(cfg.state_shape)).reshape(-1)
+                       for v in V[:m]])
+        tri = np.diag(alphas) + np.diag(betas[:-1], -1) + np.diag(betas[:-1], 1)
+        scale = max(np.abs(alphas).max(), np.abs(betas).max())
+        assert np.abs(V[:m].conj() @ HV.T - tri).max() <= 1e-10 * scale
+
+    def test_bare_recurrence_loses_orthogonality(self, monkeypatch):
+        # with the trigger off, only the three-term recurrence is left, and the
+        # basis of test_lanczos_basis_stays_orthonormal fails its 1e-8 bound
+        monkeypatch.setattr(manybody, "_REORTH_LEVEL", np.inf)
+        _, V, alphas, betas = self.krylov_basis(1, 8, 3, 30)
+        assert len(alphas) == 30 and betas[-1] > 0.0
+        assert np.abs(V.conj() @ V.T - np.eye(31)).max() > 1e-8
+
+    @pytest.fixture(scope="class")
+    def exhausted_case(self):
+        # d=1 n=4 N=3: dim 64, and a Krylov basis of 30 runs past the symmetric subspace
+        cfg = ManyBodyConfig(GridSpec(1, 4), 3, 0.05)
+        psi = BosonicState.factorized(cfg, smooth_phi(cfg.grid, band=2))
+        H = np.stack(
+            [apply_hamiltonian_raw(cfg, e.reshape(cfg.state_shape)).reshape(-1)
+             for e in np.eye(psi.amps.size, dtype=np.complex128)],
+            axis=1,
+        )
+        return psi, H
+
+    @pytest.mark.parametrize("T", [0.1, 1.0])
+    @pytest.mark.parametrize("case", ["dense_case", "exhausted_case"])
+    def test_kdim30_meets_tol_against_dense_expm(self, request, case, T):
+        psi, H = request.getfixturevalue(case)
+        want = expm(-1j * T * H) @ psi.amps.reshape(-1)
+        got = propagate(psi, T, kdim=30).amps.reshape(-1)
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
     def test_cost_guard(self, monkeypatch):
         # d=1 n=16 N=4 (dim 65,536), T=0.1: at most 100 H-applies, and a peak
         # of the (kdim + 1)-row basis buffer (21 MiB) plus temporaries; a

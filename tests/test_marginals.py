@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quintlab import grids
+from quintlab import grids, marginals
 from quintlab.grids import GridSpec, MemoryBudgetError, TorusField, sobolev_norm
 from quintlab.manybody import (
     BosonicState,
@@ -338,6 +338,24 @@ class TestChaosExperiment:
         )
         for r in rows:
             assert r.distance < 1e-8
+
+    @pytest.mark.parametrize("beta,flows", [(0.0, 1), (0.1, 4)])
+    def test_one_nls_flow_per_coupling(self, beta, flows, monkeypatch):
+        # at beta = 0 every N has the same coupling b0, so the mean-field flow
+        # runs once; the rows equal those of one call per N
+        g = GridSpec(1, 8)
+        phi0, Ns = unit_phi(g, seed=25), [2, 3, 4, 5]
+        per_n = [chaos_experiment([N], beta, phi0, T=0.05)[0] for N in Ns]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(marginals, "evolve", counting)
+        rows = chaos_experiment(Ns, beta, phi0, T=0.05)
+        assert rows == per_n
+        assert len(calls) == len({r.coupling for r in rows}) == flows
 
     def test_distance_shrinks_with_N(self):
         g = GridSpec(1, 8)
