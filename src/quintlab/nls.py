@@ -7,7 +7,9 @@ Both substeps are unitary, so mass is conserved to rounding.  The rotation
 keeps |phi|, so `evolve` merges the half rotations that meet between two
 snapshots and advances each snapshot interval in one raw-array kernel on the
 samples.  With dealiasing they lie on a 3n/2 grid, where the free phase, zero
-outside the n-band, is also the dealias projection.  The module also carries
+outside the n-band, is also the dealias projection.  `free_sample` gives the
+free evolution's samples on a finer grid by per-axis matrix products, for
+the probes' time quadratures.  The module also carries
 the low/high energy decomposition at a frequency cutoff and the
 frequency-localization diagnostics used by the marginal-hierarchy experiments.
 """
@@ -82,6 +84,43 @@ def _free_phase(d: int, n: int, t: float) -> np.ndarray:
 def free_propagate(f: TorusField, t: float) -> TorusField:
     """exp(it Lap): multiply each coefficient by exp(-i t |xi|^2)."""
     return f.multiply_coefficients(_free_phase(f.grid.d, f.grid.n, t))
+
+
+@functools.lru_cache(maxsize=None)
+def _synthesis_matrix(s: int, n: int) -> np.ndarray:
+    """The (n, s) matrix exp(i x_a xi_k): x_a the n-grid points, xi_k the s-grid
+    labels in FFT layout (edge label -s/2), the argument reduced mod 2*pi exactly."""
+    xi = _freq_components(1, s)[0]
+    e = np.exp((2j * np.pi / n) * (np.multiply.outer(np.arange(n), xi) % n))
+    e.flags.writeable = False
+    return e
+
+
+def free_sample(f: TorusField, t: float, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """sample(free_propagate(f, t), n, out), without a transform.
+
+    The free phase factors over the axes, so each axis is one matrix product
+    with the synthesis matrix whose columns carry the one-axis phase
+    exp(-i t xi^2): the last axis first, then d-2, ..., 0, the axis-0
+    product written into `out` (C-contiguous, shape (n,)*d) when given.
+    For the small band grids of the probe time loops this beats the pruned
+    transforms of `sample` and forms no new field per time.
+    """
+    s, d = f.grid.n, f.grid.d
+    if n < s:
+        raise ValueError(f"cannot sample an n={s} field on {n} points per axis")
+    if out is None:
+        out = np.empty((n,) * d, dtype=np.complex128)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    e = _synthesis_matrix(s, n) * np.exp(-1j * t * _freq_components(1, s)[0] ** 2)
+    b = f.coefficients
+    if d > 1:
+        b = b.reshape(-1, s) @ e.T
+    for j in range(d - 2, 0, -1):
+        b = np.matmul(e, b.reshape(s**j, s, -1))
+    np.matmul(e, b.reshape(s, -1), out=out.reshape(n, -1))
+    return out
 
 
 def _rotate(v: np.ndarray, rate, tau: float, z: np.ndarray) -> None:

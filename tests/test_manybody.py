@@ -428,6 +428,48 @@ class TestPropagate:
         assert len(alphas) == 30 and betas[-1] > 0.0
         assert np.abs(V.conj() @ V.T - np.eye(31)).max() > 1e-8
 
+    @staticmethod
+    def full_passes(psi, kdim, monkeypatch):
+        """The Krylov basis of psi and the number of full re-orthogonalization
+        passes it took: _lanczos_basis calls np.linalg.norm once per step and
+        twice per pass (the new vector and the overlaps)."""
+        V = np.empty((kdim + 1, psi.amps.size), dtype=np.complex128)
+        V[0] = psi.amps.reshape(-1) / np.linalg.norm(psi.amps)
+        calls, norm = [], np.linalg.norm
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return norm(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "norm", counting)
+            alphas, betas = manybody._lanczos_basis(psi.config, V, kdim)
+        return V, alphas, betas, (len(calls) - len(alphas)) // 2
+
+    @pytest.mark.parametrize("d,n,N,kdim,most", [
+        (1, 16, 4, 20, 2),  # the fewbody shape: no pass is due
+        (1, 8, 3, 30, 4),  # the dim-512 basis of test_lanczos_basis_stays_orthonormal: 2 passes
+    ])
+    def test_full_passes_stay_rare(self, d, n, N, kdim, most, monkeypatch):
+        # the omega estimates track the true overlaps and restart at eps after
+        # a pass; an estimate that overshoots asks for a pass at nearly every step
+        cfg = ManyBodyConfig(GridSpec(d, n), N, 0.05)
+        psi = BosonicState.factorized(cfg, smooth_phi(cfg.grid, band=2))
+        V, alphas, _, passes = self.full_passes(psi, kdim, monkeypatch)
+        assert len(alphas) == kdim and passes <= most
+        assert np.abs(V.conj() @ V.T - np.eye(kdim + 1)).max() <= 1e-8
+
+    @pytest.mark.parametrize("seed", [115, 165])
+    def test_pass_on_the_next_vector_keeps_a_stress_basis(self, seed, monkeypatch):
+        # a random symmetric state, d=2 n=6 N=2 band 2 (dim 1,296), kdim 40: the
+        # code keeps about 1e-11; without the pass on the vector after each full
+        # pass the basis ends at 1.5e-8 (seed 115) and 1.6e-8 (seed 165)
+        cfg = ManyBodyConfig(GridSpec(2, 6), 2, 0.05)
+        psi = BosonicState.random_symmetric(cfg, np.random.default_rng(seed), band=2)
+        V, alphas, betas, passes = self.full_passes(psi, 40, monkeypatch)
+        assert len(alphas) == 40 and betas[-1] > 0.0 and passes > 0
+        assert np.abs(V.conj() @ V.T - np.eye(41)).max() <= 1e-8
+
     @pytest.fixture(scope="class")
     def exhausted_case(self):
         # d=1 n=4 N=3: dim 64, and a Krylov basis of 30 runs past the symmetric subspace

@@ -14,6 +14,7 @@ from quintlab.nls import (
     energy_split,
     evolve,
     free_propagate,
+    free_sample,
     frequency_diagnostics,
     plane_wave_solution,
     strang_step,
@@ -66,6 +67,42 @@ class TestFreePropagate:
         before = frequency_diagnostics(f, 4, 16)["high_kinetic"]
         after = frequency_diagnostics(free_propagate(f, 0.77), 4, 16)["high_kinetic"]
         assert abs(after - before) <= 1e-12 * max(before, 1.0)
+
+
+class TestFreeSample:
+    """free_sample against its definition: the free evolution resampled to n points."""
+
+    @staticmethod
+    def assert_matches(f, t, n, got):
+        want = free_propagate(f, t).resample(n).values
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s,n", [(8, 8), (8, 20), (6, 16)])
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0, -0.5])
+    def test_matches_propagated_resampled_values(self, d, s, n, t):
+        # every coefficient set, the -s/2 edge label included
+        rng = np.random.default_rng([d, s, n])
+        g = GridSpec(d, s)
+        f = TorusField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        self.assert_matches(f, t, n, free_sample(f, t, n))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("t", [0.0, 0.37])
+    def test_edge_label_alone(self, d, t):
+        f = TorusField.from_modes(GridSpec(d, 8), {(-4,) * d: 1.0})
+        self.assert_matches(f, t, 14, free_sample(f, t, 14))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_out_buffer_is_returned_and_overwritten(self, d):
+        f = smooth_random(GridSpec(d, 6), 3, band=3)
+        out = np.full((16,) * d, np.nan, dtype=np.complex128)
+        assert free_sample(f, 0.37, 16, out) is out
+        self.assert_matches(f, 0.37, 16, out)
+
+    def test_rejects_a_coarser_grid(self):
+        with pytest.raises(ValueError):
+            free_sample(smooth_random(GridSpec(2, 8), 0), 0.1, 6)
 
 
 class TestStrangStep:

@@ -244,6 +244,36 @@ class TestPerTimeOracles:
         assert got == pytest.approx(acc / rhs, rel=1e-12)
 
 
+class TestTimeLoopRoute:
+    """The time loops synthesize each time's samples by matrix products: the
+    Strichartz and bilinear probes make no transform, and the multilinear
+    probe makes one forward transform per time, for its H^s weight."""
+
+    @staticmethod
+    def forbid(*args, **kwargs):
+        raise AssertionError("unexpected transform")
+
+    def test_strichartz_and_bilinear_make_no_transform(self, monkeypatch):
+        f, f1, f2 = rand3(16, seed=40), rand3(16, seed=41), rand3(16, seed=42)
+        monkeypatch.setattr(np.fft, "ifftn", self.forbid)
+        monkeypatch.setattr(np.fft, "fftn", self.forbid)
+        assert strichartz_ratio(f, 4, 4.0, 1.0, 40) > 0.0
+        assert bilinear_strichartz_ratio(f1, f2, 8, 4, 0.02, 1.0, 33) > 0.0
+
+    def test_multilinear_makes_one_forward_transform_per_time(self, monkeypatch):
+        fs = [rand3(8, band=2, seed=50 + s) for s in range(5)]
+        calls, fftn = [], np.fft.fftn
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return fftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifftn", self.forbid)
+        monkeypatch.setattr(np.fft, "fftn", counting)
+        assert multilinear_ratio(fs, 4.0, 1.0, "Old2", 32) > 0.0
+        assert calls == [(_next_even(2 * 5 * 2 + 2),) * 3] * 32
+
+
 class TestNextEven:
     def test_matches_scipy_fast_length(self):
         def oracle(x):
