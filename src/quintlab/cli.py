@@ -185,8 +185,11 @@ def _build(cfg: ExperimentConfig) -> dict:
             mb = built["mb"] = attempt(
                 key, lambda: ManyBodyConfig(grid, int(N), float(p["beta"]), pot)
             )
-            if mb:  # a run with T > 0 propagates, and residuals (no T) always does
-                attempt(key, mb.check_propagation_budget if p.get("T", 1) > 0 else mb.check_budget)
+            if mb and p.get("T", 1) > 0:  # residuals (no T) propagate to 2 times per spacing
+                outputs = 2 * len(p["spacings"]) if kind == "residuals" else 1
+                attempt(key, lambda: mb.check_propagation_budget(outputs=outputs))
+            elif mb:
+                attempt(key, mb.check_budget)
     if kind == "nls-run":
         # NlsConfig checks b0, dt and, given a grid, the rotation grid's budget;
         # the initial field is drawn only for a solver that passes
@@ -408,9 +411,12 @@ def _run_residuals(cfg: ExperimentConfig, built: dict, out: Path, report: RunRep
     b0 = potential_mass(mb)
     k = int(p["k"])
     psi0 = BosonicState.factorized(mb, phi0)
+    spacings = [float(h) for h in p["spacings"]]
+    times = sorted({t for h in spacings for t in (h, 2 * h)})
+    states = dict(zip(times, propagate(psi0, times)))  # one Krylov basis serves every time
     rows = []
-    for h in [float(h) for h in p["spacings"]]:
-        snaps = [propagate(psi0, t) for t in (0.0, h, 2 * h)]
+    for h in spacings:
+        snaps = [psi0, states[h], states[2 * h]]
         rb = bbgky_residual(snaps, np.array([0.0, h, 2 * h]), k)
         traj = evolve(phi0, 2 * h, NlsConfig(grid, b0, h / 4, dealias=False), snapshot_every=4)
         rg = gp_residual(traj, k, b0)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,10 +142,12 @@ class ManyBodyConfig:
         check_entries("state tensor", self.grid.size**self.N)
         check_entries("interaction table", self.grid.size**2)
 
-    def check_propagation_budget(self, kdim: int = 20):
-        """check_budget, plus propagate's basis of kdim + 1 state-sized vectors."""
+    def check_propagation_budget(self, kdim: int = 20, outputs: int = 1):
+        """check_budget, plus propagate's basis of kdim + 1 state-sized vectors
+        and the `outputs` states it returns."""
         self.check_budget()
-        check_entries("Krylov basis", (kdim + 1) * self.grid.size**self.N)
+        check_entries("Krylov basis and returned states",
+                      (kdim + 1 + outputs) * self.grid.size**self.N)
 
 
 def _wrapped_relative_coords(grid: GridSpec) -> np.ndarray:
@@ -421,7 +424,8 @@ _REORTH_LEVEL = 1e-10
 _EPS = np.finfo(np.float64).eps
 
 
-def _lanczos_basis(config: ManyBodyConfig, V: np.ndarray, kdim: int):
+def _lanczos_basis(config: ManyBodyConfig, V: np.ndarray, kdim: int,
+                   tau: float | None = None, rate: float = 0.0):
     """Fill V[1:] with the Krylov basis of the unit vector V[0] under H.
 
     Each new vector comes from the three-term recurrence, with partial
@@ -431,6 +435,10 @@ def _lanczos_basis(config: ManyBodyConfig, V: np.ndarray, kdim: int):
     products) runs only when the omega estimate asks, that is past
     _REORTH_LEVEL, and then once more on the next vector; a pass that
     cancels most of the vector, as near a breakdown, is repeated once.
+    Given a substep length `tau`, kdim is a cap: from 6 vectors on, the
+    basis stops as soon as the error estimate of _choose_substep stays
+    within `rate` per unit time at every trial length up to tau (Saad, SIAM
+    J. Numer. Anal. 1992), since no further vector changes that substep.
     Returns the tridiagonal (alphas, betas), where betas[-1] couples the
     last basis vector to the next one and is 0 on a happy breakdown (the
     basis then spans an invariant subspace).
@@ -477,7 +485,24 @@ def _lanczos_basis(config: ManyBodyConfig, V: np.ndarray, kdim: int):
             return alphas[: j + 1], betas[: j + 1]  # betas[j] = 0: happy breakdown
         betas[j] = b
         w /= b
+        if tau is not None and j >= 5:
+            evals, evecs = _tridiagonal_eigh(alphas[: j + 1], betas[: j + 1])
+            # tau alone first: it fails at most steps, and costs m exponentials, not 81 m
+            if _estimate(evals, evecs, tau) <= rate / b and np.all(
+                _estimate(evals, evecs, tau * _SUBSTEP_FRACTIONS) <= rate / b
+            ):
+                return alphas[: j + 1], betas[: j + 1]
     return alphas, betas
+
+
+def _tridiagonal_eigh(alphas, betas):
+    """Eigenpairs of the Lanczos tridiagonal T_m: diagonal alphas, off-diagonal betas[:-1]."""
+    return np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], -1), UPLO="L")
+
+
+def _estimate(evals, evecs, taus):
+    """|e_m^T exp(-i tau T_m) e_1| at each tau; times beta_m, the Krylov error per unit time."""
+    return np.abs(np.exp(-1j * np.multiply.outer(taus, evals)) @ (evecs[-1] * evecs[0]))
 
 
 def _choose_substep(evals, evecs, beta_m: float, tau_max: float, rate: float) -> float:
@@ -491,14 +516,9 @@ def _choose_substep(evals, evecs, beta_m: float, tau_max: float, rate: float) ->
     """
     if beta_m == 0.0:
         return tau_max
-    weights = evecs[-1] * evecs[0]
     limit = rate / beta_m
-
-    def estimate(taus):
-        return np.abs(np.exp(-1j * np.multiply.outer(taus, evals)) @ weights)
-
     taus = tau_max * _SUBSTEP_FRACTIONS
-    fails = np.flatnonzero(estimate(taus) > limit)
+    fails = np.flatnonzero(_estimate(evals, evecs, taus) > limit)
     if fails.size == 0:
         return tau_max
     if fails[0] == 0:
@@ -508,7 +528,7 @@ def _choose_substep(evals, evecs, beta_m: float, tau_max: float, rate: float) ->
     lo, hi = taus[fails[0] - 1], taus[fails[0]]
     while hi - lo > 1e-2 * lo:
         mid = 0.5 * (lo + hi)
-        if estimate(mid) <= limit:
+        if _estimate(evals, evecs, mid) <= limit:
             lo = mid
         else:
             hi = mid
@@ -517,48 +537,97 @@ def _choose_substep(evals, evecs, beta_m: float, tau_max: float, rate: float) ->
 
 def propagate(
     psi: BosonicState,
-    t: float,
+    t: float | Sequence[float],
     steps: int | None = None,
     kdim: int = 20,
     tol: float = 1e-11,
-) -> BosonicState:
+) -> BosonicState | list[BosonicState]:
     """exp(-i t H) psi via Lanczos substeps, each as long as its own error
-    estimate allows.
+    estimate allows.  Given a non-decreasing sequence of times >= 0 instead
+    of one time, the list of exp(-i s H) psi, one state for each time s
+    (equal times share one state).
 
-    Each substep builds the kdim-dimensional Krylov basis of the current
-    vector (kdim H-applies) by the three-term recurrence, with one full
-    re-orthogonalization pass only when the omega estimate asks (Simon,
-    Math. Comp. 1984; see _lanczos_basis).  It then picks its length from
-    the small tridiagonal problem alone, with no further H-applies: the
-    longest tau whose estimate stays within tol * tau / |t| (Expokit's step
-    control, Sidje 1998, on the Lanczos error analysis of Hochbruck & Lubich
-    1997), so the estimates sum to at most tol relative to ||psi||.  `steps`,
-    if given, caps every substep at |t| / steps.  One (kdim + 1, dim) buffer
-    holds the basis for the whole call.
+    Each substep builds a Krylov basis of the current vector by the
+    three-term recurrence, with one full re-orthogonalization pass only when
+    the omega estimate asks (Simon, Math. Comp. 1984; see _lanczos_basis).
+    It then picks its length from the small tridiagonal problem alone, with
+    no further H-applies: the longest tau whose estimate stays within
+    tol * tau / T, T = |t| or the last time (Expokit's step control, Sidje
+    1998, on the Lanczos error analysis of Hochbruck & Lubich 1997), so the
+    estimates sum to at most tol relative to ||psi||.  `steps`, if given,
+    caps every substep at T / steps.  kdim caps the basis, which stops at
+    the first size, from 6 on, whose estimate already allows the whole
+    substep still due, min(left, T / steps); it takes kdim H-applies only
+    where the estimate needs them all.
+
+    Dense output: each requested time inside a substep comes from that
+    substep's basis with no H-apply, beta_0 V^T evecs exp(-i s evals)
+    evecs[0] at offset s.  Where the estimate fails at s, the substep ends
+    at the longest trial length before s and the next basis serves s.  One
+    (kdim + 1, dim) buffer holds the basis for the whole call.
     """
+    if np.ndim(t) == 0:
+        return _propagate(psi, np.array([abs(t)], dtype=np.float64), np.sign(t),
+                          steps, kdim, tol)[0]
+    times = np.asarray(t, dtype=np.float64)
+    if times.ndim != 1 or not np.all(times >= 0.0) or np.any(np.diff(times) < 0.0):
+        raise ValueError("propagate needs one time or a non-decreasing sequence of times >= 0")
+    return _propagate(psi, times, 1.0, steps, kdim, tol)
+
+
+def _propagate(psi: BosonicState, times: np.ndarray, sign: float, steps, kdim, tol):
+    """propagate at the sorted times >= 0, forward in time or, with sign -1, backward."""
     config = psi.config
     beta0 = float(np.linalg.norm(psi.amps))
-    if t == 0.0 or beta0 == 0.0:
-        return BosonicState(config, psi.amps.copy())
-    span = abs(t)
+    span = float(times[-1]) if times.size else 0.0
+    if span == 0.0 or beta0 == 0.0:
+        served = {s: BosonicState(config, psi.amps.copy()) for s in set(times.tolist())}
+        return [served[s] for s in times.tolist()]
+    pending = times[times > 0.0]
+    pending = pending[np.diff(pending, prepend=0.0) > 0.0]  # distinct; np.unique loads numpy.ma
+    config.check_propagation_budget(kdim, pending.size + int(times[0] == 0.0))
+    served = {0.0: BosonicState(config, psi.amps.copy())} if times[0] == 0.0 else {}
     cap = span / steps if steps else span
-    config.check_propagation_budget(kdim)
+    rate = tol / span
     V = np.empty((kdim + 1, psi.amps.size), dtype=np.complex128)
     np.divide(psi.amps.reshape(-1), beta0, out=V[0])
+
+    def krylov(offset):  # exp(-i sign offset H) V[0] from the current basis, unscaled
+        return (evecs @ (np.exp(-1j * sign * offset * evals) * evecs[0])) @ V[: evals.size]
+
     left = span
     while left > 0.0:
         # the last capped substep absorbs the rounding of span / steps
         tau_max = left if left <= cap * (1.0 + 1e-12) else cap
-        alphas, betas = _lanczos_basis(config, V, kdim)
-        evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], -1), UPLO="L")
-        tau = _choose_substep(evals, evecs, betas[-1], tau_max, tol / span)
-        small = evecs @ (np.exp(-1j * np.sign(t) * tau * evals) * evecs[0])
-        u = small @ V[: small.size]
-        unorm = np.linalg.norm(u)
-        np.divide(u, unorm, out=V[0])
-        beta0 *= unorm
+        alphas, betas = _lanczos_basis(config, V, kdim, tau_max, rate)
+        evals, evecs = _tridiagonal_eigh(alphas, betas)
+        tau = _choose_substep(evals, evecs, betas[-1], tau_max, rate)
+        offsets = np.maximum(pending - (span - left), 0.0)
+        count = offsets.size if tau >= left else int(np.searchsorted(offsets, tau, "right"))
+        offsets = np.minimum(offsets[:count], tau)
+        if betas[-1] > 0.0:
+            fails = np.flatnonzero(_estimate(evals, evecs, offsets) > rate / betas[-1])
+            if fails.size:
+                trials = tau_max * _SUBSTEP_FRACTIONS
+                trials = trials[trials < offsets[fails[0]]]
+                if trials.size == 0:
+                    raise PropagationToleranceError(
+                        f"Krylov error estimate exceeds the budget at {offsets[fails[0]]:.3g}"
+                    )
+                tau = float(trials[-1])
+                count = int(np.searchsorted(offsets, tau, "right"))
+        for s, offset in zip(pending[:count].tolist(), offsets[:count]):
+            u = krylov(offset)
+            u *= beta0
+            served[s] = BosonicState(config, u)
+        pending = pending[count:]
         left -= tau
-    return BosonicState(config, (beta0 * V[0]).reshape(config.state_shape))
+        if left > 0.0:
+            u = krylov(tau)
+            unorm = np.linalg.norm(u)
+            np.divide(u, unorm, out=V[0])
+            beta0 *= unorm
+    return [served[s] for s in times.tolist()]
 
 
 # -- energy-moment inequality probe ----------------------------------------

@@ -3,15 +3,18 @@
 The equation solved is i d/dt phi = -Lap phi + b0 |phi|^4 phi, integrated by
 Strang splitting: a half-step of the exact pointwise nonlinear phase rotation,
 a full linear step (exact Fourier multiplier), and a second half rotation.
-Both substeps are unitary, so mass is conserved to rounding.  The rotation
-keeps |phi|, so `evolve` merges the half rotations that meet between two
-snapshots and advances each snapshot interval in one raw-array kernel on the
-samples.  With dealiasing they lie on a 3n/2 grid, where the free phase, zero
-outside the n-band, is also the dealias projection.  `free_sample` gives the
-free evolution's samples on a finer grid by per-axis matrix products, for
-the probes' time quadratures.  The module also carries
-the low/high energy decomposition at a frequency cutoff and the
-frequency-localization diagnostics used by the marginal-hierarchy experiments.
+Both substeps are unitary, so without dealiasing mass is conserved to
+rounding.  With dealiasing it is not: the projection onto the n-band removes
+the mass the rotation moves past it (at d=1 n=6, b0 = 1, dt = 0.01 and a
+band-2 datum, 2.2e-8 of it by T = 0.02).  The rotation keeps |phi|, so
+`evolve` merges the half rotations that meet between two snapshots and
+advances each snapshot interval in one raw-array kernel on the samples.
+With dealiasing they lie on a 3n/2 grid, where the free phase, zero outside
+the n-band, is also the dealias projection.  `free_sample` gives the free
+evolution's samples on a finer grid by per-axis matrix products, for the
+probes' time quadratures.  The module also carries the low/high energy
+decomposition at a frequency cutoff and the frequency-localization
+diagnostics used by the marginal-hierarchy experiments.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quintlab import manybody
 from quintlab.cli import (
     ExperimentConfig,
     ValidationError,
@@ -172,6 +173,24 @@ class TestRunExperiment:
         payload = json.loads((tmp_path / "couplings.json").read_text())
         assert payload["map_count"] == 15
         assert report.passed
+
+    @pytest.mark.parametrize("case", ["residuals_demo", "d1_n16_N3"])
+    def test_residuals_run_builds_one_krylov_basis(self, tmp_path, monkeypatch, case):
+        # every time of every spacing, h and 2h, comes from the basis of psi0
+        if case == "residuals_demo":
+            params = json.loads((Path(__file__).parent.parent / "configs" / f"{case}.json")
+                                .read_text())
+        else:  # the hierarchy workload's shape
+            params = {"kind": "residuals", "params": {**_RES, "n": 16}}
+        calls, build = [], manybody._lanczos_basis
+
+        def counting(*args):
+            calls.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(manybody, "_lanczos_basis", counting)
+        assert run_experiment(ExperimentConfig.from_dict(params), tmp_path).passed
+        assert len(calls) == 1
 
     def test_hufl_is_the_factorized_value(self, tmp_path):
         params = {**_HUFL, "M": 2, "ks": [1, 2, 3], "initial": {**_BAND2, "band": 6}}
@@ -435,6 +454,9 @@ BAD_CONFIGS = [
     ("probe", {"lemma": "strichartz", "options": {"n": 256, "ms": [128]}}, "options"),
     ("probe", {"lemma": "refined_sobolev", "options": {"n": 128, "band": 64}}, "options"),
     ("probe", {"lemma": "multilinear", "options": {"n": 96}}, "options"),
+    # 92^3-entry states: the 21-vector basis fits, not with 1 or 4 returned states as well
+    ("manybody-run", {**_MB, "n": 92, "N": 3}, "N"),
+    ("residuals", {**_RES, "n": 92}, "N"),
 ]
 
 

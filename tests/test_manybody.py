@@ -375,6 +375,88 @@ class TestPropagate:
         assert max(taus) <= (t / s) * (1 + 1e-12)
         assert sum(taus) == pytest.approx(t, rel=1e-14)
 
+    @pytest.fixture(scope="class")
+    def dense_times(self, dense_case):
+        # random sorted times in [0, 1] with 0 and a duplicate, and expm at each
+        psi, H = dense_case
+        times = np.sort(np.random.default_rng(17).uniform(0.0, 1.0, 5))
+        times = np.concatenate([[0.0], times[:2], times[1:], [1.0]])
+        return times, [expm(-1j * s * H) @ psi.amps.reshape(-1) for s in times]
+
+    @pytest.mark.parametrize("steps", [None, 7])
+    def test_dense_output_meets_tol_against_dense_expm(self, dense_case, dense_times, steps):
+        # steps=7 caps the substeps at 1/7, so the times fall in several of them
+        psi, _ = dense_case
+        times, wants = dense_times
+        got = propagate(psi, times, steps=steps)
+        assert len(got) == len(times)
+        for state, want in zip(got, wants):
+            assert np.linalg.norm(state.amps.reshape(-1) - want) <= 1e-11 * np.linalg.norm(want)
+        assert np.array_equal(
+            propagate(psi, 0.6, steps=steps).amps, propagate(psi, [0.6], steps=steps)[-1].amps
+        )
+
+    @staticmethod
+    def fail_estimate_at(s, monkeypatch):
+        """Make the Krylov error estimate fail at the offset s alone."""
+        estimate = manybody._estimate
+        monkeypatch.setattr(manybody, "_estimate", lambda evals, evecs, taus: np.where(
+            np.asarray(taus) == s, np.inf, estimate(evals, evecs, taus)))
+
+    def test_a_time_past_its_estimate_goes_to_the_next_basis(self, dense_case, monkeypatch):
+        # the first substep would pass s = 0.15; it ends instead at the longest
+        # trial length before s, 2^(-11/4) of T = 1, and the next basis serves s
+        psi, H = dense_case
+        s, build, due = 0.15, manybody._lanczos_basis, []
+
+        def spy(config, V, kdim, tau, rate):
+            due.append(tau)
+            return build(config, V, kdim, tau, rate)
+
+        self.fail_estimate_at(s, monkeypatch)
+        monkeypatch.setattr(manybody, "_lanczos_basis", spy)
+        got = propagate(psi, [s, 1.0])
+        assert due[1] == pytest.approx(1.0 - 2.0**-2.75, rel=1e-14)
+        for t, state in zip([s, 1.0], got):
+            want = expm(-1j * t * H) @ psi.amps.reshape(-1)
+            assert np.linalg.norm(state.amps.reshape(-1) - want) <= 1e-11 * np.linalg.norm(want)
+
+    def test_a_time_past_its_estimate_before_every_trial_length_raises(
+        self, dense_case, monkeypatch
+    ):
+        psi, _ = dense_case
+        self.fail_estimate_at(1e-7, monkeypatch)  # the shortest trial length is 2^-20
+        with pytest.raises(PropagationToleranceError):
+            propagate(psi, [1e-7, 1.0])
+
+    @pytest.mark.parametrize("times", [[0.5, 0.2], [-0.1, 0.2], [[0.1, 0.2]]])
+    def test_dense_output_needs_sorted_nonnegative_times(self, dense_case, times):
+        psi, _ = dense_case
+        with pytest.raises(ValueError):
+            propagate(psi, times)
+
+    @pytest.mark.parametrize("T", [0.2, 1.0])
+    @pytest.mark.parametrize("n,N", [(8, 2), (4, 3)])
+    def test_bases_stop_at_an_exhausted_krylov_space(self, n, N, T, monkeypatch):
+        # d=1 n=8 N=2 (dim 64) has no triples, and its band-2 datum spans a
+        # 6-dimensional Krylov space: beta_5 ~ 3e-10 sits above the breakdown
+        # floor, and a full basis spends 14 more H-applies on rounding noise
+        cfg = ManyBodyConfig(GridSpec(1, n), N, 0.05)
+        psi = BosonicState.factorized(cfg, smooth_phi(cfg.grid, band=2))
+        bases, build = [], manybody._lanczos_basis
+
+        def spy(*args):
+            bases.append(build(*args))
+            return bases[-1]
+
+        monkeypatch.setattr(manybody, "_lanczos_basis", spy)
+        propagate(psi, T)
+        assert bases
+        for alphas, betas in bases:
+            tiny = np.flatnonzero(betas[:-1] < 1e-8 * np.maximum(np.abs(alphas[:-1]), 1.0))
+            past = len(alphas) - 1 - tiny[0] if tiny.size else 0
+            assert past <= (0 if T == 0.2 else 1)
+
     def test_lanczos_basis_stays_orthonormal(self):
         # a 31-vector basis in dimension 512: the three-term recurrence alone
         # drifts to about 1e-4 here, one full re-orthogonalization pass per
