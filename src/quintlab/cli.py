@@ -44,8 +44,7 @@ from .marginals import (
     check_rank_one_order, gp_residual, hufl_factorized,
 )
 from .nls import (
-    NlsConfig, check_diagnostic_cutoffs, check_step_count, energy_nls, energy_split, evolve,
-    frequency_diagnostics,
+    NlsConfig, check_diagnostic_cutoffs, check_step_count, evolve, snapshot_row,
 )
 from .probes import PROBE_RUNNERS, check_probe_options
 
@@ -329,12 +328,8 @@ def _run_nls(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
     diag_ms = p.get("diagnostics_M", [grid.nyquist // 2])
     traj = evolve(f0, float(p["T"]), nls_cfg, p.get("snapshot_every", 1))
     header = ["t", "mass", "E_NLS", "E_L", "E_H"] + [f"high_kinetic_M{m}" for m in diag_ms]
-    rows = []
-    for t, u in zip(traj.times, traj.states):
-        e_l, e_h = energy_split(u, split_m, nls_cfg.b0)
-        row = [t, u.l2_norm(), energy_nls(u, nls_cfg.b0), e_l, e_h]
-        row += [frequency_diagnostics(u, m, grid.nyquist)["high_kinetic"] for m in diag_ms]
-        rows.append(row)
+    rows = [[t] + snapshot_row(u, split_m, diag_ms, nls_cfg.b0)
+            for t, u in zip(traj.times, traj.states)]
     path = out / "timeseries.csv"
     qio.write_csv(path, header, rows)
     report.artifacts.append(str(path))

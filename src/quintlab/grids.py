@@ -13,8 +13,6 @@ probes) is built on the objects in this module.  Conventions, fixed once:
 
 Every transform in the package goes through the pair `_fftn`/`_ifftn`, and
 every dense array is checked against the one budget by `check_entries`.
-`sample` evaluates a field on a finer grid by a pruned inverse transform,
-axis by axis, so that lines holding no coefficient are never transformed.
 """
 
 from __future__ import annotations
@@ -301,36 +299,6 @@ class TorusField:
         for block in itertools.product((slice(None, h), slice(-h, None)), repeat=self.grid.d):
             c_new[block] = self._coeffs[block]
         return TorusField(g_new, c_new)
-
-
-def sample(f: TorusField, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """f.resample(n).values for n >= f.grid.n, by a pruned inverse transform.
-
-    Axis j = d-1, ..., 0 in turn is widened from f.grid.n to n entries (its
-    first and last f.grid.n/2 copied around zeros, the labels of `resample`)
-    and transformed, so only the lines the narrower axes occupy are
-    transformed; no n^d coefficient array is formed.  The samples are
-    written to `out` when given: a loop that reuses one buffer spares the
-    allocator the page faults of a fresh n^d array per call.  At the field's
-    own size the samples are f.values, copied into `out` when given.
-    """
-    if n < f.grid.n:
-        raise ValueError(f"cannot sample an n={f.grid.n} field on {n} points per axis")
-    if n == f.grid.n:
-        if out is None:
-            return f.values
-        out[...] = f.values
-        return out
-    h, b = f.grid.n // 2, f.coefficients
-    for j in reversed(range(f.grid.d)):
-        shape = b.shape[:j] + (n,) + b.shape[j + 1:]
-        w = np.empty(shape, dtype=np.complex128) if j or out is None else out
-        axis = (slice(None),) * j
-        w[axis + (slice(h, n - h),)] = 0.0
-        w[axis + (slice(None, h),)] = b[axis + (slice(None, h),)]
-        w[axis + (slice(n - h, None),)] = b[axis + (slice(-h, None),)]
-        b = _ifftn(w, out=w, axes=(j,), norm="forward")
-    return b
 
 
 def pointwise_product(*fields: TorusField, pad_to: int | None = None) -> TorusField:

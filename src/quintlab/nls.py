@@ -10,11 +10,18 @@ band-2 datum, 2.2e-8 of it by T = 0.02).  The rotation keeps |phi|, so
 `evolve` merges the half rotations that meet between two snapshots and
 advances each snapshot interval in one raw-array kernel on the samples.
 With dealiasing they lie on a 3n/2 grid, where the free phase, zero outside
-the n-band, is also the dealias projection.  `free_sample` gives the free
-evolution's samples on a finer grid by per-axis matrix products, for the
-probes' time quadratures.  The module also carries the low/high energy
-decomposition at a frequency cutoff and the frequency-localization
-diagnostics used by the marginal-hierarchy experiments.
+the n-band, is also the dealias projection.  On grids of 512 entries or
+more, the rotation takes its phase exp(i theta) from one tangent of the
+half angle, t = tan(theta/2): cos theta = 2/(1+t^2) - 1 and
+sin theta = 2t/(1+t^2).  `free_sample` gives the free evolution's samples
+on a finer grid by per-axis matrix products, for the probes' time
+quadratures and the upsample to the dealiasing grid.  The module also
+carries the low/high energy decomposition at a frequency cutoff and the
+frequency-localization diagnostics used by the marginal-hierarchy
+experiments.  `snapshot_row` gives an `nls-run` snapshot's mass, energy,
+energy split and high kinetic energies in one pass, with one inverse
+transform beyond the snapshot's samples; it sums E_H directly, from the
+terms with three or more high-frequency factors, not as E - E_L.
 """
 
 from __future__ import annotations
@@ -32,13 +39,13 @@ from .grids import (
     _fftn,
     _freq_components,
     _ifftn,
+    _mask_leq,
+    _xi_squared,
     check_cutoff,
     check_entries,
     project_gt,
-    project_leq,
     project_lt,
     dyadic_levels,
-    sample,
 )
 
 
@@ -100,14 +107,14 @@ def _synthesis_matrix(s: int, n: int) -> np.ndarray:
 
 
 def free_sample(f: TorusField, t: float, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """sample(free_propagate(f, t), n, out), without a transform.
+    """free_propagate(f, t).resample(n).values, into `out` when given, without a transform.
 
     The free phase factors over the axes, so each axis is one matrix product
     with the synthesis matrix whose columns carry the one-axis phase
     exp(-i t xi^2): the last axis first, then d-2, ..., 0, the axis-0
     product written into `out` (C-contiguous, shape (n,)*d) when given.
-    For the small band grids of the probe time loops this beats the pruned
-    transforms of `sample` and forms no new field per time.
+    It forms no new field per time; at t = 0 it is the plain upsample that
+    starts a dealiased NLS run and the refined-Sobolev probe.
     """
     s, d = f.grid.n, f.grid.d
     if n < s:
@@ -126,12 +133,30 @@ def free_sample(f: TorusField, t: float, n: int, out: np.ndarray | None = None) 
     return out
 
 
+# Entries from which the rotation takes its phase from one tangent: below
+# it, the four numpy calls the tangent adds cost more than the libm cos and
+# sin it saves (crossover near 512 entries on a 2-vCPU x86 host).
+_TANGENT_MIN_ENTRIES = 512
+
+
 def _rotate(v: np.ndarray, rate, tau: float, z: np.ndarray) -> None:
-    """v *= exp(-i tau rate(|v|^2)) in place, the phase written as cos/sin into the scratch z."""
-    theta = rate(_abs2(v))
-    theta *= -tau
-    np.cos(theta, out=z.real)
-    np.sin(theta, out=z.imag)
+    """v *= exp(i theta) in place, theta = -tau rate(|v|^2), the phase written
+    into the scratch z.  From _TANGENT_MIN_ENTRIES entries on it comes from
+    t = tan(theta/2): with w = 2/(1+t^2), cos theta = w - 1 and sin theta = t w,
+    one vectorized tan instead of cos and sin, finite for every finite theta."""
+    t = rate(_abs2(v))
+    if v.size < _TANGENT_MIN_ENTRIES:
+        t *= -tau
+        np.cos(t, out=z.real)
+        np.sin(t, out=z.imag)
+    else:
+        t *= -0.5 * tau
+        np.tan(t, out=t)
+        w = np.square(t, out=z.real)
+        w += 1.0
+        np.divide(2.0, w, out=w)
+        np.multiply(t, w, out=z.imag)
+        w -= 1.0
     v *= z
 
 
@@ -151,7 +176,7 @@ def _split_steps(f: TorusField, dt: float, steps: int, rate, dealias: bool) -> T
     grid = f.grid
     m = _rotation_n(grid.n, dealias)
     phase = TorusField(grid, _free_phase(grid.d, grid.n, dt)).resample(m).coefficients
-    v = sample(f, m, out=np.empty((m,) * grid.d, dtype=np.complex128))
+    v = f.values.copy() if m == grid.n else free_sample(f, 0.0, m)
     z = np.empty_like(v)
     for i in range(steps + 1 if steps else 0):
         if i:
@@ -224,27 +249,75 @@ def energy_nls(f: TorusField, b0: float) -> float:
     return f.gradient_l2_sq() + (b0 / 3.0) * sextic
 
 
-def energy_split(f: TorusField, m: float, b0: float) -> tuple[float, float]:
-    """Split E into (E_L, E_H) at the cutoff m, with E_L + E_H = E exactly.
+def _sextic_sums(f: TorusField, low: np.ndarray) -> tuple[float, float, float]:
+    """Grid sums of |phi|^6 and of its low and high parts at the sharp cutoff
+    whose mask is `low`; phi_L costs one inverse transform, phi_H = phi - phi_L.
 
-    E_L collects ||grad phi_L||^2, so E_H starts with the high kinetic energy,
-    plus the terms of the binomial expansion of |phi_L + phi_H|^6 that carry
-    at most two high-frequency factors.  With a = |phi_L|^2 and
-    z = conj(phi_L) phi_H they sum to
+    With a = |phi_L|^2, r = 2 Re conj(phi_L) phi_H and h = |phi_H|^2,
+    |phi|^2 = a + r + h.  Counting r as one high-frequency factor and h as
+    two, the terms of (a + r + h)^3 with at most two of them are the low part
 
-        a^3 + 6 a^2 Re z + 9 a^2 |phi_H|^2 + 6 a Re z^2
+        a^3 + 3 a^2 r + 3 a^2 h + 3 a r^2 = a (a (a + 3q) + 3 r^2),   q = r + h,
+
+    and the rest the high part
+
+        h (6ar + 3ah + 3r^2 + 3rh + h^2) + r^3 = h (3a (r + q) + 3rq + h^2) + r^3.
     """
-    fl = project_leq(f, m)
-    fh = project_gt(f, m)
-    vl = fl.values
-    vh = fh.values
-    a = _abs2(vl)
-    z = np.conj(vl) * vh
-    # 9 a^2 |phi_H|^2 = 9 a |z|^2, and Re z^2 = Re(z)^2 - Im(z)^2
-    combo = a * (a * (a + 6.0 * z.real) + 15.0 * z.real**2 + 3.0 * z.imag**2)
-    sextic_low = float(np.sum(combo) * f.grid.cell_volume)
-    e_low = fl.gradient_l2_sq() + (b0 / 3.0) * sextic_low
-    e_high = energy_nls(f, b0) - e_low
+    u = f.values
+    vl = _ifftn(f.coefficients * low)
+    vl *= f.grid.size
+    vh = u - vl
+    a, h = _abs2(vl), _abs2(vh)
+    r = vl.real * vh.real
+    r += vl.imag * vh.imag
+    r *= 2.0
+    del vl, vh  # freed before the polynomials' temporaries, which set a 64^3 run's peak memory
+    q = r + h
+    r2 = r * r
+    low_part = a * (a + 3.0 * q) + 3.0 * r2
+    high_part = 3.0 * a * (r + q) + 3.0 * r * q + h * h
+    s = _abs2(u)
+    return (float(np.vdot(s, s * s)), float(np.vdot(a, low_part)),
+            float(np.vdot(h, high_part) + np.vdot(r2, r)))
+
+
+def snapshot_row(f: TorusField, split_m: float, diag_ms, b0: float) -> list[float]:
+    """[mass, E_NLS, E_L, E_H] and ||P_{>M} grad f||^2 for each M of diag_ms.
+
+    One pass: the kinetic parts are masked sums of |fhat|^2 |xi|^2, formed
+    once, and the sextic parts come from _sextic_sums.  E_H is summed directly
+    rather than taken as E - E_L, so it keeps its relative accuracy when the
+    band above split_m is nearly empty.
+    """
+    g = f.grid
+    for m in (split_m, *diag_ms):
+        check_cutoff(m)
+    low = _mask_leq(g.d, g.n, split_m)
+    w = _abs2(f.coefficients)
+    mass = float(np.sqrt(g.volume * np.sum(w)))
+    w *= _xi_squared(g.d, g.n)
+
+    def kinetic(mask=True):
+        return g.volume * float(np.sum(w, where=mask))
+
+    c = b0 / 3.0 * g.cell_volume
+    sextic, sextic_low, sextic_high = _sextic_sums(f, low)
+    return [
+        mass,
+        kinetic() + c * sextic,
+        kinetic(low) + c * sextic_low,
+        kinetic(~low) + c * sextic_high,
+    ] + [kinetic(~_mask_leq(g.d, g.n, m)) for m in diag_ms]
+
+
+def energy_split(f: TorusField, m: float, b0: float) -> tuple[float, float]:
+    """Split E into (E_L, E_H) at the cutoff m, with E_L + E_H = E up to rounding.
+
+    E_L is ||grad phi_L||^2 plus the sextic terms of |phi_L + phi_H|^6 with
+    at most two high-frequency factors, E_H ||grad phi_H||^2 plus the rest
+    (see _sextic_sums).
+    """
+    e_low, e_high = snapshot_row(f, m, (), b0)[2:]
     return e_low, e_high
 
 

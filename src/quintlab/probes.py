@@ -5,8 +5,8 @@ concrete fields, by spectral evaluation in space and trapezoid quadrature in
 time.  A free evolution starts from the (2h)^d grid that just holds the
 datum's band (h = band + 1), and each quadrature time's samples on the fine
 evaluation grid come from `nls.free_sample`: one matrix product per axis,
-the free phase folded into the axis's synthesis matrix, no transform (the
-untimed refined-Sobolev upsample keeps `grids.sample`).  Probes return 0 on
+the free phase folded into the axis's synthesis matrix, no transform; the
+refined-Sobolev upsample is the same synthesis at t = 0.  Probes return 0 on
 zero inputs and are homogeneous of degree zero under rescaling of all their
 field arguments.  The rules on their arguments are `check_*` helpers, which the
 CLI's build pass also calls; so are the `_*_eval_n` helpers that size each
@@ -39,7 +39,6 @@ from .grids import (
     project_gt,
     project_leq,
     project_lt,
-    sample,
     sobolev_norm,
 )
 # free_propagate is unused here; perfbench's tracing test asserts it is bound to nls.free_propagate
@@ -253,8 +252,8 @@ def refined_sobolev_ratio(phi: TorusField, m: float, r: float, which: int) -> fl
     if ph.l2_norm() == 0.0:
         return 0.0
     n_eval = _refined_sobolev_eval_n(_field_band(phi))
-    vh = sample(_band_grid(ph), n_eval)
-    vl = sample(_band_grid(pl), n_eval)
+    vh = free_sample(_band_grid(ph), 0.0, n_eval)
+    vl = free_sample(_band_grid(pl), 0.0, n_eval)
     prod = vl.copy()  # repeated products: np.power is several times slower on complex arrays
     for v in [vl] * (low_power - 1) + [vh] * high_power:
         prod *= v

@@ -22,12 +22,11 @@ from quintlab.grids import (
     project_gt,
     project_leq,
     project_lt,
-    sample,
     sobolev_norm,
 )
 from quintlab.manybody import BosonicState, ManyBodyConfig, symmetrized_triple_value
 from quintlab.marginals import rank_one_marginal
-from quintlab.nls import NlsConfig
+from quintlab.nls import NlsConfig, free_sample
 
 RNG = np.random.default_rng(2024)
 
@@ -316,6 +315,10 @@ class TestResampleAndProducts:
 
 
 class TestSample:
+    """A field's samples on a finer grid, f.resample(n).values: the free
+    synthesis at t = 0 (nls.free_sample) computes them for the NLS dealiasing
+    grid and the refined-Sobolev probe."""
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n,n_new", [(8, 8), (8, 20), (10, 10), (10, 24), (6, 16)])
     def test_matches_resampled_values(self, d, n, n_new):
@@ -324,44 +327,13 @@ class TestSample:
         g = GridSpec(d, n)
         f = TorusField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
         want = f.resample(n_new).values
-        assert np.abs(sample(f, n_new) - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(free_sample(f, 0.0, n_new) - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_edge_label_alone(self, d):
         f = TorusField.from_modes(GridSpec(d, 8), {(-4,) * d: 1.0, (1,) + (-4,) * (d - 1): 0.5j})
         want = f.resample(14).values
-        assert np.abs(sample(f, 14) - want).max() <= 1e-14 * np.abs(want).max()
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_own_size_is_the_cached_values(self, d):
-        f = random_field(d=d, n=10, seed=d)
-        assert np.array_equal(sample(f, 10), f.values)
-        out = np.full((10,) * d, np.nan, dtype=np.complex128)
-        assert sample(f, 10, out) is out and np.array_equal(out, f.values)
-
-    def test_out_buffer_is_overwritten(self):
-        f = random_field(d=3, n=6, seed=3)
-        out = np.full((16,) * 3, np.nan, dtype=np.complex128)
-        assert sample(f, 16, out) is out
-        assert np.abs(out - f.resample(16).values).max() <= 1e-14 * np.abs(out).max()
-
-    def test_rejects_a_coarser_grid(self):
-        with pytest.raises(ValueError):
-            sample(random_field(d=2, n=8), 6)
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_one_pruned_inverse_transform_per_axis(self, d, monkeypatch):
-        calls, ifftn = [], np.fft.ifftn
-
-        def counting(a, *args, **kwargs):
-            calls.append((a.shape, kwargs["axes"]))
-            return ifftn(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "ifftn", counting)
-        monkeypatch.setattr(np.fft, "fftn", None)
-        sample(random_field(d=d, n=6, seed=d), 12)
-        # the last axis first, as numpy's ifftn: axis j is widened while 0..j-1 stay narrow
-        assert calls == [((6,) * j + (12,) * (d - j), (j,)) for j in reversed(range(d))]
+        assert np.abs(free_sample(f, 0.0, 14) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,6 +17,7 @@ from quintlab.nls import (
     free_sample,
     frequency_diagnostics,
     plane_wave_solution,
+    snapshot_row,
     strang_step,
     utfl_probe,
 )
@@ -212,6 +213,27 @@ class TestMergedSteps:
         nls._rotate(got, lambda a: b0 * a**2, tau, np.empty_like(v))
         assert np.abs(got - want).max() <= 4e-16 * np.abs(want).max()
 
+    @pytest.mark.parametrize("size", [nls._TANGENT_MIN_ENTRIES - 1, nls._TANGENT_MIN_ENTRIES])
+    def test_rotation_at_extreme_phases(self, size):
+        # theta = 0, theta/2 on and next to the poles of tan at +-pi/2 and
+        # +-3pi/2, and |theta| up to 1e3, with the phase from cos/sin (below
+        # _TANGENT_MIN_ENTRIES) and from the half-angle tangent (from it on)
+        half = [0.0]
+        for pole in (np.pi / 2, -np.pi / 2, 1.5 * np.pi, -1.5 * np.pi):
+            below = above = pole
+            for _ in range(3):
+                below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                half += [below, above]
+            half.append(pole)
+        rng = np.random.default_rng(size)
+        theta = rng.uniform(-1e3, 1e3, size)
+        theta[: len(half)] = 2.0 * np.array(half)
+        v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        want = np.exp(1j * theta) * v
+        got = v.copy()
+        nls._rotate(got, lambda a: -theta, 1.0, np.empty_like(v))
+        assert np.abs(got - want).max() <= 4e-16 * np.abs(v).max()
+
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_chunk_takes_one_fft_pair_per_step(self, monkeypatch, k):
         g = GridSpec(2, 16)
@@ -282,6 +304,15 @@ class TestEvolve:
             evolve(f, 0.02, NlsConfig(g, 1.0, 0.01))
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_blowup_on_the_tangent_rotation(self, dealias):
+        g = GridSpec(2, 32)  # 32^2 or 48^2 rotation entries
+        f = TorusField.from_values(g, np.full(g.shape, np.inf + 0j))
+        with pytest.raises(BlowUpError):
+            evolve(f, 0.02, NlsConfig(g, 1.0, 0.01, dealias))
+
+
 class TestEnergy:
     def test_zero(self):
         assert energy_nls(TorusField.zero(GridSpec(1, 8)), 1.0) == 0.0
@@ -334,6 +365,18 @@ class TestEnergySplit:
             rest.append(e_h - (high * eps).gradient_l2_sq())
         assert abs(rest[1]) <= 2e-3 * abs(rest[0])
 
+    def test_high_energy_keeps_its_third_order_at_small_scale(self):
+        # E_H is summed directly, not as E - E_L: at eps = 1e-6 its sextic
+        # part, of order eps^3, lies far below the rounding of E
+        g = GridSpec(1, 32)
+        low = smooth_random(g, 15, band=4)
+        high = project_gt(smooth_random(g, 16, band=12), 4)
+        rest = []
+        for eps in (1e-5, 1e-6):
+            e_l, e_h = energy_split(low + high * eps, 4, 1.0)
+            rest.append(e_h - (high * eps).gradient_l2_sq())
+        assert rest[1] == pytest.approx(1e-3 * rest[0], rel=1e-3, abs=0.0)
+
     def test_sextic_part_is_homogeneous_of_degree_six(self):
         f = smooth_random(GridSpec(1, 32), 17, band=12)
 
@@ -341,6 +384,50 @@ class TestEnergySplit:
             return energy_split(g, 4, 1.0)[0] - project_leq(g, 4).gradient_l2_sq()
 
         assert sextic_low(f * 2.0) == pytest.approx(64.0 * sextic_low(f), rel=1e-12)
+
+
+def _row_oracle(f, split_m, diag_ms, b0):
+    """The snapshot row from projected fields: two inverse transforms, |u|^6
+    as np.abs(values)**6, E_H = E - E_L, the high kinetic energies from
+    project_gt and gradient_l2_sq."""
+    cell = f.grid.cell_volume
+    vl, vh = project_leq(f, split_m).values, project_gt(f, split_m).values
+    a, z = np.abs(vl) ** 2, np.conj(vl) * vh
+    sextic_low = np.sum(a**3 + 6 * a**2 * z.real + 9 * a**2 * np.abs(vh) ** 2 + 6 * a * (z**2).real)
+    e = f.gradient_l2_sq() + b0 / 3 * np.sum(np.abs(f.values) ** 6) * cell
+    e_low = project_leq(f, split_m).gradient_l2_sq() + b0 / 3 * sextic_low * cell
+    return [f.l2_norm(), e, e_low, e - e_low] + [
+        project_gt(f, m).gradient_l2_sq() for m in diag_ms
+    ]
+
+
+class TestSnapshotRow:
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("d,n", [(1, 64), (2, 16), (3, 12)])
+    def test_matches_projected_field_oracle(self, d, n, dealias):
+        g = GridSpec(d, n)
+        f0 = smooth_random(g, 20 + d, band=3 * n // 8, scale=2.0)
+        u = evolve(f0, 0.02, NlsConfig(g, 1.0, 0.01, dealias)).states[-1]
+        split_m, diag_ms = n // 4, [1, n // 4]
+        got = snapshot_row(u, split_m, diag_ms, 1.5)
+        want = _row_oracle(u, split_m, diag_ms, 1.5)
+        assert abs(got[3] - want[3]) <= 1e-13 * want[1]
+        del got[3], want[3]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_one_inverse_transform_on_cached_values(self, monkeypatch):
+        g = GridSpec(3, 8)
+        u = TorusField.from_values(g, smooth_random(g, 3).values)
+        calls, ifftn = [], np.fft.ifftn
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return ifftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifftn", counting)
+        monkeypatch.setattr(np.fft, "fftn", None)
+        snapshot_row(u, 2, [1, 2, 4], 1.0)
+        assert calls == [g.shape]
 
 
 class TestFrequencyDiagnostics:
