@@ -10,18 +10,19 @@ band-2 datum, 2.2e-8 of it by T = 0.02).  The rotation keeps |phi|, so
 `evolve` merges the half rotations that meet between two snapshots and
 advances each snapshot interval in one raw-array kernel on the samples.
 With dealiasing they lie on a 3n/2 grid, where the free phase, zero outside
-the n-band, is also the dealias projection.  On grids of 512 entries or
-more, the rotation takes its phase exp(i theta) from one tangent of the
-half angle, t = tan(theta/2): cos theta = 2/(1+t^2) - 1 and
-sin theta = 2t/(1+t^2).  `free_sample` gives the free evolution's samples
+the n-band, is also the dealias projection.  The rotation takes its phase
+exp(i theta) from one tangent of the half angle, t = tan(theta/2):
+cos theta = 2/(1+t^2) - 1 and sin theta = 2t/(1+t^2).  `free_sample` gives the free evolution's samples
 on a finer grid by per-axis matrix products, for the probes' time
-quadratures and the upsample to the dealiasing grid.  The module also
-carries the low/high energy decomposition at a frequency cutoff and the
-frequency-localization diagnostics used by the marginal-hierarchy
-experiments.  `snapshot_row` gives an `nls-run` snapshot's mass, energy,
+quadratures.  A dealiased run starts from one inverse transform of the
+coefficients resampled to the 3n/2 grid: a synthesis matrix there would
+hold 3n^2/2 entries at d = 1.  The module also carries the low/high energy
+decomposition at a frequency cutoff and the frequency-localization
+diagnostics used by the marginal-hierarchy experiments.  `snapshot_row` gives an `nls-run` snapshot's mass, energy,
 energy split and high kinetic energies in one pass, with one inverse
-transform beyond the snapshot's samples; it sums E_H directly, from the
-terms with three or more high-frequency factors, not as E - E_L.
+transform beyond the snapshot's samples.  Of E_L and E_H it sums the one
+of smaller size directly (E_H from the terms with three or more
+high-frequency factors) and takes the other as E minus it.
 """
 
 from __future__ import annotations
@@ -113,12 +114,14 @@ def free_sample(f: TorusField, t: float, n: int, out: np.ndarray | None = None) 
     with the synthesis matrix whose columns carry the one-axis phase
     exp(-i t xi^2): the last axis first, then d-2, ..., 0, the axis-0
     product written into `out` (C-contiguous, shape (n,)*d) when given.
-    It forms no new field per time; at t = 0 it is the plain upsample that
-    starts a dealiased NLS run and the refined-Sobolev probe.
+    It forms no new field per time; at t = 0 it is the plain upsample of the
+    refined-Sobolev probe.  The (n, s) matrix is checked against the budget:
+    at d = 1 it is the one array larger than the samples.
     """
     s, d = f.grid.n, f.grid.d
     if n < s:
         raise ValueError(f"cannot sample an n={s} field on {n} points per axis")
+    check_entries("synthesis matrix", n * s, "n")
     if out is None:
         out = np.empty((n,) * d, dtype=np.complex128)
     elif not out.flags.c_contiguous:
@@ -133,30 +136,19 @@ def free_sample(f: TorusField, t: float, n: int, out: np.ndarray | None = None) 
     return out
 
 
-# Entries from which the rotation takes its phase from one tangent: below
-# it, the four numpy calls the tangent adds cost more than the libm cos and
-# sin it saves (crossover near 512 entries on a 2-vCPU x86 host).
-_TANGENT_MIN_ENTRIES = 512
-
-
 def _rotate(v: np.ndarray, rate, tau: float, z: np.ndarray) -> None:
     """v *= exp(i theta) in place, theta = -tau rate(|v|^2), the phase written
-    into the scratch z.  From _TANGENT_MIN_ENTRIES entries on it comes from
-    t = tan(theta/2): with w = 2/(1+t^2), cos theta = w - 1 and sin theta = t w,
-    one vectorized tan instead of cos and sin, finite for every finite theta."""
+    into the scratch z from t = tan(theta/2): with w = 2/(1+t^2),
+    cos theta = w - 1 and sin theta = t w, one vectorized tan instead of cos
+    and sin, finite for every finite theta."""
     t = rate(_abs2(v))
-    if v.size < _TANGENT_MIN_ENTRIES:
-        t *= -tau
-        np.cos(t, out=z.real)
-        np.sin(t, out=z.imag)
-    else:
-        t *= -0.5 * tau
-        np.tan(t, out=t)
-        w = np.square(t, out=z.real)
-        w += 1.0
-        np.divide(2.0, w, out=w)
-        np.multiply(t, w, out=z.imag)
-        w -= 1.0
+    t *= -0.5 * tau
+    np.tan(t, out=t)
+    w = np.square(t, out=z.real)
+    w += 1.0
+    np.divide(2.0, w, out=w)
+    np.multiply(t, w, out=z.imag)
+    w -= 1.0
     v *= z
 
 
@@ -176,7 +168,7 @@ def _split_steps(f: TorusField, dt: float, steps: int, rate, dealias: bool) -> T
     grid = f.grid
     m = _rotation_n(grid.n, dealias)
     phase = TorusField(grid, _free_phase(grid.d, grid.n, dt)).resample(m).coefficients
-    v = f.values.copy() if m == grid.n else free_sample(f, 0.0, m)
+    v = f.values.copy() if m == grid.n else _ifftn(f.resample(m).coefficients, norm="forward")
     z = np.empty_like(v)
     for i in range(steps + 1 if steps else 0):
         if i:
@@ -240,17 +232,31 @@ def plane_wave_solution(grid: GridSpec, xi, amplitude: float, b0: float, t: floa
 # -- conserved quantities and the low/high energy split ------------------
 
 
+def _kinetic_density(f: TorusField) -> np.ndarray:
+    """|fhat|^2 |xi|^2, whose sum times the volume is ||grad f||^2."""
+    w = _abs2(f.coefficients)
+    w *= _xi_squared(f.grid.d, f.grid.n)
+    return w
+
+
+def _energy(f: TorusField, w: np.ndarray, b0: float) -> float:
+    """E(f) from its kinetic density w, with |f|^6 summed as (|f|^2)^3."""
+    s = _abs2(f.values)
+    sextic = float(np.vdot(s, s * s))
+    return f.grid.volume * float(np.sum(w)) + b0 / 3.0 * f.grid.cell_volume * sextic
+
+
 def energy_nls(f: TorusField, b0: float) -> float:
     """E(phi) = int |grad phi|^2 + (b0/3) int |phi|^6.
 
-    Gradient term spectral, sextic term by grid quadrature.
+    Gradient term spectral, sextic term by grid quadrature; snapshot_row's
+    E_NLS is the same sum, bit for bit.
     """
-    sextic = float(np.sum(np.abs(f.values) ** 6) * f.grid.cell_volume)
-    return f.gradient_l2_sq() + (b0 / 3.0) * sextic
+    return _energy(f, _kinetic_density(f), b0)
 
 
-def _sextic_sums(f: TorusField, low: np.ndarray) -> tuple[float, float, float]:
-    """Grid sums of |phi|^6 and of its low and high parts at the sharp cutoff
+def _sextic_sums(f: TorusField, low: np.ndarray) -> tuple[float, float]:
+    """Grid sums of the low and high parts of |phi|^6 at the sharp cutoff
     whose mask is `low`; phi_L costs one inverse transform, phi_H = phi - phi_L.
 
     With a = |phi_L|^2, r = 2 Re conj(phi_L) phi_H and h = |phi_H|^2,
@@ -263,10 +269,9 @@ def _sextic_sums(f: TorusField, low: np.ndarray) -> tuple[float, float, float]:
 
         h (6ar + 3ah + 3r^2 + 3rh + h^2) + r^3 = h (3a (r + q) + 3rq + h^2) + r^3.
     """
-    u = f.values
     vl = _ifftn(f.coefficients * low)
     vl *= f.grid.size
-    vh = u - vl
+    vh = f.values - vl
     a, h = _abs2(vl), _abs2(vh)
     r = vl.real * vh.real
     r += vl.imag * vh.imag
@@ -276,46 +281,46 @@ def _sextic_sums(f: TorusField, low: np.ndarray) -> tuple[float, float, float]:
     r2 = r * r
     low_part = a * (a + 3.0 * q) + 3.0 * r2
     high_part = 3.0 * a * (r + q) + 3.0 * r * q + h * h
-    s = _abs2(u)
-    return (float(np.vdot(s, s * s)), float(np.vdot(a, low_part)),
-            float(np.vdot(h, high_part) + np.vdot(r2, r)))
+    return float(np.vdot(a, low_part)), float(np.vdot(h, high_part) + np.vdot(r2, r))
 
 
 def snapshot_row(f: TorusField, split_m: float, diag_ms, b0: float) -> list[float]:
     """[mass, E_NLS, E_L, E_H] and ||P_{>M} grad f||^2 for each M of diag_ms.
 
     One pass: the kinetic parts are masked sums of |fhat|^2 |xi|^2, formed
-    once, and the sextic parts come from _sextic_sums.  E_H is summed directly
-    rather than taken as E - E_L, so it keeps its relative accuracy when the
-    band above split_m is nearly empty.
+    once, and the sextic parts come from _sextic_sums.  Of E_L and E_H, the
+    one of smaller size is summed directly and the other is E minus it: so
+    E_H keeps its relative accuracy when the band above split_m is nearly
+    empty, E_L when the band below it is, and E_L + E_H = E to the rounding
+    of one subtraction.
     """
     g = f.grid
     for m in (split_m, *diag_ms):
         check_cutoff(m)
     low = _mask_leq(g.d, g.n, split_m)
-    w = _abs2(f.coefficients)
-    mass = float(np.sqrt(g.volume * np.sum(w)))
-    w *= _xi_squared(g.d, g.n)
+    w = _kinetic_density(f)
 
-    def kinetic(mask=True):
+    def kinetic(mask):
         return g.volume * float(np.sum(w, where=mask))
 
     c = b0 / 3.0 * g.cell_volume
-    sextic, sextic_low, sextic_high = _sextic_sums(f, low)
-    return [
-        mass,
-        kinetic() + c * sextic,
-        kinetic(low) + c * sextic_low,
-        kinetic(~low) + c * sextic_high,
-    ] + [kinetic(~_mask_leq(g.d, g.n, m)) for m in diag_ms]
+    sextic_low, sextic_high = _sextic_sums(f, low)
+    e = _energy(f, w, b0)
+    e_low, e_high = kinetic(low) + c * sextic_low, kinetic(~low) + c * sextic_high
+    if abs(e_low) <= abs(e_high):
+        e_high = e - e_low
+    else:
+        e_low = e - e_high
+    return [f.l2_norm(), e, e_low, e_high] + [kinetic(~_mask_leq(g.d, g.n, m)) for m in diag_ms]
 
 
 def energy_split(f: TorusField, m: float, b0: float) -> tuple[float, float]:
-    """Split E into (E_L, E_H) at the cutoff m, with E_L + E_H = E up to rounding.
+    """Split E into (E_L, E_H) at the cutoff m, as snapshot_row does.
 
     E_L is ||grad phi_L||^2 plus the sextic terms of |phi_L + phi_H|^6 with
     at most two high-frequency factors, E_H ||grad phi_H||^2 plus the rest
-    (see _sextic_sums).
+    (see _sextic_sums); the smaller is summed directly and the larger is
+    energy_nls(f) minus it.
     """
     e_low, e_high = snapshot_row(f, m, (), b0)[2:]
     return e_low, e_high

@@ -316,8 +316,8 @@ class TestResampleAndProducts:
 
 class TestSample:
     """A field's samples on a finer grid, f.resample(n).values: the free
-    synthesis at t = 0 (nls.free_sample) computes them for the NLS dealiasing
-    grid and the refined-Sobolev probe."""
+    synthesis at t = 0 (nls.free_sample) computes them for the refined-Sobolev
+    probe."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n,n_new", [(8, 8), (8, 20), (10, 10), (10, 24), (6, 16)])
