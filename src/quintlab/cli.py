@@ -30,7 +30,7 @@ import numpy as np
 
 from . import io as qio
 from .couplings import (
-    _targets, check_map_order, classify_couplings, double_factorial, min_unclogged,
+    check_map_order, classify_couplings, double_factorial, min_unclogged,
     raw_summand_count,
 )
 from .grids import GridSpec, TorusField, check_cutoff
@@ -442,17 +442,17 @@ def _run_hufl(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
 def _run_couplings(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
     k = int(cfg.params["k"])
     counts = raw_summand_count(k)
-    tg = _targets(k)
+    maps = double_factorial(2 * k - 1)
     payload = {
         "k": k,
-        "map_count": len(tg),
+        "map_count": maps,
         "bound_2_3k_minus_1": 2 ** (3 * k - 1),
-        "double_factorial": double_factorial(2 * k - 1),
+        "double_factorial": maps,
         "raw_count_bruteforce": counts["brute_force"],
         "raw_count_printed_formula": counts["printed_formula"],
     }
     if k >= 2:
-        mu = min_unclogged(k, tg)
+        mu = min_unclogged(k)
         witness = mu.pop("witnessing_expansion")
         payload["min_unclogged"] = mu
         payload["witness"] = {

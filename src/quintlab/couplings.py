@@ -20,22 +20,18 @@ The minimum of the unclogged count over all (2k-1)!! 2^k signed expansions
 is found without visiting them, by dynamic programming over hit sets.
 Levels are processed from k down to 1.  The state is the set of (slot,
 side) pairs that the deeper levels target, a bitmask with bit
-2(slot-1) + side; after level l only slots <= 2l-1 are kept, since the
-shallower levels consume and target nothing higher.  Level l < k is
-congested when the state holds both sides of slots 2l and 2l+1 and the
-pair (mu(2l), its side) that the level chooses.  A dict maps each state to
-the most congested levels any deeper choices reach with it, and the
-maximum over the last dict is the answer.  The witness is the
-lexicographically first signed expansion attaining it: the vectorized
-count runs over consecutive chunks of the map table and stops at the first
-chunk that attains the maximum.  That count builds no objects: for each
-level l and each consumed slot, the deeper levels targeting that slot form
-a bitmask per map, and the deeper levels acting on the unprimed side form
-a bitmask per sign pattern; the slot is covered on the unprimed side when
-the two masks share a bit, and on the primed side when the hit mask shares
-a bit with the complement.  Over the whole table it is the exhaustive
-oracle of the dynamic program, and the object path (mark_expansion) is the
-oracle of both.
+2(slot-1) + side (side 1 is the primed side); after level l only slots
+<= 2l-1 are kept, since the shallower levels consume and target nothing
+higher.  Level l < k is congested when the state holds both sides of slots
+2l and 2l+1 and the pair (mu(2l), its side) that the level chooses.  A dict
+maps each state to the most congested levels any deeper choices reach with
+it, and the maximum over the last dict is the answer.  The witness, the
+lexicographically first signed expansion attaining it, is fixed choice by
+choice from the same dicts: the targets of levels 1..k, then the signs of
+levels k..1, each the first choice with which stepping the kept dict of the
+free deeper levels through the fixed levels still reaches the maximum.  No
+map table is built; the object path (mark_expansion) is the oracle of the
+program.
 """
 
 from __future__ import annotations
@@ -274,94 +270,61 @@ def min_unclogged_floor(k: int) -> int:
     return -((-4 * (k - 1)) // 5)
 
 
-def _congested_counts_vectorized(
-    k: int, tg: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Congested-level counts for every signed expansion of the maps in the
-    target table `tg` (default: all of `_targets(k)`), shape (maps, 2^k),
-    with that table.
-
-    Level l (1-based, l < k) is congested iff all five consumed contents are
-    nodes, i.e. every one of (slot 2l, both sides), (slot 2l+1, both sides),
-    (slot mu(2l), level-l side) is the target of some deeper level with the
-    matching side.  Sign pattern s puts level l on the unprimed side iff bit
-    l-1 of s is set.  The test runs on the bitmasks of the module docstring:
-    for level l, bit j of a mask stands for level l+1+j.
-    """
-    if tg is None:
-        tg = _targets(k)
-    sig = np.arange(2**k)
-    counts = np.zeros((len(tg), 2**k), dtype=np.uint8)
-
-    def covered(hits, side):  # (maps, signs): a level hitting the slot acts on that side
-        return (hits[:, None] & side[None, :]) != 0
-
-    for l in range(1, k):
-        deep = tg[:, l:]  # the targets of levels l+1..k
-        hit_target, hit_2l, hit_2l1 = (
-            np.packbits(deep == slot, axis=1, bitorder="little")[:, 0]
-            for slot in (tg[:, l - 1, None], 2 * l, 2 * l + 1)
-        )
-        plus = ((sig >> l) & ((1 << (k - l)) - 1)).astype(np.uint8)
-        congested = covered(hit_target, np.where((sig >> (l - 1)) & 1, plus, ~plus))
-        for hits in (hit_2l, hit_2l1):
-            congested &= covered(hits, plus)
-            congested &= covered(hits, ~plus)
-        counts += congested
-    return counts, tg
+def _level_step(table: dict[int, int], l: int, allowed: int = -1) -> dict[int, int]:
+    """Take the dict entering level l through that level (see the module
+    docstring), the level choosing among the pairs set in `allowed`."""
+    width = 4 * l - 2  # the bits of slots 1..2l-1: level l's choices, and what stays
+    full = (1 << width) - 1
+    quad = 0b1111 << width  # slots 2l and 2l+1, both sides
+    nxt: dict[int, int] = {}
+    for state, value in table.items():
+        kept = state & full
+        if kept & allowed:  # a choice already in the hit set: congested iff the quad is full too
+            gain = value + ((state & quad) == quad)
+            if nxt.get(kept, -1) < gain:
+                nxt[kept] = gain
+        fresh = allowed & full & ~kept
+        while fresh:  # a new choice: the level keeps a bare factor
+            grown = kept | (fresh & -fresh)
+            fresh &= fresh - 1
+            if nxt.get(grown, -1) < value:
+                nxt[grown] = value
+    return nxt
 
 
-def _max_congested(k: int) -> int:
-    """The largest number of congested levels over all signed expansions,
-    by dynamic programming over hit sets (see the module docstring)."""
-    table = {0: 0}  # hit set of the levels below -> most congested levels among them
-    for l in range(k, 0, -1):
-        width = 4 * l - 2  # the bits of slots 1..2l-1: level l's choices, and what stays
-        quad = 0b1111 << width  # slots 2l and 2l+1, both sides
-        nxt: dict[int, int] = {}
-        for state, value in table.items():
-            kept = state & ((1 << width) - 1)
-            if kept:  # a choice already in the hit set: congested iff the quad is full too
-                gain = value + ((state & quad) == quad)
-                if nxt.get(kept, -1) < gain:
-                    nxt[kept] = gain
-            for bit in range(width):  # a new choice: the level keeps a bare factor
-                if not kept >> bit & 1:
-                    grown = kept | 1 << bit
-                    if nxt.get(grown, -1) < value:
-                        nxt[grown] = value
-        table = nxt
-    return max(table.values())
-
-
-_WITNESS_CHUNK = 4096  # maps per step of the witness scan
-
-
-def min_unclogged(k: int, tg: np.ndarray | None = None) -> dict:
+def min_unclogged(k: int) -> dict:
     """Minimum of the unclogged-level count over all signed expansions, with
-    the lexicographically first witnessing expansion and the consumption-bound
-    check.  Needs k >= 2 and a map table within the memory budget; `tg` is
-    that table, `_targets(k)`, when the caller already holds it.
-    """
+    the first witnessing expansion in the order of the exhaustive argmax (its
+    sign index has level k as the top bit, 0 for the primed side) and the
+    consumption-bound check.  Needs k >= 2."""
     if k < 2:
         raise ValueError(f"min_unclogged needs k >= 2, got {k}")
-    max_congested = _max_congested(k)
-    if tg is None:
-        tg = _targets(k)
-    for start in range(0, len(tg), _WITNESS_CHUNK):
-        counts, rows = _congested_counts_vectorized(k, tg[start : start + _WITNESS_CHUNK])
-        # argmax finds the first expansion of the chunk with the fewest unclogged levels
-        mi, si = np.unravel_index(int(np.argmax(counts)), counts.shape)
-        if counts[mi, si] == max_congested:
-            break
+    entering = {k: {0: 0}}  # level -> hit set of the deeper levels -> most congested among them
+    for l in range(k, 1, -1):
+        entering[l - 1] = _level_step(entering[l], l)
+    max_congested = max(_level_step(entering[1], 1).values())
+
+    def reaches_max(top: int, allowed: dict[int, int]) -> bool:
+        table = entering[top]
+        for l in range(top, 0, -1):
+            table = _level_step(table, l, allowed[l])
+        return max(table.values()) == max_congested
+
+    allowed: dict[int, int] = {}  # level -> its allowed pairs; at the end one, 2(slot-1) + side
+    for j in range(1, k + 1):
+        both = (0b11 << 2 * t for t in range(2 * j - 1))  # slots 1..2j-1
+        allowed[j] = next(m for m in both if reaches_max(j, {**allowed, j: m}))
+    for j in range(k, 0, -1):
+        primed = allowed[j] & allowed[j] << 1  # the higher bit of the slot's pair
+        allowed[j] = primed if reaches_max(k, {**allowed, j: primed}) else primed >> 1
+    targets = tuple((m.bit_length() + 1) // 2 for m in allowed.values())
+    signs = tuple(PLUS if m.bit_length() % 2 else MINUS for m in allowed.values())
     min_count = (k - 1) - max_congested
-    signs = tuple(PLUS if (si >> l) & 1 else MINUS for l in range(k))
-    witness = SignedExpansion(CollapseMap(k, tuple(rows[mi].tolist())), signs)
     return {
         "k": k,
         "min_count": min_count,
         "floor": min_unclogged_floor(k),
         "max_congested": max_congested,
         "consumption_bound_holds": 4 * k - 4 <= 5 * min_count,
-        "witnessing_expansion": witness,
+        "witnessing_expansion": SignedExpansion(CollapseMap(k, targets), signs),
     }

@@ -355,8 +355,8 @@ def apply_hamiltonian_raw(config: ManyBodyConfig, amps: np.ndarray) -> np.ndarra
 
     For n <= 32 the kinetic part is D = F^-1 diag(xi^2) F (real, symmetric) applied
     along each of the d N axes as one real matmul on the float64 view of the state.
-    One BLAS thread: 1.6-6.4x faster than an n^(dN) FFT pair at n <= 32, about even
-    at n = 64-96 on two axes, 0.6-0.8x at n = 128.
+    One BLAS thread: 1.6-6.4x faster than an n^(dN) FFT pair at n <= 32, 0.5-0.9x its time
+    at n = 48-96, but 1.6x at 128 and 2.6-4.3x at 256-864 (d=1 N=2 fits up to n ~ 870).
     """
     diag, dmat, kin = _cached_tables(config)
     amps = np.ascontiguousarray(amps, dtype=np.complex128)
