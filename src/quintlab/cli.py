@@ -3,9 +3,11 @@
 Usage:  lab <subcommand> --config <path> [--seed S] [--out DIR]
 
 Subcommands: nls-run, manybody-run, chaos, residuals, hufl, couplings, probe.
-Configs are JSON objects.  Validation has two passes: a schema pass checks
-each kind's allowed and required keys and their JSON types, then a build
-pass constructs the domain objects the run uses (grid, solver and many-body
+Configs are JSON objects.  The keyword-only parameters of `_run_<kind>`
+(of `_initial_<kind>` for params.initial) declare each key once: the
+annotation gives its JSON type, the default its default, and no default
+makes it required.  Validation binds params to them, then a build pass
+constructs the domain objects the run uses (grid, solver and many-body
 configs, potential, initial field, probe arguments), so every value rule
 is the one its owning module enforces.  Every failure of either pass is
 listed.  In `manybody-run`, the optional `steps` caps each Krylov substep
@@ -49,8 +51,6 @@ from .nls import (
 from .probes import PROBE_RUNNERS, check_probe_options
 
 SCHEMA_VERSION = 1
-
-KINDS = ("nls-run", "manybody-run", "chaos", "residuals", "hufl", "couplings", "probe")
 
 
 class ValidationError(ValueError):
@@ -107,84 +107,91 @@ class ExperimentConfig:
         return {"kind": self.kind, "seed": self.seed, "params": self.params}
 
     def validate(self) -> dict:
-        """Run the schema pass, then the build pass; keep and return the built objects."""
-        required, types = _SCHEMAS[self.kind]
-        errors = [f"params.{key}: unknown key for kind {self.kind}"
-                  for key in self.params if key not in types]
-        errors += [f"params.{key}: required" for key in required.split() if key not in self.params]
-        errors += [f"params.{key}: must be {types[key]}" for key, value in self.params.items()
-                   if key in types and not _JSON_TYPES[types[key]](value)]
-        if errors:
-            raise ValidationError(errors)
-        self.built = _build(self)
+        """Bind params to the runner, run the build pass; keep and return the built objects."""
+        args = _bind(_RUNNERS[self.kind], self.params, "params", self.kind)
+        self.built = _build(self.kind, args, self.seed)
         return self.built
 
 
-_INT, _NUM, _BOOL, _LIST, _OBJ, _STR = (
-    "an integer", "a number", "a boolean", "a nonempty list", "an object", "a string"
-)
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_num(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _list_of(test):
+    return lambda x: isinstance(x, list) and len(x) > 0 and all(map(test, x))
+
+
+# Each annotation a declared key may carry: what its JSON value must be, and the test.
 _JSON_TYPES = {
-    _INT: lambda x: isinstance(x, int) and not isinstance(x, bool),
-    _NUM: lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
-    _BOOL: lambda x: isinstance(x, bool),
-    _LIST: lambda x: isinstance(x, list) and len(x) > 0,
-    _OBJ: lambda x: isinstance(x, dict),
-    _STR: lambda x: isinstance(x, str),
+    "int": ("an integer", _is_int),
+    "float": ("a number", _is_num),
+    "bool": ("a boolean", lambda x: isinstance(x, bool)),
+    "str": ("a string", lambda x: isinstance(x, str)),
+    "dict": ("an object", lambda x: isinstance(x, dict)),
+    "list": ("a nonempty list", lambda x: isinstance(x, list) and len(x) > 0),
+    "list[int]": ("a nonempty list of integers", _list_of(_is_int)),
+    "list[float]": ("a nonempty list of numbers", _list_of(_is_num)),
+    "list[tuple[int, float]]": ("a nonempty list of [integer, number] pairs", _list_of(
+        lambda x: isinstance(x, list) and len(x) == 2 and _is_int(x[0]) and _is_num(x[1]))),
 }
 
-# Raw input only: each kind's required keys, and the JSON type of every key
-# it allows.  Value rules belong to the domain objects that _build constructs.
-_FIELD = {"d": _INT, "n": _INT, "initial": _OBJ}
-_SCHEMAS = {
-    "nls-run": ("d n initial b0 dt T", {
-        **_FIELD, "b0": _NUM, "dt": _NUM, "T": _NUM, "dealias": _BOOL, "snapshot_every": _INT,
-        "split_M": _NUM, "diagnostics_M": _LIST, "mass_tol": _NUM}),
-    "manybody-run": ("d n initial N beta T", {
-        **_FIELD, "N": _INT, "beta": _NUM, "T": _NUM, "potential": _OBJ, "steps": _INT,
-        "moments": _LIST, "stability": _LIST, "dump_state": _BOOL, "norm_tol": _NUM,
-        "energy_tol": _NUM}),
-    "chaos": ("d n initial beta T Ns", {
-        **_FIELD, "beta": _NUM, "T": _NUM, "Ns": _LIST, "potential": _OBJ, "nls_dt": _NUM}),
-    "residuals": ("d n initial N beta k spacings", {
-        **_FIELD, "N": _INT, "beta": _NUM, "k": _INT, "spacings": _LIST, "potential": _OBJ}),
-    "hufl": ("d n initial M eps ks", {**_FIELD, "M": _NUM, "eps": _NUM, "ks": _LIST}),
-    "couplings": ("k", {"k": _INT}),
-    "probe": ("lemma", {"lemma": _STR, "samples": _INT, "options": _OBJ}),
-}
+
+def _bind(fn, raw: dict, where: str, kind: str) -> dict:
+    """Every declared key of `kind` (the keyword-only parameters of fn) with its
+    value in raw, else its default.  Raises ValidationError listing each unknown
+    key, missing required key and value of the wrong JSON type as <where>.<key>."""
+    params = {p.name: p for p in inspect.signature(fn).parameters.values()
+              if p.kind is p.KEYWORD_ONLY}
+    errors = [f"{where}.{key}: unknown key for kind {kind}" for key in raw if key not in params]
+    errors += [f"{where}.{name}: required" for name, p in params.items()
+               if p.default is p.empty and name not in raw]
+    types = {key: _JSON_TYPES[params[key].annotation] for key in raw if key in params}
+    errors += [f"{where}.{key}: must be {what}" for key, (what, test) in types.items()
+               if not test(raw[key])]
+    if errors:
+        raise ValidationError(errors)
+    return {name: raw.get(name, p.default) for name, p in params.items()}
+
 
 # Run-level rules that no domain function owns.
 _POSITIVE = ("snapshot_every", "steps", "nls_dt", "eps", "samples",
              "mass_tol", "norm_tol", "energy_tol")
 
 
-def _build(cfg: ExperimentConfig) -> dict:
-    """The build pass: construct the domain objects the run uses, without
-    tabulating a potential or allocating a state.  Each failure becomes the
-    entry params.<key>: <message>, and every independent failure is listed.
-    A ParameterError names the argument it rejects; when the config has a
-    key of that name, the entry names it, else the key feeding the step."""
-    p, kind, errors, built = cfg.params, cfg.kind, [], {}
+def _build(kind: str, p: dict, seed: int) -> dict:
+    """The build pass on bound params p: construct the domain objects the run
+    uses, without tabulating a potential or allocating a state.  Each failure
+    becomes the entry params.<key>: <message>, and every independent failure
+    is listed.  A ParameterError names the argument it rejects; when the kind
+    has a key of that name, the entry names it, else the key feeding the step."""
+    errors, built = [], {}
 
     def attempt(key, build, *args):
         try:
             return build(*args)
+        except ValidationError as exc:  # a nested spec's own binding
+            errors.extend(exc.errors)
         except (ValueError, TypeError, LookupError, OSError) as exc:
             name = getattr(exc, "name", None)
-            msg = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-            errors.append(f"params.{name if name in p else key}: {msg}")
+            errors.append(f"params.{name if name in p else key}: {exc}")
 
-    errors += [f"params.{key}: must be > 0" for key in _POSITIVE if p.get(key, 1) <= 0]
-    if p.get("T", 0) < 0:
+    errors += [f"params.{key}: must be > 0" for key, value in p.items()
+               if key in _POSITIVE and value is not None and value <= 0]
+    if "T" in p and p["T"] < 0:
         errors.append("params.T: must be >= 0")
     grid = built["grid"] = attempt("n", GridSpec, p["d"], p["n"]) if "d" in p else None
     if kind in ("manybody-run", "chaos", "residuals"):
-        pot = built["potential"] = attempt("potential", build_potential_spec, p.get("potential"))
+        pot = built["potential"] = attempt("potential", build_potential_spec, p["potential"])
         key = "Ns" if kind == "chaos" else "N"
-        for N in p.get("Ns", [p.get("N")]) if grid and pot else []:
+        for N in (p["Ns"] if kind == "chaos" else [p["N"]]) if grid and pot else []:
             mb = built["mb"] = attempt(
-                key, lambda: ManyBodyConfig(grid, int(N), float(p["beta"]), pot)
+                key, lambda: ManyBodyConfig(grid, N, float(p["beta"]), pot)
             )
-            if mb and p.get("T", 1) > 0:  # residuals (no T) propagate to 2 times per spacing
+            if mb and (kind == "residuals" or p["T"] > 0):  # residuals: 2 times per spacing
                 outputs = 2 * len(p["spacings"]) if kind == "residuals" else 1
                 attempt(key, lambda: mb.check_propagation_budget(outputs=outputs))
             elif mb:
@@ -192,38 +199,31 @@ def _build(cfg: ExperimentConfig) -> dict:
     if kind == "nls-run":
         # NlsConfig checks b0, dt and, given a grid, the rotation grid's budget;
         # the initial field is drawn only for a solver that passes
-        built["nls"] = attempt(
-            "dt", NlsConfig, grid, float(p["b0"]), float(p["dt"]), p.get("dealias", True)
-        )
+        built["nls"] = attempt("dt", NlsConfig, grid, float(p["b0"]), float(p["dt"]), p["dealias"])
         if built["nls"]:
-            attempt("T", check_step_count, float(p["T"]), float(p["dt"]),
-                    p.get("snapshot_every", 1))
-        if "split_M" in p:
+            attempt("T", check_step_count, float(p["T"]), float(p["dt"]), p["snapshot_every"])
+        if p["split_M"] is not None:
             attempt("split_M", check_cutoff, p["split_M"])
-        for m in p.get("diagnostics_M", []) if grid else []:
+        for m in (p["diagnostics_M"] or []) if grid else []:
             attempt("diagnostics_M", check_diagnostic_cutoffs, m, grid.nyquist)
     if grid and built.get("nls", True):
         spec = p["initial"]
         key = "initial.path" if spec.get("kind") == "file" else "initial"
         if kind == "manybody-run" and key == "initial.path":
-            if built.get("mb"):
+            kw = {k: v for k, v in spec.items() if k != "kind"}  # a state, not a field
+            if attempt(key, _bind, _initial_file, kw, "params.initial", "file") and built.get("mb"):
                 attempt(key, lambda: qio.check_state_file(built["mb"], Path(spec["path"])))
         else:
-            f = attempt(key, build_initial_field, grid, spec, cfg.seed)
+            f = attempt(key, build_initial_field, grid, spec, seed)
             if f is not None and kind in ("chaos", "residuals", "hufl"):
                 f = attempt("initial", _unit, f)
             built["field"] = f
 
     if kind == "manybody-run":
-        for k in p.get("moments", []):
-            attempt("moments", lambda: check_moment_order(int(k)))
-
-        def check_stability(entry):
-            k, c1 = entry
-            check_stability_order(int(k), float(c1), p["N"])
-
-        for entry in p.get("stability", []):
-            attempt("stability", check_stability, entry)
+        for k in p["moments"]:
+            attempt("moments", check_moment_order, k)
+        for k, c1 in p["stability"]:
+            attempt("stability", check_stability_order, k, float(c1), p["N"])
     elif kind == "residuals":
         attempt("k", check_hierarchy_order, p["k"], p["N"])
         if grid:  # both residuals assemble from the state; the largest array is the k-marginal
@@ -239,14 +239,14 @@ def _build(cfg: ExperimentConfig) -> dict:
         attempt("k", check_map_order, p["k"])
     elif kind == "probe":
         runner = built["runner"] = PROBE_RUNNERS.get(p["lemma"])
-        kwargs = dict(p.get("options", {}))
-        if "samples" in p:
+        kwargs = dict(p["options"] or {})
+        if p["samples"] is not None:
             kwargs["samples"] = p["samples"]
         if runner is None:
             errors.append(f"params.lemma: must be one of {sorted(PROBE_RUNNERS)}")
         else:
             args = built["args"] = attempt(
-                "options", lambda: inspect.signature(runner).bind(seed=cfg.seed, **kwargs)
+                "options", lambda: inspect.signature(runner).bind(seed=seed, **kwargs)
             )
             if args is not None:
                 args.apply_defaults()
@@ -264,44 +264,59 @@ def _unit(f: TorusField, scale: float = 1.0) -> TorusField:
     return f * (scale / norm)
 
 
-def build_initial_field(grid: GridSpec, spec: dict, seed: int) -> TorusField:
-    kind = spec.get("kind")
-    if kind == "file":
-        f = qio.load_field(Path(spec["path"]))
-        if f.grid != grid:
-            raise ValueError("field grid does not match d/n")
-        return f
-    if kind == "constant":
-        return TorusField.constant(grid, spec.get("value", 1.0))
-    if kind == "modes":
-        modes = {}
-        for entry in spec["modes"]:
-            xi = tuple(int(v) for v in entry[0]) if isinstance(entry[0], list) else (int(entry[0]),)
-            amp = complex(entry[1], entry[2] if len(entry) > 2 else 0.0)
-            modes[xi] = amp
-        f = TorusField.from_modes(grid, modes)
-    elif kind == "random_band":
-        rng = np.random.default_rng(seed)
-        f = TorusField.random_band_limited(
-            grid, int(spec.get("band", grid.n // 4)), rng, decay=float(spec.get("decay", 2.0))
-        )
-    else:
-        raise ValueError(f"kind must be modes, random_band, constant or file, got {kind!r}")
-    scale = spec.get("scale")
-    if spec.get("normalize", False) or scale is not None:
-        f = _unit(f, float(scale or 1.0))
+# The kinds of params.initial, each declared like a runner.
+def _initial_modes(grid, seed, *, modes: list, normalize: bool = False, scale: float = None):
+    coeffs = {}
+    for entry in modes:
+        xi, *amp = entry
+        xi = tuple(xi) if isinstance(xi, list) else (xi,)
+        if not (all(map(_is_int, xi)) and 1 <= len(amp) <= 2 and all(map(_is_num, amp))):
+            raise ValueError(f"a mode is [xi, re] or [xi, re, im], xi integer labels, got {entry}")
+        coeffs[xi] = complex(*amp)
+    f = TorusField.from_modes(grid, coeffs)
+    return _unit(f, float(scale or 1.0)) if normalize or scale is not None else f
+
+
+def _initial_random_band(grid, seed, *, band: int = None, decay: float = 2.0,
+                         normalize: bool = False, scale: float = None):
+    f = TorusField.random_band_limited(grid, grid.n // 4 if band is None else band,
+                                       np.random.default_rng(seed), decay=float(decay))
+    return _unit(f, float(scale or 1.0)) if normalize or scale is not None else f
+
+
+def _initial_constant(grid, seed, *, value: float = 1.0):
+    return TorusField.constant(grid, value)
+
+
+def _initial_file(grid, seed, *, path: str):
+    f = qio.load_field(Path(path))
+    if f.grid != grid:
+        raise ValueError("field grid does not match d/n")
     return f
+
+
+_INITIAL = {"modes": _initial_modes, "random_band": _initial_random_band,
+            "constant": _initial_constant, "file": _initial_file}
+
+
+def build_initial_field(grid: GridSpec, spec: dict, seed: int) -> TorusField:
+    """The field that spec, a params.initial, describes; a bad spec raises ValueError."""
+    kwargs = dict(spec)
+    kind = kwargs.pop("kind", None)
+    if kind not in tuple(_INITIAL):  # a list is no kind, and unhashable
+        raise ValueError(f"kind must be modes, random_band, constant or file, got {kind!r}")
+    _bind(_INITIAL[kind], kwargs, "params.initial", kind)
+    return _INITIAL[kind](grid, seed, **kwargs)
 
 
 def build_potential_spec(spec: dict | None):
     if spec is None:
         return GaussianPotential()
-    kind = spec.get("kind")
-    if kind == "constant":
-        return ConstantPotential(float(spec.get("value", 1.0)))
-    if kind != "gaussian":
+    kwargs = dict(spec)
+    kind = kwargs.pop("kind", None)
+    if kind not in ("gaussian", "constant"):
         raise ValueError(f"kind must be 'gaussian' or 'constant', got {kind!r}")
-    return GaussianPotential(**{k: float(spec[k]) for k in ("sigma", "amplitude") if k in spec})
+    return (GaussianPotential if kind == "gaussian" else ConstantPotential)(**kwargs)
 
 
 @dataclass
@@ -322,11 +337,14 @@ class RunReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def _run_nls(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
-    p, grid, nls_cfg, f0 = cfg.params, built["grid"], built["nls"], built["field"]
-    split_m = p.get("split_M", grid.nyquist // 2)
-    diag_ms = p.get("diagnostics_M", [grid.nyquist // 2])
-    traj = evolve(f0, float(p["T"]), nls_cfg, p.get("snapshot_every", 1))
+# A runner's keyword-only parameters declare its kind's keys; what _build made of them is in built.
+def _run_nls(built: dict, out: Path, report: RunReport, *, d: int, n: int, initial: dict,
+             b0: float, dt: float, T: float, dealias: bool = True, snapshot_every: int = 1,
+             split_M: float = None, diagnostics_M: list[float] = None, mass_tol: float = 1e-11):
+    grid, nls_cfg, f0 = built["grid"], built["nls"], built["field"]
+    split_m = grid.nyquist // 2 if split_M is None else split_M
+    diag_ms = diagnostics_M or [grid.nyquist // 2]
+    traj = evolve(f0, float(T), nls_cfg, snapshot_every)
     header = ["t", "mass", "E_NLS", "E_L", "E_H"] + [f"high_kinetic_M{m}" for m in diag_ms]
     rows = [[t] + snapshot_row(u, split_m, diag_ms, nls_cfg.b0)
             for t, u in zip(traj.times, traj.states)]
@@ -335,62 +353,56 @@ def _run_nls(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
     report.artifacts.append(str(path))
     mass0 = rows[0][1]
     drift = max(abs(r[1] - mass0) for r in rows) / mass0
-    tol = p.get("mass_tol", 1e-11)
     report.summary.update({"snapshots": len(rows), "mass_drift": drift, "split_M": split_m})
-    report.checks["mass_conserved"] = drift <= tol
+    report.checks["mass_conserved"] = drift <= mass_tol
 
 
-def _run_manybody(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
-    p, mb = cfg.params, built["mb"]
-    if p["initial"]["kind"] == "file":
-        psi0 = qio.load_state(mb, Path(p["initial"]["path"]))
+def _run_manybody(built: dict, out: Path, report: RunReport, *, d: int, n: int, initial: dict,
+                  N: int, beta: float, T: float, potential: dict = None, steps: int = None,
+                  moments: list[int] = (1, 2), stability: list[tuple[int, float]] = (),
+                  dump_state: bool = False, norm_tol: float = 1e-10, energy_tol: float = 1e-8):
+    mb = built["mb"]
+    if initial["kind"] == "file":
+        psi0 = qio.load_state(mb, Path(initial["path"]))
     else:
         psi0 = BosonicState.factorized(mb, built["field"])
     e0 = energy_per_particle(psi0)
-    psi = propagate(psi0, float(p["T"]), steps=p.get("steps")) if p["T"] > 0 else psi0
+    psi = propagate(psi0, float(T), steps=steps) if T > 0 else psi0
     eT = energy_per_particle(psi)
-    moments = {str(k): energy_moment(psi, int(k)) for k in p.get("moments", [1, 2])}
-    stability = [
-        {"k": int(k), "c1": float(c1), **stability_check(psi, int(k), float(c1))}
-        for k, c1 in p.get("stability", [])
-    ]
     norm_drift = abs(psi.norm() - 1.0)
     energy_drift = abs(eT - e0) / max(abs(e0), 1.0)
     payload = {
         "coupling_b0": potential_mass(mb),
         "energy_per_particle": eT,
-        "moments": moments,
-        "stability": stability,
+        "moments": {str(k): energy_moment(psi, k) for k in moments},
+        "stability": [{"k": k, "c1": float(c1), **stability_check(psi, k, float(c1))}
+                      for k, c1 in stability],
         "norm_drift": norm_drift,
         "energy_drift": energy_drift,
     }
     path = out / "manybody.json"
     qio.write_json(path, payload)
     report.artifacts.append(str(path))
-    if p.get("dump_state", False):
+    if dump_state:
         spath = out / "state.qlf"
         qio.dump_state(psi, spath)
         report.artifacts.append(str(spath))
     report.summary.update(payload)
-    report.checks["norm_preserved"] = norm_drift <= p.get("norm_tol", 1e-10)
-    report.checks["energy_preserved"] = energy_drift <= p.get("energy_tol", 1e-8)
+    report.checks["norm_preserved"] = norm_drift <= norm_tol
+    report.checks["energy_preserved"] = energy_drift <= energy_tol
 
 
-def _run_chaos(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
-    p = cfg.params
+def _run_chaos(built: dict, out: Path, report: RunReport, *, d: int, n: int, initial: dict,
+               beta: float, T: float, Ns: list[int], potential: dict = None,
+               nls_dt: float = None):
     rows = chaos_experiment(
-        [int(N) for N in p["Ns"]],
-        float(p["beta"]),
-        built["field"],
-        float(p["T"]),
-        potential=built["potential"],
-        nls_dt=p.get("nls_dt"),
+        Ns, float(beta), built["field"], float(T), potential=built["potential"], nls_dt=nls_dt
     )
     path = out / "chaos.csv"
     qio.write_csv(
         path,
         ["N", "t", "trace_distance", "energy_per_particle"],
-        [[r.N, p["T"], r.distance, r.energy_per_particle] for r in rows],
+        [[r.N, T, r.distance, r.energy_per_particle] for r in rows],
     )
     report.artifacts.append(str(path))
     dists = {r.N: r.distance for r in rows}
@@ -401,12 +413,12 @@ def _run_chaos(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport)
     )
 
 
-def _run_residuals(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
-    p, grid, mb, phi0 = cfg.params, built["grid"], built["mb"], built["field"]
+def _run_residuals(built: dict, out: Path, report: RunReport, *, d: int, n: int, initial: dict,
+                   N: int, beta: float, k: int, spacings: list[float], potential: dict = None):
+    grid, mb, phi0 = built["grid"], built["mb"], built["field"]
     b0 = potential_mass(mb)
-    k = int(p["k"])
     psi0 = BosonicState.factorized(mb, phi0)
-    spacings = [float(h) for h in p["spacings"]]
+    spacings = [float(h) for h in spacings]
     times = sorted({t for h in spacings for t in (h, 2 * h)})
     states = dict(zip(times, propagate(psi0, times)))  # one Krylov basis serves every time
     rows = []
@@ -425,12 +437,13 @@ def _run_residuals(cfg: ExperimentConfig, built: dict, out: Path, report: RunRep
     report.checks["residuals_finite"] = all(np.isfinite(r[1]) and np.isfinite(r[2]) for r in rows)
 
 
-def _run_hufl(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
-    p, phi = cfg.params, built["field"]
+def _run_hufl(built: dict, out: Path, report: RunReport, *, d: int, n: int, initial: dict,
+              M: float, eps: float, ks: list[int]):
+    phi = built["field"]
     rows = []
-    for k in [int(k) for k in p["ks"]]:
-        lhs = hufl_factorized(phi, k, float(p["M"]))
-        bound = float(p["eps"]) ** (2 * k)
+    for k in ks:
+        lhs = hufl_factorized(phi, k, float(M))
+        bound = float(eps) ** (2 * k)
         rows.append([k, lhs, bound, lhs <= bound])
     path = out / "hufl.csv"
     qio.write_csv(path, ["k", "left_side", "bound", "passed"], rows)
@@ -439,8 +452,7 @@ def _run_hufl(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
     report.checks["finite"] = all(np.isfinite(r[1]) for r in rows)
 
 
-def _run_couplings(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
-    k = int(cfg.params["k"])
+def _run_couplings(built: dict, out: Path, report: RunReport, *, k: int):
     counts = raw_summand_count(k)
     maps = double_factorial(2 * k - 1)
     payload = {
@@ -471,12 +483,13 @@ def _run_couplings(cfg: ExperimentConfig, built: dict, out: Path, report: RunRep
         )
 
 
-def _run_probe(cfg: ExperimentConfig, built: dict, out: Path, report: RunReport):
-    p, args = cfg.params, built["args"]
+def _run_probe(built: dict, out: Path, report: RunReport, *, lemma: str, samples: int = None,
+               options: dict = None):
+    args = built["args"]
     probe_report = built["runner"](*args.args, **args.kwargs)
-    jpath = out / f"probe_{p['lemma']}.json"
+    jpath = out / f"probe_{lemma}.json"
     qio.write_json(jpath, probe_report.to_dict())
-    cpath = out / f"probe_{p['lemma']}.csv"
+    cpath = out / f"probe_{lemma}.csv"
     qio.write_csv(
         cpath,
         ["parameters", "max_ratio"],
@@ -498,6 +511,7 @@ _RUNNERS = {
     "couplings": _run_couplings,
     "probe": _run_probe,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> RunReport:
@@ -507,7 +521,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunReport:
     built = cfg.built if cfg.built is not None else cfg.validate()
     t0 = time.perf_counter()
     try:
-        _RUNNERS[cfg.kind](cfg, built, out, report)
+        _RUNNERS[cfg.kind](built, out, report, **cfg.params)
     except Exception:
         for art in report.artifacts:
             Path(art).unlink(missing_ok=True)

@@ -1,5 +1,6 @@
 """Binary dumps, config validation, CLI dispatch, determinism."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -457,6 +458,22 @@ BAD_CONFIGS = [
     # 92^3-entry states: the 21-vector basis fits, not with 1 or 4 returned states as well
     ("manybody-run", {**_MB, "n": 92, "N": 3}, "N"),
     ("residuals", {**_RES, "n": 92}, "N"),
+    # list elements are typed, so no float is truncated to an order or a count
+    ("chaos", {**_CHAOS, "Ns": [2.5, 3.9]}, "Ns"),
+    ("manybody-run", {**_MB, "moments": [1.7]}, "moments"),
+    ("hufl", {**_HUFL, "ks": [1.0]}, "ks"),
+    ("manybody-run", {**_MB, "stability": [[1.5, 0.5]]}, "stability"),
+    # nested specs take only the keys their kind declares
+    ("nls-run", {**_NLS, "initial": {"kind": "random_band", "bnad": 3}}, "initial.bnad"),
+    ("nls-run", {**_NLS, "initial": {**_BAND2, "normalise": True}}, "initial.normalise"),
+    ("nls-run", {**_NLS, "initial": {"kind": "constant", "value": 2, "scale": 5}},
+     "initial.scale"),
+    ("nls-run", {**_NLS, "initial": {"kind": "modes", "modes": [[[1.5], 1.0]]}}, "initial"),
+    ("nls-run", {**_NLS, "initial": {"kind": "modes"}}, "initial.modes"),
+    ("manybody-run", lambda tmp: {**_MB, "initial": {**_state_file(tmp, lambda b: b), "x": 1}},
+     "initial.x"),
+    ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "sigmaa": 0.3}}, "potential"),
+    ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "sigma": "0.5"}}, "potential"),
 ]
 
 
@@ -504,3 +521,64 @@ class TestBadConfigs:
     )
     def test_demo_configs_accepted(self, path):
         ExperimentConfig.from_file(path)
+
+
+# a value of the wrong JSON type for each annotation a declared key may carry
+_MISTYPED = {"int": True, "float": "1", "bool": 1, "str": 5, "dict": [], "list": [],
+             "list[int]": [1.5], "list[float]": ["1"], "list[tuple[int, float]]": [[1.5, 0.5]]}
+
+
+def _declared():
+    """(declaring function, key, annotation) for every config key of every kind."""
+    from quintlab import cli
+
+    return [(fn, p.name, p.annotation)
+            for fn in [*cli._RUNNERS.values(), *cli._INITIAL.values()]
+            for p in inspect.signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY]
+
+
+class TestDeclaredKeys:
+    def test_every_annotation_has_a_json_type(self):
+        from quintlab.cli import _JSON_TYPES
+
+        assert {ann for _, _, ann in _declared()} <= set(_JSON_TYPES)
+        assert set(_MISTYPED) == set(_JSON_TYPES)
+
+    @pytest.mark.parametrize("annotation", sorted(_MISTYPED))
+    def test_each_json_type_rejects_its_mistyped_value(self, annotation):
+        from quintlab import cli
+
+        what, test = cli._JSON_TYPES[annotation]
+        assert not test(_MISTYPED[annotation])
+        keys = [(fn, key) for fn, key, ann in _declared() if ann == annotation]
+        assert keys
+        for fn, key in keys:
+            kind = next((k for k, f in cli._INITIAL.items() if f is fn), None)
+            where = "params.initial" if kind else "params"
+            with pytest.raises(ValidationError) as exc:
+                cli._bind(fn, {key: _MISTYPED[annotation]}, where, kind)
+            assert f"{where}.{key}: must be {what}" in exc.value.errors
+
+    @pytest.mark.parametrize("kind,params,defaults", [
+        ("nls-run", {**_NLS, "initial": {"kind": "random_band", "scale": 1.0}},
+         {"snapshot_every": 1, "dealias": True, "split_M": 2, "diagnostics_M": [2],  # n/4
+          "mass_tol": 1e-11, "initial": {"kind": "random_band", "band": 2, "decay": 2.0,
+                                         "normalize": False, "scale": 1.0}}),
+        ("nls-run", {**_NLS, "initial": {"kind": "constant"}},
+         {"initial": {"kind": "constant", "value": 1.0}}),
+        ("manybody-run", _MB,
+         {"moments": [1, 2], "norm_tol": 1e-10, "energy_tol": 1e-8, "dump_state": False,
+          "potential": {"kind": "gaussian", "sigma": 0.5}}),
+    ], ids=["nls-run", "constant", "manybody-run"])
+    def test_spelled_out_defaults_write_the_same_artifacts(self, tmp_path, kind, params,
+                                                           defaults):
+        reports = [run_experiment(ExperimentConfig.from_dict(
+                       {"kind": kind, "seed": 3, "params": {**params, **extra}}), tmp_path / name)
+                   for name, extra in [("omitted", {}), ("spelled", defaults)]]
+        assert reports[0].summary == reports[1].summary
+        assert reports[0].checks == reports[1].checks
+        files = sorted(p.name for p in (tmp_path / "omitted").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "spelled").iterdir())
+        for name in set(files) - {"report.json"}:
+            assert (tmp_path / "omitted" / name).read_bytes() == \
+                (tmp_path / "spelled" / name).read_bytes()
