@@ -46,7 +46,7 @@ from .marginals import (
     check_rank_one_order, gp_residual, hufl_factorized,
 )
 from .nls import (
-    NlsConfig, check_diagnostic_cutoffs, check_step_count, evolve, snapshot_row,
+    NlsConfig, check_diagnostic_cutoffs, check_step_count, evolve, timeseries,
 )
 from .probes import PROBE_RUNNERS, check_probe_options
 
@@ -86,7 +86,7 @@ class ExperimentConfig:
         if kind not in KINDS:
             errors.append(f"kind: must be one of {KINDS}, got {kind!r}")
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             errors.append("seed: must be an integer")
         extra = set(raw) - {"kind", "seed", "params"}
         if extra:
@@ -264,6 +264,13 @@ def _unit(f: TorusField, scale: float = 1.0) -> TorusField:
     return f * (scale / norm)
 
 
+def _rescaled(f: TorusField, normalize: bool, scale: float | None) -> TorusField:
+    """f, or f rescaled to L2 norm `scale`, 1 when only normalize is set."""
+    if scale is None:
+        return _unit(f) if normalize else f
+    return _unit(f, float(scale))
+
+
 # The kinds of params.initial, each declared like a runner.
 def _initial_modes(grid, seed, *, modes: list, normalize: bool = False, scale: float = None):
     coeffs = {}
@@ -273,15 +280,14 @@ def _initial_modes(grid, seed, *, modes: list, normalize: bool = False, scale: f
         if not (all(map(_is_int, xi)) and 1 <= len(amp) <= 2 and all(map(_is_num, amp))):
             raise ValueError(f"a mode is [xi, re] or [xi, re, im], xi integer labels, got {entry}")
         coeffs[xi] = complex(*amp)
-    f = TorusField.from_modes(grid, coeffs)
-    return _unit(f, float(scale or 1.0)) if normalize or scale is not None else f
+    return _rescaled(TorusField.from_modes(grid, coeffs), normalize, scale)
 
 
 def _initial_random_band(grid, seed, *, band: int = None, decay: float = 2.0,
                          normalize: bool = False, scale: float = None):
     f = TorusField.random_band_limited(grid, grid.n // 4 if band is None else band,
                                        np.random.default_rng(seed), decay=float(decay))
-    return _unit(f, float(scale or 1.0)) if normalize or scale is not None else f
+    return _rescaled(f, normalize, scale)
 
 
 def _initial_constant(grid, seed, *, value: float = 1.0):
@@ -306,6 +312,8 @@ def build_initial_field(grid: GridSpec, spec: dict, seed: int) -> TorusField:
     if kind not in tuple(_INITIAL):  # a list is no kind, and unhashable
         raise ValueError(f"kind must be modes, random_band, constant or file, got {kind!r}")
     _bind(_INITIAL[kind], kwargs, "params.initial", kind)
+    if kwargs.get("scale") is not None and kwargs["scale"] <= 0:
+        raise ValidationError(["params.initial.scale: must be > 0"])
     return _INITIAL[kind](grid, seed, **kwargs)
 
 
@@ -344,10 +352,8 @@ def _run_nls(built: dict, out: Path, report: RunReport, *, d: int, n: int, initi
     grid, nls_cfg, f0 = built["grid"], built["nls"], built["field"]
     split_m = grid.nyquist // 2 if split_M is None else split_M
     diag_ms = diagnostics_M or [grid.nyquist // 2]
-    traj = evolve(f0, float(T), nls_cfg, snapshot_every)
     header = ["t", "mass", "E_NLS", "E_L", "E_H"] + [f"high_kinetic_M{m}" for m in diag_ms]
-    rows = [[t] + snapshot_row(u, split_m, diag_ms, nls_cfg.b0)
-            for t, u in zip(traj.times, traj.states)]
+    rows = timeseries(f0, float(T), nls_cfg, snapshot_every, split_m, diag_ms)
     path = out / "timeseries.csv"
     qio.write_csv(path, header, rows)
     report.artifacts.append(str(path))

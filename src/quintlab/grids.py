@@ -158,8 +158,13 @@ class TorusField:
         values = np.asarray(values, dtype=np.complex128).reshape(grid.shape)
         coeffs = _fftn(values)
         coeffs /= grid.size
+        return cls._from_pair(grid, coeffs, values.copy())
+
+    @classmethod
+    def _from_pair(cls, grid: GridSpec, coeffs: np.ndarray, values: np.ndarray) -> "TorusField":
+        """The field with these coefficients and their samples, both taken over, not copied."""
         f = cls(grid, coeffs)
-        object.__setattr__(f, "_values", values.copy())
+        object.__setattr__(f, "_values", values)
         return f
 
     @classmethod

@@ -19,8 +19,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,6 +52,18 @@ def _bump(r2: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
+def _check_numeric_fields(potential) -> None:
+    """Each field of the potential dataclass holds a real number, or None where
+    its annotation admits None; the annotations declare the spec's keys."""
+    for f in fields(potential):
+        value, optional = getattr(potential, f.name), "None" in str(f.type)
+        if value is None and optional:
+            continue
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+            what = "a number or null" if optional else "a number"
+            raise ParameterError("potential", f"{f.name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GaussianPotential:
     """Smoothly truncated Gaussian product profile on R^d x R^d:
@@ -67,6 +80,7 @@ class GaussianPotential:
     amplitude: float | None = None
 
     def __post_init__(self):
+        _check_numeric_fields(self)
         if not self.sigma > 0:
             raise ParameterError("potential", f"sigma must be > 0, got {self.sigma}")
         if self.amplitude is not None and not self.amplitude >= 0:
@@ -108,6 +122,7 @@ class ConstantPotential:
     value: float = 1.0
 
     def __post_init__(self):
+        _check_numeric_fields(self)
         if not self.value >= 0:
             raise ParameterError("potential", f"value must be >= 0 (defocusing), got {self.value}")
 

@@ -20,9 +20,12 @@ hold 3n^2/2 entries at d = 1.  The module also carries the low/high energy
 decomposition at a frequency cutoff and the frequency-localization
 diagnostics used by the marginal-hierarchy experiments.  `snapshot_row` gives an `nls-run` snapshot's mass, energy,
 energy split and high kinetic energies in one pass, with one inverse
-transform beyond the snapshot's samples.  Of E_L and E_H it sums the one
-of smaller size directly (E_H from the terms with three or more
-high-frequency factors) and takes the other as E minus it.
+transform beyond the snapshot's samples, in six real buffers.  Of E_L and
+E_H it sums the one of smaller size directly (E_H from the terms with three
+or more high-frequency factors) and takes the other as E minus it.
+`timeseries` gives an `nls-run`'s rows as its states are reached, so the
+run holds one state and the kernels' fixed buffers whatever its snapshot
+count; `evolve` keeps every state of the same flow.
 """
 
 from __future__ import annotations
@@ -136,12 +139,15 @@ def free_sample(f: TorusField, t: float, n: int, out: np.ndarray | None = None) 
     return out
 
 
-def _rotate(v: np.ndarray, rate, tau: float, z: np.ndarray) -> None:
+def _rotate(v: np.ndarray, rate, tau: float, z: np.ndarray, a: np.ndarray | None = None) -> None:
     """v *= exp(i theta) in place, theta = -tau rate(|v|^2), the phase written
     into the scratch z from t = tan(theta/2): with w = 2/(1+t^2),
     cos theta = w - 1 and sin theta = t w, one vectorized tan instead of cos
-    and sin, finite for every finite theta."""
-    t = rate(_abs2(v))
+    and sin, finite for every finite theta.  |v|^2 is formed in the real
+    scratch a (a new array when None) with z.real as its second term."""
+    a = np.square(v.real, out=a)
+    a += np.square(v.imag, out=z.real)
+    t = rate(a)
     t *= -0.5 * tau
     np.tan(t, out=t)
     w = np.square(t, out=z.real)
@@ -164,19 +170,27 @@ def _split_steps(f: TorusField, dt: float, steps: int, rate, dealias: bool) -> T
     its argument.  The state is the samples on the rotation grid, n points
     per axis, or 2*ceil(3n/4) with dealias; the free phase is zero outside
     the n-band, so multiplying by it also projects out the modes the rotation
-    spills there.  One FFT pair per step."""
+    spills there.  One FFT pair per step, and beside the phase three
+    buffers: the samples v, the complex scratch z and the real scratch of
+    |v|^2.  The last forward transform goes into z, and the new field takes z
+    as its coefficients and, without dealias, v as its samples."""
     grid = f.grid
     m = _rotation_n(grid.n, dealias)
     phase = TorusField(grid, _free_phase(grid.d, grid.n, dt)).resample(m).coefficients
     v = f.values.copy() if m == grid.n else _ifftn(f.resample(m).coefficients, norm="forward")
-    z = np.empty_like(v)
+    z, a = np.empty_like(v), np.empty(v.shape)
     for i in range(steps + 1 if steps else 0):
         if i:
             _fftn(v, out=v)
             v *= phase
             _ifftn(v, out=v)
-        _rotate(v, rate, dt if 0 < i < steps else dt / 2.0, z)
-    return TorusField.from_values(GridSpec(grid.d, m), v).resample(grid.n)
+        _rotate(v, rate, dt if 0 < i < steps else dt / 2.0, z, a)
+    _fftn(v, out=z)
+    z /= v.size
+    if m == grid.n:
+        return TorusField._from_pair(grid, z, v)
+    del v, a  # freed before the copy to the n-grid
+    return TorusField(GridSpec(grid.d, m), z).resample(grid.n)
 
 
 def strang_step(f: TorusField, cfg: NlsConfig, *, steps: int = 1) -> TorusField:
@@ -201,6 +215,23 @@ def check_step_count(T: float, dt: float, snapshot_every: int = 1) -> int:
     return steps
 
 
+def _snapshots(f0: TorusField, T: float, cfg: NlsConfig, snapshot_every: int = 1):
+    """Yield (t, state) every snapshot_every steps from t = 0 to T, keeping only
+    the current state (check_step_count)."""
+    steps = check_step_count(T, cfg.dt, snapshot_every)
+    f = f0
+    for s in range(0, steps + 1, snapshot_every):
+        if s:
+            u = strang_step(f, cfg, steps=snapshot_every)
+            if not np.all(np.isfinite(u.coefficients)):
+                raise BlowUpError(
+                    f"non-finite state at t={s * cfg.dt:.6g} "
+                    f"(max |coeff| so far {np.abs(f.coefficients).max():.3e})"
+                )
+            f = u
+        yield s * cfg.dt, f
+
+
 def evolve(
     f0: TorusField,
     T: float,
@@ -208,18 +239,22 @@ def evolve(
     snapshot_every: int = 1,
 ) -> Trajectory:
     """Advance f0 to time T, recording every snapshot_every steps (check_step_count)."""
-    steps = check_step_count(T, cfg.dt, snapshot_every)
-    times = [s * cfg.dt for s in range(0, steps + 1, snapshot_every)]
-    states = [f0]
-    for t in times[1:]:
-        f = strang_step(states[-1], cfg, steps=snapshot_every)
-        if not np.all(np.isfinite(f.coefficients)):
-            raise BlowUpError(
-                f"non-finite state at t={t:.6g} "
-                f"(max |coeff| so far {np.abs(states[-1].coefficients).max():.3e})"
-            )
-        states.append(f)
-    return Trajectory(np.array(times), states, cfg)
+    times, states = zip(*_snapshots(f0, T, cfg, snapshot_every))
+    return Trajectory(np.array(times), list(states), cfg)
+
+
+def timeseries(
+    f0: TorusField,
+    T: float,
+    cfg: NlsConfig,
+    snapshot_every: int,
+    split_m: float,
+    diag_ms,
+) -> list[list[float]]:
+    """[t] + snapshot_row(u, split_m, diag_ms, cfg.b0) for each snapshot (t, u)
+    of evolve(f0, T, cfg, snapshot_every), bit for bit, holding one state at a time."""
+    return [[t] + snapshot_row(u, split_m, diag_ms, cfg.b0)
+            for t, u in _snapshots(f0, T, cfg, snapshot_every)]
 
 
 def plane_wave_solution(grid: GridSpec, xi, amplitude: float, b0: float, t: float) -> TorusField:
@@ -255,6 +290,12 @@ def energy_nls(f: TorusField, b0: float) -> float:
     return _energy(f, _kinetic_density(f), b0)
 
 
+def _halves(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The memory of the contiguous complex array c as two real arrays of its shape."""
+    flat = c.reshape(-1).view(np.float64)
+    return flat[:c.size].reshape(c.shape), flat[c.size:].reshape(c.shape)
+
+
 def _sextic_sums(f: TorusField, low: np.ndarray) -> tuple[float, float]:
     """Grid sums of the low and high parts of |phi|^6 at the sharp cutoff
     whose mask is `low`; phi_L costs one inverse transform, phi_H = phi - phi_L.
@@ -268,20 +309,38 @@ def _sextic_sums(f: TorusField, low: np.ndarray) -> tuple[float, float]:
     and the rest the high part
 
         h (6ar + 3ah + 3r^2 + 3rh + h^2) + r^3 = h (3a (r + q) + 3rq + h^2) + r^3.
+
+    The sums run in six real buffers: phi_L and phi_H take four, r and a the
+    other two, and h, q and the two polynomials' scratch reuse the first four.
     """
-    vl = _ifftn(f.coefficients * low)
-    vl *= f.grid.size
-    vh = f.values - vl
-    a, h = _abs2(vl), _abs2(vh)
-    r = vl.real * vh.real
-    r += vl.imag * vh.imag
+    g = f.grid
+    vl = np.multiply(f.coefficients, low)
+    _ifftn(vl, out=vl)
+    vl *= g.size
+    vh = np.subtract(f.values, vl)
+    r = np.multiply(vl.real, vh.real)
+    a = np.multiply(vl.imag, vh.imag)  # a scratch here, |phi_L|^2 below
+    r += a
     r *= 2.0
-    del vl, vh  # freed before the polynomials' temporaries, which set a 64^3 run's peak memory
-    q = r + h
-    r2 = r * r
-    low_part = a * (a + 3.0 * q) + 3.0 * r2
-    high_part = 3.0 * a * (r + q) + 3.0 * r * q + h * h
-    return float(np.vdot(a, low_part)), float(np.vdot(h, high_part) + np.vdot(r2, r))
+    np.square(vl.real, out=a)
+    a += np.square(vl.imag, out=vl.imag)
+    h, q, x, y = _halves(vl) + _halves(vh)  # phi_L's memory, then phi_H's, each past its last read
+    np.square(vh.real, out=h)
+    h += np.square(vh.imag, out=q)
+    np.add(r, h, out=q)
+    r2 = np.multiply(r, r, out=x)
+    r3 = np.vdot(r2, r)
+    low_part = np.multiply(q, 3.0, out=y)
+    low_part += a
+    low_part *= a
+    r2 *= 3.0
+    low_part += r2
+    sextic_low = np.vdot(a, low_part)
+    high_part = np.multiply(a, 3.0, out=x)
+    high_part *= np.add(r, q, out=y)
+    high_part += np.multiply(np.multiply(r, 3.0, out=y), q, out=y)
+    high_part += np.multiply(h, h, out=y)
+    return float(sextic_low), float(np.vdot(h, high_part) + r3)
 
 
 def snapshot_row(f: TorusField, split_m: float, diag_ms, b0: float) -> list[float]:
@@ -298,13 +357,13 @@ def snapshot_row(f: TorusField, split_m: float, diag_ms, b0: float) -> list[floa
     for m in (split_m, *diag_ms):
         check_cutoff(m)
     low = _mask_leq(g.d, g.n, split_m)
+    sextic_low, sextic_high = _sextic_sums(f, low)
     w = _kinetic_density(f)
 
     def kinetic(mask):
         return g.volume * float(np.sum(w, where=mask))
 
     c = b0 / 3.0 * g.cell_volume
-    sextic_low, sextic_high = _sextic_sums(f, low)
     e = _energy(f, w, b0)
     e_low, e_high = kinetic(low) + c * sextic_low, kinetic(~low) + c * sextic_high
     if abs(e_low) <= abs(e_high):

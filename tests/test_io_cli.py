@@ -193,6 +193,27 @@ class TestRunExperiment:
         assert run_experiment(ExperimentConfig.from_dict(params), tmp_path).passed
         assert len(calls) == 1
 
+    def test_nls_run_memory_does_not_grow_with_the_snapshot_count(self, tmp_path):
+        params = {"d": 2, "n": 32, "b0": 1.0, "dt": 0.005, "T": 0.2,
+                  "initial": {**_BAND2, "band": 6}}
+
+        def peak(every, name):
+            cfg = ExperimentConfig.from_dict(
+                {"kind": "nls-run", "seed": 2, "params": {**params, "snapshot_every": every}})
+            tracemalloc.start()
+            try:
+                run_experiment(cfg, tmp_path / name)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1, "warm")  # fills the memo tables both runs share
+        state = 2 * 32**2 * 16  # coefficients and samples
+        # Over one interval the only state is the initial field, which the
+        # config holds; step by step, the current state is held beside it, and
+        # the 41 rows of 7 floats take about a third of a state more.
+        assert peak(1, "41 snapshots") - peak(40, "2 snapshots") <= 2 * state
+
     def test_hufl_is_the_factorized_value(self, tmp_path):
         params = {**_HUFL, "M": 2, "ks": [1, 2, 3], "initial": {**_BAND2, "band": 6}}
         cfg = ExperimentConfig.from_dict({"kind": "hufl", "params": params})
@@ -474,6 +495,9 @@ BAD_CONFIGS = [
      "initial.x"),
     ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "sigmaa": 0.3}}, "potential"),
     ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "sigma": "0.5"}}, "potential"),
+    ("nls-run", {**_NLS, "initial": {**_BAND2, "scale": 0}}, "initial.scale"),
+    ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "sigma": True}}, "potential"),
+    ("residuals", {**_RES, "potential": {"kind": "constant", "value": "1"}}, "potential"),
 ]
 
 
@@ -492,6 +516,41 @@ class TestBadConfigs:
         assert rc == 2
         assert (f"config: {path}:" if field == "config" else f"params.{field}:") in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("initial", [{**_BAND2, "scale": 0},
+                                         {"kind": "modes", "modes": [[1, 1.0]], "scale": 0}],
+                             ids=["random_band", "modes"])
+    def test_zero_scale_rejected(self, initial):
+        # not a unit-norm field, as `scale or 1.0` made it
+        with pytest.raises(ValidationError) as exc:
+            ExperimentConfig.from_dict({"kind": "nls-run", "params": {**_NLS, "initial": initial}})
+        assert exc.value.errors == ["params.initial.scale: must be > 0"]
+
+    @pytest.mark.parametrize("seed", [True, 1.0, "1"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValidationError) as exc:
+            ExperimentConfig.from_dict({"kind": "couplings", "seed": seed, "params": {"k": 2}})
+        assert exc.value.errors == ["seed: must be an integer"]
+
+    @pytest.mark.parametrize("spec,key", [
+        ({"kind": "gaussian", "sigma": True}, "sigma"),
+        ({"kind": "gaussian", "sigma": None}, "sigma"),
+        ({"kind": "gaussian", "amplitude": "1"}, "amplitude"),
+        ({"kind": "constant", "value": "1"}, "value"),
+        ({"kind": "constant", "value": False}, "value"),
+    ])
+    def test_potential_fields_are_typed(self, spec, key):
+        with pytest.raises(ValidationError) as exc:
+            ExperimentConfig.from_dict({"kind": "chaos", "params": {**_CHAOS, "potential": spec}})
+        [entry] = exc.value.errors
+        assert entry.startswith(f"params.potential: {key} must be a number")
+
+    def test_potential_fields_take_numbers_and_null_amplitude(self):
+        assert manybody.GaussianPotential(0.3).sigma == 0.3  # positional, as the fields read
+        assert manybody.ConstantPotential(2).value == 2
+        spec = {"kind": "gaussian", "sigma": 0.4, "amplitude": None}
+        cfg = ExperimentConfig.from_dict({"kind": "chaos", "params": {**_CHAOS, "potential": spec}})
+        assert cfg.built["potential"] == manybody.GaussianPotential(0.4)
 
     @pytest.mark.parametrize("kind,params,field", _OVERSIZED_GRIDS)
     def test_oversized_grid_rejected_before_any_field(self, kind, params, field):

@@ -457,6 +457,29 @@ class TestSnapshotRow:
         assert calls == [g.shape]
 
 
+class TestTimeseries:
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("d,n,band,every", [(1, 6, 2, 1), (1, 64, 24, 2), (2, 16, 6, 2),
+                                                (3, 12, 4, 3)])
+    def test_rows_are_the_rows_of_the_evolved_states(self, d, n, band, every, dealias):
+        # oracle: evolve holds every state, and each row is snapshot_row of one
+        g = GridSpec(d, n)
+        cfg = NlsConfig(g, 1.0, 0.01, dealias)
+        split_m, diag_ms = max(1, n // 4), [1, n // 4]
+        traj = evolve(smooth_random(g, 30 + d, band=band), 0.06, cfg, snapshot_every=every)
+        want = [[t] + snapshot_row(u, split_m, diag_ms, cfg.b0)
+                for t, u in zip(traj.times, traj.states)]
+        got = nls.timeseries(smooth_random(g, 30 + d, band=band), 0.06, cfg, every, split_m,
+                             diag_ms)
+        assert got == want  # bit for bit
+
+    def test_t0_is_one_row(self):
+        g = GridSpec(1, 16)
+        f = smooth_random(g, 5)
+        assert nls.timeseries(f, 0.0, NlsConfig(g, 1.0, 0.01), 1, 2, [2]) == [
+            [0.0] + snapshot_row(f, 2, [2], 1.0)]
+
+
 class TestFrequencyDiagnostics:
     def test_band_limited_high_is_zero(self):
         f = smooth_random(GridSpec(1, 32), 12, band=4)
