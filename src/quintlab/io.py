@@ -7,9 +7,10 @@ Field dump layout (little-endian):
   files by ascending sample index.
 
 State dumps extend the header with a u32 slot count N and carry (n^d)^N
-complex64 amplitudes in row-major slot order.
+complex64 amplitudes in row-major slot order, symmetric under exchange of
+slots.
 Loaders check the layout tag and the payload length against the header,
-and raise ValueError naming the file.
+and a state's symmetry, and raise ValueError naming the file.
 
 CSV and JSON writers format floats by shortest round-trip repr so reruns of
 the same seeded configuration are byte-identical.
@@ -18,6 +19,7 @@ the same seeded configuration are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import GridSpec, TorusField
-from .manybody import BosonicState, ManyBodyConfig
+from .manybody import _SYMMETRY_TOL, BosonicState, ManyBodyConfig
 
 _LAYOUTS = ("spectral", "physical")
 
@@ -97,9 +99,26 @@ def dump_state(psi: BosonicState, path) -> None:
         fh.write(np.ascontiguousarray(psi.amps, dtype=np.complex64).tobytes())
 
 
+def _check_exchange_symmetry(path, amps: np.ndarray, d: int, N: int) -> None:
+    """Raise ValueError, naming the file, unless every adjacent slot swap of
+    the (memory-mapped) state amps moves no entry by more than
+    _SYMMETRY_TOL max |amps| / C(N, 2).  At most C(N, 2) adjacent swaps sort
+    an index, so the state then passes manybody's compress round trip.  One
+    slice of the first axis is read at a time."""
+    limit = _SYMMETRY_TOL * max(float(np.abs(a).max()) for a in amps) / max(math.comb(N, 2), 1)
+    for s in range(N - 1):
+        axes = list(range(d * N))
+        axes[s * d : (s + 2) * d] = axes[(s + 1) * d : (s + 2) * d] + axes[s * d : (s + 1) * d]
+        swapped = amps.transpose(axes)
+        if any(np.abs(a - b).max() > limit for a, b in zip(amps, swapped)):
+            raise ValueError(
+                f"{path}: the state is not symmetric under exchange of particles {s + 1} and {s + 2}"
+            )
+
+
 def check_state_file(config: ManyBodyConfig, path) -> int:
-    """Raise ValueError, naming the file, unless it holds a state dump for
-    config; returns the header length."""
+    """Raise ValueError, naming the file, unless it holds a symmetric state
+    dump for config; returns the header length."""
     grid, layout, N, header_bytes = _read_header(path, slotted=True)
     if layout != "physical":
         raise ValueError(f"{path}: state dumps are 'physical', got {layout!r}")
@@ -109,6 +128,9 @@ def check_state_file(config: ManyBodyConfig, path) -> int:
             "does not match the configuration"
         )
     _check_payload(path, header_bytes, grid.size**N)
+    amps = np.memmap(path, dtype=np.complex64, mode="r", offset=header_bytes,
+                     shape=config.state_shape)
+    _check_exchange_symmetry(path, amps, grid.d, N)
     return header_bytes
 
 

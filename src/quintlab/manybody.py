@@ -7,11 +7,19 @@ The Hamiltonian is
 
 where V_scaled is the periodic extension of N^(2 d beta) V(N^beta u, N^beta v)
 in the relative coordinates, symmetrised over the choice of centre particle so
-that H maps the bosonic sector to itself.  States are dense complex tensors
-over (grid)^N; propagation uses a Lanczos (Krylov) approximation of
-exp(-i t H) with a matrix-free H.  Its kinetic part on n <= 32 points per axis is
-D = F^-1 diag(xi^2) F, a real n x n matrix, applied along each tensor axis; finer
-grids use an n^(dN) FFT pair, which D's O(n) cost per entry meets near n = 64-96.
+that H maps the bosonic sector to itself.  A BosonicState holds the dense
+complex tensor over (grid)^N.  propagate, energy and energy_moment work on the
+bosonic sector instead: each compresses the tensor once to its values on the
+C(n^d + N - 1, N) sorted site tuples, scaled so that norms are unchanged, and
+propagate expands once per state it returns.  A tensor that the round trip
+does not give back to 1e-12 max |psi| is not a bosonic state, and is rejected
+with ValueError rather than projected.  Propagation uses a Lanczos (Krylov)
+approximation of exp(-i t H) with a matrix-free H on the sector: the kinetic
+part as A^dagger (K x I) A, with A the annihilation gather onto (N-1)-tuples
+times one site, and the potential as a diagonal.  On n <= 32 points per axis
+K is D = F^-1 diag(xi^2) F, a real n x n matrix, applied along each grid axis;
+finer grids use an FFT over the grid axes.  apply_hamiltonian_raw applies H to
+the full tensor the same two ways; it is the independent oracle of the sector.
 """
 
 from __future__ import annotations
@@ -152,17 +160,22 @@ class ManyBodyConfig:
         return self.grid.shape * self.N
 
     def check_budget(self):
-        """Caps the dense state tensor, (n^d)^N entries, and the (n^d)^2
-        interaction table every run tabulates through potential_mass."""
+        """Caps the dense state tensor, (n^d)^N entries, the (n^d)^2
+        interaction table every run tabulates through potential_mass, and the
+        sector tables that energy and propagate build."""
         check_entries("state tensor", self.grid.size**self.N)
         check_entries("interaction table", self.grid.size**2)
+        check_entries("sector tables", _sector_entries(self))
 
     def check_propagation_budget(self, kdim: int = 20, outputs: int = 1):
-        """check_budget, plus propagate's basis of kdim + 1 state-sized vectors
-        and the `outputs` states it returns."""
-        self.check_budget()
-        check_entries("Krylov basis and returned states",
-                      (kdim + 1 + outputs) * self.grid.size**self.N)
+        """The state tensor and interaction table of check_budget, and all
+        propagate holds at once: its basis of kdim + 1 sector vectors, the
+        `outputs` full states it returns, and the sector tables."""
+        check_entries("state tensor", self.grid.size**self.N)
+        check_entries("interaction table", self.grid.size**2)
+        vectors = (kdim + 1) * _sector_dim(self.grid.size, self.N)
+        check_entries("Krylov basis, returned states and sector tables",
+                      vectors + outputs * self.grid.size**self.N + _sector_entries(self))
 
 
 def _wrapped_relative_coords(grid: GridSpec) -> np.ndarray:
@@ -241,6 +254,17 @@ def _triple_sum(vbar: np.ndarray, triples, nslots: int):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _kinetic_matrix(n: int) -> np.ndarray | None:
+    """D = F^-1 diag(xi^2) F on one axis of n points, for n <= _DENSE_KINETIC_MAX_N."""
+    if n > _DENSE_KINETIC_MAX_N:
+        return None
+    # circulant D[x, y] = c[x - y], c = F^-1 xi^2 even; folding |x - y| keeps D symmetric
+    c = np.fft.ifft(np.fft.fftfreq(n, 1.0 / n) ** 2).real
+    gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return c[np.minimum(gap, n - gap)]
+
+
 @functools.lru_cache(maxsize=8)
 def _cached_tables(config: ManyBodyConfig):
     check_entries("state tensor", config.grid.size**config.N)
@@ -252,16 +276,187 @@ def _cached_tables(config: ManyBodyConfig):
         diag = _triple_sum(symmetrized_triple_value(config), triples, N) / N**2
         diag = diag.reshape(config.state_shape)
     if n <= _DENSE_KINETIC_MAX_N:
-        # circulant D[x, y] = c[x - y], c = F^-1 xi^2 even; folding |x - y| keeps D symmetric
-        c = np.fft.ifft(np.fft.fftfreq(n, 1.0 / n) ** 2).real
-        gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        return diag, c[np.minimum(gap, n - gap)], None
+        return diag, _kinetic_matrix(n), None
     # kinetic multiplier sum_j |xi_j|^2 on the full spectral grid
     one = _xi_squared(grid.d, grid.n)
     kin = np.zeros(config.state_shape)
     for s in range(N):
         kin = kin + _on_slot(one, s, N)
     return diag, None, kin
+
+
+# -- the bosonic sector ------------------------------------------------------
+#
+# A symmetric psi is stored as c(s) = sqrt(N! / prod_y m_y!) psi(s) on the
+# C(m + N - 1, N) sorted tuples s of flat grid indices (m = n^d, m_y the number
+# of entries of s equal to y), so that np.vdot and norms of c equal those of
+# psi.  Tuples are ranked in colex order by the combinatorial number system,
+# rank(s) = sum_i C(s_i + i, i + 1).
+
+_SYMMETRY_TOL = 1e-12  # largest round-trip miss of a state, relative to max |psi|
+
+
+def _sector_dim(m: int, k: int) -> int:
+    """The number of sorted k-tuples over m sites."""
+    return math.comb(m + k - 1, k)
+
+
+def _sector_entries(config: ManyBodyConfig) -> int:
+    """Complex-entry equivalents (16 bytes) of what the sector path holds
+    besides its vectors: the tables of _sector, and the largest of their
+    build temporaries, the scratch of a compress and that of an H-apply."""
+    m, N = config.grid.size, config.N
+    full, dim, p = m**N, _sector_dim(m, N), _sector_dim(m, N - 1)
+    tables = full // 2 + (2 * N + 3) * dim // 2 + m * p  # 8-byte indices and weights
+    build = m ** (N - 1) // 2 + 3 * N * dim + 3 * m * p + (2 * m**3 if N >= 3 else 0)
+    return tables + max(build, 2 * full, 2 * m * p + (N + 2) * dim)
+
+
+@dataclass(frozen=True)
+class _Sector:
+    """The index tables of one config's sector (see _sector)."""
+
+    rep: np.ndarray  # (dim,) flat index of each sorted tuple in the full tensor
+    scale: np.ndarray  # (dim,) sqrt(N! / prod m_y!)
+    down: np.ndarray  # (m, p) rank of r + e_y, for site y and sorted (N-1)-tuple r
+    down_w: np.ndarray  # (m, p) sqrt(r_y + 1)
+    up: np.ndarray  # (N, dim) flat index s_i * p + rank(s minus s_i) into (m, p)
+    up_w: np.ndarray  # (N, dim) 1 / sqrt(m_{s_i})
+    expand: np.ndarray  # (m^N,) rank of the sorted tuple of each full index
+    diag: np.ndarray | None  # (dim,) the potential, None below three particles
+
+
+def _colex_levels(m: int, k: int, binom: np.ndarray) -> list[np.ndarray]:
+    """The sorted j-tuples over m sites in colex order, shape (C(m+j-1, j), j),
+    for j = 0..k.
+
+    Those ending in v follow every tuple ending below v, and their first j - 1
+    entries are the first C(v + j - 1, j - 1) sorted (j-1)-tuples."""
+    levels = [np.zeros((1, 0), dtype=np.int64)]
+    for j in range(1, k + 1):
+        starts = binom[j - 1, :m]  # C(v + j - 1, j), the first rank ending in v
+        counts = np.diff(binom[j - 1])
+        rows = np.arange(binom[j - 1, m]) - np.repeat(starts, counts)
+        levels.append(np.column_stack([levels[-1][rows], np.repeat(np.arange(m), counts)]))
+    return levels
+
+
+def _insertion_ranks(r: np.ndarray, m: int, binom: np.ndarray):
+    """For sorted (k-1)-tuples r (rows) and every site y: the rank of r + e_y
+    among sorted k-tuples and r_y, the count of y in r; both shape (m, len(r))."""
+    p, k1 = r.shape
+    y = np.arange(m)[:, None]
+    pos = np.zeros((m, p), dtype=np.int64)  # y goes after the entries <= y
+    count = np.zeros((m, p), dtype=np.int64)
+    for i in range(k1):
+        pos += r[:, i] <= y
+        count += r[:, i] == y
+    # entries before y keep their place i, those after it move to i + 1
+    before = np.cumsum(binom[np.arange(k1), r], axis=1)
+    after = np.cumsum(binom[np.arange(1, k1 + 1), r][:, ::-1], axis=1)[:, ::-1]
+    parts = np.zeros((p, k1 + 1), dtype=np.int64)
+    parts[:, 1:] += before
+    parts[:, :-1] += after
+    return parts.reshape(-1)[pos + np.arange(p) * (k1 + 1)] + binom[pos, y], count
+
+
+@functools.lru_cache(maxsize=8)
+def _sector(config: ManyBodyConfig) -> _Sector:
+    """Tabulate the sector of config: the sorted tuples, the annihilation and
+    creation gathers of the kinetic part, the expand index, and the potential."""
+    check_entries("sector tables", _sector_entries(config))
+    m, N = config.grid.size, config.N
+    # binom[i, v] = C(v + i, i + 1) for v <= m; row i is the running sum of row i - 1
+    binom = np.empty((N, m + 1), dtype=np.int64)
+    binom[0] = np.arange(m + 1)
+    for i in range(1, N):
+        np.cumsum(binom[i - 1], out=binom[i])
+    levels = _colex_levels(m, N, binom)
+    tuples, p = levels[N], levels[N - 1].shape[0]
+    down, count = _insertion_ranks(levels[N - 1], m, binom)
+    # the expand index slot by slot: prepending x_0 to a tuple of rank j gives rank ins[x_0, j]
+    expand = np.arange(m)
+    for k in range(2, N + 1):
+        ins = down if k == N else _insertion_ranks(levels[k - 1], m, binom)[0]
+        expand = ins[:, expand].reshape(-1)
+    # equal[:, i]: entries of s equal to s_i; earlier[:, i]: those before i
+    equal = np.zeros_like(tuples)
+    earlier = np.ones_like(tuples)
+    for i in range(N):
+        same = tuples == tuples[:, i : i + 1]
+        equal += same
+        earlier[:, i + 1 :] += same[:, i + 1 :]
+    # rank(s minus s_i): entries before i keep their place, those after it move to i - 1
+    own = binom[np.arange(N), tuples]
+    moved = np.zeros_like(own)
+    moved[:, 1:] = binom[np.arange(N - 1), tuples[:, 1:]]
+    rest = np.cumsum(own, axis=1) - own + (np.cumsum(moved[:, ::-1], axis=1)[:, ::-1] - moved)
+    diag = None
+    if N >= 3:
+        vbar = symmetrized_triple_value(config)
+        diag = 0.0
+        for i, j, l in itertools.combinations(range(N), 3):
+            diag = diag + vbar[tuples[:, i], tuples[:, j], tuples[:, l]]
+        diag = diag / N**2
+    return _Sector(
+        rep=tuples @ m ** np.arange(N - 1, -1, -1),
+        scale=np.sqrt(math.factorial(N) / np.prod(earlier, axis=1)),
+        down=down,
+        down_w=np.sqrt(count + 1.0),
+        up=(tuples * p + rest).T.copy(),
+        up_w=(1.0 / np.sqrt(equal)).T.copy(),
+        expand=expand,
+        diag=diag,
+    )
+
+
+def _compress(config: ManyBodyConfig, amps: np.ndarray) -> np.ndarray:
+    """The sector vector c of the symmetric tensor amps; ValueError unless
+    expanding c gives amps back to _SYMMETRY_TOL * max |amps|."""
+    sec = _sector(config)
+    flat = np.asarray(amps, dtype=np.complex128).reshape(-1)
+    rep = flat[sec.rep]
+    miss = rep[sec.expand]
+    miss -= flat
+    if np.abs(miss).max() > _SYMMETRY_TOL * np.abs(flat).max():
+        raise ValueError("the state is not symmetric under exchange of particles")
+    rep *= sec.scale
+    return rep
+
+
+def _expand(config: ManyBodyConfig, c: np.ndarray) -> np.ndarray:
+    """The full symmetric tensor of the sector vector c."""
+    sec = _sector(config)
+    return (c / sec.scale)[sec.expand].reshape(config.state_shape)
+
+
+def _apply_sector(config: ManyBodyConfig, c: np.ndarray, out: np.ndarray | None = None):
+    """H c on the sector: the kinetic part as A^dagger (K x I) A, with A the
+    annihilation gather into b[y, r] = sqrt(r_y + 1) c[rank(r + e_y)] and K
+    acting on b's d grid axes, and the potential as a diagonal."""
+    sec = _sector(config)
+    d, n = config.grid.d, config.grid.n
+    b = c[sec.down]
+    b *= sec.down_w
+    dmat = _kinetic_matrix(n)
+    if dmat is None:
+        axes = tuple(range(d))
+        g = _fftn(b.reshape((n,) * d + (-1,)), axes=axes)
+        g *= _xi_squared(d, n)[..., None]
+        _ifftn(g, out=g, axes=axes)
+    else:
+        bf, g = b.view(np.float64), np.empty_like(b)
+        gf = g.view(np.float64)
+        np.matmul(dmat, bf.reshape(n, -1), out=gf.reshape(n, -1))
+        for ax in range(1, d):
+            view = (n**ax, n, bf.size // n ** (ax + 1))
+            gf.reshape(view)[...] += np.matmul(dmat, bf.reshape(view))
+    terms = g.reshape(-1)[sec.up]
+    terms *= sec.up_w
+    out = np.sum(terms, axis=0, out=out)
+    if sec.diag is not None:
+        out += sec.diag * c
+    return out
 
 
 def symmetrized_triple_value(config: ManyBodyConfig) -> np.ndarray:
@@ -297,6 +492,8 @@ class BosonicState:
     """Symmetric N-particle complex tensor on (grid)^N.
 
     amps has shape grid.shape * N; slot j occupies axes [j*d, (j+1)*d).
+    The constructor does not check the symmetry; propagate, energy and
+    energy_moment do.
     """
 
     def __init__(self, config: ManyBodyConfig, amps: np.ndarray, normalize: bool = False):
@@ -366,7 +563,8 @@ class BosonicState:
 
 
 def apply_hamiltonian_raw(config: ManyBodyConfig, amps: np.ndarray) -> np.ndarray:
-    """H amps, matrix-free: kinetic part plus diagonal potential.
+    """H amps on the full tensor, matrix-free: kinetic part plus diagonal
+    potential.  No run path calls it; it is the oracle of _apply_sector.
 
     For n <= 32 the kinetic part is D = F^-1 diag(xi^2) F (real, symmetric) applied
     along each of the d N axes as one real matmul on the float64 view of the state.
@@ -398,7 +596,8 @@ def apply_hamiltonian(psi: BosonicState) -> np.ndarray:
 
 
 def energy(psi: BosonicState) -> float:
-    return float(np.real(np.vdot(psi.amps, apply_hamiltonian(psi)))
+    c = _compress(psi.config, psi.amps)
+    return float(np.real(np.vdot(c, _apply_sector(psi.config, c)))
                  * psi.config.grid.cell_volume**psi.config.N)
 
 
@@ -415,10 +614,10 @@ def check_moment_order(k: int) -> None:
 def energy_moment(psi: BosonicState, k: int) -> float:
     """<psi, (H/N + 1)^k psi>, by repeated application of H."""
     check_moment_order(k)
-    v = psi.amps
+    c = v = _compress(psi.config, psi.amps)
     for _ in range(k):
-        v = apply_hamiltonian_raw(psi.config, v) / psi.config.N + v
-    val = np.vdot(psi.amps, v) * psi.config.grid.cell_volume**psi.config.N
+        v = _apply_sector(psi.config, v) / psi.config.N + v
+    val = np.vdot(c, v) * psi.config.grid.cell_volume**psi.config.N
     return float(np.real(val))
 
 
@@ -466,7 +665,7 @@ def _lanczos_basis(config: ManyBodyConfig, V: np.ndarray, kdim: int,
     again = False  # the previous vector had a full pass, so this one gets one too
     for j in range(kdim):
         w = V[j + 1]
-        w[:] = apply_hamiltonian_raw(config, V[j].reshape(config.state_shape)).reshape(-1)
+        _apply_sector(config, V[j], out=w)
         a = np.vdot(V[j], w).real
         if j:
             w -= np.array([betas[j - 1], a]) @ V[j - 1 : j + 1]
@@ -578,8 +777,12 @@ def propagate(
     Dense output: each requested time inside a substep comes from that
     substep's basis with no H-apply, beta_0 V^T evecs exp(-i s evals)
     evecs[0] at offset s.  Where the estimate fails at s, the substep ends
-    at the longest trial length before s and the next basis serves s.  One
-    (kdim + 1, dim) buffer holds the basis for the whole call.
+    at the longest trial length before s and the next basis serves s.
+
+    The basis lives in the bosonic sector: psi is compressed once (a
+    ValueError if it is not symmetric to 1e-12 max |psi|), one (kdim + 1,
+    dim) buffer of sector vectors, dim = C(n^d + N - 1, N), holds the basis
+    for the whole call, and each returned state is expanded to a full tensor.
     """
     if np.ndim(t) == 0:
         return _propagate(psi, np.array([abs(t)], dtype=np.float64), np.sign(t),
@@ -593,19 +796,21 @@ def propagate(
 def _propagate(psi: BosonicState, times: np.ndarray, sign: float, steps, kdim, tol):
     """propagate at the sorted times >= 0, forward in time or, with sign -1, backward."""
     config = psi.config
-    beta0 = float(np.linalg.norm(psi.amps))
     span = float(times[-1]) if times.size else 0.0
+    pending = times[times > 0.0]
+    pending = pending[np.diff(pending, prepend=0.0) > 0.0]  # distinct; np.unique loads numpy.ma
+    if span > 0.0:
+        config.check_propagation_budget(kdim, pending.size + int(times[0] == 0.0))
+    c = _compress(config, psi.amps)
+    beta0 = float(np.linalg.norm(c))
     if span == 0.0 or beta0 == 0.0:
         served = {s: BosonicState(config, psi.amps.copy()) for s in set(times.tolist())}
         return [served[s] for s in times.tolist()]
-    pending = times[times > 0.0]
-    pending = pending[np.diff(pending, prepend=0.0) > 0.0]  # distinct; np.unique loads numpy.ma
-    config.check_propagation_budget(kdim, pending.size + int(times[0] == 0.0))
     served = {0.0: BosonicState(config, psi.amps.copy())} if times[0] == 0.0 else {}
     cap = span / steps if steps else span
     rate = tol / span
-    V = np.empty((kdim + 1, psi.amps.size), dtype=np.complex128)
-    np.divide(psi.amps.reshape(-1), beta0, out=V[0])
+    V = np.empty((kdim + 1, c.size), dtype=np.complex128)
+    np.divide(c, beta0, out=V[0])
 
     def krylov(offset):  # exp(-i sign offset H) V[0] from the current basis, unscaled
         return (evecs @ (np.exp(-1j * sign * offset * evals) * evecs[0])) @ V[: evals.size]
@@ -634,7 +839,7 @@ def _propagate(psi: BosonicState, times: np.ndarray, sign: float, steps, kdim, t
         for s, offset in zip(pending[:count].tolist(), offsets[:count]):
             u = krylov(offset)
             u *= beta0
-            served[s] = BosonicState(config, u)
+            served[s] = BosonicState(config, _expand(config, u))
         pending = pending[count:]
         left -= tau
         if left > 0.0:

@@ -469,16 +469,18 @@ BAD_CONFIGS = [
     ("probe", {"lemma": "approx_identity", "options": {"alphas": [0.1], "n": 16}}, "options"),
     ("probe", {"lemma": "refined_sobolev", "options": {"ms": [8], "rs": [4]}}, "options"),
     ("manybody-run", {**_MB, "d": 3, "n": 32, "N": 1}, "N"),  # a 2^30-entry interaction table
-    ("manybody-run", {**_MB, "n": 64, "N": 4}, "N"),  # a 2^24-entry state, 21x that in the basis
+    ("manybody-run", {**_MB, "n": 64, "N": 4}, "N"),  # a 2^24-entry state, returned beside
+    # the 21-vector sector basis (16.1 M entries)
     *_OVERSIZED_GRIDS,
     ("probe", {"lemma": "bilinear", "options": {"m1s": [128]}}, "options"),  # a 264^3 grid
     # evaluation grids past the budget on field grids within it
     ("probe", {"lemma": "strichartz", "options": {"n": 256, "ms": [128]}}, "options"),
     ("probe", {"lemma": "refined_sobolev", "options": {"n": 128, "band": 64}}, "options"),
     ("probe", {"lemma": "multilinear", "options": {"n": 96}}, "options"),
-    # 92^3-entry states: the 21-vector basis fits, not with 1 or 4 returned states as well
-    ("manybody-run", {**_MB, "n": 92, "N": 3}, "N"),
-    ("residuals", {**_RES, "n": 92}, "N"),
+    # d=1 N=3: the 21-vector sector basis and the sector tables fit, not with the
+    # one returned state (n=114) or the four (n=108) as well
+    ("manybody-run", {**_MB, "n": 114, "N": 3}, "N"),
+    ("residuals", {**_RES, "n": 108}, "N"),
     # list elements are typed, so no float is truncated to an order or a count
     ("chaos", {**_CHAOS, "Ns": [2.5, 3.9]}, "Ns"),
     ("manybody-run", {**_MB, "moments": [1.7]}, "moments"),
@@ -498,6 +500,9 @@ BAD_CONFIGS = [
     ("nls-run", {**_NLS, "initial": {**_BAND2, "scale": 0}}, "initial.scale"),
     ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "sigma": True}}, "potential"),
     ("residuals", {**_RES, "potential": {"kind": "constant", "value": "1"}}, "potential"),
+    # amplitude (0, 1) zeroed and (1, 0) kept: not a bosonic state
+    ("manybody-run", lambda tmp: {**_MB, "initial": _state_file(tmp, lambda b: b[:28] + bytes(8)
+                                                                + b[36:])}, "initial.path"),
 ]
 
 

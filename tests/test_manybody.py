@@ -1,6 +1,8 @@
 """Few-body engine: potential tabulation, Hamiltonian action, propagation,
 energy moments."""
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -279,6 +281,105 @@ class TestApplyHamiltonian:
         )
 
 
+class TestSector:
+    """The sector storage and H-apply against the full-tensor oracle apply_hamiltonian_raw."""
+
+    # the full-tensor oracle's cases, and one past _DENSE_KINETIC_MAX_N for the FFT route
+    CASES = TestApplyHamiltonian.ORACLE_CASES + [(1, 64, 2)]
+
+    @staticmethod
+    def symmetric(cfg, seed):
+        """A random tensor averaged over the N! permutations of its slots."""
+        d, N, shape = cfg.grid.d, cfg.N, cfg.state_shape
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        perms = itertools.permutations(range(N))
+        axes = ([s * d + i for s in perm for i in range(d)] for perm in perms)
+        return sum(np.transpose(raw, ax) for ax in axes) / math.factorial(N)
+
+    @pytest.mark.parametrize("d,n,N", CASES)
+    def test_apply_matches_the_full_tensor_oracle(self, d, n, N):
+        # a random symmetric tensor, and the Nyquist datum of test_matches_fft_oracle
+        # (symmetric as it stands) plus a tenth of it
+        cfg = ManyBodyConfig(GridSpec(d, n), N, 0.05)
+        a = self.symmetric(cfg, d * 100 + n * 10 + N)
+        nyquist = (1 + 2j) * (-1.0) ** np.indices(cfg.state_shape).sum(axis=0) + 0.1 * a
+        for datum in (a, nyquist):
+            want = apply_hamiltonian_raw(cfg, datum)
+            got = manybody._expand(cfg, manybody._apply_sector(cfg, manybody._compress(cfg, datum)))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d,n,N", [(1, 8, 1), (1, 8, 2), (1, 16, 4), (1, 8, 5), (2, 4, 3),
+                                       (3, 4, 2), (1, 64, 2)])
+    def test_round_trip_keeps_the_state_and_its_norm(self, d, n, N):
+        cfg = ManyBodyConfig(GridSpec(d, n), N, 0.05)
+        psi = self.symmetric(cfg, 3)
+        c = manybody._compress(cfg, psi)
+        assert c.size == math.comb(n**d + N - 1, N)
+        assert np.abs(manybody._expand(cfg, c) - psi).max() <= 1e-14 * np.abs(psi).max()
+        assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(psi), rel=1e-14)
+        back = manybody._compress(cfg, manybody._expand(cfg, c))
+        assert np.abs(back - c).max() <= 1e-14 * np.abs(c).max()
+
+    @pytest.mark.parametrize("d,n,N", [(1, 16, 1), (1, 8, 2), (1, 8, 3), (1, 16, 4), (2, 4, 3),
+                                       (1, 64, 2)])
+    def test_energy_and_moments_match_full_tensor_sums(self, d, n, N):
+        cfg = ManyBodyConfig(GridSpec(d, n), N, 0.05)
+        psi = BosonicState(cfg, self.symmetric(cfg, 4), normalize=True)
+        dv = cfg.grid.cell_volume**N
+        h = apply_hamiltonian_raw(cfg, psi.amps)
+        assert energy(psi) == pytest.approx(np.vdot(psi.amps, h).real * dv, rel=1e-13)
+        v = psi.amps
+        for k in range(4):
+            want = np.vdot(psi.amps, v).real * dv
+            assert energy_moment(psi, k) == pytest.approx(want, rel=1e-13)
+            v = apply_hamiltonian_raw(cfg, v) / N + v
+
+    @pytest.mark.parametrize("call", [
+        lambda psi: propagate(psi, 0.1),
+        lambda psi: propagate(psi, [0.0, 0.1]),
+        energy,
+        lambda psi: energy_moment(psi, 2),
+    ], ids=["propagate", "dense_output", "energy", "energy_moment"])
+    def test_a_state_the_sector_cannot_hold_is_rejected(self, call):
+        # one entry off its exchange partners by 1e-10 max |psi| is not a
+        # bosonic state; 1e-14 is rounding, and passes
+        cfg = ManyBodyConfig(GridSpec(1, 8), 3, 0.05)
+        psi = BosonicState.factorized(cfg, smooth_phi(cfg.grid))
+        for shift, rejected in [(1e-10, True), (1e-14, False)]:
+            amps = psi.amps.copy()
+            amps[0, 1, 2] += shift * np.abs(amps).max()
+            if rejected:
+                with pytest.raises(ValueError, match="not symmetric"):
+                    call(BosonicState(cfg, amps))
+            else:
+                call(BosonicState(cfg, amps))
+
+    def test_budget_bounds_the_peak_of_propagate(self, monkeypatch):
+        # the fewbody shape d=1 n=16 N=4, from cold sector tables: the entries
+        # check_propagation_budget charges bound what propagate allocates
+        cfg = ManyBodyConfig(GridSpec(1, 16), 4, 0.05)
+        psi = BosonicState.factorized(cfg, smooth_phi(cfg.grid, seed=9))
+        potential_mass(cfg)  # the interaction table has a budget line of its own
+        charged, check = [], manybody.check_entries
+
+        def spy(what, entries, name=None):
+            if what.startswith("Krylov basis"):
+                charged.append(entries)
+            check(what, entries, name)
+
+        monkeypatch.setattr(manybody, "check_entries", spy)
+        manybody._sector.cache_clear()
+        tracemalloc.start()
+        try:
+            propagate(psi, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(charged) == 1
+        assert peak <= 16 * charged[0]
+
+
 class TestPropagate:
     def test_identity_at_t0(self):
         g = GridSpec(1, 8)
@@ -457,16 +558,23 @@ class TestPropagate:
             past = len(alphas) - 1 - tiny[0] if tiny.size else 0
             assert past <= (0 if T == 0.2 else 1)
 
+    @staticmethod
+    def sector_basis_buffer(psi, kdim):
+        """A (kdim + 1)-row buffer of sector vectors whose first row is psi's, normalized."""
+        c = manybody._compress(psi.config, psi.amps)
+        V = np.empty((kdim + 1, c.size), dtype=np.complex128)
+        V[0] = c / np.linalg.norm(c)
+        return V
+
     def test_lanczos_basis_stays_orthonormal(self):
-        # a 31-vector basis in dimension 512: the three-term recurrence alone
-        # drifts to about 1e-4 here, one full re-orthogonalization pass per
-        # vector keeps 7e-10
+        # a 31-vector basis in the 120-dimensional sector of d=1 n=8 N=3: the
+        # three-term recurrence alone drifts to about 4e-5 here, the partial
+        # re-orthogonalization keeps 2e-11
         g = GridSpec(1, 8)
         cfg = ManyBodyConfig(g, 3, 0.05)
         psi = BosonicState.factorized(cfg, smooth_phi(g, band=2))
         kdim = 30
-        V = np.empty((kdim + 1, psi.amps.size), dtype=np.complex128)
-        V[0] = psi.amps.reshape(-1) / np.linalg.norm(psi.amps)
+        V = self.sector_basis_buffer(psi, kdim)
         alphas, betas = manybody._lanczos_basis(cfg, V, kdim)
         assert len(alphas) == kdim and betas[-1] > 0.0
         gram = V.conj() @ V.T
@@ -476,28 +584,34 @@ class TestPropagate:
     def krylov_basis(d, n, N, kdim):
         cfg = ManyBodyConfig(GridSpec(d, n), N, 0.05)
         psi = BosonicState.factorized(cfg, smooth_phi(cfg.grid, band=2))
-        V = np.empty((kdim + 1, psi.amps.size), dtype=np.complex128)
-        V[0] = psi.amps.reshape(-1) / np.linalg.norm(psi.amps)
+        V = TestPropagate.sector_basis_buffer(psi, kdim)
         alphas, betas = manybody._lanczos_basis(cfg, V, kdim)
         return cfg, V, alphas, betas
 
     @pytest.mark.parametrize("d,n,N,kdim", [
-        (1, 16, 4, 20),  # the fewbody shape, dim 65,536
-        (2, 8, 2, 30),  # dim 4,096: the omega estimate asks for full passes
-        (1, 4, 3, 30),  # dim 64: the symmetric Krylov space runs out near step 14
-        (2, 4, 2, 30),  # dim 256: beta_13 ~ 1e-13, and one pass alone leaves 3e-8
+        (1, 16, 4, 20),  # the fewbody shape, sector dim 3,876
+        (2, 8, 2, 30),  # sector dim 2,080: the omega estimate asks for full passes
+        (1, 4, 3, 30),  # sector dim 20: the basis ends in an exact breakdown at 20 vectors
+        (2, 4, 2, 30),  # sector dim 136: beta_13 ~ 1e-13, and one pass alone leaves 2e-9
+        (3, 4, 2, 30),  # sector dim 2,080: betas down to 4e-12, and one pass alone leaves 7e-8
     ])
     def test_partial_reorthogonalization_keeps_the_basis(self, d, n, N, kdim):
         cfg, V, alphas, betas = self.krylov_basis(d, n, N, kdim)
         m = len(alphas)
-        assert m == kdim and betas[-1] > 0.0
+        if V.shape[1] < kdim + 1:  # the basis spans the whole sector
+            assert m == V.shape[1] and betas[-1] == 0.0
+        else:
+            assert m == kdim and betas[-1] > 0.0
         if n == 4:
             assert betas.min() < 1e-6  # the n = 4 cases do run into a (near) invariant subspace
-        gram = V.conj() @ V.T
-        assert np.abs(gram - np.eye(kdim + 1)).max() <= 1e-8
+        rows = min(kdim + 1, V.shape[1])
+        gram = V[:rows].conj() @ V[:rows].T
+        assert np.abs(gram - np.eye(rows)).max() <= 1e-8
         # the tridiagonal is the projection of H on the basis
-        HV = np.stack([apply_hamiltonian_raw(cfg, v.reshape(cfg.state_shape)).reshape(-1)
-                       for v in V[:m]])
+        HV = np.stack([
+            manybody._compress(cfg, apply_hamiltonian_raw(cfg, manybody._expand(cfg, v)))
+            for v in V[:m]
+        ])
         tri = np.diag(alphas) + np.diag(betas[:-1], -1) + np.diag(betas[:-1], 1)
         scale = max(np.abs(alphas).max(), np.abs(betas).max())
         assert np.abs(V[:m].conj() @ HV.T - tri).max() <= 1e-10 * scale
@@ -515,8 +629,7 @@ class TestPropagate:
         """The Krylov basis of psi and the number of full re-orthogonalization
         passes it took: _lanczos_basis calls np.linalg.norm once per step and
         twice per pass (the new vector and the overlaps)."""
-        V = np.empty((kdim + 1, psi.amps.size), dtype=np.complex128)
-        V[0] = psi.amps.reshape(-1) / np.linalg.norm(psi.amps)
+        V = TestPropagate.sector_basis_buffer(psi, kdim)
         calls, norm = [], np.linalg.norm
 
         def counting(*args, **kwargs):
@@ -530,7 +643,7 @@ class TestPropagate:
 
     @pytest.mark.parametrize("d,n,N,kdim,most", [
         (1, 16, 4, 20, 2),  # the fewbody shape: no pass is due
-        (1, 8, 3, 30, 4),  # the dim-512 basis of test_lanczos_basis_stays_orthonormal: 2 passes
+        (1, 8, 3, 30, 4),  # the basis of test_lanczos_basis_stays_orthonormal: 2 passes
     ])
     def test_full_passes_stay_rare(self, d, n, N, kdim, most, monkeypatch):
         # the omega estimates track the true overlaps and restart at eps after
@@ -541,11 +654,13 @@ class TestPropagate:
         assert len(alphas) == kdim and passes <= most
         assert np.abs(V.conj() @ V.T - np.eye(kdim + 1)).max() <= 1e-8
 
-    @pytest.mark.parametrize("seed", [115, 165])
+    @pytest.mark.parametrize("seed", [115, 165, 219, 312])
     def test_pass_on_the_next_vector_keeps_a_stress_basis(self, seed, monkeypatch):
-        # a random symmetric state, d=2 n=6 N=2 band 2 (dim 1,296), kdim 40: the
-        # code keeps about 1e-11; without the pass on the vector after each full
-        # pass the basis ends at 1.5e-8 (seed 115) and 1.6e-8 (seed 165)
+        # a random symmetric state, d=2 n=6 N=2 band 2 (sector dim 666), kdim 40:
+        # the code keeps 1e-11 to 6e-11; without the pass on the vector after
+        # each full pass the basis ends at 1.4e-8 (seed 219) and 2.1e-8 (seed
+        # 312).  Seeds 115 and 165 separated the two on the full tensor (1.5e-8
+        # and 1.6e-8); in the sector they end at 4.7e-9 and 6.9e-9 without it
         cfg = ManyBodyConfig(GridSpec(2, 6), 2, 0.05)
         psi = BosonicState.random_symmetric(cfg, np.random.default_rng(seed), band=2)
         V, alphas, betas, passes = self.full_passes(psi, 40, monkeypatch)
@@ -573,20 +688,21 @@ class TestPropagate:
         assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
     def test_cost_guard(self, monkeypatch):
-        # d=1 n=16 N=4 (dim 65,536), T=0.1: at most 100 H-applies, and a peak
-        # of the (kdim + 1)-row basis buffer (21 MiB) plus temporaries; a
-        # second buffer or a (j + 1, dim) conjugate copy goes past 32 MiB
+        # d=1 n=16 N=4 (dim 65,536, sector dim 3,876), T=0.1: at most 100
+        # H-applies, and a peak under 32 MiB: a (kdim + 1)-row basis of full
+        # tensors alone would hold 21 MiB; the sector basis holds 1.2 MiB, and
+        # the call peaks at 2.4 MiB
         g = GridSpec(1, 16)
         cfg = ManyBodyConfig(g, 4, 0.05)
         psi = BosonicState.factorized(cfg, smooth_phi(g, seed=9))
-        apply_hamiltonian(psi)  # tabulate the Hamiltonian outside the measurement
-        calls = []
+        energy(psi)  # tabulate the Hamiltonian outside the measurement
+        calls, apply = [], manybody._apply_sector
 
-        def counting(config, amps):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return apply_hamiltonian_raw(config, amps)
+            return apply(*args, **kwargs)
 
-        monkeypatch.setattr(manybody, "apply_hamiltonian_raw", counting)
+        monkeypatch.setattr(manybody, "_apply_sector", counting)
         tracemalloc.start()
         try:
             propagate(psi, 0.1)
