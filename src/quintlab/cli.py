@@ -194,8 +194,8 @@ def _build(kind: str, p: dict, seed: int) -> dict:
             if mb and (kind == "residuals" or p["T"] > 0):  # residuals: 2 times per spacing
                 outputs = 2 * len(p["spacings"]) if kind == "residuals" else 1
                 attempt(key, lambda: mb.check_propagation_budget(outputs=outputs))
-            elif mb:
-                attempt(key, mb.check_budget)
+            elif mb:  # energy builds the sector all the same
+                attempt(key, lambda: (mb.check_budget(), mb.check_sector_budget()))
     if kind == "nls-run":
         # NlsConfig checks b0, dt and, given a grid, the rotation grid's budget;
         # the initial field is drawn only for a solver that passes

@@ -19,7 +19,6 @@ the same seeded configuration are byte-identical.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from pathlib import Path
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import GridSpec, TorusField
-from .manybody import _SYMMETRY_TOL, BosonicState, ManyBodyConfig
+from .manybody import BosonicState, ManyBodyConfig, check_exchange_symmetry, symmetric_amps
 
 _LAYOUTS = ("spectral", "physical")
 
@@ -91,29 +90,15 @@ def load_field(path) -> TorusField:
 
 
 def dump_state(psi: BosonicState, path) -> None:
+    """Write psi with exchange partners equal bit for bit, as check_state_file
+    demands of the complex64 entries; ValueError if psi is not symmetric."""
     grid = psi.config.grid
+    amps = symmetric_amps(psi).astype(np.complex64)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<II", grid.d, grid.n))
         fh.write(b"physical".ljust(8, b"\0"))
         fh.write(struct.pack("<I", psi.config.N))
-        fh.write(np.ascontiguousarray(psi.amps, dtype=np.complex64).tobytes())
-
-
-def _check_exchange_symmetry(path, amps: np.ndarray, d: int, N: int) -> None:
-    """Raise ValueError, naming the file, unless every adjacent slot swap of
-    the (memory-mapped) state amps moves no entry by more than
-    _SYMMETRY_TOL max |amps| / C(N, 2).  At most C(N, 2) adjacent swaps sort
-    an index, so the state then passes manybody's compress round trip.  One
-    slice of the first axis is read at a time."""
-    limit = _SYMMETRY_TOL * max(float(np.abs(a).max()) for a in amps) / max(math.comb(N, 2), 1)
-    for s in range(N - 1):
-        axes = list(range(d * N))
-        axes[s * d : (s + 2) * d] = axes[(s + 1) * d : (s + 2) * d] + axes[s * d : (s + 1) * d]
-        swapped = amps.transpose(axes)
-        if any(np.abs(a - b).max() > limit for a, b in zip(amps, swapped)):
-            raise ValueError(
-                f"{path}: the state is not symmetric under exchange of particles {s + 1} and {s + 2}"
-            )
+        fh.write(amps.tobytes())
 
 
 def check_state_file(config: ManyBodyConfig, path) -> int:
@@ -130,7 +115,10 @@ def check_state_file(config: ManyBodyConfig, path) -> int:
     _check_payload(path, header_bytes, grid.size**N)
     amps = np.memmap(path, dtype=np.complex64, mode="r", offset=header_bytes,
                      shape=config.state_shape)
-    _check_exchange_symmetry(path, amps, grid.d, N)
+    try:
+        check_exchange_symmetry(amps, grid.d, N)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return header_bytes
 
 

@@ -13,13 +13,15 @@ bosonic sector instead: each compresses the tensor once to its values on the
 C(n^d + N - 1, N) sorted site tuples, scaled so that norms are unchanged, and
 propagate expands once per state it returns.  A tensor that the round trip
 does not give back to 1e-12 max |psi| is not a bosonic state, and is rejected
-with ValueError rather than projected.  Propagation uses a Lanczos (Krylov)
-approximation of exp(-i t H) with a matrix-free H on the sector: the kinetic
-part as A^dagger (K x I) A, with A the annihilation gather onto (N-1)-tuples
-times one site, and the potential as a diagonal.  On n <= 32 points per axis
-K is D = F^-1 diag(xi^2) F, a real n x n matrix, applied along each grid axis;
-finer grids use an FFT over the grid axes.  apply_hamiltonian_raw applies H to
-the full tensor the same two ways; it is the independent oracle of the sector.
+with ValueError rather than projected; check_exchange_symmetry applies the
+same rule, by adjacent slot swaps, to a state file.  Propagation uses a
+Lanczos (Krylov) approximation of exp(-i t H) with a matrix-free H on the
+sector: the kinetic part as A^dagger (K x I) A, with A the annihilation gather
+onto (N-1)-tuples times one site, and the potential as a diagonal.  On
+n <= 96 points per axis K is D = F^-1 diag(xi^2) F, a real n x n matrix,
+applied along each grid axis; finer grids use an FFT over the grid axes.
+apply_hamiltonian_raw applies H to the full tensor the same two ways; it is
+the independent oracle of the sector.
 """
 
 from __future__ import annotations
@@ -35,7 +37,12 @@ import numpy as np
 
 from .grids import GridSpec, ParameterError, TorusField, _fftn, _ifftn, _xi_squared, check_entries
 
-_DENSE_KINETIC_MAX_N = 32  # axes up to this length take the kinetic part as a matrix
+# Axes up to this length take the kinetic part as a matrix, longer ones an FFT.
+# One BLAS thread on an Intel Xeon: in the sector apply the matrix takes
+# 0.4-0.6x the FFT's time at n = 64 (d = 1 N = 2, d = 2 N = 1), 0.6-1.0x at
+# n = 96 (d = 1 N = 2, 3; d = 2, 3 N = 1), but 1.3x at d = 2 N = 1 n = 128 and
+# 1.5-3.4x at d = 1 N = 2 n = 384-960.
+_DENSE_KINETIC_MAX_N = 96
 _GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(128)  # on [-1, 1]; V is flat at its edge
 
 
@@ -160,19 +167,21 @@ class ManyBodyConfig:
         return self.grid.shape * self.N
 
     def check_budget(self):
-        """Caps the dense state tensor, (n^d)^N entries, the (n^d)^2
-        interaction table every run tabulates through potential_mass, and the
-        sector tables that energy and propagate build."""
+        """Caps the dense state tensor, (n^d)^N entries, and the (n^d)^2
+        interaction table every run tabulates through potential_mass."""
         check_entries("state tensor", self.grid.size**self.N)
         check_entries("interaction table", self.grid.size**2)
+
+    def check_sector_budget(self):
+        """Caps the sector tables that energy, energy_moment and propagate
+        build, with their scratch (see _sector_entries)."""
         check_entries("sector tables", _sector_entries(self))
 
     def check_propagation_budget(self, kdim: int = 20, outputs: int = 1):
-        """The state tensor and interaction table of check_budget, and all
-        propagate holds at once: its basis of kdim + 1 sector vectors, the
-        `outputs` full states it returns, and the sector tables."""
-        check_entries("state tensor", self.grid.size**self.N)
-        check_entries("interaction table", self.grid.size**2)
+        """check_budget, plus all propagate holds at once: its basis of kdim + 1
+        sector vectors, the `outputs` full states it returns, and the sector
+        tables with their scratch."""
+        self.check_budget()
         vectors = (kdim + 1) * _sector_dim(self.grid.size, self.N)
         check_entries("Krylov basis, returned states and sector tables",
                       vectors + outputs * self.grid.size**self.N + _sector_entries(self))
@@ -256,7 +265,8 @@ def _triple_sum(vbar: np.ndarray, triples, nslots: int):
 
 @functools.lru_cache(maxsize=None)
 def _kinetic_matrix(n: int) -> np.ndarray | None:
-    """D = F^-1 diag(xi^2) F on one axis of n points, for n <= _DENSE_KINETIC_MAX_N."""
+    """D = F^-1 diag(xi^2) F on one axis of n points, for n <= _DENSE_KINETIC_MAX_N;
+    None on longer axes, which take an FFT."""
     if n > _DENSE_KINETIC_MAX_N:
         return None
     # circulant D[x, y] = c[x - y], c = F^-1 xi^2 even; folding |x - y| keeps D symmetric
@@ -304,7 +314,8 @@ def _sector_dim(m: int, k: int) -> int:
 def _sector_entries(config: ManyBodyConfig) -> int:
     """Complex-entry equivalents (16 bytes) of what the sector path holds
     besides its vectors: the tables of _sector, and the largest of their
-    build temporaries, the scratch of a compress and that of an H-apply."""
+    build temporaries, the scratch of a compress or of symmetric_amps, and
+    that of an H-apply."""
     m, N = config.grid.size, config.N
     full, dim, p = m**N, _sector_dim(m, N), _sector_dim(m, N - 1)
     tables = full // 2 + (2 * N + 3) * dim // 2 + m * p  # 8-byte indices and weights
@@ -364,7 +375,7 @@ def _insertion_ranks(r: np.ndarray, m: int, binom: np.ndarray):
 def _sector(config: ManyBodyConfig) -> _Sector:
     """Tabulate the sector of config: the sorted tuples, the annihilation and
     creation gathers of the kinetic part, the expand index, and the potential."""
-    check_entries("sector tables", _sector_entries(config))
+    config.check_sector_budget()
     m, N = config.grid.size, config.N
     # binom[i, v] = C(v + i, i + 1) for v <= m; row i is the running sum of row i - 1
     binom = np.empty((N, m + 1), dtype=np.int64)
@@ -410,6 +421,24 @@ def _sector(config: ManyBodyConfig) -> _Sector:
     )
 
 
+def check_exchange_symmetry(amps: np.ndarray, d: int, N: int) -> None:
+    """ValueError unless no adjacent slot swap moves an entry of the state
+    tensor amps by more than _SYMMETRY_TOL max |amps| / C(N, 2).
+
+    Sorting an index takes at most C(N, 2) adjacent swaps, so such a state
+    also passes the round trip of _compress.  It builds no sector table and
+    reads one slice of the first axis at a time, so it serves a memory-mapped
+    state file; _compress, which has the tables, checks the round trip itself."""
+    limit = _SYMMETRY_TOL * max(float(np.abs(a).max()) for a in amps) / max(math.comb(N, 2), 1)
+    for s in range(N - 1):
+        axes = list(range(d * N))
+        axes[s * d : (s + 2) * d] = axes[(s + 1) * d : (s + 2) * d] + axes[s * d : (s + 1) * d]
+        if any(np.abs(a - b).max() > limit for a, b in zip(amps, amps.transpose(axes))):
+            raise ValueError(
+                f"the state is not symmetric under exchange of particles {s + 1} and {s + 2}"
+            )
+
+
 def _compress(config: ManyBodyConfig, amps: np.ndarray) -> np.ndarray:
     """The sector vector c of the symmetric tensor amps; ValueError unless
     expanding c gives amps back to _SYMMETRY_TOL * max |amps|."""
@@ -430,10 +459,18 @@ def _expand(config: ManyBodyConfig, c: np.ndarray) -> np.ndarray:
     return (c / sec.scale)[sec.expand].reshape(config.state_shape)
 
 
+def symmetric_amps(psi: "BosonicState") -> np.ndarray:
+    """psi's tensor with each entry read from its sorted index, so that
+    exchange partners agree bit for bit, also after a cast to complex64;
+    ValueError if the round trip of _compress misses psi."""
+    return _expand(psi.config, _compress(psi.config, psi.amps))
+
+
 def _apply_sector(config: ManyBodyConfig, c: np.ndarray, out: np.ndarray | None = None):
     """H c on the sector: the kinetic part as A^dagger (K x I) A, with A the
     annihilation gather into b[y, r] = sqrt(r_y + 1) c[rank(r + e_y)] and K
-    acting on b's d grid axes, and the potential as a diagonal."""
+    acting on b's d grid axes (as D or an FFT, see _DENSE_KINETIC_MAX_N), and
+    the potential as a diagonal."""
     sec = _sector(config)
     d, n = config.grid.d, config.grid.n
     b = c[sec.down]
@@ -566,10 +603,10 @@ def apply_hamiltonian_raw(config: ManyBodyConfig, amps: np.ndarray) -> np.ndarra
     """H amps on the full tensor, matrix-free: kinetic part plus diagonal
     potential.  No run path calls it; it is the oracle of _apply_sector.
 
-    For n <= 32 the kinetic part is D = F^-1 diag(xi^2) F (real, symmetric) applied
-    along each of the d N axes as one real matmul on the float64 view of the state.
-    One BLAS thread: 1.6-6.4x faster than an n^(dN) FFT pair at n <= 32, 0.5-0.9x its time
-    at n = 48-96, but 1.6x at 128 and 2.6-4.3x at 256-864 (d=1 N=2 fits up to n ~ 870).
+    For n <= _DENSE_KINETIC_MAX_N the kinetic part is D = F^-1 diag(xi^2) F (real,
+    symmetric) applied along each of the d N axes as one real matmul on the float64
+    view of the state.  One BLAS thread: 1.6-6.4x faster than an n^(dN) FFT pair at
+    n <= 32, 0.5-0.9x its time at n = 48-96, but 1.6x at 128 and 2.6-4.3x at 256-864.
     """
     diag, dmat, kin = _cached_tables(config)
     amps = np.ascontiguousarray(amps, dtype=np.complex128)

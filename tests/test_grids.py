@@ -63,14 +63,16 @@ class TestMemoryBudget:
             "interaction table": ManyBodyConfig(GridSpec(1, 16), 1, 0.0).check_budget,
             "triple-value table": lambda: symmetrized_triple_value(ManyBodyConfig(g8, 1, 0.0)),
             "Krylov basis": ManyBodyConfig(g8, 1, 0.0).check_propagation_budget,  # 21 x 8
+            "sector tables": ManyBodyConfig(g8, 2, 0.0).check_sector_budget,  # 222
             "2-marginal": lambda: rank_one_marginal(one, 2),
             "maps of levels 1..4": lambda: enumerate_collapse_maps(4),  # 7!! = 105 maps
         }
         for what, build in families.items():
             with pytest.raises(MemoryBudgetError, match=what):
                 build()
-        # one size down, each fits
+        # one size down, each fits; a state does not pay for the sector tables
         GridSpec(1, 100)
+        BosonicState.factorized(ManyBodyConfig(g8, 2, 0.0), TorusField.constant(g8))
         NlsConfig(GridSpec(1, 80), 1.0, 0.01, dealias=False)
         rank_one_marginal(one, 1)
         enumerate_collapse_maps(3)

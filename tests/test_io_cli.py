@@ -1,6 +1,7 @@
 """Binary dumps, config validation, CLI dispatch, determinism."""
 
 import inspect
+import itertools
 import json
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from quintlab.cli import (
 from quintlab.couplings import MINUS, PLUS, CollapseMap, SignedExpansion, classify_couplings
 from quintlab.grids import GridSpec, TorusField
 from quintlab.io import dump_field, dump_state, load_field, load_state, write_csv
-from quintlab.manybody import BosonicState, ManyBodyConfig
+from quintlab.manybody import BosonicState, ManyBodyConfig, energy
 from quintlab.marginals import hufl_factorized
 
 
@@ -78,6 +79,30 @@ class TestStateDump:
         dump_state(psi, p)
         back = load_state(cfg, p)
         assert np.abs(back.amps - psi.amps).max() <= 1e-6 * np.abs(psi.amps).max()
+
+    def test_partners_one_rounding_apart_reload(self, tmp_path):
+        # exchange partners 1 + 2^-24 (a complex64 tie, rounding down to 1) and
+        # one float64 ulp above it (rounding up): a bosonic state to rounding,
+        # and its dump must still load
+        cfg = ManyBodyConfig(GridSpec(1, 4), 3, 0.05)
+        amps = np.ones(cfg.state_shape, dtype=np.complex128)
+        tie = 1.0 + 2.0**-24
+        for perm in itertools.permutations((0, 1, 2)):
+            amps[perm] = tie
+        amps[2, 1, 0] = np.nextafter(tie, 2.0)
+        psi = BosonicState(cfg, amps)
+        p = tmp_path / "s.qls"
+        dump_state(psi, p)
+        back = load_state(cfg, p)
+        assert np.abs(back.amps - psi.amps).max() <= 2.0**-23
+        energy(back)  # a bosonic state to the sector too
+
+    def test_a_state_off_the_sector_is_not_dumped(self, tmp_path):
+        cfg = ManyBodyConfig(GridSpec(1, 4), 2, 0.05)
+        amps = np.ones(cfg.state_shape, dtype=np.complex128)
+        amps[0, 1] = 2.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            dump_state(BosonicState(cfg, amps), tmp_path / "s.qls")
 
     def test_geometry_mismatch_rejected(self, tmp_path):
         cfg = ManyBodyConfig(GridSpec(1, 8), 2, 0.0)
@@ -503,6 +528,10 @@ BAD_CONFIGS = [
     # amplitude (0, 1) zeroed and (1, 0) kept: not a bosonic state
     ("manybody-run", lambda tmp: {**_MB, "initial": _state_file(tmp, lambda b: b[:28] + bytes(8)
                                                                 + b[36:])}, "initial.path"),
+    # T = 0 still builds the sector for the energy: at d=1 n=160 N=3 its tables
+    # (27.9 M entries) are past the budget, the 4.1 M-entry state is not
+    ("manybody-run", {**_MB, "n": 160, "N": 3, "T": 0.0}, "N"),
+    ("chaos", {**_CHAOS, "n": 160, "T": 0.0, "Ns": [2, 3]}, "Ns"),
 ]
 
 

@@ -254,9 +254,9 @@ class TestApplyHamiltonian:
         assert calls == []
 
     def test_long_axes_take_the_fft_route(self, monkeypatch):
-        g = GridSpec(1, 64)
+        g = GridSpec(1, 128)
         cfg = ManyBodyConfig(g, 2, 0.05)
-        k1, k2 = 5, -32
+        k1, k2 = 5, -64
         x = g.axis_points()
         amps = np.multiply.outer(np.exp(1j * k1 * x), np.exp(1j * k2 * x))
         calls = self._count_transforms(monkeypatch)
@@ -284,8 +284,9 @@ class TestApplyHamiltonian:
 class TestSector:
     """The sector storage and H-apply against the full-tensor oracle apply_hamiltonian_raw."""
 
-    # the full-tensor oracle's cases, and one past _DENSE_KINETIC_MAX_N for the FFT route
-    CASES = TestApplyHamiltonian.ORACLE_CASES + [(1, 64, 2)]
+    # the full-tensor oracle's cases, a longer axis for D, and one past
+    # _DENSE_KINETIC_MAX_N for the FFT route
+    CASES = TestApplyHamiltonian.ORACLE_CASES + [(1, 64, 2), (1, 128, 2)]
 
     @staticmethod
     def symmetric(cfg, seed):
@@ -308,6 +309,14 @@ class TestSector:
             want = apply_hamiltonian_raw(cfg, datum)
             got = manybody._expand(cfg, manybody._apply_sector(cfg, manybody._compress(cfg, datum)))
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n,transforms", [(96, 0), (128, 2)])
+    def test_the_sector_takes_the_fft_route_past_the_dense_axes(self, monkeypatch, n, transforms):
+        cfg = ManyBodyConfig(GridSpec(1, n), 2, 0.05)
+        c = manybody._compress(cfg, self.symmetric(cfg, 5))  # tabulate outside the count
+        calls = TestApplyHamiltonian._count_transforms(monkeypatch)
+        manybody._apply_sector(cfg, c)
+        assert len(calls) == transforms
 
     @pytest.mark.parametrize("d,n,N", [(1, 8, 1), (1, 8, 2), (1, 16, 4), (1, 8, 5), (2, 4, 3),
                                        (3, 4, 2), (1, 64, 2)])
