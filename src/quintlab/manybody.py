@@ -17,11 +17,10 @@ with ValueError rather than projected; check_exchange_symmetry applies the
 same rule, by adjacent slot swaps, to a state file.  Propagation uses a
 Lanczos (Krylov) approximation of exp(-i t H) with a matrix-free H on the
 sector: the kinetic part as A^dagger (K x I) A, with A the annihilation gather
-onto (N-1)-tuples times one site, and the potential as a diagonal.  On
-n <= 96 points per axis K is D = F^-1 diag(xi^2) F, a real n x n matrix,
-applied along each grid axis; finer grids use an FFT over the grid axes.
-apply_hamiltonian_raw applies H to the full tensor the same two ways; it is
-the independent oracle of the sector.
+onto (N-1)-tuples times one site, and the potential as a diagonal.  One
+operator, _kinetic, applies K along the grid axes of the gather, of the full
+tensor in apply_hamiltonian_raw (the independent oracle of the sector) and of
+the hierarchy commutator in the marginals module.
 """
 
 from __future__ import annotations
@@ -37,11 +36,13 @@ import numpy as np
 
 from .grids import GridSpec, ParameterError, TorusField, _fftn, _ifftn, _xi_squared, check_entries
 
-# Axes up to this length take the kinetic part as a matrix, longer ones an FFT.
-# One BLAS thread on an Intel Xeon: in the sector apply the matrix takes
-# 0.4-0.6x the FFT's time at n = 64 (d = 1 N = 2, d = 2 N = 1), 0.6-1.0x at
-# n = 96 (d = 1 N = 2, 3; d = 2, 3 N = 1), but 1.3x at d = 2 N = 1 n = 128 and
-# 1.5-3.4x at d = 1 N = 2 n = 384-960.
+# _kinetic's route: axes up to this length take K as the real n x n matrix
+# D = F^-1 diag(xi^2) F, longer ones one FFT pair.  One BLAS thread on an Intel
+# Xeon: in the sector apply D takes 0.4-0.6x the FFT's time at n = 64 (d = 1
+# N = 2, d = 2 N = 1), 0.6-1.0x at n = 96 (d = 1 N = 2, 3; d = 2, 3 N = 1), but
+# 1.3x at d = 2 N = 1 n = 128 and 1.5-3.4x at d = 1 N = 2 n = 384-960; on the
+# full tensor 1.6-6.4x faster at n <= 32, 0.5-0.9x at n = 48-96, but 1.6x at
+# n = 128 and 2.6-4.3x at n = 256-864.
 _DENSE_KINETIC_MAX_N = 96
 _GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(128)  # on [-1, 1]; V is flat at its edge
 
@@ -264,35 +265,50 @@ def _triple_sum(vbar: np.ndarray, triples, nslots: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _kinetic_matrix(n: int) -> np.ndarray | None:
-    """D = F^-1 diag(xi^2) F on one axis of n points, for n <= _DENSE_KINETIC_MAX_N;
-    None on longer axes, which take an FFT."""
-    if n > _DENSE_KINETIC_MAX_N:
-        return None
+def _kinetic_matrix(n: int) -> np.ndarray:
+    """D = F^-1 diag(xi^2) F on one axis of n points."""
     # circulant D[x, y] = c[x - y], c = F^-1 xi^2 even; folding |x - y| keeps D symmetric
-    c = np.fft.ifft(np.fft.fftfreq(n, 1.0 / n) ** 2).real
+    c = np.fft.ifft(_xi_squared(1, n)).real
     gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     return c[np.minimum(gap, n - gap)]
 
 
+def _kinetic(a: np.ndarray, naxes: int) -> np.ndarray:
+    """sum_j K_j a, a new complex array: K = -Lap along each of the leading
+    naxes axes of a, all of one length n, with the trailing axes a batch.
+
+    K is D (_kinetic_matrix), applied by real matmul on the float64 view,
+    while n <= _DENSE_KINETIC_MAX_N, and one FFT pair over the naxes axes
+    beyond."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    n = a.shape[0]
+    if n > _DENSE_KINETIC_MAX_N:
+        axes = tuple(range(naxes))
+        kin = functools.reduce(np.add.outer, [_xi_squared(1, n)] * naxes)
+        g = _fftn(a, axes=axes)
+        g *= kin.reshape(kin.shape + (1,) * (a.ndim - naxes))
+        return _ifftn(g, out=g, axes=axes)
+    dmat = _kinetic_matrix(n)
+    af, g = a.view(np.float64), np.empty_like(a)
+    gf = g.view(np.float64)
+    np.matmul(dmat, af.reshape(n, -1), out=gf.reshape(n, -1))
+    for ax in range(1, naxes):
+        view = (n**ax, n, af.size // n ** (ax + 1))
+        gf.reshape(view)[...] += np.matmul(dmat, af.reshape(view))
+    return g
+
+
 @functools.lru_cache(maxsize=8)
-def _cached_tables(config: ManyBodyConfig):
+def _cached_tables(config: ManyBodyConfig) -> tuple[np.ndarray | None]:
+    """(diag,): the symmetrised three-body values on the full state grid, the
+    diagonal of apply_hamiltonian_raw; None below three particles."""
     check_entries("state tensor", config.grid.size**config.N)
-    grid, N, n = config.grid, config.N, config.grid.n
-    # symmetrised three-body values on the diagonal of the full state grid
-    diag = None
-    if N >= 3:
-        triples = itertools.combinations(range(N), 3)
-        diag = _triple_sum(symmetrized_triple_value(config), triples, N) / N**2
-        diag = diag.reshape(config.state_shape)
-    if n <= _DENSE_KINETIC_MAX_N:
-        return diag, _kinetic_matrix(n), None
-    # kinetic multiplier sum_j |xi_j|^2 on the full spectral grid
-    one = _xi_squared(grid.d, grid.n)
-    kin = np.zeros(config.state_shape)
-    for s in range(N):
-        kin = kin + _on_slot(one, s, N)
-    return diag, None, kin
+    N = config.N
+    if N < 3:
+        return (None,)
+    triples = itertools.combinations(range(N), 3)
+    diag = _triple_sum(symmetrized_triple_value(config), triples, N) / N**2
+    return (diag.reshape(config.state_shape),)
 
 
 # -- the bosonic sector ------------------------------------------------------
@@ -463,31 +479,18 @@ def symmetric_amps(psi: "BosonicState") -> np.ndarray:
     """psi's tensor with each entry read from its sorted index, so that
     exchange partners agree bit for bit, also after a cast to complex64;
     ValueError if the round trip of _compress misses psi."""
-    return _expand(psi.config, _compress(psi.config, psi.amps))
+    return _expand(psi.config, psi._sector_vector)
 
 
 def _apply_sector(config: ManyBodyConfig, c: np.ndarray, out: np.ndarray | None = None):
     """H c on the sector: the kinetic part as A^dagger (K x I) A, with A the
     annihilation gather into b[y, r] = sqrt(r_y + 1) c[rank(r + e_y)] and K
-    acting on b's d grid axes (as D or an FFT, see _DENSE_KINETIC_MAX_N), and
-    the potential as a diagonal."""
+    acting on b's d grid axes (_kinetic), and the potential as a diagonal."""
     sec = _sector(config)
     d, n = config.grid.d, config.grid.n
     b = c[sec.down]
     b *= sec.down_w
-    dmat = _kinetic_matrix(n)
-    if dmat is None:
-        axes = tuple(range(d))
-        g = _fftn(b.reshape((n,) * d + (-1,)), axes=axes)
-        g *= _xi_squared(d, n)[..., None]
-        _ifftn(g, out=g, axes=axes)
-    else:
-        bf, g = b.view(np.float64), np.empty_like(b)
-        gf = g.view(np.float64)
-        np.matmul(dmat, bf.reshape(n, -1), out=gf.reshape(n, -1))
-        for ax in range(1, d):
-            view = (n**ax, n, bf.size // n ** (ax + 1))
-            gf.reshape(view)[...] += np.matmul(dmat, bf.reshape(view))
+    g = _kinetic(b.reshape((n,) * d + (-1,)), d)
     terms = g.reshape(-1)[sec.up]
     terms *= sec.up_w
     out = np.sum(terms, axis=0, out=out)
@@ -529,8 +532,10 @@ class BosonicState:
     """Symmetric N-particle complex tensor on (grid)^N.
 
     amps has shape grid.shape * N; slot j occupies axes [j*d, (j+1)*d).
-    The constructor does not check the symmetry; propagate, energy and
-    energy_moment do.
+    The constructor does not check the symmetry; propagate, energy,
+    energy_moment and symmetric_amps do, through _sector_vector.  amps is
+    never changed in place, by this module or its callers, so the cached
+    _sector_vector stays that of amps.
     """
 
     def __init__(self, config: ManyBodyConfig, amps: np.ndarray, normalize: bool = False):
@@ -570,6 +575,11 @@ class BosonicState:
 
     # -- structure --------------------------------------------------------
 
+    @functools.cached_property
+    def _sector_vector(self) -> np.ndarray:
+        """The sector vector of amps, compressed once per state (see _compress)."""
+        return _compress(self.config, self.amps)
+
     def norm(self) -> float:
         return float(
             np.sqrt(np.sum(np.abs(self.amps) ** 2) * self.config.grid.cell_volume**self.config.N)
@@ -600,29 +610,12 @@ class BosonicState:
 
 
 def apply_hamiltonian_raw(config: ManyBodyConfig, amps: np.ndarray) -> np.ndarray:
-    """H amps on the full tensor, matrix-free: kinetic part plus diagonal
-    potential.  No run path calls it; it is the oracle of _apply_sector.
-
-    For n <= _DENSE_KINETIC_MAX_N the kinetic part is D = F^-1 diag(xi^2) F (real,
-    symmetric) applied along each of the d N axes as one real matmul on the float64
-    view of the state.  One BLAS thread: 1.6-6.4x faster than an n^(dN) FFT pair at
-    n <= 32, 0.5-0.9x its time at n = 48-96, but 1.6x at 128 and 2.6-4.3x at 256-864.
-    """
-    diag, dmat, kin = _cached_tables(config)
+    """H amps on the full tensor, matrix-free: _kinetic over all d N axes plus
+    the diagonal potential.  No run path calls it; it is the oracle of
+    _apply_sector."""
+    (diag,) = _cached_tables(config)
     amps = np.ascontiguousarray(amps, dtype=np.complex128)
-    if dmat is None:
-        s = _fftn(amps)
-        s *= kin
-        _ifftn(s, out=s)
-    else:
-        n, L = config.grid.n, amps.ndim
-        s = (amps.reshape(-1, n) @ dmat).reshape(amps.shape)
-        scratch = np.empty_like(s)
-        for ax in range(L - 1):
-            view = (n**ax, n, 2 * n ** (L - 1 - ax))
-            np.matmul(dmat, amps.view(np.float64).reshape(view),
-                      out=scratch.view(np.float64).reshape(view))
-            s += scratch
+    s = _kinetic(amps, amps.ndim)
     if diag is not None:
         s += diag * amps
     return s
@@ -633,7 +626,7 @@ def apply_hamiltonian(psi: BosonicState) -> np.ndarray:
 
 
 def energy(psi: BosonicState) -> float:
-    c = _compress(psi.config, psi.amps)
+    c = psi._sector_vector
     return float(np.real(np.vdot(c, _apply_sector(psi.config, c)))
                  * psi.config.grid.cell_volume**psi.config.N)
 
@@ -651,7 +644,7 @@ def check_moment_order(k: int) -> None:
 def energy_moment(psi: BosonicState, k: int) -> float:
     """<psi, (H/N + 1)^k psi>, by repeated application of H."""
     check_moment_order(k)
-    c = v = _compress(psi.config, psi.amps)
+    c = v = psi._sector_vector
     for _ in range(k):
         v = _apply_sector(psi.config, v) / psi.config.N + v
     val = np.vdot(c, v) * psi.config.grid.cell_volume**psi.config.N
@@ -838,7 +831,7 @@ def _propagate(psi: BosonicState, times: np.ndarray, sign: float, steps, kdim, t
     pending = pending[np.diff(pending, prepend=0.0) > 0.0]  # distinct; np.unique loads numpy.ma
     if span > 0.0:
         config.check_propagation_budget(kdim, pending.size + int(times[0] == 0.0))
-    c = _compress(config, psi.amps)
+    c = psi._sector_vector
     beta0 = float(np.linalg.norm(c))
     if span == 0.0 or beta0 == 0.0:
         served = {s: BosonicState(config, psi.amps.copy()) for s in set(times.tolist())}

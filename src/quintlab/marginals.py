@@ -15,8 +15,8 @@ differentiating the partial trace):
                + (N-k)/N^2         sum_{i<j<=k}   Tr_{k+1} [Vbar_{i,j,k+1}, g^(k+1)]
                + (N-k)(N-k-1)/(2 N^2) sum_{j<=k}  Tr_{k+1,k+2} [Vbar_{j,k+1,k+2}, g^(k+2)]
 
-Every term is Tr_{k+1..N} [A, |psi><psi|] for one operator A, a sum of
-per-slot kinetic multipliers and diagonal Vbar multipliers, so the
+Every term is Tr_{k+1..N} [A, |psi><psi|] for one operator A, the kinetic
+part on the first k slots plus diagonal Vbar multipliers, so the
 right-hand side is X - X^dagger with X = (A psi) psi^dagger, both factors
 reshaped to (m^k, rest): no marginal beyond the k-th is formed.  The
 mean-field counterpart replaces the last contraction with the on-diagonal
@@ -38,6 +38,7 @@ from .grids import (
 from .manybody import (
     BosonicState,
     ManyBodyConfig,
+    _kinetic,
     _on_slot,
     _tensor_power,
     _triple_sum,
@@ -132,12 +133,7 @@ def _traced_commutator(amps: np.ndarray, v_amps: np.ndarray, grid: GridSpec,
     reshaped to (m^k, rest), times the quadrature weight of all slots.
     """
     nslots = amps.ndim // grid.d
-    axes = tuple(range(k * grid.d))
-    xi2 = _xi_squared(grid.d, grid.n)
-    kin = sum(_on_slot(xi2, j, nslots) for j in range(k))
-    a_psi = _fftn(amps, axes=axes)
-    a_psi *= kin
-    _ifftn(a_psi, out=a_psi, axes=axes)
+    a_psi = _kinetic(amps, k * grid.d)
     a_psi += v_amps
     rows = grid.size**k
     x = (a_psi.reshape(rows, -1) @ amps.reshape(rows, -1).conj().T) * grid.cell_volume**nslots

@@ -122,23 +122,38 @@ def _band_grid(f: TorusField) -> TorusField:
     return f.resample(2 * max(_field_band(f) + 1, 2))
 
 
-def check_strichartz_args(m: float, p: float, nt: int) -> None:
-    """strichartz_ratio needs a cutoff m > 0, p > 10/3 and nt >= 32."""
+def check_sample_count(samples: int) -> None:
+    """A probe draws at least one sample per parameter tuple."""
+    if not samples >= 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+
+
+def check_time_window(T: float, nt: int, min_nt: int = 2) -> None:
+    """A time quadrature on [0, T] needs T >= 0 and at least min_nt points."""
+    if not T >= 0:
+        raise ValueError(f"T must be >= 0, got {T}")
+    if nt < min_nt:
+        raise ValueError(f"use at least {min_nt} time-quadrature points")
+
+
+def check_strichartz_args(m: float, p: float, T: float, nt: int) -> None:
+    """strichartz_ratio needs a cutoff m > 0, p > 10/3, T >= 0 and nt >= 32."""
     check_cutoff(m)
     if p <= 10.0 / 3.0:
         raise ValueError("requires p > 10/3")
-    if nt < 32:
-        raise ValueError("use at least 32 time-quadrature points")
+    check_time_window(T, nt, 32)
 
 
-def check_bilinear_args(m1: float, m2: float, delta: float) -> None:
-    """bilinear_strichartz_ratio needs dyadic levels 2 <= m2 <= m1 and 0 < delta <= 1/22."""
+def check_bilinear_args(m1: float, m2: float, delta: float, T: float, nt: int) -> None:
+    """bilinear_strichartz_ratio needs dyadic levels 2 <= m2 <= m1, 0 < delta <= 1/22,
+    T >= 0 and nt >= 2."""
     if m2 > m1:
         raise ValueError("requires m2 <= m1")
     if m2 < 2:
         raise ValueError("dyadic projection is defined for M >= 2")
     if not 0.0 < delta <= 1.0 / 22.0:
         raise ValueError("delta must lie in (0, 1/22]")
+    check_time_window(T, nt)
 
 
 def check_refined_sobolev_args(m: float, r: float, which: int) -> None:
@@ -153,10 +168,14 @@ def check_refined_sobolev_args(m: float, r: float, which: int) -> None:
 MULTILINEAR_VARIANTS = ("MLFL1", "MLFL2", "Old1", "Old2")
 
 
-def check_multilinear_variant(variant: str) -> None:
-    """multilinear_ratio knows the variants in MULTILINEAR_VARIANTS."""
+def check_multilinear_args(variant: str, m0: float, T: float, nt: int) -> None:
+    """multilinear_ratio knows the variants in MULTILINEAR_VARIANTS and needs
+    T >= 0 and nt >= 2; the MLFL variants, which split at m0, need m0 > 0."""
     if variant not in MULTILINEAR_VARIANTS:
         raise ValueError(f"variant must be one of {MULTILINEAR_VARIANTS}")
+    if variant.startswith("MLFL") and not m0 > 0:
+        raise ValueError(f"m0 must be > 0, got {m0}")
+    check_time_window(T, nt)
 
 
 def check_alphas(alphas: list[float], grid: GridSpec) -> None:
@@ -183,7 +202,7 @@ def strichartz_ratio(
     """
     if f.grid.d != 3:
         raise ValueError("the exponent 3/2 - 5/p is specific to d = 3")
-    check_strichartz_args(m, p, nt)
+    check_strichartz_args(m, p, T, nt)
     g = cube_project(f, cube) if cube is not None else project_leq(f, m)
     denom = g.l2_norm()
     if denom == 0.0:
@@ -216,7 +235,7 @@ def bilinear_strichartz_ratio(
     """Space-time L^2 mass of a product of two shell-localized free
     evolutions against M2^(1/2) (M2/M1 + 1/M2)^delta times the datum norms.
     """
-    check_bilinear_args(m1, m2, delta)
+    check_bilinear_args(m1, m2, delta, T, nt)
     u1 = dyadic_project(f1, m1)
     u2 = dyadic_project(f2, m2)
     n1, n2 = u1.l2_norm(), u2.l2_norm()
@@ -290,7 +309,7 @@ def multilinear_ratio(
     T^(5/22) m0^(5/11) on the low part; the Old variants are the m0 = 0
     reductions.
     """
-    check_multilinear_variant(variant)
+    check_multilinear_args(variant, m0, T, nt)
     if len(fs) != 5:
         raise ValueError("need exactly five fields")
     if any(f.grid.d != 3 for f in fs):
@@ -405,6 +424,7 @@ class ProbeReport:
 
 
 def _collect(lemma_id, seed, samples, grid_tuples, ratio_fn) -> ProbeReport:
+    check_sample_count(samples)
     report = ProbeReport(lemma_id, samples, seed, grid_tuples)
     overall = []
     for idx, tup in enumerate(grid_tuples):
@@ -486,14 +506,15 @@ def check_probe_options(lemma: str, a: dict) -> None:
     """The rules of the ratio behind PROBE_RUNNERS[lemma], on the runner's bound
     arguments `a` (defaults applied), so a bad option fails before any sample.
     The grids are sized for the widest band the runner's random data can have."""
+    check_sample_count(a["samples"])
     if lemma == "strichartz":
         grid = GridSpec(3, a["n"])
         for m in a["ms"]:
-            check_strichartz_args(m, a["p"], a["nt"])
+            check_strichartz_args(m, a["p"], a["T"], a["nt"])
             _strichartz_eval_n(min(int(m), grid.nyquist), a["p"])
     elif lemma == "bilinear":
         for m1 in a["m1s"]:
-            check_bilinear_args(m1, a["m2"], a["delta"])
+            check_bilinear_args(m1, a["m2"], a["delta"], a["T"], a["nt"])
             _bilinear_eval_n(m1, a["m2"], _bilinear_grid(a["n"], m1).n)
     elif lemma == "refined_sobolev":
         grid = GridSpec(3, a["n"])
@@ -503,7 +524,7 @@ def check_probe_options(lemma: str, a: dict) -> None:
         _refined_sobolev_eval_n(min(a["band"], grid.nyquist))
     elif lemma == "multilinear":
         grid = GridSpec(3, a["n"])
-        check_multilinear_variant(a["variant"])
+        check_multilinear_args(a["variant"], a["m0"], a["T"], a["nt"])
         _multilinear_eval_n(min(max(2, grid.n // 4), grid.nyquist))
     elif lemma == "approx_identity":
         check_alphas(a["alphas"], GridSpec(1, a["n"]))

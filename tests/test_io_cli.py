@@ -532,6 +532,11 @@ BAD_CONFIGS = [
     # (27.9 M entries) are past the budget, the 4.1 M-entry state is not
     ("manybody-run", {**_MB, "n": 160, "N": 3, "T": 0.0}, "N"),
     ("chaos", {**_CHAOS, "n": 160, "T": 0.0, "Ns": [2, 3]}, "Ns"),
+    # probe options that crashed or gave a nan ratio: samples >= 1, nt >= 2, T >= 0, m0 > 0
+    ("probe", {"lemma": "strichartz", "options": {"samples": 0}}, "options"),
+    ("probe", {"lemma": "bilinear", "options": {"nt": 1}}, "options"),
+    ("probe", {"lemma": "strichartz", "options": {"T": -1}}, "options"),
+    ("probe", {"lemma": "multilinear", "options": {"variant": "MLFL1", "m0": -1}}, "options"),
 ]
 
 

@@ -226,7 +226,10 @@ class TestGpResidual:
         b = nls_residual_lifted(traj, 1.0)
         assert abs(a - b) <= 1e-12 * max(a, 1.0)
 
-    @pytest.mark.parametrize("d,n,k", [(1, 8, 1), (1, 8, 2), (1, 8, 3), (2, 4, 2)])
+    # (1, 96, 1) and (1, 128, 1) put the commutator's kinetic part on either
+    # side of manybody._DENSE_KINETIC_MAX_N
+    @pytest.mark.parametrize("d,n,k", [(1, 8, 1), (1, 8, 2), (1, 8, 3), (2, 4, 2),
+                                       (1, 96, 1), (1, 128, 1)])
     def test_rhs_matches_leibniz_oracle(self, d, n, k):
         # oracle: the one-particle commutator R1 = |h phi><phi| - |phi><h phi|
         # of nls_residual_lifted, spread over the slots by the Leibniz rule
