@@ -95,6 +95,7 @@ class ExperimentConfig:
         if not isinstance(params, dict):
             errors.append("params: must be an object")
             params = {}
+        errors += [f"{path}: must be a finite number" for path in _non_finite(params, "params")]
         if errors:
             raise ValidationError(errors)
         if seed_override is not None:
@@ -119,6 +120,16 @@ def _is_int(x) -> bool:
 
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _non_finite(value, path: str) -> list[str]:
+    """The path of each key under `path` whose value holds a NaN or an infinity
+    (Python's json reads them, JSON has none); a list is named by its key."""
+    if isinstance(value, dict):
+        return [bad for key, v in value.items() for bad in _non_finite(v, f"{path}.{key}")]
+    if isinstance(value, list):
+        return [path] if any(_non_finite(v, path) for v in value) else []
+    return [path] if isinstance(value, float) and not np.isfinite(value) else []
 
 
 def _list_of(test):
@@ -187,15 +198,14 @@ def _build(kind: str, p: dict, seed: int) -> dict:
     if kind in ("manybody-run", "chaos", "residuals"):
         pot = built["potential"] = attempt("potential", build_potential_spec, p["potential"])
         key = "Ns" if kind == "chaos" else "N"
+        times = ([t for h in p["spacings"] for t in (h, 2 * h)] if kind == "residuals"
+                 else [p["T"]])  # the times the run propagates to
         for N in (p["Ns"] if kind == "chaos" else [p["N"]]) if grid and pot else []:
             mb = built["mb"] = attempt(
                 key, lambda: ManyBodyConfig(grid, N, float(p["beta"]), pot)
             )
-            if mb and (kind == "residuals" or p["T"] > 0):  # residuals: 2 times per spacing
-                outputs = 2 * len(p["spacings"]) if kind == "residuals" else 1
-                attempt(key, lambda: mb.check_propagation_budget(outputs=outputs))
-            elif mb:  # energy builds the sector all the same
-                attempt(key, lambda: (mb.check_budget(), mb.check_sector_budget()))
+            if mb:
+                attempt(key, mb.check_run_budget, times)
     if kind == "nls-run":
         # NlsConfig checks b0, dt and, given a grid, the rotation grid's budget;
         # the initial field is drawn only for a solver that passes
@@ -373,7 +383,7 @@ def _run_manybody(built: dict, out: Path, report: RunReport, *, d: int, n: int, 
     else:
         psi0 = BosonicState.factorized(mb, built["field"])
     e0 = energy_per_particle(psi0)
-    psi = propagate(psi0, float(T), steps=steps) if T > 0 else psi0
+    psi = propagate(psi0, float(T), steps=steps)
     eT = energy_per_particle(psi)
     norm_drift = abs(psi.norm() - 1.0)
     energy_drift = abs(eT - e0) / max(abs(e0), 1.0)

@@ -11,7 +11,8 @@ that H maps the bosonic sector to itself.  A BosonicState holds the dense
 complex tensor over (grid)^N.  propagate, energy and energy_moment work on the
 bosonic sector instead: each compresses the tensor once to its values on the
 C(n^d + N - 1, N) sorted site tuples, scaled so that norms are unchanged, and
-propagate expands once per state it returns.  A tensor that the round trip
+propagate expands once per time > 0 (time 0 returns psi itself), all charged
+by ManyBodyConfig.check_run_budget.  A tensor that the round trip
 does not give back to 1e-12 max |psi| is not a bosonic state, and is rejected
 with ValueError rather than projected; check_exchange_symmetry applies the
 same rule, by adjacent slot swaps, to a state file.  Propagation uses a
@@ -173,19 +174,18 @@ class ManyBodyConfig:
         check_entries("state tensor", self.grid.size**self.N)
         check_entries("interaction table", self.grid.size**2)
 
-    def check_sector_budget(self):
-        """Caps the sector tables that energy, energy_moment and propagate
-        build, with their scratch (see _sector_entries)."""
-        check_entries("sector tables", _sector_entries(self))
-
-    def check_propagation_budget(self, kdim: int = 20, outputs: int = 1):
-        """check_budget, plus all propagate holds at once: its basis of kdim + 1
-        sector vectors, the `outputs` full states it returns, and the sector
-        tables with their scratch."""
+    def check_run_budget(self, times: Sequence[float], kdim: int = 20):
+        """check_budget, plus all a run to `times` holds at once: the sector
+        tables with their scratch (see _sector_entries), which its energies
+        build even at t = 0, and, when a time is > 0, propagate's basis of
+        kdim + 1 sector vectors and one full state per distinct time > 0."""
         self.check_budget()
+        later = {float(t) for t in times if t > 0}
+        if not later:
+            return check_entries("sector tables", _sector_entries(self))
         vectors = (kdim + 1) * _sector_dim(self.grid.size, self.N)
         check_entries("Krylov basis, returned states and sector tables",
-                      vectors + outputs * self.grid.size**self.N + _sector_entries(self))
+                      vectors + len(later) * self.grid.size**self.N + _sector_entries(self))
 
 
 def _wrapped_relative_coords(grid: GridSpec) -> np.ndarray:
@@ -371,27 +371,22 @@ def _colex_levels(m: int, k: int, binom: np.ndarray) -> list[np.ndarray]:
 def _insertion_ranks(r: np.ndarray, m: int, binom: np.ndarray):
     """For sorted (k-1)-tuples r (rows) and every site y: the rank of r + e_y
     among sorted k-tuples and r_y, the count of y in r; both shape (m, len(r))."""
-    p, k1 = r.shape
     y = np.arange(m)[:, None]
-    pos = np.zeros((m, p), dtype=np.int64)  # y goes after the entries <= y
-    count = np.zeros((m, p), dtype=np.int64)
-    for i in range(k1):
-        pos += r[:, i] <= y
-        count += r[:, i] == y
-    # entries before y keep their place i, those after it move to i + 1
-    before = np.cumsum(binom[np.arange(k1), r], axis=1)
-    after = np.cumsum(binom[np.arange(1, k1 + 1), r][:, ::-1], axis=1)[:, ::-1]
-    parts = np.zeros((p, k1 + 1), dtype=np.int64)
-    parts[:, 1:] += before
-    parts[:, :-1] += after
-    return parts.reshape(-1)[pos + np.arange(p) * (k1 + 1)] + binom[pos, y], count
+    pos, count, rank = (np.zeros((m, len(r)), dtype=np.int64) for _ in range(3))
+    for i, ri in enumerate(r.T):
+        # y goes after the entries <= y, which keep their place i; the others move to i + 1
+        stays = ri <= y
+        pos += stays
+        count += ri == y
+        rank += np.where(stays, binom[i, ri], binom[i + 1, ri])
+    return rank + binom[pos, y], count
 
 
 @functools.lru_cache(maxsize=8)
 def _sector(config: ManyBodyConfig) -> _Sector:
     """Tabulate the sector of config: the sorted tuples, the annihilation and
     creation gathers of the kinetic part, the expand index, and the potential."""
-    config.check_sector_budget()
+    check_entries("sector tables", _sector_entries(config))
     m, N = config.grid.size, config.N
     # binom[i, v] = C(v + i, i + 1) for v <= m; row i is the running sum of row i - 1
     binom = np.empty((N, m + 1), dtype=np.int64)
@@ -413,11 +408,6 @@ def _sector(config: ManyBodyConfig) -> _Sector:
         same = tuples == tuples[:, i : i + 1]
         equal += same
         earlier[:, i + 1 :] += same[:, i + 1 :]
-    # rank(s minus s_i): entries before i keep their place, those after it move to i - 1
-    own = binom[np.arange(N), tuples]
-    moved = np.zeros_like(own)
-    moved[:, 1:] = binom[np.arange(N - 1), tuples[:, 1:]]
-    rest = np.cumsum(own, axis=1) - own + (np.cumsum(moved[:, ::-1], axis=1)[:, ::-1] - moved)
     diag = None
     if N >= 3:
         vbar = symmetrized_triple_value(config)
@@ -430,7 +420,8 @@ def _sector(config: ManyBodyConfig) -> _Sector:
         scale=np.sqrt(math.factorial(N) / np.prod(earlier, axis=1)),
         down=down,
         down_w=np.sqrt(count + 1.0),
-        up=(tuples * p + rest).T.copy(),
+        up=tuples.T * p + np.stack([binom[np.arange(N - 1), np.delete(tuples, i, axis=1)].sum(1)
+                                    for i in range(N)]),
         up_w=(1.0 / np.sqrt(equal)).T.copy(),
         expand=expand,
         diag=diag,
@@ -789,7 +780,8 @@ def propagate(
     """exp(-i t H) psi via Lanczos substeps, each as long as its own error
     estimate allows.  Given a non-decreasing sequence of times >= 0 instead
     of one time, the list of exp(-i s H) psi, one state for each time s
-    (equal times share one state).
+    (equal times share one state).  A zero time, or any time for the zero
+    state, gives psi itself: states are never changed in place.
 
     Each substep builds a Krylov basis of the current vector by the
     three-term recurrence, with one full re-orthogonalization pass only when
@@ -812,7 +804,7 @@ def propagate(
     The basis lives in the bosonic sector: psi is compressed once (a
     ValueError if it is not symmetric to 1e-12 max |psi|), one (kdim + 1,
     dim) buffer of sector vectors, dim = C(n^d + N - 1, N), holds the basis
-    for the whole call, and each returned state is expanded to a full tensor.
+    for the whole call, and each state for a time > 0 is expanded to a full tensor.
     """
     if np.ndim(t) == 0:
         return _propagate(psi, np.array([abs(t)], dtype=np.float64), np.sign(t),
@@ -826,17 +818,15 @@ def propagate(
 def _propagate(psi: BosonicState, times: np.ndarray, sign: float, steps, kdim, tol):
     """propagate at the sorted times >= 0, forward in time or, with sign -1, backward."""
     config = psi.config
+    config.check_run_budget(times, kdim)
     span = float(times[-1]) if times.size else 0.0
     pending = times[times > 0.0]
     pending = pending[np.diff(pending, prepend=0.0) > 0.0]  # distinct; np.unique loads numpy.ma
-    if span > 0.0:
-        config.check_propagation_budget(kdim, pending.size + int(times[0] == 0.0))
     c = psi._sector_vector
     beta0 = float(np.linalg.norm(c))
     if span == 0.0 or beta0 == 0.0:
-        served = {s: BosonicState(config, psi.amps.copy()) for s in set(times.tolist())}
-        return [served[s] for s in times.tolist()]
-    served = {0.0: BosonicState(config, psi.amps.copy())} if times[0] == 0.0 else {}
+        return [psi] * times.size
+    served = {0.0: psi}
     cap = span / steps if steps else span
     rate = tol / span
     V = np.empty((kdim + 1, c.size), dtype=np.complex128)

@@ -321,24 +321,22 @@ def chaos_experiment(
     """
     grid = phi0.grid
     rows = []
-    nls_dt = nls_dt if nls_dt is not None else T / 200 if T > 0 else 0.01
+    steps = 200 if nls_dt is None else max(1, int(round(T / nls_dt)))
     flows = {}  # b0 -> phi0 evolved to T; at beta = 0 every N has the same b0
     for N in Ns:
         kwargs = {"potential": potential} if potential is not None else {}
         config = ManyBodyConfig(grid, N, beta, **kwargs)
         b0 = potential_mass(config)
         psi0 = BosonicState.factorized(config, phi0)
-        psiT = propagate(psi0, T) if T > 0 else psi0
+        psiT = propagate(psi0, T)
         g1 = marginal(psiT, 1)
-        if T > 0 and b0 not in flows:
-            steps = max(1, int(round(T / nls_dt)))
-            cfg = NlsConfig(grid, b0, T / steps)
-            flows[b0] = evolve(phi0, T, cfg, snapshot_every=steps).states[-1]
-        phiT = flows[b0] if T > 0 else phi0
+        if b0 not in flows:
+            flows[b0] = phi0 if T == 0 else evolve(
+                phi0, T, NlsConfig(grid, b0, T / steps), snapshot_every=steps).states[-1]
         rows.append(
             ChaosRow(
                 N=N,
-                distance=trace_distance(g1, rank_one_marginal(phiT, 1)),
+                distance=trace_distance(g1, rank_one_marginal(flows[b0], 1)),
                 energy_per_particle=energy_per_particle(psiT),
                 coupling=b0,
             )

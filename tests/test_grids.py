@@ -62,8 +62,8 @@ class TestMemoryBudget:
                 ManyBodyConfig(g8, 3, 0.0), TorusField.constant(g8)),
             "interaction table": ManyBodyConfig(GridSpec(1, 16), 1, 0.0).check_budget,
             "triple-value table": lambda: symmetrized_triple_value(ManyBodyConfig(g8, 1, 0.0)),
-            "Krylov basis": ManyBodyConfig(g8, 1, 0.0).check_propagation_budget,  # 21 x 8
-            "sector tables": ManyBodyConfig(g8, 2, 0.0).check_sector_budget,  # 222
+            "Krylov basis": lambda: ManyBodyConfig(g8, 1, 0.0).check_run_budget([0.1]),  # 21 x 8
+            "sector tables": lambda: ManyBodyConfig(g8, 2, 0.0).check_run_budget([0.0]),  # 222
             "2-marginal": lambda: rank_one_marginal(one, 2),
             "maps of levels 1..4": lambda: enumerate_collapse_maps(4),  # 7!! = 105 maps
         }

@@ -503,7 +503,7 @@ BAD_CONFIGS = [
     ("probe", {"lemma": "refined_sobolev", "options": {"n": 128, "band": 64}}, "options"),
     ("probe", {"lemma": "multilinear", "options": {"n": 96}}, "options"),
     # d=1 N=3: the 21-vector sector basis and the sector tables fit, not with the
-    # one returned state (n=114) or the four (n=108) as well
+    # one returned state (n=114) or the three (n=108) as well
     ("manybody-run", {**_MB, "n": 114, "N": 3}, "N"),
     ("residuals", {**_RES, "n": 108}, "N"),
     # list elements are typed, so no float is truncated to an order or a count
@@ -537,6 +537,21 @@ BAD_CONFIGS = [
     ("probe", {"lemma": "bilinear", "options": {"nt": 1}}, "options"),
     ("probe", {"lemma": "strichartz", "options": {"T": -1}}, "options"),
     ("probe", {"lemma": "multilinear", "options": {"variant": "MLFL1", "m0": -1}}, "options"),
+    # NaN and Infinity, which json.dumps writes and Python's json reads back,
+    # name their key: each passed, failed a check or raised before
+    ("manybody-run", {**_MB, "T": float("nan")}, "T"),
+    ("chaos", {**_CHAOS, "T": float("nan")}, "T"),
+    ("hufl", {**_HUFL, "eps": float("nan")}, "eps"),
+    ("manybody-run", {**_MB, "T": float("inf")}, "T"),
+    ("nls-run", {**_NLS, "mass_tol": float("nan")}, "mass_tol"),
+    ("manybody-run", {**_MB, "beta": float("nan")}, "beta"),
+    ("chaos", {**_CHAOS, "nls_dt": float("nan")}, "nls_dt"),
+    ("nls-run", {**_NLS, "b0": float("nan")}, "b0"),
+    ("residuals", {**_RES, "spacings": [float("nan"), 0.01]}, "spacings"),
+    ("probe", {"lemma": "approx_identity", "options": {"alphas": [float("nan"), 0.25]}},
+     "options.alphas"),
+    ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "sigma": float("nan")}},
+     "potential.sigma"),
 ]
 
 
@@ -555,6 +570,11 @@ class TestBadConfigs:
         assert rc == 2
         assert (f"config: {path}:" if field == "config" else f"params.{field}:") in err
         assert "Traceback" not in err
+
+    def test_residuals_budget_counts_the_states_the_run_holds(self):
+        # d=1 n=106 N=3 at spacings 0.02, 0.01: three distinct times, so three
+        # returned states (16.0 M entries with the basis and the tables), not four
+        ExperimentConfig.from_dict({"kind": "residuals", "params": {**_RES, "n": 106}})
 
     @pytest.mark.parametrize("initial", [{**_BAND2, "scale": 0},
                                          {"kind": "modes", "modes": [[1, 1.0]], "scale": 0}],

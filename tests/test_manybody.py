@@ -397,6 +397,15 @@ class TestPropagate:
         out = propagate(psi, 0.0)
         assert np.array_equal(out.amps, psi.amps)
 
+    def test_zero_time_returns_the_state_itself(self):
+        cfg = ManyBodyConfig(GridSpec(1, 8), 2, 0.0)
+        psi = BosonicState.factorized(cfg, smooth_phi(cfg.grid))
+        assert propagate(psi, 0.0) is psi
+        zero, later = propagate(psi, [0.0, 0.1])
+        assert zero is psi and later is not psi
+        null = BosonicState(cfg, np.zeros(cfg.state_shape))
+        assert propagate(null, [0.1, 0.2]) == [null, null]
+
     def test_free_factorized_matches_tensor_power(self):
         g = GridSpec(1, 16)
         cfg = ManyBodyConfig(g, 3, 0.0, GaussianPotential(amplitude=0.0))
