@@ -198,8 +198,8 @@ def _build(kind: str, p: dict, seed: int) -> dict:
     if kind in ("manybody-run", "chaos", "residuals"):
         pot = built["potential"] = attempt("potential", build_potential_spec, p["potential"])
         key = "Ns" if kind == "chaos" else "N"
-        times = ([t for h in p["spacings"] for t in (h, 2 * h)] if kind == "residuals"
-                 else [p["T"]])  # the times the run propagates to
+        times = built["times"] = sorted({t for h in map(float, p["spacings"]) for t in (h, 2 * h)}
+                                        if kind == "residuals" else [p["T"]])  # the run's times
         for N in (p["Ns"] if kind == "chaos" else [p["N"]]) if grid and pot else []:
             mb = built["mb"] = attempt(
                 key, lambda: ManyBodyConfig(grid, N, float(p["beta"]), pot)
@@ -435,8 +435,7 @@ def _run_residuals(built: dict, out: Path, report: RunReport, *, d: int, n: int,
     b0 = potential_mass(mb)
     psi0 = BosonicState.factorized(mb, phi0)
     spacings = [float(h) for h in spacings]
-    times = sorted({t for h in spacings for t in (h, 2 * h)})
-    states = dict(zip(times, propagate(psi0, times)))  # one Krylov basis serves every time
+    states = dict(zip(built["times"], propagate(psi0, built["times"])))  # one Krylov basis
     rows = []
     for h in spacings:
         snaps = [psi0, states[h], states[2 * h]]

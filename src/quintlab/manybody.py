@@ -299,16 +299,16 @@ def _kinetic(a: np.ndarray, naxes: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_tables(config: ManyBodyConfig) -> tuple[np.ndarray | None]:
-    """(diag,): the symmetrised three-body values on the full state grid, the
-    diagonal of apply_hamiltonian_raw; None below three particles."""
+def _cached_tables(config: ManyBodyConfig) -> np.ndarray | None:
+    """The symmetrised three-body values on the full state grid, the diagonal
+    of apply_hamiltonian_raw; None below three particles."""
     check_entries("state tensor", config.grid.size**config.N)
     N = config.N
     if N < 3:
-        return (None,)
+        return None
     triples = itertools.combinations(range(N), 3)
     diag = _triple_sum(symmetrized_triple_value(config), triples, N) / N**2
-    return (diag.reshape(config.state_shape),)
+    return diag.reshape(config.state_shape)
 
 
 # -- the bosonic sector ------------------------------------------------------
@@ -604,7 +604,7 @@ def apply_hamiltonian_raw(config: ManyBodyConfig, amps: np.ndarray) -> np.ndarra
     """H amps on the full tensor, matrix-free: _kinetic over all d N axes plus
     the diagonal potential.  No run path calls it; it is the oracle of
     _apply_sector."""
-    (diag,) = _cached_tables(config)
+    diag = _cached_tables(config)
     amps = np.ascontiguousarray(amps, dtype=np.complex128)
     s = _kinetic(amps, amps.ndim)
     if diag is not None:
@@ -778,17 +778,17 @@ def propagate(
     tol: float = 1e-11,
 ) -> BosonicState | list[BosonicState]:
     """exp(-i t H) psi via Lanczos substeps, each as long as its own error
-    estimate allows.  Given a non-decreasing sequence of times >= 0 instead
-    of one time, the list of exp(-i s H) psi, one state for each time s
-    (equal times share one state).  A zero time, or any time for the zero
-    state, gives psi itself: states are never changed in place.
+    estimate allows, for a finite t >= 0, or the list of exp(-i s H) psi for
+    a non-decreasing sequence of such times s (equal times share one state).
+    A zero time, or any time for the zero state, gives psi itself.  Other t,
+    or steps other than None or an integer >= 1, raise ValueError up front.
 
     Each substep builds a Krylov basis of the current vector by the
     three-term recurrence, with one full re-orthogonalization pass only when
     the omega estimate asks (Simon, Math. Comp. 1984; see _lanczos_basis).
     It then picks its length from the small tridiagonal problem alone, with
     no further H-applies: the longest tau whose estimate stays within
-    tol * tau / T, T = |t| or the last time (Expokit's step control, Sidje
+    tol * tau / T, T = t or the last time (Expokit's step control, Sidje
     1998, on the Lanczos error analysis of Hochbruck & Lubich 1997), so the
     estimates sum to at most tol relative to ||psi||.  `steps`, if given,
     caps every substep at T / steps.  kdim caps the basis, which stops at
@@ -806,17 +806,17 @@ def propagate(
     dim) buffer of sector vectors, dim = C(n^d + N - 1, N), holds the basis
     for the whole call, and each state for a time > 0 is expanded to a full tensor.
     """
-    if np.ndim(t) == 0:
-        return _propagate(psi, np.array([abs(t)], dtype=np.float64), np.sign(t),
-                          steps, kdim, tol)[0]
-    times = np.asarray(t, dtype=np.float64)
-    if times.ndim != 1 or not np.all(times >= 0.0) or np.any(np.diff(times) < 0.0):
-        raise ValueError("propagate needs one time or a non-decreasing sequence of times >= 0")
-    return _propagate(psi, times, 1.0, steps, kdim, tol)
+    times = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if not (times.ndim == 1 and np.all(np.isfinite(times) & (np.diff(times, prepend=0.0) >= 0.0))
+            and (steps is None or isinstance(steps, numbers.Integral) and steps >= 1)):
+        raise ValueError("propagate needs finite times >= 0 in non-decreasing order, and steps "
+                         f"None or an integer >= 1; got t={t!r}, steps={steps!r}")
+    states = _propagate(psi, times, steps, kdim, tol)
+    return states[0] if np.ndim(t) == 0 else states
 
 
-def _propagate(psi: BosonicState, times: np.ndarray, sign: float, steps, kdim, tol):
-    """propagate at the sorted times >= 0, forward in time or, with sign -1, backward."""
+def _propagate(psi: BosonicState, times: np.ndarray, steps, kdim, tol):
+    """propagate at the checked times."""
     config = psi.config
     config.check_run_budget(times, kdim)
     span = float(times[-1]) if times.size else 0.0
@@ -832,8 +832,8 @@ def _propagate(psi: BosonicState, times: np.ndarray, sign: float, steps, kdim, t
     V = np.empty((kdim + 1, c.size), dtype=np.complex128)
     np.divide(c, beta0, out=V[0])
 
-    def krylov(offset):  # exp(-i sign offset H) V[0] from the current basis, unscaled
-        return (evecs @ (np.exp(-1j * sign * offset * evals) * evecs[0])) @ V[: evals.size]
+    def krylov(offset):  # exp(-i offset H) V[0] from the current basis, unscaled
+        return (evecs @ (np.exp(-1j * offset * evals) * evecs[0])) @ V[: evals.size]
 
     left = span
     while left > 0.0:

@@ -319,6 +319,8 @@ def chaos_experiment(
     The mean-field side evolves phi0 under the quintic NLS with coupling b0
     equal to the grid mass of the tabulated interaction, once per distinct b0.
     """
+    if nls_dt is not None and not nls_dt > 0:
+        raise ValueError(f"nls_dt must be > 0, got {nls_dt}")
     grid = phi0.grid
     rows = []
     steps = 200 if nls_dt is None else max(1, int(round(T / nls_dt)))

@@ -19,6 +19,7 @@ would keep growing).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -305,7 +306,7 @@ def multilinear_ratio(
 
     MLFL1/Old1 measure the product in H^(-1) and put the first factor in
     H^(-1); MLFL2/Old2 measure in H^1 with all factors in H^1.  The MLFL
-    variants split one designated factor at m0 with the weight
+    variants split their first H^1 factor at m0 with the weight
     T^(5/22) m0^(5/11) on the low part; the Old variants are the m0 = 0
     reductions.
     """
@@ -314,29 +315,15 @@ def multilinear_ratio(
         raise ValueError("need exactly five fields")
     if any(f.grid.d != 3 for f in fs):
         raise ValueError("the exponents are specific to d = 3")
-    norms = [f.l2_norm() for f in fs]
-    if any(n == 0.0 for n in norms):
+    if any(f.l2_norm() == 0.0 for f in fs):
         return 0.0
-    h1 = [sobolev_norm(f, 1.0) for f in fs]
-    if variant == "MLFL1":
-        split = (
-            T ** (5.0 / 22.0) * m0 ** (5.0 / 11.0) * h1[1]
-            + project_gt(apply_S(fs[1], 1.0), m0).l2_norm()
-        )
-        rhs = sobolev_norm(fs[0], -1.0) * split * h1[2] * h1[3] * h1[4]
-        s_out = -1.0
-    elif variant == "MLFL2":
-        split = T ** (5.0 / 22.0) * m0 ** (5.0 / 11.0) * h1[0] + project_gt(
-            apply_S(fs[0], 1.0), m0
-        ).l2_norm()
-        rhs = split * h1[1] * h1[2] * h1[3] * h1[4]
-        s_out = 1.0
-    elif variant == "Old1":
-        rhs = sobolev_norm(fs[0], -1.0) * h1[1] * h1[2] * h1[3] * h1[4]
-        s_out = -1.0
-    else:
-        rhs = h1[0] * h1[1] * h1[2] * h1[3] * h1[4]
-        s_out = 1.0
+    s_out = -1.0 if variant.endswith("1") else 1.0
+    norms = [sobolev_norm(fs[0], s_out)] + [sobolev_norm(f, 1.0) for f in fs[1:]]
+    if variant.startswith("MLFL"):
+        j = 1 if s_out < 0 else 0  # the first factor in H^1
+        norms[j] = (T ** (5.0 / 22.0) * m0 ** (5.0 / 11.0) * norms[j]
+                    + project_gt(apply_S(fs[j], 1.0), m0).l2_norm())
+    rhs = math.prod(norms)
     band = max(_field_band(f) for f in fs)
     fine = GridSpec(3, _multilinear_eval_n(band))
     # free evolution keeps each mode's label, so it commutes with resampling

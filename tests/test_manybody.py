@@ -227,7 +227,7 @@ class TestApplyHamiltonian:
         kin = np.zeros(shape)
         for ax in range(d * N):
             kin += xi2.reshape([n if i == ax else 1 for i in range(d * N)])
-        diag = manybody._cached_tables(cfg)[0]
+        diag = manybody._cached_tables(cfg)
         for datum in (a, nyquist):
             want = np.fft.ifftn(np.fft.fftn(datum) * kin)
             if diag is not None:
@@ -366,7 +366,7 @@ class TestSector:
 
     def test_budget_bounds_the_peak_of_propagate(self, monkeypatch):
         # the fewbody shape d=1 n=16 N=4, from cold sector tables: the entries
-        # check_propagation_budget charges bound what propagate allocates
+        # check_run_budget charges bound what propagate allocates
         cfg = ManyBodyConfig(GridSpec(1, 16), 4, 0.05)
         psi = BosonicState.factorized(cfg, smooth_phi(cfg.grid, seed=9))
         potential_mass(cfg)  # the interaction table has a budget line of its own
@@ -548,11 +548,33 @@ class TestPropagate:
         with pytest.raises(PropagationToleranceError):
             propagate(psi, [1e-7, 1.0])
 
-    @pytest.mark.parametrize("times", [[0.5, 0.2], [-0.1, 0.2], [[0.1, 0.2]]])
-    def test_dense_output_needs_sorted_nonnegative_times(self, dense_case, times):
+    @staticmethod
+    def forbid_bases(monkeypatch):
+        def build(*args):
+            raise AssertionError("a Krylov basis was built")
+
+        monkeypatch.setattr(manybody, "_lanczos_basis", build)
+
+    @pytest.mark.parametrize("times", [
+        [0.5, 0.2], [-0.1, 0.2], [[0.1, 0.2]],
+        np.nan, np.inf, -np.inf, -0.1, [0.1, np.nan], [0.1, np.inf], [-np.inf, 0.1],
+    ])
+    def test_dense_output_needs_sorted_nonnegative_times(self, dense_case, times, monkeypatch):
+        # scalars too: each time must be finite and >= 0, checked before any basis
         psi, _ = dense_case
-        with pytest.raises(ValueError):
+        self.forbid_bases(monkeypatch)
+        with pytest.raises(ValueError, match="finite times"):
             propagate(psi, times)
+
+    @pytest.mark.parametrize("steps", [0, -1, 2.5])
+    def test_steps_must_be_an_integer_at_least_one(self, dense_case, steps, monkeypatch):
+        # checked up front: with a cap T / steps < 0 no substep would ever end
+        psi, _ = dense_case
+        self.forbid_bases(monkeypatch)
+        with pytest.raises(ValueError, match="steps"):
+            propagate(psi, 0.1, steps=steps)
+        with pytest.raises(ValueError, match="steps"):
+            propagate(psi, [0.1, 0.2], steps=steps)
 
     @pytest.mark.parametrize("T", [0.2, 1.0])
     @pytest.mark.parametrize("n,N", [(8, 2), (4, 3)])

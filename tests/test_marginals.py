@@ -360,6 +360,12 @@ class TestChaosExperiment:
         assert rows == per_n
         assert len(calls) == len({r.coupling for r in rows}) == flows
 
+    @pytest.mark.parametrize("nls_dt", [0.0, -0.01])
+    def test_rejects_a_nonpositive_nls_dt(self, nls_dt, monkeypatch):
+        monkeypatch.setattr(marginals, "propagate", None)  # rejected before any N runs
+        with pytest.raises(ValueError, match="nls_dt"):
+            chaos_experiment([2], 0.1, unit_phi(GridSpec(1, 8), seed=22), T=0.1, nls_dt=nls_dt)
+
     def test_distance_shrinks_with_N(self):
         g = GridSpec(1, 8)
         rows = chaos_experiment([2, 4], 0.1, unit_phi(g, seed=24), T=0.2)

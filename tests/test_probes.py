@@ -8,8 +8,10 @@ from quintlab.grids import (
     FrequencyCube,
     GridSpec,
     TorusField,
+    apply_S,
     dyadic_project,
     pointwise_product,
+    project_gt,
     project_leq,
     sobolev_norm,
 )
@@ -182,6 +184,29 @@ class TestMultilinear:
             a = multilinear_ratio(fs, 4.0, 1.0, variant, nt=16)
             b = multilinear_ratio([2.0 * f for f in fs], 4.0, 1.0, variant, nt=16)
             assert abs(a - b) <= 1e-10 * max(a, 1e-30)
+
+    @pytest.mark.parametrize("m0,T", [(2.0, 1.0), (1.5, 0.5)])
+    def test_right_sides(self, m0, T):
+        # each variant divides the same product norm by its right side: MLFL1
+        # and Old1 put fs[0] in H^-1, and the MLFL ones split their first H^1
+        # factor at m0, T^(5/22) m0^(5/11) ||f||_H1 + ||P_>m0 S f||
+        fs = [rand3(8, band=3, seed=40 + s) for s in range(5)]
+        h1 = [sobolev_norm(f, 1.0) for f in fs]
+        hm1 = sobolev_norm(fs[0], -1.0)
+
+        def split(f, h):
+            return T ** (5 / 22) * m0 ** (5 / 11) * h + project_gt(apply_S(f, 1.0), m0).l2_norm()
+
+        rhs = {
+            "MLFL1": hm1 * split(fs[1], h1[1]) * h1[2] * h1[3] * h1[4],
+            "Old1": hm1 * h1[1] * h1[2] * h1[3] * h1[4],
+            "MLFL2": split(fs[0], h1[0]) * h1[1] * h1[2] * h1[3] * h1[4],
+            "Old2": h1[0] * h1[1] * h1[2] * h1[3] * h1[4],
+        }
+        lhs = {v: multilinear_ratio(fs, m0, T, v, nt=16) * r for v, r in rhs.items()}
+        assert rhs["MLFL1"] != rhs["Old1"] and rhs["MLFL2"] != rhs["Old2"]
+        assert lhs["MLFL1"] == pytest.approx(lhs["Old1"], rel=1e-13)
+        assert lhs["MLFL2"] == pytest.approx(lhs["Old2"], rel=1e-13)
 
     def test_refinement_stability(self):
         # the padded product is alias-free, so doubling the carrier grid of
