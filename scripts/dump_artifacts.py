@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Write the artifacts of every configs/*.json and of the seed-1 batch of
-each benchmark workload under OUT, so that two checkouts compare by
-`diff -r`.
+"""Write the artifacts of every configs/*.json, of `lab couplings --k K` for
+K = 2..8 and of the seed-1 batch of each benchmark workload under OUT, so
+that two checkouts compare by `diff -r`.
 
-Layout: OUT/configs/<config name>/ and OUT/<workload>/e<NN>/, one directory
-per run.  Each report.json is rewritten without wall_time_s and with its
-artifact paths relative to the run's directory, the two fields that differ
-between identical runs.  The benchmark's files are only read.
+Layout: OUT/configs/<config name>/, OUT/couplings/k<K>/ and
+OUT/<workload>/e<NN>/, one directory per run.  Each report.json is
+rewritten without wall_time_s and with its artifact paths relative to the
+run's directory, the two fields that differ between identical runs.  The
+benchmark's files are only read.
 
 Usage:  python scripts/dump_artifacts.py OUT
 """
@@ -41,6 +42,9 @@ def main():
     out = ap.parse_args().out
     for path in sorted((ROOT / "configs").glob("*.json")):
         dump(ExperimentConfig.from_file(path), out / "configs" / path.stem)
+    for k in range(2, 9):  # the config `lab couplings --k K` builds
+        dump(ExperimentConfig.from_dict({"kind": "couplings", "params": {"k": k}, "seed": 0}),
+             out / "couplings" / f"k{k}")
     for workload in sorted(workloads.WORKLOADS):
         for i, raw in enumerate(workloads.batch(workload, 1)):
             dump(ExperimentConfig.from_dict(raw), out / workload / f"e{i:02d}")

@@ -48,7 +48,7 @@ from .marginals import (
 from .nls import (
     NlsConfig, check_diagnostic_cutoffs, check_step_count, evolve, timeseries,
 )
-from .probes import PROBE_RUNNERS, check_probe_options
+from .probes import PROBE_RUNNERS, check_probe_options, check_sample_count
 
 SCHEMA_VERSION = 1
 
@@ -88,6 +88,10 @@ class ExperimentConfig:
         seed = raw.get("seed", 0)
         if not _is_int(seed):
             errors.append("seed: must be an integer")
+        elif seed_override is not None:
+            seed = seed_override
+        if _is_int(seed) and seed < 0:  # numpy's generators take no negative seed
+            errors.append(f"seed: must be >= 0, got {seed}")
         extra = set(raw) - {"kind", "seed", "params"}
         if extra:
             errors.append(f"unknown top-level keys: {sorted(extra)}")
@@ -98,8 +102,6 @@ class ExperimentConfig:
         errors += [f"{path}: must be a finite number" for path in _non_finite(params, "params")]
         if errors:
             raise ValidationError(errors)
-        if seed_override is not None:
-            seed = seed_override
         cfg = cls(kind, params, seed)
         cfg.validate()
         return cfg
@@ -169,8 +171,7 @@ def _bind(fn, raw: dict, where: str, kind: str) -> dict:
 
 
 # Run-level rules that no domain function owns.
-_POSITIVE = ("snapshot_every", "steps", "nls_dt", "eps", "samples",
-             "mass_tol", "norm_tol", "energy_tol")
+_POSITIVE = ("snapshot_every", "steps", "nls_dt", "eps", "mass_tol", "norm_tol", "energy_tol")
 
 
 def _build(kind: str, p: dict, seed: int) -> dict:
@@ -260,6 +261,9 @@ def _build(kind: str, p: dict, seed: int) -> dict:
             )
             if args is not None:
                 args.apply_defaults()
+                # one rule, named by the key the count came from
+                attempt("options" if p["samples"] is None else "samples", check_sample_count,
+                        args.arguments["samples"])
                 attempt("options", check_probe_options, p["lemma"], args.arguments)
     if errors:
         raise ValidationError(errors)

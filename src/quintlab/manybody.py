@@ -254,13 +254,13 @@ def _on_slot(table: np.ndarray, slot: int, nslots: int) -> np.ndarray:
     return table.reshape(ones * slot + table.shape + ones * (nslots - 1 - slot))
 
 
-def _triple_sum(vbar: np.ndarray, triples, nslots: int):
-    """sum over slot triples (i, j, l) of vbar[x_i, x_j, x_l], as a multiplier
-    on nslots flat-index slots; slots no triple touches keep length 1."""
-    flat = [_on_slot(np.arange(vbar.shape[0]), s, nslots) for s in range(nslots)]
+def _triple_sum(vbar: np.ndarray, triples, x):
+    """sum over slot triples (i, j, l) of vbar[x[i], x[j], x[l]], with x[s] the
+    flat grid indices of slot s: aranges broadcast over the slots of a full
+    tensor, or row s of the transposed sorted tuples of the sector."""
     out = 0.0
     for i, j, l in triples:
-        out = out + vbar[flat[i], flat[j], flat[l]]
+        out = out + vbar[x[i], x[j], x[l]]
     return out
 
 
@@ -306,9 +306,9 @@ def _cached_tables(config: ManyBodyConfig) -> np.ndarray | None:
     N = config.N
     if N < 3:
         return None
-    triples = itertools.combinations(range(N), 3)
-    diag = _triple_sum(symmetrized_triple_value(config), triples, N) / N**2
-    return diag.reshape(config.state_shape)
+    flat = [_on_slot(np.arange(config.grid.size), s, N) for s in range(N)]
+    diag = _triple_sum(symmetrized_triple_value(config), itertools.combinations(range(N), 3), flat)
+    return (diag / N**2).reshape(config.state_shape)
 
 
 # -- the bosonic sector ------------------------------------------------------
@@ -410,11 +410,8 @@ def _sector(config: ManyBodyConfig) -> _Sector:
         earlier[:, i + 1 :] += same[:, i + 1 :]
     diag = None
     if N >= 3:
-        vbar = symmetrized_triple_value(config)
-        diag = 0.0
-        for i, j, l in itertools.combinations(range(N), 3):
-            diag = diag + vbar[tuples[:, i], tuples[:, j], tuples[:, l]]
-        diag = diag / N**2
+        diag = _triple_sum(symmetrized_triple_value(config), itertools.combinations(range(N), 3),
+                           tuples.T) / N**2
     return _Sector(
         rep=tuples @ m ** np.arange(N - 1, -1, -1),
         scale=np.sqrt(math.factorial(N) / np.prod(earlier, axis=1)),
@@ -576,20 +573,13 @@ class BosonicState:
             np.sqrt(np.sum(np.abs(self.amps) ** 2) * self.config.grid.cell_volume**self.config.N)
         )
 
-    def _slot_permuted(self, perm: tuple[int, ...]) -> np.ndarray:
-        d, N = self.config.grid.d, self.config.N
-        axes = []
-        for slot in perm:
-            axes.extend(range(slot * d, (slot + 1) * d))
-        return np.transpose(self.amps, axes)
-
     def symmetrized(self) -> "BosonicState":
-        N = self.config.N
-        acc = np.zeros_like(self.amps)
-        for perm in itertools.permutations(range(N)):
-            acc += self._slot_permuted(perm)
-        acc /= math.factorial(N)
-        return BosonicState(self.config, acc, normalize=True)
+        """amps averaged over the N! slot permutations and normalized: a sorted
+        tuple's sum over the scale^2 full indices that sort to it, over scale."""
+        sec, flat = _sector(self.config), self.amps.reshape(-1)
+        orbit_sums = np.bincount(sec.expand, flat.real) + 1j * np.bincount(sec.expand, flat.imag)
+        return BosonicState(self.config, _expand(self.config, orbit_sums / sec.scale),
+                            normalize=True)
 
     def inner(self, other: "BosonicState") -> complex:
         return complex(

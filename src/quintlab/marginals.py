@@ -158,10 +158,17 @@ def bbgky_rhs(config: ManyBodyConfig, psi: BosonicState, k: int) -> np.ndarray:
         ((N - k) / N**2, ((i, j, k) for i, j in itertools.combinations(range(k), 2))),
         ((N - k) * (N - k - 1) / (2.0 * N**2), ((j, k, k + 1) for j in range(k))),
     ]
-    pot = sum(coef * _triple_sum(vbar, triples, N) for coef, triples in families)
     m = config.grid.size
+    flat = [_on_slot(np.arange(m), s, N) for s in range(N)]
+    pot = sum(coef * _triple_sum(vbar, triples, flat) for coef, triples in families)
     v_amps = (pot * psi.amps.reshape((m,) * N)).reshape(psi.amps.shape)
     return _traced_commutator(psi.amps, v_amps, config.grid, k)
+
+
+def _centred_residual(before: np.ndarray, after: np.ndarray, h: float, rhs: np.ndarray) -> float:
+    """||i (after - before) / 2h - rhs||_F: a hierarchy residual, with the time
+    derivative a centred difference of the marginals h before and after."""
+    return float(np.linalg.norm(1j * (after - before) / (2.0 * h) - rhs))
 
 
 def bbgky_residual(snapshots: list[BosonicState], times: np.ndarray, k: int) -> float:
@@ -177,12 +184,8 @@ def bbgky_residual(snapshots: list[BosonicState], times: np.ndarray, k: int) -> 
     if not np.allclose(np.diff(times), h, rtol=1e-8):
         raise ValueError("snapshots must be uniformly spaced")
     mid = len(snapshots) // 2
-    config = snapshots[mid].config
-    gp = marginal(snapshots[mid + 1], k).matrix
-    gm = marginal(snapshots[mid - 1], k).matrix
-    lhs = 1j * (gp - gm) / (2.0 * h)
-    rhs = bbgky_rhs(config, snapshots[mid], k)
-    return float(np.linalg.norm(lhs - rhs))
+    before, after = (marginal(snapshots[mid + s], k).matrix for s in (-1, 1))
+    return _centred_residual(before, after, h, bbgky_rhs(snapshots[mid].config, snapshots[mid], k))
 
 
 # -- mean-field (factorized) hierarchy --------------------------------------
@@ -205,12 +208,8 @@ def gp_residual(phi_traj: Trajectory, k: int, b0: float) -> float:
     if len(phi_traj) < 3:
         raise ValueError("need at least 3 snapshots")
     mid = len(phi_traj) // 2
-    h = phi_traj.spacing
-    gp = rank_one_marginal(phi_traj.states[mid + 1], k).matrix
-    gm = rank_one_marginal(phi_traj.states[mid - 1], k).matrix
-    lhs = 1j * (gp - gm) / (2.0 * h)
-    rhs = gp_rhs(phi_traj.states[mid], k, b0)
-    return float(np.linalg.norm(lhs - rhs))
+    before, after = (rank_one_marginal(phi_traj.states[mid + s], k).matrix for s in (-1, 1))
+    return _centred_residual(before, after, phi_traj.spacing, gp_rhs(phi_traj.states[mid], k, b0))
 
 
 def nls_residual_lifted(phi_traj: Trajectory, b0: float) -> float:
@@ -219,19 +218,16 @@ def nls_residual_lifted(phi_traj: Trajectory, b0: float) -> float:
     h phi = -Lap phi + b0 |phi|^4 phi.  Algebraically identical to
     gp_residual(traj, 1, b0); kept as an independent assembly route."""
     mid = len(phi_traj) // 2
-    h = phi_traj.spacing
     grid = phi_traj.states[mid].grid
-    vp = _unit_values(phi_traj.states[mid + 1])
-    vm = _unit_values(phi_traj.states[mid - 1])
-    v0 = _unit_values(phi_traj.states[mid])
-    lhs = 1j * (np.outer(vp, vp.conj()) - np.outer(vm, vm.conj())) / (2.0 * h)
+    vm, v0, vp = (_unit_values(phi_traj.states[mid + s]) for s in (-1, 0, 1))
     xi2 = _xi_squared(grid.d, grid.n)
     lap = _fftn(v0.reshape(grid.shape))
     lap *= xi2
     lap = _ifftn(lap, out=lap).reshape(-1)
     hv = lap + b0 * np.abs(v0) ** 4 * v0
     rhs = np.outer(hv, v0.conj()) - np.outer(v0, hv.conj())
-    return float(np.linalg.norm((lhs - rhs) * grid.cell_volume))
+    return grid.cell_volume * _centred_residual(np.outer(vm, vm.conj()), np.outer(vp, vp.conj()),
+                                                phi_traj.spacing, rhs)
 
 
 # -- frequency-localization check on marginals -------------------------------
@@ -318,9 +314,13 @@ def chaos_experiment(
 
     The mean-field side evolves phi0 under the quintic NLS with coupling b0
     equal to the grid mass of the tabulated interaction, once per distinct b0.
+    The N-body side starts from the normalized phi0, so phi0 must have unit L2
+    norm to 1e-12; any other phi0, or an nls_dt <= 0, raises ValueError.
     """
     if nls_dt is not None and not nls_dt > 0:
         raise ValueError(f"nls_dt must be > 0, got {nls_dt}")
+    if not abs(phi0.l2_norm() - 1.0) <= 1e-12:
+        raise ValueError(f"phi0 must have unit L2 norm, got {phi0.l2_norm()}")
     grid = phi0.grid
     rows = []
     steps = 200 if nls_dt is None else max(1, int(round(T / nls_dt)))

@@ -7,14 +7,14 @@ datum's band (h = band + 1), and each quadrature time's samples on the fine
 evaluation grid come from `nls.free_sample`: one matrix product per axis,
 the free phase folded into the axis's synthesis matrix, no transform; the
 refined-Sobolev upsample is the same synthesis at t = 0.  Probes return 0 on
-zero inputs and are homogeneous of degree zero under rescaling of all their
-field arguments.  The rules on their arguments are `check_*` helpers, which the
-CLI's build pass also calls; so are the `_*_eval_n` helpers that size each
-probe's evaluation grid and check it against the memory budget.  The
-sampling drivers fold a seeded generator over a parameter grid and report
-per-tuple maxima plus a stability figure: the growth of the running maximum
-between the first half and the full sample set (an unbounded constant
-would keep growing).
+zero inputs or a zero right side, and are homogeneous of degree zero under
+rescaling of all their field arguments.  The rules on their arguments are
+`check_*` helpers, which the CLI's build pass also calls; so are the
+`_*_eval_n` helpers that size each probe's evaluation grid and check it
+against the memory budget.  The sampling drivers fold a seeded generator
+over a parameter grid and report per-tuple maxima plus a stability figure:
+the growth of the running maximum between the first half and the full
+sample set (an unbounded constant would keep growing).
 """
 
 from __future__ import annotations
@@ -52,6 +52,25 @@ def _trapezoid_times(T: float, nt: int) -> tuple[np.ndarray, np.ndarray]:
     w[0] *= 0.5
     w[-1] *= 0.5
     return ts, w
+
+
+def _free_product_integral(fields: list[TorusField], T: float, nt: int, n: int,
+                           integrand) -> float:
+    """The trapezoid sum over nt times in [0, T] of integrand(v), with v the
+    samples on the (n, n, n) grid of the product of the fields' free evolutions.
+
+    v is one complex grid, which integrand may overwrite; a second one, only
+    for more than one field, takes each further factor's samples."""
+    ts, w = _trapezoid_times(T, nt)
+    v = np.empty((n,) * 3, dtype=np.complex128)
+    buf = np.empty_like(v) if len(fields) > 1 else None
+    acc = 0.0
+    for t, wt in zip(ts, w):
+        free_sample(fields[0], t, n, v)
+        for f in fields[1:]:
+            v *= free_sample(f, t, n, buf)
+        acc += wt * integrand(v)
+    return acc
 
 
 def _next_even(x: float) -> int:
@@ -208,18 +227,17 @@ def strichartz_ratio(
     denom = g.l2_norm()
     if denom == 0.0:
         return 0.0
-    small = _band_grid(g)
     n_eval = _strichartz_eval_n(_field_band(g), p)
-    ts, w = _trapezoid_times(T, nt)
-    v = np.empty((n_eval,) * 3, dtype=np.complex128)
-    r = np.empty(v.shape)  # |v|^p, computed in place: re^2 + im^2 as _abs2, then the power
-    acc = 0.0
-    for t, wt in zip(ts, w):
-        free_sample(small, t, n_eval, v)
+    r = np.empty((n_eval,) * 3)
+
+    def lp_mass(v):  # |v|^p, computed in place in r: re^2 + im^2 as _abs2, then the power
+        nonlocal r
         np.square(v.real, out=r)
         r += np.square(v.imag, out=v.imag)
         r **= p / 2.0
-        acc += wt * np.sum(r)
+        return np.sum(r)
+
+    acc = _free_product_integral([_band_grid(g)], T, nt, n_eval, lp_mass)
     lhs = (acc * (2.0 * np.pi / n_eval) ** 3) ** (1.0 / p)
     return lhs / (m ** (1.5 - 5.0 / p) * denom)
 
@@ -243,15 +261,9 @@ def bilinear_strichartz_ratio(
     if n1 == 0.0 or n2 == 0.0:
         return 0.0
     n_eval = _bilinear_eval_n(m1, m2, u1.grid.n)
-    a, b = _band_grid(u1), _band_grid(u2)
-    ts, w = _trapezoid_times(T, nt)
-    va, vb = np.empty((2,) + (n_eval,) * 3, dtype=np.complex128)
-    acc = 0.0
-    for t, wt in zip(ts, w):
-        # discrete Parseval: the product's L2 norm from its samples, no transform
-        free_sample(a, t, n_eval, va)
-        va *= free_sample(b, t, n_eval, vb)
-        acc += wt * np.sum(_abs2(va))
+    # discrete Parseval: the product's L2 norm from its samples, no transform
+    acc = _free_product_integral([_band_grid(u1), _band_grid(u2)], T, nt, n_eval,
+                                 lambda v: np.sum(_abs2(v)))
     lhs = np.sqrt(acc * (2.0 * np.pi / n_eval) ** 3)
     rhs = np.sqrt(m2) * (m2 / m1 + 1.0 / m2) ** delta * n1 * n2
     return float(lhs / rhs)
@@ -260,13 +272,13 @@ def bilinear_strichartz_ratio(
 def refined_sobolev_ratio(phi: TorusField, m: float, r: float, which: int) -> float:
     """Sextic high/low pairing against the gradient-split right side.
 
-    which = 1, 2, 3 pairs (P_H phi)^(6-w) with (P_L phi)^w for w = 3, 2, 1,
-    and divides by the corresponding combination of ||grad phi||, the
-    intermediate-band gradient norm, ||grad P_H phi||, and an (M/R) power.
+    which = 1, 2, 3 pairs (P_H phi)^(6-w) with (P_L phi)^w for w = 4 - which,
+    and divides by g_all^w (g_mid^2 g_high^(4-w) + (M/R)^(w/2) g_high^(6-w)),
+    with g_all = ||grad phi||, g_high = ||grad P_H phi|| and g_mid the
+    intermediate-band gradient norm ||grad P_{<R} P_H phi||.
     """
     check_refined_sobolev_args(m, r, which)
-    low_power = {1: 3, 2: 2, 3: 1}[which]
-    high_power = 6 - low_power
+    w = 4 - which  # the power of the low part
     ph = project_gt(phi, m)
     pl = project_leq(phi, m)
     if ph.l2_norm() == 0.0:
@@ -275,20 +287,14 @@ def refined_sobolev_ratio(phi: TorusField, m: float, r: float, which: int) -> fl
     vh = free_sample(_band_grid(ph), 0.0, n_eval)
     vl = free_sample(_band_grid(pl), 0.0, n_eval)
     prod = vl.copy()  # repeated products: np.power is several times slower on complex arrays
-    for v in [vl] * (low_power - 1) + [vh] * high_power:
+    for v in [vl] * (w - 1) + [vh] * (6 - w):
         prod *= v
     cell = (2 * np.pi / n_eval) ** phi.grid.d
     lhs = abs(np.sum(prod) * cell)
     g_all = np.sqrt(phi.gradient_l2_sq())
     g_high = np.sqrt(ph.gradient_l2_sq())
     g_mid = np.sqrt(project_lt(ph, r).gradient_l2_sq())
-    mr = m / r
-    if which == 1:
-        rhs = g_all**3 * (g_mid**2 * g_high + mr**1.5 * g_high**3)
-    elif which == 2:
-        rhs = g_all**2 * (g_mid**2 * g_high**2 + mr * g_high**4)
-    else:
-        rhs = g_all * (g_mid**2 * g_high**3 + np.sqrt(mr) * g_high**5)
+    rhs = g_all**w * (g_mid**2 * g_high ** (4 - w) + (m / r) ** (w / 2) * g_high ** (6 - w))
     if rhs == 0.0:
         return 0.0
     return float(lhs / rhs)
@@ -315,8 +321,6 @@ def multilinear_ratio(
         raise ValueError("need exactly five fields")
     if any(f.grid.d != 3 for f in fs):
         raise ValueError("the exponents are specific to d = 3")
-    if any(f.l2_norm() == 0.0 for f in fs):
-        return 0.0
     s_out = -1.0 if variant.endswith("1") else 1.0
     norms = [sobolev_norm(fs[0], s_out)] + [sobolev_norm(f, 1.0) for f in fs[1:]]
     if variant.startswith("MLFL"):
@@ -324,20 +328,15 @@ def multilinear_ratio(
         norms[j] = (T ** (5.0 / 22.0) * m0 ** (5.0 / 11.0) * norms[j]
                     + project_gt(apply_S(fs[j], 1.0), m0).l2_norm())
     rhs = math.prod(norms)
+    if rhs == 0.0:  # a zero field, or an MLFL variant at T = 0 on fields within m0
+        return 0.0
     band = max(_field_band(f) for f in fs)
     fine = GridSpec(3, _multilinear_eval_n(band))
-    # free evolution keeps each mode's label, so it commutes with resampling
-    small = [_band_grid(f) for f in fs]
-    ts, w = _trapezoid_times(T, nt)
     # sobolev_norm of the product's field, from the unnormalized transform of its samples
     weight = (1.0 + _xi_squared(3, fine.n)) ** s_out * (fine.volume / fine.size**2)
-    vals, buf = np.empty((2,) + fine.shape, dtype=np.complex128)
-    acc = 0.0
-    for t, wt in zip(ts, w):
-        free_sample(small[0], t, fine.n, vals)
-        for f in small[1:]:
-            vals *= free_sample(f, t, fine.n, buf)
-        acc += wt * np.sqrt(np.sum(weight * _abs2(_fftn(vals, out=vals))))
+    # free evolution keeps each mode's label, so it commutes with resampling
+    acc = _free_product_integral([_band_grid(f) for f in fs], T, nt, fine.n,
+                                 lambda v: np.sqrt(np.sum(weight * _abs2(_fftn(v, out=v)))))
     return float(acc / rhs)
 
 
@@ -493,7 +492,6 @@ def check_probe_options(lemma: str, a: dict) -> None:
     """The rules of the ratio behind PROBE_RUNNERS[lemma], on the runner's bound
     arguments `a` (defaults applied), so a bad option fails before any sample.
     The grids are sized for the widest band the runner's random data can have."""
-    check_sample_count(a["samples"])
     if lemma == "strichartz":
         grid = GridSpec(3, a["n"])
         for m in a["ms"]:

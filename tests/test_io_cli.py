@@ -381,6 +381,21 @@ class TestMainEntry:
         witness = SignedExpansion(CollapseMap(8, tuple(w["targets"])), signs)
         assert len(classify_couplings(witness)["unclogged"]) == mu["min_count"]
 
+    def test_mlfl_probe_at_t0_writes_valid_json(self, tmp_path, capsys):
+        # its right side is 0 on band-2 data with m0 = 4: the ratio was 0/0, a NaN
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"kind": "probe", "params": {
+            "lemma": "multilinear", "samples": 2,
+            "options": {"variant": "MLFL1", "T": 0, "nt": 4, "n": 8}}}))
+        assert main(["probe", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads((tmp_path / "probe_multilinear.json").read_text(),
+                             parse_constant=refuse)
+        assert payload["max_ratio"] == 0.0
+
     def test_validation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "nls-run", "params": {"d": 9}}))
@@ -590,6 +605,31 @@ class TestBadConfigs:
         with pytest.raises(ValidationError) as exc:
             ExperimentConfig.from_dict({"kind": "couplings", "seed": seed, "params": {"k": 2}})
         assert exc.value.errors == ["seed: must be an integer"]
+
+    @pytest.mark.parametrize("argv,config", [
+        (["probe", "--lemma", "approx_identity", "--seed", "-1"], None),
+        (["couplings", "--seed", "-1"], {"kind": "couplings", "params": {"k": 2}}),
+        (["couplings"], {"kind": "couplings", "seed": -1, "params": {"k": 2}}),
+        (["nls-run"], {"kind": "nls-run", "seed": -3, "params": _NLS}),
+    ], ids=["flag", "override", "config", "nls-run"])
+    def test_negative_seed_rejected_naming_seed(self, tmp_path, capsys, argv, config):
+        # numpy's generators reject a negative seed: a traceback, or an error
+        # naming params.initial, before
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp_path / "c.json")]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: seed: must be >= 0, got -")
+        assert err.count("validation error") == 1
+
+    def test_probe_sample_count_reported_once(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"kind": "probe", "params": {"lemma": "strichartz",
+                                                                "samples": 0}}))
+        assert main(["probe", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "validation error: params.samples: samples must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("spec,key", [
         ({"kind": "gaussian", "sigma": True}, "sigma"),

@@ -42,12 +42,12 @@ def smooth_phi(grid, seed=0, band=2):
 
 def symmetry_residual(psi: BosonicState) -> float:
     """Largest L2 change of psi under an adjacent slot swap, relative to ||psi||."""
-    N = psi.config.N
+    d, N = psi.config.grid.d, psi.config.N
     worst = 0.0
     for s in range(N - 1):
         perm = list(range(N))
         perm[s], perm[s + 1] = perm[s + 1], perm[s]
-        diff = psi.amps - psi._slot_permuted(tuple(perm))
+        diff = psi.amps - psi.amps.transpose([a for j in perm for a in range(j * d, (j + 1) * d)])
         worst = max(worst, float(np.linalg.norm(diff) / np.linalg.norm(psi.amps)))
     return worst
 
@@ -270,7 +270,7 @@ class TestApplyHamiltonian:
         shape = cfg.state_shape
         rng = np.random.default_rng(11)
         psi = BosonicState(cfg, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        view = BosonicState(cfg, psi._slot_permuted((2, 0, 1))).amps
+        view = BosonicState(cfg, psi.amps.transpose(4, 5, 0, 1, 2, 3)).amps
         assert not view.flags.c_contiguous
         assert np.array_equal(
             apply_hamiltonian_raw(cfg, view), apply_hamiltonian_raw(cfg, view.copy())
@@ -297,6 +297,15 @@ class TestSector:
         perms = itertools.permutations(range(N))
         axes = ([s * d + i for s in perm for i in range(d)] for perm in perms)
         return sum(np.transpose(raw, ax) for ax in axes) / math.factorial(N)
+
+    @pytest.mark.parametrize("d,n,N", [(1, 6, 2), (1, 6, 3), (2, 4, 3), (1, 4, 4)])
+    def test_symmetrized_is_the_normalized_permutation_average(self, d, n, N):
+        cfg = ManyBodyConfig(GridSpec(d, n), N, 0.0)
+        rng = np.random.default_rng(7)  # the draws of symmetric(cfg, 7)
+        raw = rng.standard_normal(cfg.state_shape) + 1j * rng.standard_normal(cfg.state_shape)
+        want = BosonicState(cfg, self.symmetric(cfg, 7), normalize=True).amps
+        got = BosonicState(cfg, raw).symmetrized().amps
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("d,n,N", CASES)
     def test_apply_matches_the_full_tensor_oracle(self, d, n, N):

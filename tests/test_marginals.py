@@ -366,6 +366,14 @@ class TestChaosExperiment:
         with pytest.raises(ValueError, match="nls_dt"):
             chaos_experiment([2], 0.1, unit_phi(GridSpec(1, 8), seed=22), T=0.1, nls_dt=nls_dt)
 
+    @pytest.mark.parametrize("scale", [3.0, 1.0 + 1e-9])
+    def test_rejects_a_datum_of_norm_other_than_one(self, scale, monkeypatch):
+        # the N-body side normalizes phi0 and the NLS side does not: 3 phi gave
+        # distances of 1.07 where phi gives 0.018-0.020
+        monkeypatch.setattr(marginals, "propagate", None)  # rejected before any N runs
+        with pytest.raises(ValueError, match="unit L2 norm"):
+            chaos_experiment([2, 3], 0.1, unit_phi(GridSpec(1, 8), seed=22) * scale, T=0.2)
+
     def test_distance_shrinks_with_N(self):
         g = GridSpec(1, 8)
         rows = chaos_experiment([2, 4], 0.1, unit_phi(g, seed=24), T=0.2)
