@@ -64,7 +64,7 @@ class ExperimentConfig:
     kind: str
     params: dict
     seed: int = 0
-    # the domain objects of the last successful validate(), reused by the run
+    # the domain objects of the last successful validate(), handed to the next run
     built: dict | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
@@ -363,11 +363,12 @@ class RunReport:
 def _run_nls(built: dict, out: Path, report: RunReport, *, d: int, n: int, initial: dict,
              b0: float, dt: float, T: float, dealias: bool = True, snapshot_every: int = 1,
              split_M: float = None, diagnostics_M: list[float] = None, mass_tol: float = 1e-11):
-    grid, nls_cfg, f0 = built["grid"], built["nls"], built["field"]
+    grid, nls_cfg = built["grid"], built["nls"]
     split_m = grid.nyquist // 2 if split_M is None else split_M
     diag_ms = diagnostics_M or [grid.nyquist // 2]
     header = ["t", "mass", "E_NLS", "E_L", "E_H"] + [f"high_kinetic_M{m}" for m in diag_ms]
-    rows = timeseries(f0, float(T), nls_cfg, snapshot_every, split_m, diag_ms)
+    # the field is passed on, not kept: timeseries drops it once its samples are taken
+    rows = timeseries(built.pop("field"), float(T), nls_cfg, snapshot_every, split_m, diag_ms)
     path = out / "timeseries.csv"
     qio.write_csv(path, header, rows)
     report.artifacts.append(str(path))
@@ -538,6 +539,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
     report = RunReport(kind=cfg.kind, config=cfg.to_dict())
     built = cfg.built if cfg.built is not None else cfg.validate()
+    cfg.built = None  # the run may take objects out of it; a second run builds afresh
     t0 = time.perf_counter()
     try:
         _RUNNERS[cfg.kind](built, out, report, **cfg.params)

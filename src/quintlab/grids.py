@@ -129,6 +129,19 @@ def _abs2(v: np.ndarray) -> np.ndarray:
     return v.real**2 + v.imag**2
 
 
+def _resampled(c: np.ndarray, n_new: int) -> np.ndarray:
+    """The coefficient array c as TorusField.resample places it on an n_new
+    grid: a new array, or c itself at its own size."""
+    n = c.shape[0]
+    if n_new == n:
+        return c
+    c_new = np.zeros((n_new,) * c.ndim, dtype=np.complex128)
+    h = min(n, n_new) // 2
+    for block in itertools.product((slice(None, h), slice(-h, None)), repeat=c.ndim):
+        c_new[block] = c[block]
+    return c_new
+
+
 class TorusField:
     """Complex scalar field on a periodic grid, stored spectrally.
 
@@ -227,11 +240,21 @@ class TorusField:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            vals = _ifftn(self._coeffs)
-            vals *= self.grid.size
-            object.__setattr__(self, "_values", vals)
+            object.__setattr__(self, "_values", self._samples())
         out = self._values.view()
         out.flags.writeable = False
+        return out
+
+    def _samples(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The samples in `out` or a new array: the cached ones copied, else
+        one inverse transform, which is not cached."""
+        if out is None:
+            out = np.empty(self.grid.shape, dtype=np.complex128)
+        if self._values is not None:
+            out[...] = self._values
+        else:
+            _ifftn(self._coeffs, out=out)
+            out *= self.grid.size
         return out
 
     # -- arithmetic ----------------------------------------------------
@@ -298,12 +321,7 @@ class TorusField:
         """
         if n_new == self.grid.n:
             return self
-        g_new = GridSpec(self.grid.d, n_new)
-        c_new = np.zeros(g_new.shape, dtype=np.complex128)
-        h = min(self.grid.n, n_new) // 2
-        for block in itertools.product((slice(None, h), slice(-h, None)), repeat=self.grid.d):
-            c_new[block] = self._coeffs[block]
-        return TorusField(g_new, c_new)
+        return TorusField(GridSpec(self.grid.d, n_new), _resampled(self._coeffs, n_new))
 
 
 def pointwise_product(*fields: TorusField, pad_to: int | None = None) -> TorusField:

@@ -18,14 +18,17 @@ quadratures.  A dealiased run starts from one inverse transform of the
 coefficients resampled to the 3n/2 grid: a synthesis matrix there would
 hold 3n^2/2 entries at d = 1.  The module also carries the low/high energy
 decomposition at a frequency cutoff and the frequency-localization
-diagnostics used by the marginal-hierarchy experiments.  `snapshot_row` gives an `nls-run` snapshot's mass, energy,
-energy split and high kinetic energies in one pass, with one inverse
-transform beyond the snapshot's samples, in six real buffers.  Of E_L and
-E_H it sums the one of smaller size directly (E_H from the terms with three
-or more high-frequency factors) and takes the other as E minus it.
-`timeseries` gives an `nls-run`'s rows as its states are reached, so the
-run holds one state and the kernels' fixed buffers whatever its snapshot
-count; `evolve` keeps every state of the same flow.
+diagnostics used by the marginal-hierarchy experiments.  `snapshot_row` gives
+an `nls-run` snapshot's mass, energy, energy split and high kinetic energies
+in one pass, with one inverse transform beyond the snapshot's samples.  Of
+E_L and E_H it sums the one of smaller size directly (E_H from the terms with
+three or more high-frequency factors) and takes the other as E minus it.
+`timeseries` gives an `nls-run`'s rows bit for bit as `evolve` and
+`snapshot_row` would, but streams: it owns the Strang kernel's three buffers
+(the samples, a complex and a real scratch) for the whole run and sums each
+row from them, with phi_L transformed in place in the complex scratch, so it
+holds no state beside them and drops the initial field once its samples are
+taken.  `evolve` keeps every state of the same flow.
 """
 
 from __future__ import annotations
@@ -39,11 +42,11 @@ from .grids import (
     GridSpec,
     ParameterError,
     TorusField,
-    _abs2,
     _fftn,
     _freq_components,
     _ifftn,
     _mask_leq,
+    _resampled,
     _xi_squared,
     check_cutoff,
     check_entries,
@@ -163,22 +166,18 @@ def _rotation_n(n: int, dealias: bool) -> int:
     return 2 * ((3 * n + 3) // 4) if dealias else n
 
 
-def _split_steps(f: TorusField, dt: float, steps: int, rate, dealias: bool) -> TorusField:
-    """steps Strang steps of i u_t = -Lap u + rate(|u|^2) u on raw arrays, as
-    N(dt/2) [L(dt) N(dt)]^(steps-1) L(dt) N(dt/2): N keeps |u|, so the half
-    rotations that meet merge.  rate returns a real array and may overwrite
-    its argument.  The state is the samples on the rotation grid, n points
-    per axis, or 2*ceil(3n/4) with dealias; the free phase is zero outside
-    the n-band, so multiplying by it also projects out the modes the rotation
-    spills there.  One FFT pair per step, and beside the phase three
-    buffers: the samples v, the complex scratch z and the real scratch of
-    |v|^2.  The last forward transform goes into z, and the new field takes z
-    as its coefficients and, without dealias, v as its samples."""
-    grid = f.grid
-    m = _rotation_n(grid.n, dealias)
-    phase = TorusField(grid, _free_phase(grid.d, grid.n, dt)).resample(m).coefficients
-    v = f.values.copy() if m == grid.n else _ifftn(f.resample(m).coefficients, norm="forward")
-    z, a = np.empty_like(v), np.empty(v.shape)
+def _strang(v: np.ndarray, z: np.ndarray, a: np.ndarray, n: int, dt: float, steps: int,
+            rate) -> None:
+    """steps Strang steps of i u_t = -Lap u + rate(|u|^2) u on the samples v, in
+    place, as N(dt/2) [L(dt) N(dt)]^(steps-1) L(dt) N(dt/2): N keeps |u|, so
+    the half rotations that meet merge.  rate returns a real array and may
+    overwrite its argument.  v lies on the rotation grid of an n-point field,
+    n points per axis or 2*ceil(3n/4) with dealias; the free phase, built
+    here and freed on return, is zero outside the n-band, so multiplying by
+    it also projects out the modes the rotation spills there.  One FFT pair
+    per step in the complex scratch z and the real scratch a of |v|^2; the
+    last forward transform goes into z, as the coefficients of v."""
+    phase = _resampled(_free_phase(v.ndim, n, dt), v.shape[0])
     for i in range(steps + 1 if steps else 0):
         if i:
             _fftn(v, out=v)
@@ -187,10 +186,29 @@ def _split_steps(f: TorusField, dt: float, steps: int, rate, dealias: bool) -> T
         _rotate(v, rate, dt if 0 < i < steps else dt / 2.0, z, a)
     _fftn(v, out=z)
     z /= v.size
+
+
+def _split_steps(f: TorusField, dt: float, steps: int, rate, dealias: bool) -> TorusField:
+    """f after _strang's steps on the rotation grid of f's grid, or of its 3n/2
+    grid with dealias.  The new field takes the last forward transform as its
+    coefficients and, without dealias, the samples as its values."""
+    grid = f.grid
+    m = _rotation_n(grid.n, dealias)
+    v = f.values.copy() if m == grid.n else _ifftn(_resampled(f.coefficients, m), norm="forward")
+    z, a = np.empty_like(v), np.empty(v.shape)
+    _strang(v, z, a, grid.n, dt, steps, rate)
     if m == grid.n:
         return TorusField._from_pair(grid, z, v)
     del v, a  # freed before the copy to the n-grid
-    return TorusField(GridSpec(grid.d, m), z).resample(grid.n)
+    return TorusField(grid, _resampled(z, grid.n))
+
+
+def _quintic(b0: float):
+    """The quintic rate b0 |u|^4 from a = |u|^2, in place."""
+    def quintic(a):
+        return np.multiply(np.square(a, out=a), b0, out=a)
+
+    return quintic
 
 
 def strang_step(f: TorusField, cfg: NlsConfig, *, steps: int = 1) -> TorusField:
@@ -198,11 +216,7 @@ def strang_step(f: TorusField, cfg: NlsConfig, *, steps: int = 1) -> TorusField:
     the free flow; the half rotations that meet between two steps are applied as one."""
     if f.grid != cfg.grid:
         raise ValueError("field grid does not match solver configuration")
-
-    def quintic(a):  # b0 |u|^4 from a = |u|^2, in place
-        return np.multiply(np.square(a, out=a), cfg.b0, out=a)
-
-    return _split_steps(f, cfg.dt, steps, quintic, cfg.dealias)
+    return _split_steps(f, cfg.dt, steps, _quintic(cfg.b0), cfg.dealias)
 
 
 def check_step_count(T: float, dt: float, snapshot_every: int = 1) -> int:
@@ -243,6 +257,20 @@ def evolve(
     return Trajectory(np.array(times), list(states), cfg)
 
 
+def _head(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading entries of the contiguous array buf as a C-contiguous array of `shape`."""
+    return buf.reshape(-1)[:np.prod(shape)].reshape(shape)
+
+
+def _zero_past_band(z: np.ndarray, n: int) -> None:
+    """Zero the coefficients that resampling z to n points per axis drops, so z
+    becomes _resampled(_resampled(z, n), len(z)): every entry with an index
+    in [n/2, len(z) - n/2) on some axis."""
+    h = n // 2
+    for j in range(z.ndim):
+        z[(slice(None),) * j + (slice(h, z.shape[j] - h),)] = 0
+
+
 def timeseries(
     f0: TorusField,
     T: float,
@@ -252,9 +280,40 @@ def timeseries(
     diag_ms,
 ) -> list[list[float]]:
     """[t] + snapshot_row(u, split_m, diag_ms, cfg.b0) for each snapshot (t, u)
-    of evolve(f0, T, cfg, snapshot_every), bit for bit, holding one state at a time."""
-    return [[t] + snapshot_row(u, split_m, diag_ms, cfg.b0)
-            for t, u in _snapshots(f0, T, cfg, snapshot_every)]
+    of evolve(f0, T, cfg, snapshot_every), bit for bit.
+
+    The run owns _strang's buffers v, z and a and sums each row from them:
+    the row's coefficients are z itself, or with dealias z resampled to the
+    n-grid, with their samples transformed into v's memory; the next
+    interval restarts v from z projected to the n-band.  f0's samples are
+    taken into v without caching them on f0, and f0 is dropped before the
+    first row, so a caller that passes its last reference holds no field
+    through the run."""
+    steps = check_step_count(T, cfg.dt, snapshot_every)
+    g, rate = f0.grid, _quintic(cfg.b0)
+    m = _rotation_n(g.n, cfg.dealias)
+    z = np.array(f0.coefficients) if m == g.n else _resampled(f0.coefficients, m)
+    v, a = np.empty_like(z), np.empty(z.shape)
+    vn, an = _head(v, g.shape), _head(a, g.shape)
+    c = z if m == g.n else np.array(f0.coefficients)
+    f0._samples(out=vn)
+    del f0
+    rows = []
+    for s in range(0, steps + 1, snapshot_every):
+        if s:
+            if m != g.n:
+                _zero_past_band(z, g.n)
+                _ifftn(z, out=v, norm="forward")
+            _strang(v, z, a, g.n, cfg.dt, snapshot_every, rate)
+            c = z if m == g.n else _resampled(z, g.n)
+            if not np.all(np.isfinite(c)):
+                raise BlowUpError(f"non-finite state at t={s * cfg.dt:.6g} "
+                                  f"(mass {rows[-1][1]:.3e} at t={rows[-1][0]:.6g})")
+            if m != g.n:
+                _ifftn(c, out=vn)
+                vn *= g.size
+        rows.append([s * cfg.dt] + _row(g, c, vn, an, split_m, diag_ms, cfg.b0))
+    return rows
 
 
 def plane_wave_solution(grid: GridSpec, xi, amplitude: float, b0: float, t: float) -> TorusField:
@@ -267,18 +326,23 @@ def plane_wave_solution(grid: GridSpec, xi, amplitude: float, b0: float, t: floa
 # -- conserved quantities and the low/high energy split ------------------
 
 
-def _kinetic_density(f: TorusField) -> np.ndarray:
-    """|fhat|^2 |xi|^2, whose sum times the volume is ||grad f||^2."""
-    w = _abs2(f.coefficients)
-    w *= _xi_squared(f.grid.d, f.grid.n)
+def _kinetic_density(g: GridSpec, c: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """|c|^2 |xi|^2 into the real buffer w, with t as scratch: its sum times
+    the volume is ||grad f||^2 for the field f with coefficients c."""
+    np.square(c.real, out=w)
+    w += np.square(c.imag, out=t)
+    w *= _xi_squared(g.d, g.n)
     return w
 
 
-def _energy(f: TorusField, w: np.ndarray, b0: float) -> float:
-    """E(f) from its kinetic density w, with |f|^6 summed as (|f|^2)^3."""
-    s = _abs2(f.values)
-    sextic = float(np.vdot(s, s * s))
-    return f.grid.volume * float(np.sum(w)) + b0 / 3.0 * f.grid.cell_volume * sextic
+def _energy(g: GridSpec, w: np.ndarray, v: np.ndarray, t: np.ndarray, b0: float) -> float:
+    """E from the kinetic density w and the samples v.  |v|^6 is summed as
+    (|v|^2)^3, with |v|^2 formed in w's memory once w is summed and its
+    square in the real buffer t."""
+    kinetic = g.volume * float(np.sum(w))
+    s = np.square(v.real, out=w)
+    s += np.square(v.imag, out=t)
+    return kinetic + b0 / 3.0 * g.cell_volume * float(np.vdot(s, np.multiply(s, s, out=t)))
 
 
 def energy_nls(f: TorusField, b0: float) -> float:
@@ -287,7 +351,9 @@ def energy_nls(f: TorusField, b0: float) -> float:
     Gradient term spectral, sextic term by grid quadrature; snapshot_row's
     E_NLS is the same sum, bit for bit.
     """
-    return _energy(f, _kinetic_density(f), b0)
+    g = f.grid
+    w, t = np.empty(g.shape), np.empty(g.shape)
+    return _energy(g, _kinetic_density(g, f.coefficients, w, t), f.values, t, b0)
 
 
 def _halves(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,9 +362,12 @@ def _halves(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flat[:c.size].reshape(c.shape), flat[c.size:].reshape(c.shape)
 
 
-def _sextic_sums(f: TorusField, low: np.ndarray) -> tuple[float, float]:
+def _sextic_sums(g: GridSpec, vl: np.ndarray, v: np.ndarray, low: np.ndarray, a: np.ndarray,
+                 r: np.ndarray) -> tuple[float, float]:
     """Grid sums of the low and high parts of |phi|^6 at the sharp cutoff
-    whose mask is `low`; phi_L costs one inverse transform, phi_H = phi - phi_L.
+    whose mask is `low`, for the field phi with coefficients vl and samples
+    v; phi_L costs one inverse transform, in place in vl, and
+    phi_H = phi - phi_L is the one new array.
 
     With a = |phi_L|^2, r = 2 Re conj(phi_L) phi_H and h = |phi_H|^2,
     |phi|^2 = a + r + h.  Counting r as one high-frequency factor and h as
@@ -310,16 +379,16 @@ def _sextic_sums(f: TorusField, low: np.ndarray) -> tuple[float, float]:
 
         h (6ar + 3ah + 3r^2 + 3rh + h^2) + r^3 = h (3a (r + q) + 3rq + h^2) + r^3.
 
-    The sums run in six real buffers: phi_L and phi_H take four, r and a the
-    other two, and h, q and the two polynomials' scratch reuse the first four.
+    The sums run in six real buffers: phi_L and phi_H take four, the real
+    buffers r and a the other two, and h, q and the two polynomials' scratch
+    reuse the first four.
     """
-    g = f.grid
-    vl = np.multiply(f.coefficients, low)
+    vl *= low
     _ifftn(vl, out=vl)
     vl *= g.size
-    vh = np.subtract(f.values, vl)
-    r = np.multiply(vl.real, vh.real)
-    a = np.multiply(vl.imag, vh.imag)  # a scratch here, |phi_L|^2 below
+    vh = np.subtract(v, vl)
+    np.multiply(vl.real, vh.real, out=r)
+    np.multiply(vl.imag, vh.imag, out=a)  # a scratch here, |phi_L|^2 below
     r += a
     r *= 2.0
     np.square(vl.real, out=a)
@@ -343,6 +412,35 @@ def _sextic_sums(f: TorusField, low: np.ndarray) -> tuple[float, float]:
     return float(sextic_low), float(np.vdot(h, high_part) + r3)
 
 
+def _row(g: GridSpec, z: np.ndarray, v: np.ndarray, a: np.ndarray, split_m: float, diag_ms,
+         b0: float) -> list[float]:
+    """snapshot_row of the field with coefficients z and samples v.  z and the
+    real buffer a are overwritten; the real r and phi_H are the new arrays.
+    Mass and the kinetic sums are read from z first, then _sextic_sums
+    transforms phi_L in place in z."""
+    for m in (split_m, *diag_ms):
+        check_cutoff(m)
+    low = _mask_leq(g.d, g.n, split_m)
+    mass = float(np.sqrt(g.volume * np.sum(np.square(np.abs(z, out=a), out=a))))
+    r = np.empty(g.shape)
+    w = _kinetic_density(g, z, a, r)
+
+    def kinetic(mask):
+        return g.volume * float(np.sum(w, where=mask))
+
+    k_low, k_high = kinetic(low), kinetic(~low)
+    high_kinetic = [kinetic(~_mask_leq(g.d, g.n, m)) for m in diag_ms]
+    e = _energy(g, w, v, r, b0)
+    sextic_low, sextic_high = _sextic_sums(g, z, v, low, a, r)
+    c = b0 / 3.0 * g.cell_volume
+    e_low, e_high = k_low + c * sextic_low, k_high + c * sextic_high
+    if abs(e_low) <= abs(e_high):
+        e_high = e - e_low
+    else:
+        e_low = e - e_high
+    return [mass, e, e_low, e_high] + high_kinetic
+
+
 def snapshot_row(f: TorusField, split_m: float, diag_ms, b0: float) -> list[float]:
     """[mass, E_NLS, E_L, E_H] and ||P_{>M} grad f||^2 for each M of diag_ms.
 
@@ -354,23 +452,7 @@ def snapshot_row(f: TorusField, split_m: float, diag_ms, b0: float) -> list[floa
     of one subtraction.
     """
     g = f.grid
-    for m in (split_m, *diag_ms):
-        check_cutoff(m)
-    low = _mask_leq(g.d, g.n, split_m)
-    sextic_low, sextic_high = _sextic_sums(f, low)
-    w = _kinetic_density(f)
-
-    def kinetic(mask):
-        return g.volume * float(np.sum(w, where=mask))
-
-    c = b0 / 3.0 * g.cell_volume
-    e = _energy(f, w, b0)
-    e_low, e_high = kinetic(low) + c * sextic_low, kinetic(~low) + c * sextic_high
-    if abs(e_low) <= abs(e_high):
-        e_high = e - e_low
-    else:
-        e_low = e - e_high
-    return [f.l2_norm(), e, e_low, e_high] + [kinetic(~_mask_leq(g.d, g.n, m)) for m in diag_ms]
+    return _row(g, np.array(f.coefficients), f.values, np.empty(g.shape), split_m, diag_ms, b0)
 
 
 def energy_split(f: TorusField, m: float, b0: float) -> tuple[float, float]:

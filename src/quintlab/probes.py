@@ -253,7 +253,11 @@ def bilinear_strichartz_ratio(
 ) -> float:
     """Space-time L^2 mass of a product of two shell-localized free
     evolutions against M2^(1/2) (M2/M1 + 1/M2)^delta times the datum norms.
+    Requires d = 3, where the estimate and its sample grid live.
     """
+    for f in (f1, f2):
+        if f.grid.d != 3:
+            raise ValueError(f"the bilinear estimate is specific to d = 3, got d = {f.grid.d}")
     check_bilinear_args(m1, m2, delta, T, nt)
     u1 = dyadic_project(f1, m1)
     u2 = dyadic_project(f2, m2)

@@ -234,14 +234,45 @@ class TestRunExperiment:
 
         peak(1, "warm")  # fills the memo tables both runs share
         state = 2 * 32**2 * 16  # coefficients and samples
-        # Over one interval the only state is the initial field, which the
-        # config holds; step by step, the current state is held beside it, and
-        # the 41 rows of 7 floats take about a third of a state more.
-        assert peak(1, "41 snapshots") - peak(40, "2 snapshots") <= 2 * state
+        # Both runs hold the Strang kernel's buffers and one row's arrays,
+        # whatever the snapshot count; the 41 rows of 7 floats and the list
+        # that holds them take under a state more.
+        assert peak(1, "41 snapshots") - peak(40, "2 snapshots") <= state
+
+    def test_nls_run_holds_four_and_a_half_grids(self, tmp_path):
+        # Without dealiasing the run holds the samples, the complex scratch and
+        # the real scratch; a row adds phi_H and one real array, so 4 complex
+        # grids.  The initial field is not held: the config hands it to the run.
+        params = {"d": 3, "n": 32, "b0": 1.0, "dt": 0.005, "T": 0.02, "dealias": False,
+                  "initial": {**_BAND2, "band": 6}}
+
+        def peak(name):
+            cfg = ExperimentConfig.from_dict({"kind": "nls-run", "seed": 2, "params": params})
+            tracemalloc.start()
+            try:
+                run_experiment(cfg, tmp_path / name)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("warm")  # fills the memo tables
+        assert peak("run") <= 4.5 * 32**3 * 16
+
+    def test_nls_run_twice_on_one_config(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(
+            {"kind": "nls-run", "seed": 4, "params": {"d": 2, "n": 16, "b0": 1.0, "dt": 0.01,
+                                                      "T": 0.04, "initial": _BAND2}})
+        reports = [run_experiment(cfg, tmp_path / name).to_dict() for name in "ab"]
+        assert ((tmp_path / "a" / "timeseries.csv").read_bytes()
+                == (tmp_path / "b" / "timeseries.csv").read_bytes())
+        for r in reports:
+            del r["wall_time_s"], r["artifacts"]
+        assert reports[0] == reports[1]
 
     def test_hufl_is_the_factorized_value(self, tmp_path):
         params = {**_HUFL, "M": 2, "ks": [1, 2, 3], "initial": {**_BAND2, "band": 6}}
         cfg = ExperimentConfig.from_dict({"kind": "hufl", "params": params})
+        field = cfg.built["field"]  # the run takes the built objects
         tracemalloc.start()
         try:
             run_experiment(cfg, tmp_path)
@@ -250,7 +281,7 @@ class TestRunExperiment:
             tracemalloc.stop()
         rows = (tmp_path / "hufl.csv").read_text().split("\n")[1:4]
         got = [float(row.split(",")[1]) for row in rows]
-        assert got == [hufl_factorized(cfg.built["field"], k, 2) for k in (1, 2, 3)]
+        assert got == [hufl_factorized(field, k, 2) for k in (1, 2, 3)]
         assert peak < 8 * 2**20  # the dense 3-marginal alone is 256 MiB
 
     def test_hufl_order_past_the_dense_budget_runs(self, tmp_path):

@@ -459,10 +459,12 @@ class TestSnapshotRow:
 
 class TestTimeseries:
     @pytest.mark.parametrize("dealias", [False, True])
-    @pytest.mark.parametrize("d,n,band,every", [(1, 6, 2, 1), (1, 64, 24, 2), (2, 16, 6, 2),
-                                                (3, 12, 4, 3)])
+    @pytest.mark.parametrize("d,n,band,every", [(1, 6, 2, 1), (1, 10, 3, 2), (1, 64, 24, 2),
+                                                (2, 16, 6, 1), (2, 16, 6, 2), (2, 30, 8, 2),
+                                                (3, 8, 2, 1), (3, 12, 4, 3)])
     def test_rows_are_the_rows_of_the_evolved_states(self, d, n, band, every, dealias):
-        # oracle: evolve holds every state, and each row is snapshot_row of one
+        # oracle: evolve holds every state, and each row is snapshot_row of one;
+        # at n = 6, 10 and 30, 3n/2 is odd and the rotation grid rounds it up
         g = GridSpec(d, n)
         cfg = NlsConfig(g, 1.0, 0.01, dealias)
         split_m, diag_ms = max(1, n // 4), [1, n // 4]
@@ -473,11 +475,31 @@ class TestTimeseries:
                              diag_ms)
         assert got == want  # bit for bit
 
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_a_field_made_from_samples_starts_from_them(self, dealias):
+        # the first row and, without dealias, the first step take the cached
+        # samples, which differ from the coefficients' transform in the last bits
+        g = GridSpec(2, 16)
+        f = TorusField.from_values(g, smooth_random(g, 4, band=6).values[::-1])
+        cfg = NlsConfig(g, 1.0, 0.01, dealias)
+        traj = evolve(f, 0.04, cfg, snapshot_every=2)
+        want = [[t] + snapshot_row(u, 4, [4], 1.0) for t, u in zip(traj.times, traj.states)]
+        assert nls.timeseries(f, 0.04, cfg, 2, 4, [4]) == want
+
     def test_t0_is_one_row(self):
         g = GridSpec(1, 16)
         f = smooth_random(g, 5)
-        assert nls.timeseries(f, 0.0, NlsConfig(g, 1.0, 0.01), 1, 2, [2]) == [
-            [0.0] + snapshot_row(f, 2, [2], 1.0)]
+        for dealias in (False, True):
+            assert nls.timeseries(f, 0.0, NlsConfig(g, 1.0, 0.01, dealias), 1, 2, [2]) == [
+                [0.0] + snapshot_row(f, 2, [2], 1.0)]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_blowup_diagnostic(self, dealias):
+        g = GridSpec(1, 16)
+        f = TorusField.from_values(g, np.full(16, np.inf + 0j))
+        with pytest.raises(BlowUpError, match="non-finite state at t=0.01"):
+            nls.timeseries(f, 0.02, NlsConfig(g, 1.0, 0.01, dealias), 1, 2, [2])
 
 
 class TestFrequencyDiagnostics:

@@ -107,6 +107,14 @@ class TestBilinear:
         with pytest.raises(ValueError):
             bilinear_strichartz_ratio(rand3(8), rand3(8), 2, 4, 0.02, 1.0)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rejects_a_field_off_three_dimensions(self, d):
+        g = GridSpec(d, 32)
+        f = TorusField.random_band_limited(g, 8, np.random.default_rng(d))
+        for f1, f2 in ((f, f), (rand3(32), f)):
+            with pytest.raises(ValueError, match=f"d = 3, got d = {d}"):
+                bilinear_strichartz_ratio(f1, f2, 8, 4, 0.02, 1.0)
+
     def test_scale_invariance(self):
         f1, f2 = rand3(16, seed=4), rand3(16, seed=5)
         a = bilinear_strichartz_ratio(f1, f2, 8, 4, 0.02, 1.0, nt=33)
