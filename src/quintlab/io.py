@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import GridSpec, TorusField
-from .manybody import BosonicState, ManyBodyConfig, check_exchange_symmetry, symmetric_amps
+from .manybody import BosonicState, ManyBodyConfig, check_exchange_symmetry
 
 _LAYOUTS = ("spectral", "physical")
 
@@ -90,10 +90,10 @@ def load_field(path) -> TorusField:
 
 
 def dump_state(psi: BosonicState, path) -> None:
-    """Write psi with exchange partners equal bit for bit, as check_state_file
-    demands of the complex64 entries; ValueError if psi is not symmetric."""
+    """Write psi's amps, whose exchange partners are equal bit for bit, as
+    check_state_file demands of the complex64 entries."""
     grid = psi.config.grid
-    amps = symmetric_amps(psi).astype(np.complex64)
+    amps = psi.amps.astype(np.complex64)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<II", grid.d, grid.n))
         fh.write(b"physical".ljust(8, b"\0"))

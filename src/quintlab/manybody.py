@@ -7,15 +7,15 @@ The Hamiltonian is
 
 where V_scaled is the periodic extension of N^(2 d beta) V(N^beta u, N^beta v)
 in the relative coordinates, symmetrised over the choice of centre particle so
-that H maps the bosonic sector to itself.  A BosonicState holds the dense
-complex tensor over (grid)^N.  propagate, energy and energy_moment work on the
-bosonic sector instead: each compresses the tensor once to its values on the
-C(n^d + N - 1, N) sorted site tuples, scaled so that norms are unchanged, and
-propagate expands once per time > 0 (time 0 returns psi itself), all charged
-by ManyBodyConfig.check_run_budget.  A tensor that the round trip
-does not give back to 1e-12 max |psi| is not a bosonic state, and is rejected
-with ValueError rather than projected; check_exchange_symmetry applies the
-same rule, by adjacent slot swaps, to a state file.  Propagation uses a
+that H maps the bosonic sector to itself.  A BosonicState is its sector
+vector: its values on the C(n^d + N - 1, N) sorted site tuples, scaled so that
+norms are unchanged.  propagate, energy, energy_moment, norm and inner work on
+that vector alone; the dense complex tensor over (grid)^N is expanded only
+where a caller reads amps (the marginals, the Sobolev weights, a state file).
+A tensor given to the constructor is compressed once, and one that the round
+trip does not give back to 1e-12 max |psi| is not a bosonic state: it is
+rejected with ValueError rather than projected.  check_exchange_symmetry
+applies the same rule, by adjacent slot swaps, to a state file.  Propagation uses a
 Lanczos (Krylov) approximation of exp(-i t H) with a matrix-free H on the
 sector: the kinetic part as A^dagger (K x I) A, with A the annihilation gather
 onto (N-1)-tuples times one site, and the potential as a diagonal.  One
@@ -178,7 +178,8 @@ class ManyBodyConfig:
         """check_budget, plus all a run to `times` holds at once: the sector
         tables with their scratch (see _sector_entries), which its energies
         build even at t = 0, and, when a time is > 0, propagate's basis of
-        kdim + 1 sector vectors and one full state per distinct time > 0."""
+        kdim + 1 sector vectors and one full tensor per distinct time > 0,
+        which the residuals and chaos runs expand for their marginals."""
         self.check_budget()
         later = {float(t) for t in times if t > 0}
         if not later:
@@ -330,8 +331,8 @@ def _sector_dim(m: int, k: int) -> int:
 def _sector_entries(config: ManyBodyConfig) -> int:
     """Complex-entry equivalents (16 bytes) of what the sector path holds
     besides its vectors: the tables of _sector, and the largest of their
-    build temporaries, the scratch of a compress or of symmetric_amps, and
-    that of an H-apply."""
+    build temporaries, the scratch of a compress or an expand, and that of
+    an H-apply."""
     m, N = config.grid.size, config.N
     full, dim, p = m**N, _sector_dim(m, N), _sector_dim(m, N - 1)
     tables = full // 2 + (2 * N + 3) * dim // 2 + m * p  # 8-byte indices and weights
@@ -463,13 +464,6 @@ def _expand(config: ManyBodyConfig, c: np.ndarray) -> np.ndarray:
     return (c / sec.scale)[sec.expand].reshape(config.state_shape)
 
 
-def symmetric_amps(psi: "BosonicState") -> np.ndarray:
-    """psi's tensor with each entry read from its sorted index, so that
-    exchange partners agree bit for bit, also after a cast to complex64;
-    ValueError if the round trip of _compress misses psi."""
-    return _expand(psi.config, psi._sector_vector)
-
-
 def _apply_sector(config: ManyBodyConfig, c: np.ndarray, out: np.ndarray | None = None):
     """H c on the sector: the kinetic part as A^dagger (K x I) A, with A the
     annihilation gather into b[y, r] = sqrt(r_y + 1) c[rank(r + e_y)] and K
@@ -517,37 +511,37 @@ def _tensor_power(v: np.ndarray, k: int) -> np.ndarray:
 
 
 class BosonicState:
-    """Symmetric N-particle complex tensor on (grid)^N.
-
-    amps has shape grid.shape * N; slot j occupies axes [j*d, (j+1)*d).
-    The constructor does not check the symmetry; propagate, energy,
-    energy_moment and symmetric_amps do, through _sector_vector.  amps is
-    never changed in place, by this module or its callers, so the cached
-    _sector_vector stays that of amps.
+    """A symmetric N-particle state on (grid)^N, held as its sector vector c
+    (see the bosonic sector above).  Given a tensor amps instead of c, the
+    constructor compresses it once, with a ValueError if the sector cannot
+    hold it.  amps, of shape grid.shape * N with slot j on axes [j*d, (j+1)*d),
+    is expanded from c on first read and cached read-only, so exchange
+    partners agree bit for bit; c is never changed in place, so amps stays that of c.
     """
 
-    def __init__(self, config: ManyBodyConfig, amps: np.ndarray, normalize: bool = False):
+    def __init__(self, config: ManyBodyConfig, amps: np.ndarray | None = None, *,
+                 c: np.ndarray | None = None):
         config.check_budget()
         self.config = config
-        amps = np.asarray(amps, dtype=np.complex128).reshape(config.state_shape)
-        if normalize:
-            nrm = np.sqrt(np.sum(np.abs(amps) ** 2) * config.grid.cell_volume**config.N)
-            if nrm == 0:
-                raise ValueError("cannot normalize the zero state")
-            amps = amps / nrm
-        self.amps = amps
+        self.c = _compress(config, np.reshape(amps, config.state_shape)) if c is None else c
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def factorized(cls, config: ManyBodyConfig, phi: TorusField) -> "BosonicState":
+        """phi^(x)N, phi normalized: c(s) = scale(s) prod_i v[s_i], with no full tensor."""
         config.check_budget()
-        return cls(config, _tensor_power(_unit_values(phi), config.N))
+        sec, v = _sector(config), _unit_values(phi)
+        c = np.prod(v[np.array(np.unravel_index(sec.rep, (v.size,) * config.N))], axis=0)
+        c *= sec.scale
+        return cls(config, c=c)
 
     @classmethod
     def random_symmetric(
         cls, config: ManyBodyConfig, rng: np.random.Generator, band: int | None = None
     ) -> "BosonicState":
+        """A random tensor, band-limited when band is given, averaged over the N!
+        slot permutations into c (orbit sums over scale) and normalized."""
         config.check_budget()
         grid = config.grid
         shape = config.state_shape
@@ -558,33 +552,25 @@ class BosonicState:
             for ax in range(grid.d * config.N):
                 raw *= _on_slot(mask_1, ax, grid.d * config.N)
             _ifftn(raw, out=raw)
-        st = cls(config, raw)
-        return st.symmetrized()
+        sec, flat = _sector(config), raw.reshape(-1)
+        c = np.bincount(sec.expand, flat.real) + 1j * np.bincount(sec.expand, flat.imag)
+        c /= sec.scale
+        return cls(config, c=c / cls(config, c=c).norm())
 
     # -- structure --------------------------------------------------------
 
     @functools.cached_property
-    def _sector_vector(self) -> np.ndarray:
-        """The sector vector of amps, compressed once per state (see _compress)."""
-        return _compress(self.config, self.amps)
+    def amps(self) -> np.ndarray:
+        amps = _expand(self.config, self.c)
+        amps.flags.writeable = False
+        return amps
 
     def norm(self) -> float:
-        return float(
-            np.sqrt(np.sum(np.abs(self.amps) ** 2) * self.config.grid.cell_volume**self.config.N)
-        )
-
-    def symmetrized(self) -> "BosonicState":
-        """amps averaged over the N! slot permutations and normalized: a sorted
-        tuple's sum over the scale^2 full indices that sort to it, over scale."""
-        sec, flat = _sector(self.config), self.amps.reshape(-1)
-        orbit_sums = np.bincount(sec.expand, flat.real) + 1j * np.bincount(sec.expand, flat.imag)
-        return BosonicState(self.config, _expand(self.config, orbit_sums / sec.scale),
-                            normalize=True)
+        return float(np.sqrt(np.vdot(self.c, self.c).real
+                             * self.config.grid.cell_volume**self.config.N))
 
     def inner(self, other: "BosonicState") -> complex:
-        return complex(
-            np.vdot(self.amps, other.amps) * self.config.grid.cell_volume**self.config.N
-        )
+        return complex(np.vdot(self.c, other.c) * self.config.grid.cell_volume**self.config.N)
 
 
 # -- Hamiltonian --------------------------------------------------------
@@ -607,7 +593,7 @@ def apply_hamiltonian(psi: BosonicState) -> np.ndarray:
 
 
 def energy(psi: BosonicState) -> float:
-    c = psi._sector_vector
+    c = psi.c
     return float(np.real(np.vdot(c, _apply_sector(psi.config, c)))
                  * psi.config.grid.cell_volume**psi.config.N)
 
@@ -625,7 +611,7 @@ def check_moment_order(k: int) -> None:
 def energy_moment(psi: BosonicState, k: int) -> float:
     """<psi, (H/N + 1)^k psi>, by repeated application of H."""
     check_moment_order(k)
-    c = v = psi._sector_vector
+    c = v = psi.c
     for _ in range(k):
         v = _apply_sector(psi.config, v) / psi.config.N + v
     val = np.vdot(c, v) * psi.config.grid.cell_volume**psi.config.N
@@ -791,10 +777,10 @@ def propagate(
     evecs[0] at offset s.  Where the estimate fails at s, the substep ends
     at the longest trial length before s and the next basis serves s.
 
-    The basis lives in the bosonic sector: psi is compressed once (a
-    ValueError if it is not symmetric to 1e-12 max |psi|), one (kdim + 1,
-    dim) buffer of sector vectors, dim = C(n^d + N - 1, N), holds the basis
-    for the whole call, and each state for a time > 0 is expanded to a full tensor.
+    The basis lives in the bosonic sector: one (kdim + 1, dim) buffer of
+    sector vectors, dim = C(n^d + N - 1, N), holds the basis for the whole
+    call, starting from psi.c, and each state for a time > 0 is a sector
+    vector; none is expanded to a full tensor.
     """
     times = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not (times.ndim == 1 and np.all(np.isfinite(times) & (np.diff(times, prepend=0.0) >= 0.0))
@@ -812,7 +798,7 @@ def _propagate(psi: BosonicState, times: np.ndarray, steps, kdim, tol):
     span = float(times[-1]) if times.size else 0.0
     pending = times[times > 0.0]
     pending = pending[np.diff(pending, prepend=0.0) > 0.0]  # distinct; np.unique loads numpy.ma
-    c = psi._sector_vector
+    c = psi.c
     beta0 = float(np.linalg.norm(c))
     if span == 0.0 or beta0 == 0.0:
         return [psi] * times.size
@@ -849,7 +835,7 @@ def _propagate(psi: BosonicState, times: np.ndarray, steps, kdim, tol):
         for s, offset in zip(pending[:count].tolist(), offsets[:count]):
             u = krylov(offset)
             u *= beta0
-            served[s] = BosonicState(config, _expand(config, u))
+            served[s] = BosonicState(config, c=u)
         pending = pending[count:]
         left -= tau
         if left > 0.0:

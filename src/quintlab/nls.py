@@ -93,14 +93,16 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
 
-def _free_phase(d: int, n: int, t: float) -> np.ndarray:
-    """exp(-i t |xi|^2) as the outer product of the d one-axis phases: d*n exponentials."""
-    return functools.reduce(np.multiply, [np.exp(-1j * t * a**2) for a in _freq_components(d, n)])
+def _free_phase(d: int, n: int, t: float, m: int) -> np.ndarray:
+    """exp(-i t |xi|^2) of an n-point grid, placed on m points per axis as by
+    _resampled: the outer product of the d one-axis phases, d*n exponentials."""
+    phase = _resampled(np.exp(-1j * t * _freq_components(1, n)[0] ** 2), m)
+    return functools.reduce(np.multiply.outer, [phase] * d)
 
 
 def free_propagate(f: TorusField, t: float) -> TorusField:
     """exp(it Lap): multiply each coefficient by exp(-i t |xi|^2)."""
-    return f.multiply_coefficients(_free_phase(f.grid.d, f.grid.n, t))
+    return f.multiply_coefficients(_free_phase(f.grid.d, f.grid.n, t, f.grid.n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,7 +179,7 @@ def _strang(v: np.ndarray, z: np.ndarray, a: np.ndarray, n: int, dt: float, step
     it also projects out the modes the rotation spills there.  One FFT pair
     per step in the complex scratch z and the real scratch a of |v|^2; the
     last forward transform goes into z, as the coefficients of v."""
-    phase = _resampled(_free_phase(v.ndim, n, dt), v.shape[0])
+    phase = _free_phase(v.ndim, n, dt, v.shape[0])
     for i in range(steps + 1 if steps else 0):
         if i:
             _fftn(v, out=v)

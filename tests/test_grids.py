@@ -70,9 +70,9 @@ class TestMemoryBudget:
         for what, build in families.items():
             with pytest.raises(MemoryBudgetError, match=what):
                 build()
-        # one size down, each fits; a state does not pay for the sector tables
+        # one size down, each fits; a state pays for its sector tables too
         GridSpec(1, 100)
-        BosonicState.factorized(ManyBodyConfig(g8, 2, 0.0), TorusField.constant(g8))
+        BosonicState.factorized(ManyBodyConfig(g8, 1, 0.0), TorusField.constant(g8))
         NlsConfig(GridSpec(1, 80), 1.0, 0.01, dealias=False)
         rank_one_marginal(one, 1)
         enumerate_collapse_maps(3)

@@ -258,6 +258,23 @@ class TestRunExperiment:
         peak("warm")  # fills the memo tables
         assert peak("run") <= 4.5 * 32**3 * 16
 
+    def test_dealiased_nls_run_builds_no_n_grid_phase(self, tmp_path):
+        # The dealiased d=3 n=32 run of the test above peaks at 13.39 complex
+        # n-grids: the free phase is built on the 48-point rotation grid
+        # directly, not as an n-grid phase and then its copy there (13.82).
+        params = {"d": 3, "n": 32, "b0": 1.0, "dt": 0.005, "T": 0.02, "dealias": True,
+                  "initial": {**_BAND2, "band": 6}}
+        peaks = []
+        for name in ("warm", "run"):  # the first fills the memo tables
+            cfg = ExperimentConfig.from_dict({"kind": "nls-run", "seed": 2, "params": params})
+            tracemalloc.start()
+            try:
+                run_experiment(cfg, tmp_path / name)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[-1] <= 13.6 * 32**3 * 16
+
     def test_nls_run_twice_on_one_config(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {"kind": "nls-run", "seed": 4, "params": {"d": 2, "n": 16, "b0": 1.0, "dt": 0.01,

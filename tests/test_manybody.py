@@ -269,8 +269,8 @@ class TestApplyHamiltonian:
         cfg = ManyBodyConfig(GridSpec(2, 4), 3, 0.05)
         shape = cfg.state_shape
         rng = np.random.default_rng(11)
-        psi = BosonicState(cfg, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        view = BosonicState(cfg, psi.amps.transpose(4, 5, 0, 1, 2, 3)).amps
+        view = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).transpose(
+            4, 5, 0, 1, 2, 3)
         assert not view.flags.c_contiguous
         assert np.array_equal(
             apply_hamiltonian_raw(cfg, view), apply_hamiltonian_raw(cfg, view.copy())
@@ -298,13 +298,15 @@ class TestSector:
         axes = ([s * d + i for s in perm for i in range(d)] for perm in perms)
         return sum(np.transpose(raw, ax) for ax in axes) / math.factorial(N)
 
+    @staticmethod
+    def normalized(cfg, amps):
+        return amps / np.sqrt(np.sum(np.abs(amps) ** 2) * cfg.grid.cell_volume**cfg.N)
+
     @pytest.mark.parametrize("d,n,N", [(1, 6, 2), (1, 6, 3), (2, 4, 3), (1, 4, 4)])
     def test_symmetrized_is_the_normalized_permutation_average(self, d, n, N):
         cfg = ManyBodyConfig(GridSpec(d, n), N, 0.0)
-        rng = np.random.default_rng(7)  # the draws of symmetric(cfg, 7)
-        raw = rng.standard_normal(cfg.state_shape) + 1j * rng.standard_normal(cfg.state_shape)
-        want = BosonicState(cfg, self.symmetric(cfg, 7), normalize=True).amps
-        got = BosonicState(cfg, raw).symmetrized().amps
+        want = self.normalized(cfg, self.symmetric(cfg, 7))
+        got = BosonicState.random_symmetric(cfg, np.random.default_rng(7)).amps  # the same draws
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("d,n,N", CASES)
@@ -343,7 +345,7 @@ class TestSector:
                                        (1, 64, 2)])
     def test_energy_and_moments_match_full_tensor_sums(self, d, n, N):
         cfg = ManyBodyConfig(GridSpec(d, n), N, 0.05)
-        psi = BosonicState(cfg, self.symmetric(cfg, 4), normalize=True)
+        psi = BosonicState(cfg, self.normalized(cfg, self.symmetric(cfg, 4)))
         dv = cfg.grid.cell_volume**N
         h = apply_hamiltonian_raw(cfg, psi.amps)
         assert energy(psi) == pytest.approx(np.vdot(psi.amps, h).real * dv, rel=1e-13)
@@ -372,6 +374,75 @@ class TestSector:
                     call(BosonicState(cfg, amps))
             else:
                 call(BosonicState(cfg, amps))
+
+    @pytest.mark.parametrize("d,n,N", [(1, 8, 1), (1, 8, 2), (1, 8, 5), (1, 12, 4), (1, 16, 4),
+                                       (2, 4, 3), (2, 8, 2), (3, 4, 2)])
+    def test_factorized_is_the_compressed_tensor_power(self, d, n, N, monkeypatch):
+        cfg = ManyBodyConfig(GridSpec(d, n), N, 0.05)
+        phi = smooth_phi(cfg.grid, seed=n + N)
+        want = manybody._compress(cfg, manybody._tensor_power(manybody._unit_values(phi), N))
+
+        def refuse(v, k):
+            raise AssertionError("the tensor power was formed")
+
+        monkeypatch.setattr(manybody, "_tensor_power", refuse)
+        assert np.array_equal(BosonicState.factorized(cfg, phi).c, want)
+
+    def test_propagate_returns_states_it_did_not_expand(self, monkeypatch):
+        cfg = ManyBodyConfig(GridSpec(1, 8), 3, 0.05)
+        psi = BosonicState.factorized(cfg, smooth_phi(cfg.grid))
+
+        def refuse(config, c):
+            raise AssertionError("a state was expanded")
+
+        with monkeypatch.context() as m:
+            m.setattr(manybody, "_expand", refuse)
+            states = propagate(psi, [0.0, 0.1, 0.2])
+        assert states[0] is psi
+        assert all("amps" not in vars(state) for state in states)
+        amps = states[1].amps
+        assert "amps" in vars(states[1]) and states[1].amps is amps
+
+    @pytest.mark.parametrize("d,n,N", [(1, 8, 3), (2, 4, 3), (1, 6, 4)])
+    def test_amps_is_read_only_with_equal_exchange_partners(self, d, n, N):
+        # a propagated state, and one built from a tensor 1e-14 max |psi| off symmetric
+        cfg = ManyBodyConfig(GridSpec(d, n), N, 0.05)
+        psi = BosonicState.random_symmetric(cfg, np.random.default_rng(d + n + N), band=2)
+        near = psi.amps.copy()
+        near[(0,) * (d * N - 1) + (1,)] *= 1.0 + 1e-14
+        for state in (propagate(psi, 0.1), BosonicState(cfg, near)):
+            amps = state.amps
+            with pytest.raises(ValueError, match="read-only"):
+                amps[(0,) * amps.ndim] = 1.0
+            for s in range(N - 1):
+                axes = list(range(d * N))
+                swap = axes[(s + 1) * d : (s + 2) * d] + axes[s * d : (s + 1) * d]
+                axes[s * d : (s + 2) * d] = swap
+                assert np.array_equal(amps, amps.transpose(axes))
+
+    def test_states_peak_below_a_few_full_tensors(self):
+        # d=1 n=16 N=4 (a full tensor is 1 MiB, the sector vector 61 KiB), warm
+        # tables: factorized forms no tensor power (0.36 tensors; 1.31 when it
+        # compressed one), and propagate to three times expands none of its
+        # states (2.19 tensors, the expand index and a compress's scratch; 4.43
+        # when it expanded each)
+        cfg = ManyBodyConfig(GridSpec(1, 16), 4, 0.05)
+        phi = smooth_phi(cfg.grid, seed=9)
+        full = 16 * cfg.grid.size**cfg.N
+        energy(propagate(BosonicState.factorized(cfg, phi), 0.05))  # tabulate outside
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                out = call()
+                return out, tracemalloc.get_traced_memory()[1] / full
+            finally:
+                tracemalloc.stop()
+
+        psi, built = peak(lambda: BosonicState.factorized(cfg, phi))
+        _, propagated = peak(lambda: propagate(psi, [0.05, 0.1, 0.15]))
+        assert built <= 0.5
+        assert propagated <= 3.0
 
     def test_budget_bounds_the_peak_of_propagate(self, monkeypatch):
         # the fewbody shape d=1 n=16 N=4, from cold sector tables: the entries

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quintlab import nls
+from quintlab import grids, nls
 from quintlab.grids import (
     MEMORY_BUDGET, GridSpec, MemoryBudgetError, TorusField, _xi_squared, project_gt, project_leq,
 )
@@ -66,6 +66,14 @@ class TestFreePropagate:
                 assert np.array_equal(got, dense)
             else:
                 assert np.all(np.abs(got - dense) <= 1e-14 * np.abs(dense))
+
+    @pytest.mark.parametrize("d,n", [(1, 8), (1, 10), (2, 6), (2, 16), (3, 8), (3, 10)])
+    def test_phase_on_the_rotation_grid_is_the_resampled_phase(self, d, n):
+        # the dealiased rotation grid, 2 ceil(3n/4) points, n = 0 and 2 (mod 4)
+        m = 2 * ((3 * n + 3) // 4)
+        for t in (0.005, 0.37):
+            want = grids._resampled(nls._free_phase(d, n, t, n), m)
+            assert np.array_equal(nls._free_phase(d, n, t, m), want)
 
     def test_band_kinetic_invariance(self):
         f = smooth_random(GridSpec(1, 32), 2, band=12)
