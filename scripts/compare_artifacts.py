@@ -8,9 +8,10 @@ a changed header, row count, key set, string or binary payload.  The
 relative move of a against b is |a - b| / max(|a|, |b|).
 
 Exit status: 0 only when the trees hold the same files, byte for byte; 1
-otherwise.
+otherwise.  With --rel TOL, also 0 when every difference is a number's move
+of at most TOL relative; every move is printed either way.
 
-Usage:  python scripts/compare_artifacts.py A B
+Usage:  python scripts/compare_artifacts.py A B [--rel TOL]
 """
 
 import argparse
@@ -93,13 +94,16 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("a", type=Path)
     ap.add_argument("b", type=Path)
+    ap.add_argument("--rel", type=float, default=None, metavar="TOL",
+                    help="pass trees whose only differences are numeric moves of at most TOL "
+                         "relative")
     args = ap.parse_args()
     files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()}
              for root in (args.a, args.b)]
     only = sorted(files[0] ^ files[1])
     for rel in only:
         print(f"{rel}: only in {args.a if rel in files[0] else args.b}")
-    differ = 0
+    differ, beyond = 0, 0  # files that differ, and those that differ past --rel
     for rel in sorted(files[0] & files[1]):
         a, b = args.a / rel, args.b / rel
         if a.read_bytes() == b.read_bytes():
@@ -111,9 +115,13 @@ def main() -> int:
             print(f"  {field}: rel {rel_move:.3g}, abs {abs_move:.3g}")
         for what in moves.other:
             print(f"  non-numeric: {what}")
+        beyond += bool(moves.other) or args.rel is None or any(
+            rel_move > args.rel for rel_move, _ in moves.numeric.values())
     print(f"{differ} of {len(files[0] & files[1])} common files differ, "
           f"{len(only)} on one side only")
-    return 1 if differ or only else 0
+    if args.rel is not None:
+        print(f"{beyond} differ by more than numeric moves of rel {args.rel:g}")
+    return 1 if beyond or only else 0
 
 
 if __name__ == "__main__":

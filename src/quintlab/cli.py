@@ -271,11 +271,14 @@ def _build(kind: str, p: dict, seed: int) -> dict:
 
 
 def _unit(f: TorusField, scale: float = 1.0) -> TorusField:
-    """f rescaled to L2 norm `scale`."""
+    """f rescaled to L2 norm `scale`.  f is a datum fresh from the build pass,
+    so its coefficient array is scaled in place and taken by the new field."""
     norm = f.l2_norm()
     if norm == 0.0:
         raise ValueError("the initial field is zero and cannot be normalized")
-    return f * (scale / norm)
+    c = f._take()[0]
+    c *= scale / norm
+    return TorusField(f.grid, c)
 
 
 def _rescaled(f: TorusField, normalize: bool, scale: float | None) -> TorusField:
@@ -367,8 +370,9 @@ def _run_nls(built: dict, out: Path, report: RunReport, *, d: int, n: int, initi
     split_m = grid.nyquist // 2 if split_M is None else split_M
     diag_ms = diagnostics_M or [grid.nyquist // 2]
     header = ["t", "mass", "E_NLS", "E_L", "E_H"] + [f"high_kinetic_M{m}" for m in diag_ms]
-    # the field is passed on, not kept: timeseries drops it once its samples are taken
-    rows = timeseries(built.pop("field"), float(T), nls_cfg, snapshot_every, split_m, diag_ms)
+    # the run takes the datum's arrays and writes them; the config keeps nothing
+    rows = timeseries(built.pop("field"), float(T), nls_cfg, snapshot_every, split_m, diag_ms,
+                      take=True)
     path = out / "timeseries.csv"
     qio.write_csv(path, header, rows)
     report.artifacts.append(str(path))

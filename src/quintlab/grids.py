@@ -219,14 +219,19 @@ class TorusField:
         """Seeded random field supported on |xi_j| <= band.
 
         Coefficients are complex standard normals damped by (1+|xi|^2)^(-decay/2),
-        so decay > 0 yields smoother samples.
+        so decay > 0 yields smoother samples.  The damping is applied to the
+        band's entries alone, with |xi|^2 formed there, so the draw holds one
+        grid: its coefficient array.
         """
         mask = _mask_leq(grid.d, grid.n, band)
         c = np.zeros(grid.shape, dtype=np.complex128)
         m = int(mask.sum())
-        c[mask] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        entries = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         if decay:
-            c *= (1.0 + _xi_squared(grid.d, grid.n)) ** (-decay / 2.0)
+            xi2 = sum(np.broadcast_to(x, grid.shape)[mask] ** 2
+                      for x in _freq_components(grid.d, grid.n))
+            entries *= (1.0 + xi2) ** (-decay / 2.0)
+        c[mask] = entries
         return cls(grid, c)
 
     # -- representations ----------------------------------------------
@@ -244,6 +249,12 @@ class TorusField:
         out = self._values.view()
         out.flags.writeable = False
         return out
+
+    def _take(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The coefficient array and the cached samples (None when there are
+        none) themselves, not copies: for a caller that holds the field's
+        last reference and writes them."""
+        return self._coeffs, self._values
 
     def _samples(self, out: np.ndarray | None = None) -> np.ndarray:
         """The samples in `out` or a new array: the cached ones copied, else

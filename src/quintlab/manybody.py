@@ -849,25 +849,21 @@ def _propagate(psi: BosonicState, times: np.ndarray, steps, kdim, tol):
 # -- energy-moment inequality probe ----------------------------------------
 
 
-def _sobolev_slot_weights(config: ManyBodyConfig, orders: list[float]) -> np.ndarray:
-    """prod_j (1+|xi_j|^2)^(orders[j]/2) on the full spectral grid."""
-    grid, N = config.grid, config.N
-    one = 1.0 + _xi_squared(grid.d, grid.n)
-    out = np.ones(config.state_shape)
-    for s, a in enumerate(orders):
-        if a == 0.0:
-            continue
-        out = out * _on_slot(one, s, N) ** (a / 2.0)
-    return out
-
-
 def weighted_sobolev_norm_sq(psi: BosonicState, orders: list[float]) -> float:
-    """|| prod_j <grad_j>^{orders[j]} psi ||^2, computed spectrally."""
+    """|| prod_j <grad_j>^{orders[j]} psi ||^2, computed spectrally: |c|^2 of
+    the transform in one real array, the transform freed, then each slot's
+    weight (1+|xi_j|^2)^orders[j] multiplied in place by broadcasting."""
     grid, N = psi.config.grid, psi.config.N
     coeffs = _fftn(psi.amps)
     coeffs /= grid.size**N
-    w = _sobolev_slot_weights(psi.config, orders)
-    return float(grid.volume**N * np.sum(w**2 * np.abs(coeffs) ** 2))
+    p = np.abs(coeffs)
+    del coeffs
+    np.square(p, out=p)
+    one = 1.0 + _xi_squared(grid.d, grid.n)
+    for s, a in enumerate(orders):
+        if a != 0.0:
+            p *= _on_slot(one ** a, s, N)
+    return float(grid.volume**N * np.sum(p))
 
 
 def check_stability_order(k: int, c1: float, N: int) -> None:

@@ -24,16 +24,24 @@ in one pass, with one inverse transform beyond the snapshot's samples.  Of
 E_L and E_H it sums the one of smaller size directly (E_H from the terms with
 three or more high-frequency factors) and takes the other as E minus it.
 `timeseries` gives an `nls-run`'s rows bit for bit as `evolve` and
-`snapshot_row` would, but streams: it owns the Strang kernel's three buffers
-(the samples, a complex and a real scratch) for the whole run and sums each
-row from them, with phi_L transformed in place in the complex scratch, so it
-holds no state beside them and drops the initial field once its samples are
-taken.  `evolve` keeps every state of the same flow.
+`snapshot_row` would, but streams: for the whole run it holds two grids, the
+Strang kernel's samples and coefficients, and sums each row from them, with
+phi_L transformed in place in the coefficients (with dealiasing both lie on
+the 3n/2 grid, and each row adds its coefficients on the n-grid).  It
+copies its field, unless called with take=True as `nls-run` calls it: then
+it runs on the datum's own arrays and writes them.  Everything
+pointwise, the rotation, the free phase and the row's sums, runs over chunks
+of first-axis rows with chunk-sized scratch on grids of more than 2^17
+entries (`_SPLIT`), such as 64^3, so a run there holds its two grids and
+chunk scratch (a 64^3 run peaks at 2.1 grids); a smaller grid is one chunk,
+with scratch of its own size, and keeps the arithmetic of whole-array sums.
+`evolve` keeps every state of the same flow.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,11 +101,20 @@ class Trajectory:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
 
-def _free_phase(d: int, n: int, t: float, m: int) -> np.ndarray:
+def _free_phase(d: int, n: int, t: float, m: int, rows: slice = slice(None),
+                out: np.ndarray | None = None) -> np.ndarray:
     """exp(-i t |xi|^2) of an n-point grid, placed on m points per axis as by
-    _resampled: the outer product of the d one-axis phases, d*n exponentials."""
+    _resampled, at `rows` of the first axis: the outer product of the d
+    one-axis phases, d*n exponentials, as (p_i p_j) p_k at d = 3 for every
+    choice of rows, into out when given."""
     phase = _resampled(np.exp(-1j * t * _freq_components(1, n)[0] ** 2), m)
-    return functools.reduce(np.multiply.outer, [phase] * d)
+    if d > 1:
+        head = functools.reduce(np.multiply.outer, [phase[rows]] + [phase] * (d - 2))
+        return np.multiply.outer(head, phase, out=out)
+    if out is None:
+        return phase[rows]
+    out[...] = phase[rows]
+    return out
 
 
 def free_propagate(f: TorusField, t: float) -> TorusField:
@@ -168,24 +185,61 @@ def _rotation_n(n: int, dealias: bool) -> int:
     return 2 * ((3 * n + 3) // 4) if dealias else n
 
 
-def _strang(v: np.ndarray, z: np.ndarray, a: np.ndarray, n: int, dt: float, steps: int,
-            rate) -> None:
+# Everything pointwise on a grid of more than _SPLIT entries runs over chunks
+# of first-axis rows of at least _CHUNK entries, with chunk-sized scratch, so
+# that a run holds its two grids and little more.  Smaller grids are one
+# chunk, with scratch of their own size: on a 96^2 grid, 2^12-entry chunks
+# made five Strang steps and a row 25 % slower.
+_SPLIT = 2**17
+_CHUNK = 2**13
+
+
+def _chunked(shape: tuple[int, ...], *dtypes):
+    """(rows, scratch...) for each chunk of a grid of this shape: rows is a
+    slice of its first axis, the whole axis up to _SPLIT entries, else
+    ceil(_CHUNK / row) rows; the scratch is one array per dtype, of the
+    chunk's shape, each a view of one buffer the size of the largest chunk."""
+    row = math.prod(shape[1:])
+    k = shape[0] if row * shape[0] <= _SPLIT else -(-_CHUNK // row)
+    bufs = [np.empty((min(k, shape[0]),) + tuple(shape[1:]), dt) for dt in dtypes]
+    for i in range(0, shape[0], k):
+        rows = slice(i, min(i + k, shape[0]))
+        yield (rows, *(b[:rows.stop - i] for b in bufs))
+
+
+def _pairwise(parts: list):
+    """The sum of the chunks' partial sums, neighbours first, level by level,
+    as numpy adds the halves of one array: a power-of-two grid's chunks then
+    give its plain np.sum bit for bit."""
+    while len(parts) > 1:
+        parts = [a + b for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) & ~1:]
+    return parts[0]
+
+
+def _strang(v: np.ndarray, z: np.ndarray, n: int, dt: float, steps: int, rate) -> None:
     """steps Strang steps of i u_t = -Lap u + rate(|u|^2) u on the samples v, in
     place, as N(dt/2) [L(dt) N(dt)]^(steps-1) L(dt) N(dt/2): N keeps |u|, so
     the half rotations that meet merge.  rate returns a real array and may
-    overwrite its argument.  v lies on the rotation grid of an n-point field,
-    n points per axis or 2*ceil(3n/4) with dealias; the free phase, built
-    here and freed on return, is zero outside the n-band, so multiplying by
-    it also projects out the modes the rotation spills there.  One FFT pair
-    per step in the complex scratch z and the real scratch a of |v|^2; the
-    last forward transform goes into z, as the coefficients of v."""
-    phase = _free_phase(v.ndim, n, dt, v.shape[0])
+    overwrite its argument; it sees one chunk at a time, so past _SPLIT
+    entries it must be pointwise.  v lies on the rotation grid of an n-point
+    field, n points per axis or 2*ceil(3n/4) with dealias; the free phase is
+    zero outside the n-band, so multiplying by it also projects out the
+    modes the rotation spills there.  It is built once on a one-chunk grid,
+    else per chunk and step.  One FFT pair per step; z is the rotation's
+    complex scratch until the last forward transform goes into it, as the
+    coefficients of v."""
+    d, m = v.ndim, v.shape[0]
+    chunks = [(rows, v[rows], z[rows], a, phase)  # with real scratch and the phase's buffer
+              for rows, a, phase in _chunked(v.shape, np.float64, np.complex128)]
+    whole = _free_phase(d, n, dt, m, out=chunks[0][4]) if len(chunks) == 1 else None
     for i in range(steps + 1 if steps else 0):
         if i:
             _fftn(v, out=v)
-            v *= phase
+            for rows, vc, _, _, phase in chunks:
+                vc *= _free_phase(d, n, dt, m, rows, phase) if whole is None else whole
             _ifftn(v, out=v)
-        _rotate(v, rate, dt if 0 < i < steps else dt / 2.0, z, a)
+        for _, vc, zc, a, _ in chunks:
+            _rotate(vc, rate, dt if 0 < i < steps else dt / 2.0, zc, a)
     _fftn(v, out=z)
     z /= v.size
 
@@ -197,11 +251,11 @@ def _split_steps(f: TorusField, dt: float, steps: int, rate, dealias: bool) -> T
     grid = f.grid
     m = _rotation_n(grid.n, dealias)
     v = f.values.copy() if m == grid.n else _ifftn(_resampled(f.coefficients, m), norm="forward")
-    z, a = np.empty_like(v), np.empty(v.shape)
-    _strang(v, z, a, grid.n, dt, steps, rate)
+    z = np.empty_like(v)
+    _strang(v, z, grid.n, dt, steps, rate)
     if m == grid.n:
         return TorusField._from_pair(grid, z, v)
-    del v, a  # freed before the copy to the n-grid
+    del v  # freed before the copy to the n-grid
     return TorusField(grid, _resampled(z, grid.n))
 
 
@@ -280,33 +334,41 @@ def timeseries(
     snapshot_every: int,
     split_m: float,
     diag_ms,
+    *,
+    take: bool = False,
 ) -> list[list[float]]:
     """[t] + snapshot_row(u, split_m, diag_ms, cfg.b0) for each snapshot (t, u)
     of evolve(f0, T, cfg, snapshot_every), bit for bit.
 
-    The run owns _strang's buffers v, z and a and sums each row from them:
-    the row's coefficients are z itself, or with dealias z resampled to the
-    n-grid, with their samples transformed into v's memory; the next
-    interval restarts v from z projected to the n-band.  f0's samples are
-    taken into v without caching them on f0, and f0 is dropped before the
-    first row, so a caller that passes its last reference holds no field
-    through the run."""
+    The run holds _strang's samples v and coefficients z and sums each row
+    from them: the row's coefficients are z itself, or with dealias z
+    resampled to the n-grid, with their samples transformed into v's
+    memory; the next interval restarts v from z projected to the n-band.
+    f0 is copied and never written, unless take is set: then the run takes
+    f0's own coefficient array and cached samples and writes them, so the
+    caller must hold no other reference to f0.  Without dealias they are
+    then z and v themselves, and f0 is dropped before the first row."""
     steps = check_step_count(T, cfg.dt, snapshot_every)
     g, rate = f0.grid, _quintic(cfg.b0)
     m = _rotation_n(g.n, cfg.dealias)
-    z = np.array(f0.coefficients) if m == g.n else _resampled(f0.coefficients, m)
-    v, a = np.empty_like(z), np.empty(z.shape)
-    vn, an = _head(v, g.shape), _head(a, g.shape)
-    c = z if m == g.n else np.array(f0.coefficients)
-    f0._samples(out=vn)
+    c, samples = f0._take() if take else (np.array(f0.coefficients), f0._samples())
     del f0
+    z = _resampled(c, m)
+    v = samples if m == g.n and samples is not None else np.empty_like(z)
+    vn = _head(v, g.shape)
+    if samples is None:
+        _ifftn(c, out=vn)
+        vn *= g.size
+    elif v is not samples:
+        vn[...] = samples
+    del samples
     rows = []
     for s in range(0, steps + 1, snapshot_every):
         if s:
             if m != g.n:
                 _zero_past_band(z, g.n)
                 _ifftn(z, out=v, norm="forward")
-            _strang(v, z, a, g.n, cfg.dt, snapshot_every, rate)
+            _strang(v, z, g.n, cfg.dt, snapshot_every, rate)
             c = z if m == g.n else _resampled(z, g.n)
             if not np.all(np.isfinite(c)):
                 raise BlowUpError(f"non-finite state at t={s * cfg.dt:.6g} "
@@ -314,7 +376,7 @@ def timeseries(
             if m != g.n:
                 _ifftn(c, out=vn)
                 vn *= g.size
-        rows.append([s * cfg.dt] + _row(g, c, vn, an, split_m, diag_ms, cfg.b0))
+        rows.append([s * cfg.dt] + _row(g, c, vn, split_m, diag_ms, cfg.b0))
     return rows
 
 
@@ -328,23 +390,26 @@ def plane_wave_solution(grid: GridSpec, xi, amplitude: float, b0: float, t: floa
 # -- conserved quantities and the low/high energy split ------------------
 
 
-def _kinetic_density(g: GridSpec, c: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """|c|^2 |xi|^2 into the real buffer w, with t as scratch: its sum times
-    the volume is ||grad f||^2 for the field f with coefficients c."""
-    np.square(c.real, out=w)
-    w += np.square(c.imag, out=t)
-    w *= _xi_squared(g.d, g.n)
-    return w
-
-
-def _energy(g: GridSpec, w: np.ndarray, v: np.ndarray, t: np.ndarray, b0: float) -> float:
-    """E from the kinetic density w and the samples v.  |v|^6 is summed as
-    (|v|^2)^3, with |v|^2 formed in w's memory once w is summed and its
-    square in the real buffer t."""
-    kinetic = g.volume * float(np.sum(w))
-    s = np.square(v.real, out=w)
-    s += np.square(v.imag, out=t)
-    return kinetic + b0 / 3.0 * g.cell_volume * float(np.vdot(s, np.multiply(s, s, out=t)))
+def _energy(g: GridSpec, z: np.ndarray, v: np.ndarray, b0: float,
+            wheres=lambda rows: ()) -> tuple[float, list[float]]:
+    """E of the field with coefficients z and samples v, and its kinetic
+    energy over each mask that wheres(rows) gives for a chunk's rows.  Per
+    chunk, the kinetic density |z|^2 |xi|^2 is formed in a real buffer w,
+    with the real buffer t as scratch, and, once summed, |v|^2 in its
+    memory and its square in t: |v|^6 is summed as (|v|^2)^3."""
+    parts = []
+    for rows, w, t in _chunked(g.shape, np.float64, np.float64):
+        np.square(z[rows].real, out=w)
+        w += np.square(z[rows].imag, out=t)
+        x = _freq_components(g.d, g.n)[0][rows]  # |xi|^2 is an integer: exact in any order
+        w *= np.add(x * x, _xi_squared(g.d - 1, g.n) if g.d > 1 else 0, out=t)
+        sums = [np.sum(w, where=mask) for mask in wheres(rows)] + [np.sum(w)]
+        s = np.square(v[rows].real, out=w)
+        s += np.square(v[rows].imag, out=t)
+        parts.append(np.array(sums + [np.vdot(s, np.multiply(s, s, out=t))]))
+    *masked, kinetic, sextic = _pairwise(parts)
+    e = g.volume * float(kinetic) + b0 / 3.0 * g.cell_volume * float(sextic)
+    return e, [g.volume * float(k) for k in masked]
 
 
 def energy_nls(f: TorusField, b0: float) -> float:
@@ -353,9 +418,7 @@ def energy_nls(f: TorusField, b0: float) -> float:
     Gradient term spectral, sextic term by grid quadrature; snapshot_row's
     E_NLS is the same sum, bit for bit.
     """
-    g = f.grid
-    w, t = np.empty(g.shape), np.empty(g.shape)
-    return _energy(g, _kinetic_density(g, f.coefficients, w, t), f.values, t, b0)
+    return _energy(f.grid, f.coefficients, f.values, b0)[0]
 
 
 def _halves(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -364,12 +427,11 @@ def _halves(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flat[:c.size].reshape(c.shape), flat[c.size:].reshape(c.shape)
 
 
-def _sextic_sums(g: GridSpec, vl: np.ndarray, v: np.ndarray, low: np.ndarray, a: np.ndarray,
-                 r: np.ndarray) -> tuple[float, float]:
+def _sextic_sums(g: GridSpec, z: np.ndarray, v: np.ndarray, low: np.ndarray) -> tuple[float, float]:
     """Grid sums of the low and high parts of |phi|^6 at the sharp cutoff
-    whose mask is `low`, for the field phi with coefficients vl and samples
-    v; phi_L costs one inverse transform, in place in vl, and
-    phi_H = phi - phi_L is the one new array.
+    whose mask is `low`, for the field phi with coefficients z and samples
+    v; phi_L costs one inverse transform, in place in z, and phi_H = phi -
+    phi_L is formed chunk by chunk.
 
     With a = |phi_L|^2, r = 2 Re conj(phi_L) phi_H and h = |phi_H|^2,
     |phi|^2 = a + r + h.  Counting r as one high-frequency factor and h as
@@ -381,66 +443,64 @@ def _sextic_sums(g: GridSpec, vl: np.ndarray, v: np.ndarray, low: np.ndarray, a:
 
         h (6ar + 3ah + 3r^2 + 3rh + h^2) + r^3 = h (3a (r + q) + 3rq + h^2) + r^3.
 
-    The sums run in six real buffers: phi_L and phi_H take four, the real
-    buffers r and a the other two, and h, q and the two polynomials' scratch
-    reuse the first four.
+    Each chunk's sums run in six real buffers: phi_L and phi_H take four,
+    the real buffers r and a the other two, and h, q and the two
+    polynomials' scratch reuse the first four.
     """
-    vl *= low
-    _ifftn(vl, out=vl)
-    vl *= g.size
-    vh = np.subtract(v, vl)
-    np.multiply(vl.real, vh.real, out=r)
-    np.multiply(vl.imag, vh.imag, out=a)  # a scratch here, |phi_L|^2 below
-    r += a
-    r *= 2.0
-    np.square(vl.real, out=a)
-    a += np.square(vl.imag, out=vl.imag)
-    h, q, x, y = _halves(vl) + _halves(vh)  # phi_L's memory, then phi_H's, each past its last read
-    np.square(vh.real, out=h)
-    h += np.square(vh.imag, out=q)
-    np.add(r, h, out=q)
-    r2 = np.multiply(r, r, out=x)
-    r3 = np.vdot(r2, r)
-    low_part = np.multiply(q, 3.0, out=y)
-    low_part += a
-    low_part *= a
-    r2 *= 3.0
-    low_part += r2
-    sextic_low = np.vdot(a, low_part)
-    high_part = np.multiply(a, 3.0, out=x)
-    high_part *= np.add(r, q, out=y)
-    high_part += np.multiply(np.multiply(r, 3.0, out=y), q, out=y)
-    high_part += np.multiply(h, h, out=y)
-    return float(sextic_low), float(np.vdot(h, high_part) + r3)
+    z *= low
+    _ifftn(z, out=z)
+    z *= g.size
+    parts = []
+    for rows, vh, r, a in _chunked(g.shape, np.complex128, np.float64, np.float64):
+        vl = z[rows]
+        np.subtract(v[rows], vl, out=vh)
+        np.multiply(vl.real, vh.real, out=r)
+        np.multiply(vl.imag, vh.imag, out=a)  # a scratch here, |phi_L|^2 below
+        r += a
+        r *= 2.0
+        np.square(vl.real, out=a)
+        a += np.square(vl.imag, out=vl.imag)
+        h, q, x, y = _halves(vl) + _halves(vh)  # phi_L's, then phi_H's memory, each past its use
+        np.square(vh.real, out=h)
+        h += np.square(vh.imag, out=q)
+        np.add(r, h, out=q)
+        r2 = np.multiply(r, r, out=x)
+        r3 = np.vdot(r2, r)
+        low_part = np.multiply(q, 3.0, out=y)
+        low_part += a
+        low_part *= a
+        r2 *= 3.0
+        low_part += r2
+        sextic_low = np.vdot(a, low_part)
+        high_part = np.multiply(a, 3.0, out=x)
+        high_part *= np.add(r, q, out=y)
+        high_part += np.multiply(np.multiply(r, 3.0, out=y), q, out=y)
+        high_part += np.multiply(h, h, out=y)
+        parts.append(np.array([sextic_low, np.vdot(h, high_part) + r3]))
+    sextic_low, sextic_high = _pairwise(parts)
+    return float(sextic_low), float(sextic_high)
 
 
-def _row(g: GridSpec, z: np.ndarray, v: np.ndarray, a: np.ndarray, split_m: float, diag_ms,
+def _row(g: GridSpec, z: np.ndarray, v: np.ndarray, split_m: float, diag_ms,
          b0: float) -> list[float]:
-    """snapshot_row of the field with coefficients z and samples v.  z and the
-    real buffer a are overwritten; the real r and phi_H are the new arrays.
-    Mass and the kinetic sums are read from z first, then _sextic_sums
-    transforms phi_L in place in z."""
+    """snapshot_row of the field with coefficients z and samples v; z is
+    overwritten.  Mass and the kinetic sums are read from z first, chunk by
+    chunk, then _sextic_sums transforms phi_L in place in z."""
     for m in (split_m, *diag_ms):
         check_cutoff(m)
-    low = _mask_leq(g.d, g.n, split_m)
-    mass = float(np.sqrt(g.volume * np.sum(np.square(np.abs(z, out=a), out=a))))
-    r = np.empty(g.shape)
-    w = _kinetic_density(g, z, a, r)
-
-    def kinetic(mask):
-        return g.volume * float(np.sum(w, where=mask))
-
-    k_low, k_high = kinetic(low), kinetic(~low)
-    high_kinetic = [kinetic(~_mask_leq(g.d, g.n, m)) for m in diag_ms]
-    e = _energy(g, w, v, r, b0)
-    sextic_low, sextic_high = _sextic_sums(g, z, v, low, a, r)
+    low, *highs = (_mask_leq(g.d, g.n, m) for m in (split_m, *diag_ms))
+    mass = _pairwise([np.sum(np.square(np.abs(z[rows], out=a), out=a))
+                      for rows, a in _chunked(g.shape, np.float64)])
+    e, (k_low, k_high, *high_kinetic) = _energy(
+        g, z, v, b0, lambda rows: [low[rows], ~low[rows]] + [~mask[rows] for mask in highs])
+    sextic_low, sextic_high = _sextic_sums(g, z, v, low)
     c = b0 / 3.0 * g.cell_volume
     e_low, e_high = k_low + c * sextic_low, k_high + c * sextic_high
     if abs(e_low) <= abs(e_high):
         e_high = e - e_low
     else:
         e_low = e - e_high
-    return [mass, e, e_low, e_high] + high_kinetic
+    return [float(np.sqrt(g.volume * mass)), e, e_low, e_high] + high_kinetic
 
 
 def snapshot_row(f: TorusField, split_m: float, diag_ms, b0: float) -> list[float]:
@@ -453,8 +513,7 @@ def snapshot_row(f: TorusField, split_m: float, diag_ms, b0: float) -> list[floa
     empty, E_L when the band below it is, and E_L + E_H = E to the rounding
     of one subtraction.
     """
-    g = f.grid
-    return _row(g, np.array(f.coefficients), f.values, np.empty(g.shape), split_m, diag_ms, b0)
+    return _row(f.grid, np.array(f.coefficients), f.values, split_m, diag_ms, b0)
 
 
 def energy_split(f: TorusField, m: float, b0: float) -> tuple[float, float]:

@@ -37,6 +37,23 @@ def random_field(d=1, n=16, band=None, seed=None):
     return TorusField.random_band_limited(GridSpec(d, n), band, rng)
 
 
+class TestRandomBandLimited:
+    @pytest.mark.parametrize("d,n,band,decay", [(1, 16, 5, 2.0), (2, 30, 8, 1.5),
+                                                (3, 12, 4, 3.0), (3, 8, 4, 0.0)])
+    def test_band_damping_is_the_full_grid_damping(self, monkeypatch, d, n, band, decay):
+        # the damping is formed on the band's entries only, bit for bit as on
+        # the whole grid, and no |xi|^2 table of the grid is built for it
+        g = GridSpec(d, n)
+        rng = np.random.default_rng([d, n])
+        mask = grids._mask_leq(d, n, band)
+        want = np.zeros(g.shape, dtype=np.complex128)
+        want[mask] = rng.standard_normal(mask.sum()) + 1j * rng.standard_normal(mask.sum())
+        want *= (1.0 + grids._xi_squared(d, n)) ** (-decay / 2.0)
+        monkeypatch.setattr(grids, "_xi_squared", None)
+        got = TorusField.random_band_limited(g, band, np.random.default_rng([d, n]), decay=decay)
+        assert got.coefficients.tobytes() == want.tobytes()
+
+
 class TestGridSpec:
     def test_rejects_odd_or_tiny_n(self):
         with pytest.raises(ValueError):

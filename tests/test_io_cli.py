@@ -275,6 +275,23 @@ class TestRunExperiment:
                 tracemalloc.stop()
         assert peaks[-1] <= 13.6 * 32**3 * 16
 
+    def test_64_cubed_nls_run_holds_two_grids_from_datum_to_last_row(self, tmp_path):
+        # Past nls._SPLIT entries the run holds the Strang kernel's samples and
+        # coefficients and chunk-sized scratch.  The datum is drawn and rescaled
+        # in its own array, which the run takes as its coefficients.
+        params = {"d": 3, "n": 64, "b0": 1.0, "dt": 0.005, "T": 0.02, "dealias": False,
+                  "initial": {**_BAND2, "band": 6}}
+        peaks = []
+        for name in ("warm", "run"):  # the first fills the memo tables
+            tracemalloc.start()
+            try:
+                cfg = ExperimentConfig.from_dict({"kind": "nls-run", "seed": 2, "params": params})
+                run_experiment(cfg, tmp_path / name)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[-1] <= 2.25 * 64**3 * 16
+
     def test_nls_run_twice_on_one_config(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             {"kind": "nls-run", "seed": 4, "params": {"d": 2, "n": 16, "b0": 1.0, "dt": 0.01,

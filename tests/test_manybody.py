@@ -893,6 +893,45 @@ class TestStability:
         assert worst >= 1.0
 
 
+def _full_tensor_weighted_sobolev_norm_sq(psi, orders):
+    """The weighted Sobolev norm as a full weight tensor times the full |c|^2."""
+    grid, N = psi.config.grid, psi.config.N
+    one = 1.0 + grids._xi_squared(grid.d, grid.n)
+    w = np.ones(psi.config.state_shape)
+    for s, a in enumerate(orders):
+        if a:
+            w = w * manybody._on_slot(one, s, N) ** (a / 2.0)
+    coeffs = np.fft.fftn(psi.amps) / grid.size**N
+    return float(grid.volume**N * np.sum(w**2 * np.abs(coeffs) ** 2))
+
+
+class TestWeightedSobolevNorm:
+    @pytest.fixture
+    def psi(self):
+        cfg = ManyBodyConfig(GridSpec(1, 16), 4, 0.05)
+        psi = BosonicState.random_symmetric(cfg, np.random.default_rng(3), band=4)
+        psi.amps  # expanded before measuring
+        return psi
+
+    @pytest.mark.parametrize("orders", [[1.0, 1.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0],
+                                        [1.0, 0.5, 0.25, 3.0]])
+    def test_matches_the_full_weight_tensor(self, psi, orders):
+        want = _full_tensor_weighted_sobolev_norm_sq(psi, orders)
+        assert weighted_sobolev_norm_sq(psi, orders) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_holds_one_and_a_half_tensors(self, psi):
+        # the transform and |c|^2 in one real half-tensor; the slot weights
+        # broadcast, so no weight tensor is formed
+        weighted_sobolev_norm_sq(psi, [2.0, 1.0, 0.0, 0.0])  # fills the memo tables
+        tracemalloc.start()
+        try:
+            weighted_sobolev_norm_sq(psi, [2.0, 1.0, 0.0, 0.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * psi.amps.nbytes
+
+
 class TestFactorizedEnergyCombinatorics:
     def test_exact_per_particle_identity(self):
         # <H>/N for phi^(x)N equals kinetic + (N-1)(N-2)/(6 N^2) <Vbar>_phi;

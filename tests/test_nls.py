@@ -510,6 +510,91 @@ class TestTimeseries:
             nls.timeseries(f, 0.02, NlsConfig(g, 1.0, 0.01, dealias), 1, 2, [2])
 
 
+def _full_array_row(g, z, v, split_m, diag_ms, b0):
+    """The snapshot row with every sum taken over the whole grid at once, as
+    on a one-chunk grid.  z is overwritten."""
+    xi2 = _xi_squared(g.d, g.n)
+    low = grids._mask_leq(g.d, g.n, split_m)
+    mass = float(np.sqrt(g.volume * np.sum(np.abs(z) ** 2)))
+    w = (z.real**2 + z.imag**2) * xi2
+
+    def kinetic(mask):
+        return g.volume * float(np.sum(w, where=mask))
+
+    k_low, k_high = kinetic(low), kinetic(~low)
+    high_kinetic = [kinetic(~grids._mask_leq(g.d, g.n, m)) for m in diag_ms]
+    s = v.real**2 + v.imag**2
+    c = b0 / 3.0 * g.cell_volume
+    e = g.volume * float(np.sum(w)) + c * float(np.vdot(s, s * s))
+    vl = np.fft.ifftn(z * low) * g.size
+    vh = v - vl
+    r = 2.0 * (vl.real * vh.real + vl.imag * vh.imag)
+    a = vl.real**2 + vl.imag**2
+    h = vh.real**2 + vh.imag**2
+    q = r + h
+    sextic_low = float(np.vdot(a, (3.0 * q + a) * a + 3.0 * r * r))
+    sextic_high = float(np.vdot(h, 3.0 * a * (r + q) + 3.0 * r * q + h * h) + np.vdot(r * r, r))
+    e_low, e_high = k_low + c * sextic_low, k_high + c * sextic_high
+    if abs(e_low) <= abs(e_high):
+        e_high = e - e_low
+    else:
+        e_low = e - e_high
+    return [mass, e, e_low, e_high] + high_kinetic
+
+
+class TestChunks:
+    # Grids past nls._SPLIT entries run everything pointwise over chunks of
+    # first-axis rows; with the constants set low, small grids take that path.
+
+    @staticmethod
+    def split(monkeypatch, chunk):
+        monkeypatch.setattr(nls, "_SPLIT", 0)
+        monkeypatch.setattr(nls, "_CHUNK", chunk)
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 300, 700])
+    def test_chunked_kernel_is_the_one_chunk_kernel(self, monkeypatch, chunk, dealias):
+        # rows of 144 (n = 12) or 324 (the 18-point rotation grid) entries:
+        # chunks of one row, of a few rows, and with a shorter last chunk
+        g = GridSpec(3, 12)
+        f = smooth_random(g, 40, band=5, scale=3.0)
+        cfg = NlsConfig(g, 1.0, 0.01, dealias)
+        want = strang_step(f, cfg, steps=3)
+        self.split(monkeypatch, chunk)
+        assert len(list(nls._chunked((nls._rotation_n(12, dealias),) * 3))) > 1
+        got = strang_step(f, cfg, steps=3)
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("d,n,chunk", [(1, 64, 10), (2, 16, 40), (3, 12, 300)])
+    def test_chunked_rows_match_the_full_array_sums(self, monkeypatch, d, n, chunk, dealias):
+        g = GridSpec(d, n)
+        cfg = NlsConfig(g, 1.0, 0.01, dealias)
+        f0 = smooth_random(g, 41, band=3 * n // 8, scale=2.0)
+        traj = evolve(f0, 0.04, cfg, snapshot_every=2)
+        want = [[t] + _full_array_row(g, np.array(u.coefficients), u.values, n // 4, [1, n // 4], 1.0)
+                for t, u in zip(traj.times, traj.states)]
+        self.split(monkeypatch, chunk)
+        got = nls.timeseries(f0, 0.04, cfg, 2, n // 4, [1, n // 4])
+        assert np.array(got) == pytest.approx(np.array(want), rel=1e-14, abs=0.0)
+        u = traj.states[-1]
+        assert snapshot_row(u, n // 4, (), 1.0)[1] == energy_nls(u, 1.0)
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_timeseries_copies_its_datum_unless_told_to_take_it(self, dealias):
+        g = GridSpec(2, 16)
+        cfg = NlsConfig(g, 1.0, 0.01, dealias)
+        for make in (lambda: smooth_random(g, 43, band=6),
+                     lambda: TorusField.from_values(g, np.ones(g.shape))):
+            f = make()
+            coefficients, values = f.coefficients.copy(), f.values.copy()
+            rows = nls.timeseries(f, 0.04, cfg, 2, 4, [4])
+            assert f.coefficients.tobytes() == coefficients.tobytes()
+            assert f.values.tobytes() == values.tobytes()
+            assert nls.timeseries(make(), 0.04, cfg, 2, 4, [4], take=True) == rows
+
+
 class TestFrequencyDiagnostics:
     def test_band_limited_high_is_zero(self):
         f = smooth_random(GridSpec(1, 32), 12, band=4)
