@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Write the artifacts of every configs/*.json, of `lab couplings --k K` for
-K = 2..8 and of the seed-1 batch of each benchmark workload under OUT, so
+K = 2..10 and of the seed-1 batch of each benchmark workload under OUT, so
 that two checkouts compare by `diff -r`.
 
 Layout: OUT/configs/<config name>/, OUT/couplings/k<K>/ and
-OUT/<workload>/e<NN>/, one directory per run.  Each report.json is
-rewritten without wall_time_s and with its artifact paths relative to the
-run's directory, the two fields that differ between identical runs.  The
-benchmark's files are only read.
+OUT/<workload>/e<NN>/, one directory per run.  The configs and couplings
+parts are the baseline that tests/baseline holds and Tier-1 compares with.
+Each report.json is rewritten without wall_time_s and with its artifact
+paths relative to the run's directory, the two fields that differ between
+identical runs.  The benchmark's files are only read.
 
 Usage:  python scripts/dump_artifacts.py OUT
 """
@@ -36,15 +37,21 @@ def dump(cfg: ExperimentConfig, out: Path) -> None:
     write_json(path, report)
 
 
+def baseline_runs():
+    """(directory under OUT, config) of each run of the configs and couplings parts."""
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        yield Path("configs", path.stem), ExperimentConfig.from_file(path)
+    for k in range(2, 11):  # the config `lab couplings --k K` builds
+        yield (Path("couplings", f"k{k}"),
+               ExperimentConfig.from_dict({"kind": "couplings", "params": {"k": k}, "seed": 0}))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", type=Path)
     out = ap.parse_args().out
-    for path in sorted((ROOT / "configs").glob("*.json")):
-        dump(ExperimentConfig.from_file(path), out / "configs" / path.stem)
-    for k in range(2, 9):  # the config `lab couplings --k K` builds
-        dump(ExperimentConfig.from_dict({"kind": "couplings", "params": {"k": k}, "seed": 0}),
-             out / "couplings" / f"k{k}")
+    for rel, cfg in baseline_runs():
+        dump(cfg, out / rel)
     for workload in sorted(workloads.WORKLOADS):
         for i, raw in enumerate(workloads.batch(workload, 1)):
             dump(ExperimentConfig.from_dict(raw), out / workload / f"e{i:02d}")

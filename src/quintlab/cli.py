@@ -32,8 +32,7 @@ import numpy as np
 
 from . import io as qio
 from .couplings import (
-    check_map_order, classify_couplings, double_factorial, min_unclogged,
-    raw_summand_count,
+    check_coupling_order, classify_couplings, double_factorial, min_unclogged, raw_summand_count,
 )
 from .grids import GridSpec, TorusField, check_cutoff
 from .manybody import (
@@ -247,7 +246,7 @@ def _build(kind: str, p: dict, seed: int) -> dict:
         for k in p["ks"]:
             attempt("ks", check_marginal_order, k)
     elif kind == "couplings":
-        attempt("k", check_map_order, p["k"])
+        attempt("k", check_coupling_order, p["k"])
     elif kind == "probe":
         runner = built["runner"] = PROBE_RUNNERS.get(p["lemma"])
         kwargs = dict(p["options"] or {})
@@ -500,11 +499,9 @@ def _run_couplings(built: dict, out: Path, report: RunReport, *, k: int):
     qio.write_json(path, payload)
     report.artifacts.append(str(path))
     report.summary.update(payload)
-    report.checks["count_within_bound"] = payload["map_count"] <= payload["bound_2_3k_minus_1"]
-    if "min_unclogged" in payload:
-        report.checks["unclogged_floor"] = (
-            payload["min_unclogged"]["min_count"] >= payload["min_unclogged"]["floor"]
-        )
+    report.checks["count_within_bound"] = maps <= payload["bound_2_3k_minus_1"]
+    if k >= 2:
+        report.checks["unclogged_floor"] = mu["min_count"] >= mu["floor"]
 
 
 def _run_probe(built: dict, out: Path, report: RunReport, *, lemma: str, samples: int = None,

@@ -69,7 +69,7 @@ class CollapseMap:
 
 
 def check_map_order(k: int) -> None:
-    """enumerate_collapse_maps needs k >= 1 and at most MEMORY_BUDGET maps."""
+    """_targets (the oracle's enumeration; no run) needs k >= 1 and at most MEMORY_BUDGET maps."""
     if k < 1:
         raise ValueError(f"map order must be >= 1, got {k}")
     count = 1
@@ -105,6 +105,12 @@ def double_factorial(n: int) -> int:
     return math.prod(range(n, 0, -2)) if n > 0 else 1
 
 
+def check_coupling_order(k: int) -> None:
+    """raw_summand_count and a couplings run take 1 <= k <= 12."""
+    if not 1 <= k <= 12:
+        raise ValueError(f"coupling order must be in 1..12, got {k}")
+
+
 def raw_summand_count(k: int) -> dict[str, int]:
     """Count the signed summands of the k-fold expansion by direct expansion.
 
@@ -113,8 +119,7 @@ def raw_summand_count(k: int) -> dict[str, int]:
     The alternative closed form (2k+1)!! 2^k is reported alongside; the two
     disagree and the direct expansion is treated as ground truth.
     """
-    if not 1 <= k <= 12:
-        raise ValueError("supported range is 1 <= k <= 12")
+    check_coupling_order(k)
     brute = 1
     for l in range(1, k + 1):
         brute *= 2 * (2 * l - 1)

@@ -37,15 +37,13 @@ import numpy as np
 
 from .grids import GridSpec, ParameterError, TorusField, _fftn, _ifftn, _xi_squared, check_entries
 
-# _kinetic's route: axes up to this length take K as the real n x n matrix
-# D = F^-1 diag(xi^2) F, longer ones one FFT pair.  One BLAS thread on an Intel
-# Xeon: in the sector apply D takes 0.4-0.6x the FFT's time at n = 64 (d = 1
-# N = 2, d = 2 N = 1), 0.6-1.0x at n = 96 (d = 1 N = 2, 3; d = 2, 3 N = 1), but
-# 1.3x at d = 2 N = 1 n = 128 and 1.5-3.4x at d = 1 N = 2 n = 384-960; on the
-# full tensor 1.6-6.4x faster at n <= 32, 0.5-0.9x at n = 48-96, but 1.6x at
-# n = 128 and 2.6-4.3x at n = 256-864.
-_DENSE_KINETIC_MAX_N = 96
-_GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(128)  # on [-1, 1]; V is flat at its edge
+_DENSE_KINETIC_MAX_N = 96  # _kinetic's route: a dense matrix on axes up to this length
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 128-point Gauss-Legendre rule on [-1, 1]; V is flat at its edge."""
+    return np.polynomial.legendre.leggauss(128)
 
 
 class UnderResolvedError(ParameterError):
@@ -113,8 +111,8 @@ class GaussianPotential:
         return np.exp(-r2 / (2.0 * self.sigma**2)) * _bump(r2, self.support_radius)
 
     def ball_integral(self, d: int) -> float:
-        """integral over R^d of the radial factor, by Gauss-Legendre in r on [0, 3 sigma]."""
-        x, w = _GAUSS_LEGENDRE
+        """integral over R^d of the radial factor, by _gauss_legendre in r on [0, 3 sigma]."""
+        x, w = _gauss_legendre()
         r = 0.5 * self.support_radius * (x + 1.0)
         scale = 0.5 * self.support_radius * (2.0, 2.0 * np.pi, 4.0 * np.pi)[d - 1]  # dr, surface
         return float(scale * (w @ (r ** (d - 1) * self._radial(r * r))))
@@ -330,9 +328,9 @@ def _sector_dim(m: int, k: int) -> int:
 
 def _sector_entries(config: ManyBodyConfig) -> int:
     """Complex-entry equivalents (16 bytes) of what the sector path holds
-    besides its vectors: the tables of _sector, and the largest of their
-    build temporaries, the scratch of a compress or an expand, and that of
-    an H-apply."""
+    besides its vectors: the tables of _sector and the expand index that the
+    full-tensor edge builds, and the largest of their build temporaries, the
+    scratch of a compress or an expand, and that of an H-apply."""
     m, N = config.grid.size, config.N
     full, dim, p = m**N, _sector_dim(m, N), _sector_dim(m, N - 1)
     tables = full // 2 + (2 * N + 3) * dim // 2 + m * p  # 8-byte indices and weights
@@ -342,7 +340,7 @@ def _sector_entries(config: ManyBodyConfig) -> int:
 
 @dataclass(frozen=True)
 class _Sector:
-    """The index tables of one config's sector (see _sector)."""
+    """The index tables of one config's sector (see _sector), the expand index apart."""
 
     rep: np.ndarray  # (dim,) flat index of each sorted tuple in the full tensor
     scale: np.ndarray  # (dim,) sqrt(N! / prod m_y!)
@@ -350,23 +348,26 @@ class _Sector:
     down_w: np.ndarray  # (m, p) sqrt(r_y + 1)
     up: np.ndarray  # (N, dim) flat index s_i * p + rank(s minus s_i) into (m, p)
     up_w: np.ndarray  # (N, dim) 1 / sqrt(m_{s_i})
-    expand: np.ndarray  # (m^N,) rank of the sorted tuple of each full index
     diag: np.ndarray | None  # (dim,) the potential, None below three particles
 
 
-def _colex_levels(m: int, k: int, binom: np.ndarray) -> list[np.ndarray]:
-    """The sorted j-tuples over m sites in colex order, shape (C(m+j-1, j), j),
-    for j = 0..k.
+def _colex_levels(m: int, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """binom[i, v] = C(v + i, i + 1) for i < k, v <= m, and the sorted
+    j-tuples over m sites in colex order, shape (C(m+j-1, j), j), for j = 0..k.
 
     Those ending in v follow every tuple ending below v, and their first j - 1
     entries are the first C(v + j - 1, j - 1) sorted (j-1)-tuples."""
+    binom = np.empty((k, m + 1), dtype=np.int64)
+    binom[0] = np.arange(m + 1)
+    for i in range(1, k):  # row i is the running sum of row i - 1
+        np.cumsum(binom[i - 1], out=binom[i])
     levels = [np.zeros((1, 0), dtype=np.int64)]
     for j in range(1, k + 1):
         starts = binom[j - 1, :m]  # C(v + j - 1, j), the first rank ending in v
         counts = np.diff(binom[j - 1])
         rows = np.arange(binom[j - 1, m]) - np.repeat(starts, counts)
         levels.append(np.column_stack([levels[-1][rows], np.repeat(np.arange(m), counts)]))
-    return levels
+    return binom, levels
 
 
 def _insertion_ranks(r: np.ndarray, m: int, binom: np.ndarray):
@@ -386,22 +387,12 @@ def _insertion_ranks(r: np.ndarray, m: int, binom: np.ndarray):
 @functools.lru_cache(maxsize=8)
 def _sector(config: ManyBodyConfig) -> _Sector:
     """Tabulate the sector of config: the sorted tuples, the annihilation and
-    creation gathers of the kinetic part, the expand index, and the potential."""
+    creation gathers of the kinetic part, and the potential."""
     check_entries("sector tables", _sector_entries(config))
     m, N = config.grid.size, config.N
-    # binom[i, v] = C(v + i, i + 1) for v <= m; row i is the running sum of row i - 1
-    binom = np.empty((N, m + 1), dtype=np.int64)
-    binom[0] = np.arange(m + 1)
-    for i in range(1, N):
-        np.cumsum(binom[i - 1], out=binom[i])
-    levels = _colex_levels(m, N, binom)
+    binom, levels = _colex_levels(m, N)
     tuples, p = levels[N], levels[N - 1].shape[0]
     down, count = _insertion_ranks(levels[N - 1], m, binom)
-    # the expand index slot by slot: prepending x_0 to a tuple of rank j gives rank ins[x_0, j]
-    expand = np.arange(m)
-    for k in range(2, N + 1):
-        ins = down if k == N else _insertion_ranks(levels[k - 1], m, binom)[0]
-        expand = ins[:, expand].reshape(-1)
     # equal[:, i]: entries of s equal to s_i; earlier[:, i]: those before i
     equal = np.zeros_like(tuples)
     earlier = np.ones_like(tuples)
@@ -421,9 +412,22 @@ def _sector(config: ManyBodyConfig) -> _Sector:
         up=tuples.T * p + np.stack([binom[np.arange(N - 1), np.delete(tuples, i, axis=1)].sum(1)
                                     for i in range(N)]),
         up_w=(1.0 / np.sqrt(equal)).T.copy(),
-        expand=expand,
         diag=diag,
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _expand_index(config: ManyBodyConfig) -> np.ndarray:
+    """(m^N,) the rank of the sorted tuple of each full index, for the full-tensor
+    edge alone; the charge of _sector, which gives its last step, covers it."""
+    m, N, down = config.grid.size, config.N, _sector(config).down
+    binom, levels = _colex_levels(m, N)
+    # slot by slot: prepending x_0 to a tuple of rank j gives rank ins[x_0, j]
+    expand = np.arange(m)
+    for k in range(2, N + 1):
+        ins = down if k == N else _insertion_ranks(levels[k - 1], m, binom)[0]
+        expand = ins[:, expand].reshape(-1)
+    return expand
 
 
 def check_exchange_symmetry(amps: np.ndarray, d: int, N: int) -> None:
@@ -450,7 +454,7 @@ def _compress(config: ManyBodyConfig, amps: np.ndarray) -> np.ndarray:
     sec = _sector(config)
     flat = np.asarray(amps, dtype=np.complex128).reshape(-1)
     rep = flat[sec.rep]
-    miss = rep[sec.expand]
+    miss = rep[_expand_index(config)]
     miss -= flat
     if np.abs(miss).max() > _SYMMETRY_TOL * np.abs(flat).max():
         raise ValueError("the state is not symmetric under exchange of particles")
@@ -460,8 +464,7 @@ def _compress(config: ManyBodyConfig, amps: np.ndarray) -> np.ndarray:
 
 def _expand(config: ManyBodyConfig, c: np.ndarray) -> np.ndarray:
     """The full symmetric tensor of the sector vector c."""
-    sec = _sector(config)
-    return (c / sec.scale)[sec.expand].reshape(config.state_shape)
+    return (c / _sector(config).scale)[_expand_index(config)].reshape(config.state_shape)
 
 
 def _apply_sector(config: ManyBodyConfig, c: np.ndarray, out: np.ndarray | None = None):
@@ -552,8 +555,8 @@ class BosonicState:
             for ax in range(grid.d * config.N):
                 raw *= _on_slot(mask_1, ax, grid.d * config.N)
             _ifftn(raw, out=raw)
-        sec, flat = _sector(config), raw.reshape(-1)
-        c = np.bincount(sec.expand, flat.real) + 1j * np.bincount(sec.expand, flat.imag)
+        sec, flat, expand = _sector(config), raw.reshape(-1), _expand_index(config)
+        c = np.bincount(expand, flat.real) + 1j * np.bincount(expand, flat.imag)
         c /= sec.scale
         return cls(config, c=c / cls(config, c=c).norm())
 

@@ -4,38 +4,36 @@ The equation solved is i d/dt phi = -Lap phi + b0 |phi|^4 phi, integrated by
 Strang splitting: a half-step of the exact pointwise nonlinear phase rotation,
 a full linear step (exact Fourier multiplier), and a second half rotation.
 Both substeps are unitary, so without dealiasing mass is conserved to
-rounding.  With dealiasing it is not: the projection onto the n-band removes
-the mass the rotation moves past it (at d=1 n=6, b0 = 1, dt = 0.01 and a
-band-2 datum, 2.2e-8 of it by T = 0.02).  The rotation keeps |phi|, so
-`evolve` merges the half rotations that meet between two snapshots and
-advances each snapshot interval in one raw-array kernel on the samples.
-With dealiasing they lie on a 3n/2 grid, where the free phase, zero outside
-the n-band, is also the dealias projection.  The rotation takes its phase
-exp(i theta) from one tangent of the half angle, t = tan(theta/2):
-cos theta = 2/(1+t^2) - 1 and sin theta = 2t/(1+t^2).  `free_sample` gives the free evolution's samples
-on a finer grid by per-axis matrix products, for the probes' time
-quadratures.  A dealiased run starts from one inverse transform of the
-coefficients resampled to the 3n/2 grid: a synthesis matrix there would
-hold 3n^2/2 entries at d = 1.  The module also carries the low/high energy
-decomposition at a frequency cutoff and the frequency-localization
-diagnostics used by the marginal-hierarchy experiments.  `snapshot_row` gives
-an `nls-run` snapshot's mass, energy, energy split and high kinetic energies
-in one pass, with one inverse transform beyond the snapshot's samples.  Of
-E_L and E_H it sums the one of smaller size directly (E_H from the terms with
-three or more high-frequency factors) and takes the other as E minus it.
-`timeseries` gives an `nls-run`'s rows bit for bit as `evolve` and
-`snapshot_row` would, but streams: for the whole run it holds two grids, the
-Strang kernel's samples and coefficients, and sums each row from them, with
-phi_L transformed in place in the coefficients (with dealiasing both lie on
-the 3n/2 grid, and each row adds its coefficients on the n-grid).  It
-copies its field, unless called with take=True as `nls-run` calls it: then
-it runs on the datum's own arrays and writes them.  Everything
-pointwise, the rotation, the free phase and the row's sums, runs over chunks
-of first-axis rows with chunk-sized scratch on grids of more than 2^17
-entries (`_SPLIT`), such as 64^3, so a run there holds its two grids and
-chunk scratch (a 64^3 run peaks at 2.1 grids); a smaller grid is one chunk,
-with scratch of its own size, and keeps the arithmetic of whole-array sums.
-`evolve` keeps every state of the same flow.
+rounding; with dealiasing the projection onto the n-band removes the mass
+the rotation moves past it.  The rotation keeps |phi|, so `evolve` merges
+the half rotations that meet between two snapshots and advances each
+snapshot interval in one raw-array kernel on the samples.  With dealiasing
+they lie on a 3n/2 grid, where the free phase, zero outside the n-band, is
+also the dealias projection.  The rotation takes its phase exp(i theta)
+from one tangent of the half angle, t = tan(theta/2): cos theta =
+2/(1+t^2) - 1 and sin theta = 2t/(1+t^2).  `free_sample` gives the free
+evolution's samples on a finer grid by per-axis matrix products, for the
+probes' time quadratures.  A dealiased run starts from one inverse
+transform of the coefficients resampled to the 3n/2 grid.  The module also
+carries the low/high energy decomposition at a frequency cutoff and the
+frequency-localization diagnostics used by the marginal-hierarchy
+experiments.  `snapshot_row` gives an `nls-run` snapshot's mass, energy,
+energy split and high kinetic energies in one pass, with one inverse
+transform beyond the snapshot's samples.  Of E_L and E_H it sums the one
+of smaller size directly (E_H from the terms with three or more
+high-frequency factors) and takes the other as E minus it.  `timeseries`
+gives an `nls-run`'s rows bit for bit as `evolve` and `snapshot_row` would,
+but streams: for the whole run it holds two grids, the Strang kernel's
+samples and coefficients, and sums each row from them, with phi_L
+transformed in place in the coefficients (with dealiasing both lie on the
+3n/2 grid, and each row adds its coefficients on the n-grid).  It copies
+its field, unless called with take=True as `nls-run` calls it: then it
+runs on the datum's own arrays and writes them.  Everything pointwise, the
+rotation, the free phase and the row's sums, runs over chunks of
+first-axis rows with chunk-sized scratch on grids of more than 2^17
+entries (`_SPLIT`), so a run there holds its two grids and chunk scratch;
+a smaller grid is one chunk, with scratch of its own size, and keeps the
+arithmetic of whole-array sums.  `evolve` keeps every state of the same flow.
 """
 
 from __future__ import annotations
@@ -185,11 +183,8 @@ def _rotation_n(n: int, dealias: bool) -> int:
     return 2 * ((3 * n + 3) // 4) if dealias else n
 
 
-# Everything pointwise on a grid of more than _SPLIT entries runs over chunks
-# of first-axis rows of at least _CHUNK entries, with chunk-sized scratch, so
-# that a run holds its two grids and little more.  Smaller grids are one
-# chunk, with scratch of their own size: on a 96^2 grid, 2^12-entry chunks
-# made five Strang steps and a row 25 % slower.
+# Grids of more than _SPLIT entries run everything pointwise in chunks of
+# first-axis rows of at least _CHUNK entries (see the module docstring).
 _SPLIT = 2**17
 _CHUNK = 2**13
 

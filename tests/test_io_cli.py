@@ -446,6 +446,28 @@ class TestMainEntry:
         witness = SignedExpansion(CollapseMap(8, tuple(w["targets"])), signs)
         assert len(classify_couplings(witness)["unclogged"]) == mu["min_count"]
 
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_couplings_past_k8_reports_a_certified_minimum(self, tmp_path, capsys, k):
+        # 17!! and 19!! maps are past the budget; the run builds no map table
+        rc = main(["couplings", "--k", str(k), "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["checks"]["unclogged_floor"]
+        # 19!! = 654,729,075 > 2^29: from k = 10 the map count is past 2^(3k-1)
+        assert report["checks"]["count_within_bound"] == (k <= 9)
+        assert rc == (0 if k <= 9 else 1)
+        mu, w = report["summary"]["min_unclogged"], report["summary"]["witness"]
+        assert mu["min_count"] == mu["floor"] and mu["consumption_bound_holds"]
+        signs = tuple(PLUS if s == "+" else MINUS for s in w["signs"])
+        witness = SignedExpansion(CollapseMap(k, tuple(w["targets"])), signs)
+        assert len(classify_couplings(witness)["unclogged"]) == mu["min_count"]
+
+    @pytest.mark.parametrize("k", [0, 13])
+    def test_couplings_order_outside_1_to_12_rejected(self, tmp_path, capsys, k):
+        # the one k rule of couplings, not the map table's budget
+        assert main(["couplings", "--k", str(k), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"validation error: params.k: coupling order must be in 1..12, got {k}\n"
+
     def test_mlfl_probe_at_t0_writes_valid_json(self, tmp_path, capsys):
         # its right side is 0 on band-2 data with m0 = 4: the ratio was 0/0, a NaN
         path = tmp_path / "c.json"
@@ -492,6 +514,16 @@ class TestMainEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_builds_no_quadrature_rule(self):
+        # numpy.polynomial is loaded only when a Gaussian potential first needs its rule
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, quintlab.cli; print('numpy.polynomial' in sys.modules)"],
+            capture_output=True, text=True, cwd=Path(__file__).parent.parent / "src",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 _BAND2 = {"kind": "random_band", "band": 2, "scale": 1.0}
@@ -552,7 +584,7 @@ BAD_CONFIGS = [
     ("nls-run", {"d": 1, "n": 8}, "b0"),
     ("nls-run", {**_NLS, "n": 7, "b0": -1.0}, "n"),
     ("nls-run", {**_NLS, "n": 7, "b0": -1.0}, "b0"),
-    ("couplings", {"k": 9}, "k"),  # 17!! = 34 M collapse maps
+    ("couplings", {"k": 13}, "k"),  # past the 1 <= k <= 12 rule
     ("manybody-run", {**_MB, "moments": [-1]}, "moments"),
     ("manybody-run", {**_MB, "stability": [[5, 0.5]]}, "stability"),
     ("residuals", {**_RES, "potential": {"kind": "constant", "value": -1}}, "potential"),

@@ -106,6 +106,16 @@ class TestBallIntegral:
         want = (2.0, 2.0 * np.pi, 4.0 * np.pi)[d - 1] * val
         assert pot.ball_integral(d) == pytest.approx(want, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_is_the_128_point_gauss_legendre_sum(self, d):
+        # the rule is built on first use, and is still leggauss(128) bit for bit
+        pot = GaussianPotential()
+        x, w = np.polynomial.legendre.leggauss(128)
+        r = 0.5 * pot.support_radius * (x + 1.0)
+        scale = 0.5 * pot.support_radius * (2.0, 2.0 * np.pi, 4.0 * np.pi)[d - 1]
+        want = float(scale * (w @ (r ** (d - 1) * pot._radial(r * r))))
+        assert pot.ball_integral(d).hex() == want.hex()
+
 
 class TestPotentialSpec:
     @pytest.mark.parametrize("build", [
@@ -443,6 +453,26 @@ class TestSector:
         _, propagated = peak(lambda: propagate(psi, [0.05, 0.1, 0.15]))
         assert built <= 0.5
         assert propagated <= 3.0
+
+    def test_cold_tables_build_no_expand_index(self):
+        # d=1 n=8 N=7: the 8^7-entry expand index (16 MiB) is left to the full-tensor edge
+        cfg = ManyBodyConfig(GridSpec(1, 8), 7, 0.0)
+        manybody._sector.cache_clear()
+        tracemalloc.start()
+        try:
+            manybody._sector(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
+    def test_run_path_builds_no_expand_index(self):
+        cfg = ManyBodyConfig(GridSpec(1, 16), 4, 0.05)
+        manybody._expand_index.cache_clear()
+        psi = BosonicState.factorized(cfg, smooth_phi(cfg.grid, seed=9))
+        energy(psi)
+        energy(propagate(psi, [0.05, 0.1])[-1])
+        assert manybody._expand_index.cache_info().currsize == 0
 
     def test_budget_bounds_the_peak_of_propagate(self, monkeypatch):
         # the fewbody shape d=1 n=16 N=4, from cold sector tables: the entries
