@@ -9,7 +9,9 @@ the rotation moves past it.  The rotation keeps |phi|, so `evolve` merges
 the half rotations that meet between two snapshots and advances each
 snapshot interval in one raw-array kernel on the samples.  With dealiasing
 they lie on a 3n/2 grid, where the free phase, zero outside the n-band, is
-also the dealias projection.  The rotation takes its phase exp(i theta)
+also the dealias projection; a 3n/2 grid of at most _DENSE_FREE_MAX_M
+points per axis takes the free step as one dense propagator along each
+axis, a matrix that carries both.  The rotation takes its phase exp(i theta)
 from one tangent of the half angle, t = tan(theta/2): cos theta =
 2/(1+t^2) - 1 and sin theta = 2t/(1+t^2).  `free_sample` gives the free
 evolution's samples on a finer grid by per-axis matrix products, for the
@@ -149,7 +151,7 @@ def free_sample(f: TorusField, t: float, n: int, out: np.ndarray | None = None) 
         out = np.empty((n,) * d, dtype=np.complex128)
     elif not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    e = _synthesis_matrix(s, n) * np.exp(-1j * t * _freq_components(1, s)[0] ** 2)
+    e = _synthesis_matrix(s, n) * _free_phase(1, s, t, s)
     b = f.coefficients
     if d > 1:
         b = b.reshape(-1, s) @ e.T
@@ -189,6 +191,25 @@ _SPLIT = 2**17
 _CHUNK = 2**13
 
 
+# Dealiased rotation grids of at most this many points per axis take the
+# free step as per-axis products with one dense propagator (see _strang):
+# below the dense/FFT crossover measured for d = 1, 2, 3 (CHANGES.md).
+_DENSE_FREE_MAX_M = 48
+
+
+@functools.lru_cache(maxsize=8)
+def _propagator(n: int, m: int, dt: float) -> np.ndarray:
+    """The free step exp(i dt Lap) on one axis of the m-point rotation grid of
+    an n-point field, projected to the n-band, as the (m, m) matrix
+    e diag(exp(-i dt xi^2)) e^H / m, e = _synthesis_matrix(n, m): it maps
+    samples to samples as the FFT pair with the free phase between does."""
+    e = _synthesis_matrix(n, m)
+    p = (e * _free_phase(1, n, dt, n)) @ e.conj().T
+    p /= m
+    p.flags.writeable = False
+    return p
+
+
 def _chunked(shape: tuple[int, ...], *dtypes):
     """(rows, scratch...) for each chunk of a grid of this shape: rows is a
     slice of its first axis, the whole axis up to _SPLIT entries, else
@@ -219,24 +240,34 @@ def _strang(v: np.ndarray, z: np.ndarray, n: int, dt: float, steps: int, rate) -
     entries it must be pointwise.  v lies on the rotation grid of an n-point
     field, n points per axis or 2*ceil(3n/4) with dealias; the free phase is
     zero outside the n-band, so multiplying by it also projects out the
-    modes the rotation spills there.  It is built once on a one-chunk grid,
-    else per chunk and step.  One FFT pair per step; z is the rotation's
-    complex scratch until the last forward transform goes into it, as the
-    coefficients of v."""
-    d, m = v.ndim, v.shape[0]
-    chunks = [(rows, v[rows], z[rows], a, phase)  # with real scratch and the phase's buffer
-              for rows, a, phase in _chunked(v.shape, np.float64, np.complex128)]
-    whole = _free_phase(d, n, dt, m, out=chunks[0][4]) if len(chunks) == 1 else None
+    modes the rotation spills there.  A dealiased grid of at most
+    _DENSE_FREE_MAX_M points per axis takes L as one product per axis with
+    the (m, m) _propagator, each written into the other of v and z, so the
+    samples may end in z and v is then left as scratch.  Any other grid
+    takes one FFT pair per step, with the free phase built once on a
+    one-chunk grid, else per chunk and step.  z is the rotation's complex
+    scratch until the last forward transform goes into it, as the
+    coefficients of the samples."""
+    d, m, coefficients = v.ndim, v.shape[0], z
+    p = _propagator(n, m, dt) if m != n and m <= _DENSE_FREE_MAX_M else None
+    chunks = list(_chunked(v.shape, np.float64, *([] if p is not None else [np.complex128])))
+    whole = _free_phase(d, n, dt, m, out=chunks[0][2]) if p is None and len(chunks) == 1 else None
     for i in range(steps + 1 if steps else 0):
-        if i:
+        if i and p is not None:  # p along each axis, the last first, into the other buffer
+            np.matmul(v.reshape(-1, m), p.T, out=z.reshape(-1, m))
+            for j in range(d - 2, -1, -1):
+                v, z = z, v
+                np.matmul(p, v.reshape(m**j, m, -1), out=z.reshape(m**j, m, -1))
+            v, z = z, v
+        elif i:
             _fftn(v, out=v)
-            for rows, vc, _, _, phase in chunks:
-                vc *= _free_phase(d, n, dt, m, rows, phase) if whole is None else whole
+            for rows, _, phase in chunks:
+                v[rows] *= _free_phase(d, n, dt, m, rows, phase) if whole is None else whole
             _ifftn(v, out=v)
-        for _, vc, zc, a, _ in chunks:
-            _rotate(vc, rate, dt if 0 < i < steps else dt / 2.0, zc, a)
-    _fftn(v, out=z)
-    z /= v.size
+        for rows, a, *_ in chunks:
+            _rotate(v[rows], rate, dt if 0 < i < steps else dt / 2.0, z[rows], a)
+    _fftn(v, out=coefficients)
+    coefficients /= v.size
 
 
 def _split_steps(f: TorusField, dt: float, steps: int, rate, dealias: bool) -> TorusField:

@@ -289,6 +289,69 @@ class TestMergedSteps:
             strang_step(smooth_random(g, 0), NlsConfig(g, 1.0, 0.01), 2)
 
 
+class TestDenseFreeStep:
+    # Dealiased rotation grids of at most nls._DENSE_FREE_MAX_M points per
+    # axis take the free step as per-axis products with one dense propagator;
+    # with the constant set to 0 every grid takes the FFT pair.
+
+    @pytest.mark.parametrize("d,n", [(1, 8), (1, 30), (1, 32), (2, 14), (2, 16), (2, 30),
+                                     (3, 6), (3, 8), (3, 32)])
+    def test_dense_route_equals_the_fft_route(self, monkeypatch, d, n):
+        # full-band data, so the rotation spills past the n-band and the -n/2
+        # label is occupied; n = 30 and 14 give 3n/2 odd, rounded up.  With
+        # d or the step count even the samples end where they started.
+        assert nls._rotation_n(n, True) <= nls._DENSE_FREE_MAX_M
+        g = GridSpec(d, n)
+        f = TorusField.random_band_limited(g, n // 2, np.random.default_rng([d, n, 1]))
+        f = f * (2.0 / f.l2_norm())
+        cfg = NlsConfig(g, 1.0, 0.01)
+        got = [strang_step(f, cfg, steps=k).coefficients for k in (4, 5)]
+        monkeypatch.setattr(nls, "_DENSE_FREE_MAX_M", 0)
+        for k, dense in zip((4, 5), got):
+            want = strang_step(f, cfg, steps=k).coefficients
+            assert np.linalg.norm(dense - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("d,n,per_step", [(2, 16, 0), (1, 32, 0), (1, 34, 2)])
+    def test_fft_calls_per_step(self, monkeypatch, k, d, n, per_step):
+        # the rotation grids hold 24, 48 and 52 points per axis: the dense
+        # route makes no transform per step, nor to build its propagator
+        nls._propagator.cache_clear()
+        calls = []
+
+        def counted(fn):
+            def wrapper(a, *args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        g = GridSpec(d, n)
+        f = smooth_random(g, 11)
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        strang_step(f, NlsConfig(g, 1.0, 0.01), steps=k)
+        # one transform to enter the rotation grid's samples, one to leave them
+        assert len(calls) == per_step * k + 2
+        assert calls[0] == "ifftn" and calls[-1] == "fftn"
+
+    def test_dense_route_allocates_only_real_scratch(self):
+        # the FFT route's complex phase buffer is a whole grid on a one-chunk
+        # grid; the dense route keeps the real scratch of the rotation alone
+        m = nls._rotation_n(16, True)
+        rng = np.random.default_rng(12)
+        v = 0.1 * (rng.standard_normal((m,) * 3) + 1j * rng.standard_normal((m,) * 3))
+        z = np.empty_like(v)
+        nls._strang(v, z, 16, 0.01, 3, nls._quintic(1.0))  # builds the propagator
+        tracemalloc.start()
+        try:
+            nls._strang(v, z, 16, 0.01, 3, nls._quintic(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.55 * v.nbytes
+
+
 class TestEvolve:
     def test_t0_single_snapshot(self):
         g = GridSpec(1, 16)
