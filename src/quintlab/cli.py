@@ -7,15 +7,12 @@ Configs are JSON objects.  The keyword-only parameters of `_run_<kind>`
 (of `_initial_<kind>` for params.initial) declare each key once: the
 annotation gives its JSON type, the default its default, and no default
 makes it required.  Validation binds params to them, then a build pass
-constructs the domain objects the run uses (grid, solver and many-body
-configs, potential, initial field, probe arguments), so every value rule
-is the one its owning module enforces.  Every failure of either pass is
-listed.  In `manybody-run`, the optional `steps` caps each Krylov substep
-at T/steps; without it every substep is as long as its error estimate
-allows.  All randomness derives from the single config seed through
-numpy's PCG64 generator, so rerunning a config reproduces every numeric
-artifact byte-for-byte.  Exit codes: 0 pass, 1 in-run tolerance failure,
-2 validation error.
+(_build) constructs the domain objects the run uses, so every value rule
+is the one its owning module enforces.  All randomness derives from the
+single config seed through numpy's PCG64 generator, so rerunning a config
+reproduces every numeric artifact byte-for-byte.  Exit codes: 0 pass, 1 in-run tolerance failure
+(a failed check, a Krylov tolerance out of reach or a blow-up), 2
+validation error.
 """
 
 from __future__ import annotations
@@ -36,16 +33,16 @@ from .couplings import (
 )
 from .grids import GridSpec, TorusField, check_cutoff
 from .manybody import (
-    BosonicState, ConstantPotential, GaussianPotential, ManyBodyConfig, check_moment_order,
-    check_stability_order, energy_moment, energy_per_particle, potential_mass, propagate,
-    stability_check,
+    BosonicState, ConstantPotential, GaussianPotential, ManyBodyConfig, PropagationToleranceError,
+    check_moment_order, check_stability_order, energy_moment, energy_per_particle, potential_mass,
+    propagate, stability_check,
 )
 from .marginals import (
     bbgky_residual, chaos_experiment, check_hierarchy_order, check_marginal_order,
     check_rank_one_order, gp_residual, hufl_factorized,
 )
 from .nls import (
-    NlsConfig, check_diagnostic_cutoffs, check_step_count, evolve, timeseries,
+    BlowUpError, NlsConfig, check_diagnostic_cutoffs, check_step_count, evolve, timeseries,
 )
 from .probes import PROBE_RUNNERS, check_probe_options, check_sample_count
 
@@ -207,7 +204,6 @@ def _build(kind: str, p: dict, seed: int) -> dict:
             if mb:
                 attempt(key, mb.check_run_budget, times)
     if kind == "nls-run":
-        # NlsConfig checks b0, dt and, given a grid, the rotation grid's budget;
         # the initial field is drawn only for a solver that passes
         built["nls"] = attempt("dt", NlsConfig, grid, float(p["b0"]), float(p["dt"]), p["dealias"])
         if built["nls"]:
@@ -322,7 +318,8 @@ _INITIAL = {"modes": _initial_modes, "random_band": _initial_random_band,
 
 
 def build_initial_field(grid: GridSpec, spec: dict, seed: int) -> TorusField:
-    """The field that spec, a params.initial, describes; a bad spec raises ValueError."""
+    """The field that spec, a params.initial, describes; a bad spec or a zero
+    field raises ValueError."""
     kwargs = dict(spec)
     kind = kwargs.pop("kind", None)
     if kind not in tuple(_INITIAL):  # a list is no kind, and unhashable
@@ -330,7 +327,10 @@ def build_initial_field(grid: GridSpec, spec: dict, seed: int) -> TorusField:
     _bind(_INITIAL[kind], kwargs, "params.initial", kind)
     if kwargs.get("scale") is not None and kwargs["scale"] <= 0:
         raise ValidationError(["params.initial.scale: must be > 0"])
-    return _INITIAL[kind](grid, seed, **kwargs)
+    f = _INITIAL[kind](grid, seed, **kwargs)
+    if f.l2_norm() == 0.0:
+        raise ValueError("the initial field is zero")
+    return f
 
 
 def build_potential_spec(spec: dict | None):
@@ -629,6 +629,9 @@ def main(argv=None) -> int:
         for e in err.errors:
             print(f"validation error: {e}", file=sys.stderr)
         return 2
+    except (PropagationToleranceError, BlowUpError) as err:
+        print(f"[TOLERANCE-FAIL] {args.kind}: {type(err).__name__}: {err}")
+        return 1
     if args.plotdata:
         emit_plotdata(report)
     status = "PASS" if report.passed else "TOLERANCE-FAIL"

@@ -16,22 +16,16 @@ phi), and whether its subtree contains the innermost, roughest node
 count of congested levels is bounded by the consumption argument
 4k - 4 <= 5 * (number of unclogged levels).
 
-The minimum of the unclogged count over all (2k-1)!! 2^k signed expansions
-is found without visiting them, by dynamic programming over hit sets.
-Levels are processed from k down to 1.  The state is the set of (slot,
-side) pairs that the deeper levels target, a bitmask with bit
-2(slot-1) + side (side 1 is the primed side); after level l only slots
-<= 2l-1 are kept, since the shallower levels consume and target nothing
-higher.  Level l < k is congested when the state holds both sides of slots
-2l and 2l+1 and the pair (mu(2l), its side) that the level chooses.  A dict
-maps each state to the most congested levels any deeper choices reach with
-it, and the maximum over the last dict is the answer.  The witness, the
-lexicographically first signed expansion attaining it, is fixed choice by
-choice from the same dicts: the targets of levels 1..k, then the signs of
-levels k..1, each the first choice with which stepping the kept dict of the
-free deeper levels through the fixed levels still reaches the maximum.  No
-map table is built; the object path (mark_expansion) is the oracle of the
-program.
+min_unclogged finds the minimum unclogged count over all (2k-1)!! 2^k
+signed expansions without visiting them, by dynamic programming over hit
+sets, levels from k down to 1.  The state is the set of (slot, side) pairs
+that the deeper levels target, a bitmask with bit 2(slot-1) + side (side 1
+is the primed side), cut after level l to slots <= 2l-1, since the
+shallower levels consume and target nothing higher.  Level l < k is
+congested when the state holds both sides of slots 2l and 2l+1 and the
+pair (mu(2l), its side) that the level chooses.  A dict maps each state to
+the most congested levels any deeper choices reach with it.  The object
+path (mark_expansion) is the oracle of the program.
 """
 
 from __future__ import annotations
@@ -301,7 +295,9 @@ def min_unclogged(k: int) -> dict:
     """Minimum of the unclogged-level count over all signed expansions, with
     the first witnessing expansion in the order of the exhaustive argmax (its
     sign index has level k as the top bit, 0 for the primed side) and the
-    consumption-bound check.  Needs k >= 2."""
+    consumption-bound check.  Needs k >= 2.  The witness is fixed choice by
+    choice, the targets of levels 1..k, then the signs of levels k..1, each
+    the first with which the free deeper levels still reach the maximum."""
     if k < 2:
         raise ValueError(f"min_unclogged needs k >= 2, got {k}")
     entering = {k: {0: 0}}  # level -> hit set of the deeper levels -> most congested among them

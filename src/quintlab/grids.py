@@ -93,6 +93,13 @@ class GridSpec:
         return np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
 
 
+def _wrapped_relative_coords(grid: GridSpec) -> np.ndarray:
+    """The grid points wrapped to [-pi, pi)^d, shape (n^d, d)."""
+    wrapped = np.mod(grid.axis_points() + np.pi, 2 * np.pi) - np.pi
+    return np.stack([g.reshape(-1) for g in np.meshgrid(*([wrapped] * grid.d), indexing="ij")],
+                    axis=-1)
+
+
 @functools.lru_cache(maxsize=None)
 def _freq_components(d: int, n: int) -> tuple[np.ndarray, ...]:
     ax = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
@@ -130,8 +137,8 @@ def _abs2(v: np.ndarray) -> np.ndarray:
 
 
 def _resampled(c: np.ndarray, n_new: int) -> np.ndarray:
-    """The coefficient array c as TorusField.resample places it on an n_new
-    grid: a new array, or c itself at its own size."""
+    """The coefficient array c on an n_new grid, each axis keeping its first
+    and last min(n, n_new)/2 entries: a new array, or c itself at its own size."""
     n = c.shape[0]
     if n_new == n:
         return c
@@ -321,15 +328,9 @@ class TorusField:
         return float(np.sqrt(np.sum(np.abs(self._coeffs[mask]) ** 2)))
 
     def resample(self, n_new: int) -> "TorusField":
-        """Same spectral content represented on an n_new-per-axis grid.
-
-        Modes outside the new band are dropped; the stored integer label of
-        each mode (FFT layout, edge mode labelled -n/2) is preserved.  With
-        h = min(n, n_new)/2, each axis keeps its first h and last h entries,
-        so the copy is 2^d contiguous blocks.  On downsampling the -n_new/2
-        label is kept and +n_new/2 is dropped.  At the field's own size the
-        field itself is returned.
-        """
+        """Same spectral content on an n_new-per-axis grid (_resampled): each
+        mode keeps its integer label, and those outside -n_new/2..n_new/2-1
+        are dropped.  At the field's own size the field itself is returned."""
         if n_new == self.grid.n:
             return self
         return TorusField(GridSpec(self.grid.d, n_new), _resampled(self._coeffs, n_new))

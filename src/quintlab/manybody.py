@@ -8,20 +8,9 @@ The Hamiltonian is
 where V_scaled is the periodic extension of N^(2 d beta) V(N^beta u, N^beta v)
 in the relative coordinates, symmetrised over the choice of centre particle so
 that H maps the bosonic sector to itself.  A BosonicState is its sector
-vector: its values on the C(n^d + N - 1, N) sorted site tuples, scaled so that
-norms are unchanged.  propagate, energy, energy_moment, norm and inner work on
-that vector alone; the dense complex tensor over (grid)^N is expanded only
-where a caller reads amps (the marginals, the Sobolev weights, a state file).
-A tensor given to the constructor is compressed once, and one that the round
-trip does not give back to 1e-12 max |psi| is not a bosonic state: it is
-rejected with ValueError rather than projected.  check_exchange_symmetry
-applies the same rule, by adjacent slot swaps, to a state file.  Propagation uses a
-Lanczos (Krylov) approximation of exp(-i t H) with a matrix-free H on the
-sector: the kinetic part as A^dagger (K x I) A, with A the annihilation gather
-onto (N-1)-tuples times one site, and the potential as a diagonal.  One
-operator, _kinetic, applies K along the grid axes of the gather, of the full
-tensor in apply_hamiltonian_raw (the independent oracle of the sector) and of
-the hierarchy commutator in the marginals module.
+vector (see the bosonic sector below), and every run path works on that
+vector; the dense tensor over (grid)^N is expanded only where a caller reads
+amps (the marginals, the Sobolev weights, a state file).
 """
 
 from __future__ import annotations
@@ -35,7 +24,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .grids import GridSpec, ParameterError, TorusField, _fftn, _ifftn, _xi_squared, check_entries
+from .grids import (
+    GridSpec, ParameterError, TorusField, _fftn, _ifftn, _wrapped_relative_coords, _xi_squared,
+    check_entries,
+)
 
 _DENSE_KINETIC_MAX_N = 96  # _kinetic's route: a dense matrix on axes up to this length
 
@@ -185,15 +177,6 @@ class ManyBodyConfig:
         vectors = (kdim + 1) * _sector_dim(self.grid.size, self.N)
         check_entries("Krylov basis, returned states and sector tables",
                       vectors + len(later) * self.grid.size**self.N + _sector_entries(self))
-
-
-def _wrapped_relative_coords(grid: GridSpec) -> np.ndarray:
-    """Relative coordinates of each grid point, wrapped to [-pi, pi)^d;
-    shape (n^d, d)."""
-    ax = grid.axis_points()
-    wrapped = np.mod(ax + np.pi, 2 * np.pi) - np.pi
-    grids = np.meshgrid(*([wrapped] * grid.d), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -756,34 +739,18 @@ def propagate(
     kdim: int = 20,
     tol: float = 1e-11,
 ) -> BosonicState | list[BosonicState]:
-    """exp(-i t H) psi via Lanczos substeps, each as long as its own error
-    estimate allows, for a finite t >= 0, or the list of exp(-i s H) psi for
+    """exp(-i t H) psi for a finite t >= 0, or the list of exp(-i s H) psi for
     a non-decreasing sequence of such times s (equal times share one state).
     A zero time, or any time for the zero state, gives psi itself.  Other t,
     or steps other than None or an integer >= 1, raise ValueError up front.
 
-    Each substep builds a Krylov basis of the current vector by the
-    three-term recurrence, with one full re-orthogonalization pass only when
-    the omega estimate asks (Simon, Math. Comp. 1984; see _lanczos_basis).
-    It then picks its length from the small tridiagonal problem alone, with
-    no further H-applies: the longest tau whose estimate stays within
-    tol * tau / T, T = t or the last time (Expokit's step control, Sidje
-    1998, on the Lanczos error analysis of Hochbruck & Lubich 1997), so the
-    estimates sum to at most tol relative to ||psi||.  `steps`, if given,
-    caps every substep at T / steps.  kdim caps the basis, which stops at
-    the first size, from 6 on, whose estimate already allows the whole
-    substep still due, min(left, T / steps); it takes kdim H-applies only
-    where the estimate needs them all.
-
-    Dense output: each requested time inside a substep comes from that
-    substep's basis with no H-apply, beta_0 V^T evecs exp(-i s evals)
-    evecs[0] at offset s.  Where the estimate fails at s, the substep ends
-    at the longest trial length before s and the next basis serves s.
-
-    The basis lives in the bosonic sector: one (kdim + 1, dim) buffer of
-    sector vectors, dim = C(n^d + N - 1, N), holds the basis for the whole
-    call, starting from psi.c, and each state for a time > 0 is a sector
-    vector; none is expanded to a full tensor.
+    Lanczos substeps (_lanczos_basis, _choose_substep) keep each substep's
+    error estimate within tol * tau / T, T = t or the last time, so the
+    estimates sum to at most tol relative to ||psi||; a substep that cannot
+    raises PropagationToleranceError.  `steps` caps every substep at
+    T / steps and kdim caps the basis.  A requested time inside a substep
+    comes from that substep's basis with no H-apply, and is held, like the
+    basis, as sector vectors.
     """
     times = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not (times.ndim == 1 and np.all(np.isfinite(times) & (np.diff(times, prepend=0.0) >= 0.0))
@@ -853,9 +820,8 @@ def _propagate(psi: BosonicState, times: np.ndarray, steps, kdim, tol):
 
 
 def weighted_sobolev_norm_sq(psi: BosonicState, orders: list[float]) -> float:
-    """|| prod_j <grad_j>^{orders[j]} psi ||^2, computed spectrally: |c|^2 of
-    the transform in one real array, the transform freed, then each slot's
-    weight (1+|xi_j|^2)^orders[j] multiplied in place by broadcasting."""
+    """|| prod_j <grad_j>^{orders[j]} psi ||^2, computed spectrally: each slot's
+    weight (1+|xi_j|^2)^orders[j] multiplied in place into one real |c|^2."""
     grid, N = psi.config.grid, psi.config.N
     coeffs = _fftn(psi.amps)
     coeffs /= grid.size**N

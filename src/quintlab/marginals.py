@@ -15,13 +15,8 @@ differentiating the partial trace):
                + (N-k)/N^2         sum_{i<j<=k}   Tr_{k+1} [Vbar_{i,j,k+1}, g^(k+1)]
                + (N-k)(N-k-1)/(2 N^2) sum_{j<=k}  Tr_{k+1,k+2} [Vbar_{j,k+1,k+2}, g^(k+2)]
 
-Every term is Tr_{k+1..N} [A, |psi><psi|] for one operator A, the kinetic
-part on the first k slots plus diagonal Vbar multipliers, so the
-right-hand side is X - X^dagger with X = (A psi) psi^dagger, both factors
-reshaped to (m^k, rest): no marginal beyond the k-th is formed.  The
-mean-field counterpart replaces the last contraction with the on-diagonal
-collapse weighted by the coupling b0; on a factorized state phi^(x)k it is
-the same commutator with A = sum_j (-Lap_j + b0 |phi(x_j)|^4).
+The mean-field counterpart replaces the last contraction with the
+on-diagonal collapse weighted by the coupling b0.
 """
 
 from __future__ import annotations
@@ -126,11 +121,11 @@ def trace_distance(a: KthMarginal, b: KthMarginal) -> float:
 
 def _traced_commutator(amps: np.ndarray, v_amps: np.ndarray, grid: GridSpec,
                        k: int) -> np.ndarray:
-    """Tr_{k+1..} [A, |psi><psi|] for A = sum_{j<=k} (-Lap_j) + V, V diagonal.
-
-    amps holds psi over its slots (grid.shape each) and v_amps holds V psi.
-    The result is X - X^dagger with X = (A psi) psi^dagger, both factors
-    reshaped to (m^k, rest), times the quadrature weight of all slots.
+    """Tr_{k+1..} [A, |psi><psi|] for A = sum_{j<=k} (-Lap_j) + V, V diagonal:
+    every hierarchy term is one such trace.  amps holds psi over its slots
+    (grid.shape each) and v_amps holds V psi.  The result is X - X^dagger
+    with X = (A psi) psi^dagger, both factors reshaped to (m^k, rest), times
+    the quadrature weight of all slots, so no marginal beyond the k-th is formed.
     """
     nslots = amps.ndim // grid.d
     a_psi = _kinetic(amps, k * grid.d)
@@ -192,7 +187,8 @@ def bbgky_residual(snapshots: list[BosonicState], times: np.ndarray, k: int) -> 
 
 
 def gp_rhs(phi: TorusField, k: int, b0: float) -> np.ndarray:
-    """Mean-field hierarchy right-hand side at a factorized state."""
+    """Mean-field hierarchy right-hand side at phi^(x)k: the traced commutator
+    with A = sum_j (-Lap_j + b0 |phi(x_j)|^4)."""
     grid = phi.grid
     check_rank_one_order(grid, k)
     v = _unit_values(phi)
@@ -273,15 +269,13 @@ def hufl_factorized(phi: TorusField, k: int, m_cut: float) -> float:
 def mean_field_flow(
     phi0: TorusField, T: float, dt: float, config: ManyBodyConfig
 ) -> TorusField:
-    """Self-consistent one-particle flow matched to the N-body model:
+    """Self-consistent one-particle flow matched to the N-body model, by Strang
+    splitting (nls._split_steps, no dealiasing):
 
         i d/dt phi = -Lap phi + (1/2) [ int Vbar(x,y,z) |phi(y)|^2 |phi(z)|^2 dy dz ] phi
 
     The 1/2 is the large-N limit of the per-particle triple count over N^2.
-    Strang splitting with the effective potential refreshed at each rotation;
-    used as the matched comparison target for the unconcentrated
-    (beta = 0) convergence trend, where the concentrated quintic flow is
-    not the limit.
+    It is the comparison target at beta = 0, where the quintic flow is not the limit.
     """
     grid, v3 = config.grid, symmetrized_triple_value(config)
 

@@ -4,38 +4,10 @@ The equation solved is i d/dt phi = -Lap phi + b0 |phi|^4 phi, integrated by
 Strang splitting: a half-step of the exact pointwise nonlinear phase rotation,
 a full linear step (exact Fourier multiplier), and a second half rotation.
 Both substeps are unitary, so without dealiasing mass is conserved to
-rounding; with dealiasing the projection onto the n-band removes the mass
-the rotation moves past it.  The rotation keeps |phi|, so `evolve` merges
-the half rotations that meet between two snapshots and advances each
-snapshot interval in one raw-array kernel on the samples.  With dealiasing
-they lie on a 3n/2 grid, where the free phase, zero outside the n-band, is
-also the dealias projection; a 3n/2 grid of at most _DENSE_FREE_MAX_M
-points per axis takes the free step as one dense propagator along each
-axis, a matrix that carries both.  The rotation takes its phase exp(i theta)
-from one tangent of the half angle, t = tan(theta/2): cos theta =
-2/(1+t^2) - 1 and sin theta = 2t/(1+t^2).  `free_sample` gives the free
-evolution's samples on a finer grid by per-axis matrix products, for the
-probes' time quadratures.  A dealiased run starts from one inverse
-transform of the coefficients resampled to the 3n/2 grid.  The module also
-carries the low/high energy decomposition at a frequency cutoff and the
-frequency-localization diagnostics used by the marginal-hierarchy
-experiments.  `snapshot_row` gives an `nls-run` snapshot's mass, energy,
-energy split and high kinetic energies in one pass, with one inverse
-transform beyond the snapshot's samples.  Of E_L and E_H it sums the one
-of smaller size directly (E_H from the terms with three or more
-high-frequency factors) and takes the other as E minus it.  `timeseries`
-gives an `nls-run`'s rows bit for bit as `evolve` and `snapshot_row` would,
-but streams: for the whole run it holds two grids, the Strang kernel's
-samples and coefficients, and sums each row from them, with phi_L
-transformed in place in the coefficients (with dealiasing both lie on the
-3n/2 grid, and each row adds its coefficients on the n-grid).  It copies
-its field, unless called with take=True as `nls-run` calls it: then it
-runs on the datum's own arrays and writes them.  Everything pointwise, the
-rotation, the free phase and the row's sums, runs over chunks of
-first-axis rows with chunk-sized scratch on grids of more than 2^17
-entries (`_SPLIT`), so a run there holds its two grids and chunk scratch;
-a smaller grid is one chunk, with scratch of its own size, and keeps the
-arithmetic of whole-array sums.  `evolve` keeps every state of the same flow.
+rounding; with dealiasing the rotation runs on the 3n/2 grid, and the
+projection onto the n-band removes the mass it moves past the band.  The
+module also carries the energy, its low/high split at a frequency cutoff
+and the frequency-localization diagnostics.
 """
 
 from __future__ import annotations
@@ -133,16 +105,11 @@ def _synthesis_matrix(s: int, n: int) -> np.ndarray:
 
 
 def free_sample(f: TorusField, t: float, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """free_propagate(f, t).resample(n).values, into `out` when given, without a transform.
-
-    The free phase factors over the axes, so each axis is one matrix product
-    with the synthesis matrix whose columns carry the one-axis phase
-    exp(-i t xi^2): the last axis first, then d-2, ..., 0, the axis-0
-    product written into `out` (C-contiguous, shape (n,)*d) when given.
-    It forms no new field per time; at t = 0 it is the plain upsample of the
-    refined-Sobolev probe.  The (n, s) matrix is checked against the budget:
-    at d = 1 it is the one array larger than the samples.
-    """
+    """free_propagate(f, t).resample(n).values, into `out` (C-contiguous, shape
+    (n,)*d) when given, without a transform: one product per axis, the last
+    first, with the synthesis matrix times the one-axis free phase.  That
+    (n, s) matrix is checked against the budget: at d = 1 it is the one
+    array larger than the samples."""
     s, d = f.grid.n, f.grid.d
     if n < s:
         raise ValueError(f"cannot sample an n={s} field on {n} points per axis")
@@ -185,8 +152,9 @@ def _rotation_n(n: int, dealias: bool) -> int:
     return 2 * ((3 * n + 3) // 4) if dealias else n
 
 
-# Grids of more than _SPLIT entries run everything pointwise in chunks of
-# first-axis rows of at least _CHUNK entries (see the module docstring).
+# Grids of more than _SPLIT entries run everything pointwise, the rotation, the
+# free phase and a row's sums, in chunks of first-axis rows of at least _CHUNK
+# entries; a smaller grid is one chunk and keeps the arithmetic of whole-array sums.
 _SPLIT = 2**17
 _CHUNK = 2**13
 
@@ -236,18 +204,15 @@ def _strang(v: np.ndarray, z: np.ndarray, n: int, dt: float, steps: int, rate) -
     """steps Strang steps of i u_t = -Lap u + rate(|u|^2) u on the samples v, in
     place, as N(dt/2) [L(dt) N(dt)]^(steps-1) L(dt) N(dt/2): N keeps |u|, so
     the half rotations that meet merge.  rate returns a real array and may
-    overwrite its argument; it sees one chunk at a time, so past _SPLIT
-    entries it must be pointwise.  v lies on the rotation grid of an n-point
-    field, n points per axis or 2*ceil(3n/4) with dealias; the free phase is
-    zero outside the n-band, so multiplying by it also projects out the
-    modes the rotation spills there.  A dealiased grid of at most
-    _DENSE_FREE_MAX_M points per axis takes L as one product per axis with
-    the (m, m) _propagator, each written into the other of v and z, so the
-    samples may end in z and v is then left as scratch.  Any other grid
-    takes one FFT pair per step, with the free phase built once on a
-    one-chunk grid, else per chunk and step.  z is the rotation's complex
-    scratch until the last forward transform goes into it, as the
-    coefficients of the samples."""
+    overwrite its argument; past _SPLIT entries it sees one chunk at a time,
+    so it must be pointwise.  v lies on the rotation grid of an n-point
+    field (_rotation_n), where the free phase, zero outside the n-band, also
+    projects out the modes the rotation spills there.  A dealiased grid of
+    at most _DENSE_FREE_MAX_M points per axis takes L as one _propagator
+    product per axis, each written into the other of v and z, so v is left
+    as scratch; any other grid takes one FFT pair per step.  z is the
+    rotation's scratch until the last forward transform writes the
+    coefficients of the samples into it."""
     d, m, coefficients = v.ndim, v.shape[0], z
     p = _propagator(n, m, dt) if m != n and m <= _DENSE_FREE_MAX_M else None
     chunks = list(_chunked(v.shape, np.float64, *([] if p is not None else [np.complex128])))
@@ -311,32 +276,18 @@ def check_step_count(T: float, dt: float, snapshot_every: int = 1) -> int:
     return steps
 
 
-def _snapshots(f0: TorusField, T: float, cfg: NlsConfig, snapshot_every: int = 1):
-    """Yield (t, state) every snapshot_every steps from t = 0 to T, keeping only
-    the current state (check_step_count)."""
-    steps = check_step_count(T, cfg.dt, snapshot_every)
-    f = f0
-    for s in range(0, steps + 1, snapshot_every):
-        if s:
-            u = strang_step(f, cfg, steps=snapshot_every)
-            if not np.all(np.isfinite(u.coefficients)):
-                raise BlowUpError(
-                    f"non-finite state at t={s * cfg.dt:.6g} "
-                    f"(max |coeff| so far {np.abs(f.coefficients).max():.3e})"
-                )
-            f = u
-        yield s * cfg.dt, f
-
-
-def evolve(
-    f0: TorusField,
-    T: float,
-    cfg: NlsConfig,
-    snapshot_every: int = 1,
-) -> Trajectory:
+def evolve(f0: TorusField, T: float, cfg: NlsConfig, snapshot_every: int = 1) -> Trajectory:
     """Advance f0 to time T, recording every snapshot_every steps (check_step_count)."""
-    times, states = zip(*_snapshots(f0, T, cfg, snapshot_every))
-    return Trajectory(np.array(times), list(states), cfg)
+    steps = check_step_count(T, cfg.dt, snapshot_every)
+    times, states = [0.0], [f0]
+    for s in range(snapshot_every, steps + 1, snapshot_every):
+        u = strang_step(states[-1], cfg, steps=snapshot_every)
+        if not np.all(np.isfinite(u.coefficients)):
+            raise BlowUpError(f"non-finite state at t={s * cfg.dt:.6g} "
+                              f"(max |coeff| so far {np.abs(states[-1].coefficients).max():.3e})")
+        times.append(s * cfg.dt)
+        states.append(u)
+    return Trajectory(np.array(times), states, cfg)
 
 
 def _head(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -364,16 +315,12 @@ def timeseries(
     take: bool = False,
 ) -> list[list[float]]:
     """[t] + snapshot_row(u, split_m, diag_ms, cfg.b0) for each snapshot (t, u)
-    of evolve(f0, T, cfg, snapshot_every), bit for bit.
-
-    The run holds _strang's samples v and coefficients z and sums each row
-    from them: the row's coefficients are z itself, or with dealias z
-    resampled to the n-grid, with their samples transformed into v's
-    memory; the next interval restarts v from z projected to the n-band.
+    of evolve(f0, T, cfg, snapshot_every), bit for bit, holding for the whole
+    run _strang's samples v and coefficients z; with dealias each row's
+    coefficients are z resampled to the n-grid, their samples in v's memory.
     f0 is copied and never written, unless take is set: then the run takes
     f0's own coefficient array and cached samples and writes them, so the
-    caller must hold no other reference to f0.  Without dealias they are
-    then z and v themselves, and f0 is dropped before the first row."""
+    caller must hold no other reference to f0."""
     steps = check_step_count(T, cfg.dt, snapshot_every)
     g, rate = f0.grid, _quintic(cfg.b0)
     m = _rotation_n(g.n, cfg.dealias)
@@ -419,10 +366,8 @@ def plane_wave_solution(grid: GridSpec, xi, amplitude: float, b0: float, t: floa
 def _energy(g: GridSpec, z: np.ndarray, v: np.ndarray, b0: float,
             wheres=lambda rows: ()) -> tuple[float, list[float]]:
     """E of the field with coefficients z and samples v, and its kinetic
-    energy over each mask that wheres(rows) gives for a chunk's rows.  Per
-    chunk, the kinetic density |z|^2 |xi|^2 is formed in a real buffer w,
-    with the real buffer t as scratch, and, once summed, |v|^2 in its
-    memory and its square in t: |v|^6 is summed as (|v|^2)^3."""
+    energy over each mask that wheres(rows) gives for a chunk's rows; |v|^6
+    is summed as (|v|^2)^3."""
     parts = []
     for rows, w, t in _chunked(g.shape, np.float64, np.float64):
         np.square(z[rows].real, out=w)
@@ -468,10 +413,6 @@ def _sextic_sums(g: GridSpec, z: np.ndarray, v: np.ndarray, low: np.ndarray) -> 
     and the rest the high part
 
         h (6ar + 3ah + 3r^2 + 3rh + h^2) + r^3 = h (3a (r + q) + 3rq + h^2) + r^3.
-
-    Each chunk's sums run in six real buffers: phi_L and phi_H take four,
-    the real buffers r and a the other two, and h, q and the two
-    polynomials' scratch reuse the first four.
     """
     z *= low
     _ifftn(z, out=z)
@@ -510,8 +451,7 @@ def _sextic_sums(g: GridSpec, z: np.ndarray, v: np.ndarray, low: np.ndarray) -> 
 def _row(g: GridSpec, z: np.ndarray, v: np.ndarray, split_m: float, diag_ms,
          b0: float) -> list[float]:
     """snapshot_row of the field with coefficients z and samples v; z is
-    overwritten.  Mass and the kinetic sums are read from z first, chunk by
-    chunk, then _sextic_sums transforms phi_L in place in z."""
+    overwritten by _sextic_sums, after the mass and kinetic sums read it."""
     for m in (split_m, *diag_ms):
         check_cutoff(m)
     low, *highs = (_mask_leq(g.d, g.n, m) for m in (split_m, *diag_ms))
@@ -532,24 +472,17 @@ def _row(g: GridSpec, z: np.ndarray, v: np.ndarray, split_m: float, diag_ms,
 def snapshot_row(f: TorusField, split_m: float, diag_ms, b0: float) -> list[float]:
     """[mass, E_NLS, E_L, E_H] and ||P_{>M} grad f||^2 for each M of diag_ms.
 
-    One pass: the kinetic parts are masked sums of |fhat|^2 |xi|^2, formed
-    once, and the sextic parts come from _sextic_sums.  Of E_L and E_H, the
-    one of smaller size is summed directly and the other is E minus it: so
-    E_H keeps its relative accuracy when the band above split_m is nearly
-    empty, E_L when the band below it is, and E_L + E_H = E to the rounding
-    of one subtraction.
+    Of E_L and E_H, the one of smaller size is summed directly and the other
+    is E minus it: so each keeps its relative accuracy when its band is
+    nearly empty, and E_L + E_H = E to the rounding of one subtraction.
     """
     return _row(f.grid, np.array(f.coefficients), f.values, split_m, diag_ms, b0)
 
 
 def energy_split(f: TorusField, m: float, b0: float) -> tuple[float, float]:
-    """Split E into (E_L, E_H) at the cutoff m, as snapshot_row does.
-
-    E_L is ||grad phi_L||^2 plus the sextic terms of |phi_L + phi_H|^6 with
-    at most two high-frequency factors, E_H ||grad phi_H||^2 plus the rest
-    (see _sextic_sums); the smaller is summed directly and the larger is
-    energy_nls(f) minus it.
-    """
+    """(E_L, E_H) at the cutoff m, as snapshot_row gives them: E_L is
+    ||grad phi_L||^2 plus the sextic terms with at most two high-frequency
+    factors (_sextic_sums), E_H the rest."""
     e_low, e_high = snapshot_row(f, m, (), b0)[2:]
     return e_low, e_high
 

@@ -2,19 +2,11 @@
 
 Each probe evaluates the ratio (left side)/(right side) of one estimate on
 concrete fields, by spectral evaluation in space and trapezoid quadrature in
-time.  A free evolution starts from the (2h)^d grid that just holds the
-datum's band (h = band + 1), and each quadrature time's samples on the fine
-evaluation grid come from `nls.free_sample`: one matrix product per axis,
-the free phase folded into the axis's synthesis matrix, no transform; the
-refined-Sobolev upsample is the same synthesis at t = 0.  Probes return 0 on
-zero inputs or a zero right side, and are homogeneous of degree zero under
-rescaling of all their field arguments.  The rules on their arguments are
-`check_*` helpers, which the CLI's build pass also calls; so are the
-`_*_eval_n` helpers that size each probe's evaluation grid and check it
-against the memory budget.  The sampling drivers fold a seeded generator
-over a parameter grid and report per-tuple maxima plus a stability figure:
-the growth of the running maximum between the first half and the full
-sample set (an unbounded constant would keep growing).
+time.  Probes return 0 on zero inputs or a zero right side, and are
+homogeneous of degree zero under rescaling of all their field arguments.
+The rules on their arguments, and the sizes of their evaluation grids
+(`_*_eval_n`, each checked against the memory budget), are helpers that the
+CLI's build pass also calls.
 """
 
 from __future__ import annotations
@@ -30,6 +22,7 @@ from .grids import (
     TorusField,
     _abs2,
     _fftn,
+    _wrapped_relative_coords,
     _xi_squared,
     apply_S,
     check_cutoff,
@@ -103,7 +96,7 @@ def _eval_grid_for_power(band: float, power: int, floor_n: int) -> int:
 def _strichartz_eval_n(band: int, p: float) -> int:
     """strichartz_ratio's evaluation grid for a datum of this band: alias-free for
     |v|^p (p capped at 8) and at least the datum's band grid."""
-    n = max(_eval_grid_for_power(band, int(np.ceil(min(p, 8.0))), 8), 2 * max(band + 1, 2))
+    n = _eval_grid_for_power(band, int(np.ceil(min(p, 8.0))), max(8, 2 * band + 2))
     check_entries("the strichartz evaluation grid", n**3)
     return n
 
@@ -116,7 +109,7 @@ def _bilinear_grid(n: int, m1: float) -> GridSpec:
 def _bilinear_eval_n(m1: float, m2: float, n: int) -> int:
     """bilinear_strichartz_ratio's evaluation grid for shells m1, m2 of fields on
     n points per axis: alias-free for the product; two buffers of it are held."""
-    n_eval = max(_next_even(2 * (m1 + m2) + 2), n)
+    n_eval = _eval_grid_for_power(m1 + m2, 2, n)
     check_entries("the bilinear evaluation buffers", 2 * n_eval**3)
     return n_eval
 
@@ -131,7 +124,7 @@ def _refined_sobolev_eval_n(band: int) -> int:
 def _multilinear_eval_n(band: int) -> int:
     """multilinear_ratio's evaluation grid for factors of this band: alias-free for
     the quintic product; two buffers of it are held."""
-    n = max(4, _next_even(2 * 5 * band + 2))
+    n = _eval_grid_for_power(band, 10, 4)
     check_entries("the multilinear evaluation buffers", 2 * n**3)
     return n
 
@@ -230,7 +223,7 @@ def strichartz_ratio(
     n_eval = _strichartz_eval_n(_field_band(g), p)
     r = np.empty((n_eval,) * 3)
 
-    def lp_mass(v):  # |v|^p, computed in place in r: re^2 + im^2 as _abs2, then the power
+    def lp_mass(v):
         nonlocal r
         np.square(v.real, out=r)
         r += np.square(v.imag, out=v.imag)
@@ -365,10 +358,7 @@ def approx_identity_rate(phi: TorusField, alphas: list[float]) -> dict:
     dens = TorusField.from_values(grid, np.abs(phi.values) ** 2)
     weight = (np.conj(psi.values) * phi.values).reshape(-1)
     errors = []
-    x = grid.axis_points()
-    wrapped = np.mod(x + np.pi, 2 * np.pi) - np.pi
-    grids = np.meshgrid(*([wrapped] * grid.d), indexing="ij")
-    r2 = sum(gc**2 for gc in grids)
+    r2 = sum(c**2 for c in _wrapped_relative_coords(grid).T).reshape(grid.shape)
     for a in alphas:
         bump = np.where(np.sqrt(r2) <= a, np.exp(-r2 / (2.0 * (a / 2.0) ** 2)), 0.0)
         bump_field = TorusField.from_values(grid, bump)
@@ -404,7 +394,8 @@ class ProbeReport:
 
     @property
     def stability_factor(self) -> float:
-        """Growth of the running maximum from half to full sample count."""
+        """Growth of the running maximum from half to full sample count (an
+        unbounded constant would keep growing)."""
         if self.half_max_ratio == 0.0:
             return 1.0
         return self.max_ratio / self.half_max_ratio

@@ -664,7 +664,27 @@ BAD_CONFIGS = [
      "options.alphas"),
     ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "sigma": float("nan")}},
      "potential.sigma"),
+    # a zero datum, which no kind can run
+    ("nls-run", {**_NLS, "n": 16, "initial": {"kind": "modes", "modes": [[1, 0.0]]}}, "initial"),
+    ("manybody-run", {**_MB, "T": 0.1, "initial": {"kind": "modes", "modes": [[1, 0.0]]}},
+     "initial"),
 ]
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("manybody-run", {**_MB, "N": 3, "beta": 0.0, "T": 1e6}),
+    ("residuals", {**_RES, "beta": 0.0, "spacings": [1e5, 5e4]}),
+], ids=["manybody-run", "residuals"])
+def test_krylov_tolerance_out_of_reach_exits_1(tmp_path, capsys, kind, params):
+    # the Krylov estimate fails at the shortest trial substep of the first basis
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"kind": kind, "params": params}))
+    rc = main([kind, "--config", str(path), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in out + err
+    assert out.startswith("[TOLERANCE-FAIL]") and out.count("\n") == 1
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestBadConfigs:
