@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Write the artifacts of every configs/*.json, of `lab couplings --k K` for
-K = 2..10 and of the seed-1 batch of each benchmark workload under OUT, so
+K = 2..11 and of the seed-1 batch of each benchmark workload under OUT, so
 that two checkouts compare by `diff -r`.
 
 Layout: OUT/configs/<config name>/, OUT/couplings/k<K>/ and
@@ -41,7 +41,7 @@ def baseline_runs():
     """(directory under OUT, config) of each run of the configs and couplings parts."""
     for path in sorted((ROOT / "configs").glob("*.json")):
         yield Path("configs", path.stem), ExperimentConfig.from_file(path)
-    for k in range(2, 11):  # the config `lab couplings --k K` builds
+    for k in range(2, 12):  # the config `lab couplings --k K` builds
         yield (Path("couplings", f"k{k}"),
                ExperimentConfig.from_dict({"kind": "couplings", "params": {"k": k}, "seed": 0}))
 

@@ -23,9 +23,13 @@ that the deeper levels target, a bitmask with bit 2(slot-1) + side (side 1
 is the primed side), cut after level l to slots <= 2l-1, since the
 shallower levels consume and target nothing higher.  Level l < k is
 congested when the state holds both sides of slots 2l and 2l+1 and the
-pair (mu(2l), its side) that the level chooses.  A dict maps each state to
-the most congested levels any deeper choices reach with it.  The object
-path (mark_expansion) is the oracle of the program.
+pair (mu(2l), its side) that the level chooses.  Swapping the two sides of
+one slot, in the state and in every later choice on that slot, keeps every
+level's congestion, so a slot hit on one side is stored on its unprimed
+side.  A dict maps each state to the most congested levels any deeper
+choices reach with it; states that agree on slots 1..2l-1 (the kept set)
+expand alike and are merged first.  The object path (mark_expansion) is
+the oracle of the program.
 """
 
 from __future__ import annotations
@@ -269,21 +273,42 @@ def min_unclogged_floor(k: int) -> int:
     return -((-4 * (k - 1)) // 5)
 
 
-def _level_step(table: dict[int, int], l: int, allowed: int = -1) -> dict[int, int]:
-    """Take the dict entering level l through that level (see the module
-    docstring), the level choosing among the pairs set in `allowed`."""
-    width = 4 * l - 2  # the bits of slots 1..2l-1: level l's choices, and what stays
-    full = (1 << width) - 1
-    quad = 0b1111 << width  # slots 2l and 2l+1, both sides
-    nxt: dict[int, int] = {}
+def _masks(l: int) -> tuple[int, int]:
+    """The bits of slots 1..2l-1 (level l's choices, and what stays) and of
+    the quad, slots 2l and 2l+1 on both sides."""
+    return (1 << 4 * l - 2) - 1, 0b1111 << 4 * l - 2
+
+
+def _merge(table: dict[int, int], l: int) -> tuple[dict[int, int], set[int]]:
+    """Fold the dict entering level l into one entry per kept set, its best
+    value, and the set of kept sets whose best value a state with a full quad
+    reaches: there a choice already hit is congested and gains 1."""
+    full, quad = _masks(l)
+    best: dict[int, int] = {}
+    quad_full = []
     for state, value in table.items():
         kept = state & full
-        if kept & allowed:  # a choice already in the hit set: congested iff the quad is full too
-            gain = value + ((state & quad) == quad)
+        if best.get(kept, -1) < value:
+            best[kept] = value
+        if state & quad == quad:
+            quad_full.append((kept, value))
+    return best, {kept for kept, value in quad_full if kept and value == best[kept]}
+
+
+def _level_step(best: dict[int, int], packed: set[int], l: int) -> dict[int, int]:
+    """The dict leaving level l, from the merged dict entering it."""
+    full = _masks(l)[0]
+    unprimed = full // 3  # the unprimed bit of each of slots 1..2l-1
+    nxt: dict[int, int] = {}
+    for kept, value in best.items():
+        if kept:  # a choice already in the hit set: congested iff the quad is full too
+            gain = value + (kept in packed)
             if nxt.get(kept, -1) < gain:
                 nxt[kept] = gain
-        fresh = allowed & full & ~kept
-        while fresh:  # a new choice: the level keeps a bare factor
+        # a new choice keeps a bare factor: a slot hit on no side gains its
+        # unprimed side, one hit on one side (the unprimed) its primed side
+        fresh = unprimed & ~kept | (kept & ~(kept >> 1) & unprimed) << 1
+        while fresh:
             grown = kept | (fresh & -fresh)
             fresh &= fresh - 1
             if nxt.get(grown, -1) < value:
@@ -297,29 +322,61 @@ def min_unclogged(k: int) -> dict:
     sign index has level k as the top bit, 0 for the primed side) and the
     consumption-bound check.  Needs k >= 2.  The witness is fixed choice by
     choice, the targets of levels 1..k, then the signs of levels k..1, each
-    the first with which the free deeper levels still reach the maximum."""
+    the first with which the free deeper levels still reach the maximum.
+    shallow[j] maps each kept set entering level j, its quad not full and
+    full, to the most congested levels j..1 reach, each fixed to its chosen
+    slot and free in its side; level j's target is the first slot whose
+    table, one pass over merged[j] reading shallow[j-1], reaches the maximum,
+    and the signs walk down from level k on the same tables."""
     if k < 2:
         raise ValueError(f"min_unclogged needs k >= 2, got {k}")
-    entering = {k: {0: 0}}  # level -> hit set of the deeper levels -> most congested among them
-    for l in range(k, 1, -1):
-        entering[l - 1] = _level_step(entering[l], l)
-    max_congested = max(_level_step(entering[1], 1).values())
+    merged = {}  # level -> the merged dict entering it
+    table = {0: 0}  # hit set of the deeper levels -> most congested among them
+    for l in range(k, 0, -1):
+        merged[l] = _merge(table, l)
+        table = _level_step(*merged[l], l)
+    max_congested = max(table.values())
 
-    def reaches_max(top: int, allowed: dict[int, int]) -> bool:
-        table = entering[top]
-        for l in range(top, 0, -1):
-            table = _level_step(table, l, allowed[l])
-        return max(table.values()) == max_congested
-
-    allowed: dict[int, int] = {}  # level -> its allowed pairs; at the end one, 2(slot-1) + side
+    shallow = {0: (0, 0, {0: 0}, {0: 0})}  # no level below 1: every state reaches 0
+    targets = []
     for j in range(1, k + 1):
-        both = (0b11 << 2 * t for t in range(2 * j - 1))  # slots 1..2j-1
-        allowed[j] = next(m for m in both if reaches_max(j, {**allowed, j: m}))
+        best, packed = merged.pop(j)
+        full, quad, loose, tight = shallow[j - 1]  # read at the states leaving level j
+        for t in range(2 * j - 1):
+            unprimed, primed = 1 << 2 * t, 2 << 2 * t
+            loose_j, tight_j, top = {}, {}, -1
+            for kept, value in best.items():
+                lo = hi = -1  # the most congested levels j..1 reach, quad not full and full
+                if kept & unprimed:  # slot t+1 hit: a choice already in the hit set
+                    lo = (tight if kept & quad == quad else loose)[kept & full]
+                    hi, top = lo + 1, max(top, value + (kept in packed) + lo)
+                if not kept & primed:  # a side of slot t+1 not hit yet
+                    state = kept | (primed if kept & unprimed else unprimed)
+                    below = (tight if state & quad == quad else loose)[state & full]
+                    lo, hi, top = max(lo, below), max(hi, below), max(top, value + below)
+                loose_j[kept], tight_j[kept] = lo, hi
+            if top == max_congested:
+                break
+        targets.append(t + 1)
+        shallow[j] = (*_masks(j), loose_j, tight_j)
+
+    signs, state, acc = [], 0, 0  # state: the hit set entering level j; acc: congested above it
     for j in range(k, 0, -1):
-        primed = allowed[j] & allowed[j] << 1  # the higher bit of the slot's pair
-        allowed[j] = primed if reaches_max(k, {**allowed, j: primed}) else primed >> 1
-    targets = tuple((m.bit_length() + 1) // 2 for m in allowed.values())
-    signs = tuple(PLUS if m.bit_length() % 2 else MINUS for m in allowed.values())
+        full, quad = _masks(j)
+        kept, quad_full = state & full, state & quad == quad
+        below_full, below_quad, loose, tight = shallow[j - 1]
+        for bit, sign in ((2, MINUS), (1, PLUS)):  # the primed side first
+            bit <<= 2 * targets[j - 1] - 2
+            congested = quad_full and bool(kept & bit)
+            state = kept | bit
+            unprimed = full // 3  # the tables hold a slot hit on one side on its unprimed side
+            canonical = (state | state >> 1) & unprimed | (state & state >> 1 & unprimed) << 1
+            below = (tight if canonical & below_quad == below_quad else loose)[
+                canonical & below_full]
+            if sign is PLUS or acc + congested + below == max_congested:
+                break
+        acc += congested
+        signs.append(sign)
     min_count = (k - 1) - max_congested
     return {
         "k": k,
@@ -327,5 +384,6 @@ def min_unclogged(k: int) -> dict:
         "floor": min_unclogged_floor(k),
         "max_congested": max_congested,
         "consumption_bound_holds": 4 * k - 4 <= 5 * min_count,
-        "witnessing_expansion": SignedExpansion(CollapseMap(k, targets), signs),
+        "witnessing_expansion": SignedExpansion(CollapseMap(k, tuple(targets)),
+                                                tuple(reversed(signs))),
     }

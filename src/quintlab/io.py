@@ -10,7 +10,7 @@ State dumps extend the header with a u32 slot count N and carry (n^d)^N
 complex64 amplitudes in row-major slot order, symmetric under exchange of
 slots.
 Loaders check the layout tag and the payload length against the header,
-and a state's symmetry, and raise ValueError naming the file.
+and that a state is symmetric and not zero, and raise ValueError naming the file.
 
 CSV and JSON writers format floats by shortest round-trip repr so reruns of
 the same seeded configuration are byte-identical.
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import GridSpec, TorusField
+from .grids import GridSpec, ParameterError, TorusField
 from .manybody import BosonicState, ManyBodyConfig, check_exchange_symmetry
 
 _LAYOUTS = ("spectral", "physical")
@@ -102,8 +102,9 @@ def dump_state(psi: BosonicState, path) -> None:
 
 
 def check_state_file(config: ManyBodyConfig, path) -> int:
-    """Raise ValueError, naming the file, unless it holds a symmetric state
-    dump for config; returns the header length."""
+    """Raise ValueError, naming the file, unless it holds a symmetric nonzero
+    state dump for config; a zero state, which no run can normalize, names
+    params.initial.  Returns the header length."""
     grid, layout, N, header_bytes = _read_header(path, slotted=True)
     if layout != "physical":
         raise ValueError(f"{path}: state dumps are 'physical', got {layout!r}")
@@ -119,6 +120,8 @@ def check_state_file(config: ManyBodyConfig, path) -> int:
         check_exchange_symmetry(amps, grid.d, N)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if not amps.any():
+        raise ParameterError("initial", f"{path}: the state is zero")
     return header_bytes
 
 

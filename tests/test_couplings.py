@@ -23,6 +23,8 @@ from quintlab.couplings import (
     min_unclogged,
     min_unclogged_floor,
     raw_summand_count,
+    _level_step,
+    _merge,
     _targets,
 )
 from quintlab.cli import main
@@ -68,6 +70,70 @@ def _congested_counts_vectorized(
             congested &= covered(hits, ~plus)
         counts += congested
     return counts, tg
+
+
+def _restricted_step(table: dict[int, int], l: int, allowed: int = -1) -> dict[int, int]:
+    """Take the dict entering level l through that level state by state, the
+    level choosing among the (slot, side) pairs set in `allowed`."""
+    width = 4 * l - 2  # the bits of slots 1..2l-1: level l's choices, and what stays
+    full = (1 << width) - 1
+    quad = 0b1111 << width  # slots 2l and 2l+1, both sides
+    nxt: dict[int, int] = {}
+    for state, value in table.items():
+        kept = state & full
+        if kept & allowed:  # a choice already in the hit set: congested iff the quad is full too
+            gain = value + ((state & quad) == quad)
+            if nxt.get(kept, -1) < gain:
+                nxt[kept] = gain
+        fresh = allowed & full & ~kept
+        while fresh:  # a new choice: the level keeps a bare factor
+            grown = kept | (fresh & -fresh)
+            fresh &= fresh - 1
+            if nxt.get(grown, -1) < value:
+                nxt[grown] = value
+    return nxt
+
+
+def _one_side_unprimed(table: dict[int, int]) -> dict[int, int]:
+    """table with each slot hit on one side moved to its unprimed side, the
+    best value kept: swapping a slot's sides in a state and in every later
+    choice on it keeps every level's congestion."""
+    out: dict[int, int] = {}
+    for state, value in table.items():
+        rep = 0
+        for shift in range(0, state.bit_length(), 2):
+            pair = state >> shift & 0b11
+            rep |= (pair if pair in (0, 0b11) else 0b01) << shift
+        out[rep] = max(out.get(rep, -1), value)
+    return out
+
+
+def _restricted_reruns(k: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(max_congested, targets, signs) of min_unclogged's witness, fixed choice
+    by choice with a restricted value pass per candidate: the targets of levels
+    1..k, then the signs of levels k..1, each the first with which the free
+    deeper levels still reach the maximum."""
+    entering = {k: {0: 0}}
+    for l in range(k, 1, -1):
+        entering[l - 1] = _restricted_step(entering[l], l)
+    max_congested = max(_restricted_step(entering[1], 1).values())
+
+    def reaches_max(top: int, allowed: dict[int, int]) -> bool:
+        table = entering[top]
+        for l in range(top, 0, -1):
+            table = _restricted_step(table, l, allowed[l])
+        return max(table.values()) == max_congested
+
+    allowed: dict[int, int] = {}  # level -> its allowed pairs; at the end one, 2(slot-1) + side
+    for j in range(1, k + 1):
+        both = (0b11 << 2 * t for t in range(2 * j - 1))  # slots 1..2j-1
+        allowed[j] = next(m for m in both if reaches_max(j, {**allowed, j: m}))
+    for j in range(k, 0, -1):
+        primed = allowed[j] & allowed[j] << 1  # the higher bit of the slot's pair
+        allowed[j] = primed if reaches_max(k, {**allowed, j: primed}) else primed >> 1
+    targets = tuple((m.bit_length() + 1) // 2 for m in allowed.values())
+    signs = tuple(PLUS if m.bit_length() % 2 else MINUS for m in allowed.values())
+    return max_congested, targets, signs
 
 
 class TestEnumeration:
@@ -259,6 +325,23 @@ class TestMinUnclogged:
         assert out["max_congested"] == counts.max()
         assert witness.collapse.targets == tuple(targets[mi].tolist())
         assert witness.signs == tuple(PLUS if (si >> l) & 1 else MINUS for l in range(k))
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_matches_restricted_reruns(self, k):
+        # the merged level step gives the state-by-state dicts up to side
+        # swaps, and the stored-table witness the one the per-candidate re-runs find
+        table, expected = {0: 0}, {0: 0}
+        for l in range(k, 0, -1):
+            expected = _restricted_step(expected, l)
+            table = _level_step(*_merge(table, l), l)
+            assert table == _one_side_unprimed(expected)
+        max_congested, targets, signs = _restricted_reruns(k)
+        out = min_unclogged(k)
+        assert out["max_congested"] == max_congested == max(table.values())
+        assert out["min_count"] == k - 1 - max_congested
+        witness = out["witnessing_expansion"]
+        assert witness.collapse.targets == targets
+        assert witness.signs == signs
 
     @pytest.mark.parametrize("k", [8, 9, 10])
     def test_floor_holds_past_the_map_table(self, k):

@@ -668,6 +668,10 @@ BAD_CONFIGS = [
     ("nls-run", {**_NLS, "n": 16, "initial": {"kind": "modes", "modes": [[1, 0.0]]}}, "initial"),
     ("manybody-run", {**_MB, "T": 0.1, "initial": {"kind": "modes", "modes": [[1, 0.0]]}},
      "initial"),
+    # a state dump of zeros: symmetric, but no run can normalize it
+    ("manybody-run",
+     lambda tmp: {**_MB, "initial": _state_file(tmp, lambda b: b[:20] + bytes(len(b) - 20))},
+     "initial"),
 ]
 
 
