@@ -22,7 +22,7 @@ import inspect
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .manybody import (
 )
 from .marginals import (
     bbgky_residual, chaos_experiment, check_hierarchy_order, check_marginal_order,
-    check_rank_one_order, gp_residual, hufl_factorized,
+    check_rank_one_order, check_rhs_budget, gp_residual, hufl_factorized,
 )
 from .nls import (
     BlowUpError, NlsConfig, check_diagnostic_cutoffs, check_step_count, evolve, timeseries,
@@ -203,6 +203,11 @@ def _build(kind: str, p: dict, seed: int) -> dict:
             )
             if mb:
                 attempt(key, mb.check_run_budget, times)
+            if mb and kind == "residuals":  # bbgky_rhs reads amps at each spacing's mid state
+                attempt(key, check_rhs_budget, mb, len(set(p["spacings"])))
+            elif mb and kind == "manybody-run" and (p["stability"] or p["dump_state"]
+                                                    or p["initial"].get("kind") == "file"):
+                attempt(key, mb.check_budget)  # each of these reads amps
     if kind == "nls-run":
         # the initial field is drawn only for a solver that passes
         built["nls"] = attempt("dt", NlsConfig, grid, float(p["b0"]), float(p["dt"]), p["dealias"])
@@ -232,7 +237,7 @@ def _build(kind: str, p: dict, seed: int) -> dict:
             attempt("stability", check_stability_order, k, float(c1), p["N"])
     elif kind == "residuals":
         attempt("k", check_hierarchy_order, p["k"], p["N"])
-        if grid:  # both residuals assemble from the state; the largest array is the k-marginal
+        if grid:  # the k-marginals of both residuals (check_rhs_budget charges the tensors)
             attempt("k", check_rank_one_order, grid, p["k"])
         # the run's coupling comes from the tabulated potential; only dt is checked here
         for h in p["spacings"]:
@@ -358,7 +363,7 @@ class RunReport:
         return all(self.checks.values())
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**vars(self), "passed": self.passed}  # the fields, not deep copies
 
 
 # A runner's keyword-only parameters declare its kind's keys; what _build made of them is in built.

@@ -9,8 +9,9 @@ where V_scaled is the periodic extension of N^(2 d beta) V(N^beta u, N^beta v)
 in the relative coordinates, symmetrised over the choice of centre particle so
 that H maps the bosonic sector to itself.  A BosonicState is its sector
 vector (see the bosonic sector below), and every run path works on that
-vector; the dense tensor over (grid)^N is expanded only where a caller reads
-amps (the marginals, the Sobolev weights, a state file).
+vector, marginals included; the dense tensor over (grid)^N is expanded, and
+charged (check_budget), only where a caller reads amps (the hierarchy right
+side, the Sobolev weights, a state file).
 """
 
 from __future__ import annotations
@@ -153,30 +154,31 @@ class ManyBodyConfig:
                     f"rescaled support radius {radius:.3g} is below "
                     f"half a grid spacing {self.grid.dx / 2.0:.3g}"
                 )
+        if self.N > 20:  # the sector's occupation factorials, up to N!, fit in int64
+            raise ParameterError("N", f"particle count must be <= 20, got {self.N}")
 
     @property
     def state_shape(self) -> tuple[int, ...]:
         return self.grid.shape * self.N
 
     def check_budget(self):
-        """Caps the dense state tensor, (n^d)^N entries, and the (n^d)^2
-        interaction table every run tabulates through potential_mass."""
-        check_entries("state tensor", self.grid.size**self.N)
-        check_entries("interaction table", self.grid.size**2)
+        """Caps the full-tensor edge (_expand_index): the dense state tensor,
+        (n^d)^N entries, its 8-byte expand index and one scratch tensor."""
+        check_entries("state tensor, expand index and scratch", 5 * self.grid.size**self.N // 2)
 
     def check_run_budget(self, times: Sequence[float], kdim: int = 20):
-        """check_budget, plus all a run to `times` holds at once: the sector
-        tables with their scratch (see _sector_entries), which its energies
-        build even at t = 0, and, when a time is > 0, propagate's basis of
-        kdim + 1 sector vectors and one full tensor per distinct time > 0,
-        which the residuals and chaos runs expand for their marginals."""
-        self.check_budget()
+        """All that every run to `times` holds at once: the (n^d)^2 interaction
+        table, the sector tables with their scratch (see _sector_entries), which
+        its energies build even at t = 0, and, when a time is > 0, propagate's
+        basis of kdim + 1 sector vectors and one sector vector per distinct
+        time > 0.  No full tensor: check_budget charges it where amps is read."""
+        check_entries("interaction table", self.grid.size**2)
         later = {float(t) for t in times if t > 0}
         if not later:
             return check_entries("sector tables", _sector_entries(self))
-        vectors = (kdim + 1) * _sector_dim(self.grid.size, self.N)
+        vectors = (kdim + 1 + len(later)) * _sector_dim(self.grid.size, self.N)
         check_entries("Krylov basis, returned states and sector tables",
-                      vectors + len(later) * self.grid.size**self.N + _sector_entries(self))
+                      vectors + _sector_entries(self))
 
 
 @functools.lru_cache(maxsize=None)
@@ -284,7 +286,7 @@ def _kinetic(a: np.ndarray, naxes: int) -> np.ndarray:
 def _cached_tables(config: ManyBodyConfig) -> np.ndarray | None:
     """The symmetrised three-body values on the full state grid, the diagonal
     of apply_hamiltonian_raw; None below three particles."""
-    check_entries("state tensor", config.grid.size**config.N)
+    config.check_budget()
     N = config.N
     if N < 3:
         return None
@@ -311,14 +313,14 @@ def _sector_dim(m: int, k: int) -> int:
 
 def _sector_entries(config: ManyBodyConfig) -> int:
     """Complex-entry equivalents (16 bytes) of what the sector path holds
-    besides its vectors: the tables of _sector and the expand index that the
-    full-tensor edge builds, and the largest of their build temporaries, the
-    scratch of a compress or an expand, and that of an H-apply."""
+    besides its vectors: the tables of _sector, and the larger of their build
+    temporaries and the scratch of an H-apply, which a 1-marginal's gather
+    (two m x p arrays) stays within.  No full tensor: see check_budget."""
     m, N = config.grid.size, config.N
-    full, dim, p = m**N, _sector_dim(m, N), _sector_dim(m, N - 1)
-    tables = full // 2 + (2 * N + 3) * dim // 2 + m * p  # 8-byte indices and weights
-    build = m ** (N - 1) // 2 + 3 * N * dim + 3 * m * p + (2 * m**3 if N >= 3 else 0)
-    return tables + max(build, 2 * full, 2 * m * p + (N + 2) * dim)
+    dim, p = _sector_dim(m, N), _sector_dim(m, N - 1)
+    tables = (2 * N + 3) * dim // 2 + m * p  # 8-byte indices and weights
+    build = 3 * N * dim + 3 * m * p + (2 * m**3 if N >= 3 else 0)
+    return tables + max(build, 2 * m * p + (N + 2) * dim)
 
 
 @dataclass(frozen=True)
@@ -335,14 +337,14 @@ class _Sector:
 
 
 def _colex_levels(m: int, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """binom[i, v] = C(v + i, i + 1) for i < k, v <= m, and the sorted
+    """binom[i, v] = C(v + i, i + 1) for i <= k, v <= m, and the sorted
     j-tuples over m sites in colex order, shape (C(m+j-1, j), j), for j = 0..k.
 
     Those ending in v follow every tuple ending below v, and their first j - 1
     entries are the first C(v + j - 1, j - 1) sorted (j-1)-tuples."""
-    binom = np.empty((k, m + 1), dtype=np.int64)
+    binom = np.empty((k + 1, m + 1), dtype=np.int64)
     binom[0] = np.arange(m + 1)
-    for i in range(1, k):  # row i is the running sum of row i - 1
+    for i in range(1, k + 1):  # row i is the running sum of row i - 1
         np.cumsum(binom[i - 1], out=binom[i])
     levels = [np.zeros((1, 0), dtype=np.int64)]
     for j in range(1, k + 1):
@@ -353,18 +355,21 @@ def _colex_levels(m: int, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
     return binom, levels
 
 
-def _insertion_ranks(r: np.ndarray, m: int, binom: np.ndarray):
-    """For sorted (k-1)-tuples r (rows) and every site y: the rank of r + e_y
-    among sorted k-tuples and r_y, the count of y in r; both shape (m, len(r))."""
+@functools.lru_cache(maxsize=32)
+def _insertion(m: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The annihilation gather from sorted j-tuples over m sites: ins[y, r], the
+    rank of r + e_y, and occ[y, r] = r_y + 1 (float), for site y and sorted
+    (j-1)-tuple r; shape (m, C(m + j - 2, j - 1)) each."""
+    binom, levels = _colex_levels(m, j - 1)
     y = np.arange(m)[:, None]
-    pos, count, rank = (np.zeros((m, len(r)), dtype=np.int64) for _ in range(3))
-    for i, ri in enumerate(r.T):
+    pos, count, rank = (np.zeros((m, len(levels[-1])), dtype=np.int64) for _ in range(3))
+    for i, ri in enumerate(levels[-1].T):
         # y goes after the entries <= y, which keep their place i; the others move to i + 1
         stays = ri <= y
         pos += stays
         count += ri == y
         rank += np.where(stays, binom[i, ri], binom[i + 1, ri])
-    return rank + binom[pos, y], count
+    return rank + binom[pos, y], count + 1.0
 
 
 @functools.lru_cache(maxsize=8)
@@ -375,7 +380,7 @@ def _sector(config: ManyBodyConfig) -> _Sector:
     m, N = config.grid.size, config.N
     binom, levels = _colex_levels(m, N)
     tuples, p = levels[N], levels[N - 1].shape[0]
-    down, count = _insertion_ranks(levels[N - 1], m, binom)
+    down, occ = _insertion(m, N)
     # equal[:, i]: entries of s equal to s_i; earlier[:, i]: those before i
     equal = np.zeros_like(tuples)
     earlier = np.ones_like(tuples)
@@ -391,7 +396,7 @@ def _sector(config: ManyBodyConfig) -> _Sector:
         rep=tuples @ m ** np.arange(N - 1, -1, -1),
         scale=np.sqrt(math.factorial(N) / np.prod(earlier, axis=1)),
         down=down,
-        down_w=np.sqrt(count + 1.0),
+        down_w=np.sqrt(occ),
         up=tuples.T * p + np.stack([binom[np.arange(N - 1), np.delete(tuples, i, axis=1)].sum(1)
                                     for i in range(N)]),
         up_w=(1.0 / np.sqrt(equal)).T.copy(),
@@ -401,15 +406,14 @@ def _sector(config: ManyBodyConfig) -> _Sector:
 
 @functools.lru_cache(maxsize=8)
 def _expand_index(config: ManyBodyConfig) -> np.ndarray:
-    """(m^N,) the rank of the sorted tuple of each full index, for the full-tensor
-    edge alone; the charge of _sector, which gives its last step, covers it."""
-    m, N, down = config.grid.size, config.N, _sector(config).down
-    binom, levels = _colex_levels(m, N)
-    # slot by slot: prepending x_0 to a tuple of rank j gives rank ins[x_0, j]
+    """(m^N,) the rank of the sorted tuple of each full index: the one way to
+    the full tensor (_compress, _expand, random_symmetric), so it charges it."""
+    config.check_budget()
+    m = config.grid.size
+    # slot by slot: prepending x_0 to a tuple of rank r gives rank ins[x_0, r]
     expand = np.arange(m)
-    for k in range(2, N + 1):
-        ins = down if k == N else _insertion_ranks(levels[k - 1], m, binom)[0]
-        expand = ins[:, expand].reshape(-1)
+    for j in range(2, config.N + 1):
+        expand = _insertion(m, j)[0][:, expand].reshape(-1)
     return expand
 
 
@@ -501,13 +505,12 @@ class BosonicState:
     (see the bosonic sector above).  Given a tensor amps instead of c, the
     constructor compresses it once, with a ValueError if the sector cannot
     hold it.  amps, of shape grid.shape * N with slot j on axes [j*d, (j+1)*d),
-    is expanded from c on first read and cached read-only, so exchange
+    is expanded from c on first read, past check_budget, and cached read-only, so exchange
     partners agree bit for bit; c is never changed in place, so amps stays that of c.
     """
 
     def __init__(self, config: ManyBodyConfig, amps: np.ndarray | None = None, *,
                  c: np.ndarray | None = None):
-        config.check_budget()
         self.config = config
         self.c = _compress(config, np.reshape(amps, config.state_shape)) if c is None else c
 
@@ -516,7 +519,6 @@ class BosonicState:
     @classmethod
     def factorized(cls, config: ManyBodyConfig, phi: TorusField) -> "BosonicState":
         """phi^(x)N, phi normalized: c(s) = scale(s) prod_i v[s_i], with no full tensor."""
-        config.check_budget()
         sec, v = _sector(config), _unit_values(phi)
         c = np.prod(v[np.array(np.unravel_index(sec.rep, (v.size,) * config.N))], axis=0)
         c *= sec.scale
@@ -528,7 +530,7 @@ class BosonicState:
     ) -> "BosonicState":
         """A random tensor, band-limited when band is given, averaged over the N!
         slot permutations into c (orbit sums over scale) and normalized."""
-        config.check_budget()
+        expand = _expand_index(config)  # charges the tensor before it is drawn
         grid = config.grid
         shape = config.state_shape
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -538,9 +540,9 @@ class BosonicState:
             for ax in range(grid.d * config.N):
                 raw *= _on_slot(mask_1, ax, grid.d * config.N)
             _ifftn(raw, out=raw)
-        sec, flat, expand = _sector(config), raw.reshape(-1), _expand_index(config)
+        flat = raw.reshape(-1)
         c = np.bincount(expand, flat.real) + 1j * np.bincount(expand, flat.imag)
-        c /= sec.scale
+        c /= _sector(config).scale
         return cls(config, c=c / cls(config, c=c).norm())
 
     # -- structure --------------------------------------------------------

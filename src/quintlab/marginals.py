@@ -33,8 +33,10 @@ from .grids import (
 from .manybody import (
     BosonicState,
     ManyBodyConfig,
+    _insertion,
     _kinetic,
     _on_slot,
+    _sector_dim,
     _tensor_power,
     _triple_sum,
     _unit_values,
@@ -69,15 +71,18 @@ class KthMarginal:
 
 
 def marginal(psi: BosonicState, k: int) -> KthMarginal:
-    """Partial trace of |psi><psi| over slots k+1..N, quadrature-weighted."""
-    N = psi.config.N
+    """Partial trace of |psi><psi| over slots k+1..N, quadrature-weighted: dx^(dN) B B^dagger,
+    B[x_1..x_k] = a_{x_1}..a_{x_k} c / sqrt(N!/(N-k)!) by k annihilation gathers of c."""
+    N, grid, m = psi.config.N, psi.config.grid, psi.config.grid.size
     if not 1 <= k <= N:
         raise ValueError(f"require 1 <= k <= N, got k={k}, N={N}")
-    check_rank_one_order(psi.config.grid, k)
-    m = psi.config.grid.size
-    a = psi.amps.reshape(m**k, m ** (N - k))
-    mat = (a @ a.conj().T) * psi.config.grid.cell_volume**N
-    return KthMarginal(k, psi.config.grid, mat)
+    check_marginal_order(k)
+    check_entries(f"a {k}-marginal and its factor", m ** (2 * k) + m**k * _sector_dim(m, N - k))
+    b = psi.c[None, :]
+    for j in range(N, N - k, -1):  # rows gain a slot, columns lose a particle
+        ins, occ = _insertion(m, j)
+        b = (b[:, ins] * np.sqrt(occ / j)).reshape(-1, ins.shape[1])
+    return KthMarginal(k, grid, (b @ b.conj().T) * grid.cell_volume**N)
 
 
 def check_marginal_order(k: float) -> None:
@@ -141,11 +146,20 @@ def check_hierarchy_order(k: int, N: int) -> None:
         raise ValueError(f"the hierarchy equation needs 1 <= k <= N - 2, got k={k}, N={N}")
 
 
+def check_rhs_budget(config: ManyBodyConfig, mids: int = 1) -> None:
+    """What bbgky_rhs forms besides its k-marginal: the state's tensor
+    (check_budget), V psi, A psi, the real potential, and the tensors of mids - 1
+    more states whose amps stay cached (a residuals run reads one per spacing)."""
+    config.check_budget()
+    check_entries("hierarchy tensors", (2 * mids + 3) * config.grid.size**config.N // 2)
+
+
 def bbgky_rhs(config: ManyBodyConfig, psi: BosonicState, k: int) -> np.ndarray:
     """Right-hand side of the k-th marginal evolution equation at a state."""
     N = config.N
     check_hierarchy_order(k, N)
     check_rank_one_order(config.grid, k)
+    check_rhs_budget(config)
     vbar = symmetrized_triple_value(config)
     # the intra-cluster triples, then those with one or two traced slots
     families = [

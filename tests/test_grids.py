@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quintlab import grids
+from quintlab import grids, manybody
 from quintlab.couplings import enumerate_collapse_maps
 from quintlab.grids import (
     FrequencyCube,
@@ -70,17 +70,20 @@ class TestGridSpec:
 
 class TestMemoryBudget:
     def test_one_budget_guards_every_dense_array(self, monkeypatch):
-        monkeypatch.setattr(grids, "MEMORY_BUDGET", 100)
         g8, one = GridSpec(1, 8), TorusField.constant(GridSpec(1, 4))
+        # a state is charged its full tensor where amps is read, with cold tables
+        psi = BosonicState.factorized(ManyBodyConfig(g8, 2, 0.0), TorusField.constant(g8))
+        manybody._expand_index.cache_clear()
+        monkeypatch.setattr(grids, "MEMORY_BUDGET", 100)
         families = {  # each array holds more than 100 entries
             "field grid": lambda: GridSpec(1, 102),
             "rotation grid": lambda: NlsConfig(GridSpec(1, 80), 1.0, 0.01),  # 120 points
-            "state tensor": lambda: BosonicState.factorized(
-                ManyBodyConfig(g8, 3, 0.0), TorusField.constant(g8)),
-            "interaction table": ManyBodyConfig(GridSpec(1, 16), 1, 0.0).check_budget,
+            "state tensor": lambda: psi.amps,  # 64 entries, its expand index and a scratch
+            "interaction table": lambda: ManyBodyConfig(GridSpec(1, 16), 1, 0.0).check_run_budget(
+                [0.0]),
             "triple-value table": lambda: symmetrized_triple_value(ManyBodyConfig(g8, 1, 0.0)),
             "Krylov basis": lambda: ManyBodyConfig(g8, 1, 0.0).check_run_budget([0.1]),  # 21 x 8
-            "sector tables": lambda: ManyBodyConfig(g8, 2, 0.0).check_run_budget([0.0]),  # 222
+            "sector tables": lambda: ManyBodyConfig(g8, 2, 0.0).check_run_budget([0.0]),  # 190
             "2-marginal": lambda: rank_one_marginal(one, 2),
             "maps of levels 1..4": lambda: enumerate_collapse_maps(4),  # 7!! = 105 maps
         }
@@ -89,7 +92,7 @@ class TestMemoryBudget:
                 build()
         # one size down, each fits; a state pays for its sector tables too
         GridSpec(1, 100)
-        BosonicState.factorized(ManyBodyConfig(g8, 1, 0.0), TorusField.constant(g8))
+        BosonicState.factorized(ManyBodyConfig(g8, 1, 0.0), TorusField.constant(g8)).amps
         NlsConfig(GridSpec(1, 80), 1.0, 0.01, dealias=False)
         rank_one_marginal(one, 1)
         enumerate_collapse_maps(3)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quintlab import manybody
+from quintlab import grids, manybody, marginals, nls
 from quintlab.cli import (
     ExperimentConfig,
     ValidationError,
@@ -561,7 +561,7 @@ _OVERSIZED_GRIDS = [
 BAD_CONFIGS = [
     ("residuals", {**_RES, "k": 2}, "k"),
     ("residuals", {**_RES, "spacings": [-0.01]}, "spacings"),
-    ("manybody-run", {**_MB, "N": 9}, "N"),
+    ("manybody-run", {**_MB, "N": 9, "dump_state": True}, "N"),  # an 8^9-entry tensor to dump
     ("manybody-run", {**_MB, "beta": 3}, "beta"),
     ("nls-run", {**_NLS, "initial": {"kind": "modes", "modes": [[[9], 1.0]]}}, "initial"),
     ("nls-run", {**_NLS, "diagnostics_M": [8]}, "diagnostics_M"),
@@ -614,10 +614,11 @@ BAD_CONFIGS = [
     ("probe", {"lemma": "strichartz", "options": {"n": 256, "ms": [128]}}, "options"),
     ("probe", {"lemma": "refined_sobolev", "options": {"n": 128, "band": 64}}, "options"),
     ("probe", {"lemma": "multilinear", "options": {"n": 96}}, "options"),
-    # d=1 N=3: the 21-vector sector basis and the sector tables fit, not with the
-    # one returned state (n=114) or the three (n=108) as well
-    ("manybody-run", {**_MB, "n": 114, "N": 3}, "N"),
-    ("residuals", {**_RES, "n": 108}, "N"),
+    # the sector run fits; the full tensor that the stability probe reads (24^5
+    # entries with its index and a scratch) does not, nor the four that the
+    # hierarchy right side at d=1 n=48 N=4 forms beside it
+    ("manybody-run", {**_MB, "n": 24, "N": 5, "stability": [[1, 0.5]]}, "N"),
+    ("residuals", {**_RES, "n": 48, "N": 4}, "N"),
     # list elements are typed, so no float is truncated to an order or a count
     ("chaos", {**_CHAOS, "Ns": [2.5, 3.9]}, "Ns"),
     ("manybody-run", {**_MB, "moments": [1.7]}, "moments"),
@@ -672,6 +673,8 @@ BAD_CONFIGS = [
     ("manybody-run",
      lambda tmp: {**_MB, "initial": _state_file(tmp, lambda b: b[:20] + bytes(len(b) - 20))},
      "initial"),
+    # a 4-site sector of 21 particles fits the budget; 21! does not fit in int64
+    ("chaos", {**_CHAOS, "n": 4, "beta": 0.0, "Ns": [20, 21]}, "Ns"),
 ]
 
 
@@ -706,6 +709,43 @@ class TestBadConfigs:
         assert rc == 2
         assert (f"config: {path}:" if field == "config" else f"params.{field}:") in err
         assert "Traceback" not in err
+
+    def test_chaos_to_twelve_particles_accepted(self):
+        # the sectors (50,388 entries at N = 12) fit; the 8^12-entry tensor is never formed
+        ExperimentConfig.from_dict({"kind": "chaos",
+                                    "params": {**_CHAOS, "Ns": [2, 4, 6, 8, 10, 12]}})
+
+    @pytest.mark.parametrize("kind,params", [("chaos", _CHAOS), ("manybody-run", _MB)])
+    def test_sector_runs_expand_no_tensor(self, tmp_path, kind, params):
+        manybody._expand_index.cache_clear()
+        assert run_experiment(ExperimentConfig.from_dict({"kind": kind, "params": params}),
+                              tmp_path).passed
+        assert manybody._expand_index.cache_info().currsize == 0
+
+    def test_residuals_budget_bounds_the_peak_of_the_run(self, tmp_path, monkeypatch):
+        # d=1 n=24 N=4 k=1, a 331,776-entry tensor, from cold tables: the entries
+        # its build pass charges bound what the run allocates
+        charged, check = [], grids.check_entries
+
+        def spy(what, entries, name=None):
+            charged.append(entries)
+            check(what, entries, name)
+
+        for module in (grids, manybody, marginals, nls):
+            monkeypatch.setattr(module, "check_entries", spy)
+        cfg = ExperimentConfig.from_dict({"kind": "residuals",
+                                          "params": {**_RES, "n": 24, "N": 4}})
+        for memo in (manybody._sector, manybody._insertion, manybody._expand_index,
+                     manybody._cached_potential_table):
+            memo.cache_clear()
+        build = sum(charged)
+        tracemalloc.start()
+        try:
+            assert run_experiment(cfg, tmp_path).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * build
 
     def test_residuals_budget_counts_the_states_the_run_holds(self):
         # d=1 n=106 N=3 at spacings 0.02, 0.01: three distinct times, so three

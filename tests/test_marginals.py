@@ -53,7 +53,26 @@ def permutation_residual(g: KthMarginal) -> float:
     return worst / max(np.abs(g.matrix).max(), 1e-300)
 
 
+def dense_marginal(psi: BosonicState, k: int) -> np.ndarray:
+    """The oracle of marginal: a a^dagger on the full tensor, a = amps as (m^k, m^(N-k))."""
+    m = psi.config.grid.size
+    a = psi.amps.reshape(m**k, -1)
+    return (a @ a.conj().T) * psi.config.grid.cell_volume**psi.config.N
+
+
 class TestMarginal:
+    @pytest.mark.parametrize("d,n,N,k", [  # every marginal within 2^16 entries
+        (1, 8, 2, 1), (1, 8, 3, 1), (1, 8, 3, 2), (1, 6, 3, 3), (1, 6, 4, 2), (1, 4, 5, 3),
+        (1, 4, 4, 4), (1, 16, 4, 1), (2, 4, 2, 1), (2, 4, 2, 2), (2, 4, 3, 1), (2, 4, 3, 2),
+        (3, 4, 2, 1), (3, 4, 3, 1),
+    ])
+    def test_sector_gathers_match_the_dense_oracle(self, d, n, N, k):
+        cfg = ManyBodyConfig(GridSpec(d, n), N, 0.05)
+        psi = BosonicState.random_symmetric(cfg, np.random.default_rng(d * 1000 + n * N + k),
+                                            band=n // 4)
+        got, want = marginal(psi, k).matrix, dense_marginal(psi, k)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_factorized_state_gives_tensor_power(self):
         g = GridSpec(1, 8)
         cfg = ManyBodyConfig(g, 3, 0.0)
