@@ -40,6 +40,9 @@ SHAPES = [  # the benchmark's many-body shapes, then larger ones, where the arra
     ("residuals", {**_RES, "n": 24, "N": 4, "k": 1}),
     ("residuals", {**_RES, "n": 12, "N": 5, "k": 2}),
     ("residuals", {**_RES, "n": 32, "N": 4, "k": 1}),
+    ("manybody-run", {**_MB, "n": 16, "N": 4, "stability": [[4, 0.5]]}),  # B_4: a full gather
+    ("residuals", {**_RES, "n": 16, "N": 7, "k": 1}),  # past the full tensor's budget
+    ("residuals", {**_RES, "n": 8, "N": 12, "k": 2}),
 ]
 
 RUN = """

@@ -39,7 +39,7 @@ from .manybody import (
 )
 from .marginals import (
     bbgky_residual, chaos_experiment, check_hierarchy_order, check_marginal_order,
-    check_rank_one_order, check_rhs_budget, gp_residual, hufl_factorized,
+    check_rank_one_order, gp_residual, hufl_factorized,
 )
 from .nls import (
     BlowUpError, NlsConfig, check_diagnostic_cutoffs, check_step_count, evolve, timeseries,
@@ -203,10 +203,12 @@ def _build(kind: str, p: dict, seed: int) -> dict:
             )
             if mb:
                 attempt(key, mb.check_run_budget, times)
-            if mb and kind == "residuals":  # bbgky_rhs reads amps at each spacing's mid state
-                attempt(key, check_rhs_budget, mb, len(set(p["spacings"])))
-            elif mb and kind == "manybody-run" and (p["stability"] or p["dump_state"]
-                                                    or p["initial"].get("kind") == "file"):
+            if mb and kind == "residuals":  # what bbgky_rhs forms; a k past N is named below
+                attempt(key, mb.check_factor_budget, min(p["k"], N), 4, 2)
+            elif mb and kind == "manybody-run" and p["stability"]:  # and the stability norms
+                attempt(key, mb.check_factor_budget, min(max(k for k, _ in p["stability"]), N), 2)
+            if mb and kind == "manybody-run" and (p["dump_state"]
+                                                  or p["initial"].get("kind") == "file"):
                 attempt(key, mb.check_budget)  # each of these reads amps
     if kind == "nls-run":
         # the initial field is drawn only for a solver that passes
@@ -237,7 +239,7 @@ def _build(kind: str, p: dict, seed: int) -> dict:
             attempt("stability", check_stability_order, k, float(c1), p["N"])
     elif kind == "residuals":
         attempt("k", check_hierarchy_order, p["k"], p["N"])
-        if grid:  # the k-marginals of both residuals (check_rhs_budget charges the tensors)
+        if grid:  # the k-marginals of both residuals
             attempt("k", check_rank_one_order, grid, p["k"])
         # the run's coupling comes from the tabulated potential; only dt is checked here
         for h in p["spacings"]:

@@ -9,9 +9,9 @@ where V_scaled is the periodic extension of N^(2 d beta) V(N^beta u, N^beta v)
 in the relative coordinates, symmetrised over the choice of centre particle so
 that H maps the bosonic sector to itself.  A BosonicState is its sector
 vector (see the bosonic sector below), and every run path works on that
-vector, marginals included; the dense tensor over (grid)^N is expanded, and
-charged (check_budget), only where a caller reads amps (the hierarchy right
-side, the Sobolev weights, a state file).
+vector, marginals, the hierarchy right side and the Sobolev weights included;
+the dense tensor over (grid)^N is formed, and charged (check_budget), only by
+dump_state, a state file and random_symmetric.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .grids import (
-    GridSpec, ParameterError, TorusField, _fftn, _ifftn, _wrapped_relative_coords, _xi_squared,
-    check_entries,
+    GridSpec, ParameterError, TorusField, _abs2, _fftn, _ifftn, _wrapped_relative_coords,
+    _xi_squared, check_entries,
 )
 
 _DENSE_KINETIC_MAX_N = 96  # _kinetic's route: a dense matrix on axes up to this length
@@ -179,6 +179,13 @@ class ManyBodyConfig:
         vectors = (kdim + 1 + len(later)) * _sector_dim(self.grid.size, self.N)
         check_entries("Krylov basis, returned states and sector tables",
                       vectors + _sector_entries(self))
+
+    def check_factor_budget(self, k: int, factors: int, marginals: int = 0):
+        """What a k-particle quantity of a state forms beside the run: `factors` arrays of
+        B_k's shape (_annihilate; at k = N a full tensor) and `marginals` (m^k)^2 matrices."""
+        m = self.grid.size
+        check_entries(f"{k}-particle factors ({factors}) and {k}-marginals ({marginals})",
+                      factors * m**k * _sector_dim(m, self.N - k) + marginals * m ** (2 * k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -336,23 +343,23 @@ class _Sector:
     diag: np.ndarray | None  # (dim,) the potential, None below three particles
 
 
-def _colex_levels(m: int, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
+@functools.lru_cache(maxsize=32)
+def _colex_levels(m: int, k: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """binom[i, v] = C(v + i, i + 1) for i <= k, v <= m, and the sorted
     j-tuples over m sites in colex order, shape (C(m+j-1, j), j), for j = 0..k.
+    Memoized, each on those below it: one build serves _sector and _insertion.
 
     Those ending in v follow every tuple ending below v, and their first j - 1
     entries are the first C(v + j - 1, j - 1) sorted (j-1)-tuples."""
-    binom = np.empty((k + 1, m + 1), dtype=np.int64)
-    binom[0] = np.arange(m + 1)
-    for i in range(1, k + 1):  # row i is the running sum of row i - 1
-        np.cumsum(binom[i - 1], out=binom[i])
-    levels = [np.zeros((1, 0), dtype=np.int64)]
-    for j in range(1, k + 1):
-        starts = binom[j - 1, :m]  # C(v + j - 1, j), the first rank ending in v
-        counts = np.diff(binom[j - 1])
-        rows = np.arange(binom[j - 1, m]) - np.repeat(starts, counts)
-        levels.append(np.column_stack([levels[-1][rows], np.repeat(np.arange(m), counts)]))
-    return binom, levels
+    if k == 0:
+        return np.arange(m + 1)[None], (np.zeros((1, 0), dtype=np.int64),)
+    binom, levels = _colex_levels(m, k - 1)
+    starts = binom[k - 1, :m]  # C(v + k - 1, k), the first rank ending in v
+    counts = np.diff(binom[k - 1])
+    rows = np.arange(binom[k - 1, m]) - np.repeat(starts, counts)
+    tuples = np.column_stack([levels[-1][rows], np.repeat(np.arange(m), counts)])
+    # row k is the running sum of row k - 1
+    return np.vstack([binom, np.cumsum(binom[k - 1])]), (*levels, tuples)
 
 
 @functools.lru_cache(maxsize=32)
@@ -370,6 +377,19 @@ def _insertion(m: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         count += ri == y
         rank += np.where(stays, binom[i, ri], binom[i + 1, ri])
     return rank + binom[pos, y], count + 1.0
+
+
+def _annihilate(c: np.ndarray, config: ManyBodyConfig, k: int) -> np.ndarray:
+    """B_k = a_{x_1}..a_{x_k} c / sqrt(N!/(N-k)!), shape (m^k, C(m + N - k - 1, N - k)):
+    row (x_1..x_k) is the sector vector over the last N - k slots of
+    psi(x_1..x_k, .), so psi's k-marginal is dx^(dN) B_k B_k^dagger.  k gathers,
+    at level j = N..N-k+1 by _insertion, each weighted by sqrt((r_y + 1)/j)."""
+    m, N, b = config.grid.size, config.N, c
+    for j in range(N, N - k, -1):  # rows gain a slot, columns lose a particle
+        ins, occ = _insertion(m, j)
+        b = np.take(b.reshape(-1, b.shape[-1]), ins, axis=1)  # C order, unlike [:, ins]
+        b *= np.sqrt(occ / j)
+    return b.reshape(-1, b.shape[-1])
 
 
 @functools.lru_cache(maxsize=8)
@@ -822,19 +842,18 @@ def _propagate(psi: BosonicState, times: np.ndarray, steps, kdim, tol):
 
 
 def weighted_sobolev_norm_sq(psi: BosonicState, orders: list[float]) -> float:
-    """|| prod_j <grad_j>^{orders[j]} psi ||^2, computed spectrally: each slot's
-    weight (1+|xi_j|^2)^orders[j] multiplied in place into one real |c|^2."""
-    grid, N = psi.config.grid, psi.config.N
-    coeffs = _fftn(psi.amps)
-    coeffs /= grid.size**N
-    p = np.abs(coeffs)
-    del coeffs
-    np.square(p, out=p)
+    """|| prod_j <grad_j>^{orders[j]} psi ||^2 = dx^(dN) / m^k sum_xi W(xi) |F B_k|^2,
+    F the transform of B_k's rows (_annihilate), k the last weighted slot, and
+    W(xi) = prod_j (1+|xi_j|^2)^orders[j] multiplied into the sum over B_k's columns."""
+    config, grid = psi.config, psi.config.grid
+    k = max((s + 1 for s, a in enumerate(orders) if a != 0.0), default=1)
+    config.check_factor_budget(k, 2)
+    b = _annihilate(psi.c, config, k).reshape(grid.shape * k + (-1,))
+    p = _abs2(_fftn(b, out=b, axes=tuple(range(grid.d * k)))).sum(axis=-1)
     one = 1.0 + _xi_squared(grid.d, grid.n)
-    for s, a in enumerate(orders):
-        if a != 0.0:
-            p *= _on_slot(one ** a, s, N)
-    return float(grid.volume**N * np.sum(p))
+    for s, a in enumerate(orders[:k]):
+        p *= _on_slot(one ** a, s, k)
+    return float(grid.cell_volume**config.N / grid.size**k * np.sum(p))
 
 
 def check_stability_order(k: int, c1: float, N: int) -> None:
@@ -857,12 +876,7 @@ def stability_check(psi: BosonicState, k: int, c1: float) -> dict:
     N = psi.config.N
     check_stability_order(k, c1, N)
     lhs = energy_moment(psi, k)
-    orders_a = [1.0] * k + [0.0] * (N - k)
-    if k == 1:
-        orders_b = [1.0] + [0.0] * (N - 1)
-    else:
-        orders_b = [2.0] + [1.0] * (k - 2) + [0.0] * (N - k + 1)
-    term_a = weighted_sobolev_norm_sq(psi, orders_a)
-    term_b = weighted_sobolev_norm_sq(psi, orders_b)
+    term_a = weighted_sobolev_norm_sq(psi, [1.0] * k)
+    term_b = weighted_sobolev_norm_sq(psi, [1.0] if k == 1 else [2.0] + [1.0] * (k - 2))
     rhs = c1**k * (term_a + term_b / N)
     return {"lhs": lhs, "rhs": rhs, "satisfied": bool(lhs >= rhs)}

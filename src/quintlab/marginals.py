@@ -15,13 +15,21 @@ differentiating the partial trace):
                + (N-k)/N^2         sum_{i<j<=k}   Tr_{k+1} [Vbar_{i,j,k+1}, g^(k+1)]
                + (N-k)(N-k-1)/(2 N^2) sum_{j<=k}  Tr_{k+1,k+2} [Vbar_{j,k+1,k+2}, g^(k+2)]
 
+bbgky_rhs takes every term on B_k, the k annihilation gathers of the sector
+vector (manybody._annihilate), with no full tensor.  psi is symmetric in the
+traced slots, so each traced term may be averaged over them: the N-k traced
+slots and (N-k)(N-k-1)/2 traced pairs cancel the coefficients of the last two
+lines, which leave 1/N^2 times Vbar summed over every triple with a row slot.
+A triple of traced slots alone adds Tr_{k+1..N} [Vbar, |psi><psi|] = 0, so
+the potential is H's own diagonal, and its term is B_k of V psi.  Only
+dump_state, a state file and random_symmetric form the full tensor.
+
 The mean-field counterpart replaces the last contraction with the
 on-diagonal collapse weighted by the coupling b0.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +41,11 @@ from .grids import (
 from .manybody import (
     BosonicState,
     ManyBodyConfig,
-    _insertion,
+    _annihilate,
     _kinetic,
     _on_slot,
-    _sector_dim,
+    _sector,
     _tensor_power,
-    _triple_sum,
     _unit_values,
     energy_per_particle,
     potential_mass,
@@ -71,17 +78,14 @@ class KthMarginal:
 
 
 def marginal(psi: BosonicState, k: int) -> KthMarginal:
-    """Partial trace of |psi><psi| over slots k+1..N, quadrature-weighted: dx^(dN) B B^dagger,
-    B[x_1..x_k] = a_{x_1}..a_{x_k} c / sqrt(N!/(N-k)!) by k annihilation gathers of c."""
-    N, grid, m = psi.config.N, psi.config.grid, psi.config.grid.size
+    """Partial trace of |psi><psi| over slots k+1..N, quadrature-weighted:
+    dx^(dN) B_k B_k^dagger, with B_k the k annihilation gathers of psi.c (_annihilate)."""
+    N, grid = psi.config.N, psi.config.grid
     if not 1 <= k <= N:
         raise ValueError(f"require 1 <= k <= N, got k={k}, N={N}")
     check_marginal_order(k)
-    check_entries(f"a {k}-marginal and its factor", m ** (2 * k) + m**k * _sector_dim(m, N - k))
-    b = psi.c[None, :]
-    for j in range(N, N - k, -1):  # rows gain a slot, columns lose a particle
-        ins, occ = _insertion(m, j)
-        b = (b[:, ins] * np.sqrt(occ / j)).reshape(-1, ins.shape[1])
+    psi.config.check_factor_budget(k, 1, 1)
+    b = _annihilate(psi.c, psi.config, k)
     return KthMarginal(k, grid, (b @ b.conj().T) * grid.cell_volume**N)
 
 
@@ -124,20 +128,17 @@ def trace_distance(a: KthMarginal, b: KthMarginal) -> float:
 # -- hierarchy residuals ---------------------------------------------------
 
 
-def _traced_commutator(amps: np.ndarray, v_amps: np.ndarray, grid: GridSpec,
-                       k: int) -> np.ndarray:
-    """Tr_{k+1..} [A, |psi><psi|] for A = sum_{j<=k} (-Lap_j) + V, V diagonal:
-    every hierarchy term is one such trace.  amps holds psi over its slots
-    (grid.shape each) and v_amps holds V psi.  The result is X - X^dagger
-    with X = (A psi) psi^dagger, both factors reshaped to (m^k, rest), times
-    the quadrature weight of all slots, so no marginal beyond the k-th is formed.
-    """
-    nslots = amps.ndim // grid.d
-    a_psi = _kinetic(amps, k * grid.d)
-    a_psi += v_amps
-    rows = grid.size**k
-    x = (a_psi.reshape(rows, -1) @ amps.reshape(rows, -1).conj().T) * grid.cell_volume**nslots
-    return x - x.conj().T
+def _traced_commutator(b: np.ndarray, v_b: np.ndarray, grid: GridSpec, k: int,
+                       weight: float) -> np.ndarray:
+    """Tr_{k+1..} [A, |psi><psi|] for A = sum_{j<=k} (-Lap_j) + V, V diagonal
+    and symmetric in the traced slots: every hierarchy term is one such trace.
+    b is psi's factor over the k row slots, (m^k, p) with b b^dagger weight the
+    k-marginal, and v_b holds V b.  The result is X - X^dagger with
+    X = (A b) b^dagger weight, so no marginal beyond the k-th is formed."""
+    a_b = _kinetic(b.reshape(grid.shape * k + (-1,)), k * grid.d).reshape(b.shape)
+    a_b += v_b
+    x = (a_b @ b.conj().T) * weight
+    return np.subtract(x, x.conj().T, out=x)
 
 
 def check_hierarchy_order(k: int, N: int) -> None:
@@ -146,32 +147,16 @@ def check_hierarchy_order(k: int, N: int) -> None:
         raise ValueError(f"the hierarchy equation needs 1 <= k <= N - 2, got k={k}, N={N}")
 
 
-def check_rhs_budget(config: ManyBodyConfig, mids: int = 1) -> None:
-    """What bbgky_rhs forms besides its k-marginal: the state's tensor
-    (check_budget), V psi, A psi, the real potential, and the tensors of mids - 1
-    more states whose amps stay cached (a residuals run reads one per spacing)."""
-    config.check_budget()
-    check_entries("hierarchy tensors", (2 * mids + 3) * config.grid.size**config.N // 2)
-
-
 def bbgky_rhs(config: ManyBodyConfig, psi: BosonicState, k: int) -> np.ndarray:
-    """Right-hand side of the k-th marginal evolution equation at a state."""
-    N = config.N
+    """Right-hand side of the k-th marginal evolution equation at a state,
+    taken on B_k (_annihilate): it holds B_k, V B_k, A B_k and one scratch of
+    their shape, beside the (m^k)^2 product and its adjoint."""
+    N, grid = config.N, config.grid
     check_hierarchy_order(k, N)
-    check_rank_one_order(config.grid, k)
-    check_rhs_budget(config)
-    vbar = symmetrized_triple_value(config)
-    # the intra-cluster triples, then those with one or two traced slots
-    families = [
-        (1.0 / N**2, itertools.combinations(range(k), 3)),
-        ((N - k) / N**2, ((i, j, k) for i, j in itertools.combinations(range(k), 2))),
-        ((N - k) * (N - k - 1) / (2.0 * N**2), ((j, k, k + 1) for j in range(k))),
-    ]
-    m = config.grid.size
-    flat = [_on_slot(np.arange(m), s, N) for s in range(N)]
-    pot = sum(coef * _triple_sum(vbar, triples, flat) for coef, triples in families)
-    v_amps = (pot * psi.amps.reshape((m,) * N)).reshape(psi.amps.shape)
-    return _traced_commutator(psi.amps, v_amps, config.grid, k)
+    config.check_factor_budget(k, 4, 2)
+    # V psi is the sector's diagonal times c, so its factor is one more gather
+    v_b = _annihilate(_sector(config).diag * psi.c, config, k)
+    return _traced_commutator(_annihilate(psi.c, config, k), v_b, grid, k, grid.cell_volume**N)
 
 
 def _centred_residual(before: np.ndarray, after: np.ndarray, h: float, rhs: np.ndarray) -> float:
@@ -202,14 +187,13 @@ def bbgky_residual(snapshots: list[BosonicState], times: np.ndarray, k: int) -> 
 
 def gp_rhs(phi: TorusField, k: int, b0: float) -> np.ndarray:
     """Mean-field hierarchy right-hand side at phi^(x)k: the traced commutator
-    with A = sum_j (-Lap_j + b0 |phi(x_j)|^4)."""
+    with A = sum_j (-Lap_j + b0 |phi(x_j)|^4), its factor the p = 1 column phi^(x)k."""
     grid = phi.grid
     check_rank_one_order(grid, k)
     v = _unit_values(phi)
-    amps = _tensor_power(v, k).reshape(grid.shape * k)
-    quartic = (np.abs(v) ** 4).reshape(grid.shape)
-    pot = b0 * sum(_on_slot(quartic, j, k) for j in range(k))
-    return _traced_commutator(amps, pot * amps, grid, k)
+    b = _tensor_power(v, k)[:, None]
+    pot = b0 * sum(_on_slot(np.abs(v) ** 4, j, k) for j in range(k)).reshape(-1, 1)
+    return _traced_commutator(b, pot * b, grid, k, grid.cell_volume**k)
 
 
 def gp_residual(phi_traj: Trajectory, k: int, b0: float) -> float:

@@ -614,11 +614,11 @@ BAD_CONFIGS = [
     ("probe", {"lemma": "strichartz", "options": {"n": 256, "ms": [128]}}, "options"),
     ("probe", {"lemma": "refined_sobolev", "options": {"n": 128, "band": 64}}, "options"),
     ("probe", {"lemma": "multilinear", "options": {"n": 96}}, "options"),
-    # the sector run fits; the full tensor that the stability probe reads (24^5
-    # entries with its index and a scratch) does not, nor the four that the
-    # hierarchy right side at d=1 n=48 N=4 forms beside it
-    ("manybody-run", {**_MB, "n": 24, "N": 5, "stability": [[1, 0.5]]}, "N"),
-    ("residuals", {**_RES, "n": 48, "N": 4}, "N"),
+    # the sector run fits; the stability probe's B_5 and its transform (two
+    # 26^5-entry gathers) do not, nor the hierarchy right side's four arrays of
+    # B_3's shape (12^3 x 4,368) beside its two 12^3 x 12^3 matrices
+    ("manybody-run", {**_MB, "n": 26, "N": 5, "stability": [[5, 0.5]]}, "N"),
+    ("residuals", {**_RES, "n": 12, "N": 8, "k": 3}, "N"),
     # list elements are typed, so no float is truncated to an order or a count
     ("chaos", {**_CHAOS, "Ns": [2.5, 3.9]}, "Ns"),
     ("manybody-run", {**_MB, "moments": [1.7]}, "moments"),
@@ -715,7 +715,10 @@ class TestBadConfigs:
         ExperimentConfig.from_dict({"kind": "chaos",
                                     "params": {**_CHAOS, "Ns": [2, 4, 6, 8, 10, 12]}})
 
-    @pytest.mark.parametrize("kind,params", [("chaos", _CHAOS), ("manybody-run", _MB)])
+    @pytest.mark.parametrize("kind,params", [
+        ("chaos", _CHAOS), ("manybody-run", _MB), ("residuals", _RES),
+        ("manybody-run", {**_MB, "stability": [[1, 0.5], [2, 0.5]]}),  # k = N: B_2, no tensor
+    ])
     def test_sector_runs_expand_no_tensor(self, tmp_path, kind, params):
         manybody._expand_index.cache_clear()
         assert run_experiment(ExperimentConfig.from_dict({"kind": kind, "params": params}),
@@ -748,9 +751,11 @@ class TestBadConfigs:
         assert peak <= 16 * build
 
     def test_residuals_budget_counts_the_states_the_run_holds(self):
-        # d=1 n=106 N=3 at spacings 0.02, 0.01: three distinct times, so three
-        # returned states (16.0 M entries with the basis and the tables), not four
-        ExperimentConfig.from_dict({"kind": "residuals", "params": {**_RES, "n": 106}})
+        # d=1 n=116 N=3 at spacings 0.04, 0.02, 0.01: four distinct times, so four
+        # returned states (16.5 M entries with the basis and the tables), not six
+        # (17.1 M, past the budget)
+        ExperimentConfig.from_dict({"kind": "residuals",
+                                    "params": {**_RES, "n": 116, "spacings": [0.04, 0.02, 0.01]}})
 
     @pytest.mark.parametrize("initial", [{**_BAND2, "scale": 0},
                                          {"kind": "modes", "modes": [[1, 1.0]], "scale": 0}],

@@ -935,7 +935,37 @@ def _full_tensor_weighted_sobolev_norm_sq(psi, orders):
     return float(grid.volume**N * np.sum(w**2 * np.abs(coeffs) ** 2))
 
 
+def _spectral_weighted_sobolev_norm_sq(psi, orders):
+    """The weighted Sobolev norm on the full tensor: each slot's weight
+    (1+|xi_j|^2)^orders[j] multiplied in place into one real |c|^2."""
+    grid, N = psi.config.grid, psi.config.N
+    coeffs = np.fft.fftn(psi.amps)
+    coeffs /= grid.size**N
+    p = np.abs(coeffs)
+    del coeffs
+    np.square(p, out=p)
+    one = 1.0 + grids._xi_squared(grid.d, grid.n)
+    for s, a in enumerate(orders):
+        if a != 0.0:
+            p *= manybody._on_slot(one ** a, s, N)
+    return float(grid.volume**N * np.sum(p))
+
+
 class TestWeightedSobolevNorm:
+    @pytest.mark.parametrize("d,n,N", [(1, 8, 1), (1, 8, 2), (1, 8, 3), (1, 16, 4), (1, 6, 5),
+                                       (2, 4, 3), (2, 6, 2), (3, 4, 2)])
+    def test_matches_the_spectral_full_tensor(self, d, n, N):
+        # every last weighted slot k <= N, for stability_check's two order sets
+        # and one of fractional orders
+        cfg = ManyBodyConfig(GridSpec(d, n), N, 0.0)
+        psi = BosonicState.random_symmetric(cfg, np.random.default_rng(N + n), band=2)
+        for k in range(1, N + 1):
+            for orders in ([1.0] * k, [2.0] + [1.0] * (k - 1), [0.5] * (k - 1) + [3.0]):
+                orders = orders + [0.0] * (N - k)
+                want = _spectral_weighted_sobolev_norm_sq(psi, orders)
+                assert weighted_sobolev_norm_sq(psi, orders) == pytest.approx(want, rel=1e-13,
+                                                                              abs=0.0)
+
     @pytest.fixture
     def psi(self):
         cfg = ManyBodyConfig(GridSpec(1, 16), 4, 0.05)

@@ -1,12 +1,13 @@
 """Marginals, trace metrics, hierarchy residuals, chaos experiment."""
 
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from quintlab import grids, marginals
+from quintlab import grids, manybody, marginals
 from quintlab.grids import GridSpec, MemoryBudgetError, TorusField, sobolev_norm
 from quintlab.manybody import (
     BosonicState,
@@ -160,12 +161,39 @@ class TestTraceDistance:
         assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-10
 
 
+def mean_field_rhs(phi: TorusField, cfg: ManyBodyConfig, k: int) -> np.ndarray:
+    """The oracle of bbgky_rhs at phi^(x)N, from phi alone: [A, |phi><phi|^(x)k]
+    with A = sum_j -Lap_j + W, W the finite-N potential seen by k slots when
+    the traced ones hold phi: the triples among the rows, then
+    int Vbar(x_i, x_j, z) |phi(z)|^2 and int Vbar(x_j, y, z) |phi(y)|^2 |phi(z)|^2."""
+    g, N, m = cfg.grid, cfg.N, cfg.grid.size
+    v = phi.values.reshape(-1) / phi.l2_norm()
+    rho = np.abs(v) ** 2 * g.cell_volume
+    vbar = manybody.symmetrized_triple_value(cfg)
+    pair = vbar @ rho  # (m, m)
+    single = pair @ rho  # (m,)
+    x = np.unravel_index(np.arange(m**k), (m,) * k)
+    w = sum(vbar[x[i], x[j], x[l]] for i, j, l in itertools.combinations(range(k), 3)) / N**2
+    w = w + (N - k) / N**2 * sum(pair[x[i], x[j]] for i, j in itertools.combinations(range(k), 2))
+    w = w + (N - k) * (N - k - 1) / (2 * N**2) * sum(single[x[j]] for j in range(k))
+    vk = functools.reduce(np.multiply.outer, [v.reshape(g.shape)] * k)
+    xi2 = functools.reduce(np.add.outer, [grids._xi_squared(g.d, g.n)] * k)
+    a_v = np.fft.ifftn(xi2 * np.fft.fftn(vk)).reshape(-1) + w * vk.reshape(-1)
+    x_mat = np.outer(a_v, vk.reshape(-1).conj()) * g.cell_volume**k
+    return x_mat - x_mat.conj().T
+
+
 class TestBbgkyResidual:
-    @pytest.mark.parametrize("N,k", [(3, 1), (4, 2), (5, 3)])
-    def test_rhs_matches_exact_derivative(self, N, k):
-        # oracle: d/dt of the partial trace computed directly from H psi;
-        # k = 3 reaches the intra-cluster triples
-        g = GridSpec(1, 8 if k == 1 else 4)
+    @pytest.mark.parametrize("d,n,N,k", [
+        pytest.param(1, 8, 3, 1, id="3-1"), pytest.param(1, 4, 4, 2, id="4-2"),
+        pytest.param(1, 4, 5, 3, id="5-3"),
+        (1, 8, 4, 1), (1, 8, 5, 2), (1, 6, 6, 4), (1, 4, 7, 2), (1, 4, 8, 5), (1, 12, 4, 1),
+        (2, 4, 3, 1), (2, 4, 4, 2), (3, 4, 3, 1),
+    ])
+    def test_rhs_matches_exact_derivative(self, d, n, N, k):
+        # oracle: d/dt of the partial trace computed directly from H psi on the
+        # full tensor; k >= 3 reaches the intra-cluster triples
+        g = GridSpec(d, n)
         cfg = ManyBodyConfig(g, N, 0.05 if k == 1 else 0.03)
         psi = BosonicState.random_symmetric(cfg, np.random.default_rng(10 + k), band=2)
         dpsi = -1j * apply_hamiltonian(psi)
@@ -174,7 +202,19 @@ class TestBbgkyResidual:
         da = dpsi.reshape(m**k, -1)
         dgam = (da @ a.conj().T + a @ da.conj().T) * g.cell_volume**N
         rhs = bbgky_rhs(cfg, psi, k)
-        assert np.abs(1j * dgam - rhs).max() <= 1e-11
+        assert np.abs(1j * dgam - rhs).max() <= 1e-13 * np.abs(rhs).max()
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 8])
+    def test_factorized_rhs_matches_the_mean_field_assembly(self, N):
+        # at t = 0 on phi^(x)N the traced slots hold phi, so each family is a
+        # potential of phi alone with its finite-N coefficient
+        g = GridSpec(1, 6)
+        cfg = ManyBodyConfig(g, N, 0.05)
+        phi = unit_phi(g, seed=N, band=2)
+        psi = BosonicState.factorized(cfg, phi)
+        for k in range(1, min(N - 2, 3) + 1):
+            want = mean_field_rhs(phi, cfg, k)
+            assert np.abs(bbgky_rhs(cfg, psi, k) - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_rhs_peak_memory_is_the_k_marginal(self):
         # the (k+2)-marginal of this state would hold 12^8 entries (6.9 GB)
