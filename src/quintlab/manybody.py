@@ -308,7 +308,9 @@ def _cached_tables(config: ManyBodyConfig) -> np.ndarray | None:
 # C(m + N - 1, N) sorted tuples s of flat grid indices (m = n^d, m_y the number
 # of entries of s equal to y), so that np.vdot and norms of c equal those of
 # psi.  Tuples are ranked in colex order by the combinatorial number system,
-# rank(s) = sum_i C(s_i + i, i + 1).
+# rank(s) = sum_i C(s_i + i, i + 1).  On c, H = A^dagger (K x 1) A + V: A is the
+# level-N annihilation table of _insertion, the gather that B_k (_annihilate)
+# and the expand index share, and A^dagger is its scatter-add.
 
 _SYMMETRY_TOL = 1e-12  # largest round-trip miss of a state, relative to max |psi|
 
@@ -320,26 +322,24 @@ def _sector_dim(m: int, k: int) -> int:
 
 def _sector_entries(config: ManyBodyConfig) -> int:
     """Complex-entry equivalents (16 bytes) of what the sector path holds
-    besides its vectors: the tables of _sector, and the larger of their build
-    temporaries and the scratch of an H-apply, which a 1-marginal's gather
-    (two m x p arrays) stays within.  No full tensor: see check_budget."""
+    besides its vectors: the colex tuples up to level N (under N C(m + N, N)
+    8-byte entries), _insertion's level-N table and the scatter index (m p
+    each), the scale and the diagonal, and the larger of the build's triple
+    table and an H-apply's scratch (b, g, _kinetic's matmul temporary, the
+    bincount result, V c), which the build's other temporaries and a
+    1-marginal's gather stay within.  No full tensor: see check_budget."""
     m, N = config.grid.size, config.N
-    dim, p = _sector_dim(m, N), _sector_dim(m, N - 1)
-    tables = (2 * N + 3) * dim // 2 + m * p  # 8-byte indices and weights
-    build = 3 * N * dim + 3 * m * p + (2 * m**3 if N >= 3 else 0)
-    return tables + max(build, 2 * m * p + (N + 2) * dim)
+    dim, mp = _sector_dim(m, N), m * _sector_dim(m, N - 1)
+    held = N * _sector_dim(m + 1, N) // 2 + 2 * mp + dim
+    return held + max(3 * mp + 2 * dim, 2 * m**3 if N >= 3 else 0)
 
 
 @dataclass(frozen=True)
 class _Sector:
-    """The index tables of one config's sector (see _sector), the expand index apart."""
+    """The tables of one config's sector (see _sector), the expand index apart."""
 
-    rep: np.ndarray  # (dim,) flat index of each sorted tuple in the full tensor
     scale: np.ndarray  # (dim,) sqrt(N! / prod m_y!)
-    down: np.ndarray  # (m, p) rank of r + e_y, for site y and sorted (N-1)-tuple r
-    down_w: np.ndarray  # (m, p) sqrt(r_y + 1)
-    up: np.ndarray  # (N, dim) flat index s_i * p + rank(s minus s_i) into (m, p)
-    up_w: np.ndarray  # (N, dim) 1 / sqrt(m_{s_i})
+    scatter: np.ndarray  # (2 m p,) 2 rank(r + e_y) + (0, 1): A^dagger's bincount on float64
     diag: np.ndarray | None  # (dim,) the potential, None below three particles
 
 
@@ -364,9 +364,10 @@ def _colex_levels(m: int, k: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 
 @functools.lru_cache(maxsize=32)
 def _insertion(m: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """The annihilation gather from sorted j-tuples over m sites: ins[y, r], the
-    rank of r + e_y, and occ[y, r] = r_y + 1 (float), for site y and sorted
-    (j-1)-tuple r; shape (m, C(m + j - 2, j - 1)) each."""
+    """The annihilation table of level j, from sorted j-tuples over m sites:
+    ins[y, r], the rank of r + e_y, and its weight sqrt(r_y + 1), for site y
+    and sorted (j-1)-tuple r; shape (m, C(m + j - 2, j - 1)) each.  a_y c is
+    the gather w[y] c[ins[y]], and a_y^dagger its scatter-add."""
     binom, levels = _colex_levels(m, j - 1)
     y = np.arange(m)[:, None]
     pos, count, rank = (np.zeros((m, len(levels[-1])), dtype=np.int64) for _ in range(3))
@@ -376,50 +377,41 @@ def _insertion(m: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         pos += stays
         count += ri == y
         rank += np.where(stays, binom[i, ri], binom[i + 1, ri])
-    return rank + binom[pos, y], count + 1.0
+    return rank + binom[pos, y], np.sqrt(count + 1.0)
 
 
 def _annihilate(c: np.ndarray, config: ManyBodyConfig, k: int) -> np.ndarray:
     """B_k = a_{x_1}..a_{x_k} c / sqrt(N!/(N-k)!), shape (m^k, C(m + N - k - 1, N - k)):
     row (x_1..x_k) is the sector vector over the last N - k slots of
     psi(x_1..x_k, .), so psi's k-marginal is dx^(dN) B_k B_k^dagger.  k gathers,
-    at level j = N..N-k+1 by _insertion, each weighted by sqrt((r_y + 1)/j)."""
+    at level j = N..N-k+1 by _insertion, and the factorial once at the end."""
     m, N, b = config.grid.size, config.N, c
     for j in range(N, N - k, -1):  # rows gain a slot, columns lose a particle
-        ins, occ = _insertion(m, j)
+        ins, w = _insertion(m, j)
         b = np.take(b.reshape(-1, b.shape[-1]), ins, axis=1)  # C order, unlike [:, ins]
-        b *= np.sqrt(occ / j)
+        b *= w
+    b /= math.sqrt(math.perm(N, k))
     return b.reshape(-1, b.shape[-1])
 
 
 @functools.lru_cache(maxsize=8)
 def _sector(config: ManyBodyConfig) -> _Sector:
-    """Tabulate the sector of config: the sorted tuples, the annihilation and
-    creation gathers of the kinetic part, and the potential."""
+    """Tabulate the sector of config: the normalization, the scatter index of
+    the creation step (_apply_sector), and the potential."""
     check_entries("sector tables", _sector_entries(config))
     m, N = config.grid.size, config.N
-    binom, levels = _colex_levels(m, N)
-    tuples, p = levels[N], levels[N - 1].shape[0]
-    down, occ = _insertion(m, N)
-    # equal[:, i]: entries of s equal to s_i; earlier[:, i]: those before i
-    equal = np.zeros_like(tuples)
-    earlier = np.ones_like(tuples)
-    for i in range(N):
-        same = tuples == tuples[:, i : i + 1]
-        equal += same
-        earlier[:, i + 1 :] += same[:, i + 1 :]
+    scatter = (2 * _insertion(m, N)[0][..., None] + np.arange(2)).reshape(-1)
+    tuples = _colex_levels(m, N)[1][N]
+    earlier = np.ones_like(tuples)  # earlier[:, i]: entries of s equal to s_i, up to i
+    for i in range(N - 1):
+        earlier[:, i + 1 :] += tuples[:, i + 1 :] == tuples[:, i : i + 1]
     diag = None
     if N >= 3:
         diag = _triple_sum(symmetrized_triple_value(config), itertools.combinations(range(N), 3),
                            tuples.T) / N**2
     return _Sector(
-        rep=tuples @ m ** np.arange(N - 1, -1, -1),
         scale=np.sqrt(math.factorial(N) / np.prod(earlier, axis=1)),
-        down=down,
-        down_w=np.sqrt(occ),
-        up=tuples.T * p + np.stack([binom[np.arange(N - 1), np.delete(tuples, i, axis=1)].sum(1)
-                                    for i in range(N)]),
-        up_w=(1.0 / np.sqrt(equal)).T.copy(),
+        scatter=scatter,
         diag=diag,
     )
 
@@ -433,7 +425,7 @@ def _expand_index(config: ManyBodyConfig) -> np.ndarray:
     # slot by slot: prepending x_0 to a tuple of rank r gives rank ins[x_0, r]
     expand = np.arange(m)
     for j in range(2, config.N + 1):
-        expand = _insertion(m, j)[0][:, expand].reshape(-1)
+        expand = np.take(_insertion(m, j)[0], expand, axis=1).reshape(-1)  # C order
     return expand
 
 
@@ -458,14 +450,14 @@ def check_exchange_symmetry(amps: np.ndarray, d: int, N: int) -> None:
 def _compress(config: ManyBodyConfig, amps: np.ndarray) -> np.ndarray:
     """The sector vector c of the symmetric tensor amps; ValueError unless
     expanding c gives amps back to _SYMMETRY_TOL * max |amps|."""
-    sec = _sector(config)
+    m, N = config.grid.size, config.N
     flat = np.asarray(amps, dtype=np.complex128).reshape(-1)
-    rep = flat[sec.rep]
+    rep = flat[_colex_levels(m, N)[1][N] @ m ** np.arange(N - 1, -1, -1)]  # the sorted tuples
     miss = rep[_expand_index(config)]
     miss -= flat
     if np.abs(miss).max() > _SYMMETRY_TOL * np.abs(flat).max():
         raise ValueError("the state is not symmetric under exchange of particles")
-    rep *= sec.scale
+    rep *= _sector(config).scale
     return rep
 
 
@@ -474,18 +466,18 @@ def _expand(config: ManyBodyConfig, c: np.ndarray) -> np.ndarray:
     return (c / _sector(config).scale)[_expand_index(config)].reshape(config.state_shape)
 
 
-def _apply_sector(config: ManyBodyConfig, c: np.ndarray, out: np.ndarray | None = None):
-    """H c on the sector: the kinetic part as A^dagger (K x I) A, with A the
-    annihilation gather into b[y, r] = sqrt(r_y + 1) c[rank(r + e_y)] and K
-    acting on b's d grid axes (_kinetic), and the potential as a diagonal."""
-    sec = _sector(config)
+def _apply_sector(config: ManyBodyConfig, c: np.ndarray) -> np.ndarray:
+    """H c on the sector (see the bosonic sector above): A gathers b[y, r] =
+    sqrt(r_y + 1) c[rank(r + e_y)], K acts on b's d grid axes (_kinetic), and
+    A^dagger scatter-adds the weighted result onto the ranks in one bincount."""
+    sec, ins, w = _sector(config), *_insertion(config.grid.size, config.N)
     d, n = config.grid.d, config.grid.n
-    b = c[sec.down]
-    b *= sec.down_w
-    g = _kinetic(b.reshape((n,) * d + (-1,)), d)
-    terms = g.reshape(-1)[sec.up]
-    terms *= sec.up_w
-    out = np.sum(terms, axis=0, out=out)
+    b = c[ins]
+    b *= w
+    g = _kinetic(b.reshape((n,) * d + (-1,)), d).reshape(w.shape)
+    g *= w
+    out = np.bincount(sec.scatter, g.view(np.float64).reshape(-1), 2 * c.size)
+    out = out.view(np.complex128)
     if sec.diag is not None:
         out += sec.diag * c
     return out
@@ -539,9 +531,9 @@ class BosonicState:
     @classmethod
     def factorized(cls, config: ManyBodyConfig, phi: TorusField) -> "BosonicState":
         """phi^(x)N, phi normalized: c(s) = scale(s) prod_i v[s_i], with no full tensor."""
-        sec, v = _sector(config), _unit_values(phi)
-        c = np.prod(v[np.array(np.unravel_index(sec.rep, (v.size,) * config.N))], axis=0)
-        c *= sec.scale
+        v, tuples = _unit_values(phi), _colex_levels(config.grid.size, config.N)[1][config.N]
+        c = np.prod(v[np.ascontiguousarray(tuples.T)], axis=0)  # C order, for the product's loop
+        c *= _sector(config).scale
         return cls(config, c=c)
 
     @classmethod
@@ -670,7 +662,7 @@ def _lanczos_basis(config: ManyBodyConfig, V: np.ndarray, kdim: int,
     again = False  # the previous vector had a full pass, so this one gets one too
     for j in range(kdim):
         w = V[j + 1]
-        _apply_sector(config, V[j], out=w)
+        w[...] = _apply_sector(config, V[j])
         a = np.vdot(V[j], w).real
         if j:
             w -= np.array([betas[j - 1], a]) @ V[j - 1 : j + 1]

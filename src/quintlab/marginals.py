@@ -79,12 +79,13 @@ class KthMarginal:
 
 def marginal(psi: BosonicState, k: int) -> KthMarginal:
     """Partial trace of |psi><psi| over slots k+1..N, quadrature-weighted:
-    dx^(dN) B_k B_k^dagger, with B_k the k annihilation gathers of psi.c (_annihilate)."""
+    dx^(dN) B_k B_k^dagger, with B_k the k annihilation gathers of psi.c (_annihilate);
+    it holds B_k and the conjugate the product takes."""
     N, grid = psi.config.N, psi.config.grid
     if not 1 <= k <= N:
         raise ValueError(f"require 1 <= k <= N, got k={k}, N={N}")
     check_marginal_order(k)
-    psi.config.check_factor_budget(k, 1, 1)
+    psi.config.check_factor_budget(k, 2, 1)
     b = _annihilate(psi.c, psi.config, k)
     return KthMarginal(k, grid, (b @ b.conj().T) * grid.cell_volume**N)
 

@@ -641,10 +641,10 @@ BAD_CONFIGS = [
     # amplitude (0, 1) zeroed and (1, 0) kept: not a bosonic state
     ("manybody-run", lambda tmp: {**_MB, "initial": _state_file(tmp, lambda b: b[:28] + bytes(8)
                                                                 + b[36:])}, "initial.path"),
-    # T = 0 still builds the sector for the energy: at d=1 n=160 N=3 its tables
-    # (27.9 M entries) are past the budget, the 4.1 M-entry state is not
-    ("manybody-run", {**_MB, "n": 160, "N": 3, "T": 0.0}, "N"),
-    ("chaos", {**_CHAOS, "n": 160, "T": 0.0, "Ns": [2, 3]}, "Ns"),
+    # T = 0 still builds the sector for the energy: at d=1 n=180 N=3 its tables
+    # (20.0 M entries) are past the budget, the 5.8 M-entry state is not
+    ("manybody-run", {**_MB, "n": 180, "N": 3, "T": 0.0}, "N"),
+    ("chaos", {**_CHAOS, "n": 180, "T": 0.0, "Ns": [2, 3]}, "Ns"),
     # probe options that crashed or gave a nan ratio: samples >= 1, nt >= 2, T >= 0, m0 > 0
     ("probe", {"lemma": "strichartz", "options": {"samples": 0}}, "options"),
     ("probe", {"lemma": "bilinear", "options": {"nt": 1}}, "options"),
@@ -751,11 +751,11 @@ class TestBadConfigs:
         assert peak <= 16 * build
 
     def test_residuals_budget_counts_the_states_the_run_holds(self):
-        # d=1 n=116 N=3 at spacings 0.04, 0.02, 0.01: four distinct times, so four
-        # returned states (16.5 M entries with the basis and the tables), not six
-        # (17.1 M, past the budget)
+        # d=1 n=128 N=3 at spacings 0.04, 0.02, 0.01: four distinct times, so four
+        # returned states (16.2 M entries with the basis and the tables), not six
+        # (16.9 M, past the budget)
         ExperimentConfig.from_dict({"kind": "residuals",
-                                    "params": {**_RES, "n": 116, "spacings": [0.04, 0.02, 0.01]}})
+                                    "params": {**_RES, "n": 128, "spacings": [0.04, 0.02, 0.01]}})
 
     @pytest.mark.parametrize("initial", [{**_BAND2, "scale": 0},
                                          {"kind": "modes", "modes": [[1, 1.0]], "scale": 0}],

@@ -294,9 +294,10 @@ class TestApplyHamiltonian:
 class TestSector:
     """The sector storage and H-apply against the full-tensor oracle apply_hamiltonian_raw."""
 
-    # the full-tensor oracle's cases, a longer axis for D, and one past
-    # _DENSE_KINETIC_MAX_N for the FFT route
-    CASES = TestApplyHamiltonian.ORACLE_CASES + [(1, 64, 2), (1, 128, 2)]
+    # the full-tensor oracle's cases, a longer axis for D, one past
+    # _DENSE_KINETIC_MAX_N for the FFT route, and five and six particles
+    CASES = TestApplyHamiltonian.ORACLE_CASES + [(1, 64, 2), (1, 128, 2), (1, 6, 5), (1, 4, 6),
+                                                 (1, 6, 6)]
 
     @staticmethod
     def symmetric(cfg, seed):
@@ -330,6 +331,17 @@ class TestSector:
             want = apply_hamiltonian_raw(cfg, datum)
             got = manybody._expand(cfg, manybody._apply_sector(cfg, manybody._compress(cfg, datum)))
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n,N", [(8, 12), (16, 7)])
+    def test_apply_is_hermitian_past_the_full_tensor(self, n, N):
+        # <a, H b> = conj <b, H a> on random sector vectors, at shapes whose
+        # full tensors (8^12, 16^7 entries) no oracle can form
+        cfg = ManyBodyConfig(GridSpec(1, n), N, 0.05)
+        rng = np.random.default_rng(n + N)
+        a, b = ([1, 1j] @ rng.standard_normal((2, math.comb(n + N - 1, N))) for _ in range(2))
+        ha, hb = manybody._apply_sector(cfg, a), manybody._apply_sector(cfg, b)
+        scale = np.linalg.norm(a) * np.linalg.norm(hb)
+        assert abs(np.vdot(a, hb) - np.conj(np.vdot(b, ha))) <= 1e-14 * scale
 
     @pytest.mark.parametrize("n,transforms", [(96, 0), (128, 2)])
     def test_the_sector_takes_the_fft_route_past_the_dense_axes(self, monkeypatch, n, transforms):

@@ -124,7 +124,9 @@ class TestMarginal:
     def test_dense_budget(self, monkeypatch):
         g = GridSpec(1, 8)
         psi = BosonicState.factorized(ManyBodyConfig(g, 3, 0.0), unit_phi(g))
-        monkeypatch.setattr(grids, "MEMORY_BUDGET", g.size**3)
+        # k = 1 charges 2 * 8 * 36 + 64 = 640 entries (B_1 and its conjugate, the
+        # marginal), k = 2 charges 2 * 64 * 8 + 4096 = 5,120
+        monkeypatch.setattr(grids, "MEMORY_BUDGET", g.size**4)
         marginal(psi, 1)
         with pytest.raises(MemoryBudgetError):
             marginal(psi, 2)
