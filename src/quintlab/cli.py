@@ -6,12 +6,13 @@ Subcommands: nls-run, manybody-run, chaos, residuals, hufl, couplings, probe.
 Configs are JSON objects.  The keyword-only parameters of `_run_<kind>`
 (of `_initial_<kind>` for params.initial) declare each key once: the
 annotation gives its JSON type, the default its default, and no default
-makes it required.  Validation binds params to them, then a build pass
-(_build) constructs the domain objects the run uses, so every value rule
-is the one its owning module enforces.  All randomness derives from the
-single config seed through numpy's PCG64 generator, so rerunning a config
-reproduces every numeric artifact byte-for-byte.  Exit codes: 0 pass, 1 in-run tolerance failure
-(a failed check, a Krylov tolerance out of reach or a blow-up), 2
+makes it required.  Validation binds params to them and runs `_run_<kind>`
+up to its `yield`: that is the build pass, which constructs the domain
+objects the run after it uses, so every value rule is the one its owning
+module enforces.  All randomness derives from the single config seed
+through numpy's PCG64 generator, so rerunning a config reproduces every
+numeric artifact byte-for-byte.  Exit codes: 0 pass, 1 in-run tolerance
+failure (a failed check, a Krylov tolerance out of reach or a blow-up), 2
 validation error.
 """
 
@@ -22,6 +23,7 @@ import inspect
 import json
 import sys
 import time
+from collections.abc import Generator
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -60,8 +62,8 @@ class ExperimentConfig:
     kind: str
     params: dict
     seed: int = 0
-    # the domain objects of the last successful validate(), handed to the next run
-    built: dict | None = dc_field(default=None, init=False, repr=False, compare=False)
+    # the run of the last successful validate(), suspended where its build pass ends
+    pending: Generator | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_file(cls, path, seed_override=None) -> "ExperimentConfig":
@@ -105,11 +107,31 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "params": self.params}
 
-    def validate(self) -> dict:
-        """Bind params to the runner, run the build pass; keep and return the built objects."""
-        args = _bind(_RUNNERS[self.kind], self.params, "params", self.kind)
-        self.built = _build(self.kind, args, self.seed)
-        return self.built
+    def validate(self) -> None:
+        """Bind params to the runner and run it to its yield, kept in `pending`.
+        Every failure is listed as params.<key>: <message>; a ParameterError's
+        key is the argument it names if the kind has it, else the step's."""
+        p = _bind(_RUNNERS[self.kind], self.params, "params", self.kind)
+        errors = [f"params.{key}: must be > 0" for key, value in p.items()
+                  if key in _POSITIVE and value is not None and value <= 0]
+        if "T" in p and p["T"] < 0:
+            errors.append("params.T: must be >= 0")
+
+        def attempt(key, build, *args):
+            try:
+                return build(*args)
+            except ValidationError as exc:  # a nested spec's own binding
+                errors.extend(exc.errors)
+            except (ValueError, TypeError, LookupError, OSError) as exc:
+                name = getattr(exc, "name", None)
+                errors.append(f"params.{name if name in p else key}: {exc}")
+
+        run = _RUNNERS[self.kind](attempt, self.seed, **p)
+        next(run)
+        if errors:
+            run.close()
+            raise ValidationError(errors)
+        self.pending = run
 
 
 def _is_int(x) -> bool:
@@ -168,108 +190,6 @@ def _bind(fn, raw: dict, where: str, kind: str) -> dict:
 
 # Run-level rules that no domain function owns.
 _POSITIVE = ("snapshot_every", "steps", "nls_dt", "eps", "mass_tol", "norm_tol", "energy_tol")
-
-
-def _build(kind: str, p: dict, seed: int) -> dict:
-    """The build pass on bound params p: construct the domain objects the run
-    uses, without tabulating a potential or allocating a state.  Each failure
-    becomes the entry params.<key>: <message>, and every independent failure
-    is listed.  A ParameterError names the argument it rejects; when the kind
-    has a key of that name, the entry names it, else the key feeding the step."""
-    errors, built = [], {}
-
-    def attempt(key, build, *args):
-        try:
-            return build(*args)
-        except ValidationError as exc:  # a nested spec's own binding
-            errors.extend(exc.errors)
-        except (ValueError, TypeError, LookupError, OSError) as exc:
-            name = getattr(exc, "name", None)
-            errors.append(f"params.{name if name in p else key}: {exc}")
-
-    errors += [f"params.{key}: must be > 0" for key, value in p.items()
-               if key in _POSITIVE and value is not None and value <= 0]
-    if "T" in p and p["T"] < 0:
-        errors.append("params.T: must be >= 0")
-    grid = built["grid"] = attempt("n", GridSpec, p["d"], p["n"]) if "d" in p else None
-    if kind in ("manybody-run", "chaos", "residuals"):
-        pot = built["potential"] = attempt("potential", build_potential_spec, p["potential"])
-        key = "Ns" if kind == "chaos" else "N"
-        times = built["times"] = sorted({t for h in map(float, p["spacings"]) for t in (h, 2 * h)}
-                                        if kind == "residuals" else [p["T"]])  # the run's times
-        for N in (p["Ns"] if kind == "chaos" else [p["N"]]) if grid and pot else []:
-            mb = built["mb"] = attempt(
-                key, lambda: ManyBodyConfig(grid, N, float(p["beta"]), pot)
-            )
-            if mb:
-                attempt(key, mb.check_run_budget, times)
-            if mb and kind == "residuals":  # what bbgky_rhs forms; a k past N is named below
-                attempt(key, mb.check_factor_budget, min(p["k"], N), 4, 2)
-            elif mb and kind == "manybody-run" and p["stability"]:  # and the stability norms
-                attempt(key, mb.check_factor_budget, min(max(k for k, _ in p["stability"]), N), 2)
-            if mb and kind == "manybody-run" and (p["dump_state"]
-                                                  or p["initial"].get("kind") == "file"):
-                attempt(key, mb.check_budget)  # each of these reads amps
-    if kind == "nls-run":
-        # the initial field is drawn only for a solver that passes
-        built["nls"] = attempt("dt", NlsConfig, grid, float(p["b0"]), float(p["dt"]), p["dealias"])
-        if built["nls"]:
-            attempt("T", check_step_count, float(p["T"]), float(p["dt"]), p["snapshot_every"])
-        if p["split_M"] is not None:
-            attempt("split_M", check_cutoff, p["split_M"])
-        for m in (p["diagnostics_M"] or []) if grid else []:
-            attempt("diagnostics_M", check_diagnostic_cutoffs, m, grid.nyquist)
-    if grid and built.get("nls", True):
-        spec = p["initial"]
-        key = "initial.path" if spec.get("kind") == "file" else "initial"
-        if kind == "manybody-run" and key == "initial.path":
-            kw = {k: v for k, v in spec.items() if k != "kind"}  # a state, not a field
-            if attempt(key, _bind, _initial_file, kw, "params.initial", "file") and built.get("mb"):
-                attempt(key, lambda: qio.check_state_file(built["mb"], Path(spec["path"])))
-        else:
-            f = attempt(key, build_initial_field, grid, spec, seed)
-            if f is not None and kind in ("chaos", "residuals", "hufl"):
-                f = attempt("initial", _unit, f)
-            built["field"] = f
-
-    if kind == "manybody-run":
-        for k in p["moments"]:
-            attempt("moments", check_moment_order, k)
-        for k, c1 in p["stability"]:
-            attempt("stability", check_stability_order, k, float(c1), p["N"])
-    elif kind == "residuals":
-        attempt("k", check_hierarchy_order, p["k"], p["N"])
-        if grid:  # the k-marginals of both residuals
-            attempt("k", check_rank_one_order, grid, p["k"])
-        # the run's coupling comes from the tabulated potential; only dt is checked here
-        for h in p["spacings"]:
-            attempt("spacings", lambda: NlsConfig(grid, 0.0, float(h) / 4, dealias=False))
-    elif kind == "hufl":
-        attempt("M", check_cutoff, p["M"])
-        for k in p["ks"]:
-            attempt("ks", check_marginal_order, k)
-    elif kind == "couplings":
-        attempt("k", check_coupling_order, p["k"])
-    elif kind == "probe":
-        runner = built["runner"] = PROBE_RUNNERS.get(p["lemma"])
-        kwargs = dict(p["options"] or {})
-        if p["samples"] is not None:
-            kwargs["samples"] = p["samples"]
-        if runner is None:
-            errors.append(f"params.lemma: must be one of {sorted(PROBE_RUNNERS)}")
-        else:
-            args = built["args"] = attempt(
-                "options", lambda: inspect.signature(runner).bind(seed=seed, **kwargs)
-            )
-            if args is not None:
-                args.apply_defaults()
-                # one rule, named by the key the count came from
-                attempt("options" if p["samples"] is None else "samples", check_sample_count,
-                        args.arguments["samples"])
-                attempt("options", check_probe_options, p["lemma"], args.arguments)
-    if errors:
-        raise ValidationError(errors)
-    return built
 
 
 def _unit(f: TorusField, scale: float = 1.0) -> TorusField:
@@ -368,16 +288,48 @@ class RunReport:
         return {**vars(self), "passed": self.passed}  # the fields, not deep copies
 
 
-# A runner's keyword-only parameters declare its kind's keys; what _build made of them is in built.
-def _run_nls(built: dict, out: Path, report: RunReport, *, d: int, n: int, initial: dict,
-             b0: float, dt: float, T: float, dealias: bool = True, snapshot_every: int = 1,
-             split_M: float = None, diagnostics_M: list[float] = None, mass_tol: float = 1e-11):
-    grid, nls_cfg = built["grid"], built["nls"]
+def _field(attempt, grid, spec: dict, seed: int, unit: bool = False):
+    """The datum params.initial `spec` describes on grid, at unit L2 norm if
+    `unit`; None without a grid or after a failed step."""
+    key = "initial.path" if spec.get("kind") == "file" else "initial"
+    f = attempt(key, build_initial_field, grid, spec, seed) if grid else None
+    return attempt("initial", _unit, f) if unit and f is not None else f
+
+
+def _configs(attempt, grid, potential: dict | None, beta: float, Ns, times, key: str):
+    """The potential `potential` names and one ManyBodyConfig per N in Ns, each
+    charged with what a run to `times` holds; a config that fails is left out."""
+    pot = attempt("potential", build_potential_spec, potential)
+    mbs = []
+    for N in Ns if grid and pot else []:
+        mb = attempt(key, lambda: ManyBodyConfig(grid, N, float(beta), pot))
+        if mb:
+            attempt(key, mb.check_run_budget, times)
+            mbs.append(mb)
+    return pot, mbs
+
+
+# A runner's keyword-only parameters declare its kind's keys.  Up to its yield it is the
+# build pass, which tabulates no potential and allocates no state; the run follows.
+def _run_nls(attempt, seed: int, *, d: int, n: int, initial: dict, b0: float, dt: float,
+             T: float, dealias: bool = True, snapshot_every: int = 1, split_M: float = None,
+             diagnostics_M: list[float] = None, mass_tol: float = 1e-11):
+    grid = attempt("n", GridSpec, d, n)
+    nls_cfg = attempt("dt", NlsConfig, grid, float(b0), float(dt), dealias)
+    if nls_cfg:
+        attempt("T", check_step_count, float(T), float(dt), snapshot_every)
+    if split_M is not None:
+        attempt("split_M", check_cutoff, split_M)
+    for m in (diagnostics_M or []) if grid else []:
+        attempt("diagnostics_M", check_diagnostic_cutoffs, m, grid.nyquist)
+    # the datum is drawn only for a solver that passes, and held by this list alone
+    datum = [_field(attempt, grid, initial, seed) if nls_cfg else None]
+    out, report = yield
     split_m = grid.nyquist // 2 if split_M is None else split_M
     diag_ms = diagnostics_M or [grid.nyquist // 2]
     header = ["t", "mass", "E_NLS", "E_L", "E_H"] + [f"high_kinetic_M{m}" for m in diag_ms]
-    # the run takes the datum's arrays and writes them; the config keeps nothing
-    rows = timeseries(built.pop("field"), float(T), nls_cfg, snapshot_every, split_m, diag_ms,
+    # the run takes the datum's arrays and writes them; the build keeps nothing
+    rows = timeseries(datum.pop(), float(T), nls_cfg, snapshot_every, split_m, diag_ms,
                       take=True)
     path = out / "timeseries.csv"
     qio.write_csv(path, header, rows)
@@ -388,15 +340,31 @@ def _run_nls(built: dict, out: Path, report: RunReport, *, d: int, n: int, initi
     report.checks["mass_conserved"] = drift <= mass_tol
 
 
-def _run_manybody(built: dict, out: Path, report: RunReport, *, d: int, n: int, initial: dict,
-                  N: int, beta: float, T: float, potential: dict = None, steps: int = None,
+def _run_manybody(attempt, seed: int, *, d: int, n: int, initial: dict, N: int, beta: float,
+                  T: float, potential: dict = None, steps: int = None,
                   moments: list[int] = (1, 2), stability: list[tuple[int, float]] = (),
                   dump_state: bool = False, norm_tol: float = 1e-10, energy_tol: float = 1e-8):
-    mb = built["mb"]
-    if initial["kind"] == "file":
-        psi0 = qio.load_state(mb, Path(initial["path"]))
-    else:
-        psi0 = BosonicState.factorized(mb, built["field"])
+    grid = attempt("n", GridSpec, d, n)
+    from_file = initial.get("kind") == "file"
+    _, mbs = _configs(attempt, grid, potential, beta, [N], [T], "N")
+    for mb in mbs:
+        if stability:  # the stability norms
+            attempt("N", mb.check_factor_budget, min(max(k for k, _ in stability), N), 2)
+        if dump_state or from_file:  # each of these reads amps
+            attempt("N", mb.check_budget)
+    phi = None if from_file else _field(attempt, grid, initial, seed)
+    if from_file and grid:  # a state, not a field
+        kw = {k: v for k, v in initial.items() if k != "kind"}
+        if attempt("initial.path", _bind, _initial_file, kw, "params.initial", "file") and mbs:
+            attempt("initial.path", lambda: qio.check_state_file(mbs[0], Path(initial["path"])))
+    for k in moments:
+        attempt("moments", check_moment_order, k)
+    for k, c1 in stability:
+        attempt("stability", check_stability_order, k, float(c1), N)
+    out, report = yield
+    mb = mbs[0]
+    psi0 = (qio.load_state(mb, Path(initial["path"])) if from_file
+            else BosonicState.factorized(mb, phi))
     e0 = energy_per_particle(psi0)
     psi = propagate(psi0, float(T), steps=steps)
     eT = energy_per_particle(psi)
@@ -423,12 +391,13 @@ def _run_manybody(built: dict, out: Path, report: RunReport, *, d: int, n: int, 
     report.checks["energy_preserved"] = energy_drift <= energy_tol
 
 
-def _run_chaos(built: dict, out: Path, report: RunReport, *, d: int, n: int, initial: dict,
-               beta: float, T: float, Ns: list[int], potential: dict = None,
-               nls_dt: float = None):
-    rows = chaos_experiment(
-        Ns, float(beta), built["field"], float(T), potential=built["potential"], nls_dt=nls_dt
-    )
+def _run_chaos(attempt, seed: int, *, d: int, n: int, initial: dict, beta: float, T: float,
+               Ns: list[int], potential: dict = None, nls_dt: float = None):
+    grid = attempt("n", GridSpec, d, n)
+    pot, _ = _configs(attempt, grid, potential, beta, Ns, [T], "Ns")
+    phi = _field(attempt, grid, initial, seed, unit=True)
+    out, report = yield
+    rows = chaos_experiment(Ns, float(beta), phi, float(T), potential=pot, nls_dt=nls_dt)
     path = out / "chaos.csv"
     qio.write_csv(
         path,
@@ -444,13 +413,26 @@ def _run_chaos(built: dict, out: Path, report: RunReport, *, d: int, n: int, ini
     )
 
 
-def _run_residuals(built: dict, out: Path, report: RunReport, *, d: int, n: int, initial: dict,
-                   N: int, beta: float, k: int, spacings: list[float], potential: dict = None):
-    grid, mb, phi0 = built["grid"], built["mb"], built["field"]
+def _run_residuals(attempt, seed: int, *, d: int, n: int, initial: dict, N: int, beta: float,
+                   k: int, spacings: list[float], potential: dict = None):
+    grid = attempt("n", GridSpec, d, n)
+    spacings = [float(h) for h in spacings]
+    times = sorted({t for h in spacings for t in (h, 2 * h)})  # the run's times
+    _, mbs = _configs(attempt, grid, potential, beta, [N], times, "N")
+    for mb in mbs:  # what bbgky_rhs forms; a k past N is named below
+        attempt("N", mb.check_factor_budget, min(k, N), 4, 2)
+    phi0 = _field(attempt, grid, initial, seed, unit=True)
+    attempt("k", check_hierarchy_order, k, N)
+    if grid:  # the k-marginals of both residuals
+        attempt("k", check_rank_one_order, grid, k)
+    # the run's coupling comes from the tabulated potential; only dt is checked here
+    for h in spacings:
+        attempt("spacings", lambda: NlsConfig(grid, 0.0, h / 4, dealias=False))
+    out, report = yield
+    mb = mbs[0]
     b0 = potential_mass(mb)
     psi0 = BosonicState.factorized(mb, phi0)
-    spacings = [float(h) for h in spacings]
-    states = dict(zip(built["times"], propagate(psi0, built["times"])))  # one Krylov basis
+    states = dict(zip(times, propagate(psi0, times)))  # one Krylov basis
     rows = []
     for h in spacings:
         snaps = [psi0, states[h], states[2 * h]]
@@ -467,9 +449,13 @@ def _run_residuals(built: dict, out: Path, report: RunReport, *, d: int, n: int,
     report.checks["residuals_finite"] = all(np.isfinite(r[1]) and np.isfinite(r[2]) for r in rows)
 
 
-def _run_hufl(built: dict, out: Path, report: RunReport, *, d: int, n: int, initial: dict,
-              M: float, eps: float, ks: list[int]):
-    phi = built["field"]
+def _run_hufl(attempt, seed: int, *, d: int, n: int, initial: dict, M: float, eps: float,
+              ks: list[int]):
+    phi = _field(attempt, attempt("n", GridSpec, d, n), initial, seed, unit=True)
+    attempt("M", check_cutoff, M)
+    for k in ks:
+        attempt("ks", check_marginal_order, k)
+    out, report = yield
     rows = []
     for k in ks:
         lhs = hufl_factorized(phi, k, float(M))
@@ -482,7 +468,9 @@ def _run_hufl(built: dict, out: Path, report: RunReport, *, d: int, n: int, init
     report.checks["finite"] = all(np.isfinite(r[1]) for r in rows)
 
 
-def _run_couplings(built: dict, out: Path, report: RunReport, *, k: int):
+def _run_couplings(attempt, seed: int, *, k: int):
+    attempt("k", check_coupling_order, k)
+    out, report = yield
     counts = raw_summand_count(k)
     maps = double_factorial(2 * k - 1)
     payload = {
@@ -511,10 +499,23 @@ def _run_couplings(built: dict, out: Path, report: RunReport, *, k: int):
         report.checks["unclogged_floor"] = mu["min_count"] >= mu["floor"]
 
 
-def _run_probe(built: dict, out: Path, report: RunReport, *, lemma: str, samples: int = None,
-               options: dict = None):
-    args = built["args"]
-    probe_report = built["runner"](*args.args, **args.kwargs)
+def _run_probe(attempt, seed: int, *, lemma: str, samples: int = None, options: dict = None):
+    runner, args = PROBE_RUNNERS.get(lemma), None
+    kwargs = dict(options or {})
+    if samples is not None:
+        kwargs["samples"] = samples
+    if runner is None:  # check_probe_options names the lemmas
+        attempt("lemma", check_probe_options, lemma, {})
+    else:
+        args = attempt("options", lambda: inspect.signature(runner).bind(seed=seed, **kwargs))
+    if args is not None:
+        args.apply_defaults()
+        # one rule, named by the key the count came from
+        attempt("options" if samples is None else "samples", check_sample_count,
+                args.arguments["samples"])
+        attempt("options", check_probe_options, lemma, args.arguments)
+    out, report = yield
+    probe_report = runner(*args.args, **args.kwargs)
     jpath = out / f"probe_{lemma}.json"
     qio.write_json(jpath, probe_report.to_dict())
     cpath = out / f"probe_{lemma}.csv"
@@ -546,11 +547,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = RunReport(kind=cfg.kind, config=cfg.to_dict())
-    built = cfg.built if cfg.built is not None else cfg.validate()
-    cfg.built = None  # the run may take objects out of it; a second run builds afresh
+    if cfg.pending is None:
+        cfg.validate()
+    run, cfg.pending = cfg.pending, None  # a second run builds afresh
     t0 = time.perf_counter()
     try:
-        _RUNNERS[cfg.kind](built, out, report, **cfg.params)
+        run.send((out, report))
+    except StopIteration:  # the run is done
+        pass
     except Exception:
         for art in report.artifacts:
             Path(art).unlink(missing_ok=True)
@@ -566,16 +570,10 @@ def emit_plotdata(report: RunReport) -> list[str]:
     written = []
     for art in report.artifacts:
         path = Path(art)
-        if path.suffix != ".csv" or not path.exists():
-            continue
-        lines = path.read_text().strip().split("\n")
-        header = lines[0].split(",")
-        dat = path.with_suffix(".dat")
-        body = ["# " + "  ".join(header)]
-        for line in lines[1:]:
-            body.append("  ".join(line.split(",")))
-        dat.write_text("\n".join(body) + "\n")
-        written.append(str(dat))
+        if path.suffix == ".csv" and path.exists():  # "# " + the CSV, blanks for commas
+            dat = path.with_suffix(".dat")
+            dat.write_text("# " + path.read_text().strip().replace(",", "  ") + "\n")
+            written.append(str(dat))
     if written:
         base = Path(written[0]).parent
         stub = base / "plot_stub.py"

@@ -508,6 +508,8 @@ def check_probe_options(lemma: str, a: dict) -> None:
         _multilinear_eval_n(min(max(2, grid.n // 4), grid.nyquist))
     elif lemma == "approx_identity":
         check_alphas(a["alphas"], GridSpec(1, a["n"]))
+    else:
+        raise ValueError(f"must be one of {sorted(PROBE_RUNNERS)}")
 
 
 PROBE_RUNNERS = {
