@@ -6,7 +6,7 @@ import argparse
 from pathlib import Path
 
 from quintlab.io import write_csv, write_json
-from quintlab.probes import PROBE_RUNNERS
+from quintlab.probes import PROBE_RUNNERS, run_probe
 
 
 def main():
@@ -19,7 +19,7 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for lemma in args.lemmas:
-        report = PROBE_RUNNERS[lemma](seed=args.seed)
+        report = run_probe(lemma, seed=args.seed)
         write_json(out / f"{lemma}.json", report.to_dict())
         write_csv(
             out / f"{lemma}.csv",

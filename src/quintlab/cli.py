@@ -4,9 +4,10 @@ Usage:  lab <subcommand> --config <path> [--seed S] [--out DIR]
 
 Subcommands: nls-run, manybody-run, chaos, residuals, hufl, couplings, probe.
 Configs are JSON objects.  The keyword-only parameters of `_run_<kind>`
-(of `_initial_<kind>` for params.initial) declare each key once: the
-annotation gives its JSON type, the default its default, and no default
-makes it required.  Validation binds params to them and runs `_run_<kind>`
+(of `_initial_<kind>` for params.initial, of the lemma's probe in
+probes.PROBE_RUNNERS for params.options) declare each key once: the
+annotation gives its JSON type, the default its default, no default makes
+it required.  Validation binds params to them and runs `_run_<kind>`
 up to its `yield`: that is the build pass, which constructs the domain
 objects the run after it uses, so every value rule is the one its owning
 module enforces.  All randomness derives from the single config seed
@@ -40,13 +41,13 @@ from .manybody import (
     propagate, stability_check,
 )
 from .marginals import (
-    bbgky_residual, chaos_experiment, check_hierarchy_order, check_marginal_order,
-    check_rank_one_order, gp_residual, hufl_factorized,
+    bbgky_residual, chaos_experiment, chaos_nls_steps, check_hierarchy_order,
+    check_marginal_order, check_rank_one_order, gp_residual, hufl_factorized,
 )
 from .nls import (
     BlowUpError, NlsConfig, check_diagnostic_cutoffs, check_step_count, evolve, timeseries,
 )
-from .probes import PROBE_RUNNERS, check_probe_options, check_sample_count
+from .probes import check_sample_count, probe_runner
 
 SCHEMA_VERSION = 1
 
@@ -189,7 +190,7 @@ def _bind(fn, raw: dict, where: str, kind: str) -> dict:
 
 
 # Run-level rules that no domain function owns.
-_POSITIVE = ("snapshot_every", "steps", "nls_dt", "eps", "mass_tol", "norm_tol", "energy_tol")
+_POSITIVE = ("snapshot_every", "steps", "eps", "mass_tol", "norm_tol", "energy_tol")
 
 
 def _unit(f: TorusField, scale: float = 1.0) -> TorusField:
@@ -396,6 +397,7 @@ def _run_chaos(attempt, seed: int, *, d: int, n: int, initial: dict, beta: float
     grid = attempt("n", GridSpec, d, n)
     pot, _ = _configs(attempt, grid, potential, beta, Ns, [T], "Ns")
     phi = _field(attempt, grid, initial, seed, unit=True)
+    attempt("nls_dt", chaos_nls_steps, float(T), nls_dt)
     out, report = yield
     rows = chaos_experiment(Ns, float(beta), phi, float(T), potential=pot, nls_dt=nls_dt)
     path = out / "chaos.csv"
@@ -500,22 +502,16 @@ def _run_couplings(attempt, seed: int, *, k: int):
 
 
 def _run_probe(attempt, seed: int, *, lemma: str, samples: int = None, options: dict = None):
-    runner, args = PROBE_RUNNERS.get(lemma), None
-    kwargs = dict(options or {})
-    if samples is not None:
-        kwargs["samples"] = samples
-    if runner is None:  # check_probe_options names the lemmas
-        attempt("lemma", check_probe_options, lemma, {})
-    else:
-        args = attempt("options", lambda: inspect.signature(runner).bind(seed=seed, **kwargs))
-    if args is not None:
-        args.apply_defaults()
+    runner = attempt("lemma", probe_runner, lemma)
+    opts = {**(options or {}), **({} if samples is None else {"samples": samples})}
+    kwargs = runner and attempt("options", _bind, runner, opts, "params.options", lemma)
+    if kwargs:
         # one rule, named by the key the count came from
-        attempt("options" if samples is None else "samples", check_sample_count,
-                args.arguments["samples"])
-        attempt("options", check_probe_options, lemma, args.arguments)
+        attempt("options" if samples is None else "samples", check_sample_count, kwargs["samples"])
+        probe = runner(seed, **kwargs)
+        attempt("options", next, probe)  # the probe's own checks and evaluation grids
     out, report = yield
-    probe_report = runner(*args.args, **args.kwargs)
+    probe_report = next(probe)
     jpath = out / f"probe_{lemma}.json"
     qio.write_json(jpath, probe_report.to_dict())
     cpath = out / f"probe_{lemma}.csv"

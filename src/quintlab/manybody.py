@@ -148,7 +148,8 @@ class ManyBodyConfig:
         if self.beta < 0:
             raise ParameterError("beta", "beta must be nonnegative")
         if isinstance(self.potential, GaussianPotential):
-            radius = self.potential.support_radius / float(self.N) ** self.beta
+            # N ** -beta underflows to 0 where N ** beta would overflow
+            radius = self.potential.support_radius * float(self.N) ** -self.beta
             if radius < self.grid.dx / 2.0:
                 raise UnderResolvedError(
                     f"rescaled support radius {radius:.3g} is below "

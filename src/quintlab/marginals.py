@@ -294,6 +294,13 @@ class ChaosRow:
     coupling: float
 
 
+def chaos_nls_steps(T: float, nls_dt: float | None) -> int:
+    """chaos_experiment's mean-field step count: 200, or T/nls_dt rounded and at least 1."""
+    if nls_dt is not None and not (nls_dt > 0 and np.isfinite(T / nls_dt)):
+        raise ValueError(f"nls_dt must be > 0 and make T/nls_dt finite, got {nls_dt}")
+    return 200 if nls_dt is None else max(1, int(round(T / nls_dt)))
+
+
 def chaos_experiment(
     Ns: list[int],
     beta: float,
@@ -308,15 +315,13 @@ def chaos_experiment(
     The mean-field side evolves phi0 under the quintic NLS with coupling b0
     equal to the grid mass of the tabulated interaction, once per distinct b0.
     The N-body side starts from the normalized phi0, so phi0 must have unit L2
-    norm to 1e-12; any other phi0, or an nls_dt <= 0, raises ValueError.
+    norm to 1e-12; any other phi0, or an nls_dt chaos_nls_steps rejects, raises ValueError.
     """
-    if nls_dt is not None and not nls_dt > 0:
-        raise ValueError(f"nls_dt must be > 0, got {nls_dt}")
+    steps = chaos_nls_steps(T, nls_dt)
     if not abs(phi0.l2_norm() - 1.0) <= 1e-12:
         raise ValueError(f"phi0 must have unit L2 norm, got {phi0.l2_norm()}")
     grid = phi0.grid
     rows = []
-    steps = 200 if nls_dt is None else max(1, int(round(T / nls_dt)))
     flows = {}  # b0 -> phi0 evolved to T; at beta = 0 every N has the same b0
     for N in Ns:
         kwargs = {"potential": potential} if potential is not None else {}

@@ -267,7 +267,9 @@ def strang_step(f: TorusField, cfg: NlsConfig, *, steps: int = 1) -> TorusField:
 
 
 def check_step_count(T: float, dt: float, snapshot_every: int = 1) -> int:
-    """The number of steps T/dt, which must be an integer multiple of snapshot_every."""
+    """The number of steps T/dt, which must be finite and an integer multiple of snapshot_every."""
+    if not math.isfinite(T / dt):
+        raise ParameterError("T", f"T/dt = {T / dt} is not a finite step count")
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ParameterError("T", f"T={T} is not an integer multiple of dt={dt}")

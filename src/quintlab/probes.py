@@ -4,9 +4,11 @@ Each probe evaluates the ratio (left side)/(right side) of one estimate on
 concrete fields, by spectral evaluation in space and trapezoid quadrature in
 time.  Probes return 0 on zero inputs or a zero right side, and are
 homogeneous of degree zero under rescaling of all their field arguments.
-The rules on their arguments, and the sizes of their evaluation grids
-(`_*_eval_n`, each checked against the memory budget), are helpers that the
-CLI's build pass also calls.
+Each lemma's probe (PROBE_RUNNERS) samples one ratio over random fields.  Its
+keyword-only parameters, annotated with their JSON types, are the options of a
+probe config; up to its first yield it checks every parameter tuple and sizes
+every evaluation grid (`_*_eval_n`, each checked against the memory budget)
+for the widest band its random data can have.  `run_probe` runs one to its report.
 """
 
 from __future__ import annotations
@@ -99,11 +101,6 @@ def _strichartz_eval_n(band: int, p: float) -> int:
     n = _eval_grid_for_power(band, int(np.ceil(min(p, 8.0))), max(8, 2 * band + 2))
     check_entries("the strichartz evaluation grid", n**3)
     return n
-
-
-def _bilinear_grid(n: int, m1: float) -> GridSpec:
-    """run_bilinear_probe's field grid at shell m1: at least n, and holding the shell."""
-    return GridSpec(3, _next_even(max(n, 2 * m1 + 4)))
 
 
 def _bilinear_eval_n(m1: float, m2: float, n: int) -> int:
@@ -410,7 +407,7 @@ def _collect(lemma_id, seed, samples, grid_tuples, ratio_fn) -> ProbeReport:
     overall = []
     for idx, tup in enumerate(grid_tuples):
         rng = np.random.default_rng([seed, idx])
-        vals = [ratio_fn(rng, tup) for _ in range(samples)]
+        vals = [ratio_fn(rng, *tup) for _ in range(samples)]
         report.ratio_table[str(tup)] = max(vals)
         overall.append(vals)
     per_sample = [max(col) for col in zip(*overall)] if overall else []
@@ -420,102 +417,101 @@ def _collect(lemma_id, seed, samples, grid_tuples, ratio_fn) -> ProbeReport:
     return report
 
 
-def run_strichartz_probe(seed=0, samples=100, ms=(2, 4, 8), p=4.0, T=1.0,
-                         nt=40, n=16) -> ProbeReport:
+def _strichartz_probe(seed: int, *, samples: int = 100, ms: list[float] = (2, 4, 8),
+                      p: float = 4.0, T: float = 1.0, nt: int = 40, n: int = 16):
     grid = GridSpec(3, n)
+    for m in ms:
+        check_strichartz_args(m, p, T, nt)
+        _strichartz_eval_n(min(int(m), grid.nyquist), p)
+    yield
 
-    def fn(rng, tup):
-        (m,) = tup
+    def fn(rng, m):
         f = TorusField.random_band_limited(grid, grid.nyquist, rng)
         return strichartz_ratio(f, m, p, T, nt)
 
-    return _collect("strichartz_t3", seed, samples, [(m,) for m in ms], fn)
+    yield _collect("strichartz_t3", seed, samples, [(m,) for m in ms], fn)
 
 
-def run_bilinear_probe(seed=0, samples=12, m1s=(4, 8, 16, 32), m2=4,
-                       delta=0.02, T=1.0, nt=33, n=16) -> ProbeReport:
-    def fn(rng, tup):
-        (m1,) = tup
-        grid = _bilinear_grid(n, m1)
-        f1 = TorusField.random_band_limited(grid, grid.nyquist, rng)
-        f2 = TorusField.random_band_limited(grid, grid.nyquist, rng)
+def _bilinear_probe(seed: int, *, samples: int = 12, m1s: list[float] = (4, 8, 16, 32),
+                    m2: float = 4, delta: float = 0.02, T: float = 1.0, nt: int = 33, n: int = 16):
+    grids = {}
+    for m1 in m1s:  # the field grid at shell m1: at least n, and holding the shell
+        check_bilinear_args(m1, m2, delta, T, nt)
+        grids[m1] = GridSpec(3, _next_even(max(n, 2 * m1 + 4)))
+        _bilinear_eval_n(m1, m2, grids[m1].n)
+    yield
+
+    def fn(rng, m1):
+        g = grids[m1]
+        f1, f2 = (TorusField.random_band_limited(g, g.nyquist, rng) for _ in range(2))
         return bilinear_strichartz_ratio(f1, f2, m1, m2, delta, T, nt)
 
-    return _collect("bilinear_strichartz_t3", seed, samples, [(m1,) for m1 in m1s], fn)
+    yield _collect("bilinear_strichartz_t3", seed, samples, [(m1,) for m1 in m1s], fn)
 
 
-def run_refined_sobolev_probe(seed=0, samples=40, ms=(4, 8), rs=(16, 32),
-                              which=3, n=32, band=12) -> ProbeReport:
+def _refined_sobolev_probe(seed: int, *, samples: int = 40, ms: list[float] = (4, 8),
+                           rs: list[float] = (16, 32), which: int = 3, n: int = 32, band: int = 12):
     grid = GridSpec(3, n)
+    grid_tuples = [(m, r) for m in ms for r in rs]
+    for m, r in grid_tuples:
+        check_refined_sobolev_args(m, r, which)
+    _refined_sobolev_eval_n(min(band, grid.nyquist))
+    yield
 
-    def fn(rng, tup):
-        m, r = tup
+    def fn(rng, m, r):
         f = TorusField.random_band_limited(grid, band, rng, decay=1.0)
         return refined_sobolev_ratio(f, m, r, which)
 
-    grid_tuples = [(m, r) for m in ms for r in rs]
-    return _collect(f"refined_sobolev_{which}", seed, samples, grid_tuples, fn)
+    yield _collect(f"refined_sobolev_{which}", seed, samples, grid_tuples, fn)
 
 
-def run_multilinear_probe(seed=0, samples=50, variant="Old1", m0=4.0, T=1.0,
-                          nt=32, n=8) -> ProbeReport:
+def _multilinear_probe(seed: int, *, samples: int = 50, variant: str = "Old1",
+                       m0: float = 4.0, T: float = 1.0, nt: int = 32, n: int = 8):
     grid = GridSpec(3, n)
+    check_multilinear_args(variant, m0, T, nt)
+    band = max(2, n // 4)  # at most the Nyquist mode, as n >= 4
+    _multilinear_eval_n(band)
+    yield
 
-    def fn(rng, tup):
-        fields = [
-            TorusField.random_band_limited(grid, max(2, n // 4), rng)
-            for _ in range(5)
-        ]
+    def fn(rng, _):
+        fields = [TorusField.random_band_limited(grid, band, rng) for _ in range(5)]
         return multilinear_ratio(fields, m0, T, variant, nt)
 
-    return _collect(f"multilinear_{variant}", seed, samples, [(variant,)], fn)
+    yield _collect(f"multilinear_{variant}", seed, samples, [(variant,)], fn)
 
 
-def run_approx_identity_probe(seed=0, samples=20, alphas=(0.25, 0.125, 0.0625),
-                              n=512, band=40) -> ProbeReport:
+def _approx_identity_probe(seed: int, *, samples: int = 20, n: int = 512, band: int = 40,
+                           alphas: list[float] = (0.25, 0.125, 0.0625)):
     grid = GridSpec(1, n)
+    check_alphas(alphas, grid)
+    yield
 
-    def fn(rng, tup):
+    def fn(rng, *_):
         f = TorusField.random_band_limited(grid, band, rng, decay=1.5)
         f = f * (1.0 / f.l2_norm())
         return approx_identity_rate(f, list(alphas))["slope"]
 
-    return _collect("approx_identity", seed, samples, [tuple(alphas)], fn)
-
-
-def check_probe_options(lemma: str, a: dict) -> None:
-    """The rules of the ratio behind PROBE_RUNNERS[lemma], on the runner's bound
-    arguments `a` (defaults applied), so a bad option fails before any sample.
-    The grids are sized for the widest band the runner's random data can have."""
-    if lemma == "strichartz":
-        grid = GridSpec(3, a["n"])
-        for m in a["ms"]:
-            check_strichartz_args(m, a["p"], a["T"], a["nt"])
-            _strichartz_eval_n(min(int(m), grid.nyquist), a["p"])
-    elif lemma == "bilinear":
-        for m1 in a["m1s"]:
-            check_bilinear_args(m1, a["m2"], a["delta"], a["T"], a["nt"])
-            _bilinear_eval_n(m1, a["m2"], _bilinear_grid(a["n"], m1).n)
-    elif lemma == "refined_sobolev":
-        grid = GridSpec(3, a["n"])
-        for m in a["ms"]:
-            for r in a["rs"]:
-                check_refined_sobolev_args(m, r, a["which"])
-        _refined_sobolev_eval_n(min(a["band"], grid.nyquist))
-    elif lemma == "multilinear":
-        grid = GridSpec(3, a["n"])
-        check_multilinear_args(a["variant"], a["m0"], a["T"], a["nt"])
-        _multilinear_eval_n(min(max(2, grid.n // 4), grid.nyquist))
-    elif lemma == "approx_identity":
-        check_alphas(a["alphas"], GridSpec(1, a["n"]))
-    else:
-        raise ValueError(f"must be one of {sorted(PROBE_RUNNERS)}")
+    yield _collect("approx_identity", seed, samples, [tuple(alphas)], fn)
 
 
 PROBE_RUNNERS = {
-    "strichartz": run_strichartz_probe,
-    "bilinear": run_bilinear_probe,
-    "refined_sobolev": run_refined_sobolev_probe,
-    "multilinear": run_multilinear_probe,
-    "approx_identity": run_approx_identity_probe,
+    "strichartz": _strichartz_probe,
+    "bilinear": _bilinear_probe,
+    "refined_sobolev": _refined_sobolev_probe,
+    "multilinear": _multilinear_probe,
+    "approx_identity": _approx_identity_probe,
 }
+
+
+def probe_runner(lemma: str):
+    """The probe of `lemma`, a key of PROBE_RUNNERS."""
+    if lemma not in PROBE_RUNNERS:
+        raise ValueError(f"must be one of {sorted(PROBE_RUNNERS)}")
+    return PROBE_RUNNERS[lemma]
+
+
+def run_probe(lemma: str, seed: int = 0, **options) -> ProbeReport:
+    """The probe of `lemma` run to its report; a bad option raises before any sample."""
+    probe = probe_runner(lemma)(seed, **options)
+    next(probe)  # the checks
+    return next(probe)

@@ -58,11 +58,7 @@ from quintlab.probes import (
     bilinear_strichartz_ratio,
     multilinear_ratio,
     refined_sobolev_ratio,
-    run_approx_identity_probe,
-    run_bilinear_probe,
-    run_multilinear_probe,
-    run_refined_sobolev_probe,
-    run_strichartz_probe,
+    run_probe,
     strichartz_ratio,
 )
 
@@ -431,11 +427,11 @@ def test_criterion_11_estimate_probes():
     ]
     scale_ok = all(v <= 1e-10 for v in scale_gaps)
     reports = [
-        run_strichartz_probe(seed=0, samples=40, ms=(2, 4, 8), nt=40, n=16),
-        run_bilinear_probe(seed=0, samples=8, m1s=(4, 8, 16), nt=33),
-        run_refined_sobolev_probe(seed=0, samples=24, ms=(4, 8), rs=(16, 32), n=32, band=12),
-        run_multilinear_probe(seed=0, samples=24, variant="Old1", nt=24),
-        run_approx_identity_probe(seed=0, samples=10),
+        run_probe("strichartz", seed=0, samples=40, ms=(2, 4, 8), nt=40, n=16),
+        run_probe("bilinear", seed=0, samples=8, m1s=(4, 8, 16), nt=33),
+        run_probe("refined_sobolev", seed=0, samples=24, ms=(4, 8), rs=(16, 32), n=32, band=12),
+        run_probe("multilinear", seed=0, samples=24, variant="Old1", nt=24),
+        run_probe("approx_identity", seed=0, samples=10),
     ]
     stability = {r.lemma_id: r.stability_factor for r in reports}
     stable_ok = all(v < 1.5 for v in stability.values())

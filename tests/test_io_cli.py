@@ -569,7 +569,7 @@ BAD_CONFIGS = [
     ("manybody-run", {**_MB, "beta": 3}, "beta"),
     ("nls-run", {**_NLS, "initial": {"kind": "modes", "modes": [[[9], 1.0]]}}, "initial"),
     ("nls-run", {**_NLS, "diagnostics_M": [8]}, "diagnostics_M"),
-    ("probe", {"lemma": "strichartz", "options": {"bogus": 1}}, "options"),
+    ("probe", {"lemma": "strichartz", "options": {"bogus": 1}}, "options.bogus"),
     ("hufl", {**_HUFL, "ks": [0]}, "ks"),
     ("hufl", {**_HUFL, "ks": [1.5]}, "ks"),  # not an integer order
     ("nls-run", lambda tmp: {**_NLS, "initial": _truncated_field(tmp)}, "initial.path"),
@@ -679,6 +679,16 @@ BAD_CONFIGS = [
      "initial"),
     # a 4-site sector of 21 particles fits the budget; 21! does not fit in int64
     ("chaos", {**_CHAOS, "n": 4, "beta": 0.0, "Ns": [20, 21]}, "Ns"),
+    # probe options are typed: each ended in a traceback or ran coerced
+    ("probe", {"lemma": "strichartz", "options": {"nt": 40.5}}, "options.nt"),
+    ("probe", {"lemma": "strichartz", "options": {"samples": 2.5}}, "options.samples"),
+    ("probe", {"lemma": "multilinear", "options": {"n": 8.0}}, "options.n"),
+    ("probe", {"lemma": "refined_sobolev", "options": {"which": 2.0}}, "options.which"),
+    # N ** beta overflowed; N ** -beta underflows to a radius of 0
+    ("chaos", {**_CHAOS, "beta": 1e10}, "beta"),
+    # step counts T/dt past the largest float
+    ("nls-run", {**_NLS, "dt": 1e-320}, "T"),
+    ("chaos", {**_CHAOS, "nls_dt": 1e-320}, "nls_dt"),
 ]
 
 
@@ -870,11 +880,13 @@ _MISTYPED = {"int": True, "float": "1", "bool": 1, "str": 5, "dict": [], "list":
 
 
 def _declared():
-    """(declaring function, key, annotation) for every config key of every kind."""
+    """(declaring function, key, annotation) for every config key of every kind,
+    every params.initial kind and every probe's params.options."""
     from quintlab import cli
 
     return [(fn, p.name, p.annotation)
-            for fn in [*cli._RUNNERS.values(), *cli._INITIAL.values()]
+            for fn in [*cli._RUNNERS.values(), *cli._INITIAL.values(),
+                       *probes.PROBE_RUNNERS.values()]
             for p in inspect.signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY]
 
 
@@ -894,8 +906,10 @@ class TestDeclaredKeys:
         keys = [(fn, key) for fn, key, ann in _declared() if ann == annotation]
         assert keys
         for fn, key in keys:
-            kind = next((k for k, f in cli._INITIAL.items() if f is fn), None)
-            where = "params.initial" if kind else "params"
+            initial = next((k for k, f in cli._INITIAL.items() if f is fn), None)
+            lemma = next((k for k, f in probes.PROBE_RUNNERS.items() if f is fn), None)
+            where = "params.initial" if initial else "params.options" if lemma else "params"
+            kind = initial or lemma
             with pytest.raises(ValidationError) as exc:
                 cli._bind(fn, {key: _MISTYPED[annotation]}, where, kind)
             assert f"{where}.{key}: must be {what}" in exc.value.errors

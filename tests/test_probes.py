@@ -25,11 +25,7 @@ from quintlab.probes import (
     bilinear_strichartz_ratio,
     multilinear_ratio,
     refined_sobolev_ratio,
-    run_approx_identity_probe,
-    run_bilinear_probe,
-    run_multilinear_probe,
-    run_refined_sobolev_probe,
-    run_strichartz_probe,
+    run_probe,
     strichartz_ratio,
 )
 
@@ -167,7 +163,8 @@ class TestRefinedSobolev:
         assert abs(a - b) <= 1e-10 * max(a, 1e-30)
 
     def test_sampling_stability(self):
-        report = run_refined_sobolev_probe(seed=0, samples=16, ms=(2, 4), rs=(8, 16), n=16, band=6)
+        report = run_probe("refined_sobolev", seed=0, samples=16, ms=(2, 4), rs=(8, 16), n=16,
+                           band=6)
         assert report.stability_factor < 1.5
         assert np.isfinite(report.max_ratio)
 
@@ -365,26 +362,26 @@ class TestApproxIdentity:
 
 class TestSamplingDrivers:
     def test_strichartz_report_deterministic(self):
-        a = run_strichartz_probe(seed=3, samples=6, ms=(2, 4), nt=33, n=8)
-        b = run_strichartz_probe(seed=3, samples=6, ms=(2, 4), nt=33, n=8)
+        a = run_probe("strichartz", seed=3, samples=6, ms=(2, 4), nt=33, n=8)
+        b = run_probe("strichartz", seed=3, samples=6, ms=(2, 4), nt=33, n=8)
         assert a.to_dict() == b.to_dict()
         assert a.max_ratio == max(a.ratio_table.values())
 
     def test_strichartz_stability_across_levels(self):
-        report = run_strichartz_probe(seed=0, samples=24, ms=(2, 4, 8), nt=33, n=16)
+        report = run_probe("strichartz", seed=0, samples=24, ms=(2, 4, 8), nt=33, n=16)
         vals = list(report.ratio_table.values())
         assert max(vals) / min(vals) < 2.0
         assert report.stability_factor < 1.5
 
     def test_bilinear_driver_runs(self):
-        report = run_bilinear_probe(seed=0, samples=4, m1s=(4, 8), nt=33)
+        report = run_probe("bilinear", seed=0, samples=4, m1s=(4, 8), nt=33)
         assert report.stability_factor < 1.5
 
     def test_multilinear_driver_runs(self):
-        report = run_multilinear_probe(seed=0, samples=8, variant="Old1", nt=16)
+        report = run_probe("multilinear", seed=0, samples=8, variant="Old1", nt=16)
         assert np.isfinite(report.max_ratio)
         assert report.stability_factor < 1.5
 
     def test_approx_identity_driver(self):
-        report = run_approx_identity_probe(seed=0, samples=4)
+        report = run_probe("approx_identity", seed=0, samples=4)
         assert min(report.ratio_table[k] for k in report.ratio_table) >= 0.35
