@@ -11,10 +11,10 @@ it required.  Validation binds params to them and runs `_run_<kind>`
 up to its `yield`: that is the build pass, which constructs the domain
 objects the run after it uses, so every value rule is the one its owning
 module enforces.  All randomness derives from the single config seed
-through numpy's PCG64 generator, so rerunning a config reproduces every
-numeric artifact byte-for-byte.  Exit codes: 0 pass, 1 in-run tolerance
-failure (a failed check, a Krylov tolerance out of reach or a blow-up), 2
-validation error.
+through numpy's PCG64 generator, so rerunning a config at a fixed BLAS
+thread count reproduces every numeric artifact byte-for-byte.  Exit codes:
+0 pass, 1 in-run tolerance failure (a failed check, a Krylov tolerance out
+of reach or a blow-up), 2 validation error.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ SCHEMA_VERSION = 1
 
 class ValidationError(ValueError):
     def __init__(self, errors: list[str]):
+        errors = list(dict.fromkeys(errors))  # each distinct message once, in first-seen order
         super().__init__("; ".join(errors))
         self.errors = errors
 

@@ -653,7 +653,8 @@ def _lanczos_basis(config: ManyBodyConfig, V: np.ndarray, kdim: int,
     J. Numer. Anal. 1992), since no further vector changes that substep.
     Returns the tridiagonal (alphas, betas), where betas[-1] couples the
     last basis vector to the next one and is 0 on a happy breakdown (the
-    basis then spans an invariant subspace).
+    basis then spans an invariant subspace), and the eigenpairs of the stop
+    check that passed, or None: their substep is then tau.
     """
     alphas, betas = np.zeros(kdim), np.zeros(kdim)
     # omega[k] estimates <v_k, v_j> for the newest vector v_j, and omega_old
@@ -694,7 +695,7 @@ def _lanczos_basis(config: ManyBodyConfig, V: np.ndarray, kdim: int,
             omega_old[j + 1] = 1.0
             omega, omega_old = omega_old, omega
         if b < floor:
-            return alphas[: j + 1], betas[: j + 1]  # betas[j] = 0: happy breakdown
+            return alphas[: j + 1], betas[: j + 1], None  # betas[j] = 0: happy breakdown
         betas[j] = b
         w /= b
         if tau is not None and j >= 5:
@@ -703,8 +704,8 @@ def _lanczos_basis(config: ManyBodyConfig, V: np.ndarray, kdim: int,
             if _estimate(evals, evecs, tau) <= rate / b and np.all(
                 _estimate(evals, evecs, tau * _SUBSTEP_FRACTIONS) <= rate / b
             ):
-                return alphas[: j + 1], betas[: j + 1]
-    return alphas, betas
+                return alphas[: j + 1], betas[: j + 1], (evals, evecs)
+    return alphas, betas, None
 
 
 def _tridiagonal_eigh(alphas, betas):
@@ -800,9 +801,9 @@ def _propagate(psi: BosonicState, times: np.ndarray, steps, kdim, tol):
     while left > 0.0:
         # the last capped substep absorbs the rounding of span / steps
         tau_max = left if left <= cap * (1.0 + 1e-12) else cap
-        alphas, betas = _lanczos_basis(config, V, kdim, tau_max, rate)
-        evals, evecs = _tridiagonal_eigh(alphas, betas)
-        tau = _choose_substep(evals, evecs, betas[-1], tau_max, rate)
+        alphas, betas, stopped = _lanczos_basis(config, V, kdim, tau_max, rate)
+        evals, evecs = stopped or _tridiagonal_eigh(alphas, betas)
+        tau = tau_max if stopped else _choose_substep(evals, evecs, betas[-1], tau_max, rate)
         offsets = np.maximum(pending - (span - left), 0.0)
         count = offsets.size if tau >= left else int(np.searchsorted(offsets, tau, "right"))
         offsets = np.minimum(offsets[:count], tau)

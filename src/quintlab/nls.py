@@ -118,13 +118,26 @@ def free_sample(f: TorusField, t: float, n: int, out: np.ndarray | None = None) 
         out = np.empty((n,) * d, dtype=np.complex128)
     elif not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    e = _synthesis_matrix(s, n) * _free_phase(1, s, t, s)
-    b = f.coefficients
-    if d > 1:
-        b = b.reshape(-1, s) @ e.T
-    for j in range(d - 2, 0, -1):
-        b = np.matmul(e, b.reshape(s**j, s, -1))
-    np.matmul(e, b.reshape(s, -1), out=out.reshape(n, -1))
+    return _free_product([f], t, n, out)
+
+
+def _free_product(fields: list[TorusField], t: float, n: int, out: np.ndarray,
+                  buf: np.ndarray | None = None) -> np.ndarray:
+    """The product of free_sample(f, t, n) over the fields, into out, unchecked; buf, like
+    out, takes each further factor.  Fields on one grid size share one matrix."""
+    mats = {}
+    for i, f in enumerate(fields):
+        s, d = f.grid.n, f.grid.d
+        if s not in mats:
+            mats[s] = _synthesis_matrix(s, n) * _free_phase(1, s, t, s)
+        e, b = mats[s], f.coefficients
+        if d > 1:
+            b = b.reshape(-1, s) @ e.T
+        for j in range(d - 2, 0, -1):
+            b = np.matmul(e, b.reshape(s**j, s, -1))
+        np.matmul(e, b.reshape(s, -1), out=(buf if i else out).reshape(n, -1))
+        if i:
+            out *= buf
     return out
 
 

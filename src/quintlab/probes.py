@@ -22,7 +22,6 @@ from .grids import (
     FrequencyCube,
     GridSpec,
     TorusField,
-    _abs2,
     _fftn,
     _wrapped_relative_coords,
     _xi_squared,
@@ -38,7 +37,7 @@ from .grids import (
     sobolev_norm,
 )
 # free_propagate is unused here; perfbench's tracing test asserts it is bound to nls.free_propagate
-from .nls import free_propagate, free_sample  # noqa: F401
+from .nls import _free_product, free_propagate, free_sample  # noqa: F401
 
 
 def _trapezoid_times(T: float, nt: int) -> tuple[np.ndarray, np.ndarray]:
@@ -61,10 +60,7 @@ def _free_product_integral(fields: list[TorusField], T: float, nt: int, n: int,
     buf = np.empty_like(v) if len(fields) > 1 else None
     acc = 0.0
     for t, wt in zip(ts, w):
-        free_sample(fields[0], t, n, v)
-        for f in fields[1:]:
-            v *= free_sample(f, t, n, buf)
-        acc += wt * integrand(v)
+        acc += wt * integrand(_free_product(fields, t, n, v, buf))
     return acc
 
 
@@ -76,60 +72,67 @@ def _next_even(x: float) -> int:
     return n
 
 
+def _label_extent(f: TorusField) -> tuple[int, int]:
+    """The least and the largest per-axis label of a nonzero coefficient, each taken with 0."""
+    nz, d = f.coefficients != 0, f.grid.d
+    labels = np.concatenate([f.grid.axis_frequencies()[nz.any(axis=tuple(set(range(d)) - {j}))]
+                             for j in range(d)])
+    return int(labels.min(initial=0)), int(labels.max(initial=0))
+
+
 def _field_band(f: TorusField) -> int:
     """Largest per-axis |xi| carrying a nonzero coefficient."""
-    nz = np.abs(f.coefficients) > 0
-    if not nz.any():
-        return 0
-    ax = np.abs(f.grid.axis_frequencies())
-    worst = 0
-    for j in range(f.grid.d):
-        axes = tuple(a for a in range(f.grid.d) if a != j)
-        occupied = nz.any(axis=axes) if axes else nz
-        worst = max(worst, int(ax[occupied].max()))
-    return worst
+    lo, hi = _label_extent(f)
+    return max(hi, -lo)
 
 
 def _eval_grid_for_power(band: float, power: int, floor_n: int) -> int:
-    """Grid size on which |g|^power of a band-limited g is alias-free."""
+    """An FFT-friendly grid size on which |g|^power of a band-limited g is alias-free."""
     return max(4, floor_n, _next_even(power * band + 2))
 
 
+def _exact_grid(band: float, power: int, floor_n: int) -> int:
+    """The fewest points per axis (at least floor_n and 4, of any parity) on which the grid
+    sum of a product of `power` factors of per-axis band `band` is its exact integral."""
+    return max(4, floor_n, math.floor(power * band) + 1)
+
+
 def _strichartz_eval_n(band: int, p: float) -> int:
-    """strichartz_ratio's evaluation grid for a datum of this band: alias-free for
-    |v|^p (p capped at 8) and at least the datum's band grid."""
-    n = _eval_grid_for_power(band, int(np.ceil(min(p, 8.0))), max(8, 2 * band + 2))
+    """strichartz_ratio's evaluation grid for a datum of this band: exact for
+    |v|^p at even p <= 8 (p is capped at 8) and at least the datum's band grid."""
+    n = _exact_grid(band, int(np.ceil(min(p, 8.0))), max(8, 2 * band + 2))
     check_entries("the strichartz evaluation grid", n**3)
     return n
 
 
 def _bilinear_eval_n(m1: float, m2: float, n: int) -> int:
     """bilinear_strichartz_ratio's evaluation grid for shells m1, m2 of fields on
-    n points per axis: alias-free for the product; two buffers of it are held."""
-    n_eval = _eval_grid_for_power(m1 + m2, 2, n)
+    n points per axis: exact for |u1 u2|^2; two buffers of it are held."""
+    n_eval = _exact_grid(m1 + m2, 2, n)
     check_entries("the bilinear evaluation buffers", 2 * n_eval**3)
     return n_eval
 
 
 def _refined_sobolev_eval_n(band: int) -> int:
-    """refined_sobolev_ratio's evaluation grid for a datum of this band (a sextic product)."""
-    n = _eval_grid_for_power(band, 6, 8)
+    """refined_sobolev_ratio's evaluation grid for a datum of this band, exact for the sextic."""
+    n = _exact_grid(band, 6, 8)
     check_entries("the refined-Sobolev evaluation grid", n**3)
     return n
 
 
 def _multilinear_eval_n(band: int) -> int:
     """multilinear_ratio's evaluation grid for factors of this band: alias-free for
-    the quintic product; two buffers of it are held."""
+    the quintic product, an FFT length; two buffers of it are held."""
     n = _eval_grid_for_power(band, 10, 4)
     check_entries("the multilinear evaluation buffers", 2 * n**3)
     return n
 
 
 def _band_grid(f: TorusField) -> TorusField:
-    """f on the (2h)^d grid, h = band + 1 (at least 2): its FFT layout is the
-    coefficient cube, and each mode keeps its label."""
-    return f.resample(2 * max(_field_band(f) + 1, 2))
+    """f on the (2h)^d grid of labels -h..h-1, h = max(hi + 1, -lo, 2) for its labels lo..hi:
+    its FFT layout is the coefficient cube, and each mode keeps its label."""
+    lo, hi = _label_extent(f)
+    return f.resample(2 * max(hi + 1, -lo, 2))
 
 
 def check_sample_count(samples: int) -> None:
@@ -220,12 +223,13 @@ def strichartz_ratio(
     n_eval = _strichartz_eval_n(_field_band(g), p)
     r = np.empty((n_eval,) * 3)
 
-    def lp_mass(v):
+    def lp_mass(v):  # sum |v|^p = sum (|v|^(p/2))^2, one pass
         nonlocal r
         np.square(v.real, out=r)
         r += np.square(v.imag, out=v.imag)
-        r **= p / 2.0
-        return np.sum(r)
+        if p != 4.0:
+            r **= p / 4.0
+        return np.vdot(r, r)
 
     acc = _free_product_integral([_band_grid(g)], T, nt, n_eval, lp_mass)
     lhs = (acc * (2.0 * np.pi / n_eval) ** 3) ** (1.0 / p)
@@ -257,7 +261,7 @@ def bilinear_strichartz_ratio(
     n_eval = _bilinear_eval_n(m1, m2, u1.grid.n)
     # discrete Parseval: the product's L2 norm from its samples, no transform
     acc = _free_product_integral([_band_grid(u1), _band_grid(u2)], T, nt, n_eval,
-                                 lambda v: np.sum(_abs2(v)))
+                                 lambda v: np.vdot(v, v).real)
     lhs = np.sqrt(acc * (2.0 * np.pi / n_eval) ** 3)
     rhs = np.sqrt(m2) * (m2 / m1 + 1.0 / m2) ** delta * n1 * n2
     return float(lhs / rhs)
@@ -326,11 +330,16 @@ def multilinear_ratio(
         return 0.0
     band = max(_field_band(f) for f in fs)
     fine = GridSpec(3, _multilinear_eval_n(band))
-    # sobolev_norm of the product's field, from the unnormalized transform of its samples
-    weight = (1.0 + _xi_squared(3, fine.n)) ** s_out * (fine.volume / fine.size**2)
+    # sobolev_norm of the product's field: the unnormalized transform of its samples
+    # times the square root of the H^s weight, in place, then one pass
+    root = (1.0 + _xi_squared(3, fine.n)) ** (s_out / 2.0) * (np.sqrt(fine.volume) / fine.size)
+
+    def hs_norm(v):
+        np.multiply(_fftn(v, out=v), root, out=v)
+        return np.sqrt(np.vdot(v, v).real)
+
     # free evolution keeps each mode's label, so it commutes with resampling
-    acc = _free_product_integral([_band_grid(f) for f in fs], T, nt, fine.n,
-                                 lambda v: np.sqrt(np.sum(weight * _abs2(_fftn(v, out=v)))))
+    acc = _free_product_integral([_band_grid(f) for f in fs], T, nt, fine.n, hs_norm)
     return float(acc / rhs)
 
 

@@ -724,6 +724,13 @@ class TestBadConfigs:
         assert (f"config: {path}:" if field == "config" else f"params.{field}:") in err
         assert "Traceback" not in err
 
+    def test_each_distinct_message_listed_once(self):
+        # both N of Ns fail the same way, with the same message
+        with pytest.raises(ValidationError) as info:
+            ExperimentConfig.from_dict({"kind": "chaos", "params": {**_CHAOS, "beta": 1e10}})
+        assert info.value.errors == [
+            "params.beta: rescaled support radius 0 is below half a grid spacing 0.393"]
+
     def test_chaos_to_twelve_particles_accepted(self):
         # the sectors (50,388 entries at N = 12) fit; the 8^12-entry tensor is never formed
         ExperimentConfig.from_dict({"kind": "chaos",

@@ -603,12 +603,18 @@ class TestPropagate:
         t, s = 0.7, 9
         free = propagate(psi, t)
         taus = []
-        choose = manybody._choose_substep
+        build, choose = manybody._lanczos_basis, manybody._choose_substep
+
+        def basis(config, V, kdim, tau, rate):  # a basis whose stop check passed runs tau
+            out = build(config, V, kdim, tau, rate)
+            taus.extend([tau] if out[2] else [])
+            return out
 
         def spy(*args):
             taus.append(choose(*args))
             return taus[-1]
 
+        monkeypatch.setattr(manybody, "_lanczos_basis", basis)
         monkeypatch.setattr(manybody, "_choose_substep", spy)
         capped = propagate(psi, t, steps=s)
         assert np.linalg.norm(capped.amps - free.amps) <= 1e-10 * np.linalg.norm(free.amps)
@@ -715,7 +721,7 @@ class TestPropagate:
         monkeypatch.setattr(manybody, "_lanczos_basis", spy)
         propagate(psi, T)
         assert bases
-        for alphas, betas in bases:
+        for alphas, betas, _ in bases:
             tiny = np.flatnonzero(betas[:-1] < 1e-8 * np.maximum(np.abs(alphas[:-1]), 1.0))
             past = len(alphas) - 1 - tiny[0] if tiny.size else 0
             assert past <= (0 if T == 0.2 else 1)
@@ -737,7 +743,7 @@ class TestPropagate:
         psi = BosonicState.factorized(cfg, smooth_phi(g, band=2))
         kdim = 30
         V = self.sector_basis_buffer(psi, kdim)
-        alphas, betas = manybody._lanczos_basis(cfg, V, kdim)
+        alphas, betas, _ = manybody._lanczos_basis(cfg, V, kdim)
         assert len(alphas) == kdim and betas[-1] > 0.0
         gram = V.conj() @ V.T
         assert np.abs(gram - np.eye(kdim + 1)).max() <= 1e-8
@@ -747,7 +753,7 @@ class TestPropagate:
         cfg = ManyBodyConfig(GridSpec(d, n), N, 0.05)
         psi = BosonicState.factorized(cfg, smooth_phi(cfg.grid, band=2))
         V = TestPropagate.sector_basis_buffer(psi, kdim)
-        alphas, betas = manybody._lanczos_basis(cfg, V, kdim)
+        alphas, betas, _ = manybody._lanczos_basis(cfg, V, kdim)
         return cfg, V, alphas, betas
 
     @pytest.mark.parametrize("d,n,N,kdim", [
@@ -800,7 +806,7 @@ class TestPropagate:
 
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "norm", counting)
-            alphas, betas = manybody._lanczos_basis(psi.config, V, kdim)
+            alphas, betas, _ = manybody._lanczos_basis(psi.config, V, kdim)
         return V, alphas, betas, (len(calls) - len(alphas)) // 2
 
     @pytest.mark.parametrize("d,n,N,kdim,most", [

@@ -15,10 +15,12 @@ from quintlab.grids import (
     project_leq,
     sobolev_norm,
 )
+from quintlab import probes
 from quintlab.nls import free_propagate
 from quintlab.probes import (
-    _eval_grid_for_power,
+    _band_grid,
     _field_band,
+    _free_product_integral,
     _next_even,
     _trapezoid_times,
     approx_identity_rate,
@@ -230,32 +232,42 @@ class TestMultilinear:
         assert vals[16] == pytest.approx(vals[8], rel=1e-9)
 
 
+def padded_samples(f, t, n):
+    """free_propagate(f, t) sampled on n >= f.grid.n points per axis, of any
+    parity, by an inverse transform of its coefficients placed on the n grid."""
+    labels = f.grid.axis_frequencies() % n
+    c = np.zeros((n,) * 3, dtype=np.complex128)
+    c[np.ix_(labels, labels, labels)] = free_propagate(f, t).coefficients
+    return np.fft.ifftn(c) * n**3
+
+
 class TestPerTimeOracles:
-    """Each ratio against its formulation with one field per quadrature time:
-    the L^p norm by TorusField.lp_norm, the product's L^2 norm spectrally
-    after a forward transform, and the quintic product padded at every time."""
+    """Each ratio against its formulation with one field per quadrature time,
+    sampled by an inverse transform on the ratio's grid (padded_samples): the
+    L^p norm by grid quadrature, the product's L^2 norm spectrally after a
+    forward transform, and the quintic product padded at every time."""
 
     @pytest.mark.parametrize("p", [4.0, 5.0])
     def test_strichartz(self, p):
         f = rand3(16, seed=20)
         g = project_leq(f, 4)
         band = _field_band(g)
-        g_fine = g.resample(max(_eval_grid_for_power(band, int(np.ceil(p)), 8), 2 * band + 2))
+        n = max(int(np.ceil(p)) * band + 1, 2 * band + 2, 8)  # exact for even p only
         ts, w = _trapezoid_times(1.0, 40)
-        acc = sum(wt * free_propagate(g_fine, t).lp_norm(p) ** p for t, wt in zip(ts, w))
+        acc = sum(wt * np.sum(np.abs(padded_samples(g, t, n)) ** p) * (2 * np.pi / n) ** 3
+                  for t, wt in zip(ts, w))
         want = acc ** (1.0 / p) / (4 ** (1.5 - 5.0 / p) * g.l2_norm())
         assert strichartz_ratio(f, 4, p, 1.0, 40) == pytest.approx(want, rel=1e-12)
 
     def test_bilinear(self):
         f1, f2 = rand3(16, seed=21), rand3(16, seed=22)
         u1, u2 = dyadic_project(f1, 8), dyadic_project(f2, 4)
-        a = u1.resample(max(_next_even(2 * (8 + 4) + 2), 16))
-        b = u2.resample(a.grid.n)
+        n = max(2 * (8 + 4) + 1, 16)
         ts, w = _trapezoid_times(1.0, 33)
         acc = 0.0
         for t, wt in zip(ts, w):
-            vals = free_propagate(a, t).values * free_propagate(b, t).values
-            acc += wt * TorusField.from_values(a.grid, vals).l2_norm() ** 2
+            vals = padded_samples(u1, t, n) * padded_samples(u2, t, n)
+            acc += wt * (2 * np.pi) ** 3 * np.sum(np.abs(np.fft.fftn(vals) / n**3) ** 2)
         rhs = np.sqrt(4.0) * (4.0 / 8.0 + 1.0 / 4.0) ** 0.02 * u1.l2_norm() * u2.l2_norm()
         got = bilinear_strichartz_ratio(f1, f2, 8, 4, 0.02, 1.0, 33)
         assert got == pytest.approx(np.sqrt(acc) / rhs, rel=1e-12)
@@ -272,6 +284,62 @@ class TestPerTimeOracles:
         rhs = sobolev_norm(fs[0], s_out) * np.prod([sobolev_norm(f, 1.0) for f in fs[1:]])
         got = multilinear_ratio(fs, 4.0, 1.0, variant, 32)
         assert got == pytest.approx(acc / rhs, rel=1e-12)
+
+
+class TestExactGrids:
+    """Strichartz at p = 4, bilinear and refined-Sobolev sum exact trigonometric
+    polynomials, so each evaluation grid has just more points than the
+    integrand's band, at any parity; the band grid holds every occupied label."""
+
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    def test_ratios_do_not_move_on_larger_grids(self, monkeypatch, extra):
+        f, f1, f2 = rand3(16, seed=60), rand3(16, seed=61), rand3(16, seed=62)
+        phi = TorusField.random_band_limited(GridSpec(3, 16), 5, np.random.default_rng(63),
+                                             decay=1.0)
+
+        def ratios():
+            return (strichartz_ratio(f, 4, 4.0, 1.0, 40),
+                    bilinear_strichartz_ratio(f1, f2, 8, 4, 0.02, 1.0, 33),
+                    refined_sobolev_ratio(phi, 2, 4, 3))
+
+        want, exact, sizes = ratios(), probes._exact_grid, []
+
+        def larger(*args):
+            sizes.append(exact(*args) + extra)
+            return sizes[-1]
+
+        monkeypatch.setattr(probes, "_exact_grid", larger)
+        assert ratios() == pytest.approx(want, rel=1e-13)
+        assert sizes == [17 + extra, 25 + extra, 31 + extra]
+
+    @pytest.mark.parametrize("modes,n_band", [
+        ({(-8, 0, 0): 1.0}, 16),
+        ({(7, -2, 0): 1.0}, 16),
+        ({(0, -3, 1): 1.0, (2, 0, 0): 0.5}, 6),
+        ({(0, 0, 2): 1.0}, 6),
+        ({(1, 0, 0): 1.0}, 4),
+        ({}, 4),
+    ])
+    def test_band_grid_keeps_every_occupied_label(self, modes, n_band):
+        f = TorusField.from_modes(GridSpec(3, 16), modes)
+        g = _band_grid(f)
+        assert g.grid.n == n_band
+        assert np.array_equal(g.resample(16).coefficients, f.coefficients)
+
+    def test_full_band_datum_stays_on_its_grid(self):
+        f = rand3(16, seed=64)
+        assert _field_band(f) == 8 and _band_grid(f) is f
+
+    def test_shared_matrix_quadrature_matches_per_factor_transforms(self):
+        fs = [_band_grid(rand3(8, band=2, seed=65 + s)) for s in range(3)]
+        fs.append(_band_grid(dyadic_project(rand3(16, seed=68), 4)))
+        assert sorted({f.grid.n for f in fs}) == [6, 10]
+        n, integrand = 23, lambda v: np.vdot(v, v).real
+        ts, w = _trapezoid_times(1.0, 9)
+        want = sum(wt * integrand(np.prod([padded_samples(f, t, n) for f in fs], axis=0))
+                   for t, wt in zip(ts, w))
+        got = _free_product_integral(fs, 1.0, 9, n, integrand)
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 class TestTimeLoopRoute:
