@@ -35,6 +35,8 @@ SHAPES = [  # the benchmark's many-body shapes, then larger ones, where the arra
     ("manybody-run", {**_MB, "n": 32, "N": 4}),
     ("manybody-run", {**_MB, "n": 64, "N": 3, "stability": [[1, 0.5], [2, 0.5]]}),
     ("manybody-run", {**_MB, "n": 24, "N": 4, "dump_state": True}),
+    ("manybody-run", {**_MB, "n": 16, "N": 5, "dump_state": True}),  # streamed by slab
+    ("manybody-run", {**_MB, "n": 16, "N": 6, "dump_state": True}),
     ("chaos", {**_MB, "n": 16, "Ns": [2, 3, 4, 5]}),
     ("chaos", {**_MB, "n": 8, "beta": 0.0, "T": 0.2, "Ns": [2, 4, 6, 8, 10, 12]}),
     ("residuals", {**_RES, "n": 24, "N": 4, "k": 1}),

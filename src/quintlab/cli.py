@@ -352,8 +352,8 @@ def _run_manybody(attempt, seed: int, *, d: int, n: int, initial: dict, N: int, 
     for mb in mbs:
         if stability:  # the stability norms
             attempt("N", mb.check_factor_budget, min(max(k for k, _ in stability), N), 2)
-        if dump_state or from_file:  # each of these reads amps
-            attempt("N", mb.check_budget)
+        if dump_state or from_file:  # each streams a state file
+            attempt("N", mb.check_file_budget)
     phi = None if from_file else _field(attempt, grid, initial, seed)
     if from_file and grid:  # a state, not a field
         kw = {k: v for k, v in initial.items() if k != "kind"}

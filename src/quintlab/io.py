@@ -8,7 +8,7 @@ Field dump layout (little-endian):
 
 State dumps extend the header with a u32 slot count N and carry (n^d)^N
 complex64 amplitudes in row-major slot order, symmetric under exchange of
-slots.
+slots, and written and checked slab by slab (manybody._slabs, check_file_budget).
 Loaders check the layout tag and the payload length against the header,
 and that a state is symmetric and not zero, and raise ValueError naming the file.
 
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import GridSpec, ParameterError, TorusField
-from .manybody import BosonicState, ManyBodyConfig, check_exchange_symmetry
+from .manybody import BosonicState, ManyBodyConfig, _compress, _sector, _slabs
 
 _LAYOUTS = ("spectral", "physical")
 
@@ -42,8 +42,7 @@ def dump_field(f: TorusField, path, layout: str = "spectral") -> None:
         raise ValueError(f"layout must be one of {_LAYOUTS}")
     grid = f.grid
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", grid.d, grid.n))
-        fh.write(layout.encode("ascii").ljust(8, b"\0"))
+        fh.write(struct.pack("<II8s", grid.d, grid.n, layout.encode("ascii")))
         if layout == "spectral":
             order = _ascending_freq_order(grid.n)
             data = f.coefficients[np.ix_(*[order] * grid.d)]
@@ -90,21 +89,22 @@ def load_field(path) -> TorusField:
 
 
 def dump_state(psi: BosonicState, path) -> None:
-    """Write psi's amps, whose exchange partners are equal bit for bit, as
-    check_state_file demands of the complex64 entries."""
-    grid = psi.config.grid
-    amps = psi.amps.astype(np.complex64)
+    """Write psi's full tensor slab by slab; exchange partners are one entry
+    of psi.c, so they are equal bit for bit, as check_state_file demands."""
+    config = psi.config
+    config.check_file_budget()
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", grid.d, grid.n))
-        fh.write(b"physical".ljust(8, b"\0"))
-        fh.write(struct.pack("<I", psi.config.N))
-        fh.write(amps.tobytes())
+        fh.write(struct.pack("<II8sI", config.grid.d, config.grid.n, b"physical", config.N))
+        for slab in _slabs(config, psi.c / _sector(config).scale):
+            fh.write(slab.astype(np.complex64))
 
 
-def check_state_file(config: ManyBodyConfig, path) -> int:
+def check_state_file(config: ManyBodyConfig, path) -> np.ndarray:
     """Raise ValueError, naming the file, unless it holds a symmetric nonzero
     state dump for config; a zero state, which no run can normalize, names
-    params.initial.  Returns the header length."""
+    params.initial.  Returns its entries at the sorted tuples, read from a
+    memory map by manybody._compress, which builds no sector table."""
+    config.check_file_budget()
     grid, layout, N, header_bytes = _read_header(path, slotted=True)
     if layout != "physical":
         raise ValueError(f"{path}: state dumps are 'physical', got {layout!r}")
@@ -117,17 +117,16 @@ def check_state_file(config: ManyBodyConfig, path) -> int:
     amps = np.memmap(path, dtype=np.complex64, mode="r", offset=header_bytes,
                      shape=config.state_shape)
     try:
-        check_exchange_symmetry(amps, grid.d, N)
+        u = _compress(config, amps, scale=False)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if not amps.any():
+    if not u.any():
         raise ParameterError("initial", f"{path}: the state is zero")
-    return header_bytes
+    return u
 
 
 def load_state(config: ManyBodyConfig, path) -> BosonicState:
-    raw = np.fromfile(path, dtype=np.complex64, offset=check_state_file(config, path))
-    return BosonicState(config, raw.astype(np.complex128).reshape(config.state_shape))
+    return BosonicState(config, c=check_state_file(config, path) * _sector(config).scale)
 
 
 def format_number(x) -> str:

@@ -10,8 +10,8 @@ in the relative coordinates, symmetrised over the choice of centre particle so
 that H maps the bosonic sector to itself.  A BosonicState is its sector
 vector (see the bosonic sector below), and every run path works on that
 vector, marginals, the hierarchy right side and the Sobolev weights included;
-the dense tensor over (grid)^N is formed, and charged (check_budget), only by
-dump_state, a state file and random_symmetric.
+only amps and random_symmetric form the dense tensor over (grid)^N (check_budget),
+and dump_state and a state file stream it by slab (_slabs, check_file_budget).
 """
 
 from __future__ import annotations
@@ -163,16 +163,21 @@ class ManyBodyConfig:
         return self.grid.shape * self.N
 
     def check_budget(self):
-        """Caps the full-tensor edge (_expand_index): the dense state tensor,
-        (n^d)^N entries, its 8-byte expand index and one scratch tensor."""
-        check_entries("state tensor, expand index and scratch", 5 * self.grid.size**self.N // 2)
+        """Caps the two that hold the full tensor, (n^d)^N entries: amps and
+        random_symmetric, whose draws take a tensor and a half of scratch."""
+        check_entries("state tensor and scratch", 5 * self.grid.size**self.N // 2)
+
+    def check_file_budget(self):
+        """The file rule of the paths that stream the full tensor by slab (_slabs):
+        its (n^d)^N entries, which, as n^d >= 4, bound their tables and scratch."""
+        check_entries("state file", self.grid.size**self.N, "N")
 
     def check_run_budget(self, times: Sequence[float], kdim: int = 20):
         """All that every run to `times` holds at once: the (n^d)^2 interaction
         table, the sector tables with their scratch (see _sector_entries), which
         its energies build even at t = 0, and, when a time is > 0, propagate's
         basis of kdim + 1 sector vectors and one sector vector per distinct
-        time > 0.  No full tensor: check_budget charges it where amps is read."""
+        time > 0.  No full tensor: see check_budget and check_file_budget."""
         check_entries("interaction table", self.grid.size**2)
         later = {float(t) for t in times if t > 0}
         if not later:
@@ -311,7 +316,7 @@ def _cached_tables(config: ManyBodyConfig) -> np.ndarray | None:
 # psi.  Tuples are ranked in colex order by the combinatorial number system,
 # rank(s) = sum_i C(s_i + i, i + 1).  On c, H = A^dagger (K x 1) A + V: A is the
 # level-N annihilation table of _insertion, the gather that B_k (_annihilate)
-# and the expand index share, and A^dagger is its scatter-add.
+# and the full tensor's slabs (_slabs) share, and A^dagger is its scatter-add.
 
 _SYMMETRY_TOL = 1e-12  # largest round-trip miss of a state, relative to max |psi|
 
@@ -328,7 +333,7 @@ def _sector_entries(config: ManyBodyConfig) -> int:
     each), the scale and the diagonal, and the larger of the build's triple
     table and an H-apply's scratch (b, g, _kinetic's matmul temporary, the
     bincount result, V c), which the build's other temporaries and a
-    1-marginal's gather stay within.  No full tensor: see check_budget."""
+    1-marginal's gather stay within.  No full tensor: see check_run_budget."""
     m, N = config.grid.size, config.N
     dim, mp = _sector_dim(m, N), m * _sector_dim(m, N - 1)
     held = N * _sector_dim(m + 1, N) // 2 + 2 * mp + dim
@@ -418,53 +423,48 @@ def _sector(config: ManyBodyConfig) -> _Sector:
 
 
 @functools.lru_cache(maxsize=8)
-def _expand_index(config: ManyBodyConfig) -> np.ndarray:
-    """(m^N,) the rank of the sorted tuple of each full index: the one way to
-    the full tensor (_compress, _expand, random_symmetric), so it charges it."""
-    config.check_budget()
-    m = config.grid.size
-    # slot by slot: prepending x_0 to a tuple of rank r gives rank ins[x_0, r]
-    expand = np.arange(m)
-    for j in range(2, config.N + 1):
+def _expand_index(m: int, k: int) -> np.ndarray:
+    """(m^k,) the rank of the sorted tuple of each flat index of k slots over
+    m sites; _slabs's index of the last N - 1 slots, built past its caller's charge."""
+    expand = np.zeros(1, dtype=np.int64)
+    for j in range(1, k + 1):
+        # prepending x_0 to a tuple of rank r gives rank ins[x_0, r]
         expand = np.take(_insertion(m, j)[0], expand, axis=1).reshape(-1)  # C order
     return expand
 
 
-def check_exchange_symmetry(amps: np.ndarray, d: int, N: int) -> None:
-    """ValueError unless no adjacent slot swap moves an entry of the state
-    tensor amps by more than _SYMMETRY_TOL max |amps| / C(N, 2).
-
-    Sorting an index takes at most C(N, 2) adjacent swaps, so such a state
-    also passes the round trip of _compress.  It builds no sector table and
-    reads one slice of the first axis at a time, so it serves a memory-mapped
-    state file; _compress, which has the tables, checks the round trip itself."""
-    limit = _SYMMETRY_TOL * max(float(np.abs(a).max()) for a in amps) / max(math.comb(N, 2), 1)
-    for s in range(N - 1):
-        axes = list(range(d * N))
-        axes[s * d : (s + 2) * d] = axes[(s + 1) * d : (s + 2) * d] + axes[s * d : (s + 1) * d]
-        if any(np.abs(a - b).max() > limit for a, b in zip(amps, amps.transpose(axes))):
-            raise ValueError(
-                f"the state is not symmetric under exchange of particles {s + 1} and {s + 2}"
-            )
-
-
-def _compress(config: ManyBodyConfig, amps: np.ndarray) -> np.ndarray:
-    """The sector vector c of the symmetric tensor amps; ValueError unless
-    expanding c gives amps back to _SYMMETRY_TOL * max |amps|."""
+def _slabs(config: ManyBodyConfig, u: np.ndarray):
+    """Slabs x_0 = 0..m-1 of the flat full tensor whose sorted tuple of rank r
+    holds u[r]: u[ins[x_0][expand]], ins the level-N annihilation table and expand
+    the ranks of the last N - 1 slots.  The one way to the full tensor."""
     m, N = config.grid.size, config.N
-    flat = np.asarray(amps, dtype=np.complex128).reshape(-1)
-    rep = flat[_colex_levels(m, N)[1][N] @ m ** np.arange(N - 1, -1, -1)]  # the sorted tuples
-    miss = rep[_expand_index(config)]
-    miss -= flat
-    if np.abs(miss).max() > _SYMMETRY_TOL * np.abs(flat).max():
+    ins, expand = _insertion(m, N)[0], _expand_index(m, N - 1)
+    for row in ins:
+        yield u[row[expand]]
+
+
+def _compress(config: ManyBodyConfig, amps, scale: bool = True) -> np.ndarray:
+    """The sector vector c of the symmetric tensor amps, any array of state_shape
+    (a memory map too), or with scale False its entries u at the sorted tuples,
+    with no sector table; ValueError unless each slab of the tensor of u
+    (_slabs) is that of amps to _SYMMETRY_TOL * max |amps|."""
+    config.check_file_budget()
+    m, N = config.grid.size, config.N
+    at = _colex_levels(m, N)[1][N] @ m ** np.arange(N - 1, -1, -1)  # the sorted tuples
+    u = np.asarray(np.ravel(amps)[at], dtype=np.complex128)
+    miss = top = 0.0
+    for slab, want in zip(np.reshape(amps, (m, -1)), _slabs(config, u)):
+        miss = max(miss, np.abs(want - slab).max())
+        top = max(top, np.abs(slab).max())
+    if miss > _SYMMETRY_TOL * top:
         raise ValueError("the state is not symmetric under exchange of particles")
-    rep *= _sector(config).scale
-    return rep
+    return u * _sector(config).scale if scale else u
 
 
 def _expand(config: ManyBodyConfig, c: np.ndarray) -> np.ndarray:
-    """The full symmetric tensor of the sector vector c."""
-    return (c / _sector(config).scale)[_expand_index(config)].reshape(config.state_shape)
+    """The full symmetric tensor of the sector vector c, past check_budget."""
+    config.check_budget()
+    return np.concatenate([*_slabs(config, c / _sector(config).scale)]).reshape(config.state_shape)
 
 
 def _apply_sector(config: ManyBodyConfig, c: np.ndarray) -> np.ndarray:
@@ -518,8 +518,8 @@ class BosonicState:
     (see the bosonic sector above).  Given a tensor amps instead of c, the
     constructor compresses it once, with a ValueError if the sector cannot
     hold it.  amps, of shape grid.shape * N with slot j on axes [j*d, (j+1)*d),
-    is expanded from c on first read, past check_budget, and cached read-only, so exchange
-    partners agree bit for bit; c is never changed in place, so amps stays that of c.
+    is expanded from c slab by slab on first read, past check_budget, and cached read-only,
+    so exchange partners agree bit for bit; c is never changed in place, so amps stays that of c.
     """
 
     def __init__(self, config: ManyBodyConfig, amps: np.ndarray | None = None, *,
@@ -532,10 +532,10 @@ class BosonicState:
     @classmethod
     def factorized(cls, config: ManyBodyConfig, phi: TorusField) -> "BosonicState":
         """phi^(x)N, phi normalized: c(s) = scale(s) prod_i v[s_i], with no full tensor."""
-        v, tuples = _unit_values(phi), _colex_levels(config.grid.size, config.N)[1][config.N]
-        c = np.prod(v[np.ascontiguousarray(tuples.T)], axis=0)  # C order, for the product's loop
-        c *= _sector(config).scale
-        return cls(config, c=c)
+        scale = _sector(config).scale  # charged before the colex tuples are read
+        tuples = np.ascontiguousarray(_colex_levels(config.grid.size, config.N)[1][config.N].T)
+        c = np.prod(_unit_values(phi)[tuples], axis=0)  # C order, for the product's loop
+        return cls(config, c=c * scale)
 
     @classmethod
     def random_symmetric(
@@ -543,7 +543,7 @@ class BosonicState:
     ) -> "BosonicState":
         """A random tensor, band-limited when band is given, averaged over the N!
         slot permutations into c (orbit sums over scale) and normalized."""
-        expand = _expand_index(config)  # charges the tensor before it is drawn
+        config.check_budget()  # the tensor is charged before it is drawn
         grid = config.grid
         shape = config.state_shape
         raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -553,8 +553,9 @@ class BosonicState:
             for ax in range(grid.d * config.N):
                 raw *= _on_slot(mask_1, ax, grid.d * config.N)
             _ifftn(raw, out=raw)
-        flat = raw.reshape(-1)
-        c = np.bincount(expand, flat.real) + 1j * np.bincount(expand, flat.imag)
+        c = np.zeros(_sector_dim(grid.size, config.N), dtype=np.complex128)
+        for slab, ranks in zip(raw.reshape(grid.size, -1), _slabs(config, np.arange(c.size))):
+            np.add.at(c, ranks, slab)
         c /= _sector(config).scale
         return cls(config, c=c / cls(config, c=c).norm())
 

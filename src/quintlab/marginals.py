@@ -21,8 +21,8 @@ traced slots, so each traced term may be averaged over them: the N-k traced
 slots and (N-k)(N-k-1)/2 traced pairs cancel the coefficients of the last two
 lines, which leave 1/N^2 times Vbar summed over every triple with a row slot.
 A triple of traced slots alone adds Tr_{k+1..N} [Vbar, |psi><psi|] = 0, so
-the potential is H's own diagonal, and its term is B_k of V psi.  Only
-dump_state, a state file and random_symmetric form the full tensor.
+the potential is H's own diagonal, and its term is B_k of V psi.  Only amps
+and random_symmetric form the full tensor; state files stream it by slab.
 
 The mean-field counterpart replaces the last contraction with the
 on-diagonal collapse weighted by the coupling b0.

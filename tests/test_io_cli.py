@@ -114,17 +114,24 @@ class TestStateDump:
             load_state(other, p)
 
 
+def _asymmetric(state: bytes) -> bytes:
+    """A d=1 n=8 N=2 state dump with psi(0, 1) zeroed and psi(1, 0) kept."""
+    return state[:28] + bytes(8) + state[36:]  # a 20-byte header, then 8-byte entries
+
+
 class TestTruncatedOrMislabelledDumps:
     def test_truncated_field(self, tmp_path):
         with pytest.raises(ValueError, match="phi.qlf"):
             load_field(_truncated_field(tmp_path)["path"])
 
     @pytest.mark.parametrize(
-        "edit", [lambda b: b[:-8], lambda b: b[:8] + b"spectral" + b[16:]],
-        ids=["truncated", "spectral_tag"],
+        "edit,message", [(lambda b: b[:-8], "payload"),
+                         (lambda b: b[:8] + b"spectral" + b[16:], "'physical'"),
+                         (_asymmetric, "not symmetric")],
+        ids=["truncated", "spectral_tag", "asymmetric"],
     )
-    def test_bad_state_rejected(self, tmp_path, edit):
-        with pytest.raises(ValueError, match="psi.qls"):
+    def test_bad_state_rejected(self, tmp_path, edit, message):
+        with pytest.raises(ValueError, match=f"psi.qls: .*{message}"):
             load_state(ManyBodyConfig(GridSpec(1, 8), 2, 0.05), _state_file(tmp_path, edit)["path"])
 
 
@@ -642,9 +649,9 @@ BAD_CONFIGS = [
     ("nls-run", {**_NLS, "initial": {**_BAND2, "scale": 0}}, "initial.scale"),
     ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "sigma": True}}, "potential"),
     ("residuals", {**_RES, "potential": {"kind": "constant", "value": "1"}}, "potential"),
-    # amplitude (0, 1) zeroed and (1, 0) kept: not a bosonic state
-    ("manybody-run", lambda tmp: {**_MB, "initial": _state_file(tmp, lambda b: b[:28] + bytes(8)
-                                                                + b[36:])}, "initial.path"),
+    # not a bosonic state: the build pass's slab round trip rejects it
+    ("manybody-run", lambda tmp: {**_MB, "initial": _state_file(tmp, _asymmetric)},
+     "initial.path"),
     # T = 0 still builds the sector for the energy: at d=1 n=180 N=3 its tables
     # (20.0 M entries) are past the budget, the 5.8 M-entry state is not
     ("manybody-run", {**_MB, "n": 180, "N": 3, "T": 0.0}, "N"),

@@ -12,6 +12,7 @@ from scipy.linalg import expm
 
 from quintlab import grids, manybody
 from quintlab.grids import GridSpec, MemoryBudgetError, ParameterError, TorusField
+from quintlab.io import check_state_file, dump_state, load_state
 from quintlab.manybody import (
     BosonicState,
     ConstantPotential,
@@ -31,6 +32,7 @@ from quintlab.manybody import (
     symmetrized_triple_value,
     weighted_sobolev_norm_sq,
 )
+from quintlab.marginals import bbgky_rhs, marginal
 from quintlab.nls import free_propagate
 
 
@@ -160,6 +162,46 @@ class TestMemoryBudget:
         monkeypatch.setattr(manybody, "apply_hamiltonian_raw", None)  # never reached
         with pytest.raises(MemoryBudgetError, match="Krylov basis"):
             propagate(psi, 0.1)
+
+    @pytest.mark.parametrize("entry", ["factorized", "random_symmetric", "amps", "dump_state",
+                                       "check_state_file", "load_state", "propagate", "marginal",
+                                       "bbgky_rhs", "weighted_sobolev_norm_sq"])
+    def test_each_path_charges_before_it_allocates(self, tmp_path, monkeypatch, entry):
+        # d=1 n=16 N=5 (a 16^5-entry tensor, 16 MiB) from cold memos, past a budget of
+        # 2^10 entries: each path raises having held at most 1 MiB and memoized nothing
+        memos = (manybody._colex_levels, manybody._insertion, manybody._sector,
+                 manybody._expand_index)
+        for memo in memos:
+            memo.cache_clear()
+        cfg = ManyBodyConfig(GridSpec(1, 16), 5, 0.05)
+        phi, path = TorusField.constant(cfg.grid), tmp_path / "psi.qls"
+        rng = np.random.default_rng(1)
+        if entry not in ("factorized", "random_symmetric"):
+            psi = BosonicState.factorized(cfg, phi)
+            dump_state(psi, path)
+        call = {
+            "factorized": lambda: BosonicState.factorized(cfg, phi),
+            "random_symmetric": lambda: BosonicState.random_symmetric(cfg, rng),
+            "amps": lambda: psi.amps,
+            "dump_state": lambda: dump_state(psi, tmp_path / "again.qls"),
+            "check_state_file": lambda: check_state_file(cfg, path),
+            "load_state": lambda: load_state(cfg, path),
+            "propagate": lambda: propagate(psi, 0.1),
+            "marginal": lambda: marginal(psi, 2),
+            "bbgky_rhs": lambda: bbgky_rhs(cfg, psi, 2),
+            "weighted_sobolev_norm_sq": lambda: weighted_sobolev_norm_sq(psi, [1.0, 1.0]),
+        }[entry]
+        sizes = [memo.cache_info().currsize for memo in memos]
+        monkeypatch.setattr(grids, "MEMORY_BUDGET", 2**10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+        assert [memo.cache_info().currsize for memo in memos] == sizes
 
 
 class TestApplyHamiltonian:
