@@ -3,11 +3,11 @@
 Usage:  lab <subcommand> --config <path> [--seed S] [--out DIR]
 
 Subcommands: nls-run, manybody-run, chaos, residuals, hufl, couplings, probe.
-Configs are JSON objects.  The keyword-only parameters of `_run_<kind>`
-(of `_initial_<kind>` for params.initial, of the lemma's probe in
-probes.PROBE_RUNNERS for params.options) declare each key once: the
-annotation gives its JSON type, the default its default, no default makes
-it required.  Validation binds params to them and runs `_run_<kind>`
+Configs are JSON objects.  The keyword parameters of `_run_<kind>` (of
+`_initial_<kind>` for params.initial, of the dataclass for params.potential,
+of the lemma's probe in probes.PROBE_RUNNERS for params.options) declare
+each key once: the annotation gives its JSON type, the default its default,
+no default makes it required.  Validation binds params to them and runs `_run_<kind>`
 up to its `yield`: that is the build pass, which constructs the domain
 objects the run after it uses, so every value rule is the one its owning
 module enforces.  All randomness derives from the single config seed
@@ -37,15 +37,16 @@ from .couplings import (
 from .grids import GridSpec, TorusField, check_cutoff
 from .manybody import (
     BosonicState, ConstantPotential, GaussianPotential, ManyBodyConfig, PropagationToleranceError,
-    check_moment_order, check_stability_order, energy_moment, energy_per_particle, potential_mass,
-    propagate, stability_check,
+    _sector, check_moment_order, check_stability_order, energy_moment, energy_per_particle,
+    potential_mass, propagate, stability_check,
 )
 from .marginals import (
     bbgky_residual, chaos_experiment, chaos_nls_steps, check_hierarchy_order,
     check_marginal_order, check_rank_one_order, gp_residual, hufl_factorized,
 )
 from .nls import (
-    BlowUpError, NlsConfig, check_diagnostic_cutoffs, check_step_count, evolve, timeseries,
+    BlowUpError, NlsConfig, check_diagnostic_cutoffs, check_flow_work, check_step_count, evolve,
+    timeseries,
 )
 from .probes import check_sample_count, probe_runner
 
@@ -162,6 +163,7 @@ def _list_of(test):
 _JSON_TYPES = {
     "int": ("an integer", _is_int),
     "float": ("a number", _is_num),
+    "float | None": ("a number or null", lambda x: x is None or _is_num(x)),
     "bool": ("a boolean", lambda x: isinstance(x, bool)),
     "str": ("a string", lambda x: isinstance(x, str)),
     "dict": ("an object", lambda x: isinstance(x, dict)),
@@ -174,11 +176,11 @@ _JSON_TYPES = {
 
 
 def _bind(fn, raw: dict, where: str, kind: str) -> dict:
-    """Every declared key of `kind` (the keyword-only parameters of fn) with its
-    value in raw, else its default.  Raises ValidationError listing each unknown
-    key, missing required key and value of the wrong JSON type as <where>.<key>."""
+    """Every declared key of `kind` (the parameters of fn that can be passed by
+    keyword) with its value in raw, else its default.  Raises ValidationError listing
+    each unknown key, missing required key and value of the wrong JSON type as <where>.<key>."""
     params = {p.name: p for p in inspect.signature(fn).parameters.values()
-              if p.kind is p.KEYWORD_ONLY}
+              if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
     errors = [f"{where}.{key}: unknown key for kind {kind}" for key in raw if key not in params]
     errors += [f"{where}.{name}: required" for name, p in params.items()
                if p.default is p.empty and name not in raw]
@@ -188,6 +190,15 @@ def _bind(fn, raw: dict, where: str, kind: str) -> dict:
     if errors:
         raise ValidationError(errors)
     return {name: raw.get(name, p.default) for name, p in params.items()}
+
+
+def _spec(kinds: dict, spec: dict, where: str):
+    """The builder in kinds of the nested spec's kind, and the rest of spec bound to it."""
+    kwargs = dict(spec)
+    kind = kwargs.pop("kind", None)
+    if kind not in tuple(kinds):  # a list is no kind, and unhashable
+        raise ValueError(f"kind must be one of {tuple(kinds)}, got {kind!r}")
+    return kinds[kind], _bind(kinds[kind], kwargs, where, kind)
 
 
 # Run-level rules that no domain function owns.
@@ -213,7 +224,7 @@ def _rescaled(f: TorusField, normalize: bool, scale: float | None) -> TorusField
 
 
 # The kinds of params.initial, each declared like a runner.
-def _initial_modes(grid, seed, *, modes: list, normalize: bool = False, scale: float = None):
+def _initial_modes(grid, seed, /, *, modes: list, normalize: bool = False, scale: float = None):
     coeffs = {}
     for entry in modes:
         xi, *amp = entry
@@ -224,18 +235,18 @@ def _initial_modes(grid, seed, *, modes: list, normalize: bool = False, scale: f
     return _rescaled(TorusField.from_modes(grid, coeffs), normalize, scale)
 
 
-def _initial_random_band(grid, seed, *, band: int = None, decay: float = 2.0,
+def _initial_random_band(grid, seed, /, *, band: int = None, decay: float = 2.0,
                          normalize: bool = False, scale: float = None):
     f = TorusField.random_band_limited(grid, grid.n // 4 if band is None else band,
                                        np.random.default_rng(seed), decay=float(decay))
     return _rescaled(f, normalize, scale)
 
 
-def _initial_constant(grid, seed, *, value: float = 1.0):
+def _initial_constant(grid, seed, /, *, value: float = 1.0):
     return TorusField.constant(grid, value)
 
 
-def _initial_file(grid, seed, *, path: str):
+def _initial_file(grid, seed, /, *, path: str):
     f = qio.load_field(Path(path))
     if f.grid != grid:
         raise ValueError("field grid does not match d/n")
@@ -244,19 +255,16 @@ def _initial_file(grid, seed, *, path: str):
 
 _INITIAL = {"modes": _initial_modes, "random_band": _initial_random_band,
             "constant": _initial_constant, "file": _initial_file}
+_POTENTIALS = {"gaussian": GaussianPotential, "constant": ConstantPotential}  # fields are keys
 
 
 def build_initial_field(grid: GridSpec, spec: dict, seed: int) -> TorusField:
     """The field that spec, a params.initial, describes; a bad spec or a zero
     field raises ValueError."""
-    kwargs = dict(spec)
-    kind = kwargs.pop("kind", None)
-    if kind not in tuple(_INITIAL):  # a list is no kind, and unhashable
-        raise ValueError(f"kind must be modes, random_band, constant or file, got {kind!r}")
-    _bind(_INITIAL[kind], kwargs, "params.initial", kind)
+    build, kwargs = _spec(_INITIAL, spec, "params.initial")
     if kwargs.get("scale") is not None and kwargs["scale"] <= 0:
         raise ValidationError(["params.initial.scale: must be > 0"])
-    f = _INITIAL[kind](grid, seed, **kwargs)
+    f = build(grid, seed, **kwargs)
     if f.l2_norm() == 0.0:
         raise ValueError("the initial field is zero")
     return f
@@ -265,11 +273,8 @@ def build_initial_field(grid: GridSpec, spec: dict, seed: int) -> TorusField:
 def build_potential_spec(spec: dict | None):
     if spec is None:
         return GaussianPotential()
-    kwargs = dict(spec)
-    kind = kwargs.pop("kind", None)
-    if kind not in ("gaussian", "constant"):
-        raise ValueError(f"kind must be 'gaussian' or 'constant', got {kind!r}")
-    return (GaussianPotential if kind == "gaussian" else ConstantPotential)(**kwargs)
+    potential, kwargs = _spec(_POTENTIALS, spec, "params.potential")
+    return potential(**kwargs)
 
 
 @dataclass
@@ -311,15 +316,16 @@ def _configs(attempt, grid, potential: dict | None, beta: float, Ns, times, key:
     return pot, mbs
 
 
-# A runner's keyword-only parameters declare its kind's keys.  Up to its yield it is the
+# A runner's keyword parameters declare its kind's keys.  Up to its yield it is the
 # build pass, which tabulates no potential and allocates no state; the run follows.
-def _run_nls(attempt, seed: int, *, d: int, n: int, initial: dict, b0: float, dt: float,
+def _run_nls(attempt, seed: int, /, *, d: int, n: int, initial: dict, b0: float, dt: float,
              T: float, dealias: bool = True, snapshot_every: int = 1, split_M: float = None,
              diagnostics_M: list[float] = None, mass_tol: float = 1e-11):
     grid = attempt("n", GridSpec, d, n)
     nls_cfg = attempt("dt", NlsConfig, grid, float(b0), float(dt), dealias)
-    if nls_cfg:
-        attempt("T", check_step_count, float(T), float(dt), snapshot_every)
+    steps = nls_cfg and attempt("T", check_step_count, float(T), float(dt), snapshot_every)
+    if steps and grid:
+        attempt("dt", check_flow_work, steps, grid, dealias)
     if split_M is not None:
         attempt("split_M", check_cutoff, split_M)
     for m in (diagnostics_M or []) if grid else []:
@@ -342,7 +348,7 @@ def _run_nls(attempt, seed: int, *, d: int, n: int, initial: dict, b0: float, dt
     report.checks["mass_conserved"] = drift <= mass_tol
 
 
-def _run_manybody(attempt, seed: int, *, d: int, n: int, initial: dict, N: int, beta: float,
+def _run_manybody(attempt, seed: int, /, *, d: int, n: int, initial: dict, N: int, beta: float,
                   T: float, potential: dict = None, steps: int = None,
                   moments: list[int] = (1, 2), stability: list[tuple[int, float]] = (),
                   dump_state: bool = False, norm_tol: float = 1e-10, energy_tol: float = 1e-8):
@@ -355,17 +361,16 @@ def _run_manybody(attempt, seed: int, *, d: int, n: int, initial: dict, N: int, 
         if dump_state or from_file:  # each streams a state file
             attempt("N", mb.check_file_budget)
     phi = None if from_file else _field(attempt, grid, initial, seed)
-    if from_file and grid:  # a state, not a field
-        kw = {k: v for k, v in initial.items() if k != "kind"}
-        if attempt("initial.path", _bind, _initial_file, kw, "params.initial", "file") and mbs:
-            attempt("initial.path", lambda: qio.check_state_file(mbs[0], Path(initial["path"])))
+    entries = []  # a state file's checked sorted-tuple entries, held by this list alone
+    if from_file and attempt("initial.path", _spec, _INITIAL, initial, "params.initial") and mbs:
+        entries.append(attempt("initial.path", qio.check_state_file, mbs[0], Path(initial["path"])))
     for k in moments:
         attempt("moments", check_moment_order, k)
     for k, c1 in stability:
         attempt("stability", check_stability_order, k, float(c1), N)
     out, report = yield
     mb = mbs[0]
-    psi0 = (qio.load_state(mb, Path(initial["path"])) if from_file
+    psi0 = (BosonicState(mb, c=entries.pop() * _sector(mb).scale) if from_file
             else BosonicState.factorized(mb, phi))
     e0 = energy_per_particle(psi0)
     psi = propagate(psi0, float(T), steps=steps)
@@ -393,12 +398,14 @@ def _run_manybody(attempt, seed: int, *, d: int, n: int, initial: dict, N: int, 
     report.checks["energy_preserved"] = energy_drift <= energy_tol
 
 
-def _run_chaos(attempt, seed: int, *, d: int, n: int, initial: dict, beta: float, T: float,
+def _run_chaos(attempt, seed: int, /, *, d: int, n: int, initial: dict, beta: float, T: float,
                Ns: list[int], potential: dict = None, nls_dt: float = None):
     grid = attempt("n", GridSpec, d, n)
     pot, _ = _configs(attempt, grid, potential, beta, Ns, [T], "Ns")
     phi = _field(attempt, grid, initial, seed, unit=True)
-    attempt("nls_dt", chaos_nls_steps, float(T), nls_dt)
+    steps = attempt("nls_dt", chaos_nls_steps, float(T), nls_dt)
+    if steps and grid:
+        attempt("nls_dt", check_flow_work, steps, grid)
     out, report = yield
     rows = chaos_experiment(Ns, float(beta), phi, float(T), potential=pot, nls_dt=nls_dt)
     path = out / "chaos.csv"
@@ -416,7 +423,7 @@ def _run_chaos(attempt, seed: int, *, d: int, n: int, initial: dict, beta: float
     )
 
 
-def _run_residuals(attempt, seed: int, *, d: int, n: int, initial: dict, N: int, beta: float,
+def _run_residuals(attempt, seed: int, /, *, d: int, n: int, initial: dict, N: int, beta: float,
                    k: int, spacings: list[float], potential: dict = None):
     grid = attempt("n", GridSpec, d, n)
     spacings = [float(h) for h in spacings]
@@ -452,7 +459,7 @@ def _run_residuals(attempt, seed: int, *, d: int, n: int, initial: dict, N: int,
     report.checks["residuals_finite"] = all(np.isfinite(r[1]) and np.isfinite(r[2]) for r in rows)
 
 
-def _run_hufl(attempt, seed: int, *, d: int, n: int, initial: dict, M: float, eps: float,
+def _run_hufl(attempt, seed: int, /, *, d: int, n: int, initial: dict, M: float, eps: float,
               ks: list[int]):
     phi = _field(attempt, attempt("n", GridSpec, d, n), initial, seed, unit=True)
     attempt("M", check_cutoff, M)
@@ -471,7 +478,7 @@ def _run_hufl(attempt, seed: int, *, d: int, n: int, initial: dict, M: float, ep
     report.checks["finite"] = all(np.isfinite(r[1]) for r in rows)
 
 
-def _run_couplings(attempt, seed: int, *, k: int):
+def _run_couplings(attempt, seed: int, /, *, k: int):
     attempt("k", check_coupling_order, k)
     out, report = yield
     counts = raw_summand_count(k)
@@ -502,7 +509,7 @@ def _run_couplings(attempt, seed: int, *, k: int):
         report.checks["unclogged_floor"] = mu["min_count"] >= mu["floor"]
 
 
-def _run_probe(attempt, seed: int, *, lemma: str, samples: int = None, options: dict = None):
+def _run_probe(attempt, seed: int, /, *, lemma: str, samples: int = None, options: dict = None):
     runner = attempt("lemma", probe_runner, lemma)
     opts = {**(options or {}), **({} if samples is None else {"samples": samples})}
     kwargs = runner and attempt("options", _bind, runner, opts, "params.options", lemma)

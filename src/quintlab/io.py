@@ -9,8 +9,8 @@ Field dump layout (little-endian):
 State dumps extend the header with a u32 slot count N and carry (n^d)^N
 complex64 amplitudes in row-major slot order, symmetric under exchange of
 slots, and written and checked slab by slab (manybody._slabs, check_file_budget).
-Loaders check the layout tag and the payload length against the header,
-and that a state is symmetric and not zero, and raise ValueError naming the file.
+Loaders check the layout tag and the payload length against the header, and that a
+state, read once for its run, is symmetric and not zero, and raise ValueError naming the file.
 
 CSV and JSON writers format floats by shortest round-trip repr so reruns of
 the same seeded configuration are byte-identical.
@@ -18,6 +18,7 @@ the same seeded configuration are byte-identical.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import struct
@@ -117,7 +118,7 @@ def check_state_file(config: ManyBodyConfig, path) -> np.ndarray:
     amps = np.memmap(path, dtype=np.complex64, mode="r", offset=header_bytes,
                      shape=config.state_shape)
     try:
-        u = _compress(config, amps, scale=False)
+        u = _compress(config, amps)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if not u.any():
@@ -138,10 +139,9 @@ def format_number(x) -> str:
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_number(v) if not isinstance(v, str) else v for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:  # quoting a cell that holds a comma
+        csv.writer(fh, lineterminator="\n").writerows(
+            [header] + [[v if isinstance(v, str) else format_number(v) for v in r] for r in rows])
 
 
 def write_json(path, payload: dict) -> None:

@@ -21,7 +21,7 @@ import itertools
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,18 +60,6 @@ def _bump(r2: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def _check_numeric_fields(potential) -> None:
-    """Each field of the potential dataclass holds a real number, or None where
-    its annotation admits None; the annotations declare the spec's keys."""
-    for f in fields(potential):
-        value, optional = getattr(potential, f.name), "None" in str(f.type)
-        if value is None and optional:
-            continue
-        if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-            what = "a number or null" if optional else "a number"
-            raise ParameterError("potential", f"{f.name} must be {what}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class GaussianPotential:
     """Smoothly truncated Gaussian product profile on R^d x R^d:
@@ -88,7 +76,6 @@ class GaussianPotential:
     amplitude: float | None = None
 
     def __post_init__(self):
-        _check_numeric_fields(self)
         if not self.sigma > 0:
             raise ParameterError("potential", f"sigma must be > 0, got {self.sigma}")
         if self.amplitude is not None and not self.amplitude >= 0:
@@ -130,7 +117,6 @@ class ConstantPotential:
     value: float = 1.0
 
     def __post_init__(self):
-        _check_numeric_fields(self)
         if not self.value >= 0:
             raise ParameterError("potential", f"value must be >= 0 (defocusing), got {self.value}")
 
@@ -443,11 +429,10 @@ def _slabs(config: ManyBodyConfig, u: np.ndarray):
         yield u[row[expand]]
 
 
-def _compress(config: ManyBodyConfig, amps, scale: bool = True) -> np.ndarray:
-    """The sector vector c of the symmetric tensor amps, any array of state_shape
-    (a memory map too), or with scale False its entries u at the sorted tuples,
-    with no sector table; ValueError unless each slab of the tensor of u
-    (_slabs) is that of amps to _SYMMETRY_TOL * max |amps|."""
+def _compress(config: ManyBodyConfig, amps) -> np.ndarray:
+    """The entries u at the sorted tuples of the symmetric tensor amps, any array of state_shape
+    (a memory map too), with no sector table (c is u times _sector's scale); ValueError
+    unless each slab of the tensor of u (_slabs) is that of amps to _SYMMETRY_TOL * max |amps|."""
     config.check_file_budget()
     m, N = config.grid.size, config.N
     at = _colex_levels(m, N)[1][N] @ m ** np.arange(N - 1, -1, -1)  # the sorted tuples
@@ -458,7 +443,7 @@ def _compress(config: ManyBodyConfig, amps, scale: bool = True) -> np.ndarray:
         top = max(top, np.abs(slab).max())
     if miss > _SYMMETRY_TOL * top:
         raise ValueError("the state is not symmetric under exchange of particles")
-    return u * _sector(config).scale if scale else u
+    return u
 
 
 def _expand(config: ManyBodyConfig, c: np.ndarray) -> np.ndarray:
@@ -525,7 +510,8 @@ class BosonicState:
     def __init__(self, config: ManyBodyConfig, amps: np.ndarray | None = None, *,
                  c: np.ndarray | None = None):
         self.config = config
-        self.c = _compress(config, np.reshape(amps, config.state_shape)) if c is None else c
+        self.c = c if c is not None else (
+            _compress(config, np.reshape(amps, config.state_shape)) * _sector(config).scale)
 
     # -- constructors ----------------------------------------------------
 

@@ -35,6 +35,8 @@ from .grids import (
     dyadic_levels,
 )
 
+MAX_POINT_STEPS = 2**32  # check_flow_work: 1,600 times the largest flow of configs/ and perfbench
+
 
 class BlowUpError(RuntimeError):
     """Raised when the state develops non-finite values during evolution."""
@@ -289,6 +291,12 @@ def check_step_count(T: float, dt: float, snapshot_every: int = 1) -> int:
     if steps % max(snapshot_every, 1) != 0:
         raise ParameterError("snapshot_every", f"does not divide the step count {steps}")
     return steps
+
+
+def check_flow_work(steps: int, grid: GridSpec, dealias: bool = True) -> None:
+    """The work rule: steps x rotation-grid points of a flow within MAX_POINT_STEPS."""
+    if steps * _rotation_n(grid.n, dealias) ** grid.d > MAX_POINT_STEPS:
+        raise ValueError(f"{float(steps):.3g} steps x grid points pass the cap {MAX_POINT_STEPS}")
 
 
 def evolve(f0: TorusField, T: float, cfg: NlsConfig, snapshot_every: int = 1) -> Trajectory:

@@ -5,7 +5,7 @@ concrete fields, by spectral evaluation in space and trapezoid quadrature in
 time.  Probes return 0 on zero inputs or a zero right side, and are
 homogeneous of degree zero under rescaling of all their field arguments.
 Each lemma's probe (PROBE_RUNNERS) samples one ratio over random fields.  Its
-keyword-only parameters, annotated with their JSON types, are the options of a
+keyword parameters, annotated with their JSON types, are the options of a
 probe config; up to its first yield it checks every parameter tuple and sizes
 every evaluation grid (`_*_eval_n`, each checked against the memory budget)
 for the widest band its random data can have.  `run_probe` runs one to its report.
@@ -426,7 +426,7 @@ def _collect(lemma_id, seed, samples, grid_tuples, ratio_fn) -> ProbeReport:
     return report
 
 
-def _strichartz_probe(seed: int, *, samples: int = 100, ms: list[float] = (2, 4, 8),
+def _strichartz_probe(seed: int, /, *, samples: int = 100, ms: list[float] = (2, 4, 8),
                       p: float = 4.0, T: float = 1.0, nt: int = 40, n: int = 16):
     grid = GridSpec(3, n)
     for m in ms:
@@ -441,7 +441,7 @@ def _strichartz_probe(seed: int, *, samples: int = 100, ms: list[float] = (2, 4,
     yield _collect("strichartz_t3", seed, samples, [(m,) for m in ms], fn)
 
 
-def _bilinear_probe(seed: int, *, samples: int = 12, m1s: list[float] = (4, 8, 16, 32),
+def _bilinear_probe(seed: int, /, *, samples: int = 12, m1s: list[float] = (4, 8, 16, 32),
                     m2: float = 4, delta: float = 0.02, T: float = 1.0, nt: int = 33, n: int = 16):
     grids = {}
     for m1 in m1s:  # the field grid at shell m1: at least n, and holding the shell
@@ -458,7 +458,7 @@ def _bilinear_probe(seed: int, *, samples: int = 12, m1s: list[float] = (4, 8, 1
     yield _collect("bilinear_strichartz_t3", seed, samples, [(m1,) for m1 in m1s], fn)
 
 
-def _refined_sobolev_probe(seed: int, *, samples: int = 40, ms: list[float] = (4, 8),
+def _refined_sobolev_probe(seed: int, /, *, samples: int = 40, ms: list[float] = (4, 8),
                            rs: list[float] = (16, 32), which: int = 3, n: int = 32, band: int = 12):
     grid = GridSpec(3, n)
     grid_tuples = [(m, r) for m in ms for r in rs]
@@ -474,7 +474,7 @@ def _refined_sobolev_probe(seed: int, *, samples: int = 40, ms: list[float] = (4
     yield _collect(f"refined_sobolev_{which}", seed, samples, grid_tuples, fn)
 
 
-def _multilinear_probe(seed: int, *, samples: int = 50, variant: str = "Old1",
+def _multilinear_probe(seed: int, /, *, samples: int = 50, variant: str = "Old1",
                        m0: float = 4.0, T: float = 1.0, nt: int = 32, n: int = 8):
     grid = GridSpec(3, n)
     check_multilinear_args(variant, m0, T, nt)
@@ -489,7 +489,7 @@ def _multilinear_probe(seed: int, *, samples: int = 50, variant: str = "Old1",
     yield _collect(f"multilinear_{variant}", seed, samples, [(variant,)], fn)
 
 
-def _approx_identity_probe(seed: int, *, samples: int = 20, n: int = 512, band: int = 40,
+def _approx_identity_probe(seed: int, /, *, samples: int = 20, n: int = 512, band: int = 40,
                            alphas: list[float] = (0.25, 0.125, 0.0625)):
     grid = GridSpec(1, n)
     check_alphas(alphas, grid)

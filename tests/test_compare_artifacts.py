@@ -1,10 +1,13 @@
 """scripts/compare_artifacts.py: exit status and the moves it prints."""
 
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from quintlab.io import write_csv
 
 SCRIPT = Path(__file__).parent.parent / "scripts" / "compare_artifacts.py"
 
@@ -42,6 +45,15 @@ def test_rel_does_not_pass_other_differences(trees):
     (b / "run" / "report.json").unlink()
     code, out = _compare(a, b, "--rel", "1")
     assert code == 1 and "only in" in out
+
+
+def test_probe_csv_ratio_moves_are_numeric(tmp_path):
+    # a probe's parameter tuple holds a comma, so the ratio parses only if the tuple is quoted
+    for root, ratio in ((tmp_path / "a", 0.25), (tmp_path / "b", math.nextafter(0.25, 1.0))):
+        root.mkdir()
+        write_csv(root / "probe_strichartz.csv", ["parameters", "max_ratio"], [["(2,)", ratio]])
+    code, out = _compare(tmp_path / "a", tmp_path / "b", "--rel", "1e-12")
+    assert code == 0 and "max_ratio: rel 2.22e-16" in out
 
 
 def test_identical_trees_pass_without_rel(trees):

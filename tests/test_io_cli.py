@@ -395,8 +395,8 @@ class TestRunExperiment:
         write_csv(tmp_path / "empty.csv", ["a", "b"], [])
         assert (tmp_path / "empty.csv").read_text() == "a,b\n"
 
-    def test_state_file_initial(self, tmp_path):
-        # dump a state via one run, feed it back as the initial condition
+    def test_state_file_initial(self, tmp_path, monkeypatch):
+        # dump a state via one run, feed it back as the initial condition, read once
         base = {
             "kind": "manybody-run",
             "seed": 5,
@@ -413,9 +413,13 @@ class TestRunExperiment:
                        "norm_tol": 1e-5},
         }
         out2 = tmp_path / "second"
+        reads, compress = [], manybody._compress
+        monkeypatch.setattr("quintlab.io._compress",
+                            lambda *a, **k: reads.append(1) or compress(*a, **k))
         report = run_experiment(ExperimentConfig.from_dict(follow), out2)
         assert (out2 / "manybody.json").exists()
         assert report.checks["norm_preserved"]
+        assert len(reads) == 1
 
     def test_field_file_initial(self, tmp_path):
         f = TorusField.plane_wave(GridSpec(1, 8), 2, 0.5)
@@ -644,11 +648,11 @@ BAD_CONFIGS = [
     ("nls-run", {**_NLS, "initial": {"kind": "modes"}}, "initial.modes"),
     ("manybody-run", lambda tmp: {**_MB, "initial": {**_state_file(tmp, lambda b: b), "x": 1}},
      "initial.x"),
-    ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "sigmaa": 0.3}}, "potential"),
-    ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "sigma": "0.5"}}, "potential"),
+    ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "sigmaa": 0.3}}, "potential.sigmaa"),
+    ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "sigma": "0.5"}}, "potential.sigma"),
     ("nls-run", {**_NLS, "initial": {**_BAND2, "scale": 0}}, "initial.scale"),
-    ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "sigma": True}}, "potential"),
-    ("residuals", {**_RES, "potential": {"kind": "constant", "value": "1"}}, "potential"),
+    ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "sigma": True}}, "potential.sigma"),
+    ("residuals", {**_RES, "potential": {"kind": "constant", "value": "1"}}, "potential.value"),
     # not a bosonic state: the build pass's slab round trip rejects it
     ("manybody-run", lambda tmp: {**_MB, "initial": _state_file(tmp, _asymmetric)},
      "initial.path"),
@@ -696,6 +700,9 @@ BAD_CONFIGS = [
     # step counts T/dt past the largest float
     ("nls-run", {**_NLS, "dt": 1e-320}, "T"),
     ("chaos", {**_CHAOS, "nls_dt": 1e-320}, "nls_dt"),
+    # finite step counts past the work rule (10^298 steps), which would not end
+    ("nls-run", {**_NLS, "dt": 1e-301}, "dt"),
+    ("chaos", {**_CHAOS, "nls_dt": 1e-301}, "nls_dt"),
 ]
 
 
@@ -730,6 +737,7 @@ class TestBadConfigs:
         assert rc == 2
         assert (f"config: {path}:" if field == "config" else f"params.{field}:") in err
         assert "Traceback" not in err
+        assert "__init__()" not in err  # a message of the binder, not of Python's call
 
     def test_each_distinct_message_listed_once(self):
         # both N of Ns fail the same way, with the same message
@@ -836,7 +844,7 @@ class TestBadConfigs:
         with pytest.raises(ValidationError) as exc:
             ExperimentConfig.from_dict({"kind": "chaos", "params": {**_CHAOS, "potential": spec}})
         [entry] = exc.value.errors
-        assert entry.startswith(f"params.potential: {key} must be a number")
+        assert entry.startswith(f"params.potential.{key}: must be")
 
     def test_potential_fields_take_numbers_and_null_amplitude(self):
         assert manybody.GaussianPotential(0.3).sigma == 0.3  # positional, as the fields read
@@ -889,19 +897,21 @@ class TestBadConfigs:
 
 
 # a value of the wrong JSON type for each annotation a declared key may carry
-_MISTYPED = {"int": True, "float": "1", "bool": 1, "str": 5, "dict": [], "list": [],
+_MISTYPED = {"int": True, "float": "1", "float | None": "1", "bool": 1, "str": 5, "dict": [],
+             "list": [],
              "list[int]": [1.5], "list[float]": ["1"], "list[tuple[int, float]]": [[1.5, 0.5]]}
 
 
 def _declared():
     """(declaring function, key, annotation) for every config key of every kind,
-    every params.initial kind and every probe's params.options."""
+    every params.initial and params.potential kind and every probe's params.options."""
     from quintlab import cli
 
     return [(fn, p.name, p.annotation)
             for fn in [*cli._RUNNERS.values(), *cli._INITIAL.values(),
-                       *probes.PROBE_RUNNERS.values()]
-            for p in inspect.signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY]
+                       *cli._POTENTIALS.values(), *probes.PROBE_RUNNERS.values()]
+            for p in inspect.signature(fn).parameters.values()
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
 
 
 class TestDeclaredKeys:
@@ -919,11 +929,11 @@ class TestDeclaredKeys:
         assert not test(_MISTYPED[annotation])
         keys = [(fn, key) for fn, key, ann in _declared() if ann == annotation]
         assert keys
+        nested = [("params.initial", cli._INITIAL), ("params.potential", cli._POTENTIALS),
+                  ("params.options", probes.PROBE_RUNNERS)]
         for fn, key in keys:
-            initial = next((k for k, f in cli._INITIAL.items() if f is fn), None)
-            lemma = next((k for k, f in probes.PROBE_RUNNERS.items() if f is fn), None)
-            where = "params.initial" if initial else "params.options" if lemma else "params"
-            kind = initial or lemma
+            where, kind = next(((where, kind) for where, table in nested
+                                for kind, f in table.items() if f is fn), ("params", None))
             with pytest.raises(ValidationError) as exc:
                 cli._bind(fn, {key: _MISTYPED[annotation]}, where, kind)
             assert f"{where}.{key}: must be {what}" in exc.value.errors

@@ -371,7 +371,7 @@ class TestSector:
         nyquist = (1 + 2j) * (-1.0) ** np.indices(cfg.state_shape).sum(axis=0) + 0.1 * a
         for datum in (a, nyquist):
             want = apply_hamiltonian_raw(cfg, datum)
-            got = manybody._expand(cfg, manybody._apply_sector(cfg, manybody._compress(cfg, datum)))
+            got = manybody._expand(cfg, manybody._apply_sector(cfg, BosonicState(cfg, datum).c))
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("n,N", [(8, 12), (16, 7)])
@@ -388,7 +388,7 @@ class TestSector:
     @pytest.mark.parametrize("n,transforms", [(96, 0), (128, 2)])
     def test_the_sector_takes_the_fft_route_past_the_dense_axes(self, monkeypatch, n, transforms):
         cfg = ManyBodyConfig(GridSpec(1, n), 2, 0.05)
-        c = manybody._compress(cfg, self.symmetric(cfg, 5))  # tabulate outside the count
+        c = BosonicState(cfg, self.symmetric(cfg, 5)).c  # tabulate outside the count
         calls = TestApplyHamiltonian._count_transforms(monkeypatch)
         manybody._apply_sector(cfg, c)
         assert len(calls) == transforms
@@ -398,11 +398,11 @@ class TestSector:
     def test_round_trip_keeps_the_state_and_its_norm(self, d, n, N):
         cfg = ManyBodyConfig(GridSpec(d, n), N, 0.05)
         psi = self.symmetric(cfg, 3)
-        c = manybody._compress(cfg, psi)
+        c = BosonicState(cfg, psi).c
         assert c.size == math.comb(n**d + N - 1, N)
         assert np.abs(manybody._expand(cfg, c) - psi).max() <= 1e-14 * np.abs(psi).max()
         assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(psi), rel=1e-14)
-        back = manybody._compress(cfg, manybody._expand(cfg, c))
+        back = BosonicState(cfg, manybody._expand(cfg, c)).c
         assert np.abs(back - c).max() <= 1e-14 * np.abs(c).max()
 
     @pytest.mark.parametrize("d,n,N", [(1, 16, 1), (1, 8, 2), (1, 8, 3), (1, 16, 4), (2, 4, 3),
@@ -444,7 +444,7 @@ class TestSector:
     def test_factorized_is_the_compressed_tensor_power(self, d, n, N, monkeypatch):
         cfg = ManyBodyConfig(GridSpec(d, n), N, 0.05)
         phi = smooth_phi(cfg.grid, seed=n + N)
-        want = manybody._compress(cfg, manybody._tensor_power(manybody._unit_values(phi), N))
+        want = BosonicState(cfg, manybody._tensor_power(manybody._unit_values(phi), N)).c
 
         def refuse(v, k):
             raise AssertionError("the tensor power was formed")
@@ -771,7 +771,7 @@ class TestPropagate:
     @staticmethod
     def sector_basis_buffer(psi, kdim):
         """A (kdim + 1)-row buffer of sector vectors whose first row is psi's, normalized."""
-        c = manybody._compress(psi.config, psi.amps)
+        c = BosonicState(psi.config, psi.amps).c
         V = np.empty((kdim + 1, c.size), dtype=np.complex128)
         V[0] = c / np.linalg.norm(c)
         return V
@@ -819,7 +819,7 @@ class TestPropagate:
         assert np.abs(gram - np.eye(rows)).max() <= 1e-8
         # the tridiagonal is the projection of H on the basis
         HV = np.stack([
-            manybody._compress(cfg, apply_hamiltonian_raw(cfg, manybody._expand(cfg, v)))
+            BosonicState(cfg, apply_hamiltonian_raw(cfg, manybody._expand(cfg, v))).c
             for v in V[:m]
         ])
         tri = np.diag(alphas) + np.diag(betas[:-1], -1) + np.diag(betas[:-1], 1)

@@ -15,6 +15,7 @@ ALLOWED = {
     "estimate_schedule": "a statement of the paper",
     "bernstein_ratio": "a statement of the paper",
     "dump_field": "the writer of the documented dump format that initial.kind: file reads",
+    "load_state": "the reader of the documented state-dump format",
 }
 
 
