@@ -20,6 +20,7 @@ of reach or a blow-up), 2 validation error.
 from __future__ import annotations
 
 import argparse
+import csv
 import inspect
 import json
 import sys
@@ -143,6 +144,14 @@ def _is_int(x) -> bool:
 
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_number_text(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _non_finite(value, path: str) -> list[str]:
@@ -574,9 +583,16 @@ def emit_plotdata(report: RunReport) -> list[str]:
     written = []
     for art in report.artifacts:
         path = Path(art)
-        if path.suffix == ".csv" and path.exists():  # "# " + the CSV, blanks for commas
+        if path.suffix == ".csv" and path.exists():  # "# " + the header, then the rows
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            lines = ["# " + "  ".join(header)]
+            for i, row in enumerate(rows):  # a cell that is no number: the row index, noted
+                notes = [cell for cell in row if not _is_number_text(cell)]
+                line = "  ".join(str(i) if cell in notes else cell for cell in row)
+                lines.append(f"{line}  # {'  '.join(notes)}" if notes else line)
             dat = path.with_suffix(".dat")
-            dat.write_text("# " + path.read_text().strip().replace(",", "  ") + "\n")
+            dat.write_text("\n".join(lines) + "\n")
             written.append(str(dat))
     if written:
         base = Path(written[0]).parent
@@ -586,8 +602,7 @@ def emit_plotdata(report: RunReport) -> list[str]:
             "import numpy as np\n"
             "import matplotlib.pyplot as plt\n\n"
             "for path in sys.argv[1:]:\n"
-            "    data = np.loadtxt(path, comments='#')\n"
-            "    data = np.atleast_2d(data)\n"
+            "    data = np.loadtxt(path, comments='#', ndmin=2)\n"
             "    for col in range(1, data.shape[1]):\n"
             "        plt.plot(data[:, 0], data[:, col], label=f'{path}:{col}')\n"
             "plt.legend()\n"

@@ -282,13 +282,17 @@ def strang_step(f: TorusField, cfg: NlsConfig, *, steps: int = 1) -> TorusField:
 
 
 def check_step_count(T: float, dt: float, snapshot_every: int = 1) -> int:
-    """The number of steps T/dt, which must be finite and an integer multiple of snapshot_every."""
+    """The number of steps T/dt: finite, >= 0 and an integer multiple of snapshot_every >= 1."""
     if not math.isfinite(T / dt):
         raise ParameterError("T", f"T/dt = {T / dt} is not a finite step count")
+    if T < 0:
+        raise ParameterError("T", "must be >= 0")
+    if snapshot_every < 1:
+        raise ParameterError("snapshot_every", "must be > 0")
     steps = int(round(T / dt))
     if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ParameterError("T", f"T={T} is not an integer multiple of dt={dt}")
-    if steps % max(snapshot_every, 1) != 0:
+    if steps % snapshot_every != 0:
         raise ParameterError("snapshot_every", f"does not divide the step count {steps}")
     return steps
 

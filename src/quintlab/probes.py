@@ -6,9 +6,10 @@ time.  Probes return 0 on zero inputs or a zero right side, and are
 homogeneous of degree zero under rescaling of all their field arguments.
 Each lemma's probe (PROBE_RUNNERS) samples one ratio over random fields.  Its
 keyword parameters, annotated with their JSON types, are the options of a
-probe config; up to its first yield it checks every parameter tuple and sizes
-every evaluation grid (`_*_eval_n`, each checked against the memory budget)
-for the widest band its random data can have.  `run_probe` runs one to its report.
+probe config; up to its first yield it passes each parameter tuple and the
+widest band of its random data to its lemma's `_<lemma>_grid`, which its ratio
+calls too: the lemma's checks, then its evaluation grid charged to the memory
+budget.  `run_probe` runs one to its report.
 """
 
 from __future__ import annotations
@@ -86,46 +87,10 @@ def _field_band(f: TorusField) -> int:
     return max(hi, -lo)
 
 
-def _eval_grid_for_power(band: float, power: int, floor_n: int) -> int:
-    """An FFT-friendly grid size on which |g|^power of a band-limited g is alias-free."""
-    return max(4, floor_n, _next_even(power * band + 2))
-
-
 def _exact_grid(band: float, power: int, floor_n: int) -> int:
     """The fewest points per axis (at least floor_n and 4, of any parity) on which the grid
     sum of a product of `power` factors of per-axis band `band` is its exact integral."""
     return max(4, floor_n, math.floor(power * band) + 1)
-
-
-def _strichartz_eval_n(band: int, p: float) -> int:
-    """strichartz_ratio's evaluation grid for a datum of this band: exact for
-    |v|^p at even p <= 8 (p is capped at 8) and at least the datum's band grid."""
-    n = _exact_grid(band, int(np.ceil(min(p, 8.0))), max(8, 2 * band + 2))
-    check_entries("the strichartz evaluation grid", n**3)
-    return n
-
-
-def _bilinear_eval_n(m1: float, m2: float, n: int) -> int:
-    """bilinear_strichartz_ratio's evaluation grid for shells m1, m2 of fields on
-    n points per axis: exact for |u1 u2|^2; two buffers of it are held."""
-    n_eval = _exact_grid(m1 + m2, 2, n)
-    check_entries("the bilinear evaluation buffers", 2 * n_eval**3)
-    return n_eval
-
-
-def _refined_sobolev_eval_n(band: int) -> int:
-    """refined_sobolev_ratio's evaluation grid for a datum of this band, exact for the sextic."""
-    n = _exact_grid(band, 6, 8)
-    check_entries("the refined-Sobolev evaluation grid", n**3)
-    return n
-
-
-def _multilinear_eval_n(band: int) -> int:
-    """multilinear_ratio's evaluation grid for factors of this band: alias-free for
-    the quintic product, an FFT length; two buffers of it are held."""
-    n = _eval_grid_for_power(band, 10, 4)
-    check_entries("the multilinear evaluation buffers", 2 * n**3)
-    return n
 
 
 def _band_grid(f: TorusField) -> TorusField:
@@ -149,17 +114,23 @@ def check_time_window(T: float, nt: int, min_nt: int = 2) -> None:
         raise ValueError(f"use at least {min_nt} time-quadrature points")
 
 
-def check_strichartz_args(m: float, p: float, T: float, nt: int) -> None:
-    """strichartz_ratio needs a cutoff m > 0, p > 10/3, T >= 0 and nt >= 32."""
+def _strichartz_grid(m: float, p: float, T: float, nt: int, band: int) -> int:
+    """strichartz_ratio's rule, a cutoff m > 0, p > 10/3, T >= 0 and nt >= 32, and its
+    evaluation grid for a datum of this band, charged: exact for |v|^p at even p <= 8
+    (p is capped at 8) and at least the datum's band grid."""
     check_cutoff(m)
     if p <= 10.0 / 3.0:
         raise ValueError("requires p > 10/3")
     check_time_window(T, nt, 32)
+    n = _exact_grid(band, int(np.ceil(min(p, 8.0))), max(8, 2 * band + 2))
+    check_entries("the strichartz evaluation grid", n**3)
+    return n
 
 
-def check_bilinear_args(m1: float, m2: float, delta: float, T: float, nt: int) -> None:
-    """bilinear_strichartz_ratio needs dyadic levels 2 <= m2 <= m1, 0 < delta <= 1/22,
-    T >= 0 and nt >= 2."""
+def _bilinear_grid(m1: float, m2: float, delta: float, T: float, nt: int, n: int) -> int:
+    """bilinear_strichartz_ratio's rule, dyadic levels 2 <= m2 <= m1, 0 < delta <= 1/22,
+    T >= 0 and nt >= 2, and its evaluation grid for fields on n points per axis,
+    charged: exact for |u1 u2|^2; two buffers of it are held."""
     if m2 > m1:
         raise ValueError("requires m2 <= m1")
     if m2 < 2:
@@ -167,28 +138,40 @@ def check_bilinear_args(m1: float, m2: float, delta: float, T: float, nt: int) -
     if not 0.0 < delta <= 1.0 / 22.0:
         raise ValueError("delta must lie in (0, 1/22]")
     check_time_window(T, nt)
+    n_eval = _exact_grid(m1 + m2, 2, n)
+    check_entries("the bilinear evaluation buffers", 2 * n_eval**3)
+    return n_eval
 
 
-def check_refined_sobolev_args(m: float, r: float, which: int) -> None:
-    """refined_sobolev_ratio needs cutoffs 0 < m <= r and which in 1, 2, 3."""
+def _refined_sobolev_grid(m: float, r: float, which: int, band: int) -> int:
+    """refined_sobolev_ratio's rule, cutoffs 0 < m <= r and which in 1, 2, 3, and its
+    evaluation grid for a datum of this band, charged: exact for the sextic."""
     if which not in (1, 2, 3):
         raise ValueError("which must be 1, 2 or 3")
     check_cutoff(m)
     if r < m:
         raise ValueError("requires r >= m")
+    n = _exact_grid(band, 6, 8)
+    check_entries("the refined-Sobolev evaluation grid", n**3)
+    return n
 
 
 MULTILINEAR_VARIANTS = ("MLFL1", "MLFL2", "Old1", "Old2")
 
 
-def check_multilinear_args(variant: str, m0: float, T: float, nt: int) -> None:
-    """multilinear_ratio knows the variants in MULTILINEAR_VARIANTS and needs
-    T >= 0 and nt >= 2; the MLFL variants, which split at m0, need m0 > 0."""
+def _multilinear_grid(variant: str, m0: float, T: float, nt: int, band: int) -> int:
+    """multilinear_ratio's rule, a variant in MULTILINEAR_VARIANTS, T >= 0 and nt >= 2,
+    and m0 > 0 for the MLFL variants, which split at m0; and its evaluation grid for
+    factors of this band, charged: an FFT length on which the quintic product is
+    alias-free; two buffers of it are held."""
     if variant not in MULTILINEAR_VARIANTS:
         raise ValueError(f"variant must be one of {MULTILINEAR_VARIANTS}")
     if variant.startswith("MLFL") and not m0 > 0:
         raise ValueError(f"m0 must be > 0, got {m0}")
     check_time_window(T, nt)
+    n = max(4, _next_even(10 * band + 2))
+    check_entries("the multilinear evaluation buffers", 2 * n**3)
+    return n
 
 
 def check_alphas(alphas: list[float], grid: GridSpec) -> None:
@@ -215,12 +198,11 @@ def strichartz_ratio(
     """
     if f.grid.d != 3:
         raise ValueError("the exponent 3/2 - 5/p is specific to d = 3")
-    check_strichartz_args(m, p, T, nt)
     g = cube_project(f, cube) if cube is not None else project_leq(f, m)
+    n_eval = _strichartz_grid(m, p, T, nt, _field_band(g))
     denom = g.l2_norm()
     if denom == 0.0:
         return 0.0
-    n_eval = _strichartz_eval_n(_field_band(g), p)
     r = np.empty((n_eval,) * 3)
 
     def lp_mass(v):  # sum |v|^p = sum (|v|^(p/2))^2, one pass
@@ -252,13 +234,12 @@ def bilinear_strichartz_ratio(
     for f in (f1, f2):
         if f.grid.d != 3:
             raise ValueError(f"the bilinear estimate is specific to d = 3, got d = {f.grid.d}")
-    check_bilinear_args(m1, m2, delta, T, nt)
+    n_eval = _bilinear_grid(m1, m2, delta, T, nt, f1.grid.n)
     u1 = dyadic_project(f1, m1)
     u2 = dyadic_project(f2, m2)
     n1, n2 = u1.l2_norm(), u2.l2_norm()
     if n1 == 0.0 or n2 == 0.0:
         return 0.0
-    n_eval = _bilinear_eval_n(m1, m2, u1.grid.n)
     # discrete Parseval: the product's L2 norm from its samples, no transform
     acc = _free_product_integral([_band_grid(u1), _band_grid(u2)], T, nt, n_eval,
                                  lambda v: np.vdot(v, v).real)
@@ -275,13 +256,12 @@ def refined_sobolev_ratio(phi: TorusField, m: float, r: float, which: int) -> fl
     with g_all = ||grad phi||, g_high = ||grad P_H phi|| and g_mid the
     intermediate-band gradient norm ||grad P_{<R} P_H phi||.
     """
-    check_refined_sobolev_args(m, r, which)
+    n_eval = _refined_sobolev_grid(m, r, which, _field_band(phi))
     w = 4 - which  # the power of the low part
     ph = project_gt(phi, m)
     pl = project_leq(phi, m)
     if ph.l2_norm() == 0.0:
         return 0.0
-    n_eval = _refined_sobolev_eval_n(_field_band(phi))
     vh = free_sample(_band_grid(ph), 0.0, n_eval)
     vl = free_sample(_band_grid(pl), 0.0, n_eval)
     prod = vl.copy()  # repeated products: np.power is several times slower on complex arrays
@@ -314,11 +294,11 @@ def multilinear_ratio(
     T^(5/22) m0^(5/11) on the low part; the Old variants are the m0 = 0
     reductions.
     """
-    check_multilinear_args(variant, m0, T, nt)
     if len(fs) != 5:
         raise ValueError("need exactly five fields")
     if any(f.grid.d != 3 for f in fs):
         raise ValueError("the exponents are specific to d = 3")
+    fine = GridSpec(3, _multilinear_grid(variant, m0, T, nt, max(map(_field_band, fs))))
     s_out = -1.0 if variant.endswith("1") else 1.0
     norms = [sobolev_norm(fs[0], s_out)] + [sobolev_norm(f, 1.0) for f in fs[1:]]
     if variant.startswith("MLFL"):
@@ -328,8 +308,6 @@ def multilinear_ratio(
     rhs = math.prod(norms)
     if rhs == 0.0:  # a zero field, or an MLFL variant at T = 0 on fields within m0
         return 0.0
-    band = max(_field_band(f) for f in fs)
-    fine = GridSpec(3, _multilinear_eval_n(band))
     # sobolev_norm of the product's field: the unnormalized transform of its samples
     # times the square root of the H^s weight, in place, then one pass
     root = (1.0 + _xi_squared(3, fine.n)) ** (s_out / 2.0) * (np.sqrt(fine.volume) / fine.size)
@@ -430,8 +408,7 @@ def _strichartz_probe(seed: int, /, *, samples: int = 100, ms: list[float] = (2,
                       p: float = 4.0, T: float = 1.0, nt: int = 40, n: int = 16):
     grid = GridSpec(3, n)
     for m in ms:
-        check_strichartz_args(m, p, T, nt)
-        _strichartz_eval_n(min(int(m), grid.nyquist), p)
+        _strichartz_grid(m, p, T, nt, min(int(m), grid.nyquist))
     yield
 
     def fn(rng, m):
@@ -445,9 +422,8 @@ def _bilinear_probe(seed: int, /, *, samples: int = 12, m1s: list[float] = (4, 8
                     m2: float = 4, delta: float = 0.02, T: float = 1.0, nt: int = 33, n: int = 16):
     grids = {}
     for m1 in m1s:  # the field grid at shell m1: at least n, and holding the shell
-        check_bilinear_args(m1, m2, delta, T, nt)
         grids[m1] = GridSpec(3, _next_even(max(n, 2 * m1 + 4)))
-        _bilinear_eval_n(m1, m2, grids[m1].n)
+        _bilinear_grid(m1, m2, delta, T, nt, grids[m1].n)
     yield
 
     def fn(rng, m1):
@@ -463,8 +439,7 @@ def _refined_sobolev_probe(seed: int, /, *, samples: int = 40, ms: list[float] =
     grid = GridSpec(3, n)
     grid_tuples = [(m, r) for m in ms for r in rs]
     for m, r in grid_tuples:
-        check_refined_sobolev_args(m, r, which)
-    _refined_sobolev_eval_n(min(band, grid.nyquist))
+        _refined_sobolev_grid(m, r, which, min(band, grid.nyquist))
     yield
 
     def fn(rng, m, r):
@@ -477,9 +452,8 @@ def _refined_sobolev_probe(seed: int, /, *, samples: int = 40, ms: list[float] =
 def _multilinear_probe(seed: int, /, *, samples: int = 50, variant: str = "Old1",
                        m0: float = 4.0, T: float = 1.0, nt: int = 32, n: int = 8):
     grid = GridSpec(3, n)
-    check_multilinear_args(variant, m0, T, nt)
     band = max(2, n // 4)  # at most the Nyquist mode, as n >= 4
-    _multilinear_eval_n(band)
+    _multilinear_grid(variant, m0, T, nt, band)
     yield
 
     def fn(rng, _):

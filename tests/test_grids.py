@@ -1,10 +1,13 @@
 """Spectral core: projector algebra, kernels, Sobolev weights."""
 
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quintlab import grids, manybody
+from quintlab import couplings, grids, manybody, nls, probes
 from quintlab.couplings import enumerate_collapse_maps
 from quintlab.grids import (
     FrequencyCube,
@@ -27,6 +30,12 @@ from quintlab.grids import (
 from quintlab.manybody import BosonicState, ManyBodyConfig, symmetrized_triple_value
 from quintlab.marginals import rank_one_marginal
 from quintlab.nls import NlsConfig, free_sample
+from quintlab.probes import (
+    bilinear_strichartz_ratio,
+    multilinear_ratio,
+    refined_sobolev_ratio,
+    strichartz_ratio,
+)
 
 RNG = np.random.default_rng(2024)
 
@@ -96,6 +105,56 @@ class TestMemoryBudget:
         NlsConfig(GridSpec(1, 80), 1.0, 0.01, dealias=False)
         rank_one_marginal(one, 1)
         enumerate_collapse_maps(3)
+
+    # each ratio at a full-band n = 16 datum: its evaluation grid holds 117,649 to 1,185,408 entries
+    RATIOS = {
+        "strichartz_ratio": lambda f: strichartz_ratio(f, 8, 8.0, 1.0, 32),  # 65^3
+        "bilinear_strichartz_ratio": lambda f: bilinear_strichartz_ratio(f, f, 15, 8, 0.02, 1.0,
+                                                                         2),  # 2 x 47^3
+        "refined_sobolev_ratio": lambda f: refined_sobolev_ratio(f, 2, 4, 3),  # 49^3
+        "multilinear_ratio": lambda f: multilinear_ratio([f] * 5, 4.0, 1.0, "Old1", 2),  # 2 x 84^3
+    }
+    BUILD_PASSES = {  # options whose field grids fit and whose evaluation grids do not
+        "strichartz": {"n": 16, "ms": [8], "p": 8.0},  # 65^3
+        "bilinear": {"n": 16, "m1s": [15], "m2": 8},  # a 34^3 field grid, 2 x 47^3
+        "refined_sobolev": {"n": 16, "band": 8},  # 49^3
+        "multilinear": {"n": 16},  # 2 x 42^3
+    }
+
+    @pytest.mark.parametrize("entry", [*RATIOS, *BUILD_PASSES, "rotation grid",
+                                       "synthesis matrix", "couplings map table"])
+    def test_each_path_charges_before_it_allocates(self, monkeypatch, entry):
+        # past a budget of 2^16 entries, from cold memos, each path raises having held at
+        # most 1 MiB and memoized nothing; what it charges would hold more than 1 MiB
+        memos = (grids._freq_components, grids._xi_squared, grids._mask_leq,
+                 nls._synthesis_matrix, nls._propagator)
+        for memo in memos:
+            memo.cache_clear()
+        g16 = GridSpec(3, 16)
+        f = TorusField.random_band_limited(g16, 8, np.random.default_rng(5))
+        g48, line = GridSpec(3, 48), TorusField.random_band_limited(GridSpec(1, 16), 8,
+                                                                    np.random.default_rng(6))
+        if entry in self.RATIOS:  # a zero datum fills the memos a ratio reads before its grid
+            assert self.RATIOS[entry](TorusField.constant(g16) * 0.0) == 0.0
+        call = {
+            **{name: partial(ratio, f) for name, ratio in self.RATIOS.items()},
+            **{lemma: partial(probes.run_probe, lemma, **options)  # raises in the build pass
+               for lemma, options in self.BUILD_PASSES.items()},
+            "rotation grid": partial(NlsConfig, g48, 1.0, 0.01),  # 72^3
+            "synthesis matrix": partial(free_sample, line, 0.1, 2**13),  # 2^13 x 16
+            "couplings map table": partial(couplings._targets, 8),  # 15!! x 8
+        }[entry]
+        sizes = [memo.cache_info().currsize for memo in memos]
+        monkeypatch.setattr(grids, "MEMORY_BUDGET", 2**16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+        assert [memo.cache_info().currsize for memo in memos] == sizes
 
 
 class TestTransformRoundTrip:

@@ -1,6 +1,8 @@
 """Binary dumps, config validation, CLI dispatch, determinism."""
 
+import csv
 import inspect
+import io
 import itertools
 import json
 import subprocess
@@ -390,6 +392,25 @@ class TestRunExperiment:
         written = emit_plotdata(report)
         assert any(w.endswith("hufl.dat") for w in written)
         assert any(w.endswith("plot_stub.py") for w in written)
+
+    @pytest.mark.parametrize("kind,config", [("probe", "probe_strichartz"),
+                                             ("nls-run", "nls_demo")])
+    def test_plotdata_copies_load_with_a_column_per_csv_column(self, tmp_path, kind, config):
+        # a cell that is no number, as a probe's "(2,)", is its row index and a comment
+        path = Path(__file__).parent.parent / "configs" / f"{config}.json"
+        assert main([kind, "--config", str(path), "--out", str(tmp_path), "--plotdata"]) == 0
+        dats = sorted(tmp_path.glob("*.dat"))
+        assert dats
+        for dat in dats:
+            text = dat.with_suffix(".csv").read_text()
+            header, *rows = csv.reader(io.StringIO(text))
+            data = np.loadtxt(dat, comments="#", ndmin=2)
+            assert data.shape == (len(rows), len(header))
+            if kind == "probe":
+                assert data[:, 0].tolist() == list(range(len(rows)))
+                assert dat.read_text().splitlines()[1].endswith(f"# {rows[0][0]}")
+            else:  # an all-numeric table: the header commented, blanks for commas
+                assert dat.read_text() == "# " + text.strip().replace(",", "  ") + "\n"
 
     def test_empty_table_is_header_only(self, tmp_path):
         write_csv(tmp_path / "empty.csv", ["a", "b"], [])
@@ -785,6 +806,28 @@ class TestBadConfigs:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * build
+
+    @pytest.mark.parametrize("lemma,options", [
+        ("strichartz", {"ms": [2, 4], "n": 8, "nt": 32}),
+        ("bilinear", {"m1s": [4, 8], "n": 8, "nt": 3}),
+        ("refined_sobolev", {"ms": [2], "rs": [4], "n": 16, "band": 6}),
+        ("multilinear", {"variant": "MLFL1", "n": 8, "nt": 3}),
+    ])
+    def test_probe_build_pass_charges_bound_the_run(self, tmp_path, monkeypatch, lemma, options):
+        # the largest grid of each label that a run charges was charged by its build pass
+        charged, check = {}, probes.check_entries
+
+        def spy(what, entries, name=None):
+            charged[what] = max(charged.get(what, 0), entries)
+            check(what, entries, name)
+
+        monkeypatch.setattr(probes, "check_entries", spy)
+        cfg = ExperimentConfig.from_dict({"kind": "probe", "params": {
+            "lemma": lemma, "samples": 2, "options": options}})
+        build, charged = charged, {}
+        run_experiment(cfg, tmp_path)
+        assert charged and charged.keys() <= build.keys()
+        assert all(charged[what] <= build[what] for what in charged)
 
     def test_residuals_budget_counts_the_states_the_run_holds(self):
         # d=1 n=128 N=3 at spacings 0.04, 0.02, 0.01: four distinct times, so four

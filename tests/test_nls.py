@@ -390,6 +390,20 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(smooth_random(g, 7), 0.305, NlsConfig(g, 1.0, 0.01))
 
+    @pytest.mark.parametrize("T,every,name", [(-0.02, 1, "T"), (-0.02, 2, "T"),
+                                              (0.02, 0, "snapshot_every"),
+                                              (0.02, -1, "snapshot_every")])
+    def test_rejects_negative_horizon_and_snapshot_stride(self, T, every, name):
+        # each was a step count of -2, a datum-only trajectory, no rows or a zero range step
+        g = GridSpec(1, 16)
+        cfg = NlsConfig(g, 1.0, 0.01)
+        for run in (lambda: nls.check_step_count(T, 0.01, every),
+                    lambda: evolve(smooth_random(g, 7), T, cfg, snapshot_every=every),
+                    lambda: nls.timeseries(smooth_random(g, 7), T, cfg, every, 2, [2])):
+            with pytest.raises(grids.ParameterError) as info:
+                run()
+            assert info.value.name == name
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_diagnostic(self):
         g = GridSpec(1, 16)
