@@ -13,8 +13,8 @@ objects the run after it uses, so every value rule is the one its owning
 module enforces.  All randomness derives from the single config seed
 through numpy's PCG64 generator, so rerunning a config at a fixed BLAS
 thread count reproduces every numeric artifact byte-for-byte.  Exit codes:
-0 pass, 1 in-run tolerance failure (a failed check, a Krylov tolerance out
-of reach or a blow-up), 2 validation error.
+0 pass, 1 in-run tolerance failure (a failed check, a propagation tolerance
+out of reach or a blow-up), 2 validation error.
 """
 
 from __future__ import annotations
@@ -451,7 +451,7 @@ def _run_residuals(attempt, seed: int, /, *, d: int, n: int, initial: dict, N: i
     mb = mbs[0]
     b0 = potential_mass(mb)
     psi0 = BosonicState.factorized(mb, phi0)
-    states = dict(zip(times, propagate(psi0, times)))  # one Krylov basis
+    states = dict(zip(times, propagate(psi0, times)))  # one Chebyshev recurrence
     rows = []
     for h in spacings:
         snaps = [psi0, states[h], states[2 * h]]

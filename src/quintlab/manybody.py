@@ -12,6 +12,8 @@ vector (see the bosonic sector below), and every run path works on that
 vector, marginals, the hierarchy right side and the Sobolev weights included;
 only amps and random_symmetric form the dense tensor over (grid)^N (check_budget),
 and dump_state and a state file stream it by slab (_slabs, check_file_budget).
+propagate sums Chebyshev series of exp(-i tau H) over H's a-priori spectral
+bounds, one three-term recurrence of H-applies per segment.
 """
 
 from __future__ import annotations
@@ -158,18 +160,19 @@ class ManyBodyConfig:
         its (n^d)^N entries, which, as n^d >= 4, bound their tables and scratch."""
         check_entries("state file", self.grid.size**self.N, "N")
 
-    def check_run_budget(self, times: Sequence[float], kdim: int = 20):
+    def check_run_budget(self, times: Sequence[float]):
         """All that every run to `times` holds at once: the (n^d)^2 interaction
         table, the sector tables with their scratch (see _sector_entries), which
         its energies build even at t = 0, and, when a time is > 0, propagate's
-        basis of kdim + 1 sector vectors and one sector vector per distinct
+        Chebyshev recurrence (a segment's start, T_{k-1}, T_k, T_{k+1} and the
+        segment end's sum: five sector vectors) and one sector vector per distinct
         time > 0.  No full tensor: see check_budget and check_file_budget."""
         check_entries("interaction table", self.grid.size**2)
         later = {float(t) for t in times if t > 0}
         if not later:
             return check_entries("sector tables", _sector_entries(self))
-        vectors = (kdim + 1 + len(later)) * _sector_dim(self.grid.size, self.N)
-        check_entries("Krylov basis, returned states and sector tables",
+        vectors = (5 + len(later)) * _sector_dim(self.grid.size, self.N)
+        check_entries("Chebyshev recurrence, returned states and sector tables",
                       vectors + _sector_entries(self))
 
     def check_factor_budget(self, k: int, factors: int, marginals: int = 0):
@@ -606,140 +609,69 @@ def energy_moment(psi: BosonicState, k: int) -> float:
     return float(np.real(val))
 
 
-# -- Lanczos propagation ---------------------------------------------------
-
-# Substep lengths tried, as fractions of the longest allowed one, a quarter
-# octave apart.  Failing at 2^-20 means the tolerance is out of reach of the
-# Krylov dimension (or of double precision).
-_SUBSTEP_FRACTIONS = 2.0 ** np.arange(-20.0, 0.125, 0.25)
-
-# Estimated overlap |<v_k, v_j>| past which a new basis vector gets a full
-# re-orthogonalization pass.  At Simon's semi-orthogonality, sqrt(eps) ~ 1.5e-8,
-# the Lanczos approximation of exp(-i tau H) v is already as accurate as with an
-# orthonormal basis (Druskin, Greenbaum & Knizhnerman, SIAM J. Sci. Comput.
-# 1998), so accuracy does not set the level: the basis is held orthonormal to
-# 1e-8, and two decades under that leave room for the estimate's slack.
-_REORTH_LEVEL = 1e-10
-_EPS = np.finfo(np.float64).eps
+# -- Chebyshev propagation -------------------------------------------------
 
 
-def _lanczos_basis(config: ManyBodyConfig, V: np.ndarray, kdim: int,
-                   tau: float | None = None, rate: float = 0.0):
-    """Fill V[1:] with the Krylov basis of the unit vector V[0] under H.
+def _spectral_bounds(config: ManyBodyConfig) -> tuple[float, float]:
+    """[lo, hi] holding the spectrum of H on the sector: the kinetic part lies in
+    [0, N d (n/2)^2], as |xi| <= n/2 on each axis, and the potential in [min V, max V]."""
+    diag = _sector(config).diag
+    low, high = (0.0, 0.0) if diag is None else (float(diag.min()), float(diag.max()))
+    return low, config.N * config.grid.d * (config.grid.n / 2) ** 2 + high
 
-    Each new vector comes from the three-term recurrence, with partial
-    re-orthogonalization: Simon's omega-recurrence (Math. Comp. 1984) runs
-    on the tridiagonal alone and estimates the new vector's overlaps with
-    the basis.  One full pass against the whole basis (two matrix-vector
-    products) runs only when the omega estimate asks, that is past
-    _REORTH_LEVEL, and then once more on the next vector; a pass that
-    cancels most of the vector, as near a breakdown, is repeated once.
-    Given a substep length `tau`, kdim is a cap: from 6 vectors on, the
-    basis stops as soon as the error estimate of _choose_substep stays
-    within `rate` per unit time at every trial length up to tau (Saad, SIAM
-    J. Numer. Anal. 1992), since no further vector changes that substep.
-    Returns the tridiagonal (alphas, betas), where betas[-1] couples the
-    last basis vector to the next one and is 0 on a happy breakdown (the
-    basis then spans an invariant subspace), and the eigenpairs of the stop
-    check that passed, or None: their substep is then tau.
-    """
-    alphas, betas = np.zeros(kdim), np.zeros(kdim)
-    # omega[k] estimates <v_k, v_j> for the newest vector v_j, and omega_old
-    # for v_{j-1}; the estimates for v_{j+1} overwrite omega_old, then the two swap
-    omega, omega_old = np.zeros(kdim + 1), np.zeros(kdim + 1)
-    omega[0] = 1.0
-    again = False  # the previous vector had a full pass, so this one gets one too
-    for j in range(kdim):
-        w = V[j + 1]
-        w[...] = _apply_sector(config, V[j])
-        a = np.vdot(V[j], w).real
-        if j:
-            w -= np.array([betas[j - 1], a]) @ V[j - 1 : j + 1]
+
+def _chebyshev_coefficients(z: float) -> np.ndarray:
+    """a_k of exp(-i z x) = sum_k a_k T_k(x) on [-1, 1], z >= 0: a_0 = J_0(z) and
+    a_k = 2 (-i)^k J_k(z), read off the Fourier coefficients (-i)^k J_k(z) of
+    exp(-i z cos theta) (Jacobi-Anger) on 2 K points, K = z + 20 z^(1/3) + 40,
+    where |J_K(z)| < 1e-40, so no coefficient aliases."""
+    K = math.ceil(z + 20.0 * z ** (1 / 3) + 40.0)
+    a = np.fft.fft(np.exp(-1j * z * np.cos(np.pi / K * np.arange(2 * K))))[: K + 1] / (2 * K)
+    a[1:] *= 2.0
+    return a
+
+
+def _degree(a: np.ndarray, target: float) -> int:
+    """The least K whose tail bound sum_{k>K} |a_k| = 2 sum_{k>K} |J_k| is within target."""
+    tails = np.append(np.cumsum(np.abs(a[:0:-1]))[::-1], 0.0)
+    return int(np.argmax(tails <= target))
+
+
+def _chebyshev(config: ManyBodyConfig, c: np.ndarray, offsets, center: float, radius: float,
+               target: float) -> list[np.ndarray]:
+    """exp(-i s H) c at each offset s of one segment (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 1984): with X = (H - center) / radius, whose spectrum lies in [-1, 1],
+    exp(-i s H) = exp(-i s center) sum_k a_k(s radius) T_k(X), each series cut at
+    its _degree for target.  One three-term recurrence T_{k+1} = 2 X T_k - T_{k-1}
+    serves every offset, at one H-apply per degree up to the largest, and no
+    inner product; each offset sums its own coefficients."""
+    coeffs = []
+    for s in offsets:
+        a = _chebyshev_coefficients(s * radius)
+        coeffs.append(a[: _degree(a, target) + 1])
+    sums = [a[0] * c for a in coeffs]
+    prev, cur = None, c
+    for k in range(1, max(a.size for a in coeffs)):
+        nxt = _apply_sector(config, cur)
+        nxt -= center * cur
+        if prev is None:
+            nxt /= radius
         else:
-            w -= a * V[0]
-        alphas[j] = a
-        b = np.linalg.norm(w)
-        floor = 1e-14 * max(abs(a), 1.0)
-        if b >= floor:
-            # beta_j <v_k, v_{j+1}> by the recurrence H v_k obeys, plus rounding
-            t = (alphas[:j] - a) * omega[:j] + betas[:j] * omega[1 : j + 1]
-            t[1:] += (betas[:j] * omega[:j])[:-1]
-            t -= betas[j - 1] * omega_old[:j]
-            omega_old[:j] = (t + np.copysign(_EPS * (betas[:j] + b), t)) / b
-            omega_old[j] = _EPS
-            if again or np.abs(omega_old[:j]).max(initial=0.0) > _REORTH_LEVEL:
-                for _ in range(2):
-                    h = np.conj(V[: j + 1] @ np.conj(w))  # h[i] = <V[i], w>
-                    w -= h @ V[: j + 1]
-                    b = np.linalg.norm(w)
-                    # the basis is orthonormal to about _REORTH_LEVEL, so the pass
-                    # leaves overlaps near _REORTH_LEVEL |h| / b: past eps, one more
-                    # pass (twice is enough: Kahan, in Parlett's book)
-                    if np.linalg.norm(h) * _REORTH_LEVEL <= _EPS * b:
-                        break
-                omega_old[: j + 1] = _EPS
-                again = not again
-            omega_old[j + 1] = 1.0
-            omega, omega_old = omega_old, omega
-        if b < floor:
-            return alphas[: j + 1], betas[: j + 1], None  # betas[j] = 0: happy breakdown
-        betas[j] = b
-        w /= b
-        if tau is not None and j >= 5:
-            evals, evecs = _tridiagonal_eigh(alphas[: j + 1], betas[: j + 1])
-            # tau alone first: it fails at most steps, and costs m exponentials, not 81 m
-            if _estimate(evals, evecs, tau) <= rate / b and np.all(
-                _estimate(evals, evecs, tau * _SUBSTEP_FRACTIONS) <= rate / b
-            ):
-                return alphas[: j + 1], betas[: j + 1], (evals, evecs)
-    return alphas, betas, None
-
-
-def _tridiagonal_eigh(alphas, betas):
-    """Eigenpairs of the Lanczos tridiagonal T_m: diagonal alphas, off-diagonal betas[:-1]."""
-    return np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], -1), UPLO="L")
-
-
-def _estimate(evals, evecs, taus):
-    """|e_m^T exp(-i tau T_m) e_1| at each tau; times beta_m, the Krylov error per unit time."""
-    return np.abs(np.exp(-1j * np.multiply.outer(taus, evals)) @ (evecs[-1] * evecs[0]))
-
-
-def _choose_substep(evals, evecs, beta_m: float, tau_max: float, rate: float) -> float:
-    """The longest substep tau <= tau_max whose a-posteriori error estimate
-    |e_m^T exp(-i tau T_m) e_1| * beta_m * tau is at most rate * tau.
-
-    T_m = evecs diag(evals) evecs^T is the Lanczos tridiagonal.  The estimate
-    is checked on the grid _SUBSTEP_FRACTIONS * tau_max, so that no step is
-    accepted past a length where it fails, and the first failure is then
-    bracketed to 1 %.
-    """
-    if beta_m == 0.0:
-        return tau_max
-    limit = rate / beta_m
-    taus = tau_max * _SUBSTEP_FRACTIONS
-    fails = np.flatnonzero(_estimate(evals, evecs, taus) > limit)
-    if fails.size == 0:
-        return tau_max
-    if fails[0] == 0:
-        raise PropagationToleranceError(
-            f"Krylov error estimate exceeds the budget at a substep of {taus[0]:.3g}"
-        )
-    lo, hi = taus[fails[0] - 1], taus[fails[0]]
-    while hi - lo > 1e-2 * lo:
-        mid = 0.5 * (lo + hi)
-        if _estimate(evals, evecs, mid) <= limit:
-            lo = mid
-        else:
-            hi = mid
-    return float(lo)
+            nxt *= 2.0 / radius
+            nxt -= prev
+        prev, cur = cur, nxt
+        for u, a in zip(sums, coeffs):
+            if k < a.size:
+                u += a[k] * cur
+    for u, s in zip(sums, offsets):
+        u *= np.exp(-1j * s * center)
+    return sums
 
 
 def propagate(
     psi: BosonicState,
     t: float | Sequence[float],
     steps: int | None = None,
-    kdim: int = 20,
     tol: float = 1e-11,
 ) -> BosonicState | list[BosonicState]:
     """exp(-i t H) psi for a finite t >= 0, or the list of exp(-i s H) psi for
@@ -747,75 +679,53 @@ def propagate(
     A zero time, or any time for the zero state, gives psi itself.  Other t,
     or steps other than None or an integer >= 1, raise ValueError up front.
 
-    Lanczos substeps (_lanczos_basis, _choose_substep) keep each substep's
-    error estimate within tol * tau / T, T = t or the last time, so the
-    estimates sum to at most tol relative to ||psi||; a substep that cannot
-    raises PropagationToleranceError.  `steps` caps every substep at
-    T / steps and kdim caps the basis.  A requested time inside a substep
-    comes from that substep's basis with no H-apply, and is held, like the
-    basis, as sector vectors.
+    The flow to T, t or the last time, runs in segments of at most T / steps
+    (one without steps), each a Chebyshev series (_chebyshev) over the a-priori
+    spectral bounds of H (_spectral_bounds) whose tail bound is within
+    tol * tau / T for a segment of length tau, so the truncation errors sum to
+    at most tol relative to ||psi||.  Double precision resolves the phase
+    t H only to about eps * T (hi - lo) / 2, and each segment rounds once more:
+    where that passes tol, PropagationToleranceError is raised before any
+    H-apply.  A requested time inside a segment comes from that segment's
+    recurrence, and is held as a sector vector.
     """
     times = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not (times.ndim == 1 and np.all(np.isfinite(times) & (np.diff(times, prepend=0.0) >= 0.0))
             and (steps is None or isinstance(steps, numbers.Integral) and steps >= 1)):
         raise ValueError("propagate needs finite times >= 0 in non-decreasing order, and steps "
                          f"None or an integer >= 1; got t={t!r}, steps={steps!r}")
-    states = _propagate(psi, times, steps, kdim, tol)
+    states = _propagate(psi, times, steps, tol)
     return states[0] if np.ndim(t) == 0 else states
 
 
-def _propagate(psi: BosonicState, times: np.ndarray, steps, kdim, tol):
+def _propagate(psi: BosonicState, times: np.ndarray, steps, tol):
     """propagate at the checked times."""
     config = psi.config
-    config.check_run_budget(times, kdim)
+    config.check_run_budget(times)
     span = float(times[-1]) if times.size else 0.0
-    pending = times[times > 0.0]
-    pending = pending[np.diff(pending, prepend=0.0) > 0.0]  # distinct; np.unique loads numpy.ma
-    c = psi.c
-    beta0 = float(np.linalg.norm(c))
-    if span == 0.0 or beta0 == 0.0:
+    if span == 0.0 or not psi.c.any():
         return [psi] * times.size
-    served = {0.0: psi}
-    cap = span / steps if steps else span
-    rate = tol / span
-    V = np.empty((kdim + 1, c.size), dtype=np.complex128)
-    np.divide(c, beta0, out=V[0])
-
-    def krylov(offset):  # exp(-i offset H) V[0] from the current basis, unscaled
-        return (evecs @ (np.exp(-1j * offset * evals) * evecs[0])) @ V[: evals.size]
-
-    left = span
-    while left > 0.0:
-        # the last capped substep absorbs the rounding of span / steps
-        tau_max = left if left <= cap * (1.0 + 1e-12) else cap
-        alphas, betas, stopped = _lanczos_basis(config, V, kdim, tau_max, rate)
-        evals, evecs = stopped or _tridiagonal_eigh(alphas, betas)
-        tau = tau_max if stopped else _choose_substep(evals, evecs, betas[-1], tau_max, rate)
-        offsets = np.maximum(pending - (span - left), 0.0)
-        count = offsets.size if tau >= left else int(np.searchsorted(offsets, tau, "right"))
-        offsets = np.minimum(offsets[:count], tau)
-        if betas[-1] > 0.0:
-            fails = np.flatnonzero(_estimate(evals, evecs, offsets) > rate / betas[-1])
-            if fails.size:
-                trials = tau_max * _SUBSTEP_FRACTIONS
-                trials = trials[trials < offsets[fails[0]]]
-                if trials.size == 0:
-                    raise PropagationToleranceError(
-                        f"Krylov error estimate exceeds the budget at {offsets[fails[0]]:.3g}"
-                    )
-                tau = float(trials[-1])
-                count = int(np.searchsorted(offsets, tau, "right"))
-        for s, offset in zip(pending[:count].tolist(), offsets[:count]):
-            u = krylov(offset)
-            u *= beta0
-            served[s] = BosonicState(config, c=u)
-        pending = pending[count:]
-        left -= tau
-        if left > 0.0:
-            u = krylov(tau)
-            unorm = np.linalg.norm(u)
-            np.divide(u, unorm, out=V[0])
-            beta0 *= unorm
+    low, high = _spectral_bounds(config)
+    center, radius = (high + low) / 2.0, (high - low) / 2.0
+    segments = steps or 1
+    degree = span * radius + segments  # a lower bound of the total degree of the series
+    if degree * np.finfo(np.float64).eps > tol:
+        raise PropagationToleranceError(
+            f"the series to t = {span:.3g} needs a degree past {degree:.3g}, "
+            f"whose rounding double precision cannot hold within tol = {tol:.3g}"
+        )
+    pending = times[times > 0.0]
+    pending = pending[np.diff(pending, prepend=0.0) > 0.0].tolist()  # np.unique loads numpy.ma
+    served, c, start, cap = {0.0: psi}, psi.c, 0.0, span / segments
+    while start < span:
+        # the last capped segment absorbs the rounding of span / steps
+        end = span if span - start <= cap * (1.0 + 1e-12) else start + cap
+        here = [s for s in pending if s <= end]
+        pending = pending[len(here):]
+        offsets = [s - start for s in here] + ([] if here and here[-1] == end else [end - start])
+        sums = _chebyshev(config, c, offsets, center, radius, tol * (end - start) / span)
+        served.update((s, BosonicState(config, c=u)) for s, u in zip(here, sums))
+        c, start = sums[-1], end
     return [served[s] for s in times.tolist()]
 
 

@@ -422,7 +422,10 @@ def _bilinear_probe(seed: int, /, *, samples: int = 12, m1s: list[float] = (4, 8
                     m2: float = 4, delta: float = 0.02, T: float = 1.0, nt: int = 33, n: int = 16):
     grids = {}
     for m1 in m1s:  # the field grid at shell m1: at least n, and holding the shell
-        grids[m1] = GridSpec(3, _next_even(max(n, 2 * m1 + 4)))
+        side = max(n, 2 * m1 + 4)
+        # charged before the 11-smooth search; a side past 2^24 is over budget, and its cube finite
+        check_entries("field grid", min(side, 2**24) ** 3)
+        grids[m1] = GridSpec(3, _next_even(side))
         _bilinear_grid(m1, m2, delta, T, nt, grids[m1].n)
     yield
 

@@ -91,7 +91,8 @@ class TestMemoryBudget:
             "interaction table": lambda: ManyBodyConfig(GridSpec(1, 16), 1, 0.0).check_run_budget(
                 [0.0]),
             "triple-value table": lambda: symmetrized_triple_value(ManyBodyConfig(g8, 1, 0.0)),
-            "Krylov basis": lambda: ManyBodyConfig(g8, 1, 0.0).check_run_budget([0.1]),  # 21 x 8
+            # five recurrence vectors and one returned state of 8 entries, with 68 of tables
+            "Chebyshev recurrence": lambda: ManyBodyConfig(g8, 1, 0.0).check_run_budget([0.1]),
             "sector tables": lambda: ManyBodyConfig(g8, 2, 0.0).check_run_budget([0.0]),  # 190
             "2-marginal": lambda: rank_one_marginal(one, 2),
             "maps of levels 1..4": lambda: enumerate_collapse_maps(4),  # 7!! = 105 maps

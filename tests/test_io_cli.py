@@ -210,22 +210,28 @@ class TestRunExperiment:
         assert report.passed
 
     @pytest.mark.parametrize("case", ["residuals_demo", "d1_n16_N3"])
-    def test_residuals_run_builds_one_krylov_basis(self, tmp_path, monkeypatch, case):
-        # every time of every spacing, h and 2h, comes from the basis of psi0
+    def test_residuals_run_takes_one_recurrence(self, tmp_path, monkeypatch, case):
+        # every time of every spacing, h and 2h, comes from one series of psi0, whose
+        # H-applies are the degree of the largest time
         if case == "residuals_demo":
             params = json.loads((Path(__file__).parent.parent / "configs" / f"{case}.json")
                                 .read_text())
         else:  # the hierarchy workload's shape
             params = {"kind": "residuals", "params": {**_RES, "n": 16}}
-        calls, build = [], manybody._lanczos_basis
+        series, apply, calls, applies = manybody._chebyshev, manybody._apply_sector, [], []
 
-        def counting(*args):
-            calls.append(1)
-            return build(*args)
+        def counting(config, c, offsets, center, radius, target):
+            calls.append((config, max(offsets), radius, target))
+            return series(config, c, offsets, center, radius, target)
 
-        monkeypatch.setattr(manybody, "_lanczos_basis", counting)
+        monkeypatch.setattr(manybody, "_chebyshev", counting)
+        monkeypatch.setattr(manybody, "_apply_sector", lambda *a: applies.append(1) or apply(*a))
         assert run_experiment(ExperimentConfig.from_dict(params), tmp_path).passed
         assert len(calls) == 1
+        config, last, radius, target = calls[0]
+        assert last == 2 * max(params["params"]["spacings"])
+        degree = manybody._degree(manybody._chebyshev_coefficients(last * radius), target)
+        assert len(applies) == degree
 
     def test_nls_run_memory_does_not_grow_with_the_snapshot_count(self, tmp_path):
         params = {"d": 2, "n": 32, "b0": 1.0, "dt": 0.005, "T": 0.2,
@@ -642,8 +648,8 @@ BAD_CONFIGS = [
     ("probe", {"lemma": "approx_identity", "options": {"alphas": [0.1], "n": 16}}, "options"),
     ("probe", {"lemma": "refined_sobolev", "options": {"ms": [8], "rs": [4]}}, "options"),
     ("manybody-run", {**_MB, "d": 3, "n": 32, "N": 1}, "N"),  # a 2^30-entry interaction table
-    ("manybody-run", {**_MB, "n": 64, "N": 4}, "N"),  # a 2^24-entry state, returned beside
-    # the 21-vector sector basis (16.1 M entries)
+    ("manybody-run", {**_MB, "n": 64, "N": 4}, "N"),  # a 2^24-entry state: its sector tables
+    # alone hold 18.6 M entries
     *_OVERSIZED_GRIDS,
     ("probe", {"lemma": "bilinear", "options": {"m1s": [128]}}, "options"),  # a 264^3 grid
     # evaluation grids past the budget on field grids within it
@@ -724,6 +730,9 @@ BAD_CONFIGS = [
     # finite step counts past the work rule (10^298 steps), which would not end
     ("nls-run", {**_NLS, "dt": 1e-301}, "dt"),
     ("chaos", {**_CHAOS, "nls_dt": 1e-301}, "nls_dt"),
+    # a bilinear shell whose field grid is charged before the search for an 11-smooth
+    # length, which would step through a 31-digit integer
+    ("probe", {"lemma": "bilinear", "options": {"m1s": [1e30]}}, "options"),
 ]
 
 
