@@ -45,6 +45,8 @@ SHAPES = [  # the benchmark's many-body shapes, then larger ones, where the arra
     ("manybody-run", {**_MB, "n": 16, "N": 4, "stability": [[4, 0.5]]}),  # B_4: a full gather
     ("residuals", {**_RES, "n": 16, "N": 7, "k": 1}),  # past the full tensor's budget
     ("residuals", {**_RES, "n": 8, "N": 12, "k": 2}),
+    # 150 distinct times, each with its own table of series coefficients
+    ("residuals", {**_RES, "n": 16, "N": 3, "k": 1, "spacings": [i / 2 for i in range(1, 101)]}),
 ]
 
 RUN = """

@@ -11,8 +11,8 @@ no default makes it required.  Validation binds params to them and runs `_run_<k
 up to its `yield`: that is the build pass, which constructs the domain
 objects the run after it uses, so every value rule is the one its owning
 module enforces.  All randomness derives from the single config seed
-through numpy's PCG64 generator, so rerunning a config at a fixed BLAS
-thread count reproduces every numeric artifact byte-for-byte.  Exit codes:
+through numpy's PCG64 generator, so rerunning a config reproduces every
+numeric artifact byte-for-byte, whatever the BLAS thread count.  Exit codes:
 0 pass, 1 in-run tolerance failure (a failed check, a propagation tolerance
 out of reach or a blow-up), 2 validation error.
 """
@@ -211,7 +211,7 @@ def _spec(kinds: dict, spec: dict, where: str):
 
 
 # Run-level rules that no domain function owns.
-_POSITIVE = ("snapshot_every", "steps", "eps", "mass_tol", "norm_tol", "energy_tol")
+_POSITIVE = ("snapshot_every", "eps", "mass_tol", "norm_tol", "energy_tol")
 
 
 def _unit(f: TorusField, scale: float = 1.0) -> TorusField:
@@ -358,9 +358,9 @@ def _run_nls(attempt, seed: int, /, *, d: int, n: int, initial: dict, b0: float,
 
 
 def _run_manybody(attempt, seed: int, /, *, d: int, n: int, initial: dict, N: int, beta: float,
-                  T: float, potential: dict = None, steps: int = None,
-                  moments: list[int] = (1, 2), stability: list[tuple[int, float]] = (),
-                  dump_state: bool = False, norm_tol: float = 1e-10, energy_tol: float = 1e-8):
+                  T: float, potential: dict = None, moments: list[int] = (1, 2),
+                  stability: list[tuple[int, float]] = (), dump_state: bool = False,
+                  norm_tol: float = 1e-10, energy_tol: float = 1e-8):
     grid = attempt("n", GridSpec, d, n)
     from_file = initial.get("kind") == "file"
     _, mbs = _configs(attempt, grid, potential, beta, [N], [T], "N")
@@ -382,7 +382,7 @@ def _run_manybody(attempt, seed: int, /, *, d: int, n: int, initial: dict, N: in
     psi0 = (BosonicState(mb, c=entries.pop() * _sector(mb).scale) if from_file
             else BosonicState.factorized(mb, phi))
     e0 = energy_per_particle(psi0)
-    psi = propagate(psi0, float(T), steps=steps)
+    psi = propagate(psi0, float(T))
     eT = energy_per_particle(psi)
     norm_drift = abs(psi.norm() - 1.0)
     energy_drift = abs(eT - e0) / max(abs(e0), 1.0)

@@ -136,6 +136,11 @@ def _abs2(v: np.ndarray) -> np.ndarray:
     return v.real**2 + v.imag**2
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a, b> over the float64 views, summed by numpy alone, whatever the BLAS threads."""
+    return float(np.einsum("i,i->", a.reshape(-1).view(np.float64), b.reshape(-1).view(np.float64)))
+
+
 def _resampled(c: np.ndarray, n_new: int) -> np.ndarray:
     """The coefficient array c on an n_new grid, each axis keeping its first
     and last min(n, n_new)/2 entries: a new array, or c itself at its own size."""

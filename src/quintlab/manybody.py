@@ -12,8 +12,8 @@ vector (see the bosonic sector below), and every run path works on that
 vector, marginals, the hierarchy right side and the Sobolev weights included;
 only amps and random_symmetric form the dense tensor over (grid)^N (check_budget),
 and dump_state and a state file stream it by slab (_slabs, check_file_budget).
-propagate sums Chebyshev series of exp(-i tau H) over H's a-priori spectral
-bounds, one three-term recurrence of H-applies per segment.
+propagate sums one Chebyshev series of exp(-i t H) over H's a-priori spectral
+bounds, one three-term recurrence of H-applies for every requested time.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grids import (
-    GridSpec, ParameterError, TorusField, _abs2, _fftn, _ifftn, _wrapped_relative_coords,
+    GridSpec, ParameterError, TorusField, _abs2, _dot, _fftn, _ifftn, _wrapped_relative_coords,
     _xi_squared, check_entries,
 )
 
@@ -160,20 +159,25 @@ class ManyBodyConfig:
         its (n^d)^N entries, which, as n^d >= 4, bound their tables and scratch."""
         check_entries("state file", self.grid.size**self.N, "N")
 
-    def check_run_budget(self, times: Sequence[float]):
+    def check_run_budget(self, times: Sequence[float], tol: float = 1e-11):
         """All that every run to `times` holds at once: the (n^d)^2 interaction
         table, the sector tables with their scratch (see _sector_entries), which
         its energies build even at t = 0, and, when a time is > 0, propagate's
-        Chebyshev recurrence (a segment's start, T_{k-1}, T_k, T_{k+1} and the
-        segment end's sum: five sector vectors) and one sector vector per distinct
-        time > 0.  No full tensor: see check_budget and check_file_budget."""
+        series: the state, T_{k-1}, T_k, T_{k+1} and a product's temporary, and per
+        distinct time s > 0 a sector vector and K + 1 coefficients, K = _table_degree
+        of s _radius_bound capped at tol's rounding floor (past it _propagate raises
+        first), with the FFT of the largest table, 4 K.  No full tensor: see
+        check_budget and check_file_budget."""
         check_entries("interaction table", self.grid.size**2)
         later = {float(t) for t in times if t > 0}
         if not later:
             return check_entries("sector tables", _sector_entries(self))
         vectors = (5 + len(later)) * _sector_dim(self.grid.size, self.N)
-        check_entries("Chebyshev recurrence, returned states and sector tables",
-                      vectors + _sector_entries(self))
+        floor, radius = tol / np.finfo(np.float64).eps, _radius_bound(self)
+        degrees = [_table_degree(np.fmin(s * radius, floor)) for s in later]
+        check_entries("Chebyshev recurrence, coefficients, returned states and sector tables",
+                      vectors + sum(degrees) + len(degrees) + 4 * max(degrees)
+                      + _sector_entries(self))
 
     def check_factor_budget(self, k: int, factors: int, marginals: int = 0):
         """What a k-particle quantity of a state forms beside the run: `factors` arrays of
@@ -301,7 +305,7 @@ def _cached_tables(config: ManyBodyConfig) -> np.ndarray | None:
 #
 # A symmetric psi is stored as c(s) = sqrt(N! / prod_y m_y!) psi(s) on the
 # C(m + N - 1, N) sorted tuples s of flat grid indices (m = n^d, m_y the number
-# of entries of s equal to y), so that np.vdot and norms of c equal those of
+# of entries of s equal to y), so that inner products and norms of c equal those of
 # psi.  Tuples are ranked in colex order by the combinatorial number system,
 # rank(s) = sum_i C(s_i + i, i + 1).  On c, H = A^dagger (K x 1) A + V: A is the
 # level-N annihilation table of _insertion, the gather that B_k (_annihilate)
@@ -557,11 +561,11 @@ class BosonicState:
         return amps
 
     def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.c, self.c).real
-                             * self.config.grid.cell_volume**self.config.N))
+        return float(np.sqrt(_dot(self.c, self.c) * self.config.grid.cell_volume**self.config.N))
 
     def inner(self, other: "BosonicState") -> complex:
-        return complex(np.vdot(self.c, other.c) * self.config.grid.cell_volume**self.config.N)
+        return complex(np.einsum("i,i->", self.c.conj(), other.c)
+                       * self.config.grid.cell_volume**self.config.N)
 
 
 # -- Hamiltonian --------------------------------------------------------
@@ -585,8 +589,7 @@ def apply_hamiltonian(psi: BosonicState) -> np.ndarray:
 
 def energy(psi: BosonicState) -> float:
     c = psi.c
-    return float(np.real(np.vdot(c, _apply_sector(psi.config, c)))
-                 * psi.config.grid.cell_volume**psi.config.N)
+    return _dot(c, _apply_sector(psi.config, c)) * psi.config.grid.cell_volume**psi.config.N
 
 
 def energy_per_particle(psi: BosonicState) -> float:
@@ -605,8 +608,7 @@ def energy_moment(psi: BosonicState, k: int) -> float:
     c = v = psi.c
     for _ in range(k):
         v = _apply_sector(psi.config, v) / psi.config.N + v
-    val = np.vdot(c, v) * psi.config.grid.cell_volume**psi.config.N
-    return float(np.real(val))
+    return _dot(c, v) * psi.config.grid.cell_volume**psi.config.N
 
 
 # -- Chebyshev propagation -------------------------------------------------
@@ -620,12 +622,33 @@ def _spectral_bounds(config: ManyBodyConfig) -> tuple[float, float]:
     return low, config.N * config.grid.d * (config.grid.n / 2) ** 2 + high
 
 
+def _radius_bound(config: ManyBodyConfig) -> float:
+    """A bound of the radius (hi - lo) / 2 of _spectral_bounds from the potential's
+    parameters alone: N d (n/2)^2 / 2 plus C(N, 3) / (2 N^2) times a bound of the
+    interaction table (build_potential), amplitude * (copies * N^beta)^(2 d), where per
+    axis at most 3 and floor(3 sigma N^-beta / pi) + 1 of the 2 pi-periodic copies of a
+    relative coordinate meet the rescaled support."""
+    grid, N, pot = config.grid, config.N, config.potential
+    if isinstance(pot, ConstantPotential):
+        top = pot.value
+    else:
+        scale = np.float64(N) ** config.beta
+        copies = min(3.0, np.floor(pot.support_radius / scale / np.pi) + 1.0)
+        top = pot.normalization(grid.d) * (copies * scale) ** (2 * grid.d)
+    return N * grid.d * (grid.n / 2) ** 2 / 2 + math.comb(N, 3) / (2 * N**2) * top
+
+
+def _table_degree(z: float) -> int:
+    """K = z + 20 z^(1/3) + 40, rounded up: |J_K(z)| < 1e-40."""
+    return math.ceil(z + 20.0 * z ** (1 / 3) + 40.0)
+
+
 def _chebyshev_coefficients(z: float) -> np.ndarray:
     """a_k of exp(-i z x) = sum_k a_k T_k(x) on [-1, 1], z >= 0: a_0 = J_0(z) and
     a_k = 2 (-i)^k J_k(z), read off the Fourier coefficients (-i)^k J_k(z) of
-    exp(-i z cos theta) (Jacobi-Anger) on 2 K points, K = z + 20 z^(1/3) + 40,
-    where |J_K(z)| < 1e-40, so no coefficient aliases."""
-    K = math.ceil(z + 20.0 * z ** (1 / 3) + 40.0)
+    exp(-i z cos theta) (Jacobi-Anger) on 2 K points, K = _table_degree(z), so no
+    coefficient aliases."""
+    K = _table_degree(z)
     a = np.fft.fft(np.exp(-1j * z * np.cos(np.pi / K * np.arange(2 * K))))[: K + 1] / (2 * K)
     a[1:] *= 2.0
     return a
@@ -637,18 +660,18 @@ def _degree(a: np.ndarray, target: float) -> int:
     return int(np.argmax(tails <= target))
 
 
-def _chebyshev(config: ManyBodyConfig, c: np.ndarray, offsets, center: float, radius: float,
+def _chebyshev(config: ManyBodyConfig, c: np.ndarray, times, center: float, radius: float,
                target: float) -> list[np.ndarray]:
-    """exp(-i s H) c at each offset s of one segment (Tal-Ezer & Kosloff, J. Chem.
-    Phys. 1984): with X = (H - center) / radius, whose spectrum lies in [-1, 1],
+    """exp(-i s H) c at each time s (Tal-Ezer & Kosloff, J. Chem. Phys. 1984):
+    with X = (H - center) / radius, whose spectrum lies in [-1, 1],
     exp(-i s H) = exp(-i s center) sum_k a_k(s radius) T_k(X), each series cut at
     its _degree for target.  One three-term recurrence T_{k+1} = 2 X T_k - T_{k-1}
-    serves every offset, at one H-apply per degree up to the largest, and no
-    inner product; each offset sums its own coefficients."""
+    serves every time, at one H-apply per degree up to the largest, and no
+    inner product; each time sums its own coefficients."""
     coeffs = []
-    for s in offsets:
+    for s in times:
         a = _chebyshev_coefficients(s * radius)
-        coeffs.append(a[: _degree(a, target) + 1])
+        coeffs.append(a[: _degree(a, target) + 1].copy())  # not a view that keeps the table
     sums = [a[0] * c for a in coeffs]
     prev, cur = None, c
     for k in range(1, max(a.size for a in coeffs)):
@@ -663,7 +686,7 @@ def _chebyshev(config: ManyBodyConfig, c: np.ndarray, offsets, center: float, ra
         for u, a in zip(sums, coeffs):
             if k < a.size:
                 u += a[k] * cur
-    for u, s in zip(sums, offsets):
+    for u, s in zip(sums, times):
         u *= np.exp(-1j * s * center)
     return sums
 
@@ -671,61 +694,46 @@ def _chebyshev(config: ManyBodyConfig, c: np.ndarray, offsets, center: float, ra
 def propagate(
     psi: BosonicState,
     t: float | Sequence[float],
-    steps: int | None = None,
     tol: float = 1e-11,
 ) -> BosonicState | list[BosonicState]:
     """exp(-i t H) psi for a finite t >= 0, or the list of exp(-i s H) psi for
     a non-decreasing sequence of such times s (equal times share one state).
-    A zero time, or any time for the zero state, gives psi itself.  Other t,
-    or steps other than None or an integer >= 1, raise ValueError up front.
+    A zero time, or any time for the zero state, gives psi itself.  Other t
+    raise ValueError up front.
 
-    The flow to T, t or the last time, runs in segments of at most T / steps
-    (one without steps), each a Chebyshev series (_chebyshev) over the a-priori
-    spectral bounds of H (_spectral_bounds) whose tail bound is within
-    tol * tau / T for a segment of length tau, so the truncation errors sum to
-    at most tol relative to ||psi||.  Double precision resolves the phase
-    t H only to about eps * T (hi - lo) / 2, and each segment rounds once more:
-    where that passes tol, PropagationToleranceError is raised before any
-    H-apply.  A requested time inside a segment comes from that segment's
-    recurrence, and is held as a sector vector.
+    Every time comes from one Chebyshev series (_chebyshev) over the a-priori
+    spectral bounds of H (_spectral_bounds), each cut where its tail bound is
+    within tol, which bounds its truncation error relative to ||psi||, and is
+    held as a sector vector.  Double precision resolves the phase t H only to
+    about eps * T (hi - lo) / 2, T the largest time: where that passes tol,
+    PropagationToleranceError is raised before any H-apply.
     """
     times = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if not (times.ndim == 1 and np.all(np.isfinite(times) & (np.diff(times, prepend=0.0) >= 0.0))
-            and (steps is None or isinstance(steps, numbers.Integral) and steps >= 1)):
-        raise ValueError("propagate needs finite times >= 0 in non-decreasing order, and steps "
-                         f"None or an integer >= 1; got t={t!r}, steps={steps!r}")
-    states = _propagate(psi, times, steps, tol)
+    if not (times.ndim == 1 and np.all(np.isfinite(times) & (np.diff(times, prepend=0.0) >= 0.0))):
+        raise ValueError(f"propagate needs finite times >= 0 in non-decreasing order; got t={t!r}")
+    states = _propagate(psi, times, tol)
     return states[0] if np.ndim(t) == 0 else states
 
 
-def _propagate(psi: BosonicState, times: np.ndarray, steps, tol):
+def _propagate(psi: BosonicState, times: np.ndarray, tol):
     """propagate at the checked times."""
     config = psi.config
-    config.check_run_budget(times)
+    config.check_run_budget(times, tol)
     span = float(times[-1]) if times.size else 0.0
     if span == 0.0 or not psi.c.any():
         return [psi] * times.size
     low, high = _spectral_bounds(config)
     center, radius = (high + low) / 2.0, (high - low) / 2.0
-    segments = steps or 1
-    degree = span * radius + segments  # a lower bound of the total degree of the series
+    degree = span * radius + 1  # a lower bound of the degree of the series
     if degree * np.finfo(np.float64).eps > tol:
         raise PropagationToleranceError(
             f"the series to t = {span:.3g} needs a degree past {degree:.3g}, "
             f"whose rounding double precision cannot hold within tol = {tol:.3g}"
         )
-    pending = times[times > 0.0]
-    pending = pending[np.diff(pending, prepend=0.0) > 0.0].tolist()  # np.unique loads numpy.ma
-    served, c, start, cap = {0.0: psi}, psi.c, 0.0, span / segments
-    while start < span:
-        # the last capped segment absorbs the rounding of span / steps
-        end = span if span - start <= cap * (1.0 + 1e-12) else start + cap
-        here = [s for s in pending if s <= end]
-        pending = pending[len(here):]
-        offsets = [s - start for s in here] + ([] if here and here[-1] == end else [end - start])
-        sums = _chebyshev(config, c, offsets, center, radius, tol * (end - start) / span)
-        served.update((s, BosonicState(config, c=u)) for s, u in zip(here, sums))
-        c, start = sums[-1], end
+    later = times[times > 0.0]
+    later = later[np.diff(later, prepend=0.0) > 0.0].tolist()  # np.unique loads numpy.ma
+    sums = _chebyshev(config, psi.c, later, center, radius, tol)
+    served = {0.0: psi, **{s: BosonicState(config, c=u) for s, u in zip(later, sums)}}
     return [served[s] for s in times.tolist()]
 
 

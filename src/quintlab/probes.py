@@ -23,6 +23,7 @@ from .grids import (
     FrequencyCube,
     GridSpec,
     TorusField,
+    _dot,
     _fftn,
     _wrapped_relative_coords,
     _xi_squared,
@@ -211,7 +212,7 @@ def strichartz_ratio(
         r += np.square(v.imag, out=v.imag)
         if p != 4.0:
             r **= p / 4.0
-        return np.vdot(r, r)
+        return _dot(r, r)
 
     acc = _free_product_integral([_band_grid(g)], T, nt, n_eval, lp_mass)
     lhs = (acc * (2.0 * np.pi / n_eval) ** 3) ** (1.0 / p)
@@ -242,7 +243,7 @@ def bilinear_strichartz_ratio(
         return 0.0
     # discrete Parseval: the product's L2 norm from its samples, no transform
     acc = _free_product_integral([_band_grid(u1), _band_grid(u2)], T, nt, n_eval,
-                                 lambda v: np.vdot(v, v).real)
+                                 lambda v: _dot(v, v))
     lhs = np.sqrt(acc * (2.0 * np.pi / n_eval) ** 3)
     rhs = np.sqrt(m2) * (m2 / m1 + 1.0 / m2) ** delta * n1 * n2
     return float(lhs / rhs)
@@ -314,7 +315,7 @@ def multilinear_ratio(
 
     def hs_norm(v):
         np.multiply(_fftn(v, out=v), root, out=v)
-        return np.sqrt(np.vdot(v, v).real)
+        return np.sqrt(_dot(v, v))
 
     # free evolution keeps each mode's label, so it commutes with resampling
     acc = _free_product_integral([_band_grid(f) for f in fs], T, nt, fine.n, hs_norm)

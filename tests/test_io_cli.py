@@ -733,6 +733,11 @@ BAD_CONFIGS = [
     # a bilinear shell whose field grid is charged before the search for an 11-smooth
     # length, which would step through a 31-digit integer
     ("probe", {"lemma": "bilinear", "options": {"m1s": [1e30]}}, "options"),
+    # the flow is one series, with no segment cap
+    ("manybody-run", {**_MB, "steps": 5}, "steps"),
+    # 1,350 distinct times up to 1,800, whose series coefficients (up to 44,037 a time)
+    # sum to 25.4 M entries
+    ("residuals", {**_RES, "spacings": [float(h) for h in range(1, 901)]}, "N"),
 ]
 
 
@@ -741,7 +746,8 @@ BAD_CONFIGS = [
     ("residuals", {**_RES, "beta": 0.0, "spacings": [1e5, 5e4]}),
 ], ids=["manybody-run", "residuals"])
 def test_krylov_tolerance_out_of_reach_exits_1(tmp_path, capsys, kind, params):
-    # the Krylov estimate fails at the shortest trial substep of the first basis
+    # the series' degree passes what double precision can certify: _propagate
+    # raises before any H-apply
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"kind": kind, "params": params}))
     rc = main([kind, "--config", str(path), "--out", str(tmp_path / "out")])

@@ -590,16 +590,15 @@ class TestPropagate:
         assert symmetry_residual(out) <= 1e-10
 
     def test_energy_drift_self_consistency(self):
-        # energy is conserved, and the result does not depend on the segments
-        # (one against five) beyond the tolerance
+        # energy is conserved, and two half flows agree with one flow beyond the tolerance
         g = GridSpec(1, 16)
         cfg = ManyBodyConfig(g, 3, 0.05)
         psi = BosonicState.factorized(cfg, smooth_phi(g, seed=6))
         e0 = energy(psi)
-        out = propagate(psi, 0.5)
+        out = propagate(psi, 0.7)
         drift = abs(energy(out) - e0) / max(abs(e0), 1.0)
         assert drift <= 1e-8
-        out2 = propagate(psi, 0.5, steps=5)
+        out2 = propagate(propagate(psi, 0.35), 0.35)
         assert np.abs(out.amps - out2.amps).max() <= 1e-8
 
     @pytest.fixture(scope="class")
@@ -614,13 +613,11 @@ class TestPropagate:
         )
         return psi, H
 
-    @pytest.mark.parametrize("T", [0.1, 1.0])
-    @pytest.mark.parametrize("steps", [6, 10, 20])
-    def test_meets_tol_against_dense_expm(self, dense_case, steps, T):
-        # each of `steps` segments keeps its truncation within tol / steps
+    @pytest.mark.parametrize("T", [0.1, 1.0, 3.0])
+    def test_meets_tol_against_dense_expm(self, dense_case, T):
         psi, H = dense_case
         want = expm(-1j * T * H) @ psi.amps.reshape(-1)
-        got = propagate(psi, T, steps=steps).amps.reshape(-1)
+        got = propagate(psi, T).amps.reshape(-1)
         assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
     def test_meets_tol_against_dense_expm_d2(self):
@@ -641,12 +638,9 @@ class TestPropagate:
         with pytest.raises(PropagationToleranceError):
             propagate(psi, 1.0, tol=1e-30)
 
-    @pytest.mark.parametrize("T,steps,tol", [(1e6, None, 1e-11), (1.0, None, 1e-30),
-                                             (1.0, 10**15, 1e-11)],
-                             ids=["long", "tight", "many_segments"])
-    def test_uncertifiable_series_raises_before_any_work(self, dense_case, T, steps, tol,
-                                                         monkeypatch):
-        # a degree past tol / eps, or 10^15 segments: no H-apply, no coefficient array
+    @pytest.mark.parametrize("T,tol", [(1e6, 1e-11), (1.0, 1e-30)], ids=["long", "tight"])
+    def test_uncertifiable_series_raises_before_any_work(self, dense_case, T, tol, monkeypatch):
+        # a degree past tol / eps: no H-apply, no coefficient array
         psi, _ = dense_case
 
         def refuse(*args):
@@ -655,30 +649,11 @@ class TestPropagate:
         monkeypatch.setattr(manybody, "_apply_sector", refuse)
         monkeypatch.setattr(manybody, "_chebyshev_coefficients", refuse)
         with pytest.raises(PropagationToleranceError):
-            propagate(psi, T, steps=steps, tol=tol)
+            propagate(psi, T, tol=tol)
 
-    def test_steps_caps_the_substep(self, dense_case, monkeypatch):
-        # the flow runs in s segments of t / s, the last one absorbing the rounding
+    def test_a_time_inside_a_segment_equals_its_own_propagation(self, dense_case):
         psi, _ = dense_case
-        t, s = 0.7, 9
-        free = propagate(psi, t)
-        taus, series = [], manybody._chebyshev
-
-        def spy(config, c, offsets, *args):
-            taus.append(offsets[-1])
-            return series(config, c, offsets, *args)
-
-        monkeypatch.setattr(manybody, "_chebyshev", spy)
-        capped = propagate(psi, t, steps=s)
-        assert np.linalg.norm(capped.amps - free.amps) <= 1e-10 * np.linalg.norm(free.amps)
-        assert len(taus) == s
-        assert max(taus) <= (t / s) * (1 + 1e-12)
-        assert sum(taus) == pytest.approx(t, rel=1e-14)
-
-    @pytest.mark.parametrize("steps", [None, 3])
-    def test_a_time_inside_a_segment_equals_its_own_propagation(self, dense_case, steps):
-        psi, _ = dense_case
-        inside, alone = propagate(psi, [0.37, 1.0], steps=steps)[0], propagate(psi, 0.37)
+        inside, alone = propagate(psi, [0.37, 1.0])[0], propagate(psi, 0.37)
         assert np.linalg.norm(inside.c - alone.c) <= 1e-11 * np.linalg.norm(psi.c)
 
     @pytest.mark.parametrize("d,n,N,potential", [
@@ -699,6 +674,28 @@ class TestPropagate:
         if isinstance(potential, ConstantPotential):
             assert low == 2.0 / 9 and evals[-1] == pytest.approx(high, rel=1e-12)
 
+    @pytest.mark.parametrize("d,n,N,beta,potential", [
+        (1, 8, 3, 0.05, GaussianPotential()),
+        (1, 16, 5, 0.5, GaussianPotential()),
+        (2, 8, 3, 0.05, GaussianPotential()),
+        (3, 4, 3, 0.05, GaussianPotential()),
+        (1, 8, 4, 0.0, GaussianPotential(sigma=3.0)),  # the support meets three copies
+        (1, 8, 4, 0.3, ConstantPotential(2.0)),
+    ], ids=["d1", "beta", "d2", "d3", "wide", "constant"])
+    def test_radius_bound_holds_the_tabulated_radius(self, d, n, N, beta, potential):
+        cfg = ManyBodyConfig(GridSpec(d, n), N, beta, potential)
+        low, high = manybody._spectral_bounds(cfg)
+        assert (high - low) / 2 <= manybody._radius_bound(cfg) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("z", [0.5, 5.0, 50.0, 500.0, 5000.0])
+    def test_cut_is_within_one_term_of_the_exact_tail(self, z):
+        # the tail bound of the FFT coefficients against that of scipy's J_k(z)
+        a = manybody._chebyshev_coefficients(z)
+        k = np.arange(a.size)
+        exact = np.where(k == 0, 1.0, 2.0) * np.abs(special.jv(k, z))
+        want = manybody._degree(exact, 1e-11)
+        assert want <= manybody._degree(a, 1e-11) <= want + 1
+
     @pytest.mark.parametrize("z", [0.0, 0.5, 5.0, 50.0, 500.0])
     def test_coefficients_match_the_bessel_functions(self, z):
         a = manybody._chebyshev_coefficients(z)
@@ -715,18 +712,14 @@ class TestPropagate:
         times = np.concatenate([[0.0], times[:2], times[1:], [1.0]])
         return times, [expm(-1j * s * H) @ psi.amps.reshape(-1) for s in times]
 
-    @pytest.mark.parametrize("steps", [None, 7])
-    def test_dense_output_meets_tol_against_dense_expm(self, dense_case, dense_times, steps):
-        # steps=7 caps the substeps at 1/7, so the times fall in several of them
+    def test_dense_output_meets_tol_against_dense_expm(self, dense_case, dense_times):
         psi, _ = dense_case
         times, wants = dense_times
-        got = propagate(psi, times, steps=steps)
+        got = propagate(psi, times)
         assert len(got) == len(times)
         for state, want in zip(got, wants):
             assert np.linalg.norm(state.amps.reshape(-1) - want) <= 1e-11 * np.linalg.norm(want)
-        assert np.array_equal(
-            propagate(psi, 0.6, steps=steps).amps, propagate(psi, [0.6], steps=steps)[-1].amps
-        )
+        assert np.array_equal(propagate(psi, 0.6).amps, propagate(psi, [0.6])[-1].amps)
 
     @staticmethod
     def forbid_bases(monkeypatch):
@@ -745,16 +738,6 @@ class TestPropagate:
         self.forbid_bases(monkeypatch)
         with pytest.raises(ValueError, match="finite times"):
             propagate(psi, times)
-
-    @pytest.mark.parametrize("steps", [0, -1, 2.5])
-    def test_steps_must_be_an_integer_at_least_one(self, dense_case, steps, monkeypatch):
-        # checked up front: with a cap T / steps < 0 no substep would ever end
-        psi, _ = dense_case
-        self.forbid_bases(monkeypatch)
-        with pytest.raises(ValueError, match="steps"):
-            propagate(psi, 0.1, steps=steps)
-        with pytest.raises(ValueError, match="steps"):
-            propagate(psi, [0.1, 0.2], steps=steps)
 
     @pytest.fixture(scope="class")
     def exhausted_case(self):
@@ -778,8 +761,8 @@ class TestPropagate:
 
     def test_cost_guard(self, monkeypatch):
         # d=1 n=16 N=4 (dim 65,536, sector dim 3,876), T=0.1: at most 100
-        # H-applies (33 here), and a peak under 32 MiB: a 21-row Krylov basis
-        # of full tensors alone would hold 21 MiB; the call peaks at 0.8 MiB
+        # H-applies (33 here), and a peak under 32 MiB: the flow forms no dense
+        # operator, as the sector H alone would hold 229 MiB; the call peaks at 0.8 MiB
         g = GridSpec(1, 16)
         cfg = ManyBodyConfig(g, 4, 0.05)
         psi = BosonicState.factorized(cfg, smooth_phi(g, seed=9))
