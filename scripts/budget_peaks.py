@@ -9,7 +9,8 @@ under tracemalloc.  For
 each run, print its exit (pass, fail or the rejecting message), the complex
 entries its build pass charged in all, the run's tracemalloc peak divided by
 16 bytes (one complex entry) and the ratio of the two.  A ratio above 1 is a
-run that holds more than its build pass charged.  The artifacts go to a
+run that holds more than its build pass charged.  A shape with its own
+potential prints its sigma; the others run the default one.  The artifacts go to a
 temporary directory.
 
 Usage:  python scripts/budget_peaks.py
@@ -47,6 +48,9 @@ SHAPES = [  # the benchmark's many-body shapes, then larger ones, where the arra
     ("residuals", {**_RES, "n": 8, "N": 12, "k": 2}),
     # 150 distinct times, each with its own table of series coefficients
     ("residuals", {**_RES, "n": 16, "N": 3, "k": 1, "spacings": [i / 2 for i in range(1, 101)]}),
+    # the same over a wider potential, whose interval the parameters' bound widens
+    ("residuals", {**_RES, "n": 16, "N": 3, "k": 1, "spacings": [i / 2 for i in range(1, 101)],
+                   "potential": {"kind": "gaussian", "sigma": 1.2}}),
 ]
 
 RUN = """
@@ -83,6 +87,7 @@ print(json.dumps({{"exit": "pass" if report.passed else "fail", "charged": build
 def shape(params: dict) -> str:
     keys = ("n", "N", "Ns", "k")
     extra = [key for key in ("stability", "dump_state") if params.get(key)]
+    extra += [f"sigma={params['potential']['sigma']}"] if "potential" in params else []
     return " ".join([f"{key}={params[key]}".replace(" ", "") for key in keys if key in params]
                     + extra)
 

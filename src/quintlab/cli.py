@@ -225,15 +225,8 @@ def _unit(f: TorusField, scale: float = 1.0) -> TorusField:
     return TorusField(f.grid, c)
 
 
-def _rescaled(f: TorusField, normalize: bool, scale: float | None) -> TorusField:
-    """f, or f rescaled to L2 norm `scale`, 1 when only normalize is set."""
-    if scale is None:
-        return _unit(f) if normalize else f
-    return _unit(f, float(scale))
-
-
 # The kinds of params.initial, each declared like a runner.
-def _initial_modes(grid, seed, /, *, modes: list, normalize: bool = False, scale: float = None):
+def _initial_modes(grid, seed, /, *, modes: list, scale: float = None):
     coeffs = {}
     for entry in modes:
         xi, *amp = entry
@@ -241,14 +234,15 @@ def _initial_modes(grid, seed, /, *, modes: list, normalize: bool = False, scale
         if not (all(map(_is_int, xi)) and 1 <= len(amp) <= 2 and all(map(_is_num, amp))):
             raise ValueError(f"a mode is [xi, re] or [xi, re, im], xi integer labels, got {entry}")
         coeffs[xi] = complex(*amp)
-    return _rescaled(TorusField.from_modes(grid, coeffs), normalize, scale)
+    f = TorusField.from_modes(grid, coeffs)
+    return f if scale is None else _unit(f, float(scale))
 
 
 def _initial_random_band(grid, seed, /, *, band: int = None, decay: float = 2.0,
-                         normalize: bool = False, scale: float = None):
+                         scale: float = None):
     f = TorusField.random_band_limited(grid, grid.n // 4 if band is None else band,
                                        np.random.default_rng(seed), decay=float(decay))
-    return _rescaled(f, normalize, scale)
+    return f if scale is None else _unit(f, float(scale))
 
 
 def _initial_constant(grid, seed, /, *, value: float = 1.0):
@@ -314,7 +308,8 @@ def _field(attempt, grid, spec: dict, seed: int, unit: bool = False):
 
 def _configs(attempt, grid, potential: dict | None, beta: float, Ns, times, key: str):
     """The potential `potential` names and one ManyBodyConfig per N in Ns, each
-    charged with what a run to `times` holds; a config that fails is left out."""
+    charged with what a run to `times` holds, its tables under N and the rest under
+    `key` (see check_run_budget); a config that cannot be built is left out."""
     pot = attempt("potential", build_potential_spec, potential)
     mbs = []
     for N in Ns if grid and pot else []:
@@ -437,7 +432,7 @@ def _run_residuals(attempt, seed: int, /, *, d: int, n: int, initial: dict, N: i
     grid = attempt("n", GridSpec, d, n)
     spacings = [float(h) for h in spacings]
     times = sorted({t for h in spacings for t in (h, 2 * h)})  # the run's times
-    _, mbs = _configs(attempt, grid, potential, beta, [N], times, "N")
+    _, mbs = _configs(attempt, grid, potential, beta, [N], times, "spacings")
     for mb in mbs:  # what bbgky_rhs forms; a k past N is named below
         attempt("N", mb.check_factor_budget, min(k, N), 4, 2)
     phi0 = _field(attempt, grid, initial, seed, unit=True)

@@ -12,8 +12,8 @@ vector (see the bosonic sector below), and every run path works on that
 vector, marginals, the hierarchy right side and the Sobolev weights included;
 only amps and random_symmetric form the dense tensor over (grid)^N (check_budget),
 and dump_state and a state file stream it by slab (_slabs, check_file_budget).
-propagate sums one Chebyshev series of exp(-i t H) over H's a-priori spectral
-bounds, one three-term recurrence of H-applies for every requested time.
+propagate sums one Chebyshev series of exp(-i t H) over H's a-priori interval
+[0, 2 r] (_radius_bound), one three-term recurrence of H-applies for every requested time.
 """
 
 from __future__ import annotations
@@ -27,17 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import (
-    GridSpec, ParameterError, TorusField, _abs2, _dot, _fftn, _ifftn, _wrapped_relative_coords,
-    _xi_squared, check_entries,
+    GridSpec, MemoryBudgetError, ParameterError, TorusField, _abs2, _dot, _fftn, _ifftn,
+    _wrapped_relative_coords, _xi_squared, check_entries,
 )
 
 _DENSE_KINETIC_MAX_N = 96  # _kinetic's route: a dense matrix on axes up to this length
-
-
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The 128-point Gauss-Legendre rule on [-1, 1]; V is flat at its edge."""
-    return np.polynomial.legendre.leggauss(128)
 
 
 class UnderResolvedError(ParameterError):
@@ -92,11 +86,8 @@ class GaussianPotential:
         return np.exp(-r2 / (2.0 * self.sigma**2)) * _bump(r2, self.support_radius)
 
     def ball_integral(self, d: int) -> float:
-        """integral over R^d of the radial factor, by _gauss_legendre in r on [0, 3 sigma]."""
-        x, w = _gauss_legendre()
-        r = 0.5 * self.support_radius * (x + 1.0)
-        scale = 0.5 * self.support_radius * (2.0, 2.0 * np.pi, 4.0 * np.pi)[d - 1]  # dr, surface
-        return float(scale * (w @ (r ** (d - 1) * self._radial(r * r))))
+        """integral over R^d of the radial factor (_ball_integrals)."""
+        return _ball_integrals(self.sigma)[d - 1]
 
     def normalization(self, d: int) -> float:
         if self.amplitude is not None:
@@ -108,6 +99,19 @@ class GaussianPotential:
         ru2 = np.sum(u * u, axis=-1)
         rv2 = np.sum(v * v, axis=-1)
         return self.normalization(d) * self._radial(ru2) * self._radial(rv2)
+
+
+@functools.cache
+def _ball_integrals(sigma: float) -> tuple[float, float, float]:
+    """The integrals over R^d, d = 1, 2, 3, of GaussianPotential(sigma)'s radial factor, by
+    the 128-point Gauss-Legendre rule in r on [0, 3 sigma], where V is flat: one rule per
+    sigma, memoized, as every normalization reads it."""
+    pot = GaussianPotential(sigma)
+    x, w = np.polynomial.legendre.leggauss(128)
+    r = 0.5 * pot.support_radius * (x + 1.0)
+    radial = pot._radial(r * r)
+    return tuple(float(0.5 * pot.support_radius * surface * (w @ (r ** (d - 1) * radial)))
+                 for d, surface in ((1, 2.0), (2, 2.0 * np.pi), (3, 4.0 * np.pi)))
 
 
 @dataclass(frozen=True)
@@ -165,19 +169,23 @@ class ManyBodyConfig:
         its energies build even at t = 0, and, when a time is > 0, propagate's
         series: the state, T_{k-1}, T_k, T_{k+1} and a product's temporary, and per
         distinct time s > 0 a sector vector and K + 1 coefficients, K = _table_degree
-        of s _radius_bound capped at tol's rounding floor (past it _propagate raises
-        first), with the FFT of the largest table, 4 K.  No full tensor: see
-        check_budget and check_file_budget."""
-        check_entries("interaction table", self.grid.size**2)
-        later = {float(t) for t in times if t > 0}
+        of s r, r the _radius_bound that _propagate sums over, capped at tol's rounding
+        floor (past it _propagate raises first), with the FFT of the largest table,
+        4 K.  The tables name N, the series its caller's key, unless the tables alone
+        break the budget.  No full tensor: see check_budget and check_file_budget."""
+        check_entries("interaction table", self.grid.size**2, "N")
+        later, tables = {float(t) for t in times if t > 0}, _sector_entries(self)
         if not later:
-            return check_entries("sector tables", _sector_entries(self))
+            return check_entries("sector tables", tables, "N")
         vectors = (5 + len(later)) * _sector_dim(self.grid.size, self.N)
         floor, radius = tol / np.finfo(np.float64).eps, _radius_bound(self)
         degrees = [_table_degree(np.fmin(s * radius, floor)) for s in later]
-        check_entries("Chebyshev recurrence, coefficients, returned states and sector tables",
-                      vectors + sum(degrees) + len(degrees) + 4 * max(degrees)
-                      + _sector_entries(self))
+        try:
+            check_entries("Chebyshev recurrence, coefficients, returned states and sector tables",
+                          vectors + sum(degrees) + len(degrees) + 4 * max(degrees) + tables)
+        except MemoryBudgetError:
+            check_entries("sector tables", tables, "N")
+            raise
 
     def check_factor_budget(self, k: int, factors: int, marginals: int = 0):
         """What a k-particle quantity of a state forms beside the run: `factors` arrays of
@@ -614,20 +622,12 @@ def energy_moment(psi: BosonicState, k: int) -> float:
 # -- Chebyshev propagation -------------------------------------------------
 
 
-def _spectral_bounds(config: ManyBodyConfig) -> tuple[float, float]:
-    """[lo, hi] holding the spectrum of H on the sector: the kinetic part lies in
-    [0, N d (n/2)^2], as |xi| <= n/2 on each axis, and the potential in [min V, max V]."""
-    diag = _sector(config).diag
-    low, high = (0.0, 0.0) if diag is None else (float(diag.min()), float(diag.max()))
-    return low, config.N * config.grid.d * (config.grid.n / 2) ** 2 + high
-
-
 def _radius_bound(config: ManyBodyConfig) -> float:
-    """A bound of the radius (hi - lo) / 2 of _spectral_bounds from the potential's
-    parameters alone: N d (n/2)^2 / 2 plus C(N, 3) / (2 N^2) times a bound of the
-    interaction table (build_potential), amplitude * (copies * N^beta)^(2 d), where per
-    axis at most 3 and floor(3 sigma N^-beta / pi) + 1 of the 2 pi-periodic copies of a
-    relative coordinate meet the rescaled support."""
+    """The radius r of H's interval [0, 2 r] from the potential's parameters alone: the
+    kinetic part lies in [0, N d (n/2)^2], as |xi| <= n/2 on each axis, and the potential in
+    [0, C(N, 3) / N^2 max W], W >= 0 the interaction table (build_potential), at most
+    amplitude * (copies * N^beta)^(2 d): per axis at most 3 and floor(3 sigma N^-beta / pi) + 1
+    of the 2 pi-periodic copies of a relative coordinate meet the rescaled support."""
     grid, N, pot = config.grid, config.N, config.potential
     if isinstance(pot, ConstantPotential):
         top = pot.value
@@ -660,11 +660,11 @@ def _degree(a: np.ndarray, target: float) -> int:
     return int(np.argmax(tails <= target))
 
 
-def _chebyshev(config: ManyBodyConfig, c: np.ndarray, times, center: float, radius: float,
+def _chebyshev(config: ManyBodyConfig, c: np.ndarray, times, radius: float,
                target: float) -> list[np.ndarray]:
     """exp(-i s H) c at each time s (Tal-Ezer & Kosloff, J. Chem. Phys. 1984):
-    with X = (H - center) / radius, whose spectrum lies in [-1, 1],
-    exp(-i s H) = exp(-i s center) sum_k a_k(s radius) T_k(X), each series cut at
+    with X = H / radius - 1, whose spectrum lies in [-1, 1] as H's lies in [0, 2 radius],
+    exp(-i s H) = exp(-i s radius) sum_k a_k(s radius) T_k(X), each series cut at
     its _degree for target.  One three-term recurrence T_{k+1} = 2 X T_k - T_{k-1}
     serves every time, at one H-apply per degree up to the largest, and no
     inner product; each time sums its own coefficients."""
@@ -676,7 +676,7 @@ def _chebyshev(config: ManyBodyConfig, c: np.ndarray, times, center: float, radi
     prev, cur = None, c
     for k in range(1, max(a.size for a in coeffs)):
         nxt = _apply_sector(config, cur)
-        nxt -= center * cur
+        nxt -= radius * cur
         if prev is None:
             nxt /= radius
         else:
@@ -687,7 +687,7 @@ def _chebyshev(config: ManyBodyConfig, c: np.ndarray, times, center: float, radi
             if k < a.size:
                 u += a[k] * cur
     for u, s in zip(sums, times):
-        u *= np.exp(-1j * s * center)
+        u *= np.exp(-1j * s * radius)
     return sums
 
 
@@ -702,10 +702,10 @@ def propagate(
     raise ValueError up front.
 
     Every time comes from one Chebyshev series (_chebyshev) over the a-priori
-    spectral bounds of H (_spectral_bounds), each cut where its tail bound is
+    interval [0, 2 r] of H (_radius_bound), each cut where its tail bound is
     within tol, which bounds its truncation error relative to ||psi||, and is
     held as a sector vector.  Double precision resolves the phase t H only to
-    about eps * T (hi - lo) / 2, T the largest time: where that passes tol,
+    about eps * T r, T the largest time: where that passes tol,
     PropagationToleranceError is raised before any H-apply.
     """
     times = np.atleast_1d(np.asarray(t, dtype=np.float64))
@@ -722,8 +722,7 @@ def _propagate(psi: BosonicState, times: np.ndarray, tol):
     span = float(times[-1]) if times.size else 0.0
     if span == 0.0 or not psi.c.any():
         return [psi] * times.size
-    low, high = _spectral_bounds(config)
-    center, radius = (high + low) / 2.0, (high - low) / 2.0
+    radius = _radius_bound(config)
     degree = span * radius + 1  # a lower bound of the degree of the series
     if degree * np.finfo(np.float64).eps > tol:
         raise PropagationToleranceError(
@@ -732,7 +731,7 @@ def _propagate(psi: BosonicState, times: np.ndarray, tol):
         )
     later = times[times > 0.0]
     later = later[np.diff(later, prepend=0.0) > 0.0].tolist()  # np.unique loads numpy.ma
-    sums = _chebyshev(config, psi.c, later, center, radius, tol)
+    sums = _chebyshev(config, psi.c, later, radius, tol)
     served = {0.0: psi, **{s: BosonicState(config, c=u) for s, u in zip(later, sums)}}
     return [served[s] for s in times.tolist()]
 

@@ -220,9 +220,9 @@ class TestRunExperiment:
             params = {"kind": "residuals", "params": {**_RES, "n": 16}}
         series, apply, calls, applies = manybody._chebyshev, manybody._apply_sector, [], []
 
-        def counting(config, c, offsets, center, radius, target):
+        def counting(config, c, offsets, radius, target):
             calls.append((config, max(offsets), radius, target))
-            return series(config, c, offsets, center, radius, target)
+            return series(config, c, offsets, radius, target)
 
         monkeypatch.setattr(manybody, "_chebyshev", counting)
         monkeypatch.setattr(manybody, "_apply_sector", lambda *a: applies.append(1) or apply(*a))
@@ -230,6 +230,7 @@ class TestRunExperiment:
         assert len(calls) == 1
         config, last, radius, target = calls[0]
         assert last == 2 * max(params["params"]["spacings"])
+        assert radius == manybody._radius_bound(config)  # the interval the build pass charges
         degree = manybody._degree(manybody._chebyshev_coefficients(last * radius), target)
         assert len(applies) == degree
 
@@ -737,7 +738,11 @@ BAD_CONFIGS = [
     ("manybody-run", {**_MB, "steps": 5}, "steps"),
     # 1,350 distinct times up to 1,800, whose series coefficients (up to 44,037 a time)
     # sum to 25.4 M entries
-    ("residuals", {**_RES, "spacings": [float(h) for h in range(1, 901)]}, "N"),
+    ("residuals", {**_RES, "spacings": [float(h) for h in range(1, 901)]}, "spacings"),
+    # its sector tables alone (20.0 M entries) are past the budget, with two short spacings
+    ("residuals", {**_RES, "n": 180}, "N"),
+    # unit norm is scale 1, the one key that rescales a datum
+    ("nls-run", {**_NLS, "initial": {**_BAND2, "normalize": True}}, "initial.normalize"),
 ]
 
 
@@ -781,6 +786,13 @@ class TestBadConfigs:
             ExperimentConfig.from_dict({"kind": "chaos", "params": {**_CHAOS, "beta": 1e10}})
         assert info.value.errors == [
             "params.beta: rescaled support radius 0 is below half a grid spacing 0.393"]
+
+    def test_sector_tables_past_the_budget_name_only_N(self):
+        # the series is charged with the tables; the tables alone name N, not spacings
+        with pytest.raises(ValidationError) as info:
+            ExperimentConfig.from_dict({"kind": "residuals", "params": {**_RES, "n": 180}})
+        assert [e.split(":")[0] for e in info.value.errors] == ["params.N"]
+        assert "sector tables would hold" in info.value.errors[0]
 
     def test_chaos_to_twelve_particles_accepted(self):
         # the sectors (50,388 entries at N = 12) fit; the 8^12-entry tensor is never formed
@@ -1000,7 +1012,7 @@ class TestDeclaredKeys:
         ("nls-run", {**_NLS, "initial": {"kind": "random_band", "scale": 1.0}},
          {"snapshot_every": 1, "dealias": True, "split_M": 2, "diagnostics_M": [2],  # n/4
           "mass_tol": 1e-11, "initial": {"kind": "random_band", "band": 2, "decay": 2.0,
-                                         "normalize": False, "scale": 1.0}}),
+                                         "scale": 1.0}}),
         ("nls-run", {**_NLS, "initial": {"kind": "constant"}},
          {"initial": {"kind": "constant", "value": 1.0}}),
         ("manybody-run", _MB,
