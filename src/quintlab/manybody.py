@@ -32,6 +32,7 @@ from .grids import (
 )
 
 _DENSE_KINETIC_MAX_N = 96  # _kinetic's route: a dense matrix on axes up to this length
+_SERIES_TOL = 1e-11  # propagate's target for each series' tail, relative to ||psi||
 
 
 class UnderResolvedError(ParameterError):
@@ -163,14 +164,14 @@ class ManyBodyConfig:
         its (n^d)^N entries, which, as n^d >= 4, bound their tables and scratch."""
         check_entries("state file", self.grid.size**self.N, "N")
 
-    def check_run_budget(self, times: Sequence[float], tol: float = 1e-11):
+    def check_run_budget(self, times: Sequence[float]):
         """All that every run to `times` holds at once: the (n^d)^2 interaction
         table, the sector tables with their scratch (see _sector_entries), which
         its energies build even at t = 0, and, when a time is > 0, propagate's
         series: the state, T_{k-1}, T_k, T_{k+1} and a product's temporary, and per
         distinct time s > 0 a sector vector and K + 1 coefficients, K = _table_degree
-        of s r, r the _radius_bound that _propagate sums over, capped at tol's rounding
-        floor (past it _propagate raises first), with the FFT of the largest table,
+        of s r, r the _radius_bound that _propagate sums over, capped at _SERIES_TOL's
+        rounding floor (past it _propagate raises first), with the FFT of the largest table,
         4 K.  The tables name N, the series its caller's key, unless the tables alone
         break the budget.  No full tensor: see check_budget and check_file_budget."""
         check_entries("interaction table", self.grid.size**2, "N")
@@ -178,7 +179,7 @@ class ManyBodyConfig:
         if not later:
             return check_entries("sector tables", tables, "N")
         vectors = (5 + len(later)) * _sector_dim(self.grid.size, self.N)
-        floor, radius = tol / np.finfo(np.float64).eps, _radius_bound(self)
+        floor, radius = _SERIES_TOL / np.finfo(np.float64).eps, _radius_bound(self)
         degrees = [_table_degree(np.fmin(s * radius, floor)) for s in later]
         try:
             check_entries("Chebyshev recurrence, coefficients, returned states and sector tables",
@@ -660,18 +661,17 @@ def _degree(a: np.ndarray, target: float) -> int:
     return int(np.argmax(tails <= target))
 
 
-def _chebyshev(config: ManyBodyConfig, c: np.ndarray, times, radius: float,
-               target: float) -> list[np.ndarray]:
+def _chebyshev(config: ManyBodyConfig, c: np.ndarray, times, radius: float) -> list[np.ndarray]:
     """exp(-i s H) c at each time s (Tal-Ezer & Kosloff, J. Chem. Phys. 1984):
     with X = H / radius - 1, whose spectrum lies in [-1, 1] as H's lies in [0, 2 radius],
     exp(-i s H) = exp(-i s radius) sum_k a_k(s radius) T_k(X), each series cut at
-    its _degree for target.  One three-term recurrence T_{k+1} = 2 X T_k - T_{k-1}
+    its _degree for _SERIES_TOL.  One three-term recurrence T_{k+1} = 2 X T_k - T_{k-1}
     serves every time, at one H-apply per degree up to the largest, and no
     inner product; each time sums its own coefficients."""
     coeffs = []
     for s in times:
         a = _chebyshev_coefficients(s * radius)
-        coeffs.append(a[: _degree(a, target) + 1].copy())  # not a view that keeps the table
+        coeffs.append(a[: _degree(a, _SERIES_TOL) + 1].copy())  # not a view that keeps the table
     sums = [a[0] * c for a in coeffs]
     prev, cur = None, c
     for k in range(1, max(a.size for a in coeffs)):
@@ -691,11 +691,7 @@ def _chebyshev(config: ManyBodyConfig, c: np.ndarray, times, radius: float,
     return sums
 
 
-def propagate(
-    psi: BosonicState,
-    t: float | Sequence[float],
-    tol: float = 1e-11,
-) -> BosonicState | list[BosonicState]:
+def propagate(psi: BosonicState, t: float | Sequence[float]) -> BosonicState | list[BosonicState]:
     """exp(-i t H) psi for a finite t >= 0, or the list of exp(-i s H) psi for
     a non-decreasing sequence of such times s (equal times share one state).
     A zero time, or any time for the zero state, gives psi itself.  Other t
@@ -703,35 +699,36 @@ def propagate(
 
     Every time comes from one Chebyshev series (_chebyshev) over the a-priori
     interval [0, 2 r] of H (_radius_bound), each cut where its tail bound is
-    within tol, which bounds its truncation error relative to ||psi||, and is
-    held as a sector vector.  Double precision resolves the phase t H only to
-    about eps * T r, T the largest time: where that passes tol,
+    within 1e-11 (_SERIES_TOL), which bounds its truncation error relative to
+    ||psi||, and is held as a sector vector.  Double precision resolves the phase
+    t H only to about eps * T r, T the largest time: where that passes 1e-11,
     PropagationToleranceError is raised before any H-apply.
     """
     times = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not (times.ndim == 1 and np.all(np.isfinite(times) & (np.diff(times, prepend=0.0) >= 0.0))):
         raise ValueError(f"propagate needs finite times >= 0 in non-decreasing order; got t={t!r}")
-    states = _propagate(psi, times, tol)
+    states = _propagate(psi, times)
     return states[0] if np.ndim(t) == 0 else states
 
 
-def _propagate(psi: BosonicState, times: np.ndarray, tol):
-    """propagate at the checked times."""
+def _propagate(psi: BosonicState, times: np.ndarray):
+    """propagate at the checked times; its budget, rounding floor and series cut all
+    take _SERIES_TOL."""
     config = psi.config
-    config.check_run_budget(times, tol)
+    config.check_run_budget(times)
     span = float(times[-1]) if times.size else 0.0
     if span == 0.0 or not psi.c.any():
         return [psi] * times.size
     radius = _radius_bound(config)
     degree = span * radius + 1  # a lower bound of the degree of the series
-    if degree * np.finfo(np.float64).eps > tol:
+    if degree * np.finfo(np.float64).eps > _SERIES_TOL:
         raise PropagationToleranceError(
             f"the series to t = {span:.3g} needs a degree past {degree:.3g}, "
-            f"whose rounding double precision cannot hold within tol = {tol:.3g}"
+            f"whose rounding double precision cannot hold within {_SERIES_TOL:.3g}"
         )
     later = times[times > 0.0]
     later = later[np.diff(later, prepend=0.0) > 0.0].tolist()  # np.unique loads numpy.ma
-    sums = _chebyshev(config, psi.c, later, radius, tol)
+    sums = _chebyshev(config, psi.c, later, radius)
     served = {0.0: psi, **{s: BosonicState(config, c=u) for s, u in zip(later, sums)}}
     return [served[s] for s in times.tolist()]
 

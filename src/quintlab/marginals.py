@@ -294,30 +294,21 @@ class ChaosRow:
     coupling: float
 
 
-def chaos_nls_steps(T: float, nls_dt: float | None) -> int:
-    """chaos_experiment's mean-field step count: 200, or T/nls_dt rounded and at least 1."""
-    if nls_dt is not None and not (nls_dt > 0 and np.isfinite(T / nls_dt)):
-        raise ValueError(f"nls_dt must be > 0 and make T/nls_dt finite, got {nls_dt}")
-    return 200 if nls_dt is None else max(1, int(round(T / nls_dt)))
-
-
 def chaos_experiment(
     Ns: list[int],
     beta: float,
     phi0: TorusField,
     T: float,
     potential=None,
-    nls_dt: float | None = None,
 ) -> list[ChaosRow]:
     """Distance between the one-particle marginal of the evolved N-body state
     and the mean-field projector, for each N.
 
-    The mean-field side evolves phi0 under the quintic NLS with coupling b0
-    equal to the grid mass of the tabulated interaction, once per distinct b0.
-    The N-body side starts from the normalized phi0, so phi0 must have unit L2
-    norm to 1e-12; any other phi0, or an nls_dt chaos_nls_steps rejects, raises ValueError.
+    The mean-field side evolves phi0 to T in 200 Strang steps of the quintic NLS
+    with coupling b0 equal to the grid mass of the tabulated interaction, once per
+    distinct b0.  The N-body side starts from the normalized phi0, so phi0 must
+    have unit L2 norm to 1e-12; any other phi0 raises ValueError.
     """
-    steps = chaos_nls_steps(T, nls_dt)
     if not abs(phi0.l2_norm() - 1.0) <= 1e-12:
         raise ValueError(f"phi0 must have unit L2 norm, got {phi0.l2_norm()}")
     grid = phi0.grid
@@ -332,7 +323,7 @@ def chaos_experiment(
         g1 = marginal(psiT, 1)
         if b0 not in flows:
             flows[b0] = phi0 if T == 0 else evolve(
-                phi0, T, NlsConfig(grid, b0, T / steps), snapshot_every=steps).states[-1]
+                phi0, T, NlsConfig(grid, b0, T / 200), snapshot_every=200).states[-1]
         rows.append(
             ChaosRow(
                 N=N,

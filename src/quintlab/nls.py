@@ -106,21 +106,16 @@ def _synthesis_matrix(s: int, n: int) -> np.ndarray:
     return e
 
 
-def free_sample(f: TorusField, t: float, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """free_propagate(f, t).resample(n).values, into `out` (C-contiguous, shape
-    (n,)*d) when given, without a transform: one product per axis, the last
-    first, with the synthesis matrix times the one-axis free phase.  That
-    (n, s) matrix is checked against the budget: at d = 1 it is the one
-    array larger than the samples."""
+def free_sample(f: TorusField, t: float, n: int) -> np.ndarray:
+    """free_propagate(f, t).resample(n).values, as a new array, without a
+    transform: one product per axis, the last first, with the synthesis matrix
+    times the one-axis free phase.  That (n, s) matrix is checked against the
+    budget: at d = 1 it is the one array larger than the samples."""
     s, d = f.grid.n, f.grid.d
     if n < s:
         raise ValueError(f"cannot sample an n={s} field on {n} points per axis")
     check_entries("synthesis matrix", n * s, "n")
-    if out is None:
-        out = np.empty((n,) * d, dtype=np.complex128)
-    elif not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    return _free_product([f], t, n, out)
+    return _free_product([f], t, n, np.empty((n,) * d, dtype=np.complex128))
 
 
 def _free_product(fields: list[TorusField], t: float, n: int, out: np.ndarray,
@@ -297,7 +292,7 @@ def check_step_count(T: float, dt: float, snapshot_every: int = 1) -> int:
     return steps
 
 
-def check_flow_work(steps: int, grid: GridSpec, dealias: bool = True) -> None:
+def check_flow_work(steps: int, grid: GridSpec, dealias: bool) -> None:
     """The work rule: steps x rotation-grid points of a flow within MAX_POINT_STEPS."""
     if steps * _rotation_n(grid.n, dealias) ** grid.d > MAX_POINT_STEPS:
         raise ValueError(f"{float(steps):.3g} steps x grid points pass the cap {MAX_POINT_STEPS}")

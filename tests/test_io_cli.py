@@ -220,18 +220,19 @@ class TestRunExperiment:
             params = {"kind": "residuals", "params": {**_RES, "n": 16}}
         series, apply, calls, applies = manybody._chebyshev, manybody._apply_sector, [], []
 
-        def counting(config, c, offsets, radius, target):
-            calls.append((config, max(offsets), radius, target))
-            return series(config, c, offsets, radius, target)
+        def counting(config, c, offsets, radius):
+            calls.append((config, max(offsets), radius))
+            return series(config, c, offsets, radius)
 
         monkeypatch.setattr(manybody, "_chebyshev", counting)
         monkeypatch.setattr(manybody, "_apply_sector", lambda *a: applies.append(1) or apply(*a))
         assert run_experiment(ExperimentConfig.from_dict(params), tmp_path).passed
         assert len(calls) == 1
-        config, last, radius, target = calls[0]
+        config, last, radius = calls[0]
         assert last == 2 * max(params["params"]["spacings"])
         assert radius == manybody._radius_bound(config)  # the interval the build pass charges
-        degree = manybody._degree(manybody._chebyshev_coefficients(last * radius), target)
+        degree = manybody._degree(manybody._chebyshev_coefficients(last * radius),
+                                  manybody._SERIES_TOL)
         assert len(applies) == degree
 
     def test_nls_run_memory_does_not_grow_with_the_snapshot_count(self, tmp_path):
@@ -437,8 +438,7 @@ class TestRunExperiment:
         follow = {
             "kind": "manybody-run",
             "params": {"d": 1, "n": 8, "N": 2, "beta": 0.05, "T": 0.1,
-                       "initial": {"kind": "file", "path": str(out1 / "state.qlf")},
-                       "norm_tol": 1e-5},
+                       "initial": {"kind": "file", "path": str(out1 / "state.qlf")}},
         }
         out2 = tmp_path / "second"
         reads, compress = [], manybody._compress
@@ -455,11 +455,25 @@ class TestRunExperiment:
         raw = {
             "kind": "nls-run",
             "params": {"d": 1, "n": 8, "b0": 0.0, "dt": 0.01, "T": 0.05,
-                       "initial": {"kind": "file", "path": str(tmp_path / "phi.qlf")},
-                       "mass_tol": 1e-5},
+                       "initial": {"kind": "file", "path": str(tmp_path / "phi.qlf")}},
         }
         report = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
         assert report.checks["mass_conserved"]
+
+    def test_a_dumped_state_reruns_within_the_default_checks(self, tmp_path):
+        # the dump holds complex64, so its norm is 1 only to ~1e-8 (drift 9.6e-9 here,
+        # past 1e-10); the run scales it to unit norm, so norm_drift is the flow's alone
+        params = {"d": 1, "n": 8, "N": 2, "beta": 0.05, "initial": _BAND2}
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(json.dumps({"kind": "manybody-run", "seed": 5,
+                                     "params": {**params, "T": 0.0, "dump_state": True}}))
+        assert main(["manybody-run", "--config", str(first), "--out", str(tmp_path / "a")]) == 0
+        initial = {"kind": "file", "path": str(tmp_path / "a" / "state.qlf")}
+        second.write_text(json.dumps({"kind": "manybody-run",
+                                      "params": {**params, "T": 0.1, "initial": initial}}))
+        assert main(["manybody-run", "--config", str(second), "--out", str(tmp_path / "b")]) == 0
+        drift = json.loads((tmp_path / "b" / "manybody.json").read_text())["norm_drift"]
+        assert drift <= 1e-12
 
 
 class TestMainEntry:
@@ -699,9 +713,9 @@ BAD_CONFIGS = [
     ("chaos", {**_CHAOS, "T": float("nan")}, "T"),
     ("hufl", {**_HUFL, "eps": float("nan")}, "eps"),
     ("manybody-run", {**_MB, "T": float("inf")}, "T"),
-    ("nls-run", {**_NLS, "mass_tol": float("nan")}, "mass_tol"),
+    ("nls-run", {**_NLS, "mass_tol": 1e-11}, "mass_tol"),  # a constant now: an unknown key
     ("manybody-run", {**_MB, "beta": float("nan")}, "beta"),
-    ("chaos", {**_CHAOS, "nls_dt": float("nan")}, "nls_dt"),
+    ("chaos", {**_CHAOS, "nls_dt": 0.01}, "nls_dt"),  # a constant now: an unknown key
     ("nls-run", {**_NLS, "b0": float("nan")}, "b0"),
     ("residuals", {**_RES, "spacings": [float("nan"), 0.01]}, "spacings"),
     ("probe", {"lemma": "approx_identity", "options": {"alphas": [float("nan"), 0.25]}},
@@ -727,10 +741,10 @@ BAD_CONFIGS = [
     ("chaos", {**_CHAOS, "beta": 1e10}, "beta"),
     # step counts T/dt past the largest float
     ("nls-run", {**_NLS, "dt": 1e-320}, "T"),
-    ("chaos", {**_CHAOS, "nls_dt": 1e-320}, "nls_dt"),
+    ("manybody-run", {**_MB, "norm_tol": 1e-10}, "norm_tol"),  # a constant now: an unknown key
     # finite step counts past the work rule (10^298 steps), which would not end
     ("nls-run", {**_NLS, "dt": 1e-301}, "dt"),
-    ("chaos", {**_CHAOS, "nls_dt": 1e-301}, "nls_dt"),
+    ("manybody-run", {**_MB, "energy_tol": 1e-8}, "energy_tol"),  # a constant now: an unknown key
     # a bilinear shell whose field grid is charged before the search for an 11-smooth
     # length, which would step through a 31-digit integer
     ("probe", {"lemma": "bilinear", "options": {"m1s": [1e30]}}, "options"),
@@ -743,6 +757,8 @@ BAD_CONFIGS = [
     ("residuals", {**_RES, "n": 180}, "N"),
     # unit norm is scale 1, the one key that rescales a datum
     ("nls-run", {**_NLS, "initial": {**_BAND2, "normalize": True}}, "initial.normalize"),
+    # NaN in an optional float key
+    ("nls-run", {**_NLS, "split_M": float("nan")}, "split_M"),
 ]
 
 
@@ -750,7 +766,7 @@ BAD_CONFIGS = [
     ("manybody-run", {**_MB, "N": 3, "beta": 0.0, "T": 1e6}),
     ("residuals", {**_RES, "beta": 0.0, "spacings": [1e5, 5e4]}),
 ], ids=["manybody-run", "residuals"])
-def test_krylov_tolerance_out_of_reach_exits_1(tmp_path, capsys, kind, params):
+def test_series_tolerance_out_of_reach_exits_1(tmp_path, capsys, kind, params):
     # the series' degree passes what double precision can certify: _propagate
     # raises before any H-apply
     path = tmp_path / "c.json"
@@ -985,6 +1001,28 @@ def _declared():
 
 
 class TestDeclaredKeys:
+    def test_each_kind_declares_exactly_its_keys(self):
+        # every settable key of a config in one place, so a key added or removed is a line here
+        keys = {}
+        for fn, key, _ in _declared():
+            keys.setdefault(fn, set()).add(key)
+        assert {kind: keys[fn] for kind, fn in cli._RUNNERS.items()} == {
+            "nls-run": {"d", "n", "initial", "b0", "dt", "T", "dealias", "snapshot_every",
+                        "split_M", "diagnostics_M"},
+            "manybody-run": {"d", "n", "initial", "N", "beta", "T", "potential", "moments",
+                             "stability", "dump_state"},
+            "chaos": {"d", "n", "initial", "beta", "T", "Ns", "potential"},
+            "residuals": {"d", "n", "initial", "N", "beta", "k", "spacings", "potential"},
+            "hufl": {"d", "n", "initial", "M", "eps", "ks"},
+            "couplings": {"k"},
+            "probe": {"lemma", "options", "samples"},
+        }
+        assert {kind: keys[fn] for kind, fn in cli._INITIAL.items()} == {
+            "modes": {"modes", "scale"}, "random_band": {"band", "decay", "scale"},
+            "constant": {"value"}, "file": {"path"}}
+        assert {kind: keys[fn] for kind, fn in cli._POTENTIALS.items()} == {
+            "gaussian": {"sigma", "amplitude"}, "constant": {"value"}}
+
     def test_every_annotation_has_a_json_type(self):
         from quintlab.cli import _JSON_TYPES
 
@@ -1011,13 +1049,11 @@ class TestDeclaredKeys:
     @pytest.mark.parametrize("kind,params,defaults", [
         ("nls-run", {**_NLS, "initial": {"kind": "random_band", "scale": 1.0}},
          {"snapshot_every": 1, "dealias": True, "split_M": 2, "diagnostics_M": [2],  # n/4
-          "mass_tol": 1e-11, "initial": {"kind": "random_band", "band": 2, "decay": 2.0,
-                                         "scale": 1.0}}),
+          "initial": {"kind": "random_band", "band": 2, "decay": 2.0, "scale": 1.0}}),
         ("nls-run", {**_NLS, "initial": {"kind": "constant"}},
          {"initial": {"kind": "constant", "value": 1.0}}),
         ("manybody-run", _MB,
-         {"moments": [1, 2], "norm_tol": 1e-10, "energy_tol": 1e-8, "dump_state": False,
-          "potential": {"kind": "gaussian", "sigma": 0.5}}),
+         {"moments": [1, 2], "dump_state": False, "potential": {"kind": "gaussian", "sigma": 0.5}}),
     ], ids=["nls-run", "constant", "manybody-run"])
     def test_spelled_out_defaults_write_the_same_artifacts(self, tmp_path, kind, params,
                                                            defaults):

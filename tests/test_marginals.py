@@ -421,12 +421,6 @@ class TestChaosExperiment:
         assert rows == per_n
         assert len(calls) == len({r.coupling for r in rows}) == flows
 
-    @pytest.mark.parametrize("nls_dt", [0.0, -0.01])
-    def test_rejects_a_nonpositive_nls_dt(self, nls_dt, monkeypatch):
-        monkeypatch.setattr(marginals, "propagate", None)  # rejected before any N runs
-        with pytest.raises(ValueError, match="nls_dt"):
-            chaos_experiment([2], 0.1, unit_phi(GridSpec(1, 8), seed=22), T=0.1, nls_dt=nls_dt)
-
     @pytest.mark.parametrize("scale", [3.0, 1.0 + 1e-9])
     def test_rejects_a_datum_of_norm_other_than_one(self, scale, monkeypatch):
         # the N-body side normalizes phi0 and the NLS side does not: 3 phi gave

@@ -106,13 +106,6 @@ class TestFreeSample:
         f = TorusField.from_modes(GridSpec(d, 8), {(-4,) * d: 1.0})
         self.assert_matches(f, t, 14, free_sample(f, t, 14))
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_out_buffer_is_returned_and_overwritten(self, d):
-        f = smooth_random(GridSpec(d, 6), 3, band=3)
-        out = np.full((16,) * d, np.nan, dtype=np.complex128)
-        assert free_sample(f, 0.37, 16, out) is out
-        self.assert_matches(f, 0.37, 16, out)
-
     def test_rejects_a_coarser_grid(self):
         with pytest.raises(ValueError):
             free_sample(smooth_random(GridSpec(2, 8), 0), 0.1, 6)
