@@ -40,6 +40,7 @@ SHAPES = [  # the benchmark's many-body shapes, then larger ones, where the arra
     ("manybody-run", {**_MB, "n": 16, "N": 6, "dump_state": True}),
     ("chaos", {**_MB, "n": 16, "Ns": [2, 3, 4, 5]}),
     ("chaos", {**_MB, "n": 8, "beta": 0.0, "T": 0.2, "Ns": [2, 4, 6, 8, 10, 12]}),
+    ("chaos", {**_MB, "d": 2, "n": 64, "beta": 0.0, "Ns": [1]}),  # past the 1-marginal's budget
     ("residuals", {**_RES, "n": 24, "N": 4, "k": 1}),
     ("residuals", {**_RES, "n": 12, "N": 5, "k": 2}),
     ("residuals", {**_RES, "n": 32, "N": 4, "k": 1}),
@@ -87,6 +88,7 @@ print(json.dumps({{"exit": "pass" if report.passed else "fail", "charged": build
 def shape(params: dict) -> str:
     keys = ("n", "N", "Ns", "k")
     extra = [key for key in ("stability", "dump_state") if params.get(key)]
+    extra += [f"d={params['d']}"] if params["d"] != 1 else []
     extra += [f"sigma={params['potential']['sigma']}"] if "potential" in params else []
     return " ".join([f"{key}={params[key]}".replace(" ", "") for key in keys if key in params]
                     + extra)

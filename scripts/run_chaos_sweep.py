@@ -12,6 +12,7 @@ import numpy as np
 
 from quintlab.grids import GridSpec, TorusField
 from quintlab.io import write_csv
+from quintlab.manybody import ManyBodyConfig
 from quintlab.marginals import chaos_experiment
 
 
@@ -32,7 +33,8 @@ def main():
 
     rows = []
     for beta in args.betas:
-        for r in chaos_experiment(args.Ns, beta, phi0, args.T):
+        configs = [ManyBodyConfig(grid, N, beta) for N in args.Ns]
+        for r in chaos_experiment(configs, phi0, args.T):
             rows.append([beta, r.N, r.distance, r.energy_per_particle, r.coupling])
             print(f"beta={beta:<5} N={r.N}: distance {r.distance:.4e}")
     out = Path(args.out)

@@ -307,7 +307,7 @@ def _field(attempt, grid, spec: dict, seed: int, unit: bool = False):
 
 
 def _configs(attempt, grid, potential: dict | None, beta: float, Ns, times, key: str):
-    """The potential `potential` names and one ManyBodyConfig per N in Ns, each
+    """One ManyBodyConfig per N in Ns, over the potential `potential` names, each
     charged with what a run to `times` holds, its tables under N and the rest under
     `key` (see check_run_budget); a config that cannot be built is left out."""
     pot = attempt("potential", build_potential_spec, potential)
@@ -317,7 +317,7 @@ def _configs(attempt, grid, potential: dict | None, beta: float, Ns, times, key:
         if mb:
             attempt(key, mb.check_run_budget, times)
             mbs.append(mb)
-    return pot, mbs
+    return mbs
 
 
 # A runner's keyword parameters declare its kind's keys.  Up to its yield it is the
@@ -357,7 +357,7 @@ def _run_manybody(attempt, seed: int, /, *, d: int, n: int, initial: dict, N: in
                   stability: list[tuple[int, float]] = (), dump_state: bool = False):
     grid = attempt("n", GridSpec, d, n)
     from_file = initial.get("kind") == "file"
-    _, mbs = _configs(attempt, grid, potential, beta, [N], [T], "N")
+    mbs = _configs(attempt, grid, potential, beta, [N], [T], "N")
     for mb in mbs:
         if stability:  # the stability norms
             attempt("N", mb.check_factor_budget, min(max(k for k, _ in stability), N), 2)
@@ -408,10 +408,14 @@ def _run_manybody(attempt, seed: int, /, *, d: int, n: int, initial: dict, N: in
 def _run_chaos(attempt, seed: int, /, *, d: int, n: int, initial: dict, beta: float, T: float,
                Ns: list[int], potential: dict = None):
     grid = attempt("n", GridSpec, d, n)
-    pot, _ = _configs(attempt, grid, potential, beta, Ns, [T], "Ns")
+    mbs = _configs(attempt, grid, potential, beta, Ns, [T], "Ns")
+    for mb in mbs:  # what marginal forms
+        attempt("Ns", mb.check_factor_budget, 1, 2, 1)
+    if grid and T > 0:  # the mean-field side's 200 steps; the run tabulates its coupling
+        attempt("T", lambda: check_step_count(T, NlsConfig(grid, 0.0, T / 200).dt, 200))
     phi = _field(attempt, grid, initial, seed, unit=True)
     out, report = yield
-    rows = chaos_experiment(Ns, float(beta), phi, float(T), potential=pot)
+    rows = chaos_experiment(mbs, phi, float(T))
     path = out / "chaos.csv"
     qio.write_csv(
         path,
@@ -432,7 +436,7 @@ def _run_residuals(attempt, seed: int, /, *, d: int, n: int, initial: dict, N: i
     grid = attempt("n", GridSpec, d, n)
     spacings = [float(h) for h in spacings]
     times = sorted({t for h in spacings for t in (h, 2 * h)})  # the run's times
-    _, mbs = _configs(attempt, grid, potential, beta, [N], times, "spacings")
+    mbs = _configs(attempt, grid, potential, beta, [N], times, "spacings")
     for mb in mbs:  # what bbgky_rhs forms; a k past N is named below
         attempt("N", mb.check_factor_budget, min(k, N), 4, 2)
     phi0 = _field(attempt, grid, initial, seed, unit=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import (
-    GridSpec, MemoryBudgetError, ParameterError, TorusField, _abs2, _dot, _fftn, _ifftn,
+    GridSpec, ParameterError, TorusField, _abs2, _dot, _fftn, _ifftn,
     _wrapped_relative_coords, _xi_squared, check_entries,
 )
 
@@ -172,21 +172,18 @@ class ManyBodyConfig:
         distinct time s > 0 a sector vector and K + 1 coefficients, K = _table_degree
         of s r, r the _radius_bound that _propagate sums over, capped at _SERIES_TOL's
         rounding floor (past it _propagate raises first), with the FFT of the largest table,
-        4 K.  The tables name N, the series its caller's key, unless the tables alone
-        break the budget.  No full tensor: see check_budget and check_file_budget."""
+        4 K.  The tables are checked first and name N; the total then names its
+        caller's key.  No full tensor: see check_budget and check_file_budget."""
         check_entries("interaction table", self.grid.size**2, "N")
         later, tables = {float(t) for t in times if t > 0}, _sector_entries(self)
+        check_entries("sector tables", tables, "N")
         if not later:
-            return check_entries("sector tables", tables, "N")
+            return
         vectors = (5 + len(later)) * _sector_dim(self.grid.size, self.N)
         floor, radius = _SERIES_TOL / np.finfo(np.float64).eps, _radius_bound(self)
         degrees = [_table_degree(np.fmin(s * radius, floor)) for s in later]
-        try:
-            check_entries("Chebyshev recurrence, coefficients, returned states and sector tables",
-                          vectors + sum(degrees) + len(degrees) + 4 * max(degrees) + tables)
-        except MemoryBudgetError:
-            check_entries("sector tables", tables, "N")
-            raise
+        check_entries("Chebyshev recurrence, coefficients, returned states and sector tables",
+                      vectors + sum(degrees) + len(degrees) + 4 * max(degrees) + tables)
 
     def check_factor_budget(self, k: int, factors: int, marginals: int = 0):
         """What a k-particle quantity of a state forms beside the run: `factors` arrays of

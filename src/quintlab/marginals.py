@@ -294,15 +294,9 @@ class ChaosRow:
     coupling: float
 
 
-def chaos_experiment(
-    Ns: list[int],
-    beta: float,
-    phi0: TorusField,
-    T: float,
-    potential=None,
-) -> list[ChaosRow]:
+def chaos_experiment(configs: list[ManyBodyConfig], phi0: TorusField, T: float) -> list[ChaosRow]:
     """Distance between the one-particle marginal of the evolved N-body state
-    and the mean-field projector, for each N.
+    and the mean-field projector, for each of `configs` (one per N, on phi0's grid).
 
     The mean-field side evolves phi0 to T in 200 Strang steps of the quintic NLS
     with coupling b0 equal to the grid mass of the tabulated interaction, once per
@@ -311,22 +305,18 @@ def chaos_experiment(
     """
     if not abs(phi0.l2_norm() - 1.0) <= 1e-12:
         raise ValueError(f"phi0 must have unit L2 norm, got {phi0.l2_norm()}")
-    grid = phi0.grid
     rows = []
     flows = {}  # b0 -> phi0 evolved to T; at beta = 0 every N has the same b0
-    for N in Ns:
-        kwargs = {"potential": potential} if potential is not None else {}
-        config = ManyBodyConfig(grid, N, beta, **kwargs)
+    for config in configs:
         b0 = potential_mass(config)
-        psi0 = BosonicState.factorized(config, phi0)
-        psiT = propagate(psi0, T)
+        psiT = propagate(BosonicState.factorized(config, phi0), T)
         g1 = marginal(psiT, 1)
         if b0 not in flows:
             flows[b0] = phi0 if T == 0 else evolve(
-                phi0, T, NlsConfig(grid, b0, T / 200), snapshot_every=200).states[-1]
+                phi0, T, NlsConfig(phi0.grid, b0, T / 200), snapshot_every=200).states[-1]
         rows.append(
             ChaosRow(
-                N=N,
+                N=config.N,
                 distance=trace_distance(g1, rank_one_marginal(flows[b0], 1)),
                 energy_per_particle=energy_per_particle(psiT),
                 coupling=b0,

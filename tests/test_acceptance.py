@@ -342,15 +342,15 @@ def test_criterion_08_hierarchy_residuals():
 def test_criterion_09_propagation_of_chaos():
     g = GridSpec(1, 8)
     phi0 = unit_field(g, 24, band=2)
-    rows = chaos_experiment([2, 3, 4], 0.1, phi0, 0.2)
+    rows = chaos_experiment([ManyBodyConfig(g, N, 0.1) for N in [2, 3, 4]], phi0, 0.2)
     dist = {r.N: r.distance for r in rows}
-    free_rows = chaos_experiment(
-        [2, 3, 4], 0.1, phi0, 0.2, potential=GaussianPotential(amplitude=0.0)
-    )
+    free = GaussianPotential(amplitude=0.0)
+    free_rows = chaos_experiment([ManyBodyConfig(g, N, 0.1, free) for N in [2, 3, 4]], phi0, 0.2)
     free_worst = max(r.distance for r in free_rows)
     g3 = GridSpec(3, 4)
     phi3 = unit_field(g3, 6, band=1, decay=1.0)
-    smoke = {r.N: r.distance for r in chaos_experiment([2, 3], 0.1, phi3, 0.2)}
+    smoke = {r.N: r.distance
+             for r in chaos_experiment([ManyBodyConfig(g3, N, 0.1) for N in [2, 3]], phi3, 0.2)}
     ok = (
         dist[4] < dist[2]
         and free_worst < 1e-8

@@ -759,6 +759,11 @@ BAD_CONFIGS = [
     ("nls-run", {**_NLS, "initial": {**_BAND2, "normalize": True}}, "initial.normalize"),
     # NaN in an optional float key
     ("nls-run", {**_NLS, "split_M": float("nan")}, "split_M"),
+    # the sector run fits; the 1-marginal's two B_1 gathers and its 4096^2 matrix do not
+    ("chaos", {**_CHAOS, "d": 2, "n": 64, "beta": 0.0, "Ns": [1]}, "Ns"),
+    # a subnormal T: T / 200 underflows to 0, or gives 101 steps for the mean-field side
+    ("chaos", {**_CHAOS, "T": 1e-322}, "T"),
+    ("chaos", {**_CHAOS, "T": 5e-322}, "T"),
 ]
 
 
@@ -825,9 +830,15 @@ class TestBadConfigs:
                               tmp_path).passed
         assert manybody._expand_index.cache_info().currsize == 0
 
-    def test_residuals_budget_bounds_the_peak_of_the_run(self, tmp_path, monkeypatch):
-        # d=1 n=24 N=4 k=1, a 331,776-entry tensor, from cold tables: the entries
-        # its build pass charges bound what the run allocates
+    @pytest.mark.parametrize("kind,params", [
+        ("residuals", {**_RES, "n": 24, "N": 4}),
+        ("chaos", {**_CHAOS, "n": 16, "Ns": [2, 3, 4, 5]}),
+    ], ids=["residuals", "chaos"])
+    def test_residuals_budget_bounds_the_peak_of_the_run(self, tmp_path, monkeypatch, kind,
+                                                         params):
+        # residuals at d=1 n=24 N=4 k=1, a 331,776-entry tensor, and chaos's
+        # marginals and mean-field flow, from cold tables: the entries each build
+        # pass charges bound what its run allocates
         charged, check = [], grids.check_entries
 
         def spy(what, entries, name=None):
@@ -836,8 +847,7 @@ class TestBadConfigs:
 
         for module in (grids, manybody, marginals, nls):
             monkeypatch.setattr(module, "check_entries", spy)
-        cfg = ExperimentConfig.from_dict({"kind": "residuals",
-                                          "params": {**_RES, "n": 24, "N": 4}})
+        cfg = ExperimentConfig.from_dict({"kind": kind, "params": params})
         for memo in (manybody._sector, manybody._insertion, manybody._expand_index,
                      manybody._cached_potential_table):
             memo.cache_clear()

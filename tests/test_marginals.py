@@ -387,18 +387,22 @@ class TestHufl:
         assert all(hufl_left_side(g, 8) <= eps ** (2 * g.k) for g in gammas)
 
 
+def chaos_configs(g, Ns, beta, **kwargs):
+    return [ManyBodyConfig(g, N, beta, **kwargs) for N in Ns]
+
+
 class TestChaosExperiment:
     def test_t0_distance_zero(self):
         g = GridSpec(1, 8)
-        rows = chaos_experiment([2, 3], 0.1, unit_phi(g, seed=22), T=0.0)
+        rows = chaos_experiment(chaos_configs(g, [2, 3], 0.1), unit_phi(g, seed=22), T=0.0)
         for r in rows:
             assert r.distance <= 1e-10
 
     def test_free_interaction_matches_for_all_N(self):
         g = GridSpec(1, 8)
         rows = chaos_experiment(
-            [2, 3], 0.1, unit_phi(g, seed=23), T=0.1,
-            potential=GaussianPotential(amplitude=0.0),
+            chaos_configs(g, [2, 3], 0.1, potential=GaussianPotential(amplitude=0.0)),
+            unit_phi(g, seed=23), T=0.1,
         )
         for r in rows:
             assert r.distance < 1e-8
@@ -409,7 +413,7 @@ class TestChaosExperiment:
         # runs once; the rows equal those of one call per N
         g = GridSpec(1, 8)
         phi0, Ns = unit_phi(g, seed=25), [2, 3, 4, 5]
-        per_n = [chaos_experiment([N], beta, phi0, T=0.05)[0] for N in Ns]
+        per_n = [chaos_experiment(chaos_configs(g, [N], beta), phi0, T=0.05)[0] for N in Ns]
         calls = []
 
         def counting(*args, **kwargs):
@@ -417,7 +421,7 @@ class TestChaosExperiment:
             return evolve(*args, **kwargs)
 
         monkeypatch.setattr(marginals, "evolve", counting)
-        rows = chaos_experiment(Ns, beta, phi0, T=0.05)
+        rows = chaos_experiment(chaos_configs(g, Ns, beta), phi0, T=0.05)
         assert rows == per_n
         assert len(calls) == len({r.coupling for r in rows}) == flows
 
@@ -427,11 +431,12 @@ class TestChaosExperiment:
         # distances of 1.07 where phi gives 0.018-0.020
         monkeypatch.setattr(marginals, "propagate", None)  # rejected before any N runs
         with pytest.raises(ValueError, match="unit L2 norm"):
-            chaos_experiment([2, 3], 0.1, unit_phi(GridSpec(1, 8), seed=22) * scale, T=0.2)
+            chaos_experiment(chaos_configs(GridSpec(1, 8), [2, 3], 0.1),
+                             unit_phi(GridSpec(1, 8), seed=22) * scale, T=0.2)
 
     def test_distance_shrinks_with_N(self):
         g = GridSpec(1, 8)
-        rows = chaos_experiment([2, 4], 0.1, unit_phi(g, seed=24), T=0.2)
+        rows = chaos_experiment(chaos_configs(g, [2, 4], 0.1), unit_phi(g, seed=24), T=0.2)
         d = {r.N: r.distance for r in rows}
         assert d[4] < d[2]
 
