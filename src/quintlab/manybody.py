@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import grids
 from .grids import (
     GridSpec, ParameterError, TorusField, _abs2, _dot, _fftn, _ifftn,
     _wrapped_relative_coords, _xi_squared, check_entries,
@@ -172,13 +173,12 @@ class ManyBodyConfig:
         distinct time s > 0 a sector vector and K + 1 coefficients, K = _table_degree
         of s r, r the _radius_bound that _propagate sums over, capped at _SERIES_TOL's
         rounding floor (past it _propagate raises first), with the FFT of the largest table,
-        4 K.  The tables are checked first and name N; the total then names its
+        4 K.  Tables that break the budget alone name N; else the total names its
         caller's key.  No full tensor: see check_budget and check_file_budget."""
         check_entries("interaction table", self.grid.size**2, "N")
         later, tables = {float(t) for t in times if t > 0}, _sector_entries(self)
-        check_entries("sector tables", tables, "N")
-        if not later:
-            return
+        if not later or tables > grids.MEMORY_BUDGET:
+            return check_entries("sector tables", tables, "N")
         vectors = (5 + len(later)) * _sector_dim(self.grid.size, self.N)
         floor, radius = _SERIES_TOL / np.finfo(np.float64).eps, _radius_bound(self)
         degrees = [_table_degree(np.fmin(s * radius, floor)) for s in later]

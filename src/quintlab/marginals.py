@@ -301,23 +301,24 @@ def chaos_experiment(configs: list[ManyBodyConfig], phi0: TorusField, T: float) 
     The mean-field side evolves phi0 to T in 200 Strang steps of the quintic NLS
     with coupling b0 equal to the grid mass of the tabulated interaction, once per
     distinct b0.  The N-body side starts from the normalized phi0, so phi0 must
-    have unit L2 norm to 1e-12; any other phi0 raises ValueError.
+    have unit L2 norm to 1e-12; any other phi0, or a config off its grid, raises ValueError.
     """
     if not abs(phi0.l2_norm() - 1.0) <= 1e-12:
         raise ValueError(f"phi0 must have unit L2 norm, got {phi0.l2_norm()}")
+    if any(config.grid != phi0.grid for config in configs):
+        raise ValueError(f"every config must be on phi0's grid {phi0.grid}")
     rows = []
     flows = {}  # b0 -> phi0 evolved to T; at beta = 0 every N has the same b0
     for config in configs:
         b0 = potential_mass(config)
         psiT = propagate(BosonicState.factorized(config, phi0), T)
-        g1 = marginal(psiT, 1)
         if b0 not in flows:
             flows[b0] = phi0 if T == 0 else evolve(
                 phi0, T, NlsConfig(phi0.grid, b0, T / 200), snapshot_every=200).states[-1]
         rows.append(
             ChaosRow(
                 N=config.N,
-                distance=trace_distance(g1, rank_one_marginal(flows[b0], 1)),
+                distance=trace_distance(marginal(psiT, 1), rank_one_marginal(flows[b0], 1)),
                 energy_per_particle=energy_per_particle(psiT),
                 coupling=b0,
             )

@@ -434,6 +434,14 @@ class TestChaosExperiment:
             chaos_experiment(chaos_configs(GridSpec(1, 8), [2, 3], 0.1),
                              unit_phi(GridSpec(1, 8), seed=22) * scale, T=0.2)
 
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_rejects_a_config_off_the_datum_grid(self, n, monkeypatch):
+        # a finer datum would index wrong values, a coarser one past the end
+        monkeypatch.setattr(marginals, "propagate", None)  # rejected before any N runs
+        with pytest.raises(ValueError, match="grid"):
+            chaos_experiment(chaos_configs(GridSpec(1, 8), [2], 0.1),
+                             unit_phi(GridSpec(1, n), seed=22), T=0.2)
+
     def test_distance_shrinks_with_N(self):
         g = GridSpec(1, 8)
         rows = chaos_experiment(chaos_configs(g, [2, 4], 0.1), unit_phi(g, seed=24), T=0.2)
