@@ -467,17 +467,25 @@ def _run_residuals(attempt, seed: int, /, *, d: int, n: int, initial: dict, N: i
     report.checks["residuals_finite"] = all(np.isfinite(r[1]) and np.isfinite(r[2]) for r in rows)
 
 
+def _hufl_bound(eps: float, k: int) -> float:
+    """eps^(2k), the bound hufl checks at order k, as a finite float."""
+    try:
+        return float(eps) ** (2 * k)
+    except OverflowError:
+        raise ValueError(f"eps^(2k) = {eps}^{2 * k} is past the largest float") from None
+
+
 def _run_hufl(attempt, seed: int, /, *, d: int, n: int, initial: dict, M: float, eps: float,
               ks: list[int]):
     phi = _field(attempt, attempt("n", GridSpec, d, n), initial, seed, unit=True)
     attempt("M", check_cutoff, M)
     for k in ks:
         attempt("ks", check_marginal_order, k)
+    bounds = [attempt("eps", _hufl_bound, eps, k) for k in ks]
     out, report = yield
     rows = []
-    for k in ks:
+    for k, bound in zip(ks, bounds):
         lhs = hufl_factorized(phi, k, float(M))
-        bound = float(eps) ** (2 * k)
         rows.append([k, lhs, bound, lhs <= bound])
     path = out / "hufl.csv"
     qio.write_csv(path, ["k", "left_side", "bound", "passed"], rows)

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (
-    GridSpec, TorusField, _fftn, _ifftn, _mask_leq, _xi_squared, check_cutoff, check_entries,
-    project_gt, sobolev_norm,
+    GridSpec, MemoryBudgetError, TorusField, _fftn, _ifftn, _mask_leq, _xi_squared, check_cutoff,
+    check_entries, project_gt, sobolev_norm,
 )
 from .manybody import (
     BosonicState,
@@ -97,8 +97,11 @@ def check_marginal_order(k: float) -> None:
 
 
 def check_rank_one_order(grid: GridSpec, k: int) -> None:
-    """A dense k-marginal needs k >= 1 and m^(2k) entries within MEMORY_BUDGET."""
+    """A dense k-marginal needs k >= 1 and m^(2k) entries within MEMORY_BUDGET; past
+    k = 32, m^(2k) >= 4^66 is past any budget, and is stated as that power, never formed."""
     check_marginal_order(k)
+    if k > 32:
+        raise MemoryBudgetError(None, f"a {k}-marginal would hold {grid.size}^{2 * k} entries")
     check_entries(f"a {k}-marginal", grid.size ** (2 * k))
 
 

@@ -106,54 +106,100 @@ def _synthesis_matrix(s: int, n: int) -> np.ndarray:
     return e
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_map(s: int) -> np.ndarray:
+    """The (s+1, s) map q of one axis's coefficients c to its +-xi pairs: rows
+    c_k + c_-k, k = 0..s/2, then i (c_k - c_-k), k = 1..s/2, with c_0 and the
+    edge label -s/2 alone; _cos_sin(s, n) @ q is _synthesis_matrix(s, n)."""
+    xi = _freq_components(1, s)[0]
+    q = np.zeros((s + 1, s), dtype=np.complex128)
+    q[np.abs(xi), np.arange(s)] = 1.0
+    q[s // 2 + np.abs(xi[1:]), np.arange(1, s)] = 1j * np.sign(xi[1:])
+    q.flags.writeable = False
+    return q
+
+
+@functools.lru_cache(maxsize=None)
+def _cos_sin(s: int, n: int) -> np.ndarray:
+    """The real (n, s+1) matrix of cos(x_a k), k = 0..s/2, then sin(x_a k), k = 1..s/2,
+    x_a the n-grid points, the argument reduced exactly to [-pi, pi]."""
+    ak = np.multiply.outer(np.arange(n), np.arange(s // 2 + 1)) % n
+    theta = (2 * np.pi / n) * np.where(2 * ak > n, ak - n, ak)
+    r = np.concatenate([np.cos(theta), np.sin(theta[:, 1:])], axis=1)
+    r.flags.writeable = False
+    return r
+
+
+def _paired(f: TorusField) -> np.ndarray:
+    """f's coefficients with _pair_map along each axis but the last: a factor of _free_product."""
+    s, d, b = f.grid.n, f.grid.d, f.coefficients
+    for j in range(d - 1):
+        b = np.matmul(_pair_map(s), b.reshape((s + 1,) * j + (s, -1)))
+    return b.reshape((s + 1,) * (d - 1) + (s,))
+
+
 def free_sample(f: TorusField, t: float, n: int) -> np.ndarray:
     """free_propagate(f, t).resample(n).values, as a new array, without a
-    transform: one product per axis, the last first, with the synthesis matrix
-    times the one-axis free phase.  That (n, s) matrix is checked against the
-    budget: at d = 1 it is the one array larger than the samples."""
+    transform.  Its matrices are charged: the (n, s) synthesis matrix, at d = 1 the one
+    array larger than the samples, and past d = 1 the real (n, s+1) one beside it."""
     s, d = f.grid.n, f.grid.d
     if n < s:
         raise ValueError(f"cannot sample an n={s} field on {n} points per axis")
-    check_entries("synthesis matrix", n * s, "n")
-    return _free_product([f], t, n, np.empty((n,) * d, dtype=np.complex128))
+    check_entries("synthesis matrices", n * (2 * s + 1 if d > 1 else s), "n")
+    return _free_product([_paired(f)], t, n, np.empty((n,) * d, dtype=np.complex128))
 
 
-def _free_product(fields: list[TorusField], t: float, n: int, out: np.ndarray,
-                  buf: np.ndarray | None = None) -> np.ndarray:
-    """The product of free_sample(f, t, n) over the fields, into out, unchecked; buf, like
-    out, takes each further factor.  Fields on one grid size share one matrix."""
-    mats = {}
-    for i, f in enumerate(fields):
-        s, d = f.grid.n, f.grid.d
-        if s not in mats:
-            mats[s] = _synthesis_matrix(s, n) * _free_phase(1, s, t, s)
-        e, b = mats[s], f.coefficients
-        if d > 1:
-            b = b.reshape(-1, s) @ e.T
-        for j in range(d - 2, 0, -1):
-            b = np.matmul(e, b.reshape(s**j, s, -1))
-        np.matmul(e, b.reshape(s, -1), out=(buf if i else out).reshape(n, -1))
+def _free_product(factors: list[np.ndarray], t: float, n: int, out: np.ndarray,
+                  buf: np.ndarray | None = None, stages: dict | None = None) -> np.ndarray:
+    """The product of free_sample(f, t, n) over the fields f of the factors _paired(f), into
+    out, unchecked; buf, like out, takes each further factor.  The free phase, even in xi,
+    scales the pairs; the last axis takes the synthesis matrix times the one-axis phase,
+    each other one _cos_sin on the float64 view.  Factors of one size share matrices and
+    two stage buffers, kept in `stages` across calls when given."""
+    mats, stages = {}, {} if stages is None else stages
+    for i, c in enumerate(factors):
+        s, d = c.shape[-1], c.ndim
+        if s not in mats:  # the one-axis phase on the labels, and on the pairs of d - 1 axes
+            p, h = _free_phase(1, s, t, s), s // 2
+            pairs = [np.concatenate([p[:h + 1], p[1:h + 1]])] * (d - 1)
+            mats[s] = _synthesis_matrix(s, n) * p, functools.reduce(np.multiply.outer, pairs, 1.0)
+        (e, phase), dst = mats[s], buf if i else out
+        if d > 1:  # the last axis into y, then each other one into x, the first last
+            if s not in stages:
+                stages[s] = (np.empty(max(c.size, (s + 1) * n**(d - 1)), np.complex128),
+                             np.empty((s + 1)**(d - 1) * n, np.complex128))
+            x, y = stages[s]
+            c = np.multiply(c, phase[..., None], out=x[:c.size].reshape(c.shape)).reshape(-1, s)
+            c = np.matmul(c, e.T, out=y.reshape(-1, n)).view(np.float64)
+            e = _cos_sin(s, n)
+            for j in range(d - 2, 0, -1):
+                c = c.reshape((s + 1)**j, s + 1, -1)
+                o = x.view(np.float64)[:len(c) * n * c.shape[-1]]
+                c = np.matmul(e, c, out=o.reshape(len(c), n, -1))
+            dst = dst.view(np.float64)
+        np.matmul(e, c.reshape(e.shape[1], -1), out=dst.reshape(n, -1))
         if i:
             out *= buf
     return out
 
 
-def _rotate(v: np.ndarray, rate, tau: float, z: np.ndarray, a: np.ndarray | None = None) -> None:
+def _rotate(v: np.ndarray, rate, tau: float, z: np.ndarray, a: np.ndarray | None = None,
+            b: np.ndarray | None = None) -> None:
     """v *= exp(i theta) in place, theta = -tau rate(|v|^2), the phase written
     into the scratch z from t = tan(theta/2): with w = 2/(1+t^2),
     cos theta = w - 1 and sin theta = t w, one vectorized tan instead of cos
-    and sin, finite for every finite theta.  |v|^2 is formed in the real
-    scratch a (a new array when None) with z.real as its second term."""
+    and sin, finite for every finite theta.  |v|^2 and w are formed in the
+    contiguous real scratch a and b (new arrays when None)."""
     a = np.square(v.real, out=a)
-    a += np.square(v.imag, out=z.real)
+    a += np.square(v.imag, out=b)
     t = rate(a)
     t *= -0.5 * tau
     np.tan(t, out=t)
-    w = np.square(t, out=z.real)
+    w = np.square(t, out=b)
     w += 1.0
     np.divide(2.0, w, out=w)
     np.multiply(t, w, out=z.imag)
-    w -= 1.0
+    np.subtract(w, 1.0, out=z.real)
     v *= z
 
 
@@ -162,9 +208,9 @@ def _rotation_n(n: int, dealias: bool) -> int:
     return 2 * ((3 * n + 3) // 4) if dealias else n
 
 
-# Grids of more than _SPLIT entries run everything pointwise, the rotation, the
-# free phase and a row's sums, in chunks of first-axis rows of at least _CHUNK
-# entries; a smaller grid is one chunk and keeps the arithmetic of whole-array sums.
+# Grids of more than _SPLIT entries run the free phase and a row's sums in chunks of
+# first-axis rows of at least _CHUNK entries, a smaller grid in one chunk with the
+# arithmetic of whole-array sums; the rotation runs in blocks of about _CHUNK entries.
 _SPLIT = 2**17
 _CHUNK = 2**13
 
@@ -188,13 +234,15 @@ def _propagator(n: int, m: int, dt: float) -> np.ndarray:
     return p
 
 
-def _chunked(shape: tuple[int, ...], *dtypes):
+def _chunked(shape: tuple[int, ...], *dtypes, parts: int | None = None):
     """(rows, scratch...) for each chunk of a grid of this shape: rows is a
-    slice of its first axis, the whole axis up to _SPLIT entries, else
-    ceil(_CHUNK / row) rows; the scratch is one array per dtype, of the
-    chunk's shape, each a view of one buffer the size of the largest chunk."""
+    slice of its first axis, of ceil(len / parts) rows with parts, else the whole
+    axis up to _SPLIT entries, else ceil(_CHUNK / row) rows; the scratch is one
+    array per dtype, of the chunk's shape, each a view of one buffer the size
+    of the largest chunk."""
     row = math.prod(shape[1:])
     k = shape[0] if row * shape[0] <= _SPLIT else -(-_CHUNK // row)
+    k = k if parts is None else -(-shape[0] // parts)
     bufs = [np.empty((min(k, shape[0]),) + tuple(shape[1:]), dt) for dt in dtypes]
     for i in range(0, shape[0], k):
         rows = slice(i, min(i + k, shape[0]))
@@ -213,20 +261,22 @@ def _pairwise(parts: list):
 def _strang(v: np.ndarray, z: np.ndarray, n: int, dt: float, steps: int, rate) -> None:
     """steps Strang steps of i u_t = -Lap u + rate(|u|^2) u on the samples v, in
     place, as N(dt/2) [L(dt) N(dt)]^(steps-1) L(dt) N(dt/2): N keeps |u|, so
-    the half rotations that meet merge.  rate returns a real array and may
-    overwrite its argument; past _SPLIT entries it sees one chunk at a time,
-    so it must be pointwise.  v lies on the rotation grid of an n-point
-    field (_rotation_n), where the free phase, zero outside the n-band, also
-    projects out the modes the rotation spills there.  A dealiased grid of
-    at most _DENSE_FREE_MAX_M points per axis takes L as one _propagator
-    product per axis, each written into the other of v and z, so v is left
-    as scratch; any other grid takes one FFT pair per step.  z is the
-    rotation's scratch until the last forward transform writes the
-    coefficients of the samples into it."""
+    the half rotations that meet merge.  N runs over ceil(size / _CHUNK) blocks
+    of first-axis rows, with two real scratch arrays of one block.  rate returns
+    a real array and may overwrite its argument; it sees one block at a time,
+    the whole grid up to _CHUNK entries, so past that it must be pointwise.
+    v lies on the rotation grid of an n-point field (_rotation_n), where the
+    free phase, zero outside the n-band, also projects out the modes the
+    rotation spills there.  A dealiased grid of at most _DENSE_FREE_MAX_M
+    points per axis takes L as one _propagator product per axis, each written
+    into the other of v and z, so v is left as scratch; any other grid takes
+    one FFT pair per step.  z is the rotation's scratch until the last forward
+    transform writes the coefficients of the samples into it."""
     d, m, coefficients = v.ndim, v.shape[0], z
     p = _propagator(n, m, dt) if m != n and m <= _DENSE_FREE_MAX_M else None
-    chunks = list(_chunked(v.shape, np.float64, *([] if p is not None else [np.complex128])))
-    whole = _free_phase(d, n, dt, m, out=chunks[0][2]) if p is None and len(chunks) == 1 else None
+    blocks = list(_chunked(v.shape, np.float64, np.float64, parts=-(-v.size // _CHUNK)))
+    chunks = list(_chunked(v.shape, np.complex128)) if p is None else []
+    whole = _free_phase(d, n, dt, m, out=chunks[0][1]) if len(chunks) == 1 else None
     for i in range(steps + 1 if steps else 0):
         if i and p is not None:  # p along each axis, the last first, into the other buffer
             np.matmul(v.reshape(-1, m), p.T, out=z.reshape(-1, m))
@@ -236,11 +286,11 @@ def _strang(v: np.ndarray, z: np.ndarray, n: int, dt: float, steps: int, rate) -
             v, z = z, v
         elif i:
             _fftn(v, out=v)
-            for rows, _, phase in chunks:
+            for rows, phase in chunks:
                 v[rows] *= _free_phase(d, n, dt, m, rows, phase) if whole is None else whole
             _ifftn(v, out=v)
-        for rows, a, *_ in chunks:
-            _rotate(v[rows], rate, dt if 0 < i < steps else dt / 2.0, z[rows], a)
+        for rows, a, b in blocks:
+            _rotate(v[rows], rate, dt if 0 < i < steps else dt / 2.0, z[rows], a, b)
     _fftn(v, out=coefficients)
     coefficients /= v.size
 

@@ -39,7 +39,7 @@ from .grids import (
     sobolev_norm,
 )
 # free_propagate is unused here; perfbench's tracing test asserts it is bound to nls.free_propagate
-from .nls import _free_product, free_propagate, free_sample  # noqa: F401
+from .nls import _free_product, _paired, free_propagate, free_sample  # noqa: F401
 
 
 def _trapezoid_times(T: float, nt: int) -> tuple[np.ndarray, np.ndarray]:
@@ -56,13 +56,15 @@ def _free_product_integral(fields: list[TorusField], T: float, nt: int, n: int,
     samples on the (n, n, n) grid of the product of the fields' free evolutions.
 
     v is one complex grid, which integrand may overwrite; a second one, only
-    for more than one field, takes each further factor's samples."""
+    for more than one field, takes each further factor's samples.  Each field
+    is paired (nls._paired), and the synthesis's stage buffers are allocated, once."""
     ts, w = _trapezoid_times(T, nt)
+    factors, stages = [_paired(f) for f in fields], {}
     v = np.empty((n,) * 3, dtype=np.complex128)
     buf = np.empty_like(v) if len(fields) > 1 else None
     acc = 0.0
     for t, wt in zip(ts, w):
-        acc += wt * integrand(_free_product(fields, t, n, v, buf))
+        acc += wt * integrand(_free_product(factors, t, n, v, buf, stages))
     return acc
 
 
@@ -108,11 +110,13 @@ def check_sample_count(samples: int) -> None:
 
 
 def check_time_window(T: float, nt: int, min_nt: int = 2) -> None:
-    """A time quadrature on [0, T] needs T >= 0 and at least min_nt points."""
+    """A time quadrature on [0, T] needs T >= 0, at least min_nt points and
+    its times and weights, two arrays of nt, charged."""
     if not T >= 0:
         raise ValueError(f"T must be >= 0, got {T}")
     if nt < min_nt:
         raise ValueError(f"use at least {min_nt} time-quadrature points")
+    check_entries("the time-quadrature times and weights", 2 * nt)
 
 
 def _strichartz_grid(m: float, p: float, T: float, nt: int, band: int) -> int:

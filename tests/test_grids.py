@@ -128,7 +128,7 @@ class TestMemoryBudget:
         # past a budget of 2^16 entries, from cold memos, each path raises having held at
         # most 1 MiB and memoized nothing; what it charges would hold more than 1 MiB
         memos = (grids._freq_components, grids._xi_squared, grids._mask_leq,
-                 nls._synthesis_matrix, nls._propagator)
+                 nls._synthesis_matrix, nls._propagator, nls._cos_sin, nls._pair_map)
         for memo in memos:
             memo.cache_clear()
         g16 = GridSpec(3, 16)

@@ -764,6 +764,13 @@ BAD_CONFIGS = [
     # a subnormal T: T / 200 underflows to 0, or gives 101 steps for the mean-field side
     ("chaos", {**_CHAOS, "T": 1e-322}, "T"),
     ("chaos", {**_CHAOS, "T": 5e-322}, "T"),
+    # k-marginal orders whose entry count m^(2k) is too long to form or to print
+    ("residuals", {**_RES, "k": 100000}, "k"),
+    ("residuals", {**_RES, "k": 2**62}, "k"),
+    # a probe's time grid, two arrays of nt, past the budget
+    ("probe", {"lemma": "strichartz", "options": {"nt": 2**31}}, "options"),
+    # a hufl bound eps^(2k) past the largest float
+    ("hufl", {**_HUFL, "eps": 1e300, "ks": [3]}, "eps"),
 ]
 
 
@@ -807,6 +814,13 @@ class TestBadConfigs:
             ExperimentConfig.from_dict({"kind": "chaos", "params": {**_CHAOS, "beta": 1e10}})
         assert info.value.errors == [
             "params.beta: rescaled support radius 0 is below half a grid spacing 0.393"]
+
+    @pytest.mark.parametrize("k", [100000, 2**62])
+    def test_rank_one_order_is_compared_before_its_power(self, k):
+        # the 8-point grid's count is stated as the power, never formed
+        with pytest.raises(ValidationError) as info:
+            ExperimentConfig.from_dict({"kind": "residuals", "params": {**_RES, "k": k}})
+        assert f"params.k: a {k}-marginal would hold 8^{2 * k} entries" in info.value.errors
 
     def test_sector_tables_past_the_budget_name_only_N(self):
         # the series is charged with the tables; the tables alone name N, not spacings

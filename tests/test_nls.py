@@ -82,6 +82,64 @@ class TestFreePropagate:
         assert abs(after - before) <= 1e-12 * max(before, 1.0)
 
 
+def _all_complex_product(fields, t, n):
+    """The product of free_sample(f, t, n) over the fields by one complex (n, s)
+    matrix product per axis, the last first: the reference for the paired route."""
+    out = 1.0
+    for f in fields:
+        s, d = f.grid.n, f.grid.d
+        e = nls._synthesis_matrix(s, n) * nls._free_phase(1, s, t, s)
+        b = f.coefficients
+        if d > 1:
+            b = b.reshape(-1, s) @ e.T
+        for j in range(d - 2, 0, -1):
+            b = np.matmul(e, b.reshape(s**j, s, -1))
+        out = out * (e @ b.reshape(s, -1)).reshape((n,) * d)
+    return out
+
+
+class TestPairedSynthesis:
+    """The +-xi pairs through the real cos/sin matrix against the all-complex
+    per-axis products; both evaluate exp(i theta) at arguments below 2 pi,
+    each to a few units of rounding of 2 pi."""
+
+    @pytest.mark.parametrize("s", range(4, 36, 2))
+    def test_cos_sin_times_pair_map_is_the_synthesis_matrix(self, s):
+        # the synthesis matrix's +-xi columns are conjugate only to 1.1e-15,
+        # so no real matrix meets it much closer than that
+        for n in (s, s + 1, 2 * s + 1, 4 * s + 1):
+            got = nls._cos_sin(s, n) @ nls._pair_map(s)
+            assert np.abs(got - nls._synthesis_matrix(s, n)).max() <= 8 * np.finfo(float).eps
+            h = s // 2  # label k and label -k (column s - k) are exact conjugates
+            assert np.array_equal(got[:, 1:h], got[:, :h:-1].conj())
+
+    @staticmethod
+    def assert_matches(factors, t, n):
+        want = _all_complex_product(factors, t, n)
+        out = np.empty_like(want)
+        got = nls._free_product([nls._paired(f) for f in factors], t, n, out,
+                                np.empty_like(want) if len(factors) > 1 else None)
+        assert got is out
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s,n", [(4, 4), (8, 21), (16, 33), (18, 25)])
+    def test_matches_the_all_complex_product(self, d, s, n):
+        rng = np.random.default_rng([d, s, n, 1])
+        g = GridSpec(d, s)
+        f = TorusField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        self.assert_matches([f], 0.37, n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_edge_label_alone(self, d):
+        self.assert_matches([TorusField.from_modes(GridSpec(d, 8), {(-4,) * d: 1.0})], 0.37, 15)
+
+    def test_factors_of_two_grid_sizes(self):
+        # as in the bilinear probe: each size takes its own matrices
+        fs = [smooth_random(GridSpec(3, s), 70 + s, band=s // 2) for s in (6, 10, 6)]
+        self.assert_matches(fs, 0.61, 23)
+
+
 class TestFreeSample:
     """free_sample against its definition: the free evolution resampled to n points."""
 
@@ -109,6 +167,14 @@ class TestFreeSample:
     def test_rejects_a_coarser_grid(self):
         with pytest.raises(ValueError):
             free_sample(smooth_random(GridSpec(2, 8), 0), 0.1, 6)
+
+    def test_budget_charges_both_matrices_past_d_1(self, monkeypatch):
+        # at s = 16, n = 2000: the complex (n, s) matrix alone fits 2^16 entries,
+        # with the real (n, s+1) one beside it the two do not
+        monkeypatch.setattr(grids, "MEMORY_BUDGET", 2**16)
+        free_sample(smooth_random(GridSpec(1, 16), 0), 0.0, 2000)
+        with pytest.raises(MemoryBudgetError, match="synthesis matrices"):
+            free_sample(smooth_random(GridSpec(2, 16), 0), 0.0, 2000)
 
     def test_rejects_a_synthesis_matrix_past_the_budget(self):
         # at d = 1 the (n, s) matrix is larger than the n samples
@@ -650,6 +716,35 @@ class TestChunks:
         assert np.array(got) == pytest.approx(np.array(want), rel=1e-14, abs=0.0)
         u = traj.states[-1]
         assert snapshot_row(u, n // 4, (), 1.0)[1] == energy_nls(u, 1.0)
+
+    @pytest.mark.parametrize("shape,n", [((96, 96), 64), ((48, 48, 48), 32)])
+    def test_rotation_blocks_are_the_one_block_rotation(self, monkeypatch, shape, n):
+        # the 96^2 grid takes the FFT route in 2 blocks, the 48^3 grid the dense
+        # propagator in 12; a _CHUNK past the grid makes one block
+        rng = np.random.default_rng(len(shape))
+        v0 = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        runs = []
+        for chunk in (nls._CHUNK, 2**30):
+            monkeypatch.setattr(nls, "_CHUNK", chunk)
+            v, z = v0.copy(), np.empty_like(v0)
+            nls._strang(v, z, n, 0.01, 3, nls._quintic(1.0))
+            runs.append((v, z))
+        (v, z), (v1, z1) = runs
+        assert np.array_equal(z, z1) and np.array_equal(v, v1)
+
+    @pytest.mark.parametrize("d,n", [(1, 8192), (2, 90), (3, 20), (2, 16)])
+    def test_rate_sees_the_whole_grid_up_to_chunk_entries(self, d, n):
+        # a rate that is not pointwise, as mean_field_flow's Hartree rate, whose
+        # m^3 table caps its grid at m <= 256 points
+        assert n**d <= nls._CHUNK and round(MEMORY_BUDGET ** (1 / 3)) <= nls._CHUNK
+        g, shapes = GridSpec(d, n), []
+
+        def rate(a):
+            shapes.append(a.shape)
+            return a
+
+        nls._split_steps(smooth_random(g, 3), 0.01, 2, rate, dealias=False)
+        assert len(shapes) == 3 and set(shapes) == {g.shape}  # N(dt/2) N(dt) N(dt/2)
 
     @pytest.mark.parametrize("dealias", [False, True])
     def test_timeseries_copies_its_datum_unless_told_to_take_it(self, dealias):
