@@ -262,14 +262,19 @@ _POTENTIALS = {"gaussian": GaussianPotential, "constant": ConstantPotential}  # 
 
 
 def build_initial_field(grid: GridSpec, spec: dict, seed: int) -> TorusField:
-    """The field that spec, a params.initial, describes; a bad spec or a zero
-    field raises ValueError."""
+    """The field that spec, a params.initial, describes; a bad spec, a zero
+    field or one whose mass, its squared L2 norm, is past the largest float
+    raises ValueError."""
     build, kwargs = _spec(_INITIAL, spec, "params.initial")
     if kwargs.get("scale") is not None and kwargs["scale"] <= 0:
         raise ValidationError(["params.initial.scale: must be > 0"])
     f = build(grid, seed, **kwargs)
-    if f.l2_norm() == 0.0:
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        norm = f.l2_norm()
+    if norm == 0.0:
         raise ValueError("the initial field is zero")
+    if not np.isfinite(norm * norm):
+        raise ValueError("the initial field's mass, its squared L2 norm, is past the largest float")
     return f
 
 
@@ -367,8 +372,8 @@ def _run_manybody(attempt, seed: int, /, *, d: int, n: int, initial: dict, N: in
     entries = []  # a state file's checked sorted-tuple entries, held by this list alone
     if from_file and attempt("initial.path", _spec, _INITIAL, initial, "params.initial") and mbs:
         entries.append(attempt("initial.path", qio.check_state_file, mbs[0], Path(initial["path"])))
-    for k in moments:
-        attempt("moments", check_moment_order, k)
+    for k in moments if mbs else []:
+        attempt("moments", check_moment_order, k, mbs[0])
     for k, c1 in stability:
         attempt("stability", check_stability_order, k, float(c1), N)
     out, report = yield

@@ -7,7 +7,9 @@ The Hamiltonian is
 
 where V_scaled is the periodic extension of N^(2 d beta) V(N^beta u, N^beta v)
 in the relative coordinates, symmetrised over the choice of centre particle so
-that H maps the bosonic sector to itself.  A BosonicState is its sector
+that H maps the bosonic sector to itself.  V is a product kappa g(|u|) g(|v|),
+tabulated as one (n^d)-vector (build_potential); the diagonal and the Hartree rate
+come from one (n^d)^2 pair table (_pair_table).  A BosonicState is its sector
 vector (see the bosonic sector below), and every run path works on that
 vector, marginals, the hierarchy right side and the Sobolev weights included;
 only amps and random_symmetric form the dense tensor over (grid)^N (check_budget),
@@ -61,12 +63,12 @@ def _bump(r2: np.ndarray, radius: float) -> np.ndarray:
 class GaussianPotential:
     """Smoothly truncated Gaussian product profile on R^d x R^d:
 
-        V(u, v) = c * exp(-(|u|^2 + |v|^2) / (2 sigma^2)) g(|u|) g(|v|)
+        V(u, v) = c * g(|u|) g(|v|),  g(r) = exp(-r^2 / (2 sigma^2)) bump(r)
 
-    where g is a mollifier vanishing to all orders at |.| = 3 sigma, so V is
+    where bump is a mollifier vanishing to all orders at r = 3 sigma, so V is
     genuinely smooth and compactly supported.  c defaults to the value making
     the continuum mass integral V du dv equal to one.  Symmetric in (u, v)
-    and nonnegative by construction.
+    and nonnegative by construction; build_potential tabulates kappa = c and g.
     """
 
     sigma: float = 0.5
@@ -96,12 +98,6 @@ class GaussianPotential:
             return self.amplitude
         return 1.0 / self.ball_integral(d) ** 2
 
-    def evaluate(self, u: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
-        """V on batches of relative coordinates; u, v have shape (..., d)."""
-        ru2 = np.sum(u * u, axis=-1)
-        rv2 = np.sum(v * v, axis=-1)
-        return self.normalization(d) * self._radial(ru2) * self._radial(rv2)
-
 
 @functools.cache
 def _ball_integrals(sigma: float) -> tuple[float, float, float]:
@@ -119,7 +115,7 @@ def _ball_integrals(sigma: float) -> tuple[float, float, float]:
 @dataclass(frozen=True)
 class ConstantPotential:
     """V identically equal to a constant on the torus (test fixture; already
-    periodic, so no rescaling or lattice sum applies)."""
+    periodic, so no rescaling or lattice sum applies): kappa = value, g = 1."""
 
     value: float = 1.0
 
@@ -195,52 +191,53 @@ class ManyBodyConfig:
 
 @functools.lru_cache(maxsize=None)
 def _relative_index_table(d: int, n: int) -> np.ndarray:
-    """rel[a, b] = flat grid index of (x_a - x_b) mod 2 pi; shape (n^d, n^d)."""
-    m = n**d
-    multi = np.array(np.unravel_index(np.arange(m), (n,) * d))  # (d, m)
-    diff = (multi[:, :, None] - multi[:, None, :]) % n  # (d, m, m)
-    return np.ravel_multi_index(tuple(diff), (n,) * d)
+    """rel[a, b] = flat grid index of the offset x_a - x_b folded to [0, pi] on
+    each axis, where w is read (w is even); shape (n^d, n^d), symmetric."""
+    multi = np.array(np.unravel_index(np.arange(n**d), (n,) * d))  # (d, m)
+    diff = np.abs(multi[:, :, None] - multi[:, None, :])  # (d, m, m)
+    return np.ravel_multi_index(tuple(np.minimum(diff, n - diff)), (n,) * d)
 
 
-def build_potential(config: ManyBodyConfig) -> np.ndarray:
-    """Tabulate the rescaled, periodised two-relative-coordinate interaction.
+def build_potential(config: ManyBodyConfig) -> tuple[np.ndarray, float]:
+    """Tabulate the rescaled, periodised interaction as the product it is.
 
-    Returns W of shape (n^d, n^d) with W[a, b] the interaction strength at
-    relative offsets (x_a, x_b).  The scaling exponent N^(2 d beta) preserves
-    the total mass integral W da db at the continuum level.
+    Returns (w, kappa): w of shape (n^d,), w[a] = N^(d beta) g(N^beta |x_a|)
+    summed over the 2 pi-periodic copies of the relative offset x_a, and the
+    constant kappa, so that W[a, b] = kappa w[a] w[b] is the interaction at
+    relative offsets (x_a, x_b).  Every potential of the package is such a
+    product (GaussianPotential, ConstantPotential).  The scaling exponent
+    N^(2 d beta) of W preserves its total mass integral at the continuum level.
     """
-    grid, N, beta = config.grid, config.N, config.beta
-    pot = config.potential
+    grid, pot = config.grid, config.potential
     if isinstance(pot, ConstantPotential):
-        return np.full((grid.size, grid.size), float(pot.value))
-    scale = float(N) ** beta
+        return np.ones(grid.size), float(pot.value)
+    scale = float(config.N) ** config.beta
     rel = _wrapped_relative_coords(grid)  # (m, d)
-    m = grid.size
-    W = np.zeros((m, m))
-    shifts = np.array(list(itertools.product((-1, 0, 1), repeat=grid.d))) * 2 * np.pi
-    for su in shifts:
-        u = scale * (rel + su)  # (m, d)
-        if np.min(np.sqrt(np.sum(u * u, axis=-1))) > pot.support_radius:
-            continue
-        for sv in shifts:
-            v = scale * (rel + sv)
-            if np.min(np.sqrt(np.sum(v * v, axis=-1))) > pot.support_radius:
-                continue
-            W += pot.evaluate(u[:, None, :], v[None, :, :], grid.d)
-    return scale ** (2 * grid.d) * W
+    w = np.zeros(grid.size)
+    for shift in np.array(list(itertools.product((-1, 0, 1), repeat=grid.d))) * 2 * np.pi:
+        u = scale * (rel + shift)  # (m, d)
+        w += pot._radial(np.sum(u * u, axis=-1))
+    return scale**grid.d * w, pot.normalization(grid.d)
 
 
 @functools.lru_cache(maxsize=16)
-def _cached_potential_table(config: ManyBodyConfig) -> np.ndarray:
-    check_entries("interaction table", config.grid.size**2)
+def _cached_potential_table(config: ManyBodyConfig) -> tuple[np.ndarray, float]:
     return build_potential(config)
 
 
+def _pair_table(config: ManyBodyConfig) -> tuple[np.ndarray, float]:
+    """P[a, b] = w(x_a - x_b), symmetric, and kappa (build_potential): the
+    (n^d)^2 table from which the sector diagonal and the Hartree rate are derived."""
+    check_entries("interaction table", config.grid.size**2)
+    w, kappa = _cached_potential_table(config)
+    return w[_relative_index_table(config.grid.d, config.grid.n)], kappa
+
+
 def potential_mass(config: ManyBodyConfig) -> float:
-    """b0: the grid quadrature of the tabulated interaction, reused downstream
-    as the mean-field coupling."""
-    W = _cached_potential_table(config)
-    return float(W.sum() * config.grid.cell_volume**2)
+    """b0: the grid quadrature of the tabulated interaction, kappa (sum w)^2
+    dx^(2d), reused downstream as the mean-field coupling."""
+    w, kappa = _cached_potential_table(config)
+    return float(kappa * w.sum() ** 2 * config.grid.cell_volume**2)
 
 
 def _on_slot(table: np.ndarray, slot: int, nslots: int) -> np.ndarray:
@@ -250,14 +247,20 @@ def _on_slot(table: np.ndarray, slot: int, nslots: int) -> np.ndarray:
     return table.reshape(ones * slot + table.shape + ones * (nslots - 1 - slot))
 
 
-def _triple_sum(vbar: np.ndarray, triples, x):
-    """sum over slot triples (i, j, l) of vbar[x[i], x[j], x[l]], with x[s] the
-    flat grid indices of slot s: aranges broadcast over the slots of a full
-    tensor, or row s of the transposed sorted tuples of the sector."""
-    out = 0.0
-    for i, j, l in triples:
-        out = out + vbar[x[i], x[j], x[l]]
-    return out
+def _triple_diagonal(config: ManyBodyConfig, x) -> np.ndarray:
+    """(1/N^2) sum over slot triples of Vbar(x_i, x_j, x_l), x[s] the flat grid indices
+    of slot s: aranges broadcast over a full tensor's slots, or row s of the sector's
+    transposed sorted tuples.  Vbar averages kappa P[x_c, .] P[x_c, .] over the centre c
+    (_pair_table), so the sum is kappa/3 sum_c sum_{j<l} P[x_c, x_j] P[x_c, x_l]: one gather
+    per slot pair times the running sums of both its slots, with no term < 0 to cancel."""
+    pair, kappa = _pair_table(config)
+    N = config.N
+    sums, out = [0.0] * N, 0.0
+    for i, j in itertools.combinations(range(N), 2):
+        p = pair[x[i], x[j]]
+        out = out + p * (sums[i] + sums[j])
+        sums[i], sums[j] = sums[i] + p, sums[j] + p
+    return out * (kappa / (3 * N**2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -303,8 +306,7 @@ def _cached_tables(config: ManyBodyConfig) -> np.ndarray | None:
     if N < 3:
         return None
     flat = [_on_slot(np.arange(config.grid.size), s, N) for s in range(N)]
-    diag = _triple_sum(symmetrized_triple_value(config), itertools.combinations(range(N), 3), flat)
-    return (diag / N**2).reshape(config.state_shape)
+    return _triple_diagonal(config, flat).reshape(config.state_shape)
 
 
 # -- the bosonic sector ------------------------------------------------------
@@ -329,14 +331,13 @@ def _sector_entries(config: ManyBodyConfig) -> int:
     """Complex-entry equivalents (16 bytes) of what the sector path holds
     besides its vectors: the colex tuples up to level N (under N C(m + N, N)
     8-byte entries), _insertion's level-N table and the scatter index (m p
-    each), the scale and the diagonal, and the larger of the build's triple
-    table and an H-apply's scratch (b, g, _kinetic's matmul temporary, the
-    bincount result, V c), which the build's other temporaries and a
+    each), the scale and the diagonal, and an H-apply's scratch (b, g,
+    _kinetic's matmul temporary, the bincount result, V c), which the build's
+    temporaries (the diagonal's N real pair sums among them) and a
     1-marginal's gather stay within.  No full tensor: see check_run_budget."""
     m, N = config.grid.size, config.N
     dim, mp = _sector_dim(m, N), m * _sector_dim(m, N - 1)
-    held = N * _sector_dim(m + 1, N) // 2 + 2 * mp + dim
-    return held + max(3 * mp + 2 * dim, 2 * m**3 if N >= 3 else 0)
+    return N * _sector_dim(m + 1, N) // 2 + 5 * mp + 3 * dim
 
 
 @dataclass(frozen=True)
@@ -407,13 +408,10 @@ def _sector(config: ManyBodyConfig) -> _Sector:
     m, N = config.grid.size, config.N
     scatter = (2 * _insertion(m, N)[0][..., None] + np.arange(2)).reshape(-1)
     tuples = _colex_levels(m, N)[1][N]
+    diag = _triple_diagonal(config, tuples.T) if N >= 3 else None
     earlier = np.ones_like(tuples)  # earlier[:, i]: entries of s equal to s_i, up to i
     for i in range(N - 1):
         earlier[:, i + 1 :] += tuples[:, i + 1 :] == tuples[:, i : i + 1]
-    diag = None
-    if N >= 3:
-        diag = _triple_sum(symmetrized_triple_value(config), itertools.combinations(range(N), 3),
-                           tuples.T) / N**2
     return _Sector(
         scale=np.sqrt(math.factorial(N) / np.prod(earlier, axis=1)),
         scatter=scatter,
@@ -480,21 +478,6 @@ def _apply_sector(config: ManyBodyConfig, c: np.ndarray) -> np.ndarray:
     if sec.diag is not None:
         out += sec.diag * c
     return out
-
-
-def symmetrized_triple_value(config: ManyBodyConfig) -> np.ndarray:
-    """Centre-averaged interaction on triples of flat grid indices, shape
-    (m, m, m); used by the Hamiltonian diagonal and the hierarchy terms."""
-    m = config.grid.size
-    check_entries("triple-value table", m**3)
-    W = _cached_potential_table(config)
-    rel = _relative_index_table(config.grid.d, config.grid.n)
-    a = np.arange(m)[:, None, None]
-    b = np.arange(m)[None, :, None]
-    c = np.arange(m)[None, None, :]
-    return (
-        W[rel[a, b], rel[a, c]] + W[rel[b, a], rel[b, c]] + W[rel[c, a], rel[c, b]]
-    ) / 3.0
 
 
 def _unit_values(phi: TorusField) -> np.ndarray:
@@ -602,15 +585,19 @@ def energy_per_particle(psi: BosonicState) -> float:
     return energy(psi) / psi.config.N
 
 
-def check_moment_order(k: int) -> None:
-    """energy_moment needs k >= 0."""
+def check_moment_order(k: int, config: ManyBodyConfig) -> None:
+    """energy_moment needs k >= 0 and a finite (2 r / N + 1)^k, the bound of
+    (H/N + 1)^k on H's interval [0, 2 r] (_radius_bound)."""
     if k < 0:
         raise ValueError(f"moment order must be nonnegative, got {k}")
+    top = 2.0 * _radius_bound(config) / config.N + 1.0
+    if k * math.log(top) > math.log(np.finfo(np.float64).max):
+        raise ValueError(f"(2 r/N + 1)^k = {top:.4g}^{k} is past the largest float")
 
 
 def energy_moment(psi: BosonicState, k: int) -> float:
     """<psi, (H/N + 1)^k psi>, by repeated application of H."""
-    check_moment_order(k)
+    check_moment_order(k, psi.config)
     c = v = psi.c
     for _ in range(k):
         v = _apply_sector(psi.config, v) / psi.config.N + v
@@ -623,9 +610,10 @@ def energy_moment(psi: BosonicState, k: int) -> float:
 def _radius_bound(config: ManyBodyConfig) -> float:
     """The radius r of H's interval [0, 2 r] from the potential's parameters alone: the
     kinetic part lies in [0, N d (n/2)^2], as |xi| <= n/2 on each axis, and the potential in
-    [0, C(N, 3) / N^2 max W], W >= 0 the interaction table (build_potential), at most
-    amplitude * (copies * N^beta)^(2 d): per axis at most 3 and floor(3 sigma N^-beta / pi) + 1
-    of the 2 pi-periodic copies of a relative coordinate meet the rescaled support."""
+    [0, C(N, 3) / N^2 max W], W = kappa w w^T >= 0 the interaction table (build_potential),
+    so max W = kappa max w^2, at most amplitude * (copies * N^beta)^(2 d): per axis at most 3
+    and floor(3 sigma N^-beta / pi) + 1 of the 2 pi-periodic copies of a relative coordinate
+    meet the rescaled support, and g <= 1."""
     grid, N, pot = config.grid, config.N, config.potential
     if isinstance(pot, ConstantPotential):
         top = pot.value

@@ -44,13 +44,13 @@ from .manybody import (
     _annihilate,
     _kinetic,
     _on_slot,
+    _pair_table,
     _sector,
     _tensor_power,
     _unit_values,
     energy_per_particle,
     potential_mass,
     propagate,
-    symmetrized_triple_value,
 )
 from .nls import NlsConfig, Trajectory, _split_steps, check_step_count, evolve
 
@@ -278,12 +278,14 @@ def mean_field_flow(
 
     The 1/2 is the large-N limit of the per-particle triple count over N^2.
     It is the comparison target at beta = 0, where the quintic flow is not the limit.
+    From the pair table P (manybody._pair_table): (kappa/6) (a^2 + 2 dx^d P(rho a)), a = dx^d P rho.
     """
-    grid, v3 = config.grid, symmetrized_triple_value(config)
+    grid, (pair, kappa) = config.grid, _pair_table(config)
 
     def rate(rho):
         r = rho.reshape(-1)
-        return (0.5 * np.einsum("xyz,y,z->x", v3, r, r) * grid.cell_volume**2).reshape(grid.shape)
+        a = grid.cell_volume * (pair @ r)
+        return (kappa / 6 * (a * a + 2 * grid.cell_volume * (pair @ (r * a)))).reshape(grid.shape)
 
     phi = TorusField.from_values(grid, _unit_values(phi0).reshape(grid.shape))
     return _split_steps(phi, dt, check_step_count(T, dt), rate, dealias=False)

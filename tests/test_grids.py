@@ -27,7 +27,7 @@ from quintlab.grids import (
     project_lt,
     sobolev_norm,
 )
-from quintlab.manybody import BosonicState, ManyBodyConfig, symmetrized_triple_value
+from quintlab.manybody import BosonicState, ManyBodyConfig
 from quintlab.marginals import rank_one_marginal
 from quintlab.nls import NlsConfig, free_sample
 from quintlab.probes import (
@@ -90,7 +90,6 @@ class TestMemoryBudget:
             "state tensor": lambda: psi.amps,  # 64 entries, its expand index and a scratch
             "interaction table": lambda: ManyBodyConfig(GridSpec(1, 16), 1, 0.0).check_run_budget(
                 [0.0]),
-            "triple-value table": lambda: symmetrized_triple_value(ManyBodyConfig(g8, 1, 0.0)),
             # five recurrence vectors and one returned state of 8 entries, with 68 of tables
             "Chebyshev recurrence": lambda: ManyBodyConfig(g8, 1, 0.0).check_run_budget([0.1]),
             "sector tables": lambda: ManyBodyConfig(g8, 2, 0.0).check_run_budget([0.0]),  # 190

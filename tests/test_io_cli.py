@@ -771,6 +771,10 @@ BAD_CONFIGS = [
     ("probe", {"lemma": "strichartz", "options": {"nt": 2**31}}, "options"),
     # a hufl bound eps^(2k) past the largest float
     ("hufl", {**_HUFL, "eps": 1e300, "ks": [3]}, "eps"),
+    # a datum whose mass, its squared L2 norm, is past the largest float
+    ("chaos", {**_CHAOS, "initial": {**_BAND2, "scale": 1e300}}, "initial"),
+    # a moment order whose bound (2 r/N + 1)^k, 17.03^300, is past the largest float
+    ("manybody-run", {**_MB, "N": 3, "moments": [300]}, "moments"),
 ]
 
 

@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate, special
 from scipy.linalg import expm
 
-from quintlab import grids, manybody
+from quintlab import grids, manybody, marginals
 from quintlab.grids import GridSpec, MemoryBudgetError, ParameterError, TorusField
 from quintlab.io import check_state_file, dump_state, load_state
 from quintlab.manybody import (
@@ -29,7 +29,6 @@ from quintlab.manybody import (
     potential_mass,
     propagate,
     stability_check,
-    symmetrized_triple_value,
     weighted_sobolev_norm_sq,
 )
 from quintlab.marginals import bbgky_rhs, marginal
@@ -54,12 +53,44 @@ def symmetry_residual(psi: BosonicState) -> float:
     return worst
 
 
+def shift_pair_table(cfg: ManyBodyConfig) -> np.ndarray:
+    """The oracle of the interaction table, as (n^d, n^d) W: V(u, v) at the relative
+    offsets (x_a, x_b) summed over every pair of shifts to their 2 pi-periodic copies."""
+    grid, pot = cfg.grid, cfg.potential
+    if isinstance(pot, ConstantPotential):
+        return np.full((grid.size, grid.size), float(pot.value))
+    scale = float(cfg.N) ** cfg.beta
+    rel = grids._wrapped_relative_coords(grid)
+    shifts = np.array(list(itertools.product((-1, 0, 1), repeat=grid.d))) * 2 * np.pi
+    W = np.zeros((grid.size, grid.size))
+    for su, sv in itertools.product(shifts, shifts):
+        u, v = scale * (rel + su), scale * (rel + sv)
+        ru2, rv2 = np.sum(u * u, axis=-1), np.sum(v * v, axis=-1)
+        W += pot.normalization(grid.d) * pot._radial(ru2)[:, None] * pot._radial(rv2)[None, :]
+    return scale ** (2 * grid.d) * W
+
+
+def triple_value_table(cfg: ManyBodyConfig) -> np.ndarray:
+    """The oracle of Vbar, (n^d, n^d, n^d): W (shift_pair_table) at the offsets of the
+    other two points from each point of a triple, averaged over the three centres."""
+    W, n, d, m = shift_pair_table(cfg), cfg.grid.n, cfg.grid.d, cfg.grid.size
+    multi = np.array(np.unravel_index(np.arange(m), (n,) * d))
+    rel = np.ravel_multi_index(tuple((multi[:, :, None] - multi[:, None, :]) % n), (n,) * d)
+    a, b, c = np.ix_(np.arange(m), np.arange(m), np.arange(m))
+    return (W[rel[a, b], rel[a, c]] + W[rel[b, a], rel[b, c]] + W[rel[c, a], rel[c, b]]) / 3.0
+
+
+def triple_diagonal(vbar: np.ndarray, N: int, x) -> np.ndarray:
+    """(1/N^2) sum over slot triples of vbar[x_i, x_j, x_l], x[s] the indices of slot s."""
+    return sum(vbar[x[i], x[j], x[l]] for i, j, l in itertools.combinations(range(N), 3)) / N**2
+
+
 class TestBuildPotential:
     def test_beta_zero_independent_of_N(self):
         g = GridSpec(1, 16)
         tables = [build_potential(ManyBodyConfig(g, N, 0.0)) for N in (2, 4, 8)]
-        for t in tables[1:]:
-            assert np.abs(t - tables[0]).max() == 0.0
+        for w, kappa in tables[1:]:
+            assert np.abs(w - tables[0][0]).max() == 0.0 and kappa == tables[0][1]
 
     def test_mass_independent_of_scaling(self):
         # the rescaling preserves the total interaction mass; on a resolving
@@ -81,9 +112,9 @@ class TestBuildPotential:
         pot = GaussianPotential()
         v00 = pot.normalization(1)
         for N, beta in [(4, 0.1), (16, 0.1)]:
-            W = build_potential(ManyBodyConfig(g, N, beta, pot))
+            w, kappa = build_potential(ManyBodyConfig(g, N, beta, pot))
             want = float(N) ** (2 * g.d * beta) * v00
-            assert W[0, 0] == pytest.approx(want, rel=1e-12)
+            assert kappa * w[0] ** 2 == pytest.approx(want, rel=1e-12)
 
     def test_under_resolved_rejected(self):
         g = GridSpec(1, 8)
@@ -91,10 +122,48 @@ class TestBuildPotential:
             build_potential(ManyBodyConfig(g, 1000, 2.0))
 
     def test_symmetry_and_sign(self):
+        # w is even, w(-x) = w(x): the folded pair table relies on it
         g = GridSpec(1, 16)
-        W = build_potential(ManyBodyConfig(g, 3, 0.1))
-        assert np.all(W >= 0.0)
-        assert np.abs(W - W.T).max() <= 1e-12
+        w, kappa = build_potential(ManyBodyConfig(g, 3, 0.1))
+        assert np.all(w >= 0.0) and kappa >= 0.0
+        assert np.abs(w - w[-np.arange(16) % 16]).max() <= 1e-12
+
+
+# the product path against the oracle tables: d = 1, 2, 3 and N = 3..12, with kappa != 1
+_AGREEMENT = [
+    *[(1, 8, N, 0.05, GaussianPotential()) for N in range(3, 13)],
+    (1, 16, 4, 0.1, GaussianPotential(sigma=1.2)),  # the support meets three copies
+    *[(2, 4, N, 0.05, GaussianPotential()) for N in (3, 5, 7)],
+    (2, 6, 3, 0.0, ConstantPotential(2.0)),
+    (3, 4, 3, 0.05, GaussianPotential()),
+]
+
+
+class TestProductForm:
+    @pytest.mark.parametrize("d,n,N,beta,pot", _AGREEMENT)
+    def test_pair_table_path_matches_the_triple_table(self, monkeypatch, d, n, N, beta, pot):
+        cfg = ManyBodyConfig(GridSpec(d, n), N, beta, pot)
+        m, dv = cfg.grid.size, cfg.grid.cell_volume
+        W, vbar = shift_pair_table(cfg), triple_value_table(cfg)
+        w, kappa = build_potential(cfg)
+        assert np.abs(kappa * np.outer(w, w) - W).max() <= 1e-15 * W.max()
+        assert potential_mass(cfg) == pytest.approx(W.sum() * dv**2, rel=1e-13, abs=0)
+        # the sector diagonal, and the full tensor's where it fits
+        tuples = manybody._colex_levels(m, N)[1][N].T
+        want = triple_diagonal(vbar, N, tuples)
+        assert np.abs(manybody._sector(cfg).diag - want).max() <= 1e-13 * want.max()
+        if m**N <= 2**15:
+            flat = [manybody._on_slot(np.arange(m), s, N) for s in range(N)]
+            want = triple_diagonal(vbar, N, flat).reshape(cfg.state_shape)
+            assert np.abs(manybody._cached_tables(cfg) - want).max() <= 1e-13 * want.max()
+        # the Hartree rate of mean_field_flow, read off the split-step call
+        rates = []
+        monkeypatch.setattr(marginals, "_split_steps", lambda *args, **kw: rates.append(args[3]))
+        marginals.mean_field_flow(smooth_phi(cfg.grid, seed=N), 0.01, 0.01, cfg)
+        rho = np.random.default_rng(N).random(m)
+        want = 0.5 * np.einsum("xyz,y,z->x", vbar, rho, rho) * dv**2
+        got = rates[0](rho.reshape(cfg.grid.shape)).reshape(-1)
+        assert np.abs(got - want).max() <= 1e-13 * want.max()
 
 
 class TestBallIntegral:
@@ -916,7 +985,7 @@ class TestFactorizedEnergyCombinatorics:
         dens = np.abs(v) ** 2 * g.cell_volume
         for N in (3, 4, 5):
             cfg = ManyBodyConfig(g, N, 0.0)
-            vbar = symmetrized_triple_value(cfg)
+            vbar = triple_value_table(cfg)
             triple = float(np.einsum("a,b,c,abc->", dens, dens, dens, vbar))
             psi = BosonicState.factorized(cfg, phi)
             want = phi.gradient_l2_sq() + (N - 1) * (N - 2) / (6.0 * N**2) * triple

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quintlab import grids, manybody, marginals
+from quintlab import grids, marginals
 from quintlab.grids import GridSpec, MemoryBudgetError, TorusField, sobolev_norm
 from quintlab.manybody import (
     BosonicState,
@@ -32,6 +32,7 @@ from quintlab.marginals import (
     trace_distance,
 )
 from quintlab.nls import NlsConfig, evolve
+from test_manybody import triple_value_table
 
 
 def unit_phi(grid, seed=0, band=2):
@@ -171,7 +172,7 @@ def mean_field_rhs(phi: TorusField, cfg: ManyBodyConfig, k: int) -> np.ndarray:
     g, N, m = cfg.grid, cfg.N, cfg.grid.size
     v = phi.values.reshape(-1) / phi.l2_norm()
     rho = np.abs(v) ** 2 * g.cell_volume
-    vbar = manybody.symmetrized_triple_value(cfg)
+    vbar = triple_value_table(cfg)
     pair = vbar @ rho  # (m, m)
     single = pair @ rho  # (m,)
     x = np.unravel_index(np.arange(m**k), (m,) * k)
