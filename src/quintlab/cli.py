@@ -311,16 +311,18 @@ def _field(attempt, grid, spec: dict, seed: int, unit: bool = False):
     return attempt("initial", _unit, f) if unit and f is not None else f
 
 
-def _configs(attempt, grid, potential: dict | None, beta: float, Ns, times, key: str):
+def _configs(attempt, grid, potential: dict | None, beta: float, Ns, times, key: str,
+             applies: int = 0):
     """One ManyBodyConfig per N in Ns, over the potential `potential` names, each
-    charged with what a run to `times` holds, its tables under N and the rest under
-    `key` (see check_run_budget); a config that cannot be built is left out."""
+    charged with what a run to `times` holds and held to the work of its series and
+    `applies` more H-applies, its tables under N and the rest under `key` (see
+    check_run_budget); a config that cannot be built is left out."""
     pot = attempt("potential", build_potential_spec, potential)
     mbs = []
     for N in Ns if grid and pot else []:
         mb = attempt(key, lambda: ManyBodyConfig(grid, N, float(beta), pot))
         if mb:
-            attempt(key, mb.check_run_budget, times)
+            attempt(key, mb.check_run_budget, times, applies)
             mbs.append(mb)
     return mbs
 
@@ -362,7 +364,7 @@ def _run_manybody(attempt, seed: int, /, *, d: int, n: int, initial: dict, N: in
                   stability: list[tuple[int, float]] = (), dump_state: bool = False):
     grid = attempt("n", GridSpec, d, n)
     from_file = initial.get("kind") == "file"
-    mbs = _configs(attempt, grid, potential, beta, [N], [T], "N")
+    mbs = _configs(attempt, grid, potential, beta, [N], [T], "N", sum(moments))
     for mb in mbs:
         if stability:  # the stability norms
             attempt("N", mb.check_factor_budget, min(max(k for k, _ in stability), N), 2)

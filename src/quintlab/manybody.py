@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import grids
 from .grids import (
     GridSpec, ParameterError, TorusField, _abs2, _dot, _fftn, _ifftn,
     _wrapped_relative_coords, _xi_squared, check_entries,
@@ -36,6 +35,7 @@ from .grids import (
 
 _DENSE_KINETIC_MAX_N = 96  # _kinetic's route: a dense matrix on axes up to this length
 _SERIES_TOL = 1e-11  # propagate's target for each series' tail, relative to ||psi||
+_MAX_APPLY_WORK = 2**31  # check_run_budget's work rule: 1.5 times budget_peaks' 150-time row
 
 
 class UnderResolvedError(ParameterError):
@@ -161,7 +161,7 @@ class ManyBodyConfig:
         its (n^d)^N entries, which, as n^d >= 4, bound their tables and scratch."""
         check_entries("state file", self.grid.size**self.N, "N")
 
-    def check_run_budget(self, times: Sequence[float]):
+    def check_run_budget(self, times: Sequence[float], applies: int = 0):
         """All that every run to `times` holds at once: the (n^d)^2 interaction
         table, the sector tables with their scratch (see _sector_entries), which
         its energies build even at t = 0, and, when a time is > 0, propagate's
@@ -170,16 +170,22 @@ class ManyBodyConfig:
         of s r, r the _radius_bound that _propagate sums over, capped at _SERIES_TOL's
         rounding floor (past it _propagate raises first), with the FFT of the largest table,
         4 K.  Tables that break the budget alone name N; else the total names its
-        caller's key.  No full tensor: see check_budget and check_file_budget."""
-        check_entries("interaction table", self.grid.size**2, "N")
+        caller's key, as does the work rule: the summed K and `applies` further
+        H-applies (energy moments), each m p gathered entries, within _MAX_APPLY_WORK.
+        No full tensor: see check_budget and check_file_budget."""
+        m = self.grid.size
+        check_entries("interaction table", m**2, "N")
         later, tables = {float(t) for t in times if t > 0}, _sector_entries(self)
-        if not later or tables > grids.MEMORY_BUDGET:
-            return check_entries("sector tables", tables, "N")
-        vectors = (5 + len(later)) * _sector_dim(self.grid.size, self.N)
+        check_entries("sector tables", tables, "N")
         floor, radius = _SERIES_TOL / np.finfo(np.float64).eps, _radius_bound(self)
         degrees = [_table_degree(np.fmin(s * radius, floor)) for s in later]
-        check_entries("Chebyshev recurrence, coefficients, returned states and sector tables",
-                      vectors + sum(degrees) + len(degrees) + 4 * max(degrees) + tables)
+        work = (sum(degrees) + applies) * m * _sector_dim(m, self.N - 1)
+        if work > _MAX_APPLY_WORK:
+            raise ValueError(f"{float(work):.3g} H-apply entries pass the cap {_MAX_APPLY_WORK}")
+        if later:
+            vectors = (5 + len(later)) * _sector_dim(m, self.N)
+            check_entries("Chebyshev recurrence, coefficients, returned states and sector tables",
+                          vectors + sum(degrees) + len(degrees) + 4 * max(degrees) + tables)
 
     def check_factor_budget(self, k: int, factors: int, marginals: int = 0):
         """What a k-particle quantity of a state forms beside the run: `factors` arrays of
@@ -331,13 +337,14 @@ def _sector_entries(config: ManyBodyConfig) -> int:
     """Complex-entry equivalents (16 bytes) of what the sector path holds
     besides its vectors: the colex tuples up to level N (under N C(m + N, N)
     8-byte entries), _insertion's level-N table and the scatter index (m p
-    each), the scale and the diagonal, and an H-apply's scratch (b, g,
+    each), the scale and the diagonal, the diagonal's contiguous copy of the
+    level-N tuples (N dim 8-byte entries), and an H-apply's scratch (b, g,
     _kinetic's matmul temporary, the bincount result, V c), which the build's
     temporaries (the diagonal's N real pair sums among them) and a
     1-marginal's gather stay within.  No full tensor: see check_run_budget."""
     m, N = config.grid.size, config.N
     dim, mp = _sector_dim(m, N), m * _sector_dim(m, N - 1)
-    return N * _sector_dim(m + 1, N) // 2 + 5 * mp + 3 * dim
+    return N * (_sector_dim(m + 1, N) + dim) // 2 + 5 * mp + 3 * dim
 
 
 @dataclass(frozen=True)
@@ -408,7 +415,7 @@ def _sector(config: ManyBodyConfig) -> _Sector:
     m, N = config.grid.size, config.N
     scatter = (2 * _insertion(m, N)[0][..., None] + np.arange(2)).reshape(-1)
     tuples = _colex_levels(m, N)[1][N]
-    diag = _triple_diagonal(config, tuples.T) if N >= 3 else None
+    diag = _triple_diagonal(config, np.ascontiguousarray(tuples.T)) if N >= 3 else None
     earlier = np.ones_like(tuples)  # earlier[:, i]: entries of s equal to s_i, up to i
     for i in range(N - 1):
         earlier[:, i + 1 :] += tuples[:, i + 1 :] == tuples[:, i : i + 1]

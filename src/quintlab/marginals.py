@@ -52,7 +52,7 @@ from .manybody import (
     potential_mass,
     propagate,
 )
-from .nls import NlsConfig, Trajectory, _split_steps, check_step_count, evolve
+from .nls import NlsConfig, Trajectory, _advance, check_step_count, evolve
 
 
 @dataclass
@@ -272,7 +272,7 @@ def mean_field_flow(
     phi0: TorusField, T: float, dt: float, config: ManyBodyConfig
 ) -> TorusField:
     """Self-consistent one-particle flow matched to the N-body model, by Strang
-    splitting (nls._split_steps, no dealiasing):
+    splitting (nls.strang_step's flow with this rate, no dealiasing):
 
         i d/dt phi = -Lap phi + (1/2) [ int Vbar(x,y,z) |phi(y)|^2 |phi(z)|^2 dy dz ] phi
 
@@ -288,7 +288,7 @@ def mean_field_flow(
         return (kappa / 6 * (a * a + 2 * grid.cell_volume * (pair @ (r * a)))).reshape(grid.shape)
 
     phi = TorusField.from_values(grid, _unit_values(phi0).reshape(grid.shape))
-    return _split_steps(phi, dt, check_step_count(T, dt), rate, dealias=False)
+    return _advance(phi, dt, check_step_count(T, dt), rate, dealias=False)
 
 
 @dataclass

@@ -36,6 +36,7 @@ from .grids import (
 )
 
 MAX_POINT_STEPS = 2**32  # check_flow_work: 1,600 times the largest flow of configs/ and perfbench
+_NON_FINITE = "non-finite state at t={:.6g}"  # the one BlowUpError message of a flow
 
 
 class BlowUpError(RuntimeError):
@@ -295,19 +296,48 @@ def _strang(v: np.ndarray, z: np.ndarray, n: int, dt: float, steps: int, rate) -
     coefficients /= v.size
 
 
-def _split_steps(f: TorusField, dt: float, steps: int, rate, dealias: bool) -> TorusField:
-    """f after _strang's steps on the rotation grid of f's grid, or of its 3n/2
-    grid with dealias.  The new field takes the last forward transform as its
-    coefficients and, without dealias, the samples as its values."""
-    grid = f.grid
-    m = _rotation_n(grid.n, dealias)
-    v = f.values.copy() if m == grid.n else _ifftn(_resampled(f.coefficients, m), norm="forward")
-    z = np.empty_like(v)
-    _strang(v, z, grid.n, dt, steps, rate)
-    if m == grid.n:
-        return TorusField._from_pair(grid, z, v)
-    del v  # freed before the copy to the n-grid
-    return TorusField(grid, _resampled(z, grid.n))
+def _zero_past_band(z: np.ndarray, n: int) -> None:
+    """Zero the coefficients that resampling z to n points per axis drops, so z
+    becomes _resampled(_resampled(z, n), len(z)): every entry with an index
+    in [n/2, len(z) - n/2) on some axis."""
+    h = n // 2
+    for j in range(z.ndim):
+        z[(slice(None),) * j + (slice(h, z.shape[j] - h),)] = 0
+
+
+def _flow(g: GridSpec, c: np.ndarray, samples: np.ndarray | None, dt: float, steps: int,
+          every: int, rate, dealias: bool):
+    """_strang's flow of the field with n-grid coefficients c and samples (None: the
+    inverse transform of c), which it takes over and writes, on the rotation grid, whose
+    samples v and coefficients z it holds from start to end: yields (coefficients, v) at
+    t = 0, c itself, and after each `every` of `steps` steps, valid until it resumes.
+    With dealias, v is scratch at each yield, c is only read and samples is not used, and
+    each interval starts from z projected to the n-band.  BlowUpError at the first
+    non-finite yield."""
+    z = _resampled(c, _rotation_n(g.n, dealias))
+    v = np.empty_like(z) if dealias or samples is None else samples
+    if not dealias and samples is None:
+        _ifftn(c, out=v)
+        v *= g.size
+    del samples
+    yield c, v
+    for s in range(every, steps + 1, every):
+        if dealias:
+            _zero_past_band(z, g.n)
+            _ifftn(z, out=v, norm="forward")
+        _strang(v, z, g.n, dt, every, rate)
+        c = _resampled(z, g.n)
+        if not np.all(np.isfinite(c)):
+            raise BlowUpError(_NON_FINITE.format(s * dt))
+        yield c, v
+
+
+def _advance(f: TorusField, dt: float, steps: int, rate, dealias: bool) -> TorusField:
+    """f after steps Strang steps of rate: the last yield of _flow, which writes no array of f."""
+    c = f.coefficients if dealias else np.array(f.coefficients)
+    *_, (c, v) = _flow(f.grid, c, None if dealias else f._samples(), dt, steps, max(steps, 1),
+                       rate, dealias)
+    return TorusField(f.grid, c) if dealias else TorusField._from_pair(f.grid, c, v)
 
 
 def _quintic(b0: float):
@@ -323,7 +353,7 @@ def strang_step(f: TorusField, cfg: NlsConfig, *, steps: int = 1) -> TorusField:
     the free flow; the half rotations that meet between two steps are applied as one."""
     if f.grid != cfg.grid:
         raise ValueError("field grid does not match solver configuration")
-    return _split_steps(f, cfg.dt, steps, _quintic(cfg.b0), cfg.dealias)
+    return _advance(f, cfg.dt, steps, _quintic(cfg.b0), cfg.dealias)
 
 
 def check_step_count(T: float, dt: float, snapshot_every: int = 1) -> int:
@@ -349,31 +379,17 @@ def check_flow_work(steps: int, grid: GridSpec, dealias: bool) -> None:
 
 
 def evolve(f0: TorusField, T: float, cfg: NlsConfig, snapshot_every: int = 1) -> Trajectory:
-    """Advance f0 to time T, recording every snapshot_every steps (check_step_count)."""
+    """Advance f0 to time T, recording every snapshot_every steps (check_step_count):
+    one strang_step per snapshot, its BlowUpError restated at the time of the run."""
     steps = check_step_count(T, cfg.dt, snapshot_every)
     times, states = [0.0], [f0]
     for s in range(snapshot_every, steps + 1, snapshot_every):
-        u = strang_step(states[-1], cfg, steps=snapshot_every)
-        if not np.all(np.isfinite(u.coefficients)):
-            raise BlowUpError(f"non-finite state at t={s * cfg.dt:.6g} "
-                              f"(max |coeff| so far {np.abs(states[-1].coefficients).max():.3e})")
+        try:
+            states.append(strang_step(states[-1], cfg, steps=snapshot_every))
+        except BlowUpError:
+            raise BlowUpError(_NON_FINITE.format(s * cfg.dt)) from None
         times.append(s * cfg.dt)
-        states.append(u)
     return Trajectory(np.array(times), states, cfg)
-
-
-def _head(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The leading entries of the contiguous array buf as a C-contiguous array of `shape`."""
-    return buf.reshape(-1)[:np.prod(shape)].reshape(shape)
-
-
-def _zero_past_band(z: np.ndarray, n: int) -> None:
-    """Zero the coefficients that resampling z to n points per axis drops, so z
-    becomes _resampled(_resampled(z, n), len(z)): every entry with an index
-    in [n/2, len(z) - n/2) on some axis."""
-    h = n // 2
-    for j in range(z.ndim):
-        z[(slice(None),) * j + (slice(h, z.shape[j] - h),)] = 0
 
 
 def timeseries(
@@ -387,41 +403,24 @@ def timeseries(
     take: bool = False,
 ) -> list[list[float]]:
     """[t] + snapshot_row(u, split_m, diag_ms, cfg.b0) for each snapshot (t, u)
-    of evolve(f0, T, cfg, snapshot_every), bit for bit, holding for the whole
-    run _strang's samples v and coefficients z; with dealias each row's
-    coefficients are z resampled to the n-grid, their samples in v's memory.
-    f0 is copied and never written, unless take is set: then the run takes
-    f0's own coefficient array and cached samples and writes them, so the
-    caller must hold no other reference to f0."""
+    of evolve(f0, T, cfg, snapshot_every), bit for bit, from the yields of _flow,
+    which holds its samples v and coefficients z for the whole run; with dealias
+    each row's samples are formed in v's memory.  f0 is copied and never
+    written, unless take is set: then the run takes f0's own coefficient array
+    and cached samples and writes them, so the caller must hold no other
+    reference to f0."""
     steps = check_step_count(T, cfg.dt, snapshot_every)
-    g, rate = f0.grid, _quintic(cfg.b0)
-    m = _rotation_n(g.n, cfg.dealias)
+    g = f0.grid
     c, samples = f0._take() if take else (np.array(f0.coefficients), f0._samples())
     del f0
-    z = _resampled(c, m)
-    v = samples if m == g.n and samples is not None else np.empty_like(z)
-    vn = _head(v, g.shape)
-    if samples is None:
-        _ifftn(c, out=vn)
-        vn *= g.size
-    elif v is not samples:
-        vn[...] = samples
-    del samples
+    flow = _flow(g, c, samples, cfg.dt, steps, snapshot_every, _quintic(cfg.b0), cfg.dealias)
     rows = []
-    for s in range(0, steps + 1, snapshot_every):
-        if s:
-            if m != g.n:
-                _zero_past_band(z, g.n)
-                _ifftn(z, out=v, norm="forward")
-            _strang(v, z, g.n, cfg.dt, snapshot_every, rate)
-            c = z if m == g.n else _resampled(z, g.n)
-            if not np.all(np.isfinite(c)):
-                raise BlowUpError(f"non-finite state at t={s * cfg.dt:.6g} "
-                                  f"(mass {rows[-1][1]:.3e} at t={rows[-1][0]:.6g})")
-            if m != g.n:
-                _ifftn(c, out=vn)
-                vn *= g.size
-        rows.append([s * cfg.dt] + _row(g, c, vn, split_m, diag_ms, cfg.b0))
+    for i, (c, v) in enumerate(flow):
+        if cfg.dealias:  # the row's samples in v's memory, the datum's own at t = 0
+            head = v.reshape(-1)[:g.size].reshape(g.shape)
+            v = TorusField._from_pair(g, c, samples)._samples(head)
+        samples = None
+        rows.append([i * snapshot_every * cfg.dt] + _row(g, c, v, split_m, diag_ms, cfg.b0))
     return rows
 
 

@@ -41,6 +41,8 @@ from .grids import (
 # free_propagate is unused here; perfbench's tracing test asserts it is bound to nls.free_propagate
 from .nls import _free_product, _paired, free_propagate, free_sample  # noqa: F401
 
+_MAX_PROBE_WORK = 2**28  # _check_probe_work: 1.4 times the default bilinear probe, the largest
+
 
 def _trapezoid_times(T: float, nt: int) -> tuple[np.ndarray, np.ndarray]:
     ts = np.linspace(0.0, T, nt)
@@ -107,6 +109,14 @@ def check_sample_count(samples: int) -> None:
     """A probe draws at least one sample per parameter tuple."""
     if not samples >= 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+
+
+def _check_probe_work(samples: int, work: int) -> None:
+    """The work rule: samples x the summed nt x evaluation-grid points of a probe's
+    parameter tuples (nt = 1 without a time quadrature) within _MAX_PROBE_WORK."""
+    if samples * work > _MAX_PROBE_WORK:
+        raise ValueError(f"{float(samples * work):.3g} samples x times x grid points "
+                         f"pass the cap {_MAX_PROBE_WORK}")
 
 
 def check_time_window(T: float, nt: int, min_nt: int = 2) -> None:
@@ -412,8 +422,8 @@ def _collect(lemma_id, seed, samples, grid_tuples, ratio_fn) -> ProbeReport:
 def _strichartz_probe(seed: int, /, *, samples: int = 100, ms: list[float] = (2, 4, 8),
                       p: float = 4.0, T: float = 1.0, nt: int = 40, n: int = 16):
     grid = GridSpec(3, n)
-    for m in ms:
-        _strichartz_grid(m, p, T, nt, min(int(m), grid.nyquist))
+    sides = [_strichartz_grid(m, p, T, nt, min(int(m), grid.nyquist)) for m in ms]
+    _check_probe_work(samples, nt * sum(s**3 for s in sides))
     yield
 
     def fn(rng, m):
@@ -425,13 +435,14 @@ def _strichartz_probe(seed: int, /, *, samples: int = 100, ms: list[float] = (2,
 
 def _bilinear_probe(seed: int, /, *, samples: int = 12, m1s: list[float] = (4, 8, 16, 32),
                     m2: float = 4, delta: float = 0.02, T: float = 1.0, nt: int = 33, n: int = 16):
-    grids = {}
+    grids, work = {}, 0
     for m1 in m1s:  # the field grid at shell m1: at least n, and holding the shell
         side = max(n, 2 * m1 + 4)
         # charged before the 11-smooth search; a side past 2^24 is over budget, and its cube finite
         check_entries("field grid", min(side, 2**24) ** 3)
         grids[m1] = GridSpec(3, _next_even(side))
-        _bilinear_grid(m1, m2, delta, T, nt, grids[m1].n)
+        work += nt * _bilinear_grid(m1, m2, delta, T, nt, grids[m1].n) ** 3
+    _check_probe_work(samples, work)
     yield
 
     def fn(rng, m1):
@@ -446,8 +457,8 @@ def _refined_sobolev_probe(seed: int, /, *, samples: int = 40, ms: list[float] =
                            rs: list[float] = (16, 32), which: int = 3, n: int = 32, band: int = 12):
     grid = GridSpec(3, n)
     grid_tuples = [(m, r) for m in ms for r in rs]
-    for m, r in grid_tuples:
-        _refined_sobolev_grid(m, r, which, min(band, grid.nyquist))
+    sides = [_refined_sobolev_grid(m, r, which, min(band, grid.nyquist)) for m, r in grid_tuples]
+    _check_probe_work(samples, sum(s**3 for s in sides))
     yield
 
     def fn(rng, m, r):
@@ -461,7 +472,7 @@ def _multilinear_probe(seed: int, /, *, samples: int = 50, variant: str = "Old1"
                        m0: float = 4.0, T: float = 1.0, nt: int = 32, n: int = 8):
     grid = GridSpec(3, n)
     band = max(2, n // 4)  # at most the Nyquist mode, as n >= 4
-    _multilinear_grid(variant, m0, T, nt, band)
+    _check_probe_work(samples, nt * _multilinear_grid(variant, m0, T, nt, band) ** 3)
     yield
 
     def fn(rng, _):
@@ -475,6 +486,7 @@ def _approx_identity_probe(seed: int, /, *, samples: int = 20, n: int = 512, ban
                            alphas: list[float] = (0.25, 0.125, 0.0625)):
     grid = GridSpec(1, n)
     check_alphas(alphas, grid)
+    _check_probe_work(samples, len(alphas) * n)
     yield
 
     def fn(rng, *_):

@@ -775,6 +775,11 @@ BAD_CONFIGS = [
     ("chaos", {**_CHAOS, "initial": {**_BAND2, "scale": 1e300}}, "initial"),
     # a moment order whose bound (2 r/N + 1)^k, 17.03^300, is past the largest float
     ("manybody-run", {**_MB, "N": 3, "moments": [300]}, "moments"),
+    # a probe past the work rule: 100 samples x 3 tuples x 10^6 times x its grid points
+    ("probe", {"lemma": "strichartz", "options": {"nt": 1000000}}, "options"),
+    # a many-body flow past the work rule: series of about 8,956 summed terms, each
+    # an H-apply over m p = 868,224 entries, about 90 s
+    ("residuals", {**_RES, "n": 16, "N": 7, "spacings": [0.02, 12]}, "spacings"),
 ]
 
 

@@ -156,9 +156,9 @@ class TestProductForm:
             flat = [manybody._on_slot(np.arange(m), s, N) for s in range(N)]
             want = triple_diagonal(vbar, N, flat).reshape(cfg.state_shape)
             assert np.abs(manybody._cached_tables(cfg) - want).max() <= 1e-13 * want.max()
-        # the Hartree rate of mean_field_flow, read off the split-step call
+        # the Hartree rate of mean_field_flow, read off the call of nls._advance
         rates = []
-        monkeypatch.setattr(marginals, "_split_steps", lambda *args, **kw: rates.append(args[3]))
+        monkeypatch.setattr(marginals, "_advance", lambda *args, **kw: rates.append(args[3]))
         marginals.mean_field_flow(smooth_phi(cfg.grid, seed=N), 0.01, 0.01, cfg)
         rho = np.random.default_rng(N).random(m)
         want = 0.5 * np.einsum("xyz,y,z->x", vbar, rho, rho) * dv**2

@@ -645,6 +645,23 @@ class TestTimeseries:
         with pytest.raises(BlowUpError, match="non-finite state at t=0.01"):
             nls.timeseries(f, 0.02, NlsConfig(g, 1.0, 0.01, dealias), 1, 2, [2])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_evolve_and_timeseries_blow_up_alike(self, dealias):
+        # a free flow (b0 = 0) that focuses a spread datum onto x = 0 at t = 0.5,
+        # 16/7 times its largest sample at t = 0: there |u|^4 overflows and the
+        # rotation's phase inf * 0 is NaN, in the second snapshot interval
+        g = GridSpec(1, 16)
+        f = free_propagate(TorusField(g, np.full(16, 1e76 + 0j)), -0.5)
+        cfg = NlsConfig(g, 0.0, 0.125, dealias)
+        errors = []
+        for run in (lambda: evolve(f, 1.0, cfg, snapshot_every=2),
+                    lambda: nls.timeseries(f, 1.0, cfg, 2, 2, [2])):
+            with pytest.raises(BlowUpError) as info:
+                run()
+            errors.append(str(info.value))
+        assert errors == ["non-finite state at t=0.5"] * 2
+
 
 def _full_array_row(g, z, v, split_m, diag_ms, b0):
     """The snapshot row with every sum taken over the whole grid at once, as
@@ -743,7 +760,7 @@ class TestChunks:
             shapes.append(a.shape)
             return a
 
-        nls._split_steps(smooth_random(g, 3), 0.01, 2, rate, dealias=False)
+        nls._advance(smooth_random(g, 3), 0.01, 2, rate, dealias=False)
         assert len(shapes) == 3 and set(shapes) == {g.shape}  # N(dt/2) N(dt) N(dt/2)
 
     @pytest.mark.parametrize("dealias", [False, True])
