@@ -42,14 +42,14 @@ from .manybody import (
     potential_mass, propagate, stability_check,
 )
 from .marginals import (
-    bbgky_residual, chaos_experiment, check_hierarchy_order,
+    MEAN_FIELD_STEPS, _check_spacing, bbgky_residual, chaos_experiment, check_hierarchy_order,
     check_marginal_order, check_rank_one_order, gp_residual, hufl_factorized,
 )
 from .nls import (
     BlowUpError, NlsConfig, check_diagnostic_cutoffs, check_flow_work, check_step_count, evolve,
     timeseries,
 )
-from .probes import check_sample_count, probe_runner
+from .probes import probe_runner
 
 SCHEMA_VERSION = 1
 
@@ -114,7 +114,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Bind params to the runner and run it to its yield, kept in `pending`.
         Every failure is listed as params.<key>: <message>; a ParameterError's
-        key is the argument it names if the kind has it, else the step's."""
+        key is the argument it names if the config gave it, else the step's."""
         p = _bind(_RUNNERS[self.kind], self.params, "params", self.kind)
         errors = [f"params.{key}: must be > 0" for key, value in p.items()
                   if key in _POSITIVE and value is not None and value <= 0]
@@ -128,7 +128,7 @@ class ExperimentConfig:
                 errors.extend(exc.errors)
             except (ValueError, TypeError, LookupError, OSError) as exc:
                 name = getattr(exc, "name", None)
-                errors.append(f"params.{name if name in p else key}: {exc}")
+                errors.append(f"params.{name if name in self.params else key}: {exc}")
 
         run = _RUNNERS[self.kind](attempt, self.seed, **p)
         next(run)
@@ -418,8 +418,9 @@ def _run_chaos(attempt, seed: int, /, *, d: int, n: int, initial: dict, beta: fl
     mbs = _configs(attempt, grid, potential, beta, Ns, [T], "Ns")
     for mb in mbs:  # what marginal forms
         attempt("Ns", mb.check_factor_budget, 1, 2, 1)
-    if grid and T > 0:  # the mean-field side's 200 steps; the run tabulates its coupling
-        attempt("T", lambda: check_step_count(T, NlsConfig(grid, 0.0, T / 200).dt, 200))
+    if grid and T > 0:  # the mean-field side's steps; the run tabulates its coupling
+        attempt("T", lambda: check_step_count(T, NlsConfig(grid, 0.0, T / MEAN_FIELD_STEPS).dt,
+                                              MEAN_FIELD_STEPS))
     phi = _field(attempt, grid, initial, seed, unit=True)
     out, report = yield
     rows = chaos_experiment(mbs, phi, float(T))
@@ -450,9 +451,11 @@ def _run_residuals(attempt, seed: int, /, *, d: int, n: int, initial: dict, N: i
     attempt("k", check_hierarchy_order, k, N)
     if grid:  # the k-marginals of both residuals
         attempt("k", check_rank_one_order, grid, k)
-    # the run's coupling comes from the tabulated potential; only dt is checked here
+    # the run's coupling comes from the tabulated potential; only dt is checked here,
+    # and the centred difference's 1/(2h)
     for h in spacings:
         attempt("spacings", lambda: NlsConfig(grid, 0.0, h / 4, dealias=False))
+        attempt("spacings", _check_spacing, h)
     out, report = yield
     mb = mbs[0]
     b0 = potential_mass(mb)
@@ -537,10 +540,8 @@ def _run_probe(attempt, seed: int, /, *, lemma: str, samples: int = None, option
     opts = {**(options or {}), **({} if samples is None else {"samples": samples})}
     kwargs = runner and attempt("options", _bind, runner, opts, "params.options", lemma)
     if kwargs:
-        # one rule, named by the key the count came from
-        attempt("options" if samples is None else "samples", check_sample_count, kwargs["samples"])
         probe = runner(seed, **kwargs)
-        attempt("options", next, probe)  # the probe's own checks and evaluation grids
+        attempt("options", next, probe)  # the probe's own checks, evaluation grids and work
     out, report = yield
     probe_report = next(probe)
     jpath = out / f"probe_{lemma}.json"

@@ -271,11 +271,9 @@ def _triple_diagonal(config: ManyBodyConfig, x) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _kinetic_matrix(n: int) -> np.ndarray:
-    """D = F^-1 diag(xi^2) F on one axis of n points."""
-    # circulant D[x, y] = c[x - y], c = F^-1 xi^2 even; folding |x - y| keeps D symmetric
-    c = np.fft.ifft(_xi_squared(1, n)).real
-    gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    return c[np.minimum(gap, n - gap)]
+    """D = F^-1 diag(xi^2) F on one axis of n points: the circulant D[x, y] = c[x - y],
+    c = F^-1 xi^2 even, read at the folded offset (_relative_index_table), so D is symmetric."""
+    return np.fft.ifft(_xi_squared(1, n)).real[_relative_index_table(1, n)]
 
 
 def _kinetic(a: np.ndarray, naxes: int) -> np.ndarray:
@@ -577,10 +575,6 @@ def apply_hamiltonian_raw(config: ManyBodyConfig, amps: np.ndarray) -> np.ndarra
     if diag is not None:
         s += diag * amps
     return s
-
-
-def apply_hamiltonian(psi: BosonicState) -> np.ndarray:
-    return apply_hamiltonian_raw(psi.config, psi.amps)
 
 
 def energy(psi: BosonicState) -> float:

@@ -54,6 +54,8 @@ from .manybody import (
 )
 from .nls import NlsConfig, Trajectory, _advance, check_step_count, evolve
 
+MEAN_FIELD_STEPS = 200  # chaos_experiment's Strang steps to T on the mean-field side
+
 
 @dataclass
 class KthMarginal:
@@ -167,6 +169,12 @@ def _centred_residual(before: np.ndarray, after: np.ndarray, h: float, rhs: np.n
     """||i (after - before) / 2h - rhs||_F: a hierarchy residual, with the time
     derivative a centred difference of the marginals h before and after."""
     return float(np.linalg.norm(1j * (after - before) / (2.0 * h) - rhs))
+
+
+def _check_spacing(h: float) -> None:
+    """_centred_residual's rule for a spacing h > 0: a finite 1/(2h)."""
+    if h > 0 and not np.isfinite(1.0 / (2.0 * h)):
+        raise ValueError(f"1/(2h) at h = {h} is past the largest float")
 
 
 def bbgky_residual(snapshots: list[BosonicState], times: np.ndarray, k: int) -> float:
@@ -303,7 +311,7 @@ def chaos_experiment(configs: list[ManyBodyConfig], phi0: TorusField, T: float) 
     """Distance between the one-particle marginal of the evolved N-body state
     and the mean-field projector, for each of `configs` (one per N, on phi0's grid).
 
-    The mean-field side evolves phi0 to T in 200 Strang steps of the quintic NLS
+    The mean-field side evolves phi0 to T in MEAN_FIELD_STEPS Strang steps of the quintic NLS
     with coupling b0 equal to the grid mass of the tabulated interaction, once per
     distinct b0.  The N-body side starts from the normalized phi0, so phi0 must
     have unit L2 norm to 1e-12; any other phi0, or a config off its grid, raises ValueError.
@@ -319,7 +327,8 @@ def chaos_experiment(configs: list[ManyBodyConfig], phi0: TorusField, T: float) 
         psiT = propagate(BosonicState.factorized(config, phi0), T)
         if b0 not in flows:
             flows[b0] = phi0 if T == 0 else evolve(
-                phi0, T, NlsConfig(phi0.grid, b0, T / 200), snapshot_every=200).states[-1]
+                phi0, T, NlsConfig(phi0.grid, b0, T / MEAN_FIELD_STEPS),
+                snapshot_every=MEAN_FIELD_STEPS).states[-1]
         rows.append(
             ChaosRow(
                 N=config.N,

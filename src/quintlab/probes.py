@@ -22,6 +22,7 @@ import numpy as np
 from .grids import (
     FrequencyCube,
     GridSpec,
+    ParameterError,
     TorusField,
     _dot,
     _fftn,
@@ -105,18 +106,15 @@ def _band_grid(f: TorusField) -> TorusField:
     return f.resample(2 * max(hi + 1, -lo, 2))
 
 
-def check_sample_count(samples: int) -> None:
-    """A probe draws at least one sample per parameter tuple."""
-    if not samples >= 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-
-
 def _check_probe_work(samples: int, work: int) -> None:
-    """The work rule: samples x the summed nt x evaluation-grid points of a probe's
-    parameter tuples (nt = 1 without a time quadrature) within _MAX_PROBE_WORK."""
+    """The sample and work rules: at least one sample per parameter tuple, and samples x
+    the summed nt x evaluation-grid points of a probe's parameter tuples (nt = 1 without
+    a time quadrature) within _MAX_PROBE_WORK."""
+    if not samples >= 1:
+        raise ParameterError("samples", f"samples must be >= 1, got {samples}")
     if samples * work > _MAX_PROBE_WORK:
-        raise ValueError(f"{float(samples * work):.3g} samples x times x grid points "
-                         f"pass the cap {_MAX_PROBE_WORK}")
+        raise ParameterError("samples", f"{float(samples * work):.3g} samples x times x grid "
+                             f"points pass the cap {_MAX_PROBE_WORK}")
 
 
 def check_time_window(T: float, nt: int, min_nt: int = 2) -> None:
@@ -404,7 +402,6 @@ class ProbeReport:
 
 
 def _collect(lemma_id, seed, samples, grid_tuples, ratio_fn) -> ProbeReport:
-    check_sample_count(samples)
     report = ProbeReport(lemma_id, samples, seed, grid_tuples)
     overall = []
     for idx, tup in enumerate(grid_tuples):
@@ -486,7 +483,8 @@ def _approx_identity_probe(seed: int, /, *, samples: int = 20, n: int = 512, ban
                            alphas: list[float] = (0.25, 0.125, 0.0625)):
     grid = GridSpec(1, n)
     check_alphas(alphas, grid)
-    _check_probe_work(samples, len(alphas) * n)
+    # a 1-D point counts 16, as it costs more than a 3-D one, and a grid at least 1,024 points
+    _check_probe_work(samples, 16 * len(alphas) * max(n, 1024))
     yield
 
     def fn(rng, *_):

@@ -1,6 +1,7 @@
 """Binary dumps, config validation, CLI dispatch, determinism."""
 
 import csv
+import importlib.util
 import inspect
 import io
 import itertools
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quintlab import cli, grids, manybody, marginals, nls, probes
+from quintlab import cli, couplings, grids, manybody, marginals, nls, probes
 from quintlab.cli import (
     ExperimentConfig,
     ValidationError,
@@ -23,7 +24,7 @@ from quintlab.cli import (
 )
 from quintlab.couplings import MINUS, PLUS, CollapseMap, SignedExpansion, classify_couplings
 from quintlab.grids import GridSpec, TorusField
-from quintlab.io import dump_field, dump_state, load_field, load_state, write_csv
+from quintlab.io import dump_field, dump_state, load_field, load_state, write_csv, write_json
 from quintlab.manybody import BosonicState, ManyBodyConfig, energy
 from quintlab.marginals import hufl_factorized
 
@@ -539,6 +540,30 @@ class TestMainEntry:
                              parse_constant=refuse)
         assert payload["max_ratio"] == 0.0
 
+    @pytest.mark.parametrize("lemma,options", [
+        ("strichartz", {"ms": [2], "n": 8, "nt": 32}),
+        ("bilinear", {"m1s": [4], "n": 8, "nt": 3}),
+        ("refined_sobolev", {"ms": [2], "rs": [4], "n": 16, "band": 6}),
+        ("multilinear", {"variant": "MLFL1", "n": 8, "nt": 3}),
+        ("approx_identity", {"n": 128, "band": 10, "alphas": [0.5, 0.25]}),
+    ])
+    def test_probe_writes_the_report_of_run_probe(self, tmp_path, capsys, lemma, options):
+        # `lab probe` is the one way to collect a probe's report: its JSON as write_json
+        # writes run_probe's, and a CSV of the report's ratio table
+        options = {**options, "samples": 2}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"kind": "probe", "seed": 3,
+                                    "params": {"lemma": lemma, "options": options}}))
+        assert main(["probe", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        report = probes.run_probe(lemma, 3, **options)
+        write_json(tmp_path / "want.json", report.to_dict())
+        got = tmp_path / "out" / f"probe_{lemma}.json"
+        assert got.read_bytes() == (tmp_path / "want.json").read_bytes()
+        with open(tmp_path / "out" / f"probe_{lemma}.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["parameters", "max_ratio"]
+        assert {key: float(ratio) for key, ratio in rows} == report.ratio_table
+
     def test_validation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "nls-run", "params": {"d": 9}}))
@@ -590,6 +615,26 @@ _RES = {"d": 1, "n": 8, "N": 3, "beta": 0.05, "k": 1, "spacings": [0.02, 0.01],
 _HUFL = {"d": 1, "n": 16, "M": 4, "eps": 0.9, "ks": [1], "initial": _BAND2}
 _CHAOS = {"d": 1, "n": 8, "beta": 0.05, "T": 0.02, "Ns": [2, 3], "initial": _BAND2}
 _DEMO_CONFIGS = sorted(Path(__file__).parent.parent.glob("configs/*.json"))
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded without writing bytecode under perfbench/."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+_WORKLOADS = _workloads()
+# every demo config and every config of each benchmark workload's tiny seed-1 batch
+_CHARGE_CASES = [pytest.param(json.loads(p.read_text()), id=p.stem) for p in _DEMO_CONFIGS] + [
+    pytest.param(raw, id=f"{name}-{i}") for name in sorted(_WORKLOADS.WORKLOADS)
+    for i, raw in enumerate(_WORKLOADS.batch(name, 1, tiny=True))]
 
 
 def _truncated_field(tmp_path):
@@ -780,6 +825,10 @@ BAD_CONFIGS = [
     # a many-body flow past the work rule: series of about 8,956 summed terms, each
     # an H-apply over m p = 868,224 entries, about 90 s
     ("residuals", {**_RES, "n": 16, "N": 7, "spacings": [0.02, 12]}, "spacings"),
+    # a spacing whose centred difference 1/(2h) is past the largest float: NaN ratios
+    ("residuals", {**_RES, "spacings": [0.02, 1e-310]}, "spacings"),
+    # approx_identity at the old count's cap: 1,365 samples at n = 65,536, about 44 s
+    ("probe", {"lemma": "approx_identity", "options": {"n": 65536, "samples": 1365}}, "options"),
 ]
 
 
@@ -903,6 +952,26 @@ class TestBadConfigs:
         run_experiment(cfg, tmp_path)
         assert charged and charged.keys() <= build.keys()
         assert all(charged[what] <= build[what] for what in charged)
+
+    @pytest.mark.parametrize("raw", _CHARGE_CASES)
+    def test_run_charges_no_more_than_its_build_pass(self, tmp_path, monkeypatch, raw):
+        # an accepted config either runs or is rejected: no array that a run charges to
+        # the budget is larger than the largest its build pass charged
+        charged, check = [], grids.check_entries
+
+        def spy(what, entries, name=None):
+            charged.append(entries)
+            check(what, entries, name)
+
+        for module in (grids, manybody, marginals, nls, probes, couplings):
+            monkeypatch.setattr(module, "check_entries", spy)
+            for memo in vars(module).values():  # from cold memos, as a fresh process runs
+                if callable(getattr(memo, "cache_clear", None)):
+                    memo.cache_clear()
+        cfg = ExperimentConfig.from_dict(raw)
+        build, charged[:] = max(charged, default=0), []
+        run_experiment(cfg, tmp_path)
+        assert max(charged, default=0) <= build
 
     def test_residuals_budget_counts_the_states_the_run_holds(self):
         # d=1 n=128 N=3 at spacings 0.04, 0.02, 0.01: four distinct times, so four

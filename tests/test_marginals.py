@@ -13,7 +13,7 @@ from quintlab.manybody import (
     BosonicState,
     GaussianPotential,
     ManyBodyConfig,
-    apply_hamiltonian,
+    apply_hamiltonian_raw,
     propagate,
 )
 from quintlab.marginals import (
@@ -199,7 +199,7 @@ class TestBbgkyResidual:
         g = GridSpec(d, n)
         cfg = ManyBodyConfig(g, N, 0.05 if k == 1 else 0.03)
         psi = BosonicState.random_symmetric(cfg, np.random.default_rng(10 + k), band=2)
-        dpsi = -1j * apply_hamiltonian(psi)
+        dpsi = -1j * apply_hamiltonian_raw(psi.config, psi.amps)
         m = g.size
         a = psi.amps.reshape(m**k, -1)
         da = dpsi.reshape(m**k, -1)
