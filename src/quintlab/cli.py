@@ -6,15 +6,16 @@ Subcommands: nls-run, manybody-run, chaos, residuals, hufl, couplings, probe.
 Configs are JSON objects.  The keyword parameters of `_run_<kind>` (of
 `_initial_<kind>` for params.initial, of the dataclass for params.potential,
 of the lemma's probe in probes.PROBE_RUNNERS for params.options) declare
-each key once: the annotation gives its JSON type, the default its default,
-no default makes it required.  Validation binds params to them and runs `_run_<kind>`
-up to its `yield`: that is the build pass, which constructs the domain
-objects the run after it uses, so every value rule is the one its owning
-module enforces.  All randomness derives from the single config seed
-through numpy's PCG64 generator, so rerunning a config reproduces every
-numeric artifact byte-for-byte, whatever the BLAS thread count.  Exit codes:
-0 pass, 1 in-run tolerance failure (a failed check, a propagation tolerance
-out of reach or a blow-up), 2 validation error.
+each key once: the annotation gives its JSON type (_JSON_TYPES, whose numbers
+are those a float holds), the default its default, no default makes it required.
+Validation binds params to them and runs `_run_<kind>` up to its `yield`: that
+is the build pass, which constructs the domain objects the run after it uses,
+so every value rule is the one its owning module enforces.  All randomness
+derives from the single config seed through numpy's PCG64 generator, so
+rerunning a config reproduces every numeric artifact byte-for-byte, whatever
+the BLAS thread count.  Exit codes: 0 pass, 1 in-run tolerance failure (a
+failed check, a propagation tolerance out of reach or a blow-up), 2
+validation error.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ class ExperimentConfig:
         if not isinstance(params, dict):
             errors.append("params: must be an object")
             params = {}
-        errors += [f"{path}: must be a finite number" for path in _non_finite(params, "params")]
         if errors:
             raise ValidationError(errors)
         cfg = cls(kind, params, seed)
@@ -115,11 +115,7 @@ class ExperimentConfig:
         """Bind params to the runner and run it to its yield, kept in `pending`.
         Every failure is listed as params.<key>: <message>; a ParameterError's
         key is the argument it names if the config gave it, else the step's."""
-        p = _bind(_RUNNERS[self.kind], self.params, "params", self.kind)
-        errors = [f"params.{key}: must be > 0" for key, value in p.items()
-                  if key in _POSITIVE and value is not None and value <= 0]
-        if "T" in p and p["T"] < 0:
-            errors.append("params.T: must be >= 0")
+        p, errors = _bind(_RUNNERS[self.kind], self.params, "params", self.kind), []
 
         def attempt(key, build, *args):
             try:
@@ -143,7 +139,13 @@ def _is_int(x) -> bool:
 
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """An int or a float that a float holds: false for NaN, for infinities (Python's
+    json reads them, JSON has none) and for an integer past the largest float."""
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+
+
+def _is_count(x) -> bool:
+    return _is_int(x) and _is_num(x)
 
 
 def _is_number_text(cell: str) -> bool:
@@ -154,33 +156,24 @@ def _is_number_text(cell: str) -> bool:
     return True
 
 
-def _non_finite(value, path: str) -> list[str]:
-    """The path of each key under `path` whose value holds a NaN or an infinity
-    (Python's json reads them, JSON has none); a list is named by its key."""
-    if isinstance(value, dict):
-        return [bad for key, v in value.items() for bad in _non_finite(v, f"{path}.{key}")]
-    if isinstance(value, list):
-        return [path] if any(_non_finite(v, path) for v in value) else []
-    return [path] if isinstance(value, float) and not np.isfinite(value) else []
-
-
 def _list_of(test):
     return lambda x: isinstance(x, list) and len(x) > 0 and all(map(test, x))
 
 
 # Each annotation a declared key may carry: what its JSON value must be, and the test.
+# A number must be one that a float holds.
 _JSON_TYPES = {
-    "int": ("an integer", _is_int),
-    "float": ("a number", _is_num),
-    "float | None": ("a number or null", lambda x: x is None or _is_num(x)),
+    "int": ("an integer within float range", _is_count),
+    "float": ("a finite number", _is_num),
+    "float | None": ("a finite number or null", lambda x: x is None or _is_num(x)),
     "bool": ("a boolean", lambda x: isinstance(x, bool)),
     "str": ("a string", lambda x: isinstance(x, str)),
     "dict": ("an object", lambda x: isinstance(x, dict)),
     "list": ("a nonempty list", lambda x: isinstance(x, list) and len(x) > 0),
-    "list[int]": ("a nonempty list of integers", _list_of(_is_int)),
-    "list[float]": ("a nonempty list of numbers", _list_of(_is_num)),
-    "list[tuple[int, float]]": ("a nonempty list of [integer, number] pairs", _list_of(
-        lambda x: isinstance(x, list) and len(x) == 2 and _is_int(x[0]) and _is_num(x[1]))),
+    "list[int]": ("a nonempty list of integers within float range", _list_of(_is_count)),
+    "list[float]": ("a nonempty list of finite numbers", _list_of(_is_num)),
+    "list[tuple[int, float]]": ("a nonempty list of [integer, finite number] pairs", _list_of(
+        lambda x: isinstance(x, list) and len(x) == 2 and _is_count(x[0]) and _is_num(x[1]))),
 }
 
 
@@ -208,10 +201,6 @@ def _spec(kinds: dict, spec: dict, where: str):
     if kind not in tuple(kinds):  # a list is no kind, and unhashable
         raise ValueError(f"kind must be one of {tuple(kinds)}, got {kind!r}")
     return kinds[kind], _bind(kinds[kind], kwargs, where, kind)
-
-
-# Run-level rules that no domain function owns.
-_POSITIVE = ("snapshot_every", "eps")
 
 
 def _unit(f: TorusField, scale: float = 1.0) -> TorusField:
@@ -365,19 +354,16 @@ def _run_manybody(attempt, seed: int, /, *, d: int, n: int, initial: dict, N: in
     grid = attempt("n", GridSpec, d, n)
     from_file = initial.get("kind") == "file"
     mbs = _configs(attempt, grid, potential, beta, [N], [T], "N", sum(moments))
-    for mb in mbs:
-        if stability:  # the stability norms
-            attempt("N", mb.check_factor_budget, min(max(k for k, _ in stability), N), 2)
-        if dump_state or from_file:  # each streams a state file
-            attempt("N", mb.check_file_budget)
+    for mb in mbs if dump_state else []:  # the dump; a read state file charges itself
+        attempt("N", mb.check_file_budget)
     phi = None if from_file else _field(attempt, grid, initial, seed)
     entries = []  # a state file's checked sorted-tuple entries, held by this list alone
     if from_file and attempt("initial.path", _spec, _INITIAL, initial, "params.initial") and mbs:
         entries.append(attempt("initial.path", qio.check_state_file, mbs[0], Path(initial["path"])))
     for k in moments if mbs else []:
         attempt("moments", check_moment_order, k, mbs[0])
-    for k, c1 in stability:
-        attempt("stability", check_stability_order, k, float(c1), N)
+    for k, c1 in stability if mbs else []:
+        attempt("stability", check_stability_order, k, float(c1), mbs[0])
     out, report = yield
     mb = mbs[0]
     if from_file:  # a complex64 dump has unit norm only to float32 rounding
@@ -445,10 +431,9 @@ def _run_residuals(attempt, seed: int, /, *, d: int, n: int, initial: dict, N: i
     spacings = [float(h) for h in spacings]
     times = sorted({t for h in spacings for t in (h, 2 * h)})  # the run's times
     mbs = _configs(attempt, grid, potential, beta, [N], times, "spacings")
-    for mb in mbs:  # what bbgky_rhs forms; a k past N is named below
-        attempt("N", mb.check_factor_budget, min(k, N), 4, 2)
     phi0 = _field(attempt, grid, initial, seed, unit=True)
-    attempt("k", check_hierarchy_order, k, N)
+    for mb in mbs:
+        attempt("k", check_hierarchy_order, k, mb)
     if grid:  # the k-marginals of both residuals
         attempt("k", check_rank_one_order, grid, k)
     # the run's coupling comes from the tabulated potential; only dt is checked here,
@@ -478,7 +463,9 @@ def _run_residuals(attempt, seed: int, /, *, d: int, n: int, initial: dict, N: i
 
 
 def _hufl_bound(eps: float, k: int) -> float:
-    """eps^(2k), the bound hufl checks at order k, as a finite float."""
+    """eps^(2k), the bound hufl checks at order k, for eps > 0 and as a finite float."""
+    if eps <= 0:
+        raise ValueError("must be > 0")
     try:
         return float(eps) ** (2 * k)
     except OverflowError:

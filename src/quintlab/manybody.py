@@ -161,21 +161,26 @@ class ManyBodyConfig:
         its (n^d)^N entries, which, as n^d >= 4, bound their tables and scratch."""
         check_entries("state file", self.grid.size**self.N, "N")
 
-    def check_run_budget(self, times: Sequence[float], applies: int = 0):
-        """All that every run to `times` holds at once: the (n^d)^2 interaction
+    def check_run_budget(self, times: float | Sequence[float], applies: int = 0):
+        """propagate's time rule, finite times >= 0 in non-decreasing order, named T,
+        and all that every run to `times` holds at once: the (n^d)^2 interaction
         table, the sector tables with their scratch (see _sector_entries), which
         its energies build even at t = 0, and, when a time is > 0, propagate's
         series: the state, T_{k-1}, T_k, T_{k+1} and a product's temporary, and per
         distinct time s > 0 a sector vector and K + 1 coefficients, K = _table_degree
-        of s r, r the _radius_bound that _propagate sums over, capped at _SERIES_TOL's
-        rounding floor (past it _propagate raises first), with the FFT of the largest table,
+        of s r, r the _radius_bound that propagate sums over, capped at _SERIES_TOL's
+        rounding floor (past it propagate raises first), with the FFT of the largest table,
         4 K.  Tables that break the budget alone name N; else the total names its
         caller's key, as does the work rule: the summed K and `applies` further
         H-applies (energy moments), each m p gathered entries, within _MAX_APPLY_WORK.
         No full tensor: see check_budget and check_file_budget."""
+        t = np.atleast_1d(np.asarray(times, dtype=np.float64))
+        if not (t.ndim == 1 and np.all(np.isfinite(t) & (np.diff(t, prepend=0.0) >= 0.0))):
+            raise ParameterError(
+                "T", f"propagate needs finite times >= 0 in non-decreasing order; got {times!r}")
         m = self.grid.size
         check_entries("interaction table", m**2, "N")
-        later, tables = {float(t) for t in times if t > 0}, _sector_entries(self)
+        later, tables = set(t[t > 0].tolist()), _sector_entries(self)
         check_entries("sector tables", tables, "N")
         floor, radius = _SERIES_TOL / np.finfo(np.float64).eps, _radius_bound(self)
         degrees = [_table_degree(np.fmin(s * radius, floor)) for s in later]
@@ -188,11 +193,11 @@ class ManyBodyConfig:
                           vectors + sum(degrees) + len(degrees) + 4 * max(degrees) + tables)
 
     def check_factor_budget(self, k: int, factors: int, marginals: int = 0):
-        """What a k-particle quantity of a state forms beside the run: `factors` arrays of
-        B_k's shape (_annihilate; at k = N a full tensor) and `marginals` (m^k)^2 matrices."""
+        """What a k-particle quantity of a state forms beside the run, named N: `factors`
+        arrays of B_k's shape (_annihilate; at k = N a full tensor) and `marginals` k-marginals."""
         m = self.grid.size
         check_entries(f"{k}-particle factors ({factors}) and {k}-marginals ({marginals})",
-                      factors * m**k * _sector_dim(m, self.N - k) + marginals * m ** (2 * k))
+                      factors * m**k * _sector_dim(m, self.N - k) + marginals * m ** (2 * k), "N")
 
 
 @functools.lru_cache(maxsize=None)
@@ -681,7 +686,7 @@ def propagate(psi: BosonicState, t: float | Sequence[float]) -> BosonicState | l
     """exp(-i t H) psi for a finite t >= 0, or the list of exp(-i s H) psi for
     a non-decreasing sequence of such times s (equal times share one state).
     A zero time, or any time for the zero state, gives psi itself.  Other t
-    raise ValueError up front.
+    raise ValueError up front, from check_run_budget, which owns that rule.
 
     Every time comes from one Chebyshev series (_chebyshev) over the a-priori
     interval [0, 2 r] of H (_radius_bound), each cut where its tail bound is
@@ -690,21 +695,12 @@ def propagate(psi: BosonicState, t: float | Sequence[float]) -> BosonicState | l
     t H only to about eps * T r, T the largest time: where that passes 1e-11,
     PropagationToleranceError is raised before any H-apply.
     """
-    times = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if not (times.ndim == 1 and np.all(np.isfinite(times) & (np.diff(times, prepend=0.0) >= 0.0))):
-        raise ValueError(f"propagate needs finite times >= 0 in non-decreasing order; got t={t!r}")
-    states = _propagate(psi, times)
-    return states[0] if np.ndim(t) == 0 else states
-
-
-def _propagate(psi: BosonicState, times: np.ndarray):
-    """propagate at the checked times; its budget, rounding floor and series cut all
-    take _SERIES_TOL."""
     config = psi.config
-    config.check_run_budget(times)
+    config.check_run_budget(t)
+    times = np.atleast_1d(np.asarray(t, dtype=np.float64))
     span = float(times[-1]) if times.size else 0.0
     if span == 0.0 or not psi.c.any():
-        return [psi] * times.size
+        return psi if np.ndim(t) == 0 else [psi] * times.size
     radius = _radius_bound(config)
     degree = span * radius + 1  # a lower bound of the degree of the series
     if degree * np.finfo(np.float64).eps > _SERIES_TOL:
@@ -716,7 +712,7 @@ def _propagate(psi: BosonicState, times: np.ndarray):
     later = later[np.diff(later, prepend=0.0) > 0.0].tolist()  # np.unique loads numpy.ma
     sums = _chebyshev(config, psi.c, later, radius)
     served = {0.0: psi, **{s: BosonicState(config, c=u) for s, u in zip(later, sums)}}
-    return [served[s] for s in times.tolist()]
+    return served[span] if np.ndim(t) == 0 else [served[s] for s in times.tolist()]
 
 
 # -- energy-moment inequality probe ----------------------------------------
@@ -737,12 +733,13 @@ def weighted_sobolev_norm_sq(psi: BosonicState, orders: list[float]) -> float:
     return float(grid.cell_volume**config.N / grid.size**k * np.sum(p))
 
 
-def check_stability_order(k: int, c1: float, N: int) -> None:
-    """stability_check needs 1 <= k <= N and 0 <= c1 <= 1."""
+def check_stability_order(k: int, c1: float, config: ManyBodyConfig) -> None:
+    """stability_check needs 1 <= k <= N and 0 <= c1 <= 1, and charges its norms' factors."""
     if not 0.0 <= c1 <= 1.0:
         raise ValueError(f"c1 must lie in [0, 1], got {c1}")
-    if not 1 <= k <= N:
-        raise ValueError(f"requires 1 <= k <= N, got k={k}, N={N}")
+    if not 1 <= k <= config.N:
+        raise ValueError(f"requires 1 <= k <= N, got k={k}, N={config.N}")
+    config.check_factor_budget(k, 2)
 
 
 def stability_check(psi: BosonicState, k: int, c1: float) -> dict:
@@ -755,7 +752,7 @@ def stability_check(psi: BosonicState, k: int, c1: float) -> dict:
     satisfied flag is reported, not asserted.
     """
     N = psi.config.N
-    check_stability_order(k, c1, N)
+    check_stability_order(k, c1, psi.config)
     lhs = energy_moment(psi, k)
     term_a = weighted_sobolev_norm_sq(psi, [1.0] * k)
     term_b = weighted_sobolev_norm_sq(psi, [1.0] if k == 1 else [2.0] + [1.0] * (k - 2))

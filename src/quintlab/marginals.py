@@ -147,10 +147,12 @@ def _traced_commutator(b: np.ndarray, v_b: np.ndarray, grid: GridSpec, k: int,
     return np.subtract(x, x.conj().T, out=x)
 
 
-def check_hierarchy_order(k: int, N: int) -> None:
-    """bbgky_rhs needs 1 <= k <= N - 2: its last term traces out two more slots."""
-    if not 1 <= k <= N - 2:
-        raise ValueError(f"the hierarchy equation needs 1 <= k <= N - 2, got k={k}, N={N}")
+def check_hierarchy_order(k: int, config: ManyBodyConfig) -> None:
+    """bbgky_rhs needs 1 <= k <= N - 2, as its last term traces out two more slots,
+    and charges what it forms (see bbgky_rhs)."""
+    if not 1 <= k <= config.N - 2:
+        raise ValueError(f"the hierarchy equation needs 1 <= k <= N - 2, got k={k}, N={config.N}")
+    config.check_factor_budget(k, 4, 2)
 
 
 def bbgky_rhs(config: ManyBodyConfig, psi: BosonicState, k: int) -> np.ndarray:
@@ -158,8 +160,7 @@ def bbgky_rhs(config: ManyBodyConfig, psi: BosonicState, k: int) -> np.ndarray:
     taken on B_k (_annihilate): it holds B_k, V B_k, A B_k and one scratch of
     their shape, beside the (m^k)^2 product and its adjoint."""
     N, grid = config.N, config.grid
-    check_hierarchy_order(k, N)
-    config.check_factor_budget(k, 4, 2)
+    check_hierarchy_order(k, config)
     # V psi is the sector's diagonal times c, so its factor is one more gather
     v_b = _annihilate(_sector(config).diag * psi.c, config, k)
     return _traced_commutator(_annihilate(psi.c, config, k), v_b, grid, k, grid.cell_volume**N)

@@ -42,7 +42,9 @@ from .grids import (
 # free_propagate is unused here; perfbench's tracing test asserts it is bound to nls.free_propagate
 from .nls import _free_product, _paired, free_propagate, free_sample  # noqa: F401
 
-_MAX_PROBE_WORK = 2**28  # _check_probe_work: 1.4 times the default bilinear probe, the largest
+_MAX_PROBE_WORK = 2**28  # _check_probe_work: 1.2 times the default bilinear probe, the largest
+_GRID_FLOOR = 2**13  # _grid_work: the fewest points a grid counts
+_DRAW_COST = 3  # _grid_work: what a drawn field point counts, in evaluated points
 
 
 def _trapezoid_times(T: float, nt: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,10 +108,17 @@ def _band_grid(f: TorusField) -> TorusField:
     return f.resample(2 * max(hi + 1, -lo, 2))
 
 
+def _grid_work(nt: int, grids: list[tuple[int, int]]) -> int:
+    """A 3-D probe's work per sample, summed over its parameter tuples' (evaluation-grid
+    points, points of the fields a sample draws): nt x the first (nt = 1 without a time
+    quadrature) + _DRAW_COST x the second, each at least _GRID_FLOOR, as a sample's draws,
+    projections and set-up and each time's own overhead cost about that on any grid."""
+    return sum(nt * max(p, _GRID_FLOOR) + _DRAW_COST * max(q, _GRID_FLOOR) for p, q in grids)
+
+
 def _check_probe_work(samples: int, work: int) -> None:
     """The sample and work rules: at least one sample per parameter tuple, and samples x
-    the summed nt x evaluation-grid points of a probe's parameter tuples (nt = 1 without
-    a time quadrature) within _MAX_PROBE_WORK."""
+    the work of one sample (_grid_work) within _MAX_PROBE_WORK."""
     if not samples >= 1:
         raise ParameterError("samples", f"samples must be >= 1, got {samples}")
     if samples * work > _MAX_PROBE_WORK:
@@ -420,7 +429,7 @@ def _strichartz_probe(seed: int, /, *, samples: int = 100, ms: list[float] = (2,
                       p: float = 4.0, T: float = 1.0, nt: int = 40, n: int = 16):
     grid = GridSpec(3, n)
     sides = [_strichartz_grid(m, p, T, nt, min(int(m), grid.nyquist)) for m in ms]
-    _check_probe_work(samples, nt * sum(s**3 for s in sides))
+    _check_probe_work(samples, _grid_work(nt, [(s**3, grid.size) for s in sides]))
     yield
 
     def fn(rng, m):
@@ -432,14 +441,14 @@ def _strichartz_probe(seed: int, /, *, samples: int = 100, ms: list[float] = (2,
 
 def _bilinear_probe(seed: int, /, *, samples: int = 12, m1s: list[float] = (4, 8, 16, 32),
                     m2: float = 4, delta: float = 0.02, T: float = 1.0, nt: int = 33, n: int = 16):
-    grids, work = {}, 0
+    grids, points = {}, []
     for m1 in m1s:  # the field grid at shell m1: at least n, and holding the shell
         side = max(n, 2 * m1 + 4)
         # charged before the 11-smooth search; a side past 2^24 is over budget, and its cube finite
         check_entries("field grid", min(side, 2**24) ** 3)
         grids[m1] = GridSpec(3, _next_even(side))
-        work += nt * _bilinear_grid(m1, m2, delta, T, nt, grids[m1].n) ** 3
-    _check_probe_work(samples, work)
+        points.append((_bilinear_grid(m1, m2, delta, T, nt, grids[m1].n) ** 3, 2 * grids[m1].size))
+    _check_probe_work(samples, _grid_work(nt, points))
     yield
 
     def fn(rng, m1):
@@ -455,7 +464,7 @@ def _refined_sobolev_probe(seed: int, /, *, samples: int = 40, ms: list[float] =
     grid = GridSpec(3, n)
     grid_tuples = [(m, r) for m in ms for r in rs]
     sides = [_refined_sobolev_grid(m, r, which, min(band, grid.nyquist)) for m, r in grid_tuples]
-    _check_probe_work(samples, sum(s**3 for s in sides))
+    _check_probe_work(samples, _grid_work(1, [(s**3, grid.size) for s in sides]))
     yield
 
     def fn(rng, m, r):
@@ -469,7 +478,8 @@ def _multilinear_probe(seed: int, /, *, samples: int = 50, variant: str = "Old1"
                        m0: float = 4.0, T: float = 1.0, nt: int = 32, n: int = 8):
     grid = GridSpec(3, n)
     band = max(2, n // 4)  # at most the Nyquist mode, as n >= 4
-    _check_probe_work(samples, nt * _multilinear_grid(variant, m0, T, nt, band) ** 3)
+    _check_probe_work(samples, _grid_work(nt, [(_multilinear_grid(variant, m0, T, nt, band) ** 3,
+                                                5 * grid.size)]))
     yield
 
     def fn(rng, _):

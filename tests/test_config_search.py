@@ -5,7 +5,7 @@ A draw that validates is run when it is small, that is when its run ends
 within _RUN_SECONDS; validation itself must end within _VALIDATE_SECONDS.
 Clean means: exit 0, 1 or 2 with no traceback; exit 1 only as a
 [TOLERANCE-FAIL] line or a failed check; and every JSON artifact strict JSON,
-with no NaN or Infinity.  The classes F1-F8 that earlier searches found are
+with no NaN or Infinity.  The classes F1-F9 that earlier searches found are
 explicit examples."""
 
 import contextlib
@@ -25,8 +25,10 @@ from quintlab.cli import ExperimentConfig, ValidationError, main
 CONFIGS = {p.stem: json.loads(p.read_text())
            for p in sorted(Path(__file__).parent.parent.glob("configs/*.json"))}
 # boundary values: zero, -1, subnormals, past-float-range products, int32 and
-# int64 edges, an empty list and wrong types
-POOL = [0, -1, 5e-324, 1e-310, 1e300, 2**31, 2**63, [], "x", True, None, {}]
+# int64 edges, an integer past the largest float, NaN and the infinities (Python's
+# json reads and writes them all), an empty list and wrong types
+POOL = [0, -1, 5e-324, 1e-310, 1e300, 2**31, 2**63, 10**400, float("nan"), float("inf"),
+        -float("inf"), [], "x", True, None, {}]
 _VALIDATE_SECONDS = 2.0
 _RUN_SECONDS = 0.5
 
@@ -138,5 +140,9 @@ def _check_clean(name, mutations):
 @example(draw=("residuals_reach", [(("params", "spacings", 1), 12)]))
 # F8: a spacing whose 1/(2h) is past the largest float: NaN residual ratios
 @example(draw=("residuals_demo", [(("params", "spacings", 1), 1e-310)]))
+# F9: an integer past the largest float, which json reads as an int: OverflowError
+@example(draw=("nls_demo", [(("params", "b0"), 10**400)]))
+@example(draw=("manybody_demo", [(("params", "N"), 10**400)]))
+@example(draw=("probe_strichartz", [(("params", "options", "T"), 10**400)]))
 def test_mutated_configs_end_cleanly(draw):
     _check_clean(*draw)

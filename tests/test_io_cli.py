@@ -829,6 +829,33 @@ BAD_CONFIGS = [
     ("residuals", {**_RES, "spacings": [0.02, 1e-310]}, "spacings"),
     # approx_identity at the old count's cap: 1,365 samples at n = 65,536, about 44 s
     ("probe", {"lemma": "approx_identity", "options": {"n": 65536, "samples": 1365}}, "options"),
+    # an integer past the largest float, which json reads as an int: each ended in an
+    # OverflowError traceback, in the build pass or in the run
+    ("nls-run", {**_NLS, "b0": 10**400}, "b0"),
+    ("nls-run", {**_NLS, "initial": {"kind": "modes", "modes": [[1, 10**400]]}}, "initial"),
+    ("chaos", {**_CHAOS, "potential": {"kind": "gaussian", "sigma": 10**400}}, "potential.sigma"),
+    ("manybody-run", {**_MB, "N": 10**400}, "N"),
+    ("residuals", {**_RES, "spacings": [10**400, 0.01]}, "spacings"),
+    ("hufl", {**_HUFL, "M": 10**400}, "M"),
+    ("probe", {"lemma": "strichartz", "options": {"T": 10**400}}, "options.T"),
+    # rules that each value's owning function holds: the flow's times, the hufl bound,
+    # the step count
+    ("manybody-run", {**_MB, "T": -0.1}, "T"),
+    ("chaos", {**_CHAOS, "T": -0.1}, "T"),
+    ("hufl", {**_HUFL, "eps": 0}, "eps"),
+    ("nls-run", {**_NLS, "snapshot_every": 0}, "snapshot_every"),
+    # 3-D probes at the old count's cap, which counted no sample's fixed cost: about
+    # 60 s, 50 s and 17 s on a 2-vCPU host
+    ("probe", {"lemma": "bilinear",
+               "options": {"n": 4, "m1s": [2], "m2": 2, "nt": 2, "samples": 184112}}, "options"),
+    ("probe", {"lemma": "refined_sobolev",
+               "options": {"n": 4, "ms": [1], "rs": [1], "band": 1, "samples": 524288}}, "options"),
+    ("probe", {"lemma": "strichartz", "options": {"n": 4, "ms": [1], "nt": 32, "samples": 16384}},
+     "options"),
+    # nor the fields a sample draws: a 64^3 field for an 8^3 evaluation grid, about 34 min
+    ("probe", {"lemma": "refined_sobolev",
+               "options": {"n": 64, "ms": [1], "rs": [1], "band": 1, "samples": 524288}},
+     "options"),
 ]
 
 
@@ -837,7 +864,7 @@ BAD_CONFIGS = [
     ("residuals", {**_RES, "beta": 0.0, "spacings": [1e5, 5e4]}),
 ], ids=["manybody-run", "residuals"])
 def test_series_tolerance_out_of_reach_exits_1(tmp_path, capsys, kind, params):
-    # the series' degree passes what double precision can certify: _propagate
+    # the series' degree passes what double precision can certify: propagate
     # raises before any H-apply
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"kind": kind, "params": params}))
@@ -1083,6 +1110,28 @@ class TestBadConfigs:
         assert run_experiment(cfg, tmp_path).passed
 
 
+# a value each annotation a declared key may carry accepts; "list" checks no element
+_VALID = {"int": 1, "float": 1.5, "float | None": 1.5, "bool": True, "str": "x", "dict": {},
+          "list": ["x"], "list[int]": [1, 2], "list[float]": [1.5, 2],
+          "list[tuple[int, float]]": [[1, 0.5]]}
+# what no float holds: NaN and the infinities, which Python's json reads, and an
+# integer past the largest float, which it reads as an int
+_NO_FLOAT = [float("nan"), float("inf"), -float("inf"), 10**400]
+
+
+def _number_paths(value, path=()):
+    """The index path of every number (no bool) in value, lists included."""
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in _number_paths(v, path + (i,))]
+    return [path] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    return [_replaced(v, path[1:], new) if i == path[0] else v for i, v in enumerate(value)]
+
+
 # a value of the wrong JSON type for each annotation a declared key may carry
 _MISTYPED = {"int": True, "float": "1", "float | None": "1", "bool": 1, "str": 5, "dict": [],
              "list": [],
@@ -1146,6 +1195,17 @@ class TestDeclaredKeys:
             with pytest.raises(ValidationError) as exc:
                 cli._bind(fn, {key: _MISTYPED[annotation]}, where, kind)
             assert f"{where}.{key}: must be {what}" in exc.value.errors
+
+    @pytest.mark.parametrize("annotation", sorted(_VALID))
+    def test_each_number_a_json_type_accepts_is_one_a_float_holds(self, annotation):
+        # every typed leaf is checked once, where _bind binds it: a number of any
+        # JSON type, in a list or a pair too, must be finite and within float range
+        assert set(_VALID) == set(cli._JSON_TYPES)
+        _, test = cli._JSON_TYPES[annotation]
+        assert test(_VALID[annotation])
+        for path in _number_paths(_VALID[annotation]):
+            for bad in _NO_FLOAT:
+                assert not test(_replaced(_VALID[annotation], path, bad)), (path, bad)
 
     @pytest.mark.parametrize("kind,params,defaults", [
         ("nls-run", {**_NLS, "initial": {"kind": "random_band", "scale": 1.0}},
